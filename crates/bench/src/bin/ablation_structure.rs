@@ -7,7 +7,7 @@ use catfish_bench::{banner, timed, BenchArgs};
 use catfish_core::config::{AccessMode, ClientConfig, Scheme, ServerConfig};
 use catfish_core::harness::{run_experiment, ExperimentSpec};
 use catfish_rdma::profile;
-use catfish_rtree::codec::ChunkLayout;
+use catfish_rtree::codec::{ChunkLayout, MAX_BITMASK_ENTRIES};
 use catfish_rtree::RTreeConfig;
 use catfish_workload::{uniform_rects, ScaleDist, TraceSpec};
 
@@ -24,7 +24,8 @@ fn main() {
         "{:>8} {:>12} {:>12} {:>14} {:>14}",
         "fanout", "chunk", "height", "offload Kops", "offload mean"
     );
-    for m in [16usize, 32, 88, 176] {
+    // The widest node the SoA hit bitmask covers (128 entries).
+    for m in [16usize, 32, 88, MAX_BITMASK_ENTRIES] {
         let layout = ChunkLayout::for_max_entries(m);
         let mut spec = ExperimentSpec {
             profile: profile::infiniband_100g(),

@@ -2,9 +2,7 @@
 //! collection off and then on, asserting the simulated results are
 //! unchanged (spans record virtual time without advancing it, so tracing
 //! must never perturb what is being measured) and reporting the wall-clock
-//! cost of recording. Built with `--no-default-features`, every span call
-//! site compiles to a no-op and the traced run is byte-for-byte the same
-//! code path — the second half of the tentpole's zero-cost claim.
+//! cost of recording.
 //!
 //! A transport matrix then repeats the off/on comparison for distributed
 //! request tracing (`collect_spans`) across every response transport —
@@ -22,7 +20,7 @@
 use catfish_bench::{banner, paper_tree_config, write_metrics, BenchArgs};
 use catfish_core::config::{AccessMode, ClientConfig, Scheme, ServerMode};
 use catfish_core::harness::{run_experiment, ExperimentSpec, RunResult};
-use catfish_core::{Phase, TraceAssembler, TraceSink};
+use catfish_core::{Phase, TraceAssembler};
 use catfish_rdma::profile;
 use catfish_workload::{uniform_rects, ScaleDist, TraceSpec};
 use std::time::Instant;
@@ -98,10 +96,6 @@ fn main() {
         "Observability overhead",
         "span recording cost and per-phase breakdown consistency",
     );
-    println!(
-        "trace feature compiled {}\n",
-        if TraceSink::enabled() { "IN" } else { "OUT" }
-    );
 
     // --- overhead: identical spec, spans off vs on -----------------------
     let clients = 32;
@@ -116,10 +110,6 @@ fn main() {
     );
     if sim_delta.abs() > SIM_DELTA_PCT {
         eprintln!("FAIL: tracing changed simulated throughput beyond {SIM_DELTA_PCT}%");
-        std::process::exit(1);
-    }
-    if !TraceSink::enabled() && !traced.phase_hists.is_empty() {
-        eprintln!("FAIL: spans recorded despite the trace feature being compiled out");
         std::process::exit(1);
     }
 
@@ -149,17 +139,12 @@ fn main() {
             eprintln!("FAIL: {label}: tracing changed simulated throughput by {delta:+.3}%");
             std::process::exit(1);
         }
-        if TraceSink::enabled() {
-            if on.spans.is_empty() {
-                eprintln!("FAIL: {label}: no spans recorded with tracing on");
-                std::process::exit(1);
-            }
-            if !asm.all_connected() {
-                eprintln!("FAIL: {label}: assembled traces are not all connected");
-                std::process::exit(1);
-            }
-        } else if !on.spans.is_empty() {
-            eprintln!("FAIL: {label}: spans recorded despite the trace feature being compiled out");
+        if on.spans.is_empty() {
+            eprintln!("FAIL: {label}: no spans recorded with tracing on");
+            std::process::exit(1);
+        }
+        if !asm.all_connected() {
+            eprintln!("FAIL: {label}: assembled traces are not all connected");
             std::process::exit(1);
         }
     }
@@ -169,36 +154,36 @@ fn main() {
     // the request-path phases partition the end-to-end latency.
     let (solo, _) = timed_run(&spec(&args, Scheme::FastMessaging, 1, true));
     if solo.phase_hists.is_empty() {
-        println!("\nno phase spans recorded (trace feature off) — breakdown skipped");
-    } else {
-        println!("\nper-phase breakdown (1 client, fast messaging):");
-        for (phase, hist) in &solo.phase_hists {
-            println!("  {:>13}: {}", phase.name(), hist.summary());
-        }
-        let path_phases = [
-            Phase::RingEnqueue,
-            Phase::ServerQueue,
-            Phase::Dispatch,
-            Phase::IndexExec,
-            Phase::RespTransit,
-        ];
-        let sum_ns: u64 = solo
-            .phase_hists
-            .iter()
-            .filter(|(p, _)| path_phases.contains(p))
-            .map(|(_, h)| h.summary().p50.as_nanos())
-            .sum();
-        let e2e_ns = solo.hist.summary().p50.as_nanos();
-        let gap = (sum_ns as f64 / e2e_ns as f64 - 1.0) * 100.0;
-        println!(
-            "phase-sum p50 {:.2}us vs end-to-end p50 {:.2}us: gap {gap:+.2}% (limit ±{SUM_DELTA_PCT}%)",
-            sum_ns as f64 / 1e3,
-            e2e_ns as f64 / 1e3
-        );
-        if gap.abs() > SUM_DELTA_PCT {
-            eprintln!("FAIL: phase breakdown does not account for the end-to-end p50");
-            std::process::exit(1);
-        }
+        eprintln!("FAIL: no phase spans recorded with collect_phase_spans on");
+        std::process::exit(1);
+    }
+    println!("\nper-phase breakdown (1 client, fast messaging):");
+    for (phase, hist) in &solo.phase_hists {
+        println!("  {:>13}: {}", phase.name(), hist.summary());
+    }
+    let path_phases = [
+        Phase::RingEnqueue,
+        Phase::ServerQueue,
+        Phase::Dispatch,
+        Phase::IndexExec,
+        Phase::RespTransit,
+    ];
+    let sum_ns: u64 = solo
+        .phase_hists
+        .iter()
+        .filter(|(p, _)| path_phases.contains(p))
+        .map(|(_, h)| h.summary().p50.as_nanos())
+        .sum();
+    let e2e_ns = solo.hist.summary().p50.as_nanos();
+    let gap = (sum_ns as f64 / e2e_ns as f64 - 1.0) * 100.0;
+    println!(
+        "phase-sum p50 {:.2}us vs end-to-end p50 {:.2}us: gap {gap:+.2}% (limit ±{SUM_DELTA_PCT}%)",
+        sum_ns as f64 / 1e3,
+        e2e_ns as f64 / 1e3
+    );
+    if gap.abs() > SUM_DELTA_PCT {
+        eprintln!("FAIL: phase breakdown does not account for the end-to-end p50");
+        std::process::exit(1);
     }
 
     write_metrics(&args, &traced.metrics());

@@ -19,8 +19,8 @@
 //! 4 shards vs 1 at the highest client count under uniform load, and
 //! hot-offloads-while-cold-stays-fast under the hotspot (checked from the
 //! per-shard offload fractions and the shard-stamped adaptive event log).
-//! A 1-shard cell runs the classic single-server topology, so the sweep's
-//! baseline *is* the single-server figure configuration.
+//! A 1-shard cell is the one-shard cluster every figure binary runs, so
+//! the sweep's baseline *is* the single-server figure configuration.
 //!
 //! Emits `BENCH_shards.json` (see EXPERIMENTS.md).
 

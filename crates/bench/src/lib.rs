@@ -48,7 +48,7 @@ pub struct BenchArgs {
     /// Client retransmission budget override (`--max-retries`).
     pub max_retries: Option<u32>,
     /// Shard counts to sweep (`--shards a,b,c`; None = binary default,
-    /// usually 1 = the classic single server).
+    /// usually 1 = the paper's single server as a one-shard cluster).
     pub shards: Option<Vec<usize>>,
     /// Base path for distributed-trace exports (`--trace-out`): the binary
     /// enables span collection and writes `<base>.spans.jsonl` (one span

@@ -1,11 +1,13 @@
 //! Whole-cluster experiment harness.
 //!
-//! Builds the paper's topology — one server plus up to hundreds of client
-//! threads spread over a handful of client machines sharing NICs — runs a
-//! workload trace through a chosen [`Scheme`], and reports throughput,
-//! latency, server CPU utilization, and server NIC bandwidth. Every
-//! figure-regeneration binary in `catfish-bench` is a thin loop over
-//! [`run_experiment`].
+//! Every run builds one topology: a [`CatfishCluster`] of
+//! [`ExperimentSpec::shards`] shards (each optionally a replica set) plus
+//! up to hundreds of client threads spread over a handful of client
+//! machines sharing NICs. The paper's single Catfish server is the
+//! one-shard cluster, the default. The harness runs a workload trace
+//! through a chosen [`Scheme`] and reports throughput, latency, server CPU
+//! utilization, and server NIC bandwidth. Every figure-regeneration binary
+//! in `catfish-bench` is a thin loop over [`run_experiment`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -16,13 +18,13 @@ use catfish_rtree::{RTreeConfig, Rect};
 use catfish_simnet::{now, sleep, spawn, CpuPool, Network, Sim, SimDuration};
 use catfish_workload::{Request, ScaleDist, TraceSpec};
 
-use crate::client::{CatfishClient, CatfishClusterClient};
+use crate::client::CatfishClusterClient;
 use crate::config::{AccessMode, AdaptiveParams, ClientConfig, Scheme, ServerConfig, ServerMode};
 use crate::conn::RkeyAllocator;
 use crate::msg::Message;
 use crate::obs::{
     AdaptiveEventLog, AdaptiveEventRecord, FlightDump, LatencyHistogram, MetricsRegistry, Phase,
-    SpanLog, SpanRecord, TraceSink, SERVER_NODE_BASE,
+    SpanLog, SpanRecord, TraceSink,
 };
 use crate::server::{CatfishCluster, CatfishServer};
 use crate::stats::{LatencySummary, ServiceStats};
@@ -67,8 +69,7 @@ pub struct ExperimentSpec {
     /// Attach one shared [`TraceSink`] to the server and every client,
     /// populating [`RunResult::phase_hists`] with the per-phase latency
     /// breakdown. Spans record virtual time without ever advancing it, so
-    /// enabling this cannot change a run's outcome. No-op when the
-    /// `trace` cargo feature is disabled.
+    /// enabling this cannot change a run's outcome.
     pub collect_phase_spans: bool,
     /// Record every client's Algorithm 1 decision steps into
     /// [`RunResult::adaptive_events`] (heartbeat consumed, band
@@ -80,8 +81,7 @@ pub struct ExperimentSpec {
     /// dispatch/index-exec spans, merges) that
     /// [`crate::obs::TraceAssembler`] stitches into per-request trees.
     /// Spans observe virtual time without advancing it, so enabling this
-    /// cannot change a run's outcome. No-op (empty spans) when the `trace`
-    /// cargo feature is disabled.
+    /// cannot change a run's outcome.
     pub collect_spans: bool,
     /// Fault-injection configuration. When set, one [`FaultPlan`] seeded
     /// from [`ExperimentSpec::seed`] is attached to the server endpoint
@@ -96,11 +96,11 @@ pub struct ExperimentSpec {
     pub request_timeout: Option<SimDuration>,
     /// Overrides every client's retransmission budget (`--max-retries`).
     pub max_retries: Option<u32>,
-    /// Server shards. `1` (the default) runs the classic single-server
-    /// topology; `> 1` builds a space-partitioned [`CatfishCluster`] with
-    /// scatter-gather clients, each shard a full machine with `server`'s
-    /// configuration and its own heartbeat stream / Algorithm 1 instance.
-    /// The TCP baseline is single-server only.
+    /// Server shards of the [`CatfishCluster`]. `1` (the default) models
+    /// the paper's single server; `> 1` partitions the dataset into x-slabs
+    /// served to scatter-gather clients. Each shard is a full machine with
+    /// `server`'s configuration and its own heartbeat stream / Algorithm 1
+    /// instance. The TCP baseline runs only at one shard and one replica.
     pub shards: usize,
     /// With `shards > 1`, attach the fault plan to **one** shard's server
     /// endpoint only (client NICs stay clean — they carry every shard's
@@ -109,7 +109,7 @@ pub struct ExperimentSpec {
     /// **primary** draws the faults — the interesting victim.
     pub fault_shard: Option<usize>,
     /// Members per replica set (the `--replicas` bench knob). `1` (the
-    /// default) is the classic unreplicated topology; `k > 1` builds every
+    /// default) leaves shards unreplicated; `k > 1` builds every
     /// shard as a k-way replica set with primary-forwarded mutations,
     /// epoch-fenced failover, and hash-range repair.
     pub replicas: usize,
@@ -151,7 +151,7 @@ pub struct RunResult {
     pub label: String,
     /// Client thread count.
     pub clients: usize,
-    /// Server shards the run used (1 = classic single-server topology).
+    /// Server shards the run used (1 models the paper's single server).
     pub shards: usize,
     /// Requests completed across all clients.
     pub completed_requests: usize,
@@ -174,7 +174,7 @@ pub struct RunResult {
     pub stats: ServiceStats,
     /// Per-shard counters (client-side per-shard-connection counters
     /// merged over all clients, plus each shard's server-side integrity
-    /// counters), in shard order. One entry for single-server runs.
+    /// counters), in shard order: one entry per shard.
     /// Algorithm 1 runs per shard, so offload fractions must be read here
     /// — the aggregate `stats` hides a hot shard offloading behind cold
     /// shards staying fast.
@@ -187,15 +187,14 @@ pub struct RunResult {
     pub hist: LatencyHistogram,
     /// Per-phase latency breakdown, in [`Phase::ALL`] order, for phases
     /// that recorded spans. Populated when
-    /// [`ExperimentSpec::collect_phase_spans`] is set and the `trace`
-    /// feature is compiled in; empty otherwise.
+    /// [`ExperimentSpec::collect_phase_spans`] is set; empty otherwise.
     pub phase_hists: Vec<(Phase, LatencyHistogram)>,
     /// Timeline of adaptive (Algorithm 1) decision events. Populated when
     /// [`ExperimentSpec::collect_adaptive_events`] is set.
     pub adaptive_events: Vec<AdaptiveEventRecord>,
     /// Distributed-trace span records across every node in the run.
-    /// Populated when [`ExperimentSpec::collect_spans`] is set and the
-    /// `trace` feature is compiled in; empty otherwise.
+    /// Populated when [`ExperimentSpec::collect_spans`] is set; empty
+    /// otherwise.
     pub spans: Vec<SpanRecord>,
     /// Flight-recorder anomaly dumps from every client connection, in
     /// completion order. Always collected — the recorder itself is
@@ -420,7 +419,7 @@ impl RunResult {
 pub fn run_experiment(spec: &ExperimentSpec) -> RunResult {
     let sim = Sim::new();
     let spec = spec.clone();
-    sim.run_until(async move { run_inner(spec).await })
+    sim.run_until(async move { run_cluster(spec).await })
 }
 
 fn client_config_for(scheme: Scheme, server: &ServerConfig) -> ClientConfig {
@@ -450,304 +449,48 @@ fn client_config_for(scheme: Scheme, server: &ServerConfig) -> ClientConfig {
 struct ClientOutcome {
     search: LatencyHistogram,
     write: LatencyHistogram,
-    stats: ServiceStats,
-    /// Per-shard-connection counters (cluster runs only).
+    /// Per-shard-connection counters (empty for the TCP baseline).
     per_shard: Vec<ServiceStats>,
     /// This client's flight-recorder anomaly dumps (all connections).
     flight_dumps: Vec<FlightDump>,
 }
 
-async fn run_inner(spec: ExperimentSpec) -> RunResult {
-    // Replication rides on the cluster topology even at one shard: a
-    // 1-shard k-way replica set is a legal (and useful) configuration.
-    if spec.shards > 1 || spec.replicas > 1 {
-        return run_cluster_inner(spec).await;
-    }
+/// Builds the [`CatfishCluster`] (one shard models the paper's single
+/// server), connects one scatter-gather client per client thread — or one
+/// TCP connection for the TCP baseline — and folds every counter once.
+/// Per-shard resource accounting: server CPU is the mean across shards
+/// (each shard is a full machine) and NIC bandwidth the sum.
+async fn run_cluster(spec: ExperimentSpec) -> RunResult {
+    let tcp = spec.scheme == Scheme::TcpIp;
+    assert!(
+        !tcp || (spec.shards == 1 && spec.replicas == 1),
+        "the TCP baseline is single-server only; use shards = 1 and replicas = 1"
+    );
     let net = Network::new();
     let rkeys = RkeyAllocator::new();
     let mut server_cfg = spec.server;
     server_cfg.mode = spec.server_mode.unwrap_or(match spec.scheme {
         // The FaRM-style baselines poll; Catfish is event-driven (§IV-B).
         Scheme::FastMessaging | Scheme::RdmaOffloading => ServerMode::Polling,
-        Scheme::Catfish => ServerMode::EventDriven,
-        Scheme::TcpIp => ServerMode::EventDriven, // unused by the TCP path
+        Scheme::Catfish | Scheme::TcpIp => ServerMode::EventDriven,
     });
-    let server = CatfishServer::build(
+    let cluster = CatfishCluster::build_replicated(
         &net,
         &spec.profile,
         server_cfg,
         spec.tree_config,
         spec.dataset.clone(),
+        spec.shards,
+        spec.replicas,
         &rkeys,
     );
-    // One shared fault plan for the whole cluster: every endpoint draws
-    // from the same seeded decision stream, so runs replay byte-identically.
-    let fault_plan = match spec.fault {
-        Some(cfg) if cfg.is_active() => Some(FaultPlan::new(cfg, spec.seed)),
-        Some(_) => None,
-        None => FaultPlan::from_env(),
-    };
-    if let Some(plan) = &fault_plan {
-        server.endpoint().set_fault_plan(Some(plan.clone()));
-    }
-    if spec.scheme == Scheme::Catfish {
-        server.start_heartbeats();
-    }
-    // One sink shared by the server and every client: the per-phase
-    // breakdown aggregates the whole cluster.
-    let trace_sink = spec.collect_phase_spans.then(TraceSink::new);
-    if let Some(sink) = &trace_sink {
-        server.set_trace(sink.clone());
-    }
-    let event_log = spec.collect_adaptive_events.then(AdaptiveEventLog::new);
-    // One shared span log: the server and every client stamp into the same
-    // id space, so cross-node parent links resolve at assembly time.
-    let span_log = spec.collect_spans.then(SpanLog::new);
-    if let Some(log) = &span_log {
-        server.set_span_log(log.for_node(SERVER_NODE_BASE));
-    }
-
-    // Client machines share NICs.
-    let node_count = spec.client_nodes.max(1).min(spec.clients.max(1));
-    let rdma_eps: Vec<Endpoint> = (0..node_count)
-        .map(|_| {
-            let ep = Endpoint::new(&net, net.add_node(spec.profile.link), spec.profile.rdma);
-            if let Some(plan) = &fault_plan {
-                ep.set_fault_plan(Some(plan.clone()));
-            }
-            ep
-        })
-        .collect();
-    let poll_pools: Vec<Option<CpuPool>> = (0..node_count)
-        .map(|_| {
-            spec.client_polling_cores
-                .map(|cores| CpuPool::new(cores, server_cfg.quantum))
-        })
-        .collect();
-    let tcp_eps: Vec<TcpEndpoint> = if spec.scheme == Scheme::TcpIp {
-        rdma_eps
-            .iter()
-            .map(|ep| TcpEndpoint::new(&net, ep.node(), spec.profile.tcp, None))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let started = now();
-    let outcomes: Rc<RefCell<Vec<ClientOutcome>>> = Rc::new(RefCell::new(Vec::new()));
-    let mut handles = Vec::with_capacity(spec.clients);
-    for client_id in 0..spec.clients {
-        let trace = match &spec.explicit_traces {
-            Some(traces) => traces[client_id % traces.len()].clone(),
-            None => spec.trace.client_trace(client_id as u64, spec.seed),
-        };
-        let outcomes = Rc::clone(&outcomes);
-        // Spread connection setup over a few milliseconds, as independent
-        // client machines would; this also de-phases the steady state.
-        let stagger = SimDuration::from_nanos(17_039 * client_id as u64);
-        match spec.scheme {
-            Scheme::TcpIp => {
-                let ep = tcp_eps[client_id % node_count].clone();
-                let (conn, server_side) = ep.connect(&server.tcp_endpoint());
-                server.accept_tcp(server_side);
-                handles.push(spawn(async move {
-                    sleep(stagger).await;
-                    let outcome = tcp_client_task(conn, trace).await;
-                    outcomes.borrow_mut().push(outcome);
-                }));
-            }
-            _ => {
-                let ep = &rdma_eps[client_id % node_count];
-                let ch = server.accept(ep);
-                let mut cfg = spec
-                    .client_config
-                    .unwrap_or_else(|| client_config_for(spec.scheme, &server_cfg));
-                if let Some(t) = spec.request_timeout {
-                    cfg.request_timeout = t;
-                }
-                if let Some(r) = spec.max_retries {
-                    cfg.max_retries = r;
-                }
-                let mut client = CatfishClient::new(
-                    ch,
-                    server.remote_handle(),
-                    cfg,
-                    spec.seed ^ (client_id as u64).wrapping_mul(0x5851_F42D_4C95_7F2D),
-                );
-                if let Some(pool) = &poll_pools[client_id % node_count] {
-                    client = client.with_response_polling(pool.clone());
-                }
-                if let Some(sink) = &trace_sink {
-                    client = client.with_trace(sink.clone());
-                }
-                if let Some(log) = &event_log {
-                    client.set_adaptive_event_log(log.for_client(client_id as u32));
-                }
-                if let Some(log) = &span_log {
-                    client.set_span_log(log.for_node(client_id as u32));
-                }
-                client.set_flight_ids(client_id as u32, 0);
-                handles.push(spawn(async move {
-                    sleep(stagger).await;
-                    let outcome = rdma_client_task(&mut client, trace).await;
-                    outcomes.borrow_mut().push(outcome);
-                }));
-            }
-        }
-    }
-
-    let cpu_start = server.cpu().sample();
-    let bw_start = net.traffic(server.endpoint().node());
-    // Background sampler for the run timeline (10 ms grid).
-    let timeline: Rc<RefCell<Vec<TimelinePoint>>> = Rc::new(RefCell::new(Vec::new()));
-    {
-        let timeline = Rc::clone(&timeline);
-        let server = server.clone();
-        let net = net.clone();
-        spawn(async move {
-            let mut prev_cpu = server.cpu().sample();
-            let mut prev_bw = net.traffic(server.endpoint().node());
-            loop {
-                sleep(SimDuration::from_millis(10)).await;
-                let cpu = server.cpu().sample();
-                let bw = net.traffic(server.endpoint().node());
-                timeline.borrow_mut().push(TimelinePoint {
-                    t_ms: now().duration_since(started).as_secs_f64() * 1e3,
-                    cpu: server.cpu().utilization_between(&prev_cpu, &cpu),
-                    bw_gbps: bw.throughput_bps_since(&prev_bw) / 1e9,
-                });
-                prev_cpu = cpu;
-                prev_bw = bw;
-            }
-        });
-    }
-    for h in handles {
-        h.await;
-    }
-    let cpu_end = server.cpu().sample();
-    let bw_end = net.traffic(server.endpoint().node());
-
-    let makespan = now() - started;
-    let outcomes = Rc::try_unwrap(outcomes)
-        .expect("all client tasks joined")
-        .into_inner();
-    let mut all = LatencyHistogram::new();
-    let mut search = LatencyHistogram::new();
-    let mut write = LatencyHistogram::new();
-    let mut stats = ServiceStats::default();
-    let mut flight_dumps = Vec::new();
-    for o in outcomes {
-        all.merge(&o.search);
-        all.merge(&o.write);
-        search.merge(&o.search);
-        write.merge(&o.write);
-        stats.merge(&o.stats);
-        flight_dumps.extend(o.flight_dumps);
-    }
-    // Robustness counters that live server-side (duplicate suppression,
-    // request-ring integrity) join the client-merged snapshot so one
-    // struct tells the whole fault story. The other server counters stay
-    // separate: fields like `batches_sent` exist on both sides and the
-    // client-side reading is what the batching figures plot.
-    {
-        let ss = server.stats();
-        stats.dup_drops += ss.dup_drops;
-        stats.checksum_failures += ss.checksum_failures;
-        stats.resyncs += ss.resyncs;
-        stats.merged_writes += ss.merged_writes;
-        stats.fetched_responses += ss.fetched_responses;
-        stats.fetch_fallbacks += ss.fetch_fallbacks;
-        stats.mailbox_reclaims += ss.mailbox_reclaims;
-    }
-    let completed = all.len();
-    let throughput_kops = if makespan.is_zero() {
-        0.0
-    } else {
-        completed as f64 / makespan.as_secs_f64() / 1e3
-    };
-    RunResult {
-        label: spec.scheme.label(&spec.profile),
-        clients: spec.clients,
-        shards: 1,
-        per_shard_stats: vec![stats],
-        completed_requests: completed,
-        makespan,
-        throughput_kops,
-        latency: all.summary(),
-        search_latency: search.summary(),
-        insert_latency: write.summary(),
-        server_cpu: server.cpu().utilization_between(&cpu_start, &cpu_end),
-        server_bw_gbps: bw_end.throughput_bps_since(&bw_start) / 1e9,
-        stats,
-        timeline: {
-            let t = timeline.borrow().clone();
-            t
-        },
-        hist: all,
-        phase_hists: trace_sink
-            .map(|sink| {
-                Phase::ALL
-                    .iter()
-                    .filter_map(|&p| sink.phase_histogram(p).map(|h| (p, h)))
-                    .collect()
-            })
-            .unwrap_or_default(),
-        adaptive_events: event_log.map(|log| log.snapshot()).unwrap_or_default(),
-        spans: span_log.map(|log| log.snapshot()).unwrap_or_default(),
-        flight_dumps,
-    }
-}
-
-/// The `shards > 1` topology: a space-partitioned [`CatfishCluster`] with
-/// one scatter-gather client per client thread. Mirrors the single-server
-/// path — same staggering, same per-client seeds, same trace/event
-/// plumbing — with per-shard resource accounting: server CPU is the mean
-/// across shards (each shard is a full machine) and NIC bandwidth the sum.
-async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
-    assert!(
-        spec.scheme != Scheme::TcpIp,
-        "the TCP baseline is single-server only; use shards = 1"
-    );
-    let net = Network::new();
-    let rkeys = RkeyAllocator::new();
-    let mut server_cfg = spec.server;
-    server_cfg.mode = spec.server_mode.unwrap_or(match spec.scheme {
-        Scheme::FastMessaging | Scheme::RdmaOffloading => ServerMode::Polling,
-        Scheme::Catfish | Scheme::TcpIp => ServerMode::EventDriven,
-    });
-    let cluster = if spec.replicas > 1 {
-        CatfishCluster::build_replicated(
-            &net,
-            &spec.profile,
-            server_cfg,
-            spec.tree_config,
-            spec.dataset.clone(),
-            spec.shards,
-            spec.replicas,
-            &rkeys,
-        )
-    } else {
-        CatfishCluster::build(
-            &net,
-            &spec.profile,
-            server_cfg,
-            spec.tree_config,
-            spec.dataset.clone(),
-            spec.shards,
-            &rkeys,
-        )
-    };
     // Primaries at build time (replica 0 of each set) — the machines the
     // timeline and fault targeting watch.
     let shard_servers: Vec<CatfishServer> = (0..cluster.shards())
         .map(|i| cluster.shard(i).clone())
         .collect();
-    let mut all_servers: Vec<CatfishServer> = Vec::new();
-    for i in 0..cluster.shards() {
-        for r in 0..cluster.replicas() {
-            all_servers.push(cluster.replica(i, r).clone());
-        }
-    }
+    // One shared fault plan for the whole cluster: every endpoint draws
+    // from the same seeded decision stream, so runs replay byte-identically.
     let fault_plan = match spec.fault {
         Some(cfg) if cfg.is_active() => Some(FaultPlan::new(cfg, spec.seed)),
         Some(_) => None,
@@ -762,8 +505,13 @@ async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
                 .endpoint()
                 .set_fault_plan(Some(plan.clone())),
             None => {
-                for s in &all_servers {
-                    s.endpoint().set_fault_plan(Some(plan.clone()));
+                for i in 0..cluster.shards() {
+                    for r in 0..cluster.replicas() {
+                        cluster
+                            .replica(i, r)
+                            .endpoint()
+                            .set_fault_plan(Some(plan.clone()));
+                    }
                 }
             }
         }
@@ -771,18 +519,25 @@ async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
     if spec.scheme == Scheme::Catfish {
         cluster.start_heartbeats();
     }
+    // One sink shared by every server and client: the per-phase breakdown
+    // aggregates the whole cluster.
     let trace_sink = spec.collect_phase_spans.then(TraceSink::new);
     if let Some(sink) = &trace_sink {
-        for s in &all_servers {
-            s.set_trace(sink.clone());
+        for i in 0..cluster.shards() {
+            for r in 0..cluster.replicas() {
+                cluster.replica(i, r).set_trace(sink.clone());
+            }
         }
     }
     let event_log = spec.collect_adaptive_events.then(AdaptiveEventLog::new);
+    // One shared span log: servers and clients stamp into the same id
+    // space, so cross-node parent links resolve at assembly time.
     let span_log = spec.collect_spans.then(SpanLog::new);
     if let Some(log) = &span_log {
         cluster.set_span_log(log);
     }
 
+    // Client machines share NICs.
     let node_count = spec.client_nodes.max(1).min(spec.clients.max(1));
     let rdma_eps: Vec<Endpoint> = (0..node_count)
         .map(|_| {
@@ -804,6 +559,14 @@ async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
                 .map(|cores| CpuPool::new(cores, server_cfg.quantum))
         })
         .collect();
+    let tcp_eps: Vec<TcpEndpoint> = if tcp {
+        rdma_eps
+            .iter()
+            .map(|ep| TcpEndpoint::new(&net, ep.node(), spec.profile.tcp, None))
+            .collect()
+    } else {
+        Vec::new()
+    };
 
     let started = now();
     let outcomes: Rc<RefCell<Vec<ClientOutcome>>> = Rc::new(RefCell::new(Vec::new()));
@@ -814,8 +577,21 @@ async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
             None => spec.trace.client_trace(client_id as u64, spec.seed),
         };
         let outcomes = Rc::clone(&outcomes);
+        // Spread connection setup over a few milliseconds, as independent
+        // client machines would; this also de-phases the steady state.
         let stagger = SimDuration::from_nanos(17_039 * client_id as u64);
-        let ep = &rdma_eps[client_id % node_count];
+        if tcp {
+            let server = &shard_servers[0];
+            let (conn, server_side) =
+                tcp_eps[client_id % node_count].connect(&server.tcp_endpoint());
+            server.accept_tcp(server_side);
+            handles.push(spawn(async move {
+                sleep(stagger).await;
+                let outcome = tcp_client_task(conn, trace).await;
+                outcomes.borrow_mut().push(outcome);
+            }));
+            continue;
+        }
         let mut cfg = spec
             .client_config
             .unwrap_or_else(|| client_config_for(spec.scheme, &server_cfg));
@@ -827,7 +603,7 @@ async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
         }
         let mut client = CatfishClusterClient::connect_from(
             &cluster,
-            ep,
+            &rdma_eps[client_id % node_count],
             cfg,
             spec.seed ^ (client_id as u64).wrapping_mul(0x5851_F42D_4C95_7F2D),
         );
@@ -846,7 +622,7 @@ async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
         client.set_flight_ids(client_id as u32);
         handles.push(spawn(async move {
             sleep(stagger).await;
-            let outcome = cluster_client_task(&mut client, trace).await;
+            let outcome = client_task(&mut client, trace).await;
             outcomes.borrow_mut().push(outcome);
         }));
     }
@@ -856,6 +632,7 @@ async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
         .iter()
         .map(|s| net.traffic(s.endpoint().node()))
         .collect();
+    // Background sampler for the run timeline (10 ms grid).
     let timeline: Rc<RefCell<Vec<TimelinePoint>>> = Rc::new(RefCell::new(Vec::new()));
     {
         let timeline = Rc::clone(&timeline);
@@ -907,49 +684,17 @@ async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
     let outcomes = Rc::try_unwrap(outcomes)
         .expect("all client tasks joined")
         .into_inner();
+    let (stats, per_shard_stats) = fold_counters(&outcomes, &cluster.stats_per_shard());
     let mut all = LatencyHistogram::new();
     let mut search = LatencyHistogram::new();
     let mut write = LatencyHistogram::new();
-    let mut stats = ServiceStats::default();
-    let mut per_shard_stats = vec![ServiceStats::default(); spec.shards];
     let mut flight_dumps = Vec::new();
     for o in outcomes {
         all.merge(&o.search);
         all.merge(&o.write);
         search.merge(&o.search);
         write.merge(&o.write);
-        stats.merge(&o.stats);
-        for (i, s) in o.per_shard.iter().enumerate() {
-            per_shard_stats[i].merge(s);
-        }
         flight_dumps.extend(o.flight_dumps);
-    }
-    // Server-side robustness counters fold in per shard (so a single-shard
-    // fault audit can attribute them) and into the aggregate. Replica
-    // counters are already summed within each set.
-    for (i, ss) in cluster.stats_per_shard().into_iter().enumerate() {
-        per_shard_stats[i].dup_drops += ss.dup_drops;
-        per_shard_stats[i].checksum_failures += ss.checksum_failures;
-        per_shard_stats[i].resyncs += ss.resyncs;
-        per_shard_stats[i].merged_writes += ss.merged_writes;
-        per_shard_stats[i].fetched_responses += ss.fetched_responses;
-        per_shard_stats[i].fetch_fallbacks += ss.fetch_fallbacks;
-        per_shard_stats[i].mailbox_reclaims += ss.mailbox_reclaims;
-        per_shard_stats[i].repl_forwards += ss.repl_forwards;
-        per_shard_stats[i].repl_fenced += ss.repl_fenced;
-        per_shard_stats[i].repl_dups += ss.repl_dups;
-        per_shard_stats[i].repl_lag_ns += ss.repl_lag_ns;
-        stats.dup_drops += ss.dup_drops;
-        stats.checksum_failures += ss.checksum_failures;
-        stats.resyncs += ss.resyncs;
-        stats.merged_writes += ss.merged_writes;
-        stats.fetched_responses += ss.fetched_responses;
-        stats.fetch_fallbacks += ss.fetch_fallbacks;
-        stats.mailbox_reclaims += ss.mailbox_reclaims;
-        stats.repl_forwards += ss.repl_forwards;
-        stats.repl_fenced += ss.repl_fenced;
-        stats.repl_dups += ss.repl_dups;
-        stats.repl_lag_ns += ss.repl_lag_ns;
     }
     let completed = all.len();
     let throughput_kops = if makespan.is_zero() {
@@ -971,10 +716,7 @@ async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
         server_cpu: cpu_mean,
         server_bw_gbps: bw_total,
         stats,
-        timeline: {
-            let t = timeline.borrow().clone();
-            t
-        },
+        timeline: timeline.take(),
         hist: all,
         phase_hists: trace_sink
             .map(|sink| {
@@ -990,35 +732,29 @@ async fn run_cluster_inner(spec: ExperimentSpec) -> RunResult {
     }
 }
 
-async fn cluster_client_task(
-    client: &mut CatfishClusterClient,
-    trace: Vec<Request>,
-) -> ClientOutcome {
-    let mut outcome = ClientOutcome::default();
-    for req in trace {
-        let t0 = now();
-        match req {
-            Request::Search(rect) => {
-                client.search(&rect).await;
-                outcome.search.record(now() - t0);
-            }
-            Request::Insert(rect, data) => {
-                client.insert(rect, data).await;
-                outcome.write.record(now() - t0);
-            }
-            Request::Delete(rect, data) => {
-                client.delete(rect, data).await;
-                outcome.write.record(now() - t0);
-            }
+/// Sums every client's per-shard counters into one row per shard, folds
+/// each shard's server-side counters into its row (so a single-shard
+/// fault audit can attribute them), and returns `(aggregate, rows)`.
+/// `servers` holds one entry per shard, replica counters already summed.
+fn fold_counters(
+    outcomes: &[ClientOutcome],
+    servers: &[ServiceStats],
+) -> (ServiceStats, Vec<ServiceStats>) {
+    let mut per_shard = vec![ServiceStats::default(); servers.len()];
+    for o in outcomes {
+        for (row, s) in per_shard.iter_mut().zip(&o.per_shard) {
+            row.merge(s);
         }
     }
-    outcome.stats = client.stats();
-    outcome.per_shard = client.stats_per_shard();
-    outcome.flight_dumps = client.flight_dumps();
-    outcome
+    let mut stats = ServiceStats::default();
+    for (row, ss) in per_shard.iter_mut().zip(servers) {
+        row.fold_server(ss);
+        stats.merge(row);
+    }
+    (stats, per_shard)
 }
 
-async fn rdma_client_task(client: &mut CatfishClient, trace: Vec<Request>) -> ClientOutcome {
+async fn client_task(client: &mut CatfishClusterClient, trace: Vec<Request>) -> ClientOutcome {
     let mut outcome = ClientOutcome::default();
     for req in trace {
         let t0 = now();
@@ -1037,8 +773,8 @@ async fn rdma_client_task(client: &mut CatfishClient, trace: Vec<Request>) -> Cl
             }
         }
     }
-    outcome.stats = client.stats();
-    outcome.flight_dumps = client.flight().dumps();
+    outcome.per_shard = client.stats_per_shard();
+    outcome.flight_dumps = client.flight_dumps();
     outcome
 }
 
@@ -1232,6 +968,40 @@ mod tests {
         let mut spec = small_spec(Scheme::TcpIp);
         spec.shards = 2;
         run_experiment(&spec);
+    }
+
+    #[test]
+    fn server_decode_errors_reach_metrics() {
+        // A malformed frame on a shard's request ring is dropped and
+        // counted server-side; the harness fold carries it into the run's
+        // counters and from there into the exported metrics.
+        let servers = Sim::new().run_until(async {
+            let net = Network::new();
+            let profile = catfish_rdma::profile::infiniband_100g();
+            let cluster = CatfishCluster::build(
+                &net,
+                &profile,
+                ServerConfig::default(),
+                RTreeConfig::default(),
+                uniform_rects(200, 1e-3, 3),
+                1,
+                &RkeyAllocator::new(),
+            );
+            let ep = Endpoint::new(&net, net.add_node(profile.link), profile.rdma);
+            let ch = cluster.shard(0).accept(&ep);
+            ch.tx.send(&[0xFF, 1, 2, 3], 0).await.unwrap();
+            sleep(SimDuration::from_millis(1)).await;
+            cluster.stats_per_shard()
+        });
+        let (stats, per_shard) = fold_counters(&[], &servers);
+        assert_eq!(per_shard[0].decode_errors, 1);
+        let mut r = run_experiment(&small_spec(Scheme::Catfish));
+        assert_eq!(r.stats.decode_errors, 0);
+        r.stats = stats;
+        assert!(r
+            .metrics()
+            .to_prometheus()
+            .contains("catfish_decode_errors_total 1"));
     }
 
     #[test]

@@ -80,4 +80,4 @@ pub use service::{
     IndexBackend, OpKind, RemoteHandle, ServiceClient, ServiceServer, ShardMap, ShardPartition,
     WireCodec, FETCH_FLAG,
 };
-pub use stats::{LatencyRecorder, LatencySummary, ServiceStats};
+pub use stats::{LatencySummary, ServiceStats};

@@ -8,9 +8,9 @@
 //! [`AdaptiveEventLog`], turning a run into a replayable timeline that
 //! `adaptive_dynamics --metrics-out` writes as JSONL.
 //!
-//! Event logging is *not* gated behind the `trace` feature: it is opt-in
-//! per run, off the request hot path (a few events per adaptive decision),
-//! and the satellite tests script it directly.
+//! Event logging is opt-in per run, off the request hot path (a few
+//! events per adaptive decision), and the satellite tests script it
+//! directly.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -117,7 +117,7 @@ pub struct AdaptiveEventRecord {
     pub t: SimTime,
     /// Client the deciding `AdaptiveState` belongs to.
     pub client: u32,
-    /// Shard the decision targeted (0 in single-server runs). Algorithm 1
+    /// Shard the decision targeted (0 in one-shard runs). Algorithm 1
     /// runs independently per shard, so plotting tools must group by this
     /// field rather than aggregating a cluster into one timeline.
     pub shard: u32,

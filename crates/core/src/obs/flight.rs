@@ -13,8 +13,8 @@
 //! fetch fallback — the recorder snapshots the ring into an annotated
 //! [`FlightDump`], preserving the ≥32 events of history that explain it.
 //!
-//! Unlike phase spans, the recorder is *not* behind the `trace` feature:
-//! it is precisely the thing one wants compiled into production builds.
+//! Unlike phase spans, the recorder is always on: it is precisely the
+//! thing one wants running in production builds.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -149,7 +149,7 @@ pub struct FlightDump {
     pub t: SimTime,
     /// Client the connection belongs to.
     pub client: u32,
-    /// Shard the connection targets (0 in single-server runs).
+    /// Shard the connection targets (0 in one-shard runs).
     pub shard: u32,
     /// What fired.
     pub anomaly: Anomaly,

@@ -1,8 +1,7 @@
 //! Streaming HDR-style latency histograms.
 //!
-//! [`LatencyHistogram`] replaces the unbounded sample `Vec` of
-//! [`crate::stats::LatencyRecorder`] on every hot recording path: a fixed
-//! 2 KB array of log-linear buckets (4 sub-buckets per power of two, so
+//! [`LatencyHistogram`] records every latency distribution in the crate
+//! without storing samples: a fixed 2 KB array of log-linear buckets (4 sub-buckets per power of two, so
 //! any percentile estimate is within one bucket — ≤ 25% relative — of the
 //! exact value, and far tighter at the small-count end), plus exact
 //! `count`/`sum`/`min`/`max`. Recording is O(1), merging is element-wise

@@ -7,11 +7,9 @@
 //! * [`hist`] — [`LatencyHistogram`], the fixed-footprint log-bucketed
 //!   recorder behind every distribution here;
 //! * [`span`] — [`Phase`] taxonomy and the [`TraceSink`] handle threaded
-//!   through `ServiceClient`/`ServiceServer`/ring endpoints (no-op when
-//!   the `trace` feature is off);
+//!   through `ServiceClient`/`ServiceServer`/ring endpoints;
 //! * [`trace`] — the wire-propagated [`TraceContext`] envelope header and
-//!   the [`SpanLog`] of causally linked [`SpanRecord`]s (log no-op when
-//!   the `trace` feature is off; the context type is always compiled);
+//!   the [`SpanLog`] of causally linked [`SpanRecord`]s;
 //! * [`assembly`] — [`TraceAssembler`], stitching span records into
 //!   per-request trace trees with JSONL and Chrome `trace_event` export;
 //! * [`flight`] — [`FlightRecorder`], the always-on per-connection ring

@@ -6,19 +6,15 @@
 //! *virtual* time to one [`Phase`]; spans therefore never perturb the
 //! simulation — tracing a run cannot change its outcome.
 //!
-//! With the `trace` cargo feature disabled, `TraceSink` and
-//! [`SpanStart`] are zero-sized and every method is an empty inline
-//! function: all call sites compile to no-ops (the `obs_overhead` bench
-//! verifies the throughput delta stays under 5%).
+//! Tracing is opt-in at run time: components hold an unshared default
+//! sink until a run attaches a common one (the harness does so when
+//! [`crate::harness::ExperimentSpec::collect_phase_spans`] is set).
 
-#[cfg(feature = "trace")]
 use std::cell::RefCell;
 use std::fmt;
-#[cfg(feature = "trace")]
 use std::rc::Rc;
 
 use catfish_simnet::SimDuration;
-#[cfg(feature = "trace")]
 use catfish_simnet::{try_now, SimTime};
 
 use super::hist::LatencyHistogram;
@@ -96,7 +92,6 @@ impl Phase {
         }
     }
 
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     fn index(self) -> usize {
         match self {
             Phase::RingEnqueue => 0,
@@ -121,32 +116,24 @@ impl fmt::Display for Phase {
 }
 
 /// An opaque span start token returned by [`TraceSink::begin`].
-///
-/// Feature-off it is zero-sized, so holding one across an `.await` (as
-/// the response-transit span does) costs nothing in untraced builds.
 #[derive(Debug, Clone, Copy)]
 #[must_use = "pass the token back to TraceSink::end to record the span"]
 pub struct SpanStart {
-    #[cfg(feature = "trace")]
     at: SimTime,
 }
 
 /// Shared recorder of per-phase latency histograms.
 ///
-/// Cloning a sink shares the underlying histograms (feature-on it is an
-/// `Rc`), so the client, its ring sender, and the server-side receiver
+/// Cloning a sink shares the underlying histograms (an `Rc`), so the client, its ring sender, and the server-side receiver
 /// all funnel into one set of per-phase distributions.
 #[derive(Clone, Default)]
 pub struct TraceSink {
-    #[cfg(feature = "trace")]
     phases: Rc<RefCell<[LatencyHistogram; N_PHASES]>>,
 }
 
 impl fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceSink")
-            .field("enabled", &Self::enabled())
-            .finish()
+        f.debug_struct("TraceSink").finish_non_exhaustive()
     }
 }
 
@@ -156,16 +143,10 @@ impl TraceSink {
         Self::default()
     }
 
-    /// True when the `trace` feature is compiled in.
-    pub const fn enabled() -> bool {
-        cfg!(feature = "trace")
-    }
-
     /// Captures the current virtual instant as a span start.
     #[inline]
     pub fn begin(&self) -> SpanStart {
         SpanStart {
-            #[cfg(feature = "trace")]
             at: try_now().unwrap_or(SimTime::ZERO),
         }
     }
@@ -174,46 +155,24 @@ impl TraceSink {
     /// elapsed virtual time to `phase`.
     #[inline]
     pub fn end(&self, phase: Phase, start: SpanStart) {
-        #[cfg(feature = "trace")]
-        {
-            let now = try_now().unwrap_or(SimTime::ZERO);
-            self.phases.borrow_mut()[phase.index()].record(now.saturating_duration_since(start.at));
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (phase, start);
-        }
+        let now = try_now().unwrap_or(SimTime::ZERO);
+        self.phases.borrow_mut()[phase.index()].record(now.saturating_duration_since(start.at));
     }
 
     /// Records an externally measured duration against `phase`.
     #[inline]
     pub fn record(&self, phase: Phase, span: SimDuration) {
-        #[cfg(feature = "trace")]
-        {
-            self.phases.borrow_mut()[phase.index()].record(span);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (phase, span);
-        }
+        self.phases.borrow_mut()[phase.index()].record(span);
     }
 
     /// Snapshot of one phase's histogram; `None` when the phase recorded
-    /// nothing (or tracing is compiled out).
+    /// nothing.
     pub fn phase_histogram(&self, phase: Phase) -> Option<LatencyHistogram> {
-        #[cfg(feature = "trace")]
-        {
-            let h = &self.phases.borrow()[phase.index()];
-            if h.is_empty() {
-                None
-            } else {
-                Some(h.clone())
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = phase;
+        let h = &self.phases.borrow()[phase.index()];
+        if h.is_empty() {
             None
+        } else {
+            Some(h.clone())
         }
     }
 
@@ -233,20 +192,13 @@ impl TraceSink {
 
     /// Adds every phase histogram of `other` into this sink.
     pub fn merge(&self, other: &TraceSink) {
-        #[cfg(feature = "trace")]
-        {
-            if Rc::ptr_eq(&self.phases, &other.phases) {
-                return;
-            }
-            let theirs = other.phases.borrow();
-            let mut ours = self.phases.borrow_mut();
-            for (a, b) in ours.iter_mut().zip(theirs.iter()) {
-                a.merge(b);
-            }
+        if Rc::ptr_eq(&self.phases, &other.phases) {
+            return;
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = other;
+        let theirs = other.phases.borrow();
+        let mut ours = self.phases.borrow_mut();
+        for (a, b) in ours.iter_mut().zip(theirs.iter()) {
+            a.merge(b);
         }
     }
 }
@@ -285,7 +237,6 @@ mod tests {
         assert_eq!(names.len(), N_PHASES);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn spans_accumulate_virtual_time() {
         use catfish_simnet::{sleep, Sim};
@@ -302,7 +253,6 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn clones_share_histograms() {
         let sink = TraceSink::new();
@@ -311,7 +261,6 @@ mod tests {
         assert_eq!(sink.phase_histogram(Phase::IndexExec).unwrap().len(), 1);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn merge_is_self_safe_and_additive() {
         let a = TraceSink::new();
@@ -324,18 +273,5 @@ mod tests {
         b.record(Phase::CqWait, SimDuration::from_micros(2));
         a.merge(&b);
         assert_eq!(a.phase_histogram(Phase::CqWait).unwrap().len(), 2);
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn disabled_sink_is_zero_sized_and_silent() {
-        assert_eq!(std::mem::size_of::<TraceSink>(), 0);
-        assert_eq!(std::mem::size_of::<SpanStart>(), 0);
-        let sink = TraceSink::new();
-        let start = sink.begin();
-        sink.end(Phase::Dispatch, start);
-        sink.record(Phase::CqWait, SimDuration::from_micros(1));
-        assert!(sink.phase_histogram(Phase::Dispatch).is_none());
-        assert!(sink.summaries().is_empty());
     }
 }

@@ -19,18 +19,13 @@
 //!   context), and the scatter-gather merge. [`super::assembly`] stitches
 //!   the records back into per-request trees.
 //!
-//! `TraceContext` and `SpanRecord` are **always compiled** (the codec
-//! round-trip tests run in both feature configurations); `SpanLog` follows
-//! the [`super::TraceSink`] pattern and is a zero-sized no-op with the
-//! `trace` feature off, so untraced builds never allocate an envelope.
+//! A default `SpanLog` is inactive, so untraced runs never allocate an
+//! envelope.
 
-#[cfg(feature = "trace")]
 use std::cell::RefCell;
 use std::fmt;
-#[cfg(feature = "trace")]
 use std::rc::Rc;
 
-#[cfg(feature = "trace")]
 use catfish_simnet::{try_now, SimTime};
 
 /// Encoded size of a [`TraceContext`] on the wire: 8 (trace id) + 8
@@ -185,7 +180,6 @@ impl SpanRecord {
     }
 }
 
-#[cfg(feature = "trace")]
 #[derive(Debug, Default)]
 struct SpanLogInner {
     spans: Vec<SpanRecord>,
@@ -198,13 +192,10 @@ struct SpanLogInner {
 /// every client and shard writes into one common timeline with its own
 /// identity. An inactive (default) log records nothing and hands out no
 /// span ids, so the client-side wrapping code emits no wire envelopes —
-/// runtime tracing is opt-in per run even in `trace`-enabled builds, and
-/// with the feature off the whole type is zero-sized.
+/// tracing is opt-in per run.
 #[derive(Clone, Default)]
 pub struct SpanLog {
-    #[cfg(feature = "trace")]
     inner: Option<Rc<RefCell<SpanLogInner>>>,
-    #[cfg(feature = "trace")]
     node: u32,
 }
 
@@ -217,52 +208,32 @@ impl fmt::Debug for SpanLog {
 }
 
 impl SpanLog {
-    /// Creates an **active** log (node id 0) with an empty buffer. With
-    /// the `trace` feature off this is still the inert zero-sized log.
+    /// Creates an **active** log (node id 0) with an empty buffer.
     pub fn new() -> Self {
         SpanLog {
-            #[cfg(feature = "trace")]
             inner: Some(Rc::default()),
-            #[cfg(feature = "trace")]
             node: 0,
         }
     }
 
-    /// True when this log records spans (feature compiled in *and*
-    /// created via [`SpanLog::new`]).
+    /// True when this log records spans (created via [`SpanLog::new`]).
     #[inline]
     pub fn active(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// A handle onto the same buffer that stamps `node` on every span it
     /// records.
     pub fn for_node(&self, node: u32) -> SpanLog {
-        #[cfg(feature = "trace")]
-        {
-            SpanLog {
-                inner: self.inner.clone(),
-                node,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = node;
-            SpanLog::default()
+        SpanLog {
+            inner: self.inner.clone(),
+            node,
         }
     }
 
     /// Allocates a fresh span id (0 when inactive — callers treat 0 as
     /// "no span").
     pub fn next_span_id(&self) -> u64 {
-        #[cfg(feature = "trace")]
         if let Some(inner) = &self.inner {
             let mut inner = inner.borrow_mut();
             inner.next_id += 1;
@@ -271,18 +242,10 @@ impl SpanLog {
         0
     }
 
-    /// The current virtual instant in nanoseconds (0 outside a sim or
-    /// with tracing compiled out).
+    /// The current virtual instant in nanoseconds (0 outside a sim).
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            try_now().unwrap_or(SimTime::ZERO).as_nanos()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        try_now().unwrap_or(SimTime::ZERO).as_nanos()
     }
 
     /// Records one completed span with explicit times. No-op when
@@ -297,7 +260,6 @@ impl SpanLog {
         start_ns: u64,
         end_ns: u64,
     ) {
-        #[cfg(feature = "trace")]
         if let Some(inner) = &self.inner {
             inner.borrow_mut().spans.push(SpanRecord {
                 trace_id,
@@ -308,10 +270,6 @@ impl SpanLog {
                 start_ns,
                 end_ns,
             });
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (trace_id, span_id, parent_span, kind, start_ns, end_ns);
         }
     }
 
@@ -335,7 +293,6 @@ impl SpanLog {
 
     /// Number of spans recorded so far.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "trace")]
         if let Some(inner) = &self.inner {
             return inner.borrow().spans.len();
         }
@@ -349,7 +306,6 @@ impl SpanLog {
 
     /// Snapshot of every recorded span, in completion order.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        #[cfg(feature = "trace")]
         if let Some(inner) = &self.inner {
             return inner.borrow().spans.clone();
         }
@@ -411,7 +367,6 @@ mod tests {
         assert!(log.is_empty());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn active_log_records_and_stamps_nodes() {
         let log = SpanLog::new();
@@ -431,14 +386,5 @@ mod tests {
         let jsonl = log.to_jsonl();
         assert!(jsonl.contains("\"kind\":\"request\""));
         assert!(jsonl.contains("\"kind\":\"index_exec\""));
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn disabled_log_is_zero_sized() {
-        assert_eq!(std::mem::size_of::<SpanLog>(), 0);
-        let log = SpanLog::new();
-        assert!(!log.active());
-        assert!(log.snapshot().is_empty());
     }
 }

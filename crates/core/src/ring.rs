@@ -165,7 +165,6 @@ struct SenderShared {
     /// their own (diagnostics; see [`RingSender::merged_writes`]).
     merged_writes: Cell<u64>,
     /// Span sink + phase each send is attributed to (None: untraced).
-    #[cfg(feature = "trace")]
     trace: RefCell<Option<(TraceSink, Phase)>>,
 }
 
@@ -247,7 +246,6 @@ impl RingSender {
                 merge: Cell::new(false),
                 staged: RefCell::new(VecDeque::new()),
                 merged_writes: Cell::new(0),
-                #[cfg(feature = "trace")]
                 trace: RefCell::new(None),
             }),
         }
@@ -255,20 +253,11 @@ impl RingSender {
 
     /// Attributes each send's elapsed virtual time — lock wait, ring
     /// reservation (including full-ring backpressure), and the doorbell
-    /// write through to remote delivery — to `phase` in `sink`. No-op
-    /// when the `trace` feature is disabled.
+    /// write through to remote delivery — to `phase` in `sink`.
     pub fn set_trace(&self, sink: TraceSink, phase: Phase) {
-        #[cfg(feature = "trace")]
-        {
-            *self.shared.trace.borrow_mut() = Some((sink, phase));
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (sink, phase);
-        }
+        *self.shared.trace.borrow_mut() = Some((sink, phase));
     }
 
-    #[cfg(feature = "trace")]
     fn span_begin(&self) -> Option<(TraceSink, Phase, crate::obs::SpanStart)> {
         self.shared
             .trace
@@ -373,7 +362,6 @@ impl RingSender {
         if s.closed.get() {
             return Err(SendError::Closed);
         }
-        #[cfg(feature = "trace")]
         let span = self.span_begin();
         let res = if s.merge.get() {
             // Stage first, then contend for the lock: whoever wins flushes
@@ -401,7 +389,6 @@ impl RingSender {
             let frame = self.frame(payload);
             self.post(&frame, imm).await
         };
-        #[cfg(feature = "trace")]
         if let Some((sink, phase, start)) = span {
             sink.end(phase, start);
         }
@@ -471,7 +458,6 @@ impl RingSender {
         if s.closed.get() {
             return Err(SendError::Closed);
         }
-        #[cfg(feature = "trace")]
         let span = self.span_begin();
         let _guard = s.lock.acquire().await;
         let mut doorbells = 0usize;
@@ -501,7 +487,6 @@ impl RingSender {
                 Err(e) => res = Err(e),
             }
         }
-        #[cfg(feature = "trace")]
         if let Some((sink, phase, start)) = span {
             sink.end(phase, start);
         }
@@ -584,11 +569,9 @@ struct ReceiverShared {
     /// resyncs) — always compiled, `None` until a client attaches one.
     flight: RefCell<Option<FlightRecorder>>,
     /// Span sink + phase queue-time is attributed to (None: untraced).
-    #[cfg(feature = "trace")]
     trace: RefCell<Option<(TraceSink, Phase)>>,
     /// Delivery instant of the completion the receiver last woke on,
     /// consumed by the next successful `try_pop` to measure queue time.
-    #[cfg(feature = "trace")]
     pending_at: Cell<Option<SimTime>>,
 }
 
@@ -626,9 +609,7 @@ impl RingReceiver {
                 checksum_failures: Cell::new(0),
                 resyncs: Cell::new(0),
                 flight: RefCell::new(None),
-                #[cfg(feature = "trace")]
                 trace: RefCell::new(None),
-                #[cfg(feature = "trace")]
                 pending_at: Cell::new(None),
             }),
         }
@@ -637,16 +618,9 @@ impl RingReceiver {
     /// Attributes each delivered doorbell's queue time — NIC delivery
     /// instant (`Completion.at`) to the pop that retrieves it — to
     /// `phase` in `sink`. One span per doorbell, so a batched group of
-    /// frames counts once. No-op when the `trace` feature is disabled.
+    /// frames counts once.
     pub fn set_trace(&self, sink: TraceSink, phase: Phase) {
-        #[cfg(feature = "trace")]
-        {
-            *self.shared.trace.borrow_mut() = Some((sink, phase));
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (sink, phase);
-        }
+        *self.shared.trace.borrow_mut() = Some((sink, phase));
     }
 
     /// Attaches a flight recorder: CRC failures and hole resyncs fire
@@ -695,7 +669,6 @@ impl RingReceiver {
     /// the CQ (the pure-polling path). When several doorbells are queued
     /// the completion popped may belong to an earlier doorbell than the
     /// frame — queue-time attribution is approximate under backlog.
-    #[cfg(feature = "trace")]
     fn note_arrival(&self) {
         let s = &*self.shared;
         let trace = s.trace.borrow();
@@ -774,7 +747,6 @@ impl RingReceiver {
         s.ring.zero_local(pos, total as usize);
         self.consume(head, total);
         self.debit_pending(total);
-        #[cfg(feature = "trace")]
         self.note_arrival();
         Some(result)
     }
@@ -913,7 +885,6 @@ impl RingReceiver {
             let completion = self.shared.cq.wait().await;
             self.credit_pending(completion.byte_len);
             woke = true;
-            #[cfg(feature = "trace")]
             self.shared.pending_at.set(Some(completion.at));
         }
     }
@@ -950,7 +921,6 @@ impl RingReceiver {
                 Either::Left(completion) => {
                     self.credit_pending(completion.byte_len);
                     woke = true;
-                    #[cfg(feature = "trace")]
                     self.shared.pending_at.set(Some(completion.at));
                     continue;
                 }

@@ -38,11 +38,7 @@ impl ShardPartition for RtreeBackend {
     /// and whose per-slab MBRs seed the scatter-pruning bounds.
     fn partition(items: Vec<(Rect, u64)>, shards: usize) -> (Vec<Vec<(Rect, u64)>>, ShardMap) {
         let part = partition_by_x(items, shards);
-        let map = ShardMap::Region {
-            cuts: part.cuts,
-            bounds: part.bounds,
-        };
-        (part.slabs, map)
+        (part.slabs, ShardMap::region(part.cuts, part.bounds))
     }
 }
 

@@ -137,8 +137,7 @@ impl<B: ClientBackend> ServiceClient<B> {
     /// Routes this client's phase spans into `sink`: the request ring
     /// sender reports [`Phase::RingEnqueue`], and the client itself
     /// reports [`Phase::CqWait`], [`Phase::MetaRead`],
-    /// [`Phase::OffloadRead`], and [`Phase::OffloadRetry`]. With the
-    /// `trace` feature disabled this wires nothing.
+    /// [`Phase::OffloadRead`], and [`Phase::OffloadRetry`].
     pub fn with_trace(mut self, sink: TraceSink) -> Self {
         self.ch.tx.set_trace(sink.clone(), Phase::RingEnqueue);
         self.trace = sink;

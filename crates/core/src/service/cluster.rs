@@ -58,10 +58,11 @@ const RING_POINTS_PER_SHARD: usize = 16;
 /// The client-side routing table of a cluster.
 ///
 /// Built once by [`ShardPartition::partition`] at bulk-load time and
-/// copied into every [`ClusterClient`]; the only mutable piece is the
+/// cloned into every [`ClusterClient`]; the only mutable piece is the
 /// per-shard boundary MBR, which [`ShardMap::grow`] widens when an insert
-/// routed to a shard pokes past its current bound (so scatter pruning
-/// never misses an item the cluster accepted).
+/// routed to a shard pokes past its current bound. Clones share the
+/// bounds, so every client of a cluster prunes scatters against every
+/// client's inserts and never misses an item the cluster accepted.
 #[derive(Debug, Clone)]
 pub enum ShardMap {
     /// Space partition (R-tree): contiguous x-slabs.
@@ -70,8 +71,9 @@ pub enum ShardMap {
         /// Authoritative for ownership: center-x `x` belongs to shard
         /// `cuts.partition_point(|c| *c <= x)`.
         cuts: Vec<f64>,
-        /// Per-shard boundary MBR (`None` while a shard holds nothing).
-        bounds: Vec<Option<Rect>>,
+        /// Per-shard boundary MBR (`None` while a shard holds nothing),
+        /// shared by all clones of the map.
+        bounds: Rc<RefCell<Vec<Option<Rect>>>>,
     },
     /// Hash partition (KV): a ring of virtual points.
     Hash {
@@ -100,10 +102,18 @@ impl ShardMap {
         ShardMap::Hash { points, shards }
     }
 
+    /// A space partition with the given cuts and initial bounds.
+    pub fn region(cuts: Vec<f64>, bounds: Vec<Option<Rect>>) -> ShardMap {
+        ShardMap::Region {
+            cuts,
+            bounds: Rc::new(RefCell::new(bounds)),
+        }
+    }
+
     /// Number of shards.
     pub fn shards(&self) -> usize {
         match self {
-            ShardMap::Region { bounds, .. } => bounds.len(),
+            ShardMap::Region { bounds, .. } => bounds.borrow().len(),
             ShardMap::Hash { shards, .. } => *shards,
         }
     }
@@ -127,14 +137,16 @@ impl ShardMap {
 
     /// Widens shard `s`'s boundary MBR to cover `rect` (called on every
     /// routed insert, *before* the insert is sent, so a concurrent scatter
-    /// can only over-include, never miss).
+    /// can only over-include, never miss). Every clone of the map sees the
+    /// wider bound.
     ///
     /// # Panics
     ///
     /// Panics on a hash map.
-    pub fn grow(&mut self, s: usize, rect: &Rect) {
+    pub fn grow(&self, s: usize, rect: &Rect) {
         match self {
             ShardMap::Region { bounds, .. } => {
+                let mut bounds = bounds.borrow_mut();
                 bounds[s] = Some(match bounds[s] {
                     Some(b) => b.union(rect),
                     None => *rect,
@@ -155,6 +167,7 @@ impl ShardMap {
     pub fn read_targets(&self, rect: &Rect) -> Vec<usize> {
         match self {
             ShardMap::Region { bounds, .. } => bounds
+                .borrow()
                 .iter()
                 .enumerate()
                 .filter(|(_, b)| b.is_some_and(|b| b.intersects(rect)))
@@ -169,6 +182,7 @@ impl ShardMap {
     pub fn occupied(&self) -> Vec<usize> {
         match self {
             ShardMap::Region { bounds, .. } => bounds
+                .borrow()
                 .iter()
                 .enumerate()
                 .filter(|(_, b)| b.is_some())
@@ -1026,7 +1040,7 @@ impl<B: ClientBackend> ClusterClient<B> {
         Rc::clone(&self.shards[i])
     }
 
-    /// This client's routing map (bounds reflect its own inserts).
+    /// The cluster's routing map (bounds reflect every client's inserts).
     pub fn shard_map(&self) -> &ShardMap {
         &self.map
     }
@@ -1225,10 +1239,7 @@ mod tests {
 
     #[test]
     fn region_map_routes_and_grows() {
-        let mut map = ShardMap::Region {
-            cuts: vec![0.5],
-            bounds: vec![Some(Rect::new(0.0, 0.0, 0.4, 1.0)), None],
-        };
+        let map = ShardMap::region(vec![0.5], vec![Some(Rect::new(0.0, 0.0, 0.4, 1.0)), None]);
         assert_eq!(map.shards(), 2);
         // Center below the cut → shard 0; above → shard 1.
         assert_eq!(map.home_shard(&Rect::new(0.1, 0.1, 0.2, 0.2)), 0);
@@ -1246,15 +1257,14 @@ mod tests {
 
     #[test]
     fn grow_unions_with_the_existing_bound() {
-        let mut map = ShardMap::Region {
-            cuts: vec![],
-            bounds: vec![Some(Rect::new(0.2, 0.2, 0.4, 0.4))],
-        };
-        map.grow(0, &Rect::new(0.35, 0.1, 0.5, 0.3));
+        let map = ShardMap::region(vec![], vec![Some(Rect::new(0.2, 0.2, 0.4, 0.4))]);
+        let copy = map.clone();
+        copy.grow(0, &Rect::new(0.35, 0.1, 0.5, 0.3));
         let ShardMap::Region { bounds, .. } = &map else {
             unreachable!()
         };
-        let b = bounds[0].unwrap();
+        // Growth through a clone is visible through the original.
+        let b = bounds.borrow()[0].unwrap();
         assert_eq!(
             (b.min_x(), b.min_y(), b.max_x(), b.max_y()),
             (0.2, 0.1, 0.5, 0.4)

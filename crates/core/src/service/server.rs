@@ -228,8 +228,7 @@ impl<B: IndexBackend> ServiceServer<B> {
     /// [`Phase::ServerQueue`] (NIC delivery to worker pickup, reported by
     /// the ring receivers), [`Phase::Dispatch`], [`Phase::IndexExec`],
     /// and [`Phase::RespTransit`]. Call **before** [`ServiceServer::accept`]
-    /// — already-accepted connections keep their receivers untraced. With
-    /// the `trace` feature disabled this wires nothing.
+    /// — already-accepted connections keep their receivers untraced.
     pub fn set_trace(&self, sink: TraceSink) {
         *self.inner.trace.borrow_mut() = sink;
     }

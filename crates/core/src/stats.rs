@@ -1,5 +1,5 @@
-//! Measurement: latency recording, summary statistics, and the unified
-//! service counters shared by every backend.
+//! Measurement: latency summary statistics and the unified service
+//! counters shared by every backend.
 
 use std::fmt;
 
@@ -141,6 +141,27 @@ impl ServiceStats {
         self.repl_lag_ns += other.repl_lag_ns;
     }
 
+    /// Folds a server's counters into this client-side snapshot, so one
+    /// struct tells the whole story of a run: duplicate suppression,
+    /// request-ring integrity and decode errors, response doorbell
+    /// merging, mailbox deposits, and replication. The other server
+    /// counters stay out: fields like `batches_sent` exist on both sides,
+    /// and the client-side reading is what the figures plot.
+    pub fn fold_server(&mut self, server: &ServiceStats) {
+        self.decode_errors += server.decode_errors;
+        self.dup_drops += server.dup_drops;
+        self.checksum_failures += server.checksum_failures;
+        self.resyncs += server.resyncs;
+        self.merged_writes += server.merged_writes;
+        self.fetched_responses += server.fetched_responses;
+        self.fetch_fallbacks += server.fetch_fallbacks;
+        self.mailbox_reclaims += server.mailbox_reclaims;
+        self.repl_forwards += server.repl_forwards;
+        self.repl_fenced += server.repl_fenced;
+        self.repl_dups += server.repl_dups;
+        self.repl_lag_ns += server.repl_lag_ns;
+    }
+
     /// Mean primary→backup replication lag per forwarded mutation.
     pub fn mean_repl_lag(&self) -> SimDuration {
         self.repl_lag_ns
@@ -224,75 +245,6 @@ impl fmt::Display for ServiceStats {
     }
 }
 
-/// Collects individual operation latencies exactly and summarizes them.
-///
-/// **Deprecated in spirit** (kept for compatibility and as the exactness
-/// oracle in tests): this recorder stores every sample in an unbounded
-/// `Vec` and sorts to summarize. Prefer
-/// [`LatencyHistogram`](crate::obs::LatencyHistogram), the fixed-footprint
-/// streaming recorder the harness and bench binaries now use — it records
-/// in O(1), merges in O(buckets), and summarizes without cloning.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    samples: Vec<u64>,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, latency: SimDuration) {
-        self.samples.push(latency.as_nanos());
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Merges another recorder's samples into this one.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// Computes the exact summary. Takes `&self`: summarizing works on a
-    /// sorted copy instead of reordering the recorder in place (the old
-    /// `&mut self` signature forced callers to make result structs
-    /// mutable just to read percentiles).
-    pub fn summary(&self) -> LatencySummary {
-        if self.samples.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        let sum: u128 = sorted.iter().map(|&s| s as u128).sum();
-        let q = |p: f64| -> SimDuration {
-            let idx = ((n as f64 - 1.0) * p).floor() as usize;
-            SimDuration::from_nanos(sorted[idx])
-        };
-        LatencySummary {
-            count: n,
-            mean: SimDuration::from_nanos((sum / n as u128) as u64),
-            p50: q(0.50),
-            p90: q(0.90),
-            p95: q(0.95),
-            p99: q(0.99),
-            p999: q(0.999),
-            min: SimDuration::from_nanos(sorted[0]),
-            max: SimDuration::from_nanos(sorted[n - 1]),
-        }
-    }
-}
-
 /// Summary statistics over a set of latency samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencySummary {
@@ -329,51 +281,6 @@ impl std::fmt::Display for LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_summary_is_zero() {
-        let r = LatencyRecorder::new();
-        assert!(r.is_empty());
-        assert_eq!(r.summary(), LatencySummary::default());
-    }
-
-    #[test]
-    fn summary_of_uniform_ramp() {
-        let mut r = LatencyRecorder::new();
-        for i in 1..=100u64 {
-            r.record(SimDuration::from_micros(i));
-        }
-        let s = r.summary();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.min, SimDuration::from_micros(1));
-        assert_eq!(s.max, SimDuration::from_micros(100));
-        assert_eq!(s.mean, SimDuration::from_nanos(50_500));
-        assert_eq!(s.p50, SimDuration::from_micros(50));
-        assert_eq!(s.p99, SimDuration::from_micros(99));
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        a.record(SimDuration::from_micros(1));
-        b.record(SimDuration::from_micros(3));
-        a.merge(&b);
-        let s = a.summary();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.mean, SimDuration::from_micros(2));
-    }
-
-    #[test]
-    fn summary_does_not_disturb_the_recorder() {
-        let mut r = LatencyRecorder::new();
-        r.record(SimDuration::from_micros(5));
-        let first = r.summary();
-        r.record(SimDuration::from_micros(1));
-        assert_eq!(first.min, SimDuration::from_micros(5));
-        assert_eq!(r.summary().min, SimDuration::from_micros(1));
-        assert_eq!(r.summary().max, SimDuration::from_micros(5));
-    }
 
     #[test]
     fn service_stats_merge_adds_every_counter() {
@@ -429,6 +336,31 @@ mod tests {
         assert_eq!(a.repl_dups, 1);
         assert_eq!(a.mean_repl_lag(), SimDuration::from_nanos(2_000));
         assert!(a.to_string().contains("repl forwards 4 (fenced 2, dups 1"));
+    }
+
+    #[test]
+    fn fold_server_keeps_client_side_readings() {
+        let mut client = ServiceStats {
+            fast_reads: 4,
+            checksum_failures: 1,
+            ..ServiceStats::default()
+        };
+        let server = ServiceStats {
+            reads: 9,
+            batches_sent: 3,
+            decode_errors: 2,
+            checksum_failures: 5,
+            repl_forwards: 7,
+            ..ServiceStats::default()
+        };
+        client.fold_server(&server);
+        assert_eq!(client.decode_errors, 2);
+        assert_eq!(client.checksum_failures, 6);
+        assert_eq!(client.repl_forwards, 7);
+        // Execution and doorbell counters keep their client-side reading.
+        assert_eq!(client.reads, 0);
+        assert_eq!(client.batches_sent, 0);
+        assert_eq!(client.fast_reads, 4);
     }
 
     #[test]

@@ -241,6 +241,56 @@ fn check_cut_boundary_windows(shards: usize, dataset_seed: u64, picks: Vec<(u8, 
     });
 }
 
+/// One client inserts an item outside the bulk-load bounding rectangle;
+/// a second client of the same cluster must find it. Shard bounds prune
+/// every scatter, so a client whose bounds missed the other client's
+/// insert would answer `[]` for a window the cluster acked an item in.
+fn check_second_client_sees_out_of_bounds_insert(shards: usize) {
+    let sim = Sim::new();
+    sim.run_until(async move {
+        let net = Network::new();
+        let profile = infiniband_100g();
+        let rkeys = RkeyAllocator::new();
+        let cluster = CatfishCluster::build(
+            &net,
+            &profile,
+            ServerConfig {
+                cores: 2,
+                mode: ServerMode::EventDriven,
+                ..ServerConfig::default()
+            },
+            RTreeConfig::default(),
+            uniform_rects(300, 1e-3, 5),
+            shards,
+            &rkeys,
+        );
+        let cfg = ClientConfig {
+            mode: AccessMode::FastMessaging,
+            ..ClientConfig::default()
+        };
+        let mut writer = CatfishClusterClient::connect(&cluster, &net, &profile, cfg, 1);
+        let reader = CatfishClusterClient::connect(&cluster, &net, &profile, cfg, 2);
+        let far = Rect::new(1.5, 1.5, 1.501, 1.501);
+        assert!(writer.insert(far, 77).await, "insert refused");
+        assert_eq!(writer.search(&far).await, vec![77]);
+        assert_eq!(
+            reader.search(&far).await,
+            vec![77],
+            "second client missed an acked insert at {shards} shards"
+        );
+    });
+}
+
+#[test]
+fn second_client_sees_out_of_bounds_insert_one_shard() {
+    check_second_client_sees_out_of_bounds_insert(1);
+}
+
+#[test]
+fn second_client_sees_out_of_bounds_insert_two_shards() {
+    check_second_client_sees_out_of_bounds_insert(2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(14))]
 
@@ -255,9 +305,8 @@ proptest! {
         check_cluster_matches_model(shards, dataset_seed, ops);
     }
 
-    /// Degenerate but legal: a 1-shard cluster is exactly the single
-    /// server, so the same law holds trivially — guarding the bench's
-    /// "1-shard cell matches single-server numbers" claim structurally.
+    /// A 1-shard cluster is how every harness run models the paper's
+    /// single server, so the same law must hold there too.
     #[test]
     fn one_shard_cluster_matches_reference(
         dataset_seed in 0u64..1_000,

@@ -1,8 +1,7 @@
 //! Properties of the observability layer: the log-bucketed
 //! [`LatencyHistogram`] against exact sorted-sample statistics, histogram
 //! merging, the structured adaptive-event timeline against Algorithm 1,
-//! and (with the `trace` feature) the phase breakdown accounting for the
-//! end-to-end latency.
+//! and the phase breakdown accounting for the end-to-end latency.
 
 use catfish_core::config::AdaptiveParams;
 use catfish_core::{AdaptiveEvent, AdaptiveEventLog, AdaptiveState, LatencyHistogram, RouteChoice};
@@ -254,11 +253,10 @@ fn scripted_three_way_timeline_orders_offload_over_fetch_over_fast() {
     }
 }
 
-/// With tracing compiled in, the request-path phases partition the
+/// The request-path phases partition the
 /// end-to-end latency: for a single closed-loop fast-messaging client
 /// (no queueing overlap), ring enqueue + server queue + dispatch + index
 /// execution + response transit lands within 5% of the end-to-end p50.
-#[cfg(feature = "trace")]
 #[test]
 fn phase_breakdown_accounts_for_end_to_end_p50() {
     use catfish_core::config::Scheme;
@@ -298,27 +296,4 @@ fn phase_breakdown_accounts_for_end_to_end_p50() {
         "phase p50 sum {sum_ns} ns vs end-to-end p50 {e2e_ns} ns (gap {:.1}%)",
         gap * 100.0
     );
-}
-
-/// Without the `trace` feature the same run records nothing — the span
-/// call sites are no-ops.
-#[cfg(not(feature = "trace"))]
-#[test]
-fn spans_are_noops_without_the_trace_feature() {
-    use catfish_core::config::Scheme;
-    use catfish_core::harness::{run_experiment, ExperimentSpec};
-    use catfish_workload::{uniform_rects, ScaleDist, TraceSpec};
-
-    let spec = ExperimentSpec {
-        scheme: Scheme::FastMessaging,
-        clients: 1,
-        client_nodes: 1,
-        dataset: uniform_rects(3_000, 1e-3, 9),
-        trace: TraceSpec::search_only(ScaleDist::Fixed { bound: 0.02 }, 50),
-        collect_phase_spans: true,
-        ..ExperimentSpec::default()
-    };
-    let r = run_experiment(&spec);
-    assert!(r.phase_hists.is_empty());
-    assert!(!catfish_core::TraceSink::enabled());
 }

@@ -1,7 +1,7 @@
 //! Properties of distributed request tracing: the [`TraceContext`]
 //! envelope round-trips byte-identically through both wire codecs,
-//! survives doorbell-batch coalescing and partial retransmission, and —
-//! with the `trace` feature — whole-run span logs assemble into one
+//! survives doorbell-batch coalescing and partial retransmission, and
+//! whole-run span logs assemble into one
 //! connected tree per request, in single-shard and sharded topologies,
 //! clean and under chaos.
 
@@ -191,7 +191,6 @@ fn chaos() -> FaultConfig {
     }
 }
 
-#[cfg(feature = "trace")]
 mod span_trees {
     use super::*;
     use catfish_core::obs::{SpanKind, TraceAssembler, SERVER_NODE_BASE};
@@ -274,14 +273,4 @@ mod span_trees {
     fn four_shard_traces_survive_chaos() {
         assert_connected(&traced_spec(8, 4, Some(chaos())));
     }
-}
-
-/// With the feature compiled out, the same traced specs must record
-/// nothing — `collect_spans` is declared to be a no-op.
-#[cfg(not(feature = "trace"))]
-#[test]
-fn collect_spans_is_inert_without_the_feature() {
-    let r = run_experiment(&traced_spec(4, 2, Some(chaos())));
-    assert!(r.spans.is_empty());
-    assert!(r.completed_requests > 0);
 }

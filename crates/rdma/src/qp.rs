@@ -364,83 +364,6 @@ impl QueuePair {
         self.write_inner(rkey, offset, data, Some(imm)).await
     }
 
-    /// RDMA Compare-and-Swap on an 8-byte remote word: atomically replaces
-    /// the value at `offset` with `swap` if it equals `expected`, returning
-    /// the original value. Executes at the remote NIC (no remote CPU), at
-    /// read-like latency (a full round trip).
-    ///
-    /// Provided for completeness of the verbs surface; the paper's related
-    /// work (Kalia et al.) documents why RDMA atomics perform poorly, and
-    /// Catfish itself never uses them.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QueuePair::read`]; the offset must be 8-byte aligned.
-    pub async fn compare_and_swap(
-        &self,
-        rkey: u32,
-        offset: usize,
-        expected: u64,
-        swap: u64,
-    ) -> Result<u64, RdmaError> {
-        self.atomic_op(rkey, offset, move |cur| {
-            if cur == expected {
-                Some(swap)
-            } else {
-                None
-            }
-        })
-        .await
-    }
-
-    /// RDMA Fetch-and-Add on an 8-byte remote word: atomically adds
-    /// `delta` (wrapping) and returns the original value. See
-    /// [`QueuePair::compare_and_swap`] for semantics and caveats.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QueuePair::read`]; the offset must be 8-byte aligned.
-    pub async fn fetch_add(&self, rkey: u32, offset: usize, delta: u64) -> Result<u64, RdmaError> {
-        self.atomic_op(rkey, offset, move |cur| Some(cur.wrapping_add(delta)))
-            .await
-    }
-
-    async fn atomic_op(
-        &self,
-        rkey: u32,
-        offset: usize,
-        op: impl FnOnce(u64) -> Option<u64>,
-    ) -> Result<u64, RdmaError> {
-        if !offset.is_multiple_of(8) {
-            return Err(RdmaError::OutOfBounds {
-                offset,
-                len: 8,
-                capacity: 0,
-            });
-        }
-        let mr = self.remote_mr(rkey, offset, 8)?;
-        let profile = self.local.profile;
-        let net = &self.local.net;
-        // Request carries the operands; the NIC applies the op atomically
-        // on arrival and the old value returns. Full round trip, like a
-        // read (plus extra NIC processing — atomics serialize in the NIC).
-        let t_req = net.schedule_transfer(
-            self.local.node,
-            self.remote.node,
-            u64::from(profile.read_request_bytes) + 16,
-        );
-        sleep_until(t_req + profile.op_overhead).await;
-        let mut cur_b = [0u8; 8];
-        mr.read_local(offset, &mut cur_b);
-        let cur = u64::from_le_bytes(cur_b);
-        if let Some(new) = op(cur) {
-            mr.write_local(offset, &new.to_le_bytes());
-        }
-        let t_resp = net.schedule_transfer(self.remote.node, self.local.node, 8);
-        sleep_until(t_resp + profile.op_overhead).await;
-        Ok(cur)
-    }
-
     async fn write_inner(
         &self,
         rkey: u32,
@@ -680,106 +603,6 @@ mod tests {
             let old_bytes = data.iter().filter(|&&b| b == 1).count();
             assert_eq!(new_bytes + old_bytes, 256);
             assert!(old_bytes > 0, "read inside window must see stale lines");
-        });
-    }
-}
-
-#[cfg(test)]
-mod atomic_tests {
-    use super::*;
-    use catfish_simnet::{now, spawn, LinkSpec, Network, Sim};
-
-    fn setup(net: &Network) -> (Endpoint, Endpoint) {
-        let spec = LinkSpec {
-            bandwidth_bps: 100e9,
-            latency: SimDuration::from_micros(1),
-            per_message_overhead_bytes: 0,
-        };
-        let profile = RdmaProfile {
-            op_overhead: SimDuration::ZERO,
-            read_request_bytes: 0,
-        };
-        (
-            Endpoint::new(net, net.add_node(spec), profile),
-            Endpoint::new(net, net.add_node(spec), profile),
-        )
-    }
-
-    #[test]
-    fn cas_succeeds_and_fails_correctly() {
-        let sim = Sim::new();
-        sim.run_until(async {
-            let net = Network::new();
-            let (a, b) = setup(&net);
-            let mr = MemoryRegion::new(64, 5);
-            mr.write_local(8, &7u64.to_le_bytes());
-            b.register(mr.clone());
-            let (qp, _) = a.connect(&b);
-            // Successful swap returns the old value and applies.
-            assert_eq!(qp.compare_and_swap(5, 8, 7, 99).await.unwrap(), 7);
-            let mut buf = [0u8; 8];
-            mr.read_local(8, &mut buf);
-            assert_eq!(u64::from_le_bytes(buf), 99);
-            // Failed compare returns current value, leaves memory alone.
-            assert_eq!(qp.compare_and_swap(5, 8, 7, 1).await.unwrap(), 99);
-            mr.read_local(8, &mut buf);
-            assert_eq!(u64::from_le_bytes(buf), 99);
-        });
-    }
-
-    #[test]
-    fn fetch_add_accumulates_across_clients() {
-        let sim = Sim::new();
-        sim.run_until(async {
-            let net = Network::new();
-            let (a, b) = setup(&net);
-            let mr = MemoryRegion::new(8, 5);
-            b.register(mr.clone());
-            let (qp, _) = a.connect(&b);
-            let c = Endpoint::new(
-                &net,
-                net.add_node(net.link_spec(a.node())),
-                RdmaProfile::default(),
-            );
-            let (qp2, _) = c.connect(&b);
-            let h = spawn(async move {
-                for _ in 0..10 {
-                    qp2.fetch_add(5, 0, 1).await.unwrap();
-                }
-            });
-            for _ in 0..10 {
-                qp.fetch_add(5, 0, 1).await.unwrap();
-            }
-            h.await;
-            let mut buf = [0u8; 8];
-            mr.read_local(0, &mut buf);
-            assert_eq!(u64::from_le_bytes(buf), 20);
-        });
-    }
-
-    #[test]
-    fn atomics_cost_a_round_trip() {
-        let sim = Sim::new();
-        sim.run_until(async {
-            let net = Network::new();
-            let (a, b) = setup(&net);
-            b.register(MemoryRegion::new(8, 5));
-            let (qp, _) = a.connect(&b);
-            let t0 = now();
-            qp.fetch_add(5, 0, 1).await.unwrap();
-            assert!(now() - t0 >= SimDuration::from_micros(2), "full RTT");
-        });
-    }
-
-    #[test]
-    fn misaligned_atomic_rejected() {
-        let sim = Sim::new();
-        sim.run_until(async {
-            let net = Network::new();
-            let (a, b) = setup(&net);
-            b.register(MemoryRegion::new(64, 5));
-            let (qp, _) = a.connect(&b);
-            assert!(qp.compare_and_swap(5, 3, 0, 1).await.is_err());
         });
     }
 }

@@ -10,8 +10,7 @@
 //!   that can be registered with an RDMA NIC and traversed by *clients*
 //!   with one-sided reads (FaRM-style version validation detects torn
 //!   reads);
-//! * [`bulk_load`] — STR packing for building large trees quickly;
-//! * [`SharedRTree`] — a thread-safe wrapper for real OS-thread use.
+//! * [`bulk_load`] — STR packing for building large trees quickly.
 //!
 //! # Examples
 //!
@@ -30,17 +29,14 @@
 mod bulk;
 pub mod chunk;
 pub mod codec;
-mod concurrent;
 mod geom;
 mod knn;
 mod node;
-pub mod persist;
 mod split;
 mod store;
 mod tree;
 
 pub use bulk::{bulk_load, bulk_load_with_fill, partition_by_x, SpacePartition};
-pub use concurrent::SharedRTree;
 pub use geom::Rect;
 pub use knn::{min_dist_sq, Neighbor};
 pub use node::{Entry, EntryRef, Node, NodeId, RTreeConfig};

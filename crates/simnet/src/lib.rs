@@ -48,10 +48,8 @@ mod cpu;
 mod executor;
 mod net;
 mod select;
-mod stopwatch;
 pub mod sync;
 mod time;
-mod timeout;
 
 pub use cpu::{CoreGuard, CpuPool, CpuSample};
 pub use executor::{
@@ -59,6 +57,4 @@ pub use executor::{
 };
 pub use net::{LinkSpec, Network, NodeId, Traffic};
 pub use select::{select2, Either, Select2};
-pub use stopwatch::Stopwatch;
 pub use time::{SimDuration, SimTime};
-pub use timeout::timeout;
