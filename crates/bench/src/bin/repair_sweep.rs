@@ -33,7 +33,7 @@ use catfish_bench::{banner, timed, BenchArgs};
 use catfish_core::client::CatfishClusterClient;
 use catfish_core::config::{AccessMode, AdaptiveParams, ClientConfig, ServerConfig, ServerMode};
 use catfish_core::conn::RkeyAllocator;
-use catfish_core::obs::SpanLog;
+use catfish_core::obs::TraceSink;
 use catfish_core::server::CatfishCluster;
 use catfish_core::service::{RangeDigest, RepairReport};
 use catfish_core::ServiceStats;
@@ -191,9 +191,9 @@ fn run_chaos_cell(
             .replica(0, old_primary)
             .endpoint()
             .set_fault_plan(Some(plan.clone()));
-        let span_log = trace.then(SpanLog::new);
-        if let Some(log) = &span_log {
-            cluster.set_span_log(log);
+        let sink = trace.then(TraceSink::with_spans);
+        if let Some(sink) = &sink {
+            cluster.set_trace(sink);
         }
         cluster.start_heartbeats();
         spawn(async {
@@ -221,8 +221,8 @@ fn run_chaos_cell(
                 seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
             client.set_flight_ids(c as u32);
-            if let Some(log) = &span_log {
-                client.set_span_log(log.for_node(c as u32));
+            if let Some(sink) = &sink {
+                client.set_trace(&sink.for_node(c as u32));
             }
             let stats = Rc::clone(&stats);
             let lost = Rc::clone(&lost);
@@ -359,7 +359,7 @@ fn run_chaos_cell(
             new_primary,
             heal,
             consistent,
-            span_log.map(|l| l.to_jsonl()),
+            sink.map(|s| s.to_jsonl()),
         )
     });
     ChaosResult {

@@ -124,7 +124,7 @@ fn run_cell(
                 tree_config: paper_tree_config(),
                 seed: args.seed,
                 client_config: Some(mode_config(name, &server)),
-                collect_phase_spans: true,
+                collect_spans: true,
                 ..ExperimentSpec::default()
             };
             let result = timed(&format!("scale {scale} {name}"), || run_experiment(&spec));

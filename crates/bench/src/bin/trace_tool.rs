@@ -1,6 +1,6 @@
 //! Offline trace inspector: reads a `.spans.jsonl` export (written by any
 //! binary run with `--trace-out`, or by tests via
-//! [`SpanLog::to_jsonl`](catfish_core::SpanLog)), reassembles the
+//! [`TraceSink::to_jsonl`](catfish_core::TraceSink::to_jsonl)), reassembles the
 //! per-request trees, and reports their structure — span/trace counts,
 //! connectivity, per-kind span totals, end-to-end duration percentiles,
 //! and the slowest traces with their node fan-out. The parser is
@@ -17,7 +17,9 @@
 //! (`chrome://tracing`, Perfetto). `--check` exits nonzero when any trace
 //! fails connectedness — the CI smoke mode.
 
-use catfish_core::obs::{LatencyHistogram, SpanKind, SpanRecord, TraceAssembler, SERVER_NODE_BASE};
+use catfish_core::obs::{
+    LatencyHistogram, Phase, SpanRecord, TraceAssembler, N_PHASES, SERVER_NODE_BASE,
+};
 use catfish_simnet::SimDuration;
 
 /// Extracts the integer value of `"key":N` from one JSONL line.
@@ -43,7 +45,7 @@ fn parse_span(line: &str) -> Option<SpanRecord> {
         trace_id: num_field(line, "trace_id")?,
         span_id: num_field(line, "span_id")?,
         parent_span: num_field(line, "parent")?,
-        kind: SpanKind::from_name(str_field(line, "kind")?)?,
+        kind: Phase::from_name(str_field(line, "kind")?)?,
         node: num_field(line, "node")? as u32,
         start_ns: num_field(line, "start_ns")?,
         end_ns: num_field(line, "end_ns")?,
@@ -87,20 +89,12 @@ fn main() {
     println!("{file}: {} spans in {} traces", asm.span_count(), asm.len());
 
     // Per-kind span totals.
-    let kinds = [
-        SpanKind::Request,
-        SpanKind::Rpc,
-        SpanKind::Dispatch,
-        SpanKind::IndexExec,
-        SpanKind::Merge,
-        SpanKind::Offload,
-    ];
-    let mut counts = [0usize; 6];
+    let mut counts = [0usize; N_PHASES];
     for s in &spans {
-        counts[kinds.iter().position(|k| *k == s.kind).unwrap()] += 1;
+        counts[Phase::ALL.iter().position(|k| *k == s.kind).unwrap()] += 1;
     }
     print!("kinds:");
-    for (k, n) in kinds.iter().zip(counts) {
+    for (k, n) in Phase::ALL.iter().zip(counts) {
         if n > 0 {
             print!(" {k}={n}");
         }
@@ -153,7 +147,7 @@ fn main() {
     let mut forward_legs = 0usize;
     let mut orphan_forwards = 0usize;
     for s in &spans {
-        if s.kind == SpanKind::Rpc && s.node >= SERVER_NODE_BASE {
+        if s.kind == Phase::Rpc && s.node >= SERVER_NODE_BASE {
             forward_legs += 1;
             if s.parent_span == 0 || !present.contains(&(s.trace_id, s.parent_span)) {
                 orphan_forwards += 1;

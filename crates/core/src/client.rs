@@ -12,6 +12,7 @@ use catfish_rtree::{min_dist_sq, Node, NodeId, Rect};
 use catfish_simnet::sleep;
 
 use crate::msg::Message;
+use crate::obs::{Phase, SpanCtx};
 use crate::server::RtreeBackend;
 use crate::service::{ClientBackend, ClusterClient, Inconsistent, OpKind, ServiceClient};
 
@@ -96,8 +97,20 @@ impl ServiceClient<RtreeBackend> {
     /// Finds the `k` items nearest to `(x, y)`, in increasing distance
     /// order, served by the server through fast messaging.
     pub async fn nearest(&mut self, x: f64, y: f64, k: u32) -> Vec<(Rect, u64)> {
+        self.nearest_under(x, y, k, None).await
+    }
+
+    /// [`CatfishClient::nearest`] as an `Rpc` leg under `parent` (a
+    /// scatter-gather root) when given.
+    pub(crate) async fn nearest_under(
+        &mut self,
+        x: f64,
+        y: f64,
+        k: u32,
+        parent: Option<SpanCtx>,
+    ) -> Vec<(Rect, u64)> {
         self.drain_pending();
-        let opened = self.op_begin();
+        let opened = self.op_begin(parent);
         let out = self
             .fast_request(|seq| Message::NearestReq { seq, x, y, k })
             .await
@@ -114,16 +127,13 @@ impl ServiceClient<RtreeBackend> {
     /// inconsistencies.
     pub async fn nearest_offloaded(&mut self, x: f64, y: f64, k: u32) -> Vec<(Rect, u64)> {
         self.drain_pending();
-        let opened = self.op_begin();
-        let off_start = if opened {
-            Some(self.span.now_ns())
-        } else {
-            None
-        };
+        let opened = self.op_begin(None);
+        let span = self.trace.begin();
         for _ in 0..8 {
             match self.nearest_attempt(x, y, k).await {
                 Ok(out) => {
-                    self.end_offload_span(off_start);
+                    self.trace
+                        .end_under(Phase::OffloadRead, span, self.op_ctx());
                     self.op_end(opened);
                     return out;
                 }
@@ -134,10 +144,11 @@ impl ServiceClient<RtreeBackend> {
                 }
             }
         }
-        // Fall back to the server path; its request still carries this
-        // op's context, so the server spans land in the same tree.
-        self.end_offload_span(off_start);
+        // Fall back to the server path; its request links to this op's
+        // span, so the server spans land in the same tree.
         let out = self.nearest(x, y, k).await;
+        self.trace
+            .end_under(Phase::OffloadRead, span, self.op_ctx());
         self.op_end(opened);
         out
     }
@@ -240,15 +251,16 @@ impl ClusterClient<RtreeBackend> {
             1 => self.read_conn(targets[0]).borrow_mut().search(rect).await,
             _ => {
                 let rect = *rect;
-                let root = self.begin_scatter_root(&targets);
+                let root = self.trace.borrow().open(None);
+                let leg = Some(root.ctx());
                 let parts = self
                     .scatter(&targets, move |shard| {
-                        Box::pin(async move { shard.borrow_mut().search(&rect).await })
+                        Box::pin(async move { shard.borrow_mut().read_under(&rect, leg).await.0 })
                     })
                     .await;
-                let merge_start = self.span.now_ns();
-                let out = parts.into_iter().flatten().collect();
-                self.end_scatter_root(root, merge_start);
+                let merge = self.trace.borrow().begin();
+                let out = parts.into_iter().flatten().map(|(_, d)| d).collect();
+                self.end_scatter(root, merge);
                 out
             }
         }
@@ -291,17 +303,18 @@ impl ClusterClient<RtreeBackend> {
         if targets.is_empty() {
             return Vec::new();
         }
-        let root = self.begin_scatter_root(&targets);
+        let root = self.trace.borrow().open(None);
+        let leg = Some(root.ctx());
         let parts = self
             .scatter(&targets, move |shard| {
-                Box::pin(async move { shard.borrow_mut().nearest(x, y, k).await })
+                Box::pin(async move { shard.borrow_mut().nearest_under(x, y, k, leg).await })
             })
             .await;
-        let merge_start = self.span.now_ns();
+        let merge = self.trace.borrow().begin();
         let mut all: Vec<(Rect, u64)> = parts.into_iter().flatten().collect();
         all.sort_by_key(|(r, d)| (min_dist_sq(r, x, y).to_bits(), *d));
         all.truncate(k as usize);
-        self.end_scatter_root(root, merge_start);
+        self.end_scatter(root, merge);
         all
     }
 }

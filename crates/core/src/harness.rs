@@ -24,7 +24,7 @@ use crate::conn::RkeyAllocator;
 use crate::msg::Message;
 use crate::obs::{
     AdaptiveEventLog, AdaptiveEventRecord, FlightDump, LatencyHistogram, MetricsRegistry, Phase,
-    SpanLog, SpanRecord, TraceSink,
+    SpanRecord, TraceSink,
 };
 use crate::server::{CatfishCluster, CatfishServer};
 use crate::stats::{LatencySummary, ServiceStats};
@@ -66,22 +66,18 @@ pub struct ExperimentSpec {
     /// unconstrained CPUs. Used by the Fig. 7 polling runs, where client
     /// machines host more threads than cores.
     pub client_polling_cores: Option<usize>,
-    /// Attach one shared [`TraceSink`] to the server and every client,
-    /// populating [`RunResult::phase_hists`] with the per-phase latency
-    /// breakdown. Spans record virtual time without ever advancing it, so
-    /// enabling this cannot change a run's outcome.
-    pub collect_phase_spans: bool,
     /// Record every client's Algorithm 1 decision steps into
     /// [`RunResult::adaptive_events`] (heartbeat consumed, band
     /// escalated/reset, route chosen, with sim timestamps).
     pub collect_adaptive_events: bool,
-    /// Attach one shared distributed-trace [`SpanLog`] to every client and
-    /// every shard server, populating [`RunResult::spans`] with the
-    /// causally-linked records (request roots, per-shard RPC legs, server
-    /// dispatch/index-exec spans, merges) that
+    /// Attach one shared span-retaining [`TraceSink`] to every server and
+    /// client, populating [`RunResult::phase_hists`] with the per-phase
+    /// latency breakdown and [`RunResult::spans`] with the causally linked
+    /// records (request roots, per-shard RPC legs, server dispatch and
+    /// index-exec spans, offloads, merges) that
     /// [`crate::obs::TraceAssembler`] stitches into per-request trees.
-    /// Spans observe virtual time without advancing it, so enabling this
-    /// cannot change a run's outcome.
+    /// Spans observe virtual time without advancing it and add nothing to
+    /// the wire, so enabling this cannot change a run's outcome.
     pub collect_spans: bool,
     /// Fault-injection configuration. When set, one [`FaultPlan`] seeded
     /// from [`ExperimentSpec::seed`] is attached to the server endpoint
@@ -131,7 +127,6 @@ impl Default for ExperimentSpec {
             client_config: None,
             explicit_traces: None,
             client_polling_cores: None,
-            collect_phase_spans: false,
             collect_adaptive_events: false,
             collect_spans: false,
             fault: None,
@@ -187,7 +182,7 @@ pub struct RunResult {
     pub hist: LatencyHistogram,
     /// Per-phase latency breakdown, in [`Phase::ALL`] order, for phases
     /// that recorded spans. Populated when
-    /// [`ExperimentSpec::collect_phase_spans`] is set; empty otherwise.
+    /// [`ExperimentSpec::collect_spans`] is set; empty otherwise.
     pub phase_hists: Vec<(Phase, LatencyHistogram)>,
     /// Timeline of adaptive (Algorithm 1) decision events. Populated when
     /// [`ExperimentSpec::collect_adaptive_events`] is set.
@@ -271,108 +266,11 @@ impl RunResult {
             "catfish_requests_total",
             "Requests completed across all clients.",
             self.completed_requests as u64,
-        )
-        .counter(
-            "catfish_fast_reads_total",
-            "Client reads served through fast messaging.",
-            self.stats.fast_reads,
-        )
-        .counter(
-            "catfish_offloaded_reads_total",
-            "Client reads served through RDMA-offloaded traversal.",
-            self.stats.offloaded_reads,
-        )
-        .counter(
-            "catfish_fetched_reads_total",
-            "Client reads whose responses were pulled from the mailbox.",
-            self.stats.fetched_reads,
-        )
-        .counter(
-            "catfish_fetched_responses_total",
-            "Responses the server deposited into mailbox slots.",
-            self.stats.fetched_responses,
-        )
-        .counter(
-            "catfish_fetch_fallbacks_total",
-            "Fetch-flagged responses that fell back to ring write-back.",
-            self.stats.fetch_fallbacks,
-        )
-        .counter(
-            "catfish_mailbox_reclaims_total",
-            "Mailbox slot leases reclaimed (acked or lease-expired).",
-            self.stats.mailbox_reclaims,
-        )
-        .counter(
-            "catfish_merged_writes_total",
-            "Ring writes absorbed into an already-queued doorbell entry.",
-            self.stats.merged_writes,
-        )
-        .counter(
-            "catfish_torn_retries_total",
-            "Chunk reads retried after version-validation failure.",
-            self.stats.torn_retries,
-        )
-        .counter(
-            "catfish_offload_restarts_total",
-            "Offloaded traversals restarted after an inconsistency.",
-            self.stats.offload_restarts,
-        )
-        .counter(
-            "catfish_cache_hits_total",
-            "Chunk reads served from the client-side level cache.",
-            self.stats.cache_hits,
-        )
-        .counter(
-            "catfish_batches_sent_total",
-            "Doorbell batches carrying two or more coalesced messages.",
-            self.stats.batches_sent,
-        )
-        .counter(
-            "catfish_batched_msgs_total",
-            "Messages carried inside doorbell batches.",
-            self.stats.batched_msgs,
-        )
-        .counter(
-            "catfish_decode_errors_total",
-            "Malformed ring frames dropped by the server.",
-            self.stats.decode_errors,
-        )
-        .counter(
-            "catfish_timeouts_total",
-            "Request attempts that expired without a response.",
-            self.stats.timeouts,
-        )
-        .counter(
-            "catfish_retransmits_total",
-            "Requests re-sent after a timeout.",
-            self.stats.retransmits,
-        )
-        .counter(
-            "catfish_dup_drops_total",
-            "Duplicate write-class requests answered from the dedup cache.",
-            self.stats.dup_drops,
-        )
-        .counter(
-            "catfish_checksum_failures_total",
-            "Ring frames dropped on CRC mismatch.",
-            self.stats.checksum_failures,
-        )
-        .counter(
-            "catfish_resyncs_total",
-            "Ring receivers that skipped a lost-frame hole.",
-            self.stats.resyncs,
-        )
-        .counter(
-            "catfish_stale_heartbeat_windows_total",
-            "Fresh-to-stale heartbeat transitions (failsafe engagements).",
-            self.stats.stale_heartbeat_windows,
-        )
-        .counter(
-            "catfish_flight_dumps_total",
-            "Flight-recorder anomaly dumps captured across connections.",
-            self.stats.flight_dumps,
-        )
-        .gauge(
+        );
+        for (name, help, value) in self.stats.counters() {
+            reg.counter(&format!("catfish_{name}_total"), help, value);
+        }
+        reg.gauge(
             "catfish_throughput_kops",
             "Completed requests per virtual second, kilo-ops.",
             self.throughput_kops,
@@ -520,22 +418,13 @@ async fn run_cluster(spec: ExperimentSpec) -> RunResult {
         cluster.start_heartbeats();
     }
     // One sink shared by every server and client: the per-phase breakdown
-    // aggregates the whole cluster.
-    let trace_sink = spec.collect_phase_spans.then(TraceSink::new);
+    // aggregates the whole cluster, and every node stamps spans into one
+    // id space, so cross-node parent links resolve at assembly time.
+    let trace_sink = spec.collect_spans.then(TraceSink::with_spans);
     if let Some(sink) = &trace_sink {
-        for i in 0..cluster.shards() {
-            for r in 0..cluster.replicas() {
-                cluster.replica(i, r).set_trace(sink.clone());
-            }
-        }
+        cluster.set_trace(sink);
     }
     let event_log = spec.collect_adaptive_events.then(AdaptiveEventLog::new);
-    // One shared span log: servers and clients stamp into the same id
-    // space, so cross-node parent links resolve at assembly time.
-    let span_log = spec.collect_spans.then(SpanLog::new);
-    if let Some(log) = &span_log {
-        cluster.set_span_log(log);
-    }
 
     // Client machines share NICs.
     let node_count = spec.client_nodes.max(1).min(spec.clients.max(1));
@@ -611,13 +500,10 @@ async fn run_cluster(spec: ExperimentSpec) -> RunResult {
             client.set_response_polling(pool);
         }
         if let Some(sink) = &trace_sink {
-            client.set_trace(sink);
+            client.set_trace(&sink.for_node(client_id as u32));
         }
         if let Some(log) = &event_log {
             client.set_adaptive_event_log(&log.for_client(client_id as u32));
-        }
-        if let Some(log) = &span_log {
-            client.set_span_log(log.for_node(client_id as u32));
         }
         client.set_flight_ids(client_id as u32);
         handles.push(spawn(async move {
@@ -719,6 +605,7 @@ async fn run_cluster(spec: ExperimentSpec) -> RunResult {
         timeline: timeline.take(),
         hist: all,
         phase_hists: trace_sink
+            .as_ref()
             .map(|sink| {
                 Phase::ALL
                     .iter()
@@ -727,7 +614,7 @@ async fn run_cluster(spec: ExperimentSpec) -> RunResult {
             })
             .unwrap_or_default(),
         adaptive_events: event_log.map(|log| log.snapshot()).unwrap_or_default(),
-        spans: span_log.map(|log| log.snapshot()).unwrap_or_default(),
+        spans: trace_sink.map(|sink| sink.spans()).unwrap_or_default(),
         flight_dumps,
     }
 }
@@ -1002,6 +889,56 @@ mod tests {
             .metrics()
             .to_prometheus()
             .contains("catfish_decode_errors_total 1"));
+    }
+
+    #[test]
+    fn every_counter_reaches_metrics() {
+        // Listing every field (no `..Default::default()`) makes a counter
+        // added without this test fail to compile.
+        let stats = ServiceStats {
+            reads: 1001,
+            writes: 1002,
+            removes: 1003,
+            results_returned: 1004,
+            nodes_visited: 1005,
+            fast_reads: 1006,
+            offloaded_reads: 1007,
+            writes_sent: 1008,
+            removes_sent: 1009,
+            torn_retries: 1010,
+            meta_refreshes: 1011,
+            offload_restarts: 1012,
+            chunks_fetched: 1013,
+            cache_hits: 1014,
+            batches_sent: 1015,
+            batched_msgs: 1016,
+            decode_errors: 1017,
+            timeouts: 1018,
+            retransmits: 1019,
+            dup_drops: 1020,
+            checksum_failures: 1021,
+            resyncs: 1022,
+            stale_heartbeat_windows: 1023,
+            merged_writes: 1024,
+            fetched_reads: 1025,
+            fetched_responses: 1026,
+            fetch_fallbacks: 1027,
+            mailbox_reclaims: 1028,
+            flight_dumps: 1029,
+            repl_forwards: 1030,
+            repl_fenced: 1031,
+            repl_dups: 1032,
+            repl_lag_ns: 1033,
+        };
+        let mut r = run_experiment(&small_spec(Scheme::Catfish));
+        r.stats = stats;
+        let text = r.metrics().to_prometheus();
+        let counters = stats.counters();
+        assert_eq!(counters.len(), 33);
+        for (name, _, value) in counters {
+            let line = format!("catfish_{name}_total {value}");
+            assert!(text.contains(&line), "missing `{line}`");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use catfish_simnet::SimDuration;
 
 use crate::config::CostModel;
 use crate::msg::{get_repl_env, put_repl_env, MsgError, REPL_ENV_WIRE_BYTES};
-use crate::obs::{TraceContext, TRACE_CTX_WIRE_BYTES};
+use crate::obs::SpanCtx;
 use crate::service::cluster::mix64;
 use crate::service::{
     ClientBackend, ClusterClient, ClusterServer, Execution, HeartbeatInfo, Incoming, Inconsistent,
@@ -39,7 +39,6 @@ const TAG_RESP_CONT: u8 = 36;
 const TAG_RESP_END: u8 = 37;
 const TAG_HEARTBEAT: u8 = 38;
 const TAG_BATCH: u8 = 39;
-const TAG_TRACED: u8 = 40;
 const TAG_REPLICATED: u8 = 41;
 
 /// A key-value service message.
@@ -103,19 +102,8 @@ pub enum KvMessage {
     /// Several messages coalesced into one doorbell-batched frame.
     /// Batches must not nest.
     Batch(Vec<KvMessage>),
-    /// A request wrapped in a distributed-tracing envelope (17 bytes of
-    /// [`TraceContext`] ahead of the unchanged inner encoding). Envelopes
-    /// wrap single requests only: a batch may contain traced requests,
-    /// but an envelope must not wrap a batch or another envelope.
-    Traced {
-        /// The wire-propagated trace context.
-        ctx: TraceContext,
-        /// The request being carried.
-        inner: Box<KvMessage>,
-    },
     /// A mutation under a replication envelope (stable op identity plus
-    /// epoch fence). Replication envelopes wrap single bare mutations; a
-    /// trace envelope may wrap a replication envelope, never the reverse.
+    /// epoch fence). Replication envelopes wrap single bare mutations.
     Replicated {
         /// The replication envelope.
         env: ReplEnvelope,
@@ -195,23 +183,9 @@ impl KvMessage {
                     out.extend_from_slice(&inner);
                 }
             }
-            KvMessage::Traced { ctx, inner } => {
-                debug_assert!(
-                    !matches!(**inner, KvMessage::Batch(_) | KvMessage::Traced { .. }),
-                    "trace envelopes wrap single requests only"
-                );
-                out.push(TAG_TRACED);
-                ctx.encode_into(&mut out);
-                out.extend_from_slice(&inner.encode());
-            }
             KvMessage::Replicated { env, inner } => {
                 debug_assert!(
-                    !matches!(
-                        **inner,
-                        KvMessage::Batch(_)
-                            | KvMessage::Traced { .. }
-                            | KvMessage::Replicated { .. }
-                    ),
+                    !matches!(**inner, KvMessage::Batch(_) | KvMessage::Replicated { .. }),
                     "replication envelopes wrap single bare requests only"
                 );
                 out.push(TAG_REPLICATED);
@@ -326,24 +300,10 @@ impl KvMessage {
                 }
                 Ok(KvMessage::Batch(msgs))
             }
-            TAG_TRACED => {
-                let ctx = TraceContext::decode(rest).ok_or(MsgError::Truncated)?;
-                let inner = KvMessage::decode(&rest[TRACE_CTX_WIRE_BYTES..])?;
-                if matches!(inner, KvMessage::Batch(_) | KvMessage::Traced { .. }) {
-                    return Err(MsgError::NestedTrace);
-                }
-                Ok(KvMessage::Traced {
-                    ctx,
-                    inner: Box::new(inner),
-                })
-            }
             TAG_REPLICATED => {
                 let env = get_repl_env(rest)?;
                 let inner = KvMessage::decode(&rest[REPL_ENV_WIRE_BYTES..])?;
-                if matches!(
-                    inner,
-                    KvMessage::Batch(_) | KvMessage::Traced { .. } | KvMessage::Replicated { .. }
-                ) {
+                if matches!(inner, KvMessage::Batch(_) | KvMessage::Replicated { .. }) {
                     return Err(MsgError::NestedReplication);
                 }
                 Ok(KvMessage::Replicated {
@@ -398,20 +358,6 @@ impl WireCodec for KvWire {
         KvMessage::Batch(msgs)
     }
 
-    fn traced(ctx: TraceContext, inner: KvMessage) -> KvMessage {
-        KvMessage::Traced {
-            ctx,
-            inner: Box::new(inner),
-        }
-    }
-
-    fn take_trace(msg: KvMessage) -> (Option<TraceContext>, KvMessage) {
-        match msg {
-            KvMessage::Traced { ctx, inner } => (Some(ctx), *inner),
-            other => (None, other),
-        }
-    }
-
     fn classify(msg: KvMessage) -> Incoming<Self> {
         match msg {
             KvMessage::Heartbeat { info } => Incoming::Heartbeat(info),
@@ -439,7 +385,6 @@ impl WireCodec for KvWire {
             KvMessage::RangeReq { seq, .. } => Some((*seq, OpKind::Read)),
             KvMessage::PutReq { seq, .. } => Some((*seq, OpKind::Write)),
             KvMessage::RemoveReq { seq, .. } => Some((*seq, OpKind::Remove)),
-            KvMessage::Traced { inner, .. } => Self::request_meta(inner),
             // Connection-scoped identity of a replicated mutation is the
             // envelope's link sequence, not the origin client's inner seq.
             KvMessage::Replicated { env, inner } => {
@@ -543,16 +488,17 @@ impl ClusterClient<KvBackend> {
     /// merge-sort the partials by key.
     pub async fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         let targets: Vec<usize> = (0..self.shards.len()).collect();
-        let root = self.begin_scatter_root(&targets);
+        let root = self.trace.borrow().open(None);
+        let leg = Some(root.ctx());
         let parts = self
             .scatter(&targets, move |shard| {
-                Box::pin(async move { shard.borrow_mut().range(lo, hi).await })
+                Box::pin(async move { shard.borrow_mut().range_under(lo, hi, leg).await })
             })
             .await;
-        let merge_start = self.span.now_ns();
+        let merge = self.trace.borrow().begin();
         let mut all: Vec<(u64, u64)> = parts.into_iter().flatten().collect();
         all.sort_unstable();
-        self.end_scatter_root(root, merge_start);
+        self.end_scatter(root, merge);
         all
     }
 }
@@ -648,13 +594,12 @@ impl IndexBackend for KvBackend {
                 })
             }
             // Responses/heartbeats never arrive at the server; batches are
-            // unrolled and trace envelopes stripped by the generic server
-            // before execute.
+            // unrolled and replication envelopes stripped by the generic
+            // server before execute.
             KvMessage::RespCont { .. }
             | KvMessage::RespEnd { .. }
             | KvMessage::Heartbeat { .. }
             | KvMessage::Batch(_)
-            | KvMessage::Traced { .. }
             | KvMessage::Replicated { .. } => None,
         }
     }
@@ -820,9 +765,20 @@ impl ServiceClient<KvBackend> {
 
     /// All pairs with `lo <= key <= hi`, served by the server.
     pub async fn range(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        self.range_under(lo, hi, None).await
+    }
+
+    /// [`KvClient::range`] as an `Rpc` leg under `parent` (a
+    /// scatter-gather root) when given.
+    pub(crate) async fn range_under(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        parent: Option<SpanCtx>,
+    ) -> Vec<(u64, u64)> {
         self.drain_pending();
         self.stats.fast_reads += 1;
-        let opened = self.op_begin();
+        let opened = self.op_begin(parent);
         let out = self.fast_read(&KvRead::Range { lo, hi }).await;
         self.op_end(opened);
         out
@@ -834,7 +790,7 @@ impl ServiceClient<KvBackend> {
     pub async fn range_offloaded(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         self.drain_pending();
         self.stats.offloaded_reads += 1;
-        let opened = self.op_begin();
+        let opened = self.op_begin(None);
         let out = self.offload_read(&KvRead::Range { lo, hi }).await;
         self.op_end(opened);
         out

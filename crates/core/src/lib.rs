@@ -70,9 +70,8 @@ pub use config::{
 pub use conn::{establish, establish_with_mailbox, ClientChannel, RkeyAllocator, ServerChannel};
 pub use obs::{
     AdaptiveEvent, AdaptiveEventLog, AdaptiveEventRecord, Anomaly, Assembly, FlightDump,
-    FlightEvent, FlightRecorder, LatencyHistogram, MetricsRegistry, Phase, PhaseSummary,
-    RouteChoice, SloObjective, SloReport, SloSpec, SpanKind, SpanLog, SpanRecord, TraceAssembler,
-    TraceContext, TraceSink, TraceTree,
+    FlightEvent, FlightRecorder, LatencyHistogram, MetricsRegistry, Phase, RouteChoice,
+    SloObjective, SloReport, SloSpec, SpanRecord, TraceAssembler, TraceSink, TraceTree,
 };
 pub use server::{CatfishCluster, CatfishServer, RtreeBackend, TreeHandle};
 pub use service::{

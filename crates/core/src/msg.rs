@@ -9,7 +9,6 @@ use std::fmt;
 
 use catfish_rtree::Rect;
 
-use crate::obs::{TraceContext, TRACE_CTX_WIRE_BYTES};
 use crate::service::{HeartbeatInfo, Incoming, ReplEnvelope, WireCodec};
 
 const TAG_SEARCH: u8 = 1;
@@ -20,7 +19,6 @@ const TAG_RESP_END: u8 = 5;
 const TAG_HEARTBEAT: u8 = 6;
 const TAG_NEAREST: u8 = 7;
 const TAG_BATCH: u8 = 8;
-const TAG_TRACED: u8 = 9;
 const TAG_REPLICATED: u8 = 10;
 
 /// Encoded size of a [`ReplEnvelope`] behind its tag byte.
@@ -119,23 +117,10 @@ pub enum Message {
     /// ring write, one completion, one wakeup for the whole group.
     /// Batches must not nest.
     Batch(Vec<Message>),
-    /// A request wrapped in a distributed-tracing envelope: 17 bytes of
-    /// [`TraceContext`] ahead of the unchanged inner encoding, so the
-    /// server can link its spans to the issuing client span. Envelopes
-    /// wrap single requests only — a batch may *contain* traced requests,
-    /// but an envelope must not wrap a batch or another envelope.
-    Traced {
-        /// The wire-propagated trace context.
-        ctx: TraceContext,
-        /// The request being carried.
-        inner: Box<Message>,
-    },
     /// A mutation wrapped in a replication envelope: 29 bytes of
     /// [`ReplEnvelope`] (link sequence, replica-set-wide op identity,
     /// promotion epoch) ahead of the unchanged inner encoding. Wraps bare
-    /// mutations only — never a batch, a trace envelope, or another
-    /// replication envelope; the trace envelope nests *outside*
-    /// (`Traced(Replicated(req))`).
+    /// mutations only — never a batch or another replication envelope.
     Replicated {
         /// The replication envelope.
         env: ReplEnvelope,
@@ -155,10 +140,8 @@ pub enum MsgError {
     BadRect,
     /// A batch frame contained another batch frame.
     NestedBatch,
-    /// A trace envelope wrapped a batch or another trace envelope.
-    NestedTrace,
-    /// A replication envelope wrapped a batch, a trace envelope, or
-    /// another replication envelope.
+    /// A replication envelope wrapped a batch or another replication
+    /// envelope.
     NestedReplication,
 }
 
@@ -169,9 +152,6 @@ impl fmt::Display for MsgError {
             MsgError::UnknownTag(t) => write!(f, "unknown message tag {t}"),
             MsgError::BadRect => write!(f, "invalid rectangle in message"),
             MsgError::NestedBatch => write!(f, "batch frame nested inside a batch frame"),
-            MsgError::NestedTrace => {
-                write!(f, "trace envelope wrapping a batch or another envelope")
-            }
             MsgError::NestedReplication => {
                 write!(f, "replication envelope wrapping a non-mutation")
             }
@@ -273,21 +253,9 @@ impl Message {
                     out.extend_from_slice(&inner);
                 }
             }
-            Message::Traced { ctx, inner } => {
-                debug_assert!(
-                    !matches!(**inner, Message::Batch(_) | Message::Traced { .. }),
-                    "trace envelopes wrap single requests only"
-                );
-                out.push(TAG_TRACED);
-                ctx.encode_into(&mut out);
-                out.extend_from_slice(&inner.encode());
-            }
             Message::Replicated { env, inner } => {
                 debug_assert!(
-                    !matches!(
-                        **inner,
-                        Message::Batch(_) | Message::Traced { .. } | Message::Replicated { .. }
-                    ),
+                    !matches!(**inner, Message::Batch(_) | Message::Replicated { .. }),
                     "replication envelopes wrap bare mutations only"
                 );
                 out.push(TAG_REPLICATED);
@@ -308,7 +276,6 @@ impl Message {
             Message::NearestReq { .. } => 1 + 4 + 8 + 8 + 4,
             Message::Heartbeat { .. } => 1 + 2 + 16,
             Message::Batch(msgs) => 1 + 4 + msgs.iter().map(|m| 4 + m.encoded_len()).sum::<usize>(),
-            Message::Traced { inner, .. } => 1 + TRACE_CTX_WIRE_BYTES + inner.encoded_len(),
             Message::Replicated { inner, .. } => 1 + REPL_ENV_WIRE_BYTES + inner.encoded_len(),
         }
     }
@@ -436,24 +403,10 @@ impl Message {
                 }
                 Ok(Message::Batch(msgs))
             }
-            TAG_TRACED => {
-                let ctx = TraceContext::decode(rest).ok_or(MsgError::Truncated)?;
-                let inner = Message::decode(&rest[TRACE_CTX_WIRE_BYTES..])?;
-                if matches!(inner, Message::Batch(_) | Message::Traced { .. }) {
-                    return Err(MsgError::NestedTrace);
-                }
-                Ok(Message::Traced {
-                    ctx,
-                    inner: Box::new(inner),
-                })
-            }
             TAG_REPLICATED => {
                 let env = get_repl_env(rest)?;
                 let inner = Message::decode(&rest[REPL_ENV_WIRE_BYTES..])?;
-                if matches!(
-                    inner,
-                    Message::Batch(_) | Message::Traced { .. } | Message::Replicated { .. }
-                ) {
+                if matches!(inner, Message::Batch(_) | Message::Replicated { .. }) {
                     return Err(MsgError::NestedReplication);
                 }
                 Ok(Message::Replicated {
@@ -508,20 +461,6 @@ impl WireCodec for RtreeWire {
         Message::Batch(msgs)
     }
 
-    fn traced(ctx: TraceContext, inner: Message) -> Message {
-        Message::Traced {
-            ctx,
-            inner: Box::new(inner),
-        }
-    }
-
-    fn take_trace(msg: Message) -> (Option<TraceContext>, Message) {
-        match msg {
-            Message::Traced { ctx, inner } => (Some(ctx), *inner),
-            other => (None, other),
-        }
-    }
-
     fn classify(msg: Message) -> Incoming<Self> {
         match msg {
             Message::Heartbeat { info } => Incoming::Heartbeat(info),
@@ -550,7 +489,6 @@ impl WireCodec for RtreeWire {
             Message::NearestReq { seq, .. } => Some((*seq, OpKind::Read)),
             Message::InsertReq { seq, .. } => Some((*seq, OpKind::Write)),
             Message::DeleteReq { seq, .. } => Some((*seq, OpKind::Remove)),
-            Message::Traced { inner, .. } => Self::request_meta(inner),
             // The connection-scoped identity of a replicated mutation is
             // the envelope's link sequence, not the inner sequence (which
             // belongs to the originating client's connection).
@@ -649,109 +587,6 @@ mod tests {
         assert_eq!(Message::decode(&outer), Err(MsgError::NestedBatch));
     }
 
-    #[test]
-    fn traced_envelope_round_trips_and_sizes_exactly() {
-        let msg = Message::Traced {
-            ctx: TraceContext {
-                trace_id: 77,
-                parent_span: 3,
-                flags: 0b101,
-            },
-            inner: Box::new(Message::SearchReq {
-                seq: 9,
-                rect: Rect::new(0.0, 0.0, 1.0, 1.0),
-            }),
-        };
-        let bytes = msg.encode();
-        assert_eq!(bytes.len(), msg.encoded_len());
-        assert_eq!(bytes.len(), 1 + TRACE_CTX_WIRE_BYTES + 1 + 4 + 32);
-        assert_eq!(Message::decode(&bytes), Ok(msg));
-        for cut in 0..bytes.len() {
-            assert!(Message::decode(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn traced_envelope_must_not_wrap_batch_or_envelope() {
-        // encode() debug-asserts against building these, so forge bytes.
-        let ctx = TraceContext {
-            trace_id: 1,
-            parent_span: 1,
-            flags: 0,
-        };
-        for inner in [
-            Message::Batch(vec![Message::Heartbeat {
-                info: HeartbeatInfo::util_only(1),
-            }])
-            .encode(),
-            Message::Traced {
-                ctx,
-                inner: Box::new(Message::SearchReq {
-                    seq: 1,
-                    rect: Rect::new(0.0, 0.0, 1.0, 1.0),
-                }),
-            }
-            .encode(),
-        ] {
-            let mut forged = vec![9u8]; // TAG_TRACED
-            ctx.encode_into(&mut forged);
-            forged.extend_from_slice(&inner);
-            assert_eq!(Message::decode(&forged), Err(MsgError::NestedTrace));
-        }
-    }
-
-    #[test]
-    fn batch_may_contain_traced_requests() {
-        let traced = Message::Traced {
-            ctx: TraceContext {
-                trace_id: 5,
-                parent_span: 2,
-                flags: 1,
-            },
-            inner: Box::new(Message::NearestReq {
-                seq: 4,
-                x: 0.5,
-                y: 0.5,
-                k: 3,
-            }),
-        };
-        let batch = Message::Batch(vec![
-            traced.clone(),
-            Message::SearchReq {
-                seq: 5,
-                rect: Rect::new(0.0, 0.0, 1.0, 1.0),
-            },
-        ]);
-        let bytes = batch.encode();
-        assert_eq!(bytes.len(), batch.encoded_len());
-        assert_eq!(Message::decode(&bytes), Ok(batch));
-    }
-
-    #[test]
-    fn take_trace_splits_the_envelope() {
-        use crate::service::WireCodec;
-        let inner = Message::SearchReq {
-            seq: 2,
-            rect: Rect::new(0.0, 0.0, 1.0, 1.0),
-        };
-        let ctx = TraceContext {
-            trace_id: 10,
-            parent_span: 10,
-            flags: 0,
-        };
-        let wrapped = RtreeWire::traced(ctx, inner.clone());
-        assert_eq!(
-            RtreeWire::request_meta(&wrapped),
-            RtreeWire::request_meta(&inner)
-        );
-        let (got, unwrapped) = RtreeWire::take_trace(wrapped);
-        assert_eq!(got, Some(ctx));
-        assert_eq!(unwrapped, inner);
-        let (none, same) = RtreeWire::take_trace(inner.clone());
-        assert_eq!(none, None);
-        assert_eq!(same, inner);
-    }
-
     fn env() -> ReplEnvelope {
         ReplEnvelope {
             link_seq: 17,
@@ -789,19 +624,6 @@ mod tests {
                 info: HeartbeatInfo::util_only(1),
             }])
             .encode(),
-            Message::Traced {
-                ctx: TraceContext {
-                    trace_id: 1,
-                    parent_span: 1,
-                    flags: 0,
-                },
-                inner: Box::new(Message::InsertReq {
-                    seq: 1,
-                    rect: Rect::new(0.0, 0.0, 1.0, 1.0),
-                    data: 1,
-                }),
-            }
-            .encode(),
             Message::Replicated {
                 env: env(),
                 inner: Box::new(Message::DeleteReq {
@@ -820,7 +642,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_may_wrap_replicated_and_metas_report_link_seq() {
+    fn replicated_metas_report_link_seq() {
         use crate::service::{OpKind, WireCodec};
         let inner = Message::InsertReq {
             seq: 900, // the origin connection's sequence number
@@ -830,21 +652,7 @@ mod tests {
         let wrapped = RtreeWire::replicated(env(), inner.clone());
         // Connection dedup must key on the forwarding link's sequence.
         assert_eq!(RtreeWire::request_meta(&wrapped), Some((17, OpKind::Write)));
-        let traced = RtreeWire::traced(
-            TraceContext {
-                trace_id: 8,
-                parent_span: 8,
-                flags: 0,
-            },
-            wrapped.clone(),
-        );
-        let bytes = traced.encode();
-        assert_eq!(bytes.len(), traced.encoded_len());
-        assert_eq!(Message::decode(&bytes), Ok(traced.clone()));
-        assert_eq!(RtreeWire::request_meta(&traced), Some((17, OpKind::Write)));
-        // take_trace then take_origin peel the envelopes in order.
-        let (_, after_trace) = RtreeWire::take_trace(traced);
-        let (got_env, bare) = RtreeWire::take_origin(after_trace);
+        let (got_env, bare) = RtreeWire::take_origin(wrapped);
         assert_eq!(got_env, Some(env()));
         assert_eq!(bare, inner);
         let (none, same) = RtreeWire::take_origin(bare.clone());

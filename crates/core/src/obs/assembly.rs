@@ -1,11 +1,11 @@
 //! Cross-shard trace assembly: stitching [`SpanRecord`]s back into
 //! per-request trees.
 //!
-//! The [`SpanLog`](super::SpanLog) is a flat completion-ordered timeline
-//! written by every client and shard in a run; [`TraceAssembler`] groups
+//! [`TraceSink::spans`](super::TraceSink::spans) is a flat
+//! completion-ordered timeline written by every client and shard in a run; [`TraceAssembler`] groups
 //! it by trace id and rebuilds each request's causal tree — client issue
 //! at the root, per-shard RPC legs beneath it, server dispatch/index-exec
-//! spans linked through the wire-propagated context, and the merge leaf.
+//! spans linked by each request's `(ring rkey, seq)`, and the merge leaf.
 //! The central structural invariant is **connectedness**: every span's
 //! parent is present in the same trace and there is exactly one root, so
 //! a window query scattered over four shards under a chaos fault plan
@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use super::trace::SpanRecord;
+use super::span::SpanRecord;
 
 /// One reassembled request tree.
 #[derive(Debug, Clone)]
@@ -174,13 +174,13 @@ impl Assembly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::trace::{SpanKind, SERVER_NODE_BASE};
+    use crate::obs::span::{Phase, SERVER_NODE_BASE};
 
     fn span(
         trace_id: u64,
         span_id: u64,
         parent: u64,
-        kind: SpanKind,
+        kind: Phase,
         node: u32,
         start: u64,
         end: u64,
@@ -201,15 +201,15 @@ mod tests {
         vec![
             // Trace 1: root on client 0, RPCs to shards 0/1, server spans,
             // merge. Completion order is leaf-first, as in a real run.
-            span(1, 4, 2, SpanKind::IndexExec, SERVER_NODE_BASE, 20, 40),
-            span(1, 5, 3, SpanKind::IndexExec, SERVER_NODE_BASE + 1, 25, 50),
-            span(1, 2, 1, SpanKind::Rpc, 0, 10, 45),
-            span(1, 3, 1, SpanKind::Rpc, 0, 10, 55),
-            span(1, 6, 1, SpanKind::Merge, 0, 55, 60),
-            span(1, 1, 0, SpanKind::Request, 0, 0, 60),
+            span(1, 4, 2, Phase::IndexExec, SERVER_NODE_BASE, 20, 40),
+            span(1, 5, 3, Phase::IndexExec, SERVER_NODE_BASE + 1, 25, 50),
+            span(1, 2, 1, Phase::Rpc, 0, 10, 45),
+            span(1, 3, 1, Phase::Rpc, 0, 10, 55),
+            span(1, 6, 1, Phase::Merge, 0, 55, 60),
+            span(1, 1, 0, Phase::Request, 0, 0, 60),
             // Trace 7: single-shard request.
-            span(7, 8, 7, SpanKind::IndexExec, SERVER_NODE_BASE, 105, 110),
-            span(7, 7, 0, SpanKind::Request, 1, 100, 115),
+            span(7, 8, 7, Phase::IndexExec, SERVER_NODE_BASE, 105, 110),
+            span(7, 7, 0, Phase::Request, 1, 100, 115),
         ]
     }
 
@@ -229,8 +229,8 @@ mod tests {
     fn orphans_and_multiple_roots_break_connectedness() {
         // Parent 99 never recorded → orphan.
         let orphaned = vec![
-            span(1, 1, 0, SpanKind::Request, 0, 0, 10),
-            span(1, 2, 99, SpanKind::IndexExec, SERVER_NODE_BASE, 2, 5),
+            span(1, 1, 0, Phase::Request, 0, 0, 10),
+            span(1, 2, 99, Phase::IndexExec, SERVER_NODE_BASE, 2, 5),
         ];
         let asm = TraceAssembler::assemble(&orphaned);
         assert!(!asm.all_connected());
@@ -239,13 +239,13 @@ mod tests {
 
         // Two roots in one trace id.
         let two_roots = vec![
-            span(3, 3, 0, SpanKind::Request, 0, 0, 10),
-            span(3, 4, 0, SpanKind::Request, 1, 0, 10),
+            span(3, 3, 0, Phase::Request, 0, 0, 10),
+            span(3, 4, 0, Phase::Request, 1, 0, 10),
         ];
         assert!(!TraceAssembler::assemble(&two_roots).all_connected());
 
         // Root id disagreeing with the trace id.
-        let bad_root = vec![span(5, 6, 0, SpanKind::Request, 0, 0, 10)];
+        let bad_root = vec![span(5, 6, 0, Phase::Request, 0, 0, 10)];
         assert!(!TraceAssembler::assemble(&bad_root).all_connected());
     }
 
@@ -254,9 +254,9 @@ mod tests {
         // A retransmitted request executes twice server-side: two
         // IndexExec children under the same parent is still connected.
         let spans = vec![
-            span(1, 1, 0, SpanKind::Request, 0, 0, 100),
-            span(1, 2, 1, SpanKind::IndexExec, SERVER_NODE_BASE, 10, 20),
-            span(1, 3, 1, SpanKind::IndexExec, SERVER_NODE_BASE, 60, 70),
+            span(1, 1, 0, Phase::Request, 0, 0, 100),
+            span(1, 2, 1, Phase::IndexExec, SERVER_NODE_BASE, 10, 20),
+            span(1, 3, 1, Phase::IndexExec, SERVER_NODE_BASE, 60, 70),
         ];
         assert!(TraceAssembler::assemble(&spans).all_connected());
     }

@@ -73,7 +73,7 @@ fn bucket_high(idx: usize) -> u64 {
 /// assert_eq!(s.min, SimDuration::from_micros(1));
 /// assert_eq!(s.max, SimDuration::from_micros(100));
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     counts: [u64; BUCKETS],
     count: u64,

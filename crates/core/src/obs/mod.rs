@@ -6,10 +6,10 @@
 //!
 //! * [`hist`] — [`LatencyHistogram`], the fixed-footprint log-bucketed
 //!   recorder behind every distribution here;
-//! * [`span`] — [`Phase`] taxonomy and the [`TraceSink`] handle threaded
-//!   through `ServiceClient`/`ServiceServer`/ring endpoints;
-//! * [`trace`] — the wire-propagated [`TraceContext`] envelope header and
-//!   the [`SpanLog`] of causally linked [`SpanRecord`]s;
+//! * [`span`] — the [`Phase`] taxonomy and [`TraceSink`], the one
+//!   recorder threaded through `ServiceClient`/`ServiceServer`/ring
+//!   endpoints: phase histograms plus, when retained, causally linked
+//!   [`SpanRecord`]s joined by each request's `(ring rkey, seq)`;
 //! * [`assembly`] — [`TraceAssembler`], stitching span records into
 //!   per-request trace trees with JSONL and Chrome `trace_event` export;
 //! * [`flight`] — [`FlightRecorder`], the always-on per-connection ring
@@ -31,7 +31,6 @@ pub mod hist;
 pub mod registry;
 pub mod slo;
 pub mod span;
-pub mod trace;
 
 pub use assembly::{Assembly, TraceAssembler, TraceTree};
 pub use events::{AdaptiveEvent, AdaptiveEventLog, AdaptiveEventRecord, RouteChoice};
@@ -39,8 +38,6 @@ pub use flight::{Anomaly, FlightDump, FlightEntry, FlightEvent, FlightRecorder, 
 pub use hist::LatencyHistogram;
 pub use registry::{Metric, MetricValue, MetricsRegistry};
 pub use slo::{SloObjective, SloReport, SloSpec};
-pub use span::{Phase, PhaseSummary, SpanStart, TraceSink, N_PHASES};
-pub use trace::{
-    SpanKind, SpanLog, SpanRecord, TraceContext, SERVER_NODE_BASE, TRACE_CTX_WIRE_BYTES,
-    TRACE_FLAG_BATCHED, TRACE_FLAG_FETCH, TRACE_FLAG_RETRANSMIT,
+pub use span::{
+    OpenSpan, Phase, SpanCtx, SpanRecord, SpanStart, TraceSink, N_PHASES, SERVER_NODE_BASE,
 };

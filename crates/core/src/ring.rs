@@ -251,6 +251,12 @@ impl RingSender {
         }
     }
 
+    /// The rkey of the remote ring this sender writes into — with a
+    /// request's sequence number, the request's name on the connection.
+    pub fn ring_rkey(&self) -> u32 {
+        self.shared.ring_rkey
+    }
+
     /// Attributes each send's elapsed virtual time — lock wait, ring
     /// reservation (including full-ring backpressure), and the doorbell
     /// write through to remote delivery — to `phase` in `sink`.
@@ -613,6 +619,12 @@ impl RingReceiver {
                 pending_at: Cell::new(None),
             }),
         }
+    }
+
+    /// The rkey of the local ring this receiver drains (the sender's
+    /// [`RingSender::ring_rkey`]).
+    pub fn ring_rkey(&self) -> u32 {
+        self.shared.ring.rkey()
     }
 
     /// Attributes each delivered doorbell's queue time — NIC delivery

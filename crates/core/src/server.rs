@@ -191,13 +191,12 @@ impl IndexBackend for RtreeBackend {
                 })
             }
             // Responses/heartbeats never arrive at the server; batches are
-            // unrolled and trace envelopes stripped by the generic server
-            // before execute.
+            // unrolled and replication envelopes stripped by the generic
+            // server before execute.
             Message::ResponseCont { .. }
             | Message::ResponseEnd { .. }
             | Message::Heartbeat { .. }
             | Message::Batch(_)
-            | Message::Traced { .. }
             | Message::Replicated { .. } => None,
         }
     }

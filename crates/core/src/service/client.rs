@@ -14,8 +14,7 @@ use crate::adaptive::AdaptiveState;
 use crate::config::{AccessMode, ClientConfig};
 use crate::conn::ClientChannel;
 use crate::obs::{
-    Anomaly, FlightEvent, FlightRecorder, Phase, RouteChoice, SpanKind, SpanLog, TraceContext,
-    TraceSink, TRACE_FLAG_BATCHED, TRACE_FLAG_FETCH, TRACE_FLAG_RETRANSMIT,
+    Anomaly, FlightEvent, FlightRecorder, OpenSpan, Phase, RouteChoice, SpanCtx, TraceSink,
 };
 use crate::stats::ServiceStats;
 
@@ -31,17 +30,6 @@ pub(crate) enum ChunkReadError {
     TooManyRetries,
     /// The chunk no longer decodes to a plausible node (stale pointer).
     Inconsistent,
-}
-
-/// The client-side span currently open for the in-flight operation: the
-/// tree position every wire envelope and child span of the operation
-/// attaches to.
-#[derive(Debug, Clone, Copy)]
-struct OpenOp {
-    trace_id: u64,
-    span_id: u64,
-    parent: u64,
-    start_ns: u64,
 }
 
 /// A Catfish client bound to one connection, generic over the index being
@@ -63,16 +51,11 @@ pub struct ServiceClient<B: ClientBackend> {
     /// collapse in paper Fig. 7.
     pub(crate) poll_pool: Option<CpuPool>,
     pub(crate) stats: ServiceStats,
+    /// Span recorder (inactive unless the run opted in).
     pub(crate) trace: TraceSink,
-    /// Distributed span log (inactive unless the run opted in).
-    pub(crate) span: SpanLog,
     /// The operation span currently open (one at a time per client; an
     /// offload→fast fallback nests into the same tree).
-    cur_op: Option<OpenOp>,
-    /// Set by the cluster layer before a per-shard leg: the next
-    /// operation becomes an `Rpc` child of `(trace_id, parent_span)`
-    /// instead of a fresh root.
-    pub(crate) pending_parent: Option<(u64, u64)>,
+    cur_op: Option<OpenSpan>,
     /// Set by the replication layer before a mutation: the next
     /// [`ServiceClient::fast_request`] wraps its request in a
     /// [`ReplEnvelope`] (stable origin/op identity, epoch fence) with
@@ -124,9 +107,7 @@ impl<B: ClientBackend> ServiceClient<B> {
             poll_pool: None,
             stats: ServiceStats::default(),
             trace: TraceSink::default(),
-            span: SpanLog::default(),
             cur_op: None,
-            pending_parent: None,
             pending_origin: None,
             flight,
             last_heartbeat: None,
@@ -134,37 +115,20 @@ impl<B: ClientBackend> ServiceClient<B> {
         }
     }
 
-    /// Routes this client's phase spans into `sink`: the request ring
-    /// sender reports [`Phase::RingEnqueue`], and the client itself
-    /// reports [`Phase::CqWait`], [`Phase::MetaRead`],
-    /// [`Phase::OffloadRead`], and [`Phase::OffloadRetry`].
-    pub fn with_trace(mut self, sink: TraceSink) -> Self {
+    /// Routes this client's spans into `sink`: the request ring sender
+    /// reports [`Phase::RingEnqueue`], and the client itself reports its
+    /// operation spans, [`Phase::CqWait`], [`Phase::MetaRead`], the
+    /// offload phases, [`Phase::RetryBackoff`], and
+    /// [`Phase::MailboxFetch`].
+    pub fn set_trace(&mut self, sink: TraceSink) {
         self.ch.tx.set_trace(sink.clone(), Phase::RingEnqueue);
         self.trace = sink;
-        self
-    }
-
-    /// The sink this client's spans go to (a fresh untraced sink unless
-    /// [`ServiceClient::with_trace`] was used).
-    pub fn trace_sink(&self) -> &TraceSink {
-        &self.trace
     }
 
     /// Emits this client's Algorithm 1 decision steps into `log`
     /// (see [`crate::obs::AdaptiveEventLog`]).
     pub fn set_adaptive_event_log(&mut self, log: crate::obs::AdaptiveEventLog) {
         self.adaptive.set_event_log(log);
-    }
-
-    /// Routes this client's distributed spans into `log` (an active log
-    /// turns on wire trace envelopes for every request this client sends).
-    pub fn set_span_log(&mut self, log: SpanLog) {
-        self.span = log;
-    }
-
-    /// The span log this client records into.
-    pub fn span_log(&self) -> &SpanLog {
-        &self.span
     }
 
     /// This client's flight recorder (always on).
@@ -177,62 +141,37 @@ impl<B: ClientBackend> ServiceClient<B> {
         self.flight.set_ids(client, shard);
     }
 
-    /// Opens the operation span: a fresh root, or — when the cluster
-    /// layer staged a parent — an `Rpc` child leg. Returns `true` when a
-    /// span was opened (`false` nests a fallback path, e.g. offload →
-    /// fast, into the already-open tree instead of forking a new one).
-    pub(crate) fn op_begin(&mut self) -> bool {
-        if !self.span.active() || self.cur_op.is_some() {
-            self.pending_parent = None;
+    /// Opens the operation span: a fresh root, or under `parent` an
+    /// `Rpc` leg. Returns `true` when a span was opened (`false` nests a
+    /// fallback path, e.g. offload → fast, into the already-open tree
+    /// instead of forking a new one).
+    pub(crate) fn op_begin(&mut self, parent: Option<SpanCtx>) -> bool {
+        if !self.trace.is_active() || self.cur_op.is_some() {
             return false;
         }
-        let span_id = self.span.next_span_id();
-        let (trace_id, parent) = match self.pending_parent.take() {
-            Some((tid, parent)) => (tid, parent),
-            None => (span_id, 0),
-        };
-        self.cur_op = Some(OpenOp {
-            trace_id,
-            span_id,
-            parent,
-            start_ns: self.span.now_ns(),
-        });
+        self.cur_op = Some(self.trace.open(parent));
         true
     }
 
     /// Closes the operation span opened by the matching
-    /// [`ServiceClient::op_begin`] and records it (`Request` root or
-    /// `Rpc` leg).
+    /// [`ServiceClient::op_begin`].
     pub(crate) fn op_end(&mut self, opened: bool) {
-        if !opened {
-            return;
-        }
-        if let Some(op) = self.cur_op.take() {
-            let kind = if op.parent == 0 {
-                SpanKind::Request
-            } else {
-                SpanKind::Rpc
-            };
-            self.span.record(
-                op.trace_id,
-                op.span_id,
-                op.parent,
-                kind,
-                op.start_ns,
-                self.span.now_ns(),
-            );
+        if let (true, Some(op)) = (opened, self.cur_op.take()) {
+            self.trace.close(op);
         }
     }
 
-    /// The wire context for the in-flight operation: server-side spans
-    /// attach under the open op span. `None` (no envelope) when tracing
-    /// is inactive.
-    fn wire_ctx(&self, flags: u8) -> Option<TraceContext> {
-        self.cur_op.map(|op| TraceContext {
-            trace_id: op.trace_id,
-            parent_span: op.span_id,
-            flags,
-        })
+    /// The open operation span, the parent of this client's child spans.
+    pub(crate) fn op_ctx(&self) -> Option<SpanCtx> {
+        self.cur_op.map(|op| op.ctx())
+    }
+
+    /// Links request `seq` on this connection to the open operation span,
+    /// so the server's spans for it attach there.
+    fn link_op(&self, seq: u32) {
+        if let Some(ctx) = self.op_ctx() {
+            self.trace.link(self.ch.tx.ring_rkey(), seq, ctx);
+        }
     }
 
     /// Whether this connection's heartbeat-staleness failsafe is engaged
@@ -361,6 +300,16 @@ impl<B: ClientBackend> ServiceClient<B> {
 
     /// Like [`ServiceClient::read`], also reporting which path ran.
     pub async fn read_traced(&mut self, read: &B::Read) -> (Vec<WireItem<B>>, SearchPath) {
+        self.read_under(read, None).await
+    }
+
+    /// [`ServiceClient::read_traced`] as an `Rpc` leg under `parent` (a
+    /// scatter-gather root) when given.
+    pub(crate) async fn read_under(
+        &mut self,
+        read: &B::Read,
+        parent: Option<SpanCtx>,
+    ) -> (Vec<WireItem<B>>, SearchPath) {
         self.drain_pending();
         let route = match self.cfg.mode {
             AccessMode::FastMessaging => RouteChoice::Fast,
@@ -370,7 +319,7 @@ impl<B: ClientBackend> ServiceClient<B> {
         };
         self.flight.note(FlightEvent::Route { route });
         self.check_stale_heartbeat();
-        let opened = self.op_begin();
+        let opened = self.op_begin(parent);
         let (items, path) = match route {
             RouteChoice::Offload => {
                 self.stats.offloaded_reads += 1;
@@ -408,16 +357,14 @@ impl<B: ClientBackend> ServiceClient<B> {
     ) -> (u32, Vec<WireItem<B>>) {
         self.seq += 1;
         let seq = self.seq;
-        // The envelopes are applied before the single encode, so every
-        // retransmission re-sends the identical traced bytes.
+        // The envelope is applied before the single encode, so every
+        // retransmission re-sends the identical bytes.
         let mut msg = build(seq);
         if let Some(mut env) = self.pending_origin.take() {
             env.link_seq = seq;
             msg = B::Wire::replicated(env, msg);
         }
-        if let Some(ctx) = self.wire_ctx(0) {
-            msg = B::Wire::traced(ctx, msg);
-        }
+        self.link_op(seq);
         let encoded = B::Wire::encode(&msg);
         if self.ch.tx.send(&encoded, seq).await.is_err() {
             return (STATUS_UNACKED, Vec::new());
@@ -491,12 +438,11 @@ impl<B: ClientBackend> ServiceClient<B> {
         &mut self,
         inner: WireMessage<B>,
         env: ReplEnvelope,
-        parent: Option<(u64, u64)>,
+        parent: Option<SpanCtx>,
     ) -> u32 {
         self.drain_pending();
-        self.pending_parent = parent;
         self.pending_origin = Some(env);
-        let opened = self.op_begin();
+        let opened = self.op_begin(parent);
         let (status, _) = self.fast_request(move |_| inner).await;
         self.op_end(opened);
         status
@@ -536,11 +482,8 @@ impl<B: ClientBackend> ServiceClient<B> {
         self.seq += 1;
         let seq = self.seq;
         let wire_seq = seq | FETCH_FLAG;
-        let mut msg = B::read_request(wire_seq, read);
-        if let Some(ctx) = self.wire_ctx(TRACE_FLAG_FETCH) {
-            msg = B::Wire::traced(ctx, msg);
-        }
-        let encoded = B::Wire::encode(&msg);
+        self.link_op(seq);
+        let encoded = B::Wire::encode(&B::read_request(wire_seq, read));
         if self.ch.tx.send(&encoded, wire_seq).await.is_err() {
             return Vec::new();
         }
@@ -694,31 +637,22 @@ impl<B: ClientBackend> ServiceClient<B> {
                 }
             }
             let started = now();
-            let tracing = self.span.active();
-            // Per-read root spans: seq → (root span id, start_ns). Each
-            // read in the window is its own trace; the envelope rides
-            // inside the batch frame, so coalescing preserves identity.
-            let mut open: HashMap<u32, (u64, u64)> = HashMap::new();
-            let base_flags = if chunk > 1 { TRACE_FLAG_BATCHED } else { 0 };
+            // Per-read root spans: each read in the window is its own
+            // trace, linked by its own sequence number, so coalescing and
+            // retransmission preserve identity.
+            let mut open: HashMap<u32, OpenSpan> = HashMap::new();
             let mut seqs = Vec::with_capacity(chunk);
             let mut msgs = Vec::with_capacity(chunk);
             for read in &reads[next..next + chunk] {
                 self.seq += 1;
                 seqs.push(self.seq);
-                let mut m = B::read_request(self.seq, read);
-                if tracing {
-                    let span_id = self.span.next_span_id();
-                    open.insert(self.seq, (span_id, self.span.now_ns()));
-                    m = B::Wire::traced(
-                        TraceContext {
-                            trace_id: span_id,
-                            parent_span: span_id,
-                            flags: base_flags,
-                        },
-                        m,
-                    );
+                if self.trace.is_active() {
+                    let root = self.trace.open(None);
+                    self.trace
+                        .link(self.ch.tx.ring_rkey(), self.seq, root.ctx());
+                    open.insert(self.seq, root);
                 }
-                msgs.push(m);
+                msgs.push(B::read_request(self.seq, read));
             }
             self.stats.fast_reads += chunk as u64;
             let first_seq = seqs[0];
@@ -776,15 +710,8 @@ impl<B: ClientBackend> ServiceClient<B> {
                                     seq,
                                     items: bufs[i].len() as u32,
                                 });
-                                if let Some((span_id, start)) = open.remove(&seq) {
-                                    self.span.record(
-                                        span_id,
-                                        span_id,
-                                        0,
-                                        SpanKind::Request,
-                                        start,
-                                        self.span.now_ns(),
-                                    );
+                                if let Some(root) = open.remove(&seq) {
+                                    self.trace.close(root);
                                 }
                             }
                         }
@@ -806,29 +733,10 @@ impl<B: ClientBackend> ServiceClient<B> {
                 retries += 1;
                 let mut redo: Vec<(usize, u32)> = pending.iter().map(|(&s, &i)| (i, s)).collect();
                 redo.sort_unstable();
-                // Rebuilt retransmissions re-wrap the same root context
-                // (trace identity is stable across retries), flagged so
-                // the tree shows the hop was a replay.
-                let re_flags = if redo.len() > 1 {
-                    TRACE_FLAG_BATCHED | TRACE_FLAG_RETRANSMIT
-                } else {
-                    TRACE_FLAG_RETRANSMIT
-                };
                 let mut remsgs = Vec::with_capacity(redo.len());
                 for &(i, s) in &redo {
                     bufs[i].clear(); // partial CONTs will be re-sent in full
-                    let mut m = B::read_request(s, &reads[next + i]);
-                    if let Some(&(span_id, _)) = open.get(&s) {
-                        m = B::Wire::traced(
-                            TraceContext {
-                                trace_id: span_id,
-                                parent_span: span_id,
-                                flags: re_flags,
-                            },
-                            m,
-                        );
-                    }
-                    remsgs.push(m);
+                    remsgs.push(B::read_request(s, &reads[next + i]));
                     self.flight.note(FlightEvent::Retransmit { seq: s });
                 }
                 self.stats.retransmits += remsgs.len() as u64;
@@ -849,15 +757,8 @@ impl<B: ClientBackend> ServiceClient<B> {
             // Abandoned reads still close their root span: a server that
             // executed the request after the client gave up emits child
             // spans under this root, so the tree stays connected.
-            for (_, (span_id, start)) in open.drain() {
-                self.span.record(
-                    span_id,
-                    span_id,
-                    0,
-                    SpanKind::Request,
-                    start,
-                    self.span.now_ns(),
-                );
+            for (_, root) in open.drain() {
+                self.trace.close(root);
             }
             self.trace.end(Phase::CqWait, wait_span);
             est_per_op = Some(now().saturating_duration_since(started) / chunk as u64);
@@ -881,7 +782,7 @@ impl<B: ClientBackend> ServiceClient<B> {
             OpKind::Remove => self.stats.removes_sent += 1,
             OpKind::Read => {}
         }
-        let opened = self.op_begin();
+        let opened = self.op_begin(None);
         let result = self.fast_request(build).await;
         self.op_end(opened);
         result
@@ -895,14 +796,11 @@ impl<B: ClientBackend> ServiceClient<B> {
     /// inconsistent attempts the index is churning faster than we can
     /// traverse it; fall back to the server's consistent view.
     pub(crate) async fn offload_read(&mut self, read: &B::Read) -> Vec<WireItem<B>> {
-        // OffloadRead spans the whole traversal including restarts;
-        // OffloadRetry spans only from the first failure onward, so
-        // (OffloadRead − OffloadRetry) is the cost of a clean attempt.
+        // OffloadRead spans the whole traversal including restarts (a
+        // child of the open op); OffloadRetry spans only from the first
+        // failure onward, so (OffloadRead − OffloadRetry) is the cost of a
+        // clean attempt.
         let total_span = self.trace.begin();
-        // Offload leg of the distributed trace: a child span under the
-        // open op covering the one-sided traversal (restarts included,
-        // the write-back fallback excluded — that leg traces itself).
-        let off_start = self.cur_op.map(|_| self.span.now_ns());
         let mut retry_span = total_span;
         let mut attempts = 0u32;
         loop {
@@ -911,8 +809,8 @@ impl<B: ClientBackend> ServiceClient<B> {
                     if attempts > 0 {
                         self.trace.end(Phase::OffloadRetry, retry_span);
                     }
-                    self.trace.end(Phase::OffloadRead, total_span);
-                    self.end_offload_span(off_start);
+                    self.trace
+                        .end_under(Phase::OffloadRead, total_span, self.op_ctx());
                     return items;
                 }
                 Err(Inconsistent) => {
@@ -924,27 +822,14 @@ impl<B: ClientBackend> ServiceClient<B> {
                         retry_span = self.trace.begin();
                     }
                     if attempts >= 8 {
-                        self.end_offload_span(off_start);
                         let items = self.fast_read(read).await;
                         self.trace.end(Phase::OffloadRetry, retry_span);
-                        self.trace.end(Phase::OffloadRead, total_span);
+                        self.trace
+                            .end_under(Phase::OffloadRead, total_span, self.op_ctx());
                         return items;
                     }
                 }
             }
-        }
-    }
-
-    /// Closes the `Offload` child span opened at `start` (if tracing).
-    pub(crate) fn end_offload_span(&mut self, start: Option<u64>) {
-        if let (Some(start), Some(op)) = (start, self.cur_op) {
-            self.span.emit(
-                op.trace_id,
-                op.span_id,
-                SpanKind::Offload,
-                start,
-                self.span.now_ns(),
-            );
         }
     }
 

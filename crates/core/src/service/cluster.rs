@@ -34,7 +34,10 @@ use catfish_simnet::{spawn, CpuPool, Network};
 
 use crate::config::{AccessMode, ClientConfig, ServerConfig};
 use crate::conn::RkeyAllocator;
-use crate::obs::{AdaptiveEventLog, Anomaly, FlightRecorder, SpanKind, SpanLog, SERVER_NODE_BASE};
+use crate::obs::{
+    AdaptiveEventLog, Anomaly, FlightRecorder, OpenSpan, Phase, SpanCtx, SpanStart, TraceSink,
+    SERVER_NODE_BASE,
+};
 use crate::stats::ServiceStats;
 
 use super::{
@@ -377,7 +380,7 @@ pub struct RepairReport {
 struct ForwardJob<B: ClientBackend> {
     msg: WireMessage<B>,
     env: ReplEnvelope,
-    parent: Option<(u64, u64)>,
+    parent: Option<SpanCtx>,
     done: catfish_simnet::sync::OneshotSender<u32>,
 }
 
@@ -425,12 +428,12 @@ pub struct ClusterServer<B: IndexBackend> {
     sets: Vec<Vec<ServiceServer<B>>>,
     ctls: Vec<ReplicaCtl>,
     map: ShardMap,
-    /// Span-log installers for the forwarding pump clients, type-erased so
+    /// Trace installers for the forwarding pump clients, type-erased so
     /// the struct carries no `ClientBackend` bound: `(shard, replica, f)`.
     #[allow(clippy::type_complexity)]
-    span_hooks: RefCell<Vec<(usize, usize, Box<dyn Fn(SpanLog)>)>>,
-    /// Cluster-level span handle for repair traces.
-    span: RefCell<SpanLog>,
+    pump_traces: Vec<(usize, usize, Box<dyn Fn(TraceSink)>)>,
+    /// Cluster-level span recorder for repair traces.
+    trace: RefCell<TraceSink>,
     /// Failed reconciliations dump here.
     repair_flight: FlightRecorder,
 }
@@ -481,8 +484,8 @@ impl<B: IndexBackend + ShardPartition> ClusterServer<B> {
             sets,
             ctls,
             map,
-            span_hooks: RefCell::new(Vec::new()),
-            span: RefCell::new(SpanLog::default()),
+            pump_traces: Vec::new(),
+            trace: RefCell::default(),
             repair_flight: FlightRecorder::new(),
         }
     }
@@ -524,7 +527,7 @@ where
         let mut sets = Vec::with_capacity(shards);
         let mut ctls = Vec::with_capacity(shards);
         #[allow(clippy::type_complexity)]
-        let mut span_hooks: Vec<(usize, usize, Box<dyn Fn(SpanLog)>)> = Vec::new();
+        let mut pump_traces: Vec<(usize, usize, Box<dyn Fn(TraceSink)>)> = Vec::new();
         for (i, part) in parts.into_iter().enumerate() {
             let set: Vec<ServiceServer<B>> = (0..replicas)
                 .map(|_| {
@@ -561,10 +564,10 @@ where
                         )));
                         {
                             let c = Rc::clone(&client);
-                            span_hooks.push((
+                            pump_traces.push((
                                 i,
                                 r,
-                                Box::new(move |log: SpanLog| c.borrow_mut().set_span_log(log)),
+                                Box::new(move |sink: TraceSink| c.borrow_mut().set_trace(sink)),
                             ));
                         }
                         let (tx, rx) = catfish_simnet::sync::channel();
@@ -608,8 +611,8 @@ where
             sets,
             ctls,
             map,
-            span_hooks: RefCell::new(span_hooks),
-            span: RefCell::new(SpanLog::default()),
+            pump_traces,
+            trace: RefCell::default(),
             repair_flight: FlightRecorder::new(),
         }
     }
@@ -656,22 +659,25 @@ impl<B: IndexBackend> ClusterServer<B> {
         }
     }
 
-    /// Stamps every replica's request spans into `log`, each under its own
-    /// node id (`SERVER_NODE_BASE + shard * replicas + replica`) so
-    /// assembled traces show which member executed each leg. Forwarding
-    /// pump connections are stamped too, so replication legs join the same
-    /// trace as the triggering request.
-    pub fn set_span_log(&self, log: &SpanLog) {
+    /// Routes every replica's spans into `sink`, each under its own node
+    /// id (`SERVER_NODE_BASE + shard * replicas + replica`) so assembled
+    /// traces show which member executed each leg. Forwarding pump
+    /// connections record their legs too (spans only — their ring time is
+    /// already inside the primary's [`Phase::IndexExec`]), so replication
+    /// legs join the same trace as the triggering request. Call before
+    /// any client connects.
+    pub fn set_trace(&self, sink: &TraceSink) {
         let k = self.replicas() as u32;
+        let node = |i: usize, r: usize| sink.for_node(SERVER_NODE_BASE + i as u32 * k + r as u32);
         for (i, set) in self.sets.iter().enumerate() {
             for (r, s) in set.iter().enumerate() {
-                s.set_span_log(log.for_node(SERVER_NODE_BASE + i as u32 * k + r as u32));
+                s.set_trace(node(i, r));
             }
         }
-        for (i, r, hook) in self.span_hooks.borrow().iter().map(|(i, r, h)| (i, r, h)) {
-            hook(log.for_node(SERVER_NODE_BASE + *i as u32 * k + *r as u32));
+        for (i, r, install) in &self.pump_traces {
+            install(node(*i, *r).spans_only());
         }
-        *self.span.borrow_mut() = log.clone();
+        *self.trace.borrow_mut() = sink.clone();
     }
 
     /// Per-shard server counters, in shard order (replica counters summed
@@ -779,14 +785,11 @@ impl<B: IndexBackend + RangeDigest> ClusterServer<B> {
         }
 
         // Repair shows up in traces like a scattered read: one root with a
-        // merge child, stamped under the cluster's own span handle.
-        let span = self.span.borrow();
-        if span.active() {
-            let trace_id = span.next_span_id();
-            let t = span.now_ns();
-            span.emit(trace_id, trace_id, SpanKind::Merge, t, t);
-            span.record(trace_id, trace_id, 0, SpanKind::Request, t, t);
-        }
+        // merge child, stamped under the cluster's own recorder.
+        let trace = self.trace.borrow();
+        let root = trace.open(None);
+        trace.end_under(Phase::Merge, trace.begin(), Some(root.ctx()));
+        trace.close(root);
         report
     }
 
@@ -860,10 +863,11 @@ pub struct ClusterClient<B: ClientBackend> {
     /// retries and failovers).
     pub(crate) origin: u64,
     pub(crate) next_op: Cell<u64>,
-    /// The cluster's own span handle: roots and merge spans for scattered
-    /// reads are stamped here; shard clients share the same log (same id
-    /// counter) so every span in a run gets a globally unique id.
-    pub(crate) span: SpanLog,
+    /// The cluster's own span recorder: roots and merge spans for
+    /// scattered reads are stamped here; shard clients share the same
+    /// storage (same id counter) so every span in a run gets a globally
+    /// unique id.
+    pub(crate) trace: RefCell<TraceSink>,
 }
 
 impl<B: ClientBackend> std::fmt::Debug for ClusterClient<B> {
@@ -932,7 +936,7 @@ impl<B: ClientBackend> ClusterClient<B> {
             map: server.map.clone(),
             origin: mix64(seed ^ 0xC1A5),
             next_op: Cell::new(1),
-            span: SpanLog::default(),
+            trace: RefCell::default(),
         }
     }
 
@@ -1056,23 +1060,6 @@ impl<B: ClientBackend> ClusterClient<B> {
         }
     }
 
-    /// Stamps this cluster client (roots, merge spans) and every shard
-    /// connection (RPC legs, wire contexts) into `log`. All client-side
-    /// spans carry the same node id — pass `log.for_node(client_id)`.
-    pub fn set_span_log(&mut self, log: SpanLog) {
-        for set in &self.replicas {
-            for s in set {
-                s.borrow_mut().set_span_log(log.clone());
-            }
-        }
-        self.span = log;
-    }
-
-    /// The cluster's span log handle.
-    pub fn span_log(&self) -> &SpanLog {
-        &self.span
-    }
-
     /// Labels every shard connection's flight recorder with this client's
     /// id and the shard it talks to, so anomaly dumps identify the
     /// connection they came from.
@@ -1096,45 +1083,12 @@ impl<B: ClientBackend> ClusterClient<B> {
         out
     }
 
-    /// Opens the root span of a scattered read and parks its context on
-    /// every target shard's client, so each leg's next operation opens as
-    /// an RPC child instead of a fresh root. Returns `(trace_id, start)`
-    /// for [`ClusterClient::end_scatter_root`], or `None` when tracing is
-    /// off (the common case — one branch, no other cost).
-    pub(crate) fn begin_scatter_root(&self, targets: &[usize]) -> Option<(u64, u64)> {
-        if !self.span.active() {
-            return None;
-        }
-        let trace_id = self.span.next_span_id();
-        let start = self.span.now_ns();
-        for &t in targets {
-            // read_conn is deterministic within one poll (no awaits since),
-            // so scatter() below picks the same connection the parent was
-            // parked on.
-            self.read_conn(t).borrow_mut().pending_parent = Some((trace_id, trace_id));
-        }
-        Some((trace_id, start))
-    }
-
-    /// Closes a scattered read opened by
-    /// [`ClusterClient::begin_scatter_root`]: a merge child covering
-    /// `[merge_start, now]`, then the root itself (root span id == trace
-    /// id, so assembly's connectedness check anchors on it).
-    pub(crate) fn end_scatter_root(&self, root: Option<(u64, u64)>, merge_start: u64) {
-        let Some((trace_id, start)) = root else {
-            return;
-        };
-        let merge_end = self.span.now_ns();
-        self.span
-            .emit(trace_id, trace_id, SpanKind::Merge, merge_start, merge_end);
-        self.span.record(
-            trace_id,
-            trace_id,
-            0,
-            SpanKind::Request,
-            start,
-            self.span.now_ns(),
-        );
+    /// Closes a scattered operation: a merge child of `root` covering
+    /// `[merge, now]`, then the root itself.
+    pub(crate) fn end_scatter(&self, root: OpenSpan, merge: SpanStart) {
+        let trace = self.trace.borrow();
+        trace.end_under(Phase::Merge, merge, Some(root.ctx()));
+        trace.close(root);
     }
 
     /// Switches every shard connection to busy-poll response detection on
@@ -1147,17 +1101,17 @@ impl<B: ClientBackend> ClusterClient<B> {
         }
     }
 
-    /// Routes every shard connection's phase spans into `sink` (the
-    /// cluster analogue of [`ServiceClient::with_trace`]).
-    pub fn set_trace(&self, sink: &crate::obs::TraceSink) {
+    /// Routes this client's spans into `sink`: scatter roots and merges
+    /// here, and every shard connection's spans (the cluster analogue of
+    /// [`ServiceClient::set_trace`]). All of a client's spans carry one
+    /// node id — pass `sink.for_node(client_id)`.
+    pub fn set_trace(&self, sink: &TraceSink) {
         for set in &self.replicas {
             for s in set {
-                let mut c = s.borrow_mut();
-                c.ch.tx
-                    .set_trace(sink.clone(), crate::obs::Phase::RingEnqueue);
-                c.trace = sink.clone();
+                s.borrow_mut().set_trace(sink.clone());
             }
         }
+        *self.trace.borrow_mut() = sink.clone();
     }
 
     /// Per-shard client counters, in shard order.

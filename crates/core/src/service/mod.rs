@@ -180,17 +180,6 @@ pub trait WireCodec: Sized + 'static {
     /// protocol error: `msgs` must not itself contain a batch.
     fn batch(msgs: Vec<Self::Message>) -> Self::Message;
 
-    /// Wraps a single request in a distributed-tracing envelope carrying
-    /// `ctx` (17 extra wire bytes). Envelopes wrap requests only — never
-    /// a batch, a response, or another envelope; a batch may *contain*
-    /// wrapped requests, so trace context survives doorbell coalescing.
-    fn traced(ctx: crate::obs::TraceContext, inner: Self::Message) -> Self::Message;
-
-    /// Splits a trace envelope off a message: `(Some(ctx), inner)` for a
-    /// wrapped request, `(None, msg)` unchanged otherwise. The server
-    /// strips envelopes with this before dedup lookup and execution.
-    fn take_trace(msg: Self::Message) -> (Option<crate::obs::TraceContext>, Self::Message);
-
     /// Classifies a received message for the generic receive loops.
     fn classify(msg: Self::Message) -> Incoming<Self>;
 
@@ -204,8 +193,7 @@ pub trait WireCodec: Sized + 'static {
 
     /// Wraps a mutation in a replication envelope (stable op identity,
     /// epoch fence). Envelopes wrap bare requests only — never a batch, a
-    /// response, a trace envelope, or another replication envelope; the
-    /// trace envelope goes *outside* (`Traced(Replicated(req))`).
+    /// response, or another replication envelope.
     ///
     /// Codecs that don't participate in replication may keep the default,
     /// which returns `inner` unchanged (the envelope is dropped, so a
@@ -218,7 +206,7 @@ pub trait WireCodec: Sized + 'static {
 
     /// Splits a replication envelope off a message: `(Some(env), inner)`
     /// for a wrapped mutation, `(None, msg)` unchanged otherwise. The
-    /// server strips this after [`WireCodec::take_trace`].
+    /// server strips this before dedup lookup and execution.
     fn take_origin(msg: Self::Message) -> (Option<ReplEnvelope>, Self::Message) {
         (None, msg)
     }

@@ -33,7 +33,7 @@ use catfish_simnet::{now, sleep, spawn, CpuPool, Network, SimDuration};
 
 use crate::config::{ServerConfig, ServerMode};
 use crate::conn::{establish_with_mailbox, ClientChannel, RkeyAllocator, ServerChannel};
-use crate::obs::{Phase, SpanKind, SpanLog, TraceSink};
+use crate::obs::{Phase, SpanCtx, TraceSink};
 use crate::ring::{RingReceiver, RingSender};
 use crate::stats::ServiceStats;
 use crate::store::MrMemory;
@@ -92,7 +92,7 @@ impl DedupWindow {
 /// `(mutation, envelope, trace parent)` → a future that resolves once
 /// every live backup has acknowledged the forwarded mutation.
 pub type ForwardFn<B> =
-    dyn Fn(WireMessage<B>, ReplEnvelope, Option<(u64, u64)>) -> Pin<Box<dyn Future<Output = ()>>>;
+    dyn Fn(WireMessage<B>, ReplEnvelope, Option<SpanCtx>) -> Pin<Box<dyn Future<Output = ()>>>;
 
 /// Replication role of one server — a member of a k-way replica set, or
 /// (the default) a standalone server with every field inert.
@@ -145,9 +145,6 @@ struct ServerInner<B: IndexBackend> {
     stats: RefCell<ServiceStats>,
     tcp: RefCell<Option<TcpEndpoint>>,
     trace: RefCell<TraceSink>,
-    /// Distributed span log: server-side `Dispatch`/`IndexExec` spans for
-    /// requests that arrived wrapped in a trace envelope.
-    span: RefCell<SpanLog>,
     /// Replication role (inert outside replica sets).
     repl: RefCell<ReplState<B>>,
 }
@@ -218,27 +215,22 @@ impl<B: IndexBackend> ServiceServer<B> {
                 stats: RefCell::new(ServiceStats::default()),
                 tcp: RefCell::new(None),
                 trace: RefCell::new(TraceSink::default()),
-                span: RefCell::new(SpanLog::default()),
                 repl: RefCell::new(ReplState::default()),
             }),
         }
     }
 
-    /// Routes the server's phase spans into `sink`:
-    /// [`Phase::ServerQueue`] (NIC delivery to worker pickup, reported by
-    /// the ring receivers), [`Phase::Dispatch`], [`Phase::IndexExec`],
-    /// and [`Phase::RespTransit`]. Call **before** [`ServiceServer::accept`]
-    /// — already-accepted connections keep their receivers untraced.
+    /// Routes the server's spans into `sink`: [`Phase::ServerQueue`]
+    /// (NIC delivery to worker pickup, reported by the ring receivers),
+    /// [`Phase::Dispatch`], [`Phase::IndexExec`], and
+    /// [`Phase::RespTransit`]. With span retention on, dispatch and
+    /// execution spans attach under the request's sender, found by the
+    /// request's `(ring rkey, seq)` (use [`TraceSink::for_node`] with a
+    /// `SERVER_NODE_BASE`-offset id so spans carry the server identity).
+    /// Call **before** [`ServiceServer::accept`] — already-accepted
+    /// connections keep their receivers untraced.
     pub fn set_trace(&self, sink: TraceSink) {
         *self.inner.trace.borrow_mut() = sink;
-    }
-
-    /// Routes server-side distributed spans into `log` (use
-    /// [`crate::obs::SpanLog::for_node`] with `SERVER_NODE_BASE + shard`
-    /// so spans carry the shard identity). Requests arriving without a
-    /// trace envelope emit nothing regardless.
-    pub fn set_span_log(&self, log: SpanLog) {
-        *self.inner.span.borrow_mut() = log;
     }
 
     /// The server's RDMA endpoint.
@@ -291,11 +283,7 @@ impl<B: IndexBackend> ServiceServer<B> {
     /// sits unused.
     pub fn set_forwarder(
         &self,
-        f: impl Fn(
-                WireMessage<B>,
-                ReplEnvelope,
-                Option<(u64, u64)>,
-            ) -> Pin<Box<dyn Future<Output = ()>>>
+        f: impl Fn(WireMessage<B>, ReplEnvelope, Option<SpanCtx>) -> Pin<Box<dyn Future<Output = ()>>>
             + 'static,
     ) {
         self.inner.repl.borrow_mut().forwarder = Some(Rc::new(f));
@@ -523,7 +511,10 @@ impl<B: IndexBackend> ServiceServer<B> {
                 if self.inject_worker_faults().await {
                     continue;
                 }
-                execs.extend(self.process(msg, false, Some(&dedup)).await);
+                execs.extend(
+                    self.process(msg, false, Some((ch.rx.ring_rkey(), &dedup)))
+                        .await,
+                );
             }
             self.respond(execs, &ch, false).await;
         }
@@ -635,7 +626,10 @@ impl<B: IndexBackend> ServiceServer<B> {
             if self.inject_worker_faults().await {
                 continue;
             }
-            execs.extend(self.process(m, true, Some(dedup)).await);
+            execs.extend(
+                self.process(m, true, Some((ch.rx.ring_rkey(), dedup)))
+                    .await,
+            );
         }
         self.respond(execs, ch, true).await;
     }
@@ -656,52 +650,48 @@ impl<B: IndexBackend> ServiceServer<B> {
     /// while still borrowed from the registered ring region; here only the
     /// fixed `dispatch` cost (CQ poll, wakeup, decode) is charged — **once
     /// per frame**, so a batch of N requests amortizes it N ways. Shared by
-    /// the ring workers and the TCP baseline; only the response transport
+    /// the ring workers (`ring`: the connection's request-ring rkey and
+    /// dedup window) and the TCP baseline; only the response transport
     /// differs between them.
     async fn process(
         &self,
         msg: WireMessage<B>,
         holding_core: bool,
-        dedup: Option<&RefCell<DedupWindow>>,
+        ring: Option<(u32, &RefCell<DedupWindow>)>,
     ) -> Vec<Execution<B::Wire>> {
         let trace = self.inner.trace.borrow().clone();
-        let span_log = self.inner.span.borrow().clone();
-        let dispatch_t0 = span_log.now_ns();
+        let dedup = ring.map(|(_, dedup)| dedup);
+        // A request's sender span, found by the request's name on this
+        // connection: the ring it arrived on plus its sequence number.
+        let sender = |m: &WireMessage<B>| {
+            let (rkey, _) = ring?;
+            let (seq, _) = B::Wire::request_meta(m)?;
+            trace.linked(rkey, seq & !FETCH_FLAG)
+        };
         let dispatch_span = trace.begin();
         self.charge(self.inner.cfg.cost.dispatch, holding_core)
             .await;
-        trace.end(Phase::Dispatch, dispatch_span);
-        let dispatch_t1 = span_log.now_ns();
-        let exec_span = trace.begin();
         let msgs = match B::Wire::classify(msg) {
-            Incoming::Batch(msgs) => msgs,
-            Incoming::Request(m) => vec![m],
+            Incoming::Batch(msgs) => Some(msgs),
+            Incoming::Request(m) => Some(vec![m]),
             // Responses/heartbeats never arrive at the server.
-            Incoming::Heartbeat(_) | Incoming::Cont { .. } | Incoming::End { .. } => {
-                return Vec::new()
-            }
+            Incoming::Heartbeat(_) | Incoming::Cont { .. } | Incoming::End { .. } => None,
         };
+        // Every request in a batch frame shares the frame's single
+        // dispatch charge and execution run, so each gets both spans.
+        let senders: Vec<SpanCtx> = msgs.iter().flatten().filter_map(sender).collect();
+        trace.end_under(Phase::Dispatch, dispatch_span, senders.iter().copied());
+        let Some(msgs) = msgs else {
+            return Vec::new();
+        };
+        let exec_span = trace.begin();
         let mut execs = Vec::with_capacity(msgs.len());
         for m in msgs {
-            // Strip the trace envelope before dedup lookup and execution:
-            // the backend and the dedup window see the bare request, and
-            // the context links this hop's server spans into the client's
-            // tree. Every traced request in a batch frame shares the
-            // frame's single dispatch charge.
-            let (tctx, m) = B::Wire::take_trace(m);
-            if let Some(ctx) = tctx {
-                span_log.emit(
-                    ctx.trace_id,
-                    ctx.parent_span,
-                    SpanKind::Dispatch,
-                    dispatch_t0,
-                    dispatch_t1,
-                );
-            }
-            // Strip the replication envelope after the trace envelope: the
-            // backend and the dedup window see the bare mutation; the
-            // envelope carries the connection sequence, the set-wide op
-            // identity, and the epoch fence.
+            let parent = sender(&m);
+            // Strip the replication envelope: the backend and the dedup
+            // window see the bare mutation; the envelope carries the
+            // connection sequence, the set-wide op identity, and the epoch
+            // fence.
             let (env, m) = B::Wire::take_origin(m);
             // Duplicate detection: a retransmitted write-class request is
             // answered from the cached END status instead of being applied
@@ -787,7 +777,6 @@ impl<B: IndexBackend> ServiceServer<B> {
                     }
                 }
             }
-            let exec_t0 = span_log.now_ns();
             // The backend borrow is released before any await point.
             let Some(mut exec) = self
                 .inner
@@ -815,15 +804,6 @@ impl<B: IndexBackend> ServiceServer<B> {
                 }
             }
             self.charge(exec.cost, holding_core).await;
-            if let Some(ctx) = tctx {
-                span_log.emit(
-                    ctx.trace_id,
-                    ctx.parent_span,
-                    SpanKind::IndexExec,
-                    exec_t0,
-                    span_log.now_ns(),
-                );
-            }
             {
                 let mut st = self.inner.stats.borrow_mut();
                 match exec.kind {
@@ -861,7 +841,6 @@ impl<B: IndexBackend> ServiceServer<B> {
                 };
                 if let Some((forward, env_out)) = hook {
                     let t0 = now();
-                    let parent = tctx.map(|c| (c.trace_id, c.parent_span));
                     forward(inner_msg, env_out, parent).await;
                     let mut st = self.inner.stats.borrow_mut();
                     st.repl_forwards += 1;
@@ -870,7 +849,7 @@ impl<B: IndexBackend> ServiceServer<B> {
             }
             execs.push(exec);
         }
-        trace.end(Phase::IndexExec, exec_span);
+        trace.end_under(Phase::IndexExec, exec_span, senders);
         execs
     }
 

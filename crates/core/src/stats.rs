@@ -5,163 +5,103 @@ use std::fmt;
 
 use catfish_simnet::SimDuration;
 
-/// Unified operation counters for a Catfish service endpoint.
-///
-/// One struct covers both sides of a connection: servers populate the
-/// request-execution counters (`reads`, `writes`, ...), clients populate the
-/// path-routing and offload counters (`fast_reads`, `torn_retries`, ...).
-/// Keeping a single index-agnostic struct (instead of the drifted per-service
-/// `ServerStats`/`ClientStats`/`KvClientStats` copies it replaced) means the
-/// harness and figure binaries aggregate every backend the same way.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Read requests (searches, gets, ranges, kNN) executed server-side.
-    pub reads: u64,
-    /// Write requests (inserts, puts) executed server-side.
-    pub writes: u64,
-    /// Remove requests (deletes) executed server-side.
-    pub removes: u64,
-    /// Total result items returned by server-side reads.
-    pub results_returned: u64,
-    /// Total index nodes visited by server-side operations.
-    pub nodes_visited: u64,
-    /// Client reads served through fast messaging.
-    pub fast_reads: u64,
-    /// Client reads served through RDMA-offloaded traversal.
-    pub offloaded_reads: u64,
-    /// Write requests sent by the client (always fast messaging).
-    pub writes_sent: u64,
-    /// Remove requests sent by the client.
-    pub removes_sent: u64,
-    /// Chunk reads retried after version-validation failure (torn reads).
-    pub torn_retries: u64,
-    /// Metadata chunk reads issued by the client.
-    pub meta_refreshes: u64,
-    /// Offloaded traversals restarted after observing an inconsistency.
-    pub offload_restarts: u64,
-    /// Chunks fetched over the wire by offloaded traversals.
-    pub chunks_fetched: u64,
-    /// Chunk reads avoided by the client-side level cache.
-    pub cache_hits: u64,
-    /// Doorbell batches sent (ring frames carrying ≥ 2 coalesced
-    /// messages, on either side of the connection).
-    pub batches_sent: u64,
-    /// Messages carried inside those batches (so
-    /// [`ServiceStats::msgs_per_batch`] is observable).
-    pub batched_msgs: u64,
-    /// Malformed ring frames dropped by the server's decode step.
-    pub decode_errors: u64,
-    /// Client request attempts that hit their deadline without a response.
-    pub timeouts: u64,
-    /// Requests retransmitted after a timeout (≤ `timeouts`: each timeout
-    /// triggers at most one retransmission; the final timeout of an
-    /// exhausted budget triggers none).
-    pub retransmits: u64,
-    /// Retried requests the server recognized by sequence number and
-    /// answered from its duplicate-detection window instead of
-    /// re-executing (keeps retried inserts/deletes idempotent).
-    pub dup_drops: u64,
-    /// Ring frames dropped because their payload checksum failed.
-    pub checksum_failures: u64,
-    /// Lost-write holes skipped by ring resync scans.
-    pub resyncs: u64,
-    /// Windows in which the adaptive failsafe declared the heartbeat
-    /// stream stale and failed over to offloading (edge-triggered: one
-    /// count per fresh→stale transition).
-    pub stale_heartbeat_windows: u64,
-    /// Ring writes that piggybacked on an already-in-flight doorbell
-    /// (RDMAbox-style merged writes; folded from the response-ring
-    /// senders).
-    pub merged_writes: u64,
-    /// Client reads served through the mailbox-fetch path (one-sided
-    /// pulls of a deposited response).
-    pub fetched_reads: u64,
-    /// Responses the server deposited into mailbox slots instead of
-    /// ring-writing them.
-    pub fetched_responses: u64,
-    /// Fetch-flagged responses that fell back to ring write-back (slot
-    /// overflow or no mailbox allocated).
-    pub fetch_fallbacks: u64,
-    /// Mailbox slot leases reclaimed by the server's heartbeat tick
-    /// (acked by the client or expired past the lease TTL).
-    pub mailbox_reclaims: u64,
-    /// Flight-recorder dumps fired by connection anomalies (timeouts,
-    /// checksum failures, resyncs, stale-heartbeat failovers, fetch
-    /// fallbacks).
-    pub flight_dumps: u64,
-    /// Mutations a primary forwarded to its backups (one count per
-    /// acknowledged mutation, regardless of backup fan-out).
-    pub repl_forwards: u64,
-    /// Mutations fenced by a replica: stale epoch, or a client submission
-    /// landing on a non-primary after a promotion.
-    pub repl_fenced: u64,
-    /// Mutations answered from the replica-set applied-operation table —
-    /// failover reissues a new primary recognized by `(origin, op_id)`.
-    pub repl_dups: u64,
-    /// Total nanoseconds primaries spent awaiting backup acknowledgement
-    /// (replication lag; divide by `repl_forwards` for the mean).
-    pub repl_lag_ns: u64,
+/// Declares [`ServiceStats`] from one table of counters. Each entry is
+/// `name: "help", fold;` where `fold` says whether
+/// [`ServiceStats::fold_server`] adds the server's value into a client
+/// snapshot. The table generates the struct (the help text is each field's
+/// doc), [`ServiceStats::merge`], [`ServiceStats::fold_server`], and
+/// [`ServiceStats::counters`], which the metrics export walks.
+macro_rules! service_counters {
+    ($($name:ident: $help:literal, $fold:literal;)*) => {
+        /// Unified operation counters for a Catfish service endpoint.
+        ///
+        /// One struct covers both sides of a connection: servers populate
+        /// the request-execution counters (`reads`, `writes`, ...), clients
+        /// populate the path-routing and offload counters (`fast_reads`,
+        /// `torn_retries`, ...). Keeping a single index-agnostic struct
+        /// means the harness and figure binaries aggregate every backend
+        /// the same way.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ServiceStats {
+            $(#[doc = $help] pub $name: u64,)*
+        }
+
+        impl ServiceStats {
+            /// Adds every counter of `other` into `self` (harness
+            /// aggregation).
+            pub fn merge(&mut self, other: &ServiceStats) {
+                $(self.$name += other.$name;)*
+            }
+
+            /// Folds a server's counters into this client-side snapshot, so
+            /// one struct tells the whole story of a run: duplicate
+            /// suppression, request-ring integrity and decode errors,
+            /// response doorbell merging, mailbox deposits, and
+            /// replication. The other server counters stay out: fields like
+            /// `batches_sent` exist on both sides, and the client-side
+            /// reading is what the figures plot.
+            pub fn fold_server(&mut self, server: &ServiceStats) {
+                $(if $fold {
+                    self.$name += server.$name;
+                })*
+            }
+
+            /// Every counter as `(field name, help text, value)`, in
+            /// declaration order.
+            pub fn counters(&self) -> Vec<(&'static str, &'static str, u64)> {
+                vec![$((stringify!($name), $help, self.$name),)*]
+            }
+        }
+    };
+}
+
+service_counters! {
+    reads: "Read requests (searches, gets, ranges, kNN) executed server-side.", false;
+    writes: "Write requests (inserts, puts) executed server-side.", false;
+    removes: "Remove requests (deletes) executed server-side.", false;
+    results_returned: "Result items returned by server-side reads.", false;
+    nodes_visited: "Index nodes visited by server-side operations.", false;
+    fast_reads: "Client reads served through fast messaging.", false;
+    offloaded_reads: "Client reads served through RDMA-offloaded traversal.", false;
+    writes_sent: "Write requests sent by clients (always fast messaging).", false;
+    removes_sent: "Remove requests sent by clients.", false;
+    torn_retries: "Chunk reads retried after version-validation failure (torn reads).", false;
+    meta_refreshes: "Metadata chunk reads issued by clients.", false;
+    offload_restarts: "Offloaded traversals restarted after observing an inconsistency.", false;
+    chunks_fetched: "Chunks fetched over the wire by offloaded traversals.", false;
+    cache_hits: "Chunk reads avoided by the client-side level cache.", false;
+    batches_sent: "Doorbell batches carrying two or more coalesced messages: request \
+        batches on a client, response batches on a server.", false;
+    batched_msgs: "Messages carried inside doorbell batches.", false;
+    decode_errors: "Malformed ring frames dropped by the server's decode step.", true;
+    timeouts: "Client request attempts that hit their deadline without a response.", false;
+    retransmits: "Requests retransmitted after a timeout (at most one per timeout).", false;
+    dup_drops: "Retried write-class requests answered from the server's dedup window \
+        instead of re-executing.", true;
+    checksum_failures: "Ring frames dropped because their payload checksum failed.", true;
+    resyncs: "Lost-write holes skipped by ring resync scans.", true;
+    stale_heartbeat_windows: "Fresh-to-stale heartbeat transitions that engaged the \
+        adaptive failsafe.", false;
+    merged_writes: "Ring writes that piggybacked on an already-in-flight doorbell.", true;
+    fetched_reads: "Client reads served through the mailbox-fetch path.", false;
+    fetched_responses: "Responses the server deposited into mailbox slots instead of \
+        ring-writing them.", true;
+    fetch_fallbacks: "Fetch-flagged responses that fell back to ring write-back (slot \
+        overflow or no mailbox).", true;
+    mailbox_reclaims: "Mailbox slot leases reclaimed by the server (acked or \
+        lease-expired).", true;
+    flight_dumps: "Flight-recorder dumps fired by connection anomalies.", false;
+    repl_forwards: "Mutations a primary forwarded to its backups (one per acknowledged \
+        mutation, regardless of fan-out).", true;
+    repl_fenced: "Mutations fenced by a replica: stale epoch, or a client submission \
+        on a non-primary.", true;
+    repl_dups: "Failover reissues answered from the replica-set applied-operation \
+        table.", true;
+    repl_lag_ns: "Nanoseconds primaries spent awaiting backup acknowledgement \
+        (replication lag).", true;
 }
 
 impl ServiceStats {
-    /// Adds every counter of `other` into `self` (harness aggregation).
-    pub fn merge(&mut self, other: &ServiceStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.removes += other.removes;
-        self.results_returned += other.results_returned;
-        self.nodes_visited += other.nodes_visited;
-        self.fast_reads += other.fast_reads;
-        self.offloaded_reads += other.offloaded_reads;
-        self.writes_sent += other.writes_sent;
-        self.removes_sent += other.removes_sent;
-        self.torn_retries += other.torn_retries;
-        self.meta_refreshes += other.meta_refreshes;
-        self.offload_restarts += other.offload_restarts;
-        self.chunks_fetched += other.chunks_fetched;
-        self.cache_hits += other.cache_hits;
-        self.batches_sent += other.batches_sent;
-        self.batched_msgs += other.batched_msgs;
-        self.decode_errors += other.decode_errors;
-        self.timeouts += other.timeouts;
-        self.retransmits += other.retransmits;
-        self.dup_drops += other.dup_drops;
-        self.checksum_failures += other.checksum_failures;
-        self.resyncs += other.resyncs;
-        self.stale_heartbeat_windows += other.stale_heartbeat_windows;
-        self.merged_writes += other.merged_writes;
-        self.fetched_reads += other.fetched_reads;
-        self.fetched_responses += other.fetched_responses;
-        self.fetch_fallbacks += other.fetch_fallbacks;
-        self.mailbox_reclaims += other.mailbox_reclaims;
-        self.flight_dumps += other.flight_dumps;
-        self.repl_forwards += other.repl_forwards;
-        self.repl_fenced += other.repl_fenced;
-        self.repl_dups += other.repl_dups;
-        self.repl_lag_ns += other.repl_lag_ns;
-    }
-
-    /// Folds a server's counters into this client-side snapshot, so one
-    /// struct tells the whole story of a run: duplicate suppression,
-    /// request-ring integrity and decode errors, response doorbell
-    /// merging, mailbox deposits, and replication. The other server
-    /// counters stay out: fields like `batches_sent` exist on both sides,
-    /// and the client-side reading is what the figures plot.
-    pub fn fold_server(&mut self, server: &ServiceStats) {
-        self.decode_errors += server.decode_errors;
-        self.dup_drops += server.dup_drops;
-        self.checksum_failures += server.checksum_failures;
-        self.resyncs += server.resyncs;
-        self.merged_writes += server.merged_writes;
-        self.fetched_responses += server.fetched_responses;
-        self.fetch_fallbacks += server.fetch_fallbacks;
-        self.mailbox_reclaims += server.mailbox_reclaims;
-        self.repl_forwards += server.repl_forwards;
-        self.repl_fenced += server.repl_fenced;
-        self.repl_dups += server.repl_dups;
-        self.repl_lag_ns += server.repl_lag_ns;
-    }
-
     /// Mean primary→backup replication lag per forwarded mutation.
     pub fn mean_repl_lag(&self) -> SimDuration {
         self.repl_lag_ns

@@ -270,7 +270,7 @@ fn phase_breakdown_accounts_for_end_to_end_p50() {
         client_nodes: 1,
         dataset: uniform_rects(3_000, 1e-3, 9),
         trace: TraceSpec::search_only(ScaleDist::Fixed { bound: 0.02 }, 200),
-        collect_phase_spans: true,
+        collect_spans: true,
         ..ExperimentSpec::default()
     };
     let r = run_experiment(&spec);

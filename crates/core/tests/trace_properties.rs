@@ -1,165 +1,16 @@
-//! Properties of distributed request tracing: the [`TraceContext`]
-//! envelope round-trips byte-identically through both wire codecs,
-//! survives doorbell-batch coalescing and partial retransmission, and
-//! whole-run span logs assemble into one
-//! connected tree per request, in single-shard and sharded topologies,
-//! clean and under chaos.
+//! Properties of span tracing: whole-run span records assemble into one
+//! connected tree per request, in single-shard, sharded, and replicated
+//! topologies, clean and under chaos. Server spans join their request by
+//! the `(ring rkey, seq)` the request already carries, so in fault-free
+//! runs every server-bound leg must show its dispatch and execution, and
+//! every replication forward its backup-side execution. And because
+//! nothing about tracing touches the wire, a traced run is
+//! indistinguishable from an untraced one.
 
-use catfish_core::config::Scheme;
+use catfish_core::config::{AccessMode, ClientConfig, Scheme};
 use catfish_core::harness::{run_experiment, ExperimentSpec};
-use catfish_core::kv::{KvMessage, KvWire};
-use catfish_core::msg::{Message, RtreeWire};
-use catfish_core::obs::{TraceContext, TRACE_FLAG_BATCHED, TRACE_FLAG_RETRANSMIT};
-use catfish_core::WireCodec;
 use catfish_rdma::{profile, FaultConfig};
-use catfish_rtree::Rect;
 use catfish_workload::{uniform_rects, ScaleDist, TraceSpec};
-use proptest::prelude::*;
-
-fn arb_ctx() -> impl Strategy<Value = TraceContext> {
-    (1u64..u64::MAX, 1u64..u64::MAX, 0u8..8u8).prop_map(|(trace_id, parent_span, flags)| {
-        TraceContext {
-            trace_id,
-            parent_span,
-            flags,
-        }
-    })
-}
-
-fn arb_rect() -> impl Strategy<Value = Rect> {
-    (0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.1, 0.0f64..0.1)
-        .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
-}
-
-/// Any single R-tree request (the only messages envelopes may wrap).
-fn arb_rtree_req() -> impl Strategy<Value = Message> {
-    prop_oneof![
-        (any::<u32>(), arb_rect()).prop_map(|(seq, rect)| Message::SearchReq { seq, rect }),
-        (any::<u32>(), arb_rect(), any::<u64>()).prop_map(|(seq, rect, data)| Message::InsertReq {
-            seq,
-            rect,
-            data
-        }),
-        (any::<u32>(), arb_rect(), any::<u64>()).prop_map(|(seq, rect, data)| Message::DeleteReq {
-            seq,
-            rect,
-            data
-        }),
-        (any::<u32>(), 0.0f64..1.0, 0.0f64..1.0, 1u32..64)
-            .prop_map(|(seq, x, y, k)| Message::NearestReq { seq, x, y, k }),
-    ]
-}
-
-/// Any single KV request.
-fn arb_kv_req() -> impl Strategy<Value = KvMessage> {
-    prop_oneof![
-        (any::<u32>(), any::<u64>()).prop_map(|(seq, key)| KvMessage::GetReq { seq, key }),
-        (any::<u32>(), any::<u64>(), any::<u64>())
-            .prop_map(|(seq, key, value)| KvMessage::PutReq { seq, key, value }),
-        (any::<u32>(), any::<u64>()).prop_map(|(seq, key)| KvMessage::RemoveReq { seq, key }),
-        (any::<u32>(), any::<u64>(), any::<u64>()).prop_map(|(seq, lo, hi)| KvMessage::RangeReq {
-            seq,
-            lo: lo.min(hi),
-            hi: lo.max(hi),
-        }),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// An R-tree trace envelope round-trips through encode/decode with the
-    /// context intact, and re-encoding the decoded message is
-    /// byte-identical — the property that makes single-frame retransmits
-    /// (which resend the original bytes) indistinguishable from fresh
-    /// sends to the server-side dedup layer.
-    #[test]
-    fn rtree_envelope_roundtrips_byte_identically(
-        ctx in arb_ctx(),
-        inner in arb_rtree_req(),
-    ) {
-        let msg = RtreeWire::traced(ctx, inner.clone());
-        let bytes = msg.encode();
-        let decoded = Message::decode(&bytes).expect("traced frame decodes");
-        prop_assert_eq!(&decoded, &msg);
-        prop_assert_eq!(decoded.encode(), bytes);
-        let (got_ctx, got_inner) = RtreeWire::take_trace(decoded);
-        prop_assert_eq!(got_ctx, Some(ctx));
-        prop_assert_eq!(got_inner, inner);
-    }
-
-    /// The same round-trip for the KV codec.
-    #[test]
-    fn kv_envelope_roundtrips_byte_identically(
-        ctx in arb_ctx(),
-        inner in arb_kv_req(),
-    ) {
-        let msg = KvWire::traced(ctx, inner.clone());
-        let bytes = msg.encode();
-        let decoded = KvMessage::decode(&bytes).expect("traced frame decodes");
-        prop_assert_eq!(&decoded, &msg);
-        prop_assert_eq!(decoded.encode(), bytes);
-        let (got_ctx, got_inner) = KvWire::take_trace(decoded);
-        prop_assert_eq!(got_ctx, Some(ctx));
-        prop_assert_eq!(got_inner, inner);
-    }
-
-    /// Trace envelopes survive doorbell-batch coalescing: a batch of
-    /// traced requests decodes back to every envelope with its context
-    /// intact, and a partial retransmission of the unacked tail (rebuilt
-    /// as a smaller batch with the retransmit flag) preserves each
-    /// context's identity fields.
-    #[test]
-    fn envelopes_survive_batch_coalescing_and_partial_retransmit(
-        reqs in prop::collection::vec((arb_ctx(), arb_rtree_req()), 1..16),
-        split in any::<prop::sample::Index>(),
-    ) {
-        let traced: Vec<Message> = reqs
-            .iter()
-            .map(|(ctx, inner)| {
-                RtreeWire::traced(ctx.with_flag(TRACE_FLAG_BATCHED), inner.clone())
-            })
-            .collect();
-        let batch = Message::Batch(traced.clone());
-        let decoded = Message::decode(&batch.encode()).expect("batch decodes");
-        let Message::Batch(got) = decoded else {
-            return Err(TestCaseError::fail("batch did not decode to a batch"));
-        };
-        prop_assert_eq!(&got, &traced);
-        for (m, (ctx, inner)) in got.iter().zip(&reqs) {
-            let (got_ctx, got_inner) = RtreeWire::take_trace(m.clone());
-            prop_assert_eq!(got_ctx, Some(ctx.with_flag(TRACE_FLAG_BATCHED)));
-            prop_assert_eq!(&got_inner, inner);
-        }
-
-        // Partial retransmit: the unacked tail is re-wrapped with the
-        // retransmit flag and coalesced into a fresh, smaller batch.
-        let start = split.index(reqs.len());
-        let tail: Vec<Message> = reqs[start..]
-            .iter()
-            .map(|(ctx, inner)| {
-                RtreeWire::traced(
-                    ctx.with_flag(TRACE_FLAG_BATCHED).with_flag(TRACE_FLAG_RETRANSMIT),
-                    inner.clone(),
-                )
-            })
-            .collect();
-        let redecoded =
-            Message::decode(&Message::Batch(tail).encode()).expect("retransmit batch decodes");
-        let Message::Batch(got_tail) = redecoded else {
-            return Err(TestCaseError::fail("retransmit did not decode to a batch"));
-        };
-        prop_assert_eq!(got_tail.len(), reqs.len() - start);
-        for (m, (ctx, inner)) in got_tail.into_iter().zip(&reqs[start..]) {
-            let (got_ctx, got_inner) = RtreeWire::take_trace(m);
-            let got_ctx = got_ctx.expect("context survives retransmit");
-            prop_assert_eq!(got_ctx.trace_id, ctx.trace_id);
-            prop_assert_eq!(got_ctx.parent_span, ctx.parent_span);
-            prop_assert!(got_ctx.flags & TRACE_FLAG_RETRANSMIT != 0);
-            prop_assert_eq!(&got_inner, inner);
-        }
-    }
-}
 
 /// A harness spec for the span-tree integration tests below.
 fn traced_spec(clients: usize, shards: usize, fault: Option<FaultConfig>) -> ExperimentSpec {
@@ -191,12 +42,59 @@ fn chaos() -> FaultConfig {
     }
 }
 
+/// Tracing changes nothing: on every transport, sharded and replicated,
+/// the traced run's result row, latency histogram, and counters equal the
+/// untraced run's exactly.
+#[test]
+fn tracing_changes_nothing() {
+    let mut cells = Vec::new();
+    for (mode, transport) in [
+        (AccessMode::FastMessaging, "fast"),
+        (AccessMode::Fetching, "fetch"),
+        (AccessMode::Offloading, "offload"),
+    ] {
+        for shards in [1, 4] {
+            let mut spec = traced_spec(8, shards, None);
+            spec.trace = TraceSpec::search_only(ScaleDist::large(), 30);
+            spec.client_config = Some(ClientConfig {
+                mode,
+                ..ClientConfig::default()
+            });
+            cells.push((spec, transport));
+        }
+    }
+    let mut replicated = traced_spec(8, 4, None);
+    replicated.replicas = 3;
+    replicated.trace = TraceSpec::hybrid(ScaleDist::small(), 30);
+    cells.push((replicated, "fast"));
+    for (traced, transport) in cells {
+        let off = run_experiment(&ExperimentSpec {
+            collect_spans: false,
+            ..traced.clone()
+        });
+        let on = run_experiment(&traced);
+        let cell = format!(
+            "{:?} x {} shards x {} replicas",
+            traced.client_config.map(|c| c.mode),
+            traced.shards,
+            traced.replicas
+        );
+        assert!(!on.spans.is_empty(), "{cell}: traced run recorded no spans");
+        assert_eq!(on.stats.dominant_transport(), transport, "{cell}");
+        assert_eq!(on.row(), off.row(), "{cell}: result rows differ");
+        assert_eq!(on.hist, off.hist, "{cell}: latency histograms differ");
+        assert_eq!(on.stats, off.stats, "{cell}: counters differ");
+    }
+}
+
 mod span_trees {
     use super::*;
-    use catfish_core::obs::{SpanKind, TraceAssembler, SERVER_NODE_BASE};
+    use catfish_core::obs::{Phase, SpanRecord, TraceAssembler, SERVER_NODE_BASE};
 
     /// Asserts the run's spans assemble into exactly one connected tree
     /// per completed request, each rooted in a client-side `Request` span.
+    /// Fault-free runs (`spec.fault` off) must also have joined every
+    /// server span (see [`assert_no_missed_links`]).
     fn assert_connected(spec: &ExperimentSpec) {
         let r = run_experiment(spec);
         assert!(!r.spans.is_empty(), "traced run recorded no spans");
@@ -213,27 +111,54 @@ mod span_trees {
         );
         for t in &asm.traces {
             let root = &t.spans[t.roots[0]];
-            assert_eq!(root.kind, SpanKind::Request);
+            assert_eq!(root.kind, Phase::Request);
             assert!(
                 root.node < SERVER_NODE_BASE,
                 "roots are client-side (node {})",
                 root.node
             );
         }
-        // Fast-messaging requests must carry server-side spans linked
-        // through the wire context (offloaded ones legitimately have
-        // none), and the workload never offloads everything.
+        // Fast-messaging requests must carry server-side spans linked by
+        // `(ring rkey, seq)` (offloaded ones legitimately have none), and
+        // the workload never offloads everything.
         let server_spans = r
             .spans
             .iter()
             .filter(|s| s.node >= SERVER_NODE_BASE)
             .count();
         assert!(server_spans > 0, "no server-side spans were stitched in");
+        if spec.fault.is_some_and(|f| !f.is_active()) {
+            assert_no_missed_links(&r.spans);
+        }
+    }
+
+    /// A missed `(rkey, seq)` join drops a server span silently; without
+    /// faults none may be missed. Every leg that talked to a server — a
+    /// `Request`/`Rpc` span with no `OffloadRead` child (fully offloaded)
+    /// and no `Merge` child (a scatter root, whose legs are the `Rpc`
+    /// children) — has a `Dispatch` and an `IndexExec` child. A forwarding
+    /// leg (an `Rpc` sent from a server node) is such a leg too, so each
+    /// one has its backup-side children.
+    fn assert_no_missed_links(spans: &[SpanRecord]) {
+        let has_child = |parent: &SpanRecord, kind: Phase| {
+            spans.iter().any(|s| {
+                s.trace_id == parent.trace_id && s.parent_span == parent.span_id && s.kind == kind
+            })
+        };
+        for leg in spans
+            .iter()
+            .filter(|s| matches!(s.kind, Phase::Request | Phase::Rpc))
+            .filter(|s| !has_child(s, Phase::OffloadRead) && !has_child(s, Phase::Merge))
+        {
+            for kind in [Phase::Dispatch, Phase::IndexExec] {
+                assert!(has_child(leg, kind), "leg {leg:?} has no {kind} child");
+            }
+        }
     }
 
     #[test]
     fn single_shard_traces_are_connected() {
-        assert_connected(&traced_spec(8, 1, None));
+        assert_connected(&traced_spec(8, 1, Some(FaultConfig::off())));
     }
 
     #[test]
@@ -245,7 +170,7 @@ mod span_trees {
     fn four_shard_scatter_gather_traces_are_connected() {
         // Wide window queries (1e-2 of the space) span the x-partition,
         // so requests genuinely scatter over multiple shards.
-        let mut spec = traced_spec(8, 4, None);
+        let mut spec = traced_spec(8, 4, Some(FaultConfig::off()));
         spec.trace = TraceSpec::search_only(ScaleDist::large(), 40);
         assert_connected(&spec);
         // Scatter-gather structure: some request fanned out over RPC legs
@@ -255,13 +180,13 @@ mod span_trees {
         let scattered = asm
             .traces
             .iter()
-            .filter(|t| t.spans.iter().any(|s| s.kind == SpanKind::Rpc))
+            .filter(|t| t.spans.iter().any(|s| s.kind == Phase::Rpc))
             .count();
         assert!(scattered > 0, "no request scattered across shards");
         let merged = asm
             .traces
             .iter()
-            .filter(|t| t.spans.iter().any(|s| s.kind == SpanKind::Merge))
+            .filter(|t| t.spans.iter().any(|s| s.kind == Phase::Merge))
             .count();
         assert_eq!(scattered, merged, "every scatter has a merge leaf");
     }
@@ -272,5 +197,38 @@ mod span_trees {
     #[test]
     fn four_shard_traces_survive_chaos() {
         assert_connected(&traced_spec(8, 4, Some(chaos())));
+    }
+
+    /// Both server-bound transports join their server spans: ring
+    /// write-back, and mailbox fetch (whose wire `seq` carries
+    /// `FETCH_FLAG`).
+    #[test]
+    fn write_back_and_fetch_legs_join_their_server_spans() {
+        for mode in [AccessMode::FastMessaging, AccessMode::Fetching] {
+            let mut spec = traced_spec(8, 2, Some(FaultConfig::off()));
+            spec.client_config = Some(ClientConfig {
+                mode,
+                ..ClientConfig::default()
+            });
+            assert_connected(&spec);
+        }
+    }
+
+    /// Replicated writes: every insert's primary forwards it to two
+    /// backups, and each forwarding leg joins the request's tree with
+    /// the backup's dispatch and execution beneath it.
+    #[test]
+    fn replicated_forwarding_legs_are_connected() {
+        let mut spec = traced_spec(8, 2, Some(FaultConfig::off()));
+        spec.replicas = 3;
+        spec.trace = TraceSpec::hybrid(ScaleDist::small(), 40);
+        assert_connected(&spec);
+        let r = run_experiment(&spec);
+        let forwards = r
+            .spans
+            .iter()
+            .filter(|s| s.kind == Phase::Rpc && s.node >= SERVER_NODE_BASE)
+            .count();
+        assert!(forwards > 0, "no forwarding legs were traced");
     }
 }
