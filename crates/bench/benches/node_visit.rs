@@ -4,7 +4,12 @@
 //! into pooled scratch, branchless hit bitmask). The SoA path is the one
 //! [`catfish_rtree::chunk::ChunkStore`] runs on every server-side search;
 //! the >2x gate on this comparison lives in the `simd_sweep` binary.
+//!
+//! `node_visit_client` is what an offloading client does per chunk read:
+//! validate the bytes, then visit them on the same lane path, collecting
+//! the hits as `(mbr, payload)` items.
 
+use catfish_core::{ClientBackend, RtreeBackend};
 use catfish_rtree::codec::{ChunkLayout, LaneNode};
 use catfish_rtree::{Entry, Node, Rect};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -50,6 +55,31 @@ fn bench_node_visit(c: &mut Criterion) {
                     .decode_lanes_into(&chunk, &mut lanes)
                     .expect("valid chunk");
                 lanes.window_hits(&query).count_ones()
+            });
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("node_visit_client");
+    for m in [16usize, 88] {
+        let layout = ChunkLayout::for_max_entries(m);
+        let chunk = layout.encode_node(&full_leaf(m), 7);
+        group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
+            let mut lanes = LaneNode::new();
+            let (mut items, mut children) = (Vec::new(), Vec::new());
+            b.iter(|| {
+                items.clear();
+                layout.validate_node(&chunk).expect("valid chunk");
+                RtreeBackend::visit(
+                    &layout,
+                    &query,
+                    &chunk,
+                    &mut lanes,
+                    &mut items,
+                    &mut children,
+                )
+                .expect("leaf visit");
+                items.len()
             });
         });
     }

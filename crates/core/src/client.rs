@@ -8,7 +8,8 @@
 //! rectangle expands one fetched node, and the best-first kNN that cannot
 //! be expressed as a plain frontier traversal.
 
-use catfish_rtree::{min_dist_sq, Node, NodeId, Rect};
+use catfish_rtree::codec::{ChunkLayout, LaneNode};
+use catfish_rtree::{min_dist_sq, EntryRef, Node, NodeId, Rect};
 use catfish_simnet::sleep;
 
 use crate::msg::Message;
@@ -26,9 +27,40 @@ pub type CatfishClusterClient = ClusterClient<RtreeBackend>;
 
 impl ClientBackend for RtreeBackend {
     type Read = Rect;
+    type VisitScratch = LaneNode;
 
     fn read_request(seq: u32, read: &Rect) -> Message {
         Message::SearchReq { seq, rect: *read }
+    }
+
+    /// The server's lane path on the client: copy the coordinate lanes,
+    /// take the window bitmask, and resolve child words for the hits
+    /// only, in ascending entry order — the items and children
+    /// [`RtreeBackend::expand`] produces for the decoded node.
+    fn visit(
+        layout: &ChunkLayout,
+        read: &Rect,
+        chunk: &[u8],
+        lanes: &mut LaneNode,
+        items: &mut Vec<(Rect, u64)>,
+        children: &mut Vec<(NodeId, u32)>,
+    ) -> Result<(), Inconsistent> {
+        layout
+            .decode_lanes_into(chunk, lanes)
+            .map_err(|_| Inconsistent)?;
+        let level = lanes.level();
+        let mut hits = lanes.window_hits(read);
+        while hits != 0 {
+            let i = hits.trailing_zeros() as usize;
+            hits &= hits - 1;
+            // `child_at` checks the tag against the level, so data only
+            // comes out of leaves and child ids only out of internal nodes.
+            match layout.child_at(chunk, i, level).map_err(|_| Inconsistent)? {
+                EntryRef::Data(d) => items.push((lanes.rect_at(i), d)),
+                EntryRef::Node(c) => children.push((c, level - 1)),
+            }
+        }
+        Ok(())
     }
 
     /// Intersects a node against the query, pushing full `(mbr, payload)`
@@ -374,6 +406,14 @@ mod tests {
     }
 
     fn build(mode: AccessMode, multi_issue: bool) -> (CatfishServer, CatfishClient) {
+        build_with(mode, multi_issue, RTreeConfig::default())
+    }
+
+    fn build_with(
+        mode: AccessMode,
+        multi_issue: bool,
+        tree: RTreeConfig,
+    ) -> (CatfishServer, CatfishClient) {
         let net = Network::new();
         let profile = infiniband_100g();
         let rkeys = RkeyAllocator::new();
@@ -385,7 +425,7 @@ mod tests {
                 mode: ServerMode::EventDriven,
                 ..ServerConfig::default()
             },
-            RTreeConfig::default(),
+            tree,
             grid_items(2000),
             &rkeys,
         );
@@ -607,7 +647,7 @@ mod tests {
             // The meta TTL is far longer; expiry must follow the node TTL.
             client.cfg.meta_cache_ttl = SimDuration::from_secs(60);
             let id = NodeId(1);
-            client.cache_store(id, 3, 1, &Node::new(3));
+            client.cache_store(id, 3, 1, &[]);
             assert!(client.cache_lookup(id, 3, 1).is_some());
             sleep(SimDuration::from_millis(6)).await;
             assert!(client.cache_lookup(id, 3, 1).is_none());
@@ -623,7 +663,7 @@ mod tests {
             client.cfg.cache_levels = 2;
             client.cfg.node_cache_capacity = 2;
             for i in 0..3u32 {
-                client.cache_store(NodeId(i), 3, 1, &Node::new(3));
+                client.cache_store(NodeId(i), 3, 1, &[]);
                 sleep(SimDuration::from_millis(1)).await;
             }
             assert_eq!(client.node_cache.len(), 2);
@@ -632,8 +672,72 @@ mod tests {
             assert!(client.cache_lookup(NodeId(1), 3, 1).is_some());
             assert!(client.cache_lookup(NodeId(2), 3, 1).is_some());
             // Re-storing an already-cached id never evicts.
-            client.cache_store(NodeId(2), 3, 1, &Node::new(3));
+            client.cache_store(NodeId(2), 3, 1, &[]);
             assert!(client.cache_lookup(NodeId(1), 3, 1).is_some());
         });
+    }
+
+    #[test]
+    fn node_cache_evicts_same_instant_entries_by_id() {
+        let sim = Sim::new();
+        sim.run_until(async {
+            let (_server, mut client) = build(AccessMode::Offloading, false);
+            client.cfg.cache_levels = 2;
+            client.cfg.node_cache_capacity = 2;
+            for i in [7u32, 3, 5] {
+                client.cache_store(NodeId(i), 3, 1, &[]);
+            }
+            // All three share one stamp; the lowest id goes first.
+            assert!(client.cache_lookup(NodeId(3), 3, 1).is_none());
+            assert!(client.cache_lookup(NodeId(5), 3, 1).is_some());
+            assert!(client.cache_lookup(NodeId(7), 3, 1).is_some());
+        });
+    }
+
+    /// Cache hits must not re-stamp an entry: a root searched every
+    /// millisecond still goes back to the wire at least once per TTL.
+    #[test]
+    fn node_cache_hits_do_not_extend_ttl() {
+        for multi_issue in [false, true] {
+            let sim = Sim::new();
+            sim.run_until(async move {
+                // Fanout 88 over 2,000 items is a two-level tree, so with
+                // `cache_levels = 2` the root is the only cacheable node
+                // and a search without a cache hit re-fetched the root.
+                let (server, mut client) = build_with(
+                    AccessMode::Offloading,
+                    multi_issue,
+                    RTreeConfig::with_max_entries(88),
+                );
+                assert_eq!(server.meta().height, 2);
+                let ttl = SimDuration::from_millis(5);
+                client.cfg.cache_levels = 2;
+                client.cfg.node_cache_ttl = ttl;
+                client.cfg.meta_cache_ttl = SimDuration::from_secs(60);
+                let q = Rect::new(0.3, 0.3, 0.32, 0.32);
+                let start = now();
+                let mut root_fetches = Vec::new();
+                while now().saturating_duration_since(start) < ttl * 3 {
+                    let hits = client.stats().cache_hits;
+                    assert_eq!(client.search(&q).await.len(), expected(&server, &q).len());
+                    if client.stats().cache_hits == hits {
+                        root_fetches.push(now());
+                    }
+                    sleep(SimDuration::from_millis(1)).await;
+                }
+                assert!(
+                    root_fetches.len() >= 3,
+                    "multi_issue={multi_issue}: root fetched at {root_fetches:?}"
+                );
+                // The end of the run closes the last gap.
+                root_fetches.push(now());
+                for w in root_fetches.windows(2) {
+                    assert!(
+                        w[1].saturating_duration_since(w[0]) <= ttl + SimDuration::from_millis(1),
+                        "multi_issue={multi_issue}: root served from cache past its TTL: {root_fetches:?}"
+                    );
+                }
+            });
+        }
     }
 }

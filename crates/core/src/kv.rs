@@ -673,6 +673,7 @@ pub enum KvRead {
 
 impl ClientBackend for KvBackend {
     type Read = KvRead;
+    type VisitScratch = ();
 
     fn read_request(seq: u32, read: &KvRead) -> KvMessage {
         match *read {

@@ -2,7 +2,7 @@
 //! with multi-issue, and the adaptive back-off coordination (Algorithm 1),
 //! shared by every [`ClientBackend`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use catfish_rdma::mailbox::{mailbox_crc32, SLOT_HEADER_BYTES};
 use catfish_rdma::{QueuePair, SlotHeader};
@@ -32,11 +32,51 @@ pub(crate) enum ChunkReadError {
     Inconsistent,
 }
 
+/// The client's cache of validated upper-level chunks, stamped with the
+/// instant they were read off the wire.
+#[derive(Debug, Default)]
+pub(crate) struct NodeCache {
+    entries: HashMap<NodeId, (Vec<u8>, u32, SimTime)>,
+    /// `(stamp, id)` of every entry: the first element is the stalest,
+    /// ties broken by node id.
+    by_age: BTreeSet<(SimTime, NodeId)>,
+}
+
+impl NodeCache {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.by_age.clear();
+    }
+
+    /// Stores `chunk` stamped `at`, first evicting the stalest entry if
+    /// `id` is new and the cache holds `capacity` entries.
+    fn insert(&mut self, id: NodeId, chunk: &[u8], level: u32, at: SimTime, capacity: usize) {
+        match self.entries.get(&id) {
+            Some(&(_, _, old)) => {
+                self.by_age.remove(&(old, id));
+            }
+            None if self.entries.len() >= capacity => {
+                if let Some((_, stalest)) = self.by_age.pop_first() {
+                    self.entries.remove(&stalest);
+                }
+            }
+            None => {}
+        }
+        self.by_age.insert((at, id));
+        self.entries.insert(id, (chunk.to_vec(), level, at));
+    }
+}
+
 /// A Catfish client bound to one connection, generic over the index being
 /// served. Owns the single implementation of request/response sequencing,
 /// heartbeat consumption, Algorithm 1 routing, and the offloaded traversal
 /// engine; the backend contributes only [`ClientBackend::read_request`] and
-/// [`ClientBackend::expand`].
+/// [`ClientBackend::visit`].
 pub struct ServiceClient<B: ClientBackend> {
     pub(crate) ch: ClientChannel,
     pub(crate) cfg: ClientConfig,
@@ -44,7 +84,9 @@ pub struct ServiceClient<B: ClientBackend> {
     pub(crate) seq: u32,
     pub(crate) adaptive: AdaptiveState,
     pub(crate) meta_cache: Option<(TreeMeta, SimTime)>,
-    pub(crate) node_cache: HashMap<NodeId, (LayoutNode<B>, SimTime)>,
+    pub(crate) node_cache: NodeCache,
+    /// Scratch reused by every [`ClientBackend::visit`] of this client.
+    visit_scratch: B::VisitScratch,
     /// When set, responses are detected by busy-polling a core of this
     /// (client-machine) pool, FaRM-style, instead of blocking on the
     /// completion channel — the client-side half of the oversubscription
@@ -103,7 +145,8 @@ impl<B: ClientBackend> ServiceClient<B> {
             seq: 0,
             adaptive,
             meta_cache: None,
-            node_cache: HashMap::new(),
+            node_cache: NodeCache::default(),
+            visit_scratch: B::VisitScratch::default(),
             poll_pool: None,
             stats: ServiceStats::default(),
             trace: TraceSink::default(),
@@ -870,48 +913,34 @@ impl<B: ClientBackend> ServiceClient<B> {
     }
 
     /// Consults the level cache for a node at `level`; `cache_floor` is
-    /// the lowest cacheable level.
+    /// the lowest cacheable level. A hit returns a copy of the cached
+    /// chunk and its level.
     pub(crate) fn cache_lookup(
         &mut self,
         id: NodeId,
         level: u32,
         cache_floor: u32,
-    ) -> Option<LayoutNode<B>> {
+    ) -> Option<(Vec<u8>, u32)> {
         if self.cfg.cache_levels == 0 || level < cache_floor {
             return None;
         }
-        let (node, at) = self.node_cache.get(&id)?;
+        let (chunk, node_level, at) = self.node_cache.entries.get(&id)?;
         if now().saturating_duration_since(*at) > self.cfg.node_cache_ttl {
             return None;
         }
         self.stats.cache_hits += 1;
-        Some(node.clone())
+        Some((chunk.clone(), *node_level))
     }
 
-    pub(crate) fn cache_store(
-        &mut self,
-        id: NodeId,
-        level: u32,
-        cache_floor: u32,
-        node: &LayoutNode<B>,
-    ) {
+    /// Caches a chunk just read off the wire. Only wire reads are
+    /// stored: re-stamping a cache-served chunk would let a node that is
+    /// hit at least once per TTL live forever.
+    pub(crate) fn cache_store(&mut self, id: NodeId, level: u32, cache_floor: u32, chunk: &[u8]) {
         if self.cfg.cache_levels == 0 || level < cache_floor || self.cfg.node_cache_capacity == 0 {
             return;
         }
-        if self.node_cache.len() >= self.cfg.node_cache_capacity
-            && !self.node_cache.contains_key(&id)
-        {
-            // Evict the stalest entry to stay within capacity.
-            if let Some(oldest) = self
-                .node_cache
-                .iter()
-                .min_by_key(|(_, (_, at))| *at)
-                .map(|(id, _)| *id)
-            {
-                self.node_cache.remove(&oldest);
-            }
-        }
-        self.node_cache.insert(id, (node.clone(), now()));
+        self.node_cache
+            .insert(id, chunk, level, now(), self.cfg.node_cache_capacity);
     }
 
     /// Sequential offloading (the paper's baseline): one outstanding RDMA
@@ -926,20 +955,26 @@ impl<B: ClientBackend> ServiceClient<B> {
         let mut results = Vec::new();
         let mut queue: Vec<(NodeId, u32)> = vec![(root, root_level)];
         while let Some((id, level)) = queue.pop() {
-            let node = match self.cache_lookup(id, level, cache_floor) {
-                Some(node) => node,
+            let (chunk, node_level) = match self.cache_lookup(id, level, cache_floor) {
+                Some(hit) => hit,
                 None => {
-                    let node = self.fetch_node(id).await?;
-                    let node_level = <B::Layout as RemoteLayout>::node_level(&node);
-                    self.cache_store(id, node_level, cache_floor, &node);
-                    node
+                    let (chunk, node_level) = self.fetch_chunk(id).await?;
+                    self.cache_store(id, node_level, cache_floor, &chunk);
+                    (chunk, node_level)
                 }
             };
-            if <B::Layout as RemoteLayout>::node_level(&node) != level {
+            if node_level != level {
                 return Err(Inconsistent);
             }
             sleep(self.cfg.client_node_visit).await;
-            B::expand(read, &node, &mut results, &mut queue)?;
+            B::visit(
+                &self.handle.layout,
+                read,
+                &chunk,
+                &mut self.visit_scratch,
+                &mut results,
+                &mut queue,
+            )?;
         }
         Ok(results)
     }
@@ -965,22 +1000,27 @@ impl<B: ClientBackend> ServiceClient<B> {
             let tx = tx.clone();
             *inflight += 1;
             spawn(async move {
-                let got = read_chunk::<B::Layout>(&qp, &handle, id, retries).await;
+                let got = read_chunk::<B::Layout>(&qp, &handle, id, retries)
+                    .await
+                    .map(|(chunk, level, retries)| (chunk, level, Some(retries)));
                 tx.send((id, level, got));
             });
         };
         // Dispatches through the cache when possible, else over the wire.
+        // Each delivery carries the validated chunk, its level, and the
+        // wire read's torn retries (`None` when served from the cache).
         let dispatch = |this: &mut Self, id: NodeId, level: u32, inflight: &mut usize| match this
             .cache_lookup(id, level, cache_floor)
         {
-            Some(node) => {
+            Some((chunk, node_level)) => {
                 *inflight += 1;
-                cache_tx.send((id, level, Ok((node, u32::MAX))));
+                cache_tx.send((id, level, Ok((chunk, node_level, None))));
             }
             None => issue(id, level, inflight),
         };
         dispatch(self, root, root_level, &mut inflight);
         let mut results = Vec::new();
+        let mut children = Vec::new();
         let mut failed = false;
         while inflight > 0 {
             let (id, level, got) = rx.recv().await.expect("sender held locally");
@@ -988,31 +1028,36 @@ impl<B: ClientBackend> ServiceClient<B> {
             if failed {
                 continue; // drain remaining reads after failure
             }
-            let (node, retries) = match got {
-                Ok(v) => v,
-                Err(_) => {
-                    failed = true;
-                    continue;
-                }
+            let Ok((chunk, node_level, wire_retries)) = got else {
+                failed = true;
+                continue;
             };
-            // `u32::MAX` marks a cache-served node: no wire fetch happened.
-            if retries != u32::MAX {
+            if let Some(retries) = wire_retries {
                 self.stats.torn_retries += u64::from(retries);
                 self.stats.chunks_fetched += 1;
             }
-            let node_level = <B::Layout as RemoteLayout>::node_level(&node);
             if node_level != level {
                 failed = true;
                 continue;
             }
-            self.cache_store(id, node_level, cache_floor, &node);
+            if wire_retries.is_some() {
+                self.cache_store(id, node_level, cache_floor, &chunk);
+            }
             sleep(self.cfg.client_node_visit).await;
-            let mut children = Vec::new();
-            if B::expand(read, &node, &mut results, &mut children).is_err() {
+            if B::visit(
+                &self.handle.layout,
+                read,
+                &chunk,
+                &mut self.visit_scratch,
+                &mut results,
+                &mut children,
+            )
+            .is_err()
+            {
                 failed = true;
                 continue;
             }
-            for (child, child_level) in children {
+            for (child, child_level) in children.drain(..) {
                 dispatch(self, child, child_level, &mut inflight);
             }
         }
@@ -1023,18 +1068,31 @@ impl<B: ClientBackend> ServiceClient<B> {
         }
     }
 
-    /// Fetches and validates one chunk, counting retries.
-    pub(crate) async fn fetch_node(&mut self, id: NodeId) -> Result<LayoutNode<B>, Inconsistent> {
+    /// Fetches and validates one chunk, counting retries; returns the
+    /// chunk bytes and the node level.
+    async fn fetch_chunk(&mut self, id: NodeId) -> Result<(Vec<u8>, u32), Inconsistent> {
         match read_chunk::<B::Layout>(&self.ch.qp, &self.handle, id, self.cfg.max_read_retries)
             .await
         {
-            Ok((node, retries)) => {
+            Ok((chunk, level, retries)) => {
                 self.stats.torn_retries += u64::from(retries);
                 self.stats.chunks_fetched += 1;
-                Ok(node)
+                Ok((chunk, level))
             }
             Err(_) => Err(Inconsistent),
         }
+    }
+
+    /// Fetches, validates, and decodes one node, counting retries (kNN,
+    /// which needs every entry, not just the window hits).
+    pub(crate) async fn fetch_node(&mut self, id: NodeId) -> Result<LayoutNode<B>, Inconsistent> {
+        let (chunk, _) = self.fetch_chunk(id).await?;
+        let (node, _) = self
+            .handle
+            .layout
+            .decode_node(&chunk)
+            .map_err(|_| Inconsistent)?;
+        Ok(node)
     }
 
     /// Reads (and caches) the index metadata from chunk 0.
@@ -1077,13 +1135,15 @@ impl<B: ClientBackend> ServiceClient<B> {
     }
 }
 
-/// One validated chunk read with torn-read retries.
+/// One chunk read, retried while torn, then checked with
+/// [`RemoteLayout::validate_node`]. Returns the read buffer, the node
+/// level, and the torn-read retries it took.
 pub(crate) async fn read_chunk<L: RemoteLayout>(
     qp: &QueuePair,
     handle: &RemoteHandle<L>,
     id: NodeId,
     max_retries: u32,
-) -> Result<(L::Node, u32), ChunkReadError> {
+) -> Result<(Vec<u8>, u32, u32), ChunkReadError> {
     let mut retries = 0u32;
     loop {
         let bytes = qp
@@ -1094,8 +1154,8 @@ pub(crate) async fn read_chunk<L: RemoteLayout>(
             )
             .await
             .expect("index arena registered");
-        match handle.layout.decode_node(&bytes) {
-            Ok((node, _version)) => return Ok((node, retries)),
+        match handle.layout.validate_node(&bytes) {
+            Ok(level) => return Ok((bytes, level, retries)),
             Err(CodecError::TornRead { .. }) => {
                 retries += 1;
                 if retries > max_retries {

@@ -369,8 +369,37 @@ pub trait ClientBackend: IndexBackend {
     /// range, ...).
     type Read: Clone + std::fmt::Debug + 'static;
 
+    /// Per-client scratch that [`ClientBackend::visit`] reuses across
+    /// chunks (the R-tree's lane buffers; `()` where none is needed).
+    type VisitScratch: Default + 'static;
+
     /// Builds the fast-messaging request for `read`.
     fn read_request(seq: u32, read: &Self::Read) -> WireMessage<Self>;
+
+    /// Visits one node chunk that already passed
+    /// [`RemoteLayout::validate_node`]: pushes matching items to `items`
+    /// and children still to visit to `children`, in the order
+    /// [`ClientBackend::expand`] would. The offload engine calls this for
+    /// every chunk, wire-fetched or cache-served.
+    ///
+    /// The default decodes the node and calls [`ClientBackend::expand`];
+    /// a backend overrides it to work on the chunk bytes directly.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ClientBackend::expand`].
+    fn visit(
+        layout: &Self::Layout,
+        read: &Self::Read,
+        chunk: &[u8],
+        scratch: &mut Self::VisitScratch,
+        items: &mut Vec<WireItem<Self>>,
+        children: &mut Vec<(NodeId, u32)>,
+    ) -> Result<(), Inconsistent> {
+        let _ = scratch;
+        let (node, _) = layout.decode_node(chunk).map_err(|_| Inconsistent)?;
+        Self::expand(read, &node, items, children)
+    }
 
     /// Expands one fetched node: pushes matching items to `items` and
     /// children still to visit (with their expected level) to `children`.

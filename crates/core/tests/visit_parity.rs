@@ -1,0 +1,172 @@
+//! Visit parity: the offloading client's lane path over validated chunk
+//! bytes must match decoding the chunk into a `Node` and expanding it.
+//!
+//! For any chunk — well-formed or corrupted — `validate_node` must accept
+//! exactly the chunks `decode_node` accepts, with the same error
+//! otherwise, and for an accepted chunk `RtreeBackend::visit` must produce
+//! the same accept/reject decision, items and children, in the same order,
+//! as `RtreeBackend::expand` on the decoded node.
+
+use catfish_core::{ClientBackend, RtreeBackend};
+use catfish_rtree::codec::{
+    read_packed, write_packed, ChunkLayout, LaneNode, RemoteLayout, LINE_BYTES, MAX_BITMASK_ENTRIES,
+};
+use catfish_rtree::{Entry, Node, NodeId, Rect};
+use proptest::prelude::*;
+
+const DATA_TAG: u64 = 1 << 63;
+
+/// One way to damage an encoded chunk.
+#[derive(Debug, Clone)]
+enum Corruption {
+    /// XOR one byte anywhere in the chunk (version stamps included).
+    FlipByte { at: usize, mask: u8 },
+    /// Overwrite one coordinate of one entry (NaN, infinity, or a value
+    /// that can put min above max).
+    Coord {
+        entry: usize,
+        lane: usize,
+        value: f64,
+    },
+    /// Flip the data tag of one child word.
+    FlipTag { entry: usize },
+    /// Store a child id above `u32::MAX` (tag bit clear).
+    OversizedId { entry: usize, raw: u64 },
+    /// Rewrite one header word: 0 = magic, 1 = level, 2 = count.
+    Header { word: usize, value: u32 },
+    /// Give one cache line a different version stamp.
+    LineVersion { line: usize, version: u64 },
+}
+
+fn arb_corruption() -> impl Strategy<Value = Corruption> {
+    let coord = prop_oneof![
+        (0.0f64..1.0).prop_map(|_| f64::NAN),
+        (0.0f64..1.0).prop_map(|_| f64::INFINITY),
+        (0.0f64..1.0).prop_map(|_| f64::NEG_INFINITY),
+        -20.0f64..20.0,
+    ];
+    prop_oneof![
+        (any::<usize>(), 1u8..255).prop_map(|(at, mask)| Corruption::FlipByte { at, mask }),
+        (any::<usize>(), 0usize..4, coord).prop_map(|(entry, lane, value)| Corruption::Coord {
+            entry,
+            lane,
+            value
+        }),
+        any::<usize>().prop_map(|entry| Corruption::FlipTag { entry }),
+        (any::<usize>(), (u64::from(u32::MAX) + 1)..DATA_TAG)
+            .prop_map(|(entry, raw)| Corruption::OversizedId { entry, raw }),
+        (0usize..3, prop_oneof![0u32..70, any::<u32>()])
+            .prop_map(|(word, value)| Corruption::Header { word, value }),
+        (any::<usize>(), any::<u64>())
+            .prop_map(|(line, version)| Corruption::LineVersion { line, version }),
+    ]
+}
+
+fn arb_rect() -> impl Strategy<Value = Rect> {
+    (-10.0f64..10.0, -10.0f64..10.0, 0.0f64..6.0, 0.0f64..6.0)
+        .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
+}
+
+/// Logical offset of element `i` of lane `f` (see the codec's SoA layout).
+fn lane_off(fanout: usize, f: usize, i: usize) -> usize {
+    16 + (f * fanout + i) * 8
+}
+
+fn corrupt(chunk: &mut [u8], layout: &ChunkLayout, count: usize, c: &Corruption) {
+    let m = layout.max_entries();
+    // Damage a live entry when there is one, else any slot.
+    let slot = |e: usize| e % count.max(1).min(m);
+    match *c {
+        Corruption::FlipByte { at, mask } => chunk[at % chunk.len()] ^= mask,
+        Corruption::Coord { entry, lane, value } => {
+            write_packed(chunk, lane_off(m, lane, slot(entry)), &value.to_le_bytes());
+        }
+        Corruption::FlipTag { entry } => {
+            let off = lane_off(m, 4, slot(entry));
+            let raw = u64::from_le_bytes(read_packed::<8>(chunk, off));
+            write_packed(chunk, off, &(raw ^ DATA_TAG).to_le_bytes());
+        }
+        Corruption::OversizedId { entry, raw } => {
+            write_packed(chunk, lane_off(m, 4, slot(entry)), &raw.to_le_bytes());
+        }
+        Corruption::Header { word, value } => {
+            let value = if word == 0 {
+                value ^ 0x5254_4E44
+            } else {
+                value
+            };
+            write_packed(chunk, 4 * word, &value.to_le_bytes());
+        }
+        Corruption::LineVersion { line, version } => {
+            let at = (line % layout.lines()) * LINE_BYTES;
+            chunk[at..at + 8].copy_from_slice(&version.to_le_bytes());
+        }
+    }
+}
+
+/// Runs both paths over `chunk` and asserts they agree.
+fn assert_parity(layout: &ChunkLayout, chunk: &[u8], query: &Rect, lanes: &mut LaneNode) {
+    let decoded = layout.decode_node(chunk);
+    let validated = layout.validate_node(chunk);
+    assert_eq!(
+        <ChunkLayout as RemoteLayout>::validate_node(layout, chunk),
+        validated
+    );
+    let node = match (decoded, validated) {
+        (Ok((node, _)), Ok(level)) => {
+            assert_eq!(level, node.level);
+            node
+        }
+        (Err(d), Err(v)) => {
+            assert_eq!(d, v, "validate_node and decode_node reject differently");
+            return;
+        }
+        (d, v) => panic!("decode_node gave {d:?}, validate_node gave {v:?}"),
+    };
+    let (mut want_items, mut want_children) = (Vec::new(), Vec::new());
+    let want = RtreeBackend::expand(query, &node, &mut want_items, &mut want_children);
+    let (mut got_items, mut got_children) = (Vec::new(), Vec::new());
+    let got = RtreeBackend::visit(
+        layout,
+        query,
+        chunk,
+        lanes,
+        &mut got_items,
+        &mut got_children,
+    );
+    assert_eq!(got, want);
+    assert_eq!(got_items, want_items);
+    assert_eq!(got_children, want_children);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn lane_visit_matches_decode_and_expand(
+        fanout in 1usize..(MAX_BITMASK_ENTRIES + 1),
+        shape in (0u32..4, any::<u64>(), any::<u64>()),
+        entries in prop::collection::vec((arb_rect(), any::<u64>()), 0..(MAX_BITMASK_ENTRIES + 1)),
+        query in arb_rect(),
+        corruption in arb_corruption(),
+    ) {
+        let (level, count_seed, version) = shape;
+        let layout = ChunkLayout::for_max_entries(fanout);
+        let count = (count_seed as usize % (fanout + 1)).min(entries.len());
+        let mut node = Node::new(level);
+        for &(mbr, raw) in &entries[..count] {
+            node.entries.push(if level == 0 {
+                Entry::data(mbr, raw & !DATA_TAG)
+            } else {
+                Entry::node(mbr, NodeId(raw as u32))
+            });
+        }
+        let clean = layout.encode_node(&node, version);
+        let mut damaged = clean.clone();
+        corrupt(&mut damaged, &layout, count, &corruption);
+        // One pooled scratch serves both visits, as it does in the client.
+        let mut lanes = LaneNode::new();
+        assert_parity(&layout, &clean, &query, &mut lanes);
+        assert_parity(&layout, &damaged, &query, &mut lanes);
+    }
+}

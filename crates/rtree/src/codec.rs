@@ -283,6 +283,59 @@ impl ChunkLayout {
         Ok(version)
     }
 
+    /// Accepts exactly the chunks [`ChunkLayout::decode_node`] accepts —
+    /// line versions, magic, count, level, every entry rectangle finite
+    /// and ordered, every child tag consistent with the level, child ids
+    /// within `u32` — without building entries, and returns the node
+    /// level. The offloading client validates each read this way, then
+    /// visits the bytes on the lane path.
+    ///
+    /// All entries are checked in one branchless pass; only a chunk that
+    /// fails it is decoded, to report the error `decode_node` reports.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions, and the same error, as [`ChunkLayout::decode_node`].
+    pub fn validate_node(&self, chunk: &[u8]) -> Result<u32, CodecError> {
+        let (_, level, count) = self.node_header(chunk)?;
+        // De-stitch the five lanes into one stack buffer, then check every
+        // entry in a single pass over contiguous words.
+        let mut buf = [0u8; 5 * 8 * MAX_BITMASK_ENTRIES];
+        let n = 8 * count;
+        for (f, lane) in buf[..5 * n].chunks_exact_mut(n.max(1)).enumerate() {
+            copy_logical(chunk, self.lane_off(f, 0), lane);
+        }
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("sized"));
+        let lanes = |f: usize| buf[f * n..(f + 1) * n].chunks_exact(8).map(word);
+        let mut ok = true;
+        for ((((min_x, min_y), max_x), max_y), raw) in lanes(LANE_XMIN)
+            .map(f64::from_bits)
+            .zip(lanes(LANE_YMIN).map(f64::from_bits))
+            .zip(lanes(LANE_XMAX).map(f64::from_bits))
+            .zip(lanes(LANE_YMAX).map(f64::from_bits))
+            .zip(lanes(LANE_CHILD))
+        {
+            // An internal child id within `u32` also has the tag clear.
+            let child_ok = if level == 0 {
+                raw & DATA_TAG != 0
+            } else {
+                raw <= u64::from(u32::MAX)
+            };
+            ok &= min_x.is_finite()
+                & min_y.is_finite()
+                & max_x.is_finite()
+                & max_y.is_finite()
+                & (min_x <= max_x)
+                & (min_y <= max_y)
+                & child_ok;
+        }
+        if ok {
+            Ok(level)
+        } else {
+            self.decode_node(chunk).map(|(node, _)| node.level)
+        }
+    }
+
     /// Decodes the tagged child word of entry `i` directly from a packed
     /// chunk, validating the tag against the node `level`. Used by the
     /// lane-scan search path to resolve only the entries the hit bitmask
@@ -323,19 +376,7 @@ impl ChunkLayout {
     ///
     /// Same conditions as [`ChunkLayout::decode_node`].
     pub fn decode_lanes_into(&self, chunk: &[u8], lane: &mut LaneNode) -> Result<u64, CodecError> {
-        let version = chunk_version(chunk, self.lines)?;
-        let magic = u32::from_le_bytes(read_packed::<4>(chunk, 0));
-        if magic != NODE_MAGIC {
-            return Err(CodecError::Malformed("bad node magic"));
-        }
-        let level = u32::from_le_bytes(read_packed::<4>(chunk, 4));
-        let count = u32::from_le_bytes(read_packed::<4>(chunk, 8)) as usize;
-        if count > self.max_entries {
-            return Err(CodecError::Malformed("entry count exceeds layout fanout"));
-        }
-        if level > 64 {
-            return Err(CodecError::Malformed("implausible node level"));
-        }
+        let (version, level, count) = self.node_header(chunk)?;
         lane.level = level;
         lane.count = count;
         lane.raw.clear();
@@ -354,6 +395,25 @@ impl ChunkLayout {
                 .map(|b| f64::from_le_bytes(b.try_into().expect("sized"))),
         );
         Ok(version)
+    }
+
+    /// Checks a node chunk's line versions and header, returning
+    /// `(version, level, count)`.
+    fn node_header(&self, chunk: &[u8]) -> Result<(u64, u32, usize), CodecError> {
+        let version = chunk_version(chunk, self.lines)?;
+        let magic = u32::from_le_bytes(read_packed::<4>(chunk, 0));
+        if magic != NODE_MAGIC {
+            return Err(CodecError::Malformed("bad node magic"));
+        }
+        let level = u32::from_le_bytes(read_packed::<4>(chunk, 4));
+        let count = u32::from_le_bytes(read_packed::<4>(chunk, 8)) as usize;
+        if count > self.max_entries {
+            return Err(CodecError::Malformed("entry count exceeds layout fanout"));
+        }
+        if level > 64 {
+            return Err(CodecError::Malformed("implausible node level"));
+        }
+        Ok((version, level, count))
     }
 
     /// Serializes tree metadata into chunk 0's format.
@@ -536,6 +596,19 @@ pub trait RemoteLayout: Copy + fmt::Debug + 'static {
     /// [`CodecError::Malformed`] if the payload is not a valid node.
     fn decode_node(&self, chunk: &[u8]) -> Result<(Self::Node, u64), CodecError>;
 
+    /// Accepts or rejects a node chunk exactly as
+    /// [`RemoteLayout::decode_node`] does, returning the node level. The
+    /// default decodes and discards the node; a layout can override it
+    /// with a check that builds nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`RemoteLayout::decode_node`].
+    fn validate_node(&self, chunk: &[u8]) -> Result<u32, CodecError> {
+        self.decode_node(chunk)
+            .map(|(node, _)| Self::node_level(&node))
+    }
+
     /// Decodes the chunk-0 metadata record.
     ///
     /// # Errors
@@ -565,6 +638,10 @@ impl RemoteLayout for ChunkLayout {
 
     fn decode_node(&self, chunk: &[u8]) -> Result<(Node, u64), CodecError> {
         ChunkLayout::decode_node(self, chunk)
+    }
+
+    fn validate_node(&self, chunk: &[u8]) -> Result<u32, CodecError> {
+        ChunkLayout::validate_node(self, chunk)
     }
 
     fn decode_meta(&self, chunk: &[u8]) -> Result<(TreeMeta, u64), CodecError> {

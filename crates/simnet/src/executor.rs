@@ -1,7 +1,8 @@
 //! The deterministic single-threaded executor and virtual clock.
 //!
-//! A [`Sim`] owns a set of tasks (plain `Future`s), a ready queue, and a
-//! timer wheel keyed on [`SimTime`]. Execution alternates between two steps:
+//! A [`Sim`] owns a set of tasks (plain `Future`s, each with the one
+//! waker built for it at spawn), a ready queue, and a timer wheel keyed on
+//! [`SimTime`]. Execution alternates between two steps:
 //!
 //! 1. poll every ready task to quiescence (FIFO order), then
 //! 2. advance the virtual clock to the earliest pending timer and fire it.
@@ -23,6 +24,13 @@ use crate::time::{SimDuration, SimTime};
 
 type TaskId = u64;
 type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
+
+/// A spawned task and the waker built for it once, at spawn: every poll
+/// of the task hands out this same waker.
+struct Task {
+    fut: LocalFuture,
+    waker: Waker,
+}
 
 /// The shared ready queue. Wakers must be `Send + Sync`, so this lives
 /// behind an `Arc<Mutex<_>>` even though the executor itself is
@@ -82,7 +90,7 @@ pub(crate) struct Inner {
     now: Cell<SimTime>,
     next_task: Cell<TaskId>,
     next_timer_seq: Cell<u64>,
-    tasks: RefCell<HashMap<TaskId, LocalFuture>>,
+    tasks: RefCell<HashMap<TaskId, Task>>,
     ready: Arc<ReadyQueue>,
     timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
 }
@@ -200,7 +208,14 @@ impl Sim {
         };
         let id = self.inner.next_task.get();
         self.inner.next_task.set(id + 1);
-        self.inner.tasks.borrow_mut().insert(id, Box::pin(wrapped));
+        let task = Task {
+            fut: Box::pin(wrapped),
+            waker: Waker::from(Arc::new(TaskWaker {
+                id,
+                ready: Arc::clone(&self.inner.ready),
+            })),
+        };
+        self.inner.tasks.borrow_mut().insert(id, task);
         self.inner
             .ready
             .queue
@@ -285,12 +300,8 @@ impl Sim {
             let Some(mut task) = self.inner.tasks.borrow_mut().remove(&id) else {
                 continue; // completed task woken redundantly
             };
-            let waker = Waker::from(Arc::new(TaskWaker {
-                id,
-                ready: Arc::clone(&self.inner.ready),
-            }));
-            let mut cx = Context::from_waker(&waker);
-            match task.as_mut().poll(&mut cx) {
+            let mut cx = Context::from_waker(&task.waker);
+            match task.fut.as_mut().poll(&mut cx) {
                 Poll::Ready(()) => {}
                 Poll::Pending => {
                     self.inner.tasks.borrow_mut().insert(id, task);
@@ -658,6 +669,33 @@ mod tests {
             Rc::try_unwrap(log).unwrap().into_inner()
         });
         assert_eq!(log, vec!["before", "other", "after"]);
+    }
+
+    #[test]
+    fn a_task_keeps_one_waker_across_polls() {
+        let sim = Sim::new();
+        let seen = sim.run_until(async {
+            let seen: Rc<RefCell<Vec<Waker>>> = Rc::default();
+            let log = Rc::clone(&seen);
+            let h = spawn(async move {
+                for _ in 0..3 {
+                    std::future::poll_fn(|cx| {
+                        log.borrow_mut().push(cx.waker().clone());
+                        Poll::Ready(())
+                    })
+                    .await;
+                    sleep(SimDuration::from_nanos(1)).await;
+                }
+            });
+            h.await;
+            Rc::try_unwrap(seen).unwrap().into_inner()
+        });
+        assert_eq!(seen.len(), 3);
+        assert!(seen.iter().all(|w| w.will_wake(&seen[0])));
+        // Waking the finished task is a no-op, not a poll of a dead task.
+        seen[0].wake_by_ref();
+        sim.run();
+        assert!(sim.inner.tasks.borrow().is_empty());
     }
 
     #[test]
