@@ -15,30 +15,14 @@
 //! curve (see EXPERIMENTS.md). A virtual-time watchdog panics if a cell
 //! wedges instead of recovering.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
+use catfish_bench::chaos::{self, CLIENTS};
 use catfish_bench::{banner, timed, BenchArgs};
-use catfish_core::client::CatfishClusterClient;
-use catfish_core::config::{AccessMode, AdaptiveParams, ClientConfig, ServerConfig, ServerMode};
-use catfish_core::conn::RkeyAllocator;
+use catfish_core::config::AccessMode;
+use catfish_core::harness::{ExperimentSpec, Testbed};
 use catfish_core::obs::{Anomaly, FlightDump, LatencyHistogram};
-use catfish_core::server::{CatfishCluster, CatfishServer};
-use catfish_core::CatfishClient;
 use catfish_core::ServiceStats;
-use catfish_rdma::profile::infiniband_100g;
-use catfish_rdma::{Endpoint, FaultConfig, FaultCounters, FaultPlan, RdmaProfile};
-use catfish_rtree::{RTreeConfig, Rect};
-use catfish_simnet::{now, sleep, spawn, Network, Sim, SimDuration};
-
-/// Virtual-time budget per cell: a wedged run (a request loop that stops
-/// making progress but keeps arming timers) trips this instead of hanging.
-const WATCHDOG: SimDuration = SimDuration::from_secs(300);
-
-const CLIENTS: usize = 4;
-
-/// Ids far above the pre-loaded dataset so occurrence counting is exact.
-const ID_BASE: u64 = 10_000_000;
+use catfish_rdma::{FaultConfig, FaultCounters};
+use catfish_simnet::{Sim, SimDuration};
 
 struct Cell {
     label: &'static str,
@@ -64,382 +48,61 @@ struct CellResult {
     leaked_slots: usize,
     /// Every flight-recorder dump fired by any client connection.
     flight: Vec<FlightDump>,
-    /// CRC failures observed on the *client* side only (the merged
-    /// [`ServiceStats`] also fold in server-side failures, but only
+    /// CRC failures observed on the *client* side only (the folded
+    /// [`ServiceStats`] also count server-side failures, but only
     /// client-side ones fire a client flight dump).
     client_crc: u64,
 }
 
-fn unique_rect(op: u64) -> Rect {
-    // A dense grid disjoint from itself (every op gets its own cell) but
-    // freely overlapping the pre-loaded dataset — occurrence counting
-    // keys on the unique id, not the rectangle.
-    let x = (op % 997) as f64 / 997.0 * 0.9;
-    let y = (op / 997) as f64 / 997.0 * 0.9;
-    Rect::new(x, y, x + 0.0004, y + 0.0004)
-}
-
-fn dataset(n: usize) -> Vec<(Rect, u64)> {
-    (0..n as u64)
-        .map(|i| {
-            let x = (i % 256) as f64 / 256.0;
-            let y = (i / 256) as f64 / 256.0 % 1.0;
-            (Rect::new(x, y, x + 0.003, y + 0.003), i)
-        })
-        .collect()
-}
-
-fn run_cell(cell: &Cell, args: &BenchArgs, size: usize, ops: usize) -> CellResult {
-    let sim = Sim::new();
-    let fault = cell.fault;
-    let fetch = cell.fetch;
-    let seed = args.seed;
-    let timeout = SimDuration::from_micros(args.timeout_us.unwrap_or(500));
-    let max_retries = args.max_retries.unwrap_or(64);
-    let (makespan, hist, stats, injected, lost, duplicated, leaked, flight, client_crc) = sim
-        .run_until(async move {
-            let net = Network::new();
-            let profile = infiniband_100g();
-            let rkeys = RkeyAllocator::new();
-            // Fast heartbeats so the staleness failsafe (k intervals of
-            // silence) can trip inside a short chaos cell.
-            let hb_interval = SimDuration::from_millis(1);
-            let server = CatfishServer::build(
-                &net,
-                &profile,
-                ServerConfig {
-                    cores: 4,
-                    mode: ServerMode::EventDriven,
-                    heartbeat_interval: hb_interval,
-                    ..ServerConfig::default()
-                },
-                RTreeConfig::with_max_entries(88),
-                dataset(size),
-                &rkeys,
-            );
-            let plan = fault.is_active().then(|| FaultPlan::new(fault, seed));
-            if let Some(plan) = &plan {
-                server.endpoint().set_fault_plan(Some(plan.clone()));
-            }
-            server.start_heartbeats();
-            // Virtual-time watchdog: recovery must converge, not crawl.
-            spawn(async {
-                sleep(WATCHDOG).await;
-                panic!("fault_sweep cell wedged: no convergence within {WATCHDOG}");
-            });
-            let started = now();
-            let hist: Rc<RefCell<LatencyHistogram>> = Rc::default();
-            let stats: Rc<RefCell<ServiceStats>> = Rc::default();
-            let lost: Rc<RefCell<Vec<u64>>> = Rc::default();
-            let dumps: Rc<RefCell<Vec<FlightDump>>> = Rc::default();
-            let mut handles = Vec::new();
-            for c in 0..CLIENTS {
-                let ep = Endpoint::new(&net, net.add_node(profile.link), RdmaProfile::default());
-                if let Some(plan) = &plan {
-                    ep.set_fault_plan(Some(plan.clone()));
-                }
-                let ch = server.accept(&ep);
-                let mut client = CatfishClient::new(
-                    ch,
-                    server.remote_handle(),
-                    ClientConfig {
-                        mode: if fetch {
-                            AccessMode::Fetching
-                        } else {
-                            AccessMode::Adaptive(AdaptiveParams {
-                                heartbeat_interval: hb_interval,
-                                ..AdaptiveParams::default()
-                            })
-                        },
-                        request_timeout: timeout,
-                        max_retries,
-                        ..ClientConfig::default()
-                    },
-                    seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                client.set_flight_ids(c as u32, 0);
-                let hist = Rc::clone(&hist);
-                let stats = Rc::clone(&stats);
-                let lost = Rc::clone(&lost);
-                let dumps = Rc::clone(&dumps);
-                handles.push(spawn(async move {
-                    sleep(SimDuration::from_nanos(13_007 * c as u64)).await;
-                    for i in 0..ops as u64 {
-                        let op = (c * ops) as u64 + i;
-                        let id = ID_BASE + op;
-                        let rect = unique_rect(op);
-                        let t0 = now();
-                        if !client.insert(rect, id).await {
-                            lost.borrow_mut().push(id);
-                        }
-                        hist.borrow_mut().record(now() - t0);
-                        // Every few inserts, read back an earlier one through
-                        // the ring so the read path rides the same chaos.
-                        if i % 8 == 7 {
-                            let back = ID_BASE + (c * ops) as u64 + i / 2;
-                            let q = unique_rect((c * ops) as u64 + i / 2);
-                            let got = client.search(&q).await;
-                            assert!(
-                                got.contains(&back),
-                                "cell read-back lost id {back} (client {c}, op {i})"
-                            );
-                        }
-                    }
-                    stats.borrow_mut().merge(&client.stats());
-                    dumps.borrow_mut().extend(client.flight().dumps());
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            let makespan = now() - started;
-            // Slot-leak audit: give every outstanding lease time to be acked
-            // or to age past the TTL, let heartbeat ticks run the reclaimer,
-            // then demand the mailboxes are empty — a crash-restarted or
-            // timed-out fetch must never strand a slot.
-            sleep(ServerConfig::default().mailbox_lease_ttl + hb_interval * 4).await;
-            let leaked = server.mailbox_outstanding();
-            let mut st = stats.borrow().to_owned();
-            let client_crc = st.checksum_failures;
-            {
-                let ss = server.stats();
-                st.dup_drops += ss.dup_drops;
-                st.checksum_failures += ss.checksum_failures;
-                st.resyncs += ss.resyncs;
-            }
-            // Exactly-once audit over every op of every client.
-            let mut lost = lost.borrow().to_owned();
-            let mut duplicated = Vec::new();
-            for op in 0..(CLIENTS * ops) as u64 {
-                let id = ID_BASE + op;
-                let hits = server.with_index(|t| {
-                    t.search(&unique_rect(op))
-                        .iter()
-                        .filter(|d| **d == id)
-                        .count()
-                });
-                match hits {
-                    0 => lost.push(id),
-                    1 => {}
-                    _ => duplicated.push(id),
-                }
-            }
-            lost.sort_unstable();
-            lost.dedup();
-            server.with_index(|t| t.check_invariants()).unwrap();
-            let injected = plan.map(|p| p.counters()).unwrap_or_default();
-            let hist = hist.borrow().to_owned();
-            let flight = dumps.borrow().to_owned();
-            (
-                makespan,
-                hist,
-                st,
-                injected,
-                lost.len(),
-                duplicated.len(),
-                leaked,
-                flight,
-                client_crc,
-            )
-        });
-    CellResult {
-        label: cell.label.to_string(),
-        fault: cell.fault,
-        ops: CLIENTS * ops,
-        makespan,
-        hist,
-        stats,
-        injected,
-        lost,
-        duplicated,
-        leaked_slots: leaked,
-        flight,
-        client_crc,
-    }
-}
-
-/// The sharded variant of [`run_cell`]: a `shards`-way [`CatfishCluster`]
-/// with the fault plan attached to **shard 0's NIC only** — the other
-/// shards and every client NIC run clean. Inserts spread across the space
-/// partition, so ops homed on shard 0 ride the chaos while the rest of
-/// the cluster stays healthy; the exactly-once audit then counts each id
-/// across *all* shards, so a retry mis-applied to a sibling shard would
-/// show up as a duplicate.
-fn run_cluster_cell(
-    cell: &Cell,
-    args: &BenchArgs,
-    size: usize,
-    ops: usize,
-    shards: usize,
-) -> CellResult {
-    let sim = Sim::new();
-    let fault = cell.fault;
-    let fetch = cell.fetch;
-    let seed = args.seed;
-    let timeout = SimDuration::from_micros(args.timeout_us.unwrap_or(500));
-    let max_retries = args.max_retries.unwrap_or(64);
-    let (makespan, hist, stats, injected, lost, duplicated, leaked, flight, client_crc) = sim
-        .run_until(async move {
-            let net = Network::new();
-            let profile = infiniband_100g();
-            let rkeys = RkeyAllocator::new();
-            let hb_interval = SimDuration::from_millis(1);
-            let cluster = CatfishCluster::build(
-                &net,
-                &profile,
-                ServerConfig {
-                    cores: 4,
-                    mode: ServerMode::EventDriven,
-                    heartbeat_interval: hb_interval,
-                    ..ServerConfig::default()
-                },
-                RTreeConfig::with_max_entries(88),
-                dataset(size),
-                shards,
-                &rkeys,
-            );
-            let plan = fault.is_active().then(|| FaultPlan::new(fault, seed));
-            if let Some(plan) = &plan {
-                cluster
-                    .shard(0)
-                    .endpoint()
-                    .set_fault_plan(Some(plan.clone()));
-            }
-            cluster.start_heartbeats();
-            spawn(async {
-                sleep(WATCHDOG).await;
-                panic!("fault_sweep cluster cell wedged: no convergence within {WATCHDOG}");
-            });
-            let started = now();
-            let hist: Rc<RefCell<LatencyHistogram>> = Rc::default();
-            let stats: Rc<RefCell<ServiceStats>> = Rc::default();
-            let lost: Rc<RefCell<Vec<u64>>> = Rc::default();
-            let dumps: Rc<RefCell<Vec<FlightDump>>> = Rc::default();
-            let mut handles = Vec::new();
-            for c in 0..CLIENTS {
-                let mut client = CatfishClusterClient::connect(
-                    &cluster,
-                    &net,
-                    &profile,
-                    ClientConfig {
-                        mode: if fetch {
-                            AccessMode::Fetching
-                        } else {
-                            AccessMode::Adaptive(AdaptiveParams {
-                                heartbeat_interval: hb_interval,
-                                ..AdaptiveParams::default()
-                            })
-                        },
-                        request_timeout: timeout,
-                        max_retries,
-                        ..ClientConfig::default()
-                    },
-                    seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                client.set_flight_ids(c as u32);
-                let hist = Rc::clone(&hist);
-                let stats = Rc::clone(&stats);
-                let lost = Rc::clone(&lost);
-                let dumps = Rc::clone(&dumps);
-                handles.push(spawn(async move {
-                    sleep(SimDuration::from_nanos(13_007 * c as u64)).await;
-                    for i in 0..ops as u64 {
-                        let op = (c * ops) as u64 + i;
-                        let id = ID_BASE + op;
-                        let rect = unique_rect(op);
-                        let t0 = now();
-                        if !client.insert(rect, id).await {
-                            lost.borrow_mut().push(id);
-                        }
-                        hist.borrow_mut().record(now() - t0);
-                        if i % 8 == 7 {
-                            let back = ID_BASE + (c * ops) as u64 + i / 2;
-                            let q = unique_rect((c * ops) as u64 + i / 2);
-                            let got = client.search(&q).await;
-                            assert!(
-                                got.contains(&back),
-                                "cluster read-back lost id {back} (client {c}, op {i})"
-                            );
-                        }
-                    }
-                    stats.borrow_mut().merge(&client.stats());
-                    dumps.borrow_mut().extend(client.flight_dumps());
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            let makespan = now() - started;
-            // Cluster-wide slot-leak audit (same grace period as the
-            // single-server cell, summed over every shard's mailboxes).
-            sleep(ServerConfig::default().mailbox_lease_ttl + hb_interval * 4).await;
-            let leaked: usize = (0..cluster.shards())
-                .map(|s| cluster.shard(s).mailbox_outstanding())
-                .sum();
-            let mut st = stats.borrow().to_owned();
-            let client_crc = st.checksum_failures;
-            {
-                let ss = cluster.stats();
-                st.dup_drops += ss.dup_drops;
-                st.checksum_failures += ss.checksum_failures;
-                st.resyncs += ss.resyncs;
-            }
-            // Exactly-once audit, cluster-wide: sum occurrences over shards.
-            let mut lost = lost.borrow().to_owned();
-            let mut duplicated = Vec::new();
-            for op in 0..(CLIENTS * ops) as u64 {
-                let id = ID_BASE + op;
-                let q = unique_rect(op);
-                let hits: usize = (0..cluster.shards())
-                    .map(|s| {
-                        cluster
-                            .shard(s)
-                            .with_index(|t| t.search(&q).iter().filter(|d| **d == id).count())
-                    })
-                    .sum();
-                match hits {
-                    0 => lost.push(id),
-                    1 => {}
-                    _ => duplicated.push(id),
-                }
-            }
-            lost.sort_unstable();
-            lost.dedup();
-            for s in 0..cluster.shards() {
-                cluster
-                    .shard(s)
-                    .with_index(|t| t.check_invariants())
-                    .unwrap();
-            }
-            let injected = plan.map(|p| p.counters()).unwrap_or_default();
-            let hist = hist.borrow().to_owned();
-            let flight = dumps.borrow().to_owned();
-            (
-                makespan,
-                hist,
-                st,
-                injected,
-                lost.len(),
-                duplicated.len(),
-                leaked,
-                flight,
-                client_crc,
-            )
-        });
-    CellResult {
-        label: cell.label.to_string(),
-        fault: cell.fault,
-        ops: CLIENTS * ops,
-        makespan,
-        hist,
-        stats,
-        injected,
-        lost,
-        duplicated,
-        leaked_slots: leaked,
-        flight,
-        client_crc,
-    }
+/// One chaos cell on a `shards`-way cluster. One shard faults every NIC,
+/// clients' included; with more shards the plan attaches to **shard 0's
+/// server NIC only** and the other shards and every client NIC run clean.
+/// Inserts spread across the space partition, so ops homed on shard 0
+/// ride the chaos while the rest of the cluster stays healthy; the
+/// exactly-once audit counts each id across *all* shards, so a retry
+/// mis-applied to a sibling shard would show up as a duplicate.
+fn run_cell(cell: &Cell, args: &BenchArgs, size: usize, ops: usize, shards: usize) -> CellResult {
+    let spec = ExperimentSpec {
+        shards,
+        fault_shard: (shards > 1).then_some(0),
+        ..chaos::spec(
+            size,
+            args.seed,
+            cell.fault,
+            if cell.fetch {
+                AccessMode::Fetching
+            } else {
+                chaos::adaptive()
+            },
+            SimDuration::from_micros(args.timeout_us.unwrap_or(500)),
+            args.max_retries.unwrap_or(64),
+        )
+    };
+    let (label, fault) = (cell.label.to_string(), cell.fault);
+    Sim::new().run_until(async move {
+        let bed = Testbed::build(&spec);
+        chaos::arm_watchdog("fault_sweep cell");
+        let w = chaos::insert_read_back(&bed, spec.seed, ops, 1).await;
+        let leaked_slots = chaos::leaked_slots(bed.cluster()).await;
+        let mut stats = w.stats;
+        let client_crc = stats.checksum_failures;
+        stats.fold_server(&bed.cluster().stats());
+        let (lost, duplicated) = chaos::audit_exactly_once(bed.cluster(), CLIENTS * ops, w.unacked);
+        CellResult {
+            label,
+            fault,
+            ops: CLIENTS * ops,
+            makespan: w.makespan,
+            hist: w.hist,
+            stats,
+            injected: bed.fault_plan().map(|p| p.counters()).unwrap_or_default(),
+            lost,
+            duplicated,
+            leaked_slots,
+            flight: w.flight,
+            client_crc,
+        }
+    })
 }
 
 /// Flight-recorder smoke: every client-side timeout and CRC failure must
@@ -562,7 +225,7 @@ fn json_cell(r: &CellResult) -> String {
 
 fn main() {
     let args = BenchArgs::parse();
-    let shards = args.shards.as_ref().map_or(1, |v| v[0]);
+    let shards = args.one_shard_count();
     banner(
         "Fault sweep",
         "exactly-once under injected loss, stalls, and heartbeat suppression",
@@ -681,13 +344,7 @@ fn main() {
 
     let mut results = Vec::new();
     for cell in &cells {
-        let r = timed(cell.label, || {
-            if shards > 1 {
-                run_cluster_cell(cell, &args, size, ops, shards)
-            } else {
-                run_cell(cell, &args, size, ops)
-            }
-        });
+        let r = timed(cell.label, || run_cell(cell, &args, size, ops, shards));
         let s = r.hist.summary();
         let (timeout_dumps, crc_dumps) = check_flight(&r);
         println!(

@@ -6,10 +6,10 @@
 //! 1. **Chaos gates** — a k=3 replica set under 10% RDMA write loss on
 //!    the primary's NIC, optionally with a scripted partition that kills
 //!    the primary mid-batch. Clients keep inserting globally unique ids
-//!    through [`CatfishClusterClient`]; an unacknowledged write suspects
-//!    the primary, the shared control block promotes the next live backup
-//!    (epoch bump fences the old primary), and the client reissues the
-//!    *same op id* to the new primary — the applied table turns a
+//!    through [`catfish_core::client::CatfishClusterClient`]; an
+//!    unacknowledged write suspects the primary, the shared control block
+//!    promotes the next live backup (epoch bump fences the old primary),
+//!    and the client reissues the *same op id* to the new primary — the applied table turns a
 //!    double-landed op into an idempotent ack. After the workload joins,
 //!    the harness counts each id's occurrences on the **current**
 //!    primaries: `lost` and `duplicated` must both be zero. The crashed
@@ -26,30 +26,16 @@
 //! `BENCH_repair.json`. A virtual-time watchdog panics if a cell wedges
 //! instead of recovering.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
+use catfish_bench::chaos::{self, unique_rect, CLIENTS};
 use catfish_bench::{banner, timed, BenchArgs};
-use catfish_core::client::CatfishClusterClient;
-use catfish_core::config::{AccessMode, AdaptiveParams, ClientConfig, ServerConfig, ServerMode};
-use catfish_core::conn::RkeyAllocator;
-use catfish_core::obs::TraceSink;
+use catfish_core::config::{AccessMode, ClientConfig, ServerConfig};
+use catfish_core::harness::{ExperimentSpec, Testbed};
 use catfish_core::server::CatfishCluster;
 use catfish_core::service::{RangeDigest, RepairReport};
 use catfish_core::ServiceStats;
-use catfish_rdma::profile::infiniband_100g;
-use catfish_rdma::{FaultConfig, FaultPlan};
-use catfish_rtree::{RTreeConfig, Rect};
-use catfish_simnet::{now, sleep, spawn, Network, Sim, SimDuration, SimTime};
-
-/// Virtual-time budget per cell: promotion plus reissue must converge,
-/// not crawl.
-const WATCHDOG: SimDuration = SimDuration::from_secs(300);
-
-const CLIENTS: usize = 4;
-
-/// Ids far above the pre-loaded dataset so occurrence counting is exact.
-const ID_BASE: u64 = 10_000_000;
+use catfish_rdma::FaultConfig;
+use catfish_rtree::RTreeConfig;
+use catfish_simnet::{Sim, SimDuration, SimTime};
 
 /// Ids for the post-heal write probe (disjoint from the chaos workload).
 const POST_HEAL_BASE: u64 = 20_000_000;
@@ -57,22 +43,6 @@ const POST_HEAL_BASE: u64 = 20_000_000;
 /// When the scripted partition drops the primary off the fabric —
 /// far enough in for every client to have traffic in flight.
 const CRASH_AT: SimDuration = SimDuration::from_micros(400);
-
-fn unique_rect(op: u64) -> Rect {
-    let x = (op % 997) as f64 / 997.0 * 0.9;
-    let y = (op / 997) as f64 / 997.0 * 0.9;
-    Rect::new(x, y, x + 0.0004, y + 0.0004)
-}
-
-fn dataset(n: usize) -> Vec<(Rect, u64)> {
-    (0..n as u64)
-        .map(|i| {
-            let x = (i % 256) as f64 / 256.0;
-            let y = (i / 256) as f64 / 256.0 % 1.0;
-            (Rect::new(x, y, x + 0.003, y + 0.003), i)
-        })
-        .collect()
-}
 
 struct ChaosCell {
     label: &'static str,
@@ -121,180 +91,53 @@ fn run_chaos_cell(
     replicas: usize,
 ) -> ChaosResult {
     assert!(replicas >= 2, "chaos cells need a backup to promote");
-    let sim = Sim::new();
-    let fault = cell.fault;
     let kill = cell.kill_primary;
-    let seed = args.seed;
-    let trace = args.trace_out.is_some();
     let timeout = SimDuration::from_micros(args.timeout_us.unwrap_or(500));
     // A tighter budget than fault_sweep's: retry exhaustion is the
     // failure detector here, and 16 straight losses at 10% is already
     // a once-per-1e16 event.
     let max_retries = args.max_retries.unwrap_or(16);
-    #[allow(clippy::type_complexity)]
-    let (
-        makespan,
-        stats,
-        lost,
-        duplicated,
-        epoch,
-        old_primary,
-        new_primary,
-        heal,
-        consistent,
-        spans,
-    ): (
-        SimDuration,
-        ServiceStats,
-        usize,
-        usize,
-        u64,
-        usize,
-        usize,
-        RepairReport,
-        bool,
-        Option<String>,
-    ) = sim.run_until(async move {
-        let net = Network::new();
-        let profile = infiniband_100g();
-        let rkeys = RkeyAllocator::new();
-        let hb_interval = SimDuration::from_millis(1);
-        let cluster = CatfishCluster::build_replicated(
-            &net,
-            &profile,
-            ServerConfig {
-                cores: 4,
-                mode: ServerMode::EventDriven,
-                heartbeat_interval: hb_interval,
-                ..ServerConfig::default()
-            },
-            RTreeConfig::with_max_entries(88),
-            dataset(size),
-            shards,
-            replicas,
-            &rkeys,
-        );
-        // Chaos rides shard 0's build-time primary only: write loss
-        // for the whole run, plus (when armed) a partition window
-        // that takes the whole NIC off the fabric mid-batch and
-        // never gives it back — a crash, as the fabric sees one.
+    // Chaos rides shard 0's build-time primary only: write loss for the
+    // whole run, plus (when armed) a partition window that takes the whole
+    // NIC off the fabric mid-batch and never gives it back — a crash, as
+    // the fabric sees one. The post-heal probe gets a machine of its own.
+    let fault = FaultConfig {
+        partition_window: kill.then_some((SimTime::ZERO + CRASH_AT, SimDuration::from_secs(600))),
+        ..cell.fault
+    };
+    let spec = ExperimentSpec {
+        clients: CLIENTS + 1,
+        client_nodes: CLIENTS + 1,
+        shards,
+        replicas,
+        fault_shard: Some(0),
+        collect_spans: args.trace_out.is_some(),
+        ..chaos::spec(
+            size,
+            args.seed,
+            fault,
+            chaos::adaptive(),
+            timeout,
+            max_retries,
+        )
+    };
+    let (label, killed) = (cell.label.to_string(), kill);
+    Sim::new().run_until(async move {
+        let bed = Testbed::build(&spec);
+        let cluster = bed.cluster();
         let old_primary = cluster.ctl(0).primary();
-        let plan = FaultPlan::new(
-            FaultConfig {
-                partition_window: kill
-                    .then_some((SimTime::ZERO + CRASH_AT, SimDuration::from_secs(600))),
-                ..fault
-            },
-            seed,
-        );
-        cluster
-            .replica(0, old_primary)
-            .endpoint()
-            .set_fault_plan(Some(plan.clone()));
-        let sink = trace.then(TraceSink::with_spans);
-        if let Some(sink) = &sink {
-            cluster.set_trace(sink);
-        }
-        cluster.start_heartbeats();
-        spawn(async {
-            sleep(WATCHDOG).await;
-            panic!("repair_sweep chaos cell wedged: no convergence within {WATCHDOG}");
-        });
-        let started = now();
-        let stats: Rc<RefCell<ServiceStats>> = Rc::default();
-        let lost: Rc<RefCell<Vec<u64>>> = Rc::default();
-        let mut handles = Vec::new();
-        for c in 0..CLIENTS {
-            let mut client = CatfishClusterClient::connect(
-                &cluster,
-                &net,
-                &profile,
-                ClientConfig {
-                    mode: AccessMode::Adaptive(AdaptiveParams {
-                        heartbeat_interval: hb_interval,
-                        ..AdaptiveParams::default()
-                    }),
-                    request_timeout: timeout,
-                    max_retries,
-                    ..ClientConfig::default()
-                },
-                seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            client.set_flight_ids(c as u32);
-            if let Some(sink) = &sink {
-                client.set_trace(&sink.for_node(c as u32));
-            }
-            let stats = Rc::clone(&stats);
-            let lost = Rc::clone(&lost);
-            handles.push(spawn(async move {
-                sleep(SimDuration::from_nanos(13_007 * c as u64)).await;
-                for i in 0..ops as u64 {
-                    let op = (c * ops) as u64 + i;
-                    let id = ID_BASE + op;
-                    if !client.insert(unique_rect(op), id).await {
-                        lost.borrow_mut().push(id);
-                    }
-                    // Read back an earlier acked insert. Right after
-                    // the crash a read may still route to the dead
-                    // primary (its staleness hasn't tripped yet), so
-                    // retry: the failsafe fails the read over to a
-                    // live backup within a few heartbeat intervals.
-                    if i % 8 == 7 {
-                        let back = ID_BASE + (c * ops) as u64 + i / 2;
-                        let q = unique_rect((c * ops) as u64 + i / 2);
-                        let mut found = false;
-                        for _ in 0..32 {
-                            if client.search(&q).await.contains(&back) {
-                                found = true;
-                                break;
-                            }
-                            sleep(SimDuration::from_millis(2)).await;
-                        }
-                        assert!(found, "read-back lost acked id {back} (client {c}, op {i})");
-                    }
-                }
-                stats.borrow_mut().merge(&client.stats());
-            }));
-        }
-        for h in handles {
-            h.await;
-        }
-        let makespan = now() - started;
-        let mut st = stats.borrow().to_owned();
-        st.merge(&cluster.stats());
-
-        // Exactly-once audit on the *current* primaries: every acked
-        // id appears exactly once across the shards' live views, no
-        // matter how many sends were lost or reissued across the
-        // promotion.
-        let mut lost = lost.borrow().to_owned();
-        let mut duplicated = Vec::new();
-        for op in 0..(CLIENTS * ops) as u64 {
-            let id = ID_BASE + op;
-            let q = unique_rect(op);
-            let hits: usize = (0..cluster.shards())
-                .map(|s| {
-                    cluster
-                        .shard(s)
-                        .with_index(|t| t.search(&q).iter().filter(|d| **d == id).count())
-                })
-                .sum();
-            match hits {
-                0 => lost.push(id),
-                1 => {}
-                _ => duplicated.push(id),
-            }
-        }
-        lost.sort_unstable();
-        lost.dedup();
-        for s in 0..cluster.shards() {
-            for r in 0..cluster.replicas() {
-                cluster
-                    .replica(s, r)
-                    .with_index(|t| t.check_invariants())
-                    .unwrap();
-            }
-        }
+        chaos::arm_watchdog("repair_sweep chaos cell");
+        // Right after the crash a read may still route to the dead primary
+        // (its staleness hasn't tripped yet), so read-backs retry: the
+        // failsafe fails the read over to a live backup within a few
+        // heartbeat intervals.
+        let w = chaos::insert_read_back(&bed, spec.seed, ops, 32).await;
+        let mut stats = w.stats;
+        stats.fold_server(&cluster.stats());
+        // Exactly-once on the *current* primaries: every acked id appears
+        // exactly once across the shards' live views, no matter how many
+        // sends were lost or reissued across the promotion.
+        let (lost, duplicated) = chaos::audit_exactly_once(cluster, CLIENTS * ops, w.unacked);
         let ctl = cluster.ctl(0);
         let (epoch, new_primary) = (ctl.epoch(), ctl.primary());
         if kill {
@@ -320,17 +163,13 @@ fn run_chaos_cell(
         } else {
             RepairReport::default()
         };
-        let mut probe = CatfishClusterClient::connect(
-            &cluster,
-            &net,
-            &profile,
+        let mut probe = bed.connect_with(
+            CLIENTS,
             ClientConfig {
                 mode: AccessMode::FastMessaging,
-                request_timeout: timeout,
-                max_retries,
                 ..ClientConfig::default()
             },
-            seed ^ 0xD1E5_ED00,
+            spec.seed ^ 0xD1E5_ED00,
         );
         for j in 0..16u64 {
             let r = unique_rect(900_000 + j);
@@ -339,46 +178,34 @@ fn run_chaos_cell(
                 "post-heal insert refused"
             );
         }
-        st.merge(&probe.stats());
+        stats.merge(&probe.stats());
         let mut consistent = true;
         for s in 0..cluster.shards() {
-            let want = root_digest(&cluster, s, cluster.ctl(s).primary());
+            let want = root_digest(cluster, s, cluster.ctl(s).primary());
             for r in 0..cluster.replicas() {
                 if cluster.ctl(s).is_alive(r) {
-                    consistent &= root_digest(&cluster, s, r) == want;
+                    consistent &= root_digest(cluster, s, r) == want;
                 }
             }
         }
-        (
-            makespan,
-            st,
-            lost.len(),
-            duplicated.len(),
+        ChaosResult {
+            label,
+            shards,
+            replicas,
+            ops: CLIENTS * ops,
+            makespan: w.makespan,
+            stats,
+            lost,
+            duplicated,
             epoch,
             old_primary,
             new_primary,
+            killed,
             heal,
-            consistent,
-            sink.map(|s| s.to_jsonl()),
-        )
-    });
-    ChaosResult {
-        label: cell.label.to_string(),
-        shards,
-        replicas,
-        ops: CLIENTS * ops,
-        makespan,
-        stats,
-        lost,
-        duplicated,
-        epoch,
-        old_primary,
-        new_primary,
-        killed: cell.kill_primary,
-        heal,
-        post_heal_consistent: consistent,
-        spans_jsonl: spans,
-    }
+            post_heal_consistent: consistent,
+            spans_jsonl: bed.trace().map(|s| s.to_jsonl()),
+        }
+    })
 }
 
 #[derive(Debug)]
@@ -392,25 +219,21 @@ struct RepairCell {
 /// Builds a 2-member replica set over `n` entries, deletes `d` entries
 /// spread across the backup's repair-key space, and reconciles.
 fn run_repair_cell(label: &str, n: usize, d: usize) -> RepairCell {
-    let sim = Sim::new();
-    let report = sim.run_until(async move {
-        let net = Network::new();
-        let profile = infiniband_100g();
-        let rkeys = RkeyAllocator::new();
-        let cluster = CatfishCluster::build_replicated(
-            &net,
-            &profile,
-            ServerConfig {
-                cores: 2,
-                mode: ServerMode::EventDriven,
-                ..ServerConfig::default()
-            },
-            RTreeConfig::with_max_entries(88),
-            dataset(n),
-            1,
-            2,
-            &rkeys,
-        );
+    let spec = ExperimentSpec {
+        clients: 0,
+        dataset: chaos::dataset(n),
+        server: ServerConfig {
+            cores: 2,
+            ..ServerConfig::default()
+        },
+        tree_config: RTreeConfig::with_max_entries(88),
+        fault: Some(FaultConfig::off()),
+        replicas: 2,
+        ..ExperimentSpec::default()
+    };
+    let report = Sim::new().run_until(async move {
+        let bed = Testbed::build(&spec);
+        let cluster = bed.cluster();
         // Diverge the backup: drop `d` entries spread evenly across the
         // key space — the scattered case, where a contiguous-range
         // shortcut would not help the walk.
@@ -513,7 +336,7 @@ fn log2_ceil(n: usize) -> u64 {
 
 fn main() {
     let args = BenchArgs::parse();
-    let shards = args.shards.as_ref().map_or(1, |v| v[0]);
+    let shards = args.one_shard_count();
     let replicas = args.replicas.max(3);
     banner(
         "Repair sweep",

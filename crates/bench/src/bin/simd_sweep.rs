@@ -23,15 +23,13 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use catfish_bench::{banner, paper_tree_config, timed, BenchArgs};
-use catfish_core::client::CatfishClient;
-use catfish_core::config::{AccessMode, ClientConfig, ServerConfig, ServerMode};
-use catfish_core::conn::RkeyAllocator;
-use catfish_core::server::CatfishServer;
+use catfish_core::config::{AccessMode, ClientConfig, Scheme, ServerConfig, ServerMode};
+use catfish_core::harness::{ExperimentSpec, Testbed};
 use catfish_core::LatencyHistogram;
-use catfish_rdma::{profile, Endpoint, RdmaProfile};
+use catfish_rdma::FaultConfig;
 use catfish_rtree::codec::{ChunkLayout, LaneNode};
 use catfish_rtree::{Entry, Node, Rect};
-use catfish_simnet::{now, sleep, spawn, Network, Sim, SimDuration};
+use catfish_simnet::{now, sleep, spawn, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -192,8 +190,12 @@ fn node_visit_bench() -> VisitBench {
     }
 }
 
-/// One end-to-end measurement: 64 closed-loop fast-messaging clients
-/// searching a paper-config R-tree through the given server mode.
+/// One end-to-end measurement: 64 closed-loop fast-messaging clients on
+/// eight client machines, searching a paper-config R-tree on one server
+/// in the given mode.
+// Each client task owns its shard connection, so the borrow held across
+// `read_batch` is never contended.
+#[allow(clippy::await_holding_refcell_ref)]
 fn run_e2e(
     label: &'static str,
     mode: ServerMode,
@@ -202,40 +204,35 @@ fn run_e2e(
     requests: usize,
     seed: u64,
 ) -> E2eCell {
-    let sim = Sim::new();
-    sim.run_until(async move {
-        let net = Network::new();
-        let prof = profile::infiniband_100g();
-        let rkeys = RkeyAllocator::new();
-        let server = CatfishServer::build(
-            &net,
-            &prof,
-            ServerConfig {
-                mode,
-                merge_writes,
-                ..ServerConfig::default()
-            },
-            paper_tree_config(),
-            catfish_workload::uniform_rects(rects, 1e-4, seed),
-            &rkeys,
-        );
-        let eps: Vec<Endpoint> = (0..8)
-            .map(|_| Endpoint::new(&net, net.add_node(prof.link), RdmaProfile::default()))
-            .collect();
+    let spec = ExperimentSpec {
+        scheme: Scheme::FastMessaging,
+        clients: E2E_CLIENTS,
+        client_nodes: 8,
+        dataset: catfish_workload::uniform_rects(rects, 1e-4, seed),
+        server: ServerConfig {
+            merge_writes,
+            ..ServerConfig::default()
+        },
+        server_mode: Some(mode),
+        tree_config: paper_tree_config(),
+        seed,
+        client_config: Some(ClientConfig {
+            mode: AccessMode::FastMessaging,
+            ..ClientConfig::default()
+        }),
+        fault: Some(FaultConfig::off()),
+        ..ExperimentSpec::default()
+    };
+    Sim::new().run_until(async move {
+        let bed = Testbed::build(&spec);
         let hist = Rc::new(RefCell::new(LatencyHistogram::new()));
         let started = now();
         let mut handles = Vec::new();
         for c in 0..E2E_CLIENTS {
-            let ch = server.accept(&eps[c % 8]);
-            let mut client = CatfishClient::new(
-                ch,
-                server.remote_handle(),
-                ClientConfig {
-                    mode: AccessMode::FastMessaging,
-                    ..ClientConfig::default()
-                },
-                seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
+            // One shard: the batch goes straight to its connection.
+            let conn = bed
+                .connect(c, seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .shard_client(0);
             let hist = Rc::clone(&hist);
             handles.push(spawn(async move {
                 sleep(SimDuration::from_nanos(17_039 * c as u64)).await;
@@ -252,7 +249,7 @@ fn run_e2e(
                         })
                         .collect();
                     let t0 = now();
-                    let results = client.read_batch(&queries).await;
+                    let results = conn.borrow_mut().read_batch(&queries).await;
                     debug_assert_eq!(results.len(), queries.len());
                     let per_op = (now() - t0) / window as u64;
                     for _ in 0..window {

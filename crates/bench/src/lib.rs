@@ -2,9 +2,9 @@
 //!
 //! Every binary accepts the same flags (all optional):
 //!
-//! * `--size N` — rectangles in the pre-built tree (default 200 000;
+//! * `--size N` — rectangles in the pre-built tree (default 1 000 000;
 //!   the paper uses 2 000 000 — pass `--paper` for full scale);
-//! * `--requests N` — search requests per client (default 200; paper
+//! * `--requests N` — search requests per client (default 1 000; paper
 //!   uses 10 000);
 //! * `--clients a,b,c` — client counts to sweep (figure-specific default);
 //! * `--paper` — full paper-scale parameters (slow: minutes per figure);
@@ -18,6 +18,8 @@
 
 use catfish_rtree::RTreeConfig;
 use std::time::Instant;
+
+pub mod chaos;
 
 /// Common benchmark knobs parsed from the command line.
 #[derive(Debug, Clone)]
@@ -167,6 +169,23 @@ impl BenchArgs {
             }
         }
         out
+    }
+}
+
+impl BenchArgs {
+    /// The shard count of a binary that runs one topology: `--shards N`,
+    /// or 1 without the flag.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a list of more than one count, which such a binary would
+    /// otherwise silently truncate.
+    pub fn one_shard_count(&self) -> usize {
+        match self.shards.as_deref() {
+            None => 1,
+            Some(&[n]) => n,
+            Some(list) => panic!("--shards takes a single count here, got {list:?}"),
+        }
     }
 }
 
@@ -321,4 +340,29 @@ pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
 /// measurements imply (see DESIGN.md §5).
 pub fn paper_tree_config() -> RTreeConfig {
     RTreeConfig::with_max_entries(88)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::BenchArgs;
+
+    #[test]
+    fn one_shard_count_takes_a_single_count() {
+        let args = |shards| BenchArgs {
+            shards,
+            ..BenchArgs::default()
+        };
+        assert_eq!(args(None).one_shard_count(), 1);
+        assert_eq!(args(Some(vec![4])).one_shard_count(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "--shards takes a single count")]
+    fn one_shard_count_rejects_a_list() {
+        BenchArgs {
+            shards: Some(vec![1, 4]),
+            ..BenchArgs::default()
+        }
+        .one_shard_count();
+    }
 }

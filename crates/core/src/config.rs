@@ -14,12 +14,13 @@ pub enum ServerMode {
     /// yield the CPU until a message arrives.
     EventDriven,
     /// Adaptive spin: a worker polls its ring for a short grace window
-    /// after the last arrival (polling-grade latency while traffic flows),
-    /// releases the core and yields when the grace expires, and after
-    /// [`ServerConfig::spin_yield_rounds`] idle turns parks off-CPU on the
-    /// completion channel (re-arming the CQ) until the next message. Keeps
-    /// hot connections on the fast path without Fig. 7's oversubscription
-    /// collapse: idle connections cost no cores.
+    /// (20 µs) after the last arrival (polling-grade latency while traffic
+    /// flows), releases the core and yields when the grace expires, and
+    /// after two idle turns parks off-CPU on the completion channel
+    /// (re-arming the CQ) until the next message. Keeps hot connections on
+    /// the fast path without Fig. 7's oversubscription collapse: idle
+    /// connections cost no cores. [`ServerMode::Polling`] is the same
+    /// worker with the grace stretched to the whole quantum and no parking.
     AdaptiveSpin,
 }
 
@@ -170,22 +171,11 @@ pub struct ServerConfig {
     /// maximum response frames coalesced into one doorbell. 1 disables
     /// batching (every frame pays its own dispatch and post).
     pub max_batch: usize,
-    /// How long an event-driven worker may linger after the first request
-    /// of a wakeup, waiting for more arrivals to fill the batch. ZERO
-    /// (the default) drains only messages that have **already** arrived —
-    /// batching stays purely opportunistic and adds no latency.
-    pub batch_window: SimDuration,
     /// Merge adjacent response-ring writes into one doorbell
     /// (RDMAbox-style): concurrent sends on a connection's response ring
     /// stage their frames and the first sender to win the append lock
     /// posts them all with a single Write-with-Immediate.
     pub merge_writes: bool,
-    /// [`ServerMode::AdaptiveSpin`] only: how long a worker keeps spinning
-    /// on its ring after the last arrival before releasing its core.
-    pub spin_grace: SimDuration,
-    /// [`ServerMode::AdaptiveSpin`] only: consecutive idle spin turns
-    /// before the worker parks off-CPU on the completion channel.
-    pub spin_yield_rounds: u32,
     /// Slots in each client's result mailbox (0 disables mailboxes — no
     /// per-client region is registered and fetch-mode clients fall back
     /// to write-back). Storm-style frugality: the per-client server
@@ -221,10 +211,7 @@ impl Default for ServerConfig {
             ring_capacity: 256 * 1024,
             response_segment_results: 1000,
             max_batch: 16,
-            batch_window: SimDuration::ZERO,
             merge_writes: true,
-            spin_grace: SimDuration::from_micros(20),
-            spin_yield_rounds: 2,
             mailbox_slots: 16,
             mailbox_slot_bytes: 16 * 1024,
             mailbox_lease_ttl: SimDuration::from_millis(50),

@@ -8,6 +8,13 @@
 //! through a chosen [`Scheme`] and reports throughput, latency, server CPU
 //! utilization, and server NIC bandwidth. Every figure-regeneration binary
 //! in `catfish-bench` is a thin loop over [`run_experiment`].
+//!
+//! The build phase is [`Testbed`]: network, cluster, fault wiring,
+//! heartbeats, trace sink and client NICs, plus [`Testbed::connect`] for
+//! configured clients. [`run_experiment`] is a `Testbed` plus a trace
+//! driver; bench cells with client loops of their own (the chaos and
+//! SIMD gates) build the same `Testbed`, so every measured R-tree cell
+//! runs on one topology code path.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -80,9 +87,10 @@ pub struct ExperimentSpec {
     /// the wire, so enabling this cannot change a run's outcome.
     pub collect_spans: bool,
     /// Fault-injection configuration. When set, one [`FaultPlan`] seeded
-    /// from [`ExperimentSpec::seed`] is attached to the server endpoint
-    /// and every client NIC, so the whole cluster draws faults from a
-    /// single deterministic stream. `None` (the default) honors the
+    /// from [`ExperimentSpec::seed`] is attached to every server endpoint
+    /// and every client NIC (or only where [`ExperimentSpec::fault_shard`]
+    /// says), so the whole cluster draws faults from a single
+    /// deterministic stream. `None` (the default) honors the
     /// `CATFISH_FAULTS` environment variable ([`FaultPlan::from_env`]),
     /// letting CI run existing workloads under low-rate chaos without
     /// touching their specs.
@@ -98,10 +106,10 @@ pub struct ExperimentSpec {
     /// `server`'s configuration and its own heartbeat stream / Algorithm 1
     /// instance. The TCP baseline runs only at one shard and one replica.
     pub shards: usize,
-    /// With `shards > 1`, attach the fault plan to **one** shard's server
-    /// endpoint only (client NICs stay clean — they carry every shard's
-    /// traffic, so faulting them cannot target a shard). `None` faults the
-    /// whole cluster as usual. With replication the targeted shard's
+    /// Attach the fault plan to **one** shard's server endpoint only
+    /// (client NICs stay clean — they carry every shard's traffic, so
+    /// faulting them cannot target a shard). `None` faults the whole
+    /// cluster as usual. With replication the targeted shard's
     /// **primary** draws the faults — the interesting victim.
     pub fault_shard: Option<usize>,
     /// Members per replica set (the `--replicas` bench knob). `1` (the
@@ -353,109 +361,231 @@ struct ClientOutcome {
     flight_dumps: Vec<FlightDump>,
 }
 
-/// Builds the [`CatfishCluster`] (one shard models the paper's single
-/// server), connects one scatter-gather client per client thread — or one
-/// TCP connection for the TCP baseline — and folds every counter once.
-/// Per-shard resource accounting: server CPU is the mean across shards
-/// (each shard is a full machine) and NIC bandwidth the sum.
-async fn run_cluster(spec: ExperimentSpec) -> RunResult {
-    let tcp = spec.scheme == Scheme::TcpIp;
-    assert!(
-        !tcp || (spec.shards == 1 && spec.replicas == 1),
-        "the TCP baseline is single-server only; use shards = 1 and replicas = 1"
-    );
-    let net = Network::new();
-    let rkeys = RkeyAllocator::new();
-    let mut server_cfg = spec.server;
-    server_cfg.mode = spec.server_mode.unwrap_or(match spec.scheme {
-        // The FaRM-style baselines poll; Catfish is event-driven (§IV-B).
-        Scheme::FastMessaging | Scheme::RdmaOffloading => ServerMode::Polling,
-        Scheme::Catfish | Scheme::TcpIp => ServerMode::EventDriven,
-    });
-    let cluster = CatfishCluster::build_replicated(
-        &net,
-        &spec.profile,
-        server_cfg,
-        spec.tree_config,
-        spec.dataset.clone(),
-        spec.shards,
-        spec.replicas,
-        &rkeys,
-    );
-    // Primaries at build time (replica 0 of each set) — the machines the
-    // timeline and fault targeting watch.
-    let shard_servers: Vec<CatfishServer> = (0..cluster.shards())
-        .map(|i| cluster.shard(i).clone())
-        .collect();
-    // One shared fault plan for the whole cluster: every endpoint draws
-    // from the same seeded decision stream, so runs replay byte-identically.
-    let fault_plan = match spec.fault {
-        Some(cfg) if cfg.is_active() => Some(FaultPlan::new(cfg, spec.seed)),
-        Some(_) => None,
-        None => FaultPlan::from_env(),
-    };
-    if let Some(plan) = &fault_plan {
-        match spec.fault_shard {
-            // Single-shard chaos: only the targeted shard's server NIC
-            // draws faults; everything else runs clean.
-            Some(s) => cluster
-                .shard(s)
-                .endpoint()
-                .set_fault_plan(Some(plan.clone())),
-            None => {
-                for i in 0..cluster.shards() {
-                    for r in 0..cluster.replicas() {
-                        cluster
-                            .replica(i, r)
-                            .endpoint()
-                            .set_fault_plan(Some(plan.clone()));
+/// One experiment cell's topology, built and waiting for clients: the
+/// network, the [`CatfishCluster`] (one shard models the paper's single
+/// server) with its fault plan, heartbeats and trace sink, and the client
+/// machines' NICs. [`run_experiment`] drives a workload trace through it;
+/// benchmarks with their own client loops (the chaos gates, the SIMD
+/// ablation) build the same topology and connect their clients with
+/// [`Testbed::connect`].
+///
+/// Fault targeting lives here and nowhere else: with
+/// [`ExperimentSpec::fault_shard`] unset the plan attaches to every
+/// replica's server NIC and every client NIC; set, it attaches to that
+/// shard's primary only and every other NIC runs clean.
+#[derive(Debug)]
+pub struct Testbed {
+    net: Network,
+    cluster: CatfishCluster,
+    fault_plan: Option<FaultPlan>,
+    trace_sink: Option<TraceSink>,
+    event_log: Option<AdaptiveEventLog>,
+    /// Client machines; client `i` sits on NIC `i % nics.len()`.
+    nics: Vec<Endpoint>,
+    poll_pools: Vec<Option<CpuPool>>,
+    /// The TCP baseline's sockets on the same client machines (empty for
+    /// RDMA schemes).
+    tcp_nics: Vec<TcpEndpoint>,
+    client_cfg: ClientConfig,
+    request_timeout: Option<SimDuration>,
+    max_retries: Option<u32>,
+}
+
+impl Testbed {
+    /// Builds `spec`'s topology. Call inside a running [`Sim`]: servers
+    /// spawn their heartbeat publishers here and their connection workers
+    /// as clients connect.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a TCP baseline with more than one shard or replica.
+    pub fn build(spec: &ExperimentSpec) -> Testbed {
+        let tcp = spec.scheme == Scheme::TcpIp;
+        assert!(
+            !tcp || (spec.shards == 1 && spec.replicas == 1),
+            "the TCP baseline is single-server only; use shards = 1 and replicas = 1"
+        );
+        let net = Network::new();
+        let rkeys = RkeyAllocator::new();
+        let mut server_cfg = spec.server;
+        server_cfg.mode = spec.server_mode.unwrap_or(match spec.scheme {
+            // The FaRM-style baselines poll; Catfish is event-driven (§IV-B).
+            Scheme::FastMessaging | Scheme::RdmaOffloading => ServerMode::Polling,
+            Scheme::Catfish | Scheme::TcpIp => ServerMode::EventDriven,
+        });
+        let cluster = CatfishCluster::build_replicated(
+            &net,
+            &spec.profile,
+            server_cfg,
+            spec.tree_config,
+            spec.dataset.clone(),
+            spec.shards,
+            spec.replicas,
+            &rkeys,
+        );
+        // One shared fault plan for the whole cluster: every endpoint draws
+        // from the same seeded decision stream, so runs replay byte-identically.
+        let fault_plan = match spec.fault {
+            Some(cfg) if cfg.is_active() => Some(FaultPlan::new(cfg, spec.seed)),
+            Some(_) => None,
+            None => FaultPlan::from_env(),
+        };
+        if let Some(plan) = &fault_plan {
+            match spec.fault_shard {
+                // Single-shard chaos: only the targeted shard's primary
+                // draws faults; everything else runs clean.
+                Some(s) => cluster
+                    .shard(s)
+                    .endpoint()
+                    .set_fault_plan(Some(plan.clone())),
+                None => {
+                    for i in 0..cluster.shards() {
+                        for r in 0..cluster.replicas() {
+                            cluster
+                                .replica(i, r)
+                                .endpoint()
+                                .set_fault_plan(Some(plan.clone()));
+                        }
                     }
                 }
             }
         }
-    }
-    if spec.scheme == Scheme::Catfish {
-        cluster.start_heartbeats();
-    }
-    // One sink shared by every server and client: the per-phase breakdown
-    // aggregates the whole cluster, and every node stamps spans into one
-    // id space, so cross-node parent links resolve at assembly time.
-    let trace_sink = spec.collect_spans.then(TraceSink::with_spans);
-    if let Some(sink) = &trace_sink {
-        cluster.set_trace(sink);
-    }
-    let event_log = spec.collect_adaptive_events.then(AdaptiveEventLog::new);
+        if spec.scheme == Scheme::Catfish {
+            cluster.start_heartbeats();
+        }
+        // One sink shared by every server and client: the per-phase breakdown
+        // aggregates the whole cluster, and every node stamps spans into one
+        // id space, so cross-node parent links resolve at assembly time.
+        let trace_sink = spec.collect_spans.then(TraceSink::with_spans);
+        if let Some(sink) = &trace_sink {
+            cluster.set_trace(sink);
+        }
+        let event_log = spec.collect_adaptive_events.then(AdaptiveEventLog::new);
 
-    // Client machines share NICs.
-    let node_count = spec.client_nodes.max(1).min(spec.clients.max(1));
-    let rdma_eps: Vec<Endpoint> = (0..node_count)
-        .map(|_| {
-            let ep = Endpoint::new(&net, net.add_node(spec.profile.link), spec.profile.rdma);
-            // Client NICs carry every shard's traffic, so they only draw
-            // faults in whole-cluster chaos — a single-shard target must
-            // leave them clean.
-            if spec.fault_shard.is_none() {
-                if let Some(plan) = &fault_plan {
-                    ep.set_fault_plan(Some(plan.clone()));
+        // Client machines share NICs.
+        let node_count = spec.client_nodes.max(1).min(spec.clients.max(1));
+        let nics: Vec<Endpoint> = (0..node_count)
+            .map(|_| {
+                let ep = Endpoint::new(&net, net.add_node(spec.profile.link), spec.profile.rdma);
+                // Client NICs carry every shard's traffic, so they only draw
+                // faults in whole-cluster chaos — a single-shard target must
+                // leave them clean.
+                if spec.fault_shard.is_none() {
+                    if let Some(plan) = &fault_plan {
+                        ep.set_fault_plan(Some(plan.clone()));
+                    }
                 }
-            }
-            ep
-        })
+                ep
+            })
+            .collect();
+        let poll_pools = (0..node_count)
+            .map(|_| {
+                spec.client_polling_cores
+                    .map(|cores| CpuPool::new(cores, server_cfg.quantum))
+            })
+            .collect();
+        let tcp_nics = if tcp {
+            nics.iter()
+                .map(|ep| TcpEndpoint::new(&net, ep.node(), spec.profile.tcp, None))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Testbed {
+            net,
+            cluster,
+            fault_plan,
+            trace_sink,
+            event_log,
+            nics,
+            poll_pools,
+            tcp_nics,
+            client_cfg: spec
+                .client_config
+                .unwrap_or_else(|| client_config_for(spec.scheme, &server_cfg)),
+            request_timeout: spec.request_timeout,
+            max_retries: spec.max_retries,
+        }
+    }
+
+    /// The cluster under test.
+    pub fn cluster(&self) -> &CatfishCluster {
+        &self.cluster
+    }
+
+    /// The fault plan the run draws from, if any (its counters report what
+    /// was injected).
+    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.fault_plan.as_ref()
+    }
+
+    /// The shared span sink, when [`ExperimentSpec::collect_spans`] is set.
+    pub fn trace(&self) -> Option<&TraceSink> {
+        self.trace_sink.as_ref()
+    }
+
+    /// Connects client `client_id` (on NIC `client_id % client_nodes`)
+    /// with the scheme's client configuration, or
+    /// [`ExperimentSpec::client_config`] when set. Per-shard connection
+    /// seeds derive from `seed`, which each caller chooses.
+    pub fn connect(&self, client_id: usize, seed: u64) -> CatfishClusterClient {
+        self.connect_with(client_id, self.client_cfg, seed)
+    }
+
+    /// Like [`Testbed::connect`] with an explicit client configuration.
+    /// The spec's timeout and retry overrides, polling pool, trace sink,
+    /// adaptive event log and flight-recorder ids apply as for every other
+    /// client.
+    pub fn connect_with(
+        &self,
+        client_id: usize,
+        mut cfg: ClientConfig,
+        seed: u64,
+    ) -> CatfishClusterClient {
+        if let Some(t) = self.request_timeout {
+            cfg.request_timeout = t;
+        }
+        if let Some(r) = self.max_retries {
+            cfg.max_retries = r;
+        }
+        let nic = client_id % self.nics.len();
+        let client = CatfishClusterClient::connect_from(&self.cluster, &self.nics[nic], cfg, seed);
+        if let Some(pool) = &self.poll_pools[nic] {
+            client.set_response_polling(pool);
+        }
+        if let Some(sink) = &self.trace_sink {
+            client.set_trace(&sink.for_node(client_id as u32));
+        }
+        if let Some(log) = &self.event_log {
+            client.set_adaptive_event_log(&log.for_client(client_id as u32));
+        }
+        client.set_flight_ids(client_id as u32);
+        client
+    }
+
+    /// The TCP baseline's analogue of [`Testbed::connect`]: one socket
+    /// from client `client_id`'s machine to the single server.
+    fn connect_tcp(&self, client_id: usize) -> TcpConn {
+        let server = self.cluster.shard(0);
+        let (conn, server_side) =
+            self.tcp_nics[client_id % self.tcp_nics.len()].connect(&server.tcp_endpoint());
+        server.accept_tcp(server_side);
+        conn
+    }
+}
+
+/// Builds the [`Testbed`], connects one scatter-gather client per client
+/// thread — or one TCP connection for the TCP baseline — and folds every
+/// counter once. Per-shard resource accounting: server CPU is the mean
+/// across shards (each shard is a full machine) and NIC bandwidth the sum.
+async fn run_cluster(spec: ExperimentSpec) -> RunResult {
+    let bed = Testbed::build(&spec);
+    let net = &bed.net;
+    // Primaries at build time (replica 0 of each set) — the machines the
+    // timeline watches.
+    let shard_servers: Vec<CatfishServer> = (0..bed.cluster.shards())
+        .map(|i| bed.cluster.shard(i).clone())
         .collect();
-    let poll_pools: Vec<Option<CpuPool>> = (0..node_count)
-        .map(|_| {
-            spec.client_polling_cores
-                .map(|cores| CpuPool::new(cores, server_cfg.quantum))
-        })
-        .collect();
-    let tcp_eps: Vec<TcpEndpoint> = if tcp {
-        rdma_eps
-            .iter()
-            .map(|ep| TcpEndpoint::new(&net, ep.node(), spec.profile.tcp, None))
-            .collect()
-    } else {
-        Vec::new()
-    };
 
     let started = now();
     let outcomes: Rc<RefCell<Vec<ClientOutcome>>> = Rc::new(RefCell::new(Vec::new()));
@@ -469,11 +599,8 @@ async fn run_cluster(spec: ExperimentSpec) -> RunResult {
         // Spread connection setup over a few milliseconds, as independent
         // client machines would; this also de-phases the steady state.
         let stagger = SimDuration::from_nanos(17_039 * client_id as u64);
-        if tcp {
-            let server = &shard_servers[0];
-            let (conn, server_side) =
-                tcp_eps[client_id % node_count].connect(&server.tcp_endpoint());
-            server.accept_tcp(server_side);
+        if spec.scheme == Scheme::TcpIp {
+            let conn = bed.connect_tcp(client_id);
             handles.push(spawn(async move {
                 sleep(stagger).await;
                 let outcome = tcp_client_task(conn, trace).await;
@@ -481,31 +608,10 @@ async fn run_cluster(spec: ExperimentSpec) -> RunResult {
             }));
             continue;
         }
-        let mut cfg = spec
-            .client_config
-            .unwrap_or_else(|| client_config_for(spec.scheme, &server_cfg));
-        if let Some(t) = spec.request_timeout {
-            cfg.request_timeout = t;
-        }
-        if let Some(r) = spec.max_retries {
-            cfg.max_retries = r;
-        }
-        let mut client = CatfishClusterClient::connect_from(
-            &cluster,
-            &rdma_eps[client_id % node_count],
-            cfg,
+        let mut client = bed.connect(
+            client_id,
             spec.seed ^ (client_id as u64).wrapping_mul(0x5851_F42D_4C95_7F2D),
         );
-        if let Some(pool) = &poll_pools[client_id % node_count] {
-            client.set_response_polling(pool);
-        }
-        if let Some(sink) = &trace_sink {
-            client.set_trace(&sink.for_node(client_id as u32));
-        }
-        if let Some(log) = &event_log {
-            client.set_adaptive_event_log(&log.for_client(client_id as u32));
-        }
-        client.set_flight_ids(client_id as u32);
         handles.push(spawn(async move {
             sleep(stagger).await;
             let outcome = client_task(&mut client, trace).await;
@@ -570,7 +676,7 @@ async fn run_cluster(spec: ExperimentSpec) -> RunResult {
     let outcomes = Rc::try_unwrap(outcomes)
         .expect("all client tasks joined")
         .into_inner();
-    let (stats, per_shard_stats) = fold_counters(&outcomes, &cluster.stats_per_shard());
+    let (stats, per_shard_stats) = fold_counters(&outcomes, &bed.cluster.stats_per_shard());
     let mut all = LatencyHistogram::new();
     let mut search = LatencyHistogram::new();
     let mut write = LatencyHistogram::new();
@@ -604,7 +710,8 @@ async fn run_cluster(spec: ExperimentSpec) -> RunResult {
         stats,
         timeline: timeline.take(),
         hist: all,
-        phase_hists: trace_sink
+        phase_hists: bed
+            .trace_sink
             .as_ref()
             .map(|sink| {
                 Phase::ALL
@@ -613,8 +720,8 @@ async fn run_cluster(spec: ExperimentSpec) -> RunResult {
                     .collect()
             })
             .unwrap_or_default(),
-        adaptive_events: event_log.map(|log| log.snapshot()).unwrap_or_default(),
-        spans: trace_sink.map(|sink| sink.spans()).unwrap_or_default(),
+        adaptive_events: bed.event_log.map(|log| log.snapshot()).unwrap_or_default(),
+        spans: bed.trace_sink.map(|sink| sink.spans()).unwrap_or_default(),
         flight_dumps,
     }
 }

@@ -242,15 +242,6 @@ impl<B: ClientBackend> ServiceClient<B> {
         }
     }
 
-    /// Switches response detection to busy-polling on a core of `pool`
-    /// (the client machine's CPUs). With more client threads per machine
-    /// than cores, response pickup waits for the thread's next scheduling
-    /// turn — reproducing the client-side half of Fig. 7's collapse.
-    pub fn with_response_polling(mut self, pool: CpuPool) -> Self {
-        self.poll_pool = Some(pool);
-        self
-    }
-
     /// Counters so far, folding in the response-ring integrity counters
     /// and the adaptive staleness-failsafe windows.
     pub fn stats(&self) -> ServiceStats {

@@ -44,6 +44,14 @@ use super::{
     ReplEnvelope, WireCodec, WireMessage, FETCH_FLAG, REPL_FENCED,
 };
 
+/// [`ServerMode::AdaptiveSpin`]: how long a worker keeps spinning on its
+/// ring after the last arrival before releasing its core.
+const SPIN_GRACE: SimDuration = SimDuration::from_micros(20);
+
+/// [`ServerMode::AdaptiveSpin`]: consecutive idle spin turns before the
+/// worker parks off-CPU on the completion channel.
+const SPIN_YIELD_ROUNDS: u32 = 2;
+
 /// Scales a per-KiB cost term to `bytes` of payload.
 fn per_kb_cost(per_kb: SimDuration, bytes: usize) -> SimDuration {
     SimDuration::from_nanos((per_kb.as_nanos().saturating_mul(bytes as u64)) / 1024)
@@ -356,8 +364,14 @@ impl<B: IndexBackend> ServiceServer<B> {
         spawn(async move {
             match this.inner.cfg.mode {
                 ServerMode::EventDriven => this.worker_event(sc).await,
-                ServerMode::Polling => this.worker_polling(sc).await,
-                ServerMode::AdaptiveSpin => this.worker_adaptive(sc).await,
+                ServerMode::Polling => {
+                    let quantum = this.inner.cpu.quantum();
+                    this.worker_spin(sc, quantum, None).await
+                }
+                ServerMode::AdaptiveSpin => {
+                    this.worker_spin(sc, SPIN_GRACE, Some(SPIN_YIELD_ROUNDS))
+                        .await
+                }
             }
         });
         cc
@@ -490,7 +504,6 @@ impl<B: IndexBackend> ServiceServer<B> {
     }
 
     async fn worker_event(&self, ch: ServerChannel) {
-        let window = self.inner.cfg.batch_window;
         let dedup = RefCell::new(DedupWindow::new(self.inner.cfg.dedup_window));
         loop {
             let Some(first) = ch
@@ -500,11 +513,6 @@ impl<B: IndexBackend> ServiceServer<B> {
             else {
                 continue;
             };
-            // Optional linger: trade latency for fuller batches. The
-            // default window is ZERO, so batching stays opportunistic.
-            if !window.is_zero() && self.inner.cfg.max_batch > 1 {
-                sleep(window).await;
-            }
             let msgs = self.drain_arrived(first, &ch);
             let mut execs = Vec::new();
             for msg in msgs {
@@ -520,50 +528,27 @@ impl<B: IndexBackend> ServiceServer<B> {
         }
     }
 
-    async fn worker_polling(&self, ch: ServerChannel) {
+    /// The spinning worker behind [`ServerMode::Polling`] and
+    /// [`ServerMode::AdaptiveSpin`] (spin → yield → block). Each turn it
+    /// holds a core for at most one scheduling quantum and polls its ring,
+    /// serving batches while messages keep arriving within `grace` of the
+    /// last one; then it releases the core and re-contends, so
+    /// oversubscribed spinners rotate through the run queue. After
+    /// `park_after` consecutive idle turns it parks **off-CPU** on the
+    /// completion channel (CQ re-arm) until the next message.
+    ///
+    /// Polling is the case `grace = quantum`, never parking: the deadline
+    /// is always the turn's end, so the worker occupies its core for the
+    /// whole quantum, busy or not — Fig. 7's collapse once connections
+    /// outnumber cores. Adaptive spin keeps polling-grade pickup latency on
+    /// hot connections while idle ones cost no cores, so piling connections
+    /// onto the server degrades like event-driven instead.
+    async fn worker_spin(&self, ch: ServerChannel, grace: SimDuration, park_after: Option<u32>) {
         let quantum = self.inner.cpu.quantum();
-        let dedup = RefCell::new(DedupWindow::new(self.inner.cfg.dedup_window));
-        loop {
-            // Occupy a core for a full turn, busy or not.
-            let core = self.inner.cpu.acquire().await;
-            let turn_end = now() + quantum;
-            while let Some(decoded) = ch
-                .rx
-                .wait_message_until_map(turn_end, |payload| self.decode_frame(payload))
-                .await
-            {
-                let Some(first) = decoded else { continue };
-                self.serve_batch(first, &ch, &dedup).await;
-                if now() >= turn_end {
-                    break;
-                }
-            }
-            if now() < turn_end {
-                sleep(turn_end - now()).await;
-            }
-            drop(core);
-            // Re-contend: with more workers than cores this lands at the
-            // back of the run queue (round-robin).
-            catfish_simnet::yield_now().await;
-        }
-    }
-
-    /// Adaptive spin (spin → yield → block): the worker spins on its ring
-    /// like a polling worker while traffic flows, but releases its core as
-    /// soon as [`ServerConfig::spin_grace`] passes with no arrival, and
-    /// after [`ServerConfig::spin_yield_rounds`] consecutive idle turns
-    /// parks **off-CPU** on the completion channel (CQ re-arm) until the
-    /// next message. Hot connections keep polling-grade pickup latency;
-    /// idle connections cost no cores — so piling connections onto the
-    /// server degrades like event-driven instead of collapsing like Fig. 7.
-    async fn worker_adaptive(&self, ch: ServerChannel) {
-        let quantum = self.inner.cpu.quantum();
-        let grace = self.inner.cfg.spin_grace;
-        let park_after = self.inner.cfg.spin_yield_rounds.max(1);
         let dedup = RefCell::new(DedupWindow::new(self.inner.cfg.dedup_window));
         let mut idle_turns = 0u32;
         loop {
-            if idle_turns >= park_after {
+            if park_after.is_some_and(|n| idle_turns >= n) {
                 // Blocked phase: no core held while waiting. The CQ wait
                 // models Write-with-IMM event delivery after re-arming.
                 let Some(first) = ch
@@ -579,10 +564,6 @@ impl<B: IndexBackend> ServiceServer<B> {
                 idle_turns = 0;
                 continue;
             }
-            // Spin phase: hold a core and poll, but only while messages
-            // keep arriving within the grace window. Bounded by one
-            // scheduling quantum per turn so oversubscribed spinners still
-            // rotate through the run queue.
             let core = self.inner.cpu.acquire().await;
             let turn_end = now() + quantum;
             let mut got_any = false;
@@ -603,11 +584,13 @@ impl<B: IndexBackend> ServiceServer<B> {
                 }
             }
             drop(core);
-            if got_any {
-                idle_turns = 0;
+            idle_turns = if got_any {
+                0
             } else {
-                idle_turns += 1;
-            }
+                idle_turns.saturating_add(1)
+            };
+            // Re-contend: with more workers than cores this lands at the
+            // back of the run queue (round-robin).
             catfish_simnet::yield_now().await;
         }
     }
