@@ -79,6 +79,9 @@ pub struct ChunkStore<M> {
     layout: ChunkLayout,
     versions: Vec<u64>,
     free: Vec<u32>,
+    /// `is_free[i]` is true while chunk `i` sits on `free`, so a double
+    /// free is caught without scanning the list.
+    is_free: Vec<bool>,
     next: u32,
     live: usize,
     meta: TreeMeta,
@@ -92,7 +95,7 @@ pub struct ChunkStore<M> {
     /// vectorized search path. Search visits never nest, but the pool
     /// mirrors [`ChunkStore::scratch`] for re-entrancy safety.
     lane_scratch: RefCell<Vec<LaneScratch>>,
-    /// Reusable encode buffer for the write path.
+    /// Reusable encode buffer for node and metadata writes.
     write_buf: Vec<u8>,
 }
 
@@ -132,6 +135,7 @@ impl<M: ChunkMemory> ChunkStore<M> {
             layout,
             versions: vec![0; capacity],
             free: Vec::new(),
+            is_free: vec![false; capacity],
             next: 1,
             live: 0,
             meta: TreeMeta::default(),
@@ -191,6 +195,12 @@ impl<M: ChunkMemory> ChunkStore<M> {
         if free.iter().any(|&f| f == 0 || f >= next) {
             return Err("free list references out-of-range chunks");
         }
+        let mut is_free = vec![false; capacity];
+        for &f in &free {
+            if std::mem::replace(&mut is_free[f as usize], true) {
+                return Err("free list repeats a chunk");
+            }
+        }
         let mut versions = vec![0u64; capacity];
         let mut line0 = [0u8; 8];
         for (i, v) in versions.iter_mut().enumerate().take(next as usize) {
@@ -208,6 +218,7 @@ impl<M: ChunkMemory> ChunkStore<M> {
             layout,
             versions,
             free,
+            is_free,
             next,
             live,
             meta,
@@ -298,8 +309,11 @@ impl<M: ChunkMemory> ChunkStore<M> {
 
     fn persist_meta(&mut self) {
         self.versions[0] += 1;
-        let chunk = self.layout.encode_meta(&self.meta, self.versions[0]);
+        let mut chunk = std::mem::take(&mut self.write_buf);
+        self.layout
+            .encode_meta_into(&self.meta, self.versions[0], &mut chunk);
         self.mem.write_at(0, &chunk);
+        self.write_buf = chunk;
     }
 }
 
@@ -344,6 +358,7 @@ impl<M: ChunkMemory> NodeStore for ChunkStore<M> {
     fn alloc(&mut self) -> NodeId {
         self.live += 1;
         if let Some(i) = self.free.pop() {
+            self.is_free[i as usize] = false;
             return NodeId(i);
         }
         assert!(
@@ -360,9 +375,10 @@ impl<M: ChunkMemory> NodeStore for ChunkStore<M> {
 
     fn free(&mut self, id: NodeId) {
         assert!(
-            id.0 >= 1 && id.0 < self.next && !self.free.contains(&id.0),
+            id.0 >= 1 && id.0 < self.next && !self.is_free[id.0 as usize],
             "invalid free of chunk {id}"
         );
+        self.is_free[id.0 as usize] = true;
         self.free.push(id.0);
         self.live -= 1;
     }
@@ -461,6 +477,29 @@ mod tests {
         let a = s.alloc();
         s.free(a);
         s.free(a);
+    }
+
+    #[test]
+    fn freed_chunk_can_be_freed_again_after_reuse() {
+        let mut s = store_with(4);
+        let a = s.alloc();
+        s.free(a);
+        assert_eq!(s.alloc(), a);
+        s.free(a);
+        assert_eq!(s.allocator_state(), (2, vec![a.0]));
+    }
+
+    #[test]
+    fn from_parts_rejects_repeated_free_chunks() {
+        let mut s = store_with(8);
+        let a = s.alloc();
+        let _b = s.alloc();
+        s.free(a);
+        let layout = s.layout();
+        let (next, _) = s.allocator_state();
+        let mem = s.into_mem();
+        let err = ChunkStore::from_parts(mem, layout, next, vec![a.0, a.0]).unwrap_err();
+        assert_eq!(err, "free list repeats a chunk");
     }
 
     #[test]

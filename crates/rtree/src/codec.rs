@@ -24,7 +24,7 @@
 //! only the byte order inside the chunk changes. The win is that a window
 //! test over a whole node becomes four contiguous `f64` lane scans the
 //! compiler can vectorize; [`LaneNode::window_hits`] produces the hit set
-//! as a bitmask in one branchless pass.
+//! as a bitmask without branches.
 
 use std::fmt;
 
@@ -49,6 +49,11 @@ const LANE_YMAX: usize = 3;
 const LANE_CHILD: usize = 4;
 /// Upper bound on fanout so a node's hit set fits a `u128` bitmask.
 pub const MAX_BITMASK_ENTRIES: usize = 128;
+/// Logical payload bytes of the largest chunk: whole lines holding the
+/// header and five lanes at [`MAX_BITMASK_ENTRIES`].
+const MAX_LOGICAL_BYTES: usize = (NODE_HEADER_BYTES + ENTRY_BYTES * MAX_BITMASK_ENTRIES)
+    .div_ceil(LINE_PAYLOAD_BYTES)
+    * LINE_PAYLOAD_BYTES;
 const NODE_MAGIC: u32 = 0x5254_4E44; // "RTND"
 const META_MAGIC: u64 = 0x4341_5446_4953_4830; // "CATFISH0"
 const DATA_TAG: u64 = 1 << 63;
@@ -166,9 +171,11 @@ impl ChunkLayout {
         out
     }
 
-    /// Serializes `node` directly into `out` (cleared and resized), packing
-    /// the versioned lines in place. Reusing `out` across calls makes the
-    /// write path allocation-free in steady state.
+    /// Serializes `node` directly into `out` (cleared and resized). The
+    /// header and the five lanes are laid out in a stack image of the
+    /// logical payload, which is then stamped and packed line by line.
+    /// Reusing `out` across calls makes the write path allocation-free in
+    /// steady state.
     ///
     /// # Panics
     ///
@@ -180,38 +187,14 @@ impl ChunkLayout {
             node.entries.len(),
             self.max_entries
         );
-        out.clear();
-        out.resize(self.lines * LINE_BYTES, 0);
-        for line in 0..self.lines {
-            let dst = line * LINE_BYTES;
-            out[dst..dst + LINE_VERSION_BYTES].copy_from_slice(&version.to_le_bytes());
-        }
-        write_packed(out, 0, &NODE_MAGIC.to_le_bytes());
-        write_packed(out, 4, &node.level.to_le_bytes());
-        write_packed(out, 8, &(node.entries.len() as u32).to_le_bytes());
+        let mut image = [0u8; MAX_LOGICAL_BYTES];
+        let logical = &mut image[..self.lines * LINE_PAYLOAD_BYTES];
+        logical[0..4].copy_from_slice(&NODE_MAGIC.to_le_bytes());
+        logical[4..8].copy_from_slice(&node.level.to_le_bytes());
+        logical[8..12].copy_from_slice(&(node.entries.len() as u32).to_le_bytes());
         // Logical bytes 12..16 reserved (left zero). Entries go into the
         // five SoA lanes (see the module docs).
         for (i, e) in node.entries.iter().enumerate() {
-            write_packed(
-                out,
-                self.lane_off(LANE_XMIN, i),
-                &e.mbr.min_x().to_le_bytes(),
-            );
-            write_packed(
-                out,
-                self.lane_off(LANE_YMIN, i),
-                &e.mbr.min_y().to_le_bytes(),
-            );
-            write_packed(
-                out,
-                self.lane_off(LANE_XMAX, i),
-                &e.mbr.max_x().to_le_bytes(),
-            );
-            write_packed(
-                out,
-                self.lane_off(LANE_YMAX, i),
-                &e.mbr.max_y().to_le_bytes(),
-            );
             let raw = match e.child {
                 EntryRef::Node(id) => {
                     let v = u64::from(id.0);
@@ -223,8 +206,19 @@ impl ChunkLayout {
                     d | DATA_TAG
                 }
             };
-            write_packed(out, self.lane_off(LANE_CHILD, i), &raw.to_le_bytes());
+            let words = [
+                e.mbr.min_x().to_bits(),
+                e.mbr.min_y().to_bits(),
+                e.mbr.max_x().to_bits(),
+                e.mbr.max_y().to_bits(),
+                raw,
+            ];
+            for (f, w) in words.into_iter().enumerate() {
+                let at = self.lane_off(f, i);
+                logical[at..at + 8].copy_from_slice(&w.to_le_bytes());
+            }
         }
+        pack_lines_into(logical, version, self.lines, out);
     }
 
     /// Deserializes a node chunk, validating version consistency.
@@ -240,44 +234,40 @@ impl ChunkLayout {
     }
 
     /// Deserializes a node chunk into `node`, reusing its entry buffer, and
-    /// returns the chunk version. Fields are parsed straight out of the
-    /// packed lines (no intermediate logical buffer), so with a warm `node`
-    /// the whole decode performs zero heap allocations.
+    /// returns the chunk version. The payload is de-stitched from the
+    /// packed lines into a stack image, one whole line segment at a time,
+    /// so with a warm `node` the whole decode performs zero heap
+    /// allocations.
     ///
     /// On error `node` is left in an unspecified (but valid) state.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ChunkLayout::decode_node`].
+    /// Same conditions as [`ChunkLayout::decode_node`]. Entries are
+    /// checked in order, the rectangle before the child word, and the
+    /// first failure is reported.
     pub fn decode_node_into(&self, chunk: &[u8], node: &mut Node) -> Result<u64, CodecError> {
-        let version = chunk_version(chunk, self.lines)?;
-        let magic = u32::from_le_bytes(read_packed::<4>(chunk, 0));
-        if magic != NODE_MAGIC {
-            return Err(CodecError::Malformed("bad node magic"));
-        }
-        let level = u32::from_le_bytes(read_packed::<4>(chunk, 4));
-        let count = u32::from_le_bytes(read_packed::<4>(chunk, 8)) as usize;
-        if count > self.max_entries {
-            return Err(CodecError::Malformed("entry count exceeds layout fanout"));
-        }
-        if level > 64 {
-            return Err(CodecError::Malformed("implausible node level"));
-        }
+        let mut image = [0u8; MAX_LOGICAL_BYTES];
+        let (version, level, count) = self.unpack_node(chunk, &mut image)?;
+        let word = |f: usize, i: usize| {
+            let at = self.lane_off(f, i);
+            u64::from_le_bytes(image[at..at + 8].try_into().expect("sized"))
+        };
         node.level = level;
         node.entries.clear();
         for i in 0..count {
-            let f =
-                |lane: usize| f64::from_le_bytes(read_packed::<8>(chunk, self.lane_off(lane, i)));
-            let (min_x, min_y, max_x, max_y) =
-                (f(LANE_XMIN), f(LANE_YMIN), f(LANE_XMAX), f(LANE_YMAX));
+            let min_x = f64::from_bits(word(LANE_XMIN, i));
+            let min_y = f64::from_bits(word(LANE_YMIN, i));
+            let max_x = f64::from_bits(word(LANE_XMAX, i));
+            let max_y = f64::from_bits(word(LANE_YMAX, i));
             if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite())
                 || min_x > max_x
                 || min_y > max_y
             {
                 return Err(CodecError::Malformed("invalid entry rectangle"));
             }
-            let mbr = Rect::new(min_x, min_y, max_x, max_y);
-            let child = self.child_at(chunk, i, level)?;
+            let mbr = Rect::from_checked(min_x, min_y, max_x, max_y);
+            let child = child_from_raw(word(LANE_CHILD, i), level)?;
             node.entries.push(Entry { mbr, child });
         }
         Ok(version)
@@ -297,16 +287,13 @@ impl ChunkLayout {
     ///
     /// Same conditions, and the same error, as [`ChunkLayout::decode_node`].
     pub fn validate_node(&self, chunk: &[u8]) -> Result<u32, CodecError> {
-        let (_, level, count) = self.node_header(chunk)?;
-        // De-stitch the five lanes into one stack buffer, then check every
-        // entry in a single pass over contiguous words.
-        let mut buf = [0u8; 5 * 8 * MAX_BITMASK_ENTRIES];
-        let n = 8 * count;
-        for (f, lane) in buf[..5 * n].chunks_exact_mut(n.max(1)).enumerate() {
-            copy_logical(chunk, self.lane_off(f, 0), lane);
-        }
+        let mut image = [0u8; MAX_LOGICAL_BYTES];
+        let (_, level, count) = self.unpack_node(chunk, &mut image)?;
         let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("sized"));
-        let lanes = |f: usize| buf[f * n..(f + 1) * n].chunks_exact(8).map(word);
+        let lanes = |f: usize| {
+            let at = self.lane_off(f, 0);
+            image[at..at + 8 * count].chunks_exact(8).map(word)
+        };
         let mut ok = true;
         for ((((min_x, min_y), max_x), max_y), raw) in lanes(LANE_XMIN)
             .map(f64::from_bits)
@@ -347,20 +334,7 @@ impl ChunkLayout {
     /// child id exceeds `u32`.
     pub fn child_at(&self, chunk: &[u8], i: usize, level: u32) -> Result<EntryRef, CodecError> {
         let raw = u64::from_le_bytes(read_packed::<8>(chunk, self.lane_off(LANE_CHILD, i)));
-        if level == 0 {
-            if raw & DATA_TAG == 0 {
-                return Err(CodecError::Malformed("leaf entry without data tag"));
-            }
-            Ok(EntryRef::Data(raw & !DATA_TAG))
-        } else {
-            if raw & DATA_TAG != 0 {
-                return Err(CodecError::Malformed("internal entry with data tag"));
-            }
-            if raw > u64::from(u32::MAX) {
-                return Err(CodecError::Malformed("child id out of range"));
-            }
-            Ok(EntryRef::Node(NodeId(raw as u32)))
-        }
+        child_from_raw(raw, level)
     }
 
     /// Deserializes only the coordinate lanes of a node chunk into `lane`,
@@ -376,37 +350,53 @@ impl ChunkLayout {
     ///
     /// Same conditions as [`ChunkLayout::decode_node`].
     pub fn decode_lanes_into(&self, chunk: &[u8], lane: &mut LaneNode) -> Result<u64, CodecError> {
-        let (version, level, count) = self.node_header(chunk)?;
+        lane.image.resize(self.lines * LINE_PAYLOAD_BYTES, 0);
+        let (version, level, count) = self.unpack_node(chunk, &mut lane.image)?;
         lane.level = level;
         lane.count = count;
-        lane.raw.clear();
-        lane.raw.resize(4 * count * 8, 0);
+        lane.lanes.clear();
         for f in 0..4 {
-            copy_logical(
-                chunk,
-                self.lane_off(f, 0),
-                &mut lane.raw[f * count * 8..(f + 1) * count * 8],
+            let at = self.lane_off(f, 0);
+            lane.lanes.extend(
+                lane.image[at..at + 8 * count]
+                    .chunks_exact(8)
+                    .map(|b| f64::from_le_bytes(b.try_into().expect("sized"))),
             );
         }
-        lane.lanes.clear();
-        lane.lanes.extend(
-            lane.raw
-                .chunks_exact(8)
-                .map(|b| f64::from_le_bytes(b.try_into().expect("sized"))),
-        );
         Ok(version)
     }
 
-    /// Checks a node chunk's line versions and header, returning
-    /// `(version, level, count)`.
-    fn node_header(&self, chunk: &[u8]) -> Result<(u64, u32, usize), CodecError> {
-        let version = chunk_version(chunk, self.lines)?;
-        let magic = u32::from_le_bytes(read_packed::<4>(chunk, 0));
-        if magic != NODE_MAGIC {
+    /// Checks a node chunk's line versions, de-stitches its logical
+    /// payload into `image` with one whole-segment copy per line, and
+    /// checks the header, returning `(version, level, count)`. Element `i`
+    /// of lane `f` is then at `image[lane_off(f, i)..][..8]`.
+    ///
+    /// Errors come in the order [`chunk_version`] and the header checks
+    /// give them: length, then the first disagreeing stamp, then magic,
+    /// count and level.
+    fn unpack_node(&self, chunk: &[u8], image: &mut [u8]) -> Result<(u64, u32, usize), CodecError> {
+        if chunk.len() != self.lines * LINE_BYTES {
+            return Err(CodecError::Malformed("chunk length mismatch"));
+        }
+        let stamp = |line: &[u8]| u64::from_le_bytes(line[..8].try_into().expect("sized"));
+        let version = stamp(chunk);
+        let mut torn = false;
+        for (line, payload) in chunk
+            .chunks_exact(LINE_BYTES)
+            .zip(image[..self.lines * LINE_PAYLOAD_BYTES].chunks_exact_mut(LINE_PAYLOAD_BYTES))
+        {
+            torn |= stamp(line) != version;
+            payload.copy_from_slice(&line[LINE_VERSION_BYTES..]);
+        }
+        if torn {
+            return Err(chunk_version(chunk, self.lines).expect_err("a line stamp disagrees"));
+        }
+        let field = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().expect("sized"));
+        if field(0) != NODE_MAGIC {
             return Err(CodecError::Malformed("bad node magic"));
         }
-        let level = u32::from_le_bytes(read_packed::<4>(chunk, 4));
-        let count = u32::from_le_bytes(read_packed::<4>(chunk, 8)) as usize;
+        let level = field(4);
+        let count = field(8) as usize;
         if count > self.max_entries {
             return Err(CodecError::Malformed("entry count exceeds layout fanout"));
         }
@@ -418,14 +408,23 @@ impl ChunkLayout {
 
     /// Serializes tree metadata into chunk 0's format.
     pub fn encode_meta(&self, meta: &TreeMeta, version: u64) -> Vec<u8> {
-        let mut logical = vec![0u8; self.lines * LINE_PAYLOAD_BYTES];
+        let mut out = Vec::new();
+        self.encode_meta_into(meta, version, &mut out);
+        out
+    }
+
+    /// Serializes tree metadata into `out` (cleared and resized), without
+    /// allocating once `out` has grown to a chunk.
+    pub(crate) fn encode_meta_into(&self, meta: &TreeMeta, version: u64, out: &mut Vec<u8>) {
+        let mut image = [0u8; MAX_LOGICAL_BYTES];
+        let logical = &mut image[..self.lines * LINE_PAYLOAD_BYTES];
         logical[0..8].copy_from_slice(&META_MAGIC.to_le_bytes());
         let root_raw = meta.root.map_or(0, |id| id.0 + 1);
         logical[8..12].copy_from_slice(&root_raw.to_le_bytes());
         logical[12..16].copy_from_slice(&meta.height.to_le_bytes());
         logical[16..24].copy_from_slice(&meta.len.to_le_bytes());
         logical[24..32].copy_from_slice(&meta.structure_version.to_le_bytes());
-        self.pack_lines(&logical, version)
+        pack_lines_into(logical, version, self.lines, out);
     }
 
     /// Deserializes tree metadata, validating version consistency.
@@ -460,10 +459,6 @@ impl ChunkLayout {
             },
             version,
         ))
-    }
-
-    fn pack_lines(&self, logical: &[u8], version: u64) -> Vec<u8> {
-        pack_lines(logical, version, self.lines)
     }
 
     fn unpack_lines(&self, chunk: &[u8]) -> Result<(Vec<u8>, u64), CodecError> {
@@ -501,9 +496,8 @@ pub struct LaneNode {
     count: usize,
     /// `4 * count` values at stride `count`: xmin, ymin, xmax, ymax.
     lanes: Vec<f64>,
-    /// Byte-level staging for the lane copy (little-endian coordinate
-    /// words, de-stitched from the versioned lines).
-    raw: Vec<u8>,
+    /// The chunk's logical payload, de-stitched from the versioned lines.
+    image: Vec<u8>,
 }
 
 impl LaneNode {
@@ -523,7 +517,7 @@ impl LaneNode {
     }
 
     /// Bitmask of entries whose MBR intersects `query` (bit `i` set means
-    /// entry `i` hits), computed in one branchless pass over the lanes.
+    /// entry `i` hits), computed branchlessly over the lanes.
     ///
     /// Closed-interval semantics identical to [`Rect::intersects`]; an
     /// entry with any NaN coordinate never matches, mirroring the scalar
@@ -536,10 +530,18 @@ impl LaneNode {
         let (xmax, rest) = rest.split_at(n);
         let ymax = &rest[..n];
         let (qxl, qyl, qxh, qyh) = (query.min_x(), query.min_y(), query.max_x(), query.max_y());
+        // One 0/1 byte per entry (a loop the compiler vectorizes), then
+        // eight bytes at a time gathered into eight mask bits: the multiply
+        // moves byte j's low bit to bit 56 + j, and no two terms overlap.
+        let mut bytes = [0u8; MAX_BITMASK_ENTRIES];
+        for (i, b) in bytes[..n].iter_mut().enumerate() {
+            *b =
+                u8::from((xmin[i] <= qxh) & (qxl <= xmax[i]) & (ymin[i] <= qyh) & (qyl <= ymax[i]));
+        }
         let mut mask = 0u128;
-        for i in 0..n {
-            let hit = (xmin[i] <= qxh) & (qxl <= xmax[i]) & (ymin[i] <= qyh) & (qyl <= ymax[i]);
-            mask |= (hit as u128) << i;
+        for (k, group) in bytes[..n.div_ceil(8) * 8].chunks_exact(8).enumerate() {
+            let group = u64::from_le_bytes(group.try_into().expect("sized"));
+            mask |= u128::from(group.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
         }
         mask
     }
@@ -653,6 +655,26 @@ impl RemoteLayout for ChunkLayout {
     }
 }
 
+/// Decodes a tagged child word, validating the tag against the node
+/// `level`.
+#[inline]
+fn child_from_raw(raw: u64, level: u32) -> Result<EntryRef, CodecError> {
+    if level == 0 {
+        if raw & DATA_TAG == 0 {
+            return Err(CodecError::Malformed("leaf entry without data tag"));
+        }
+        Ok(EntryRef::Data(raw & !DATA_TAG))
+    } else {
+        if raw & DATA_TAG != 0 {
+            return Err(CodecError::Malformed("internal entry with data tag"));
+        }
+        if raw > u64::from(u32::MAX) {
+            return Err(CodecError::Malformed("child id out of range"));
+        }
+        Ok(EntryRef::Node(NodeId(raw as u32)))
+    }
+}
+
 /// Validates that every line stamp of a packed chunk agrees and returns the
 /// common version. This is the allocation-free half of [`unpack_lines`]:
 /// zero-copy readers call it once, then parse fields straight out of the
@@ -690,24 +712,6 @@ fn payload_pos(logical: usize) -> usize {
     (logical / LINE_PAYLOAD_BYTES) * LINE_BYTES
         + LINE_VERSION_BYTES
         + (logical % LINE_PAYLOAD_BYTES)
-}
-
-/// Copies `out.len()` logical payload bytes starting at `logical_start`
-/// out of a packed chunk, walking whole 56-byte payload segments instead
-/// of stitching field by field. This is the bulk path behind
-/// [`ChunkLayout::decode_lanes_into`].
-#[inline]
-fn copy_logical(chunk: &[u8], logical_start: usize, out: &mut [u8]) {
-    let mut pos = logical_start;
-    let mut written = 0;
-    while written < out.len() {
-        let in_line = LINE_PAYLOAD_BYTES - pos % LINE_PAYLOAD_BYTES;
-        let take = in_line.min(out.len() - written);
-        let src = payload_pos(pos);
-        out[written..written + take].copy_from_slice(&chunk[src..src + take]);
-        written += take;
-        pos += take;
-    }
 }
 
 /// Reads `N` logical payload bytes at `logical` straight out of a packed
@@ -753,20 +757,28 @@ pub fn write_packed(chunk: &mut [u8], logical: usize, data: &[u8]) {
 ///
 /// Panics if `logical` is not exactly `lines * 56` bytes.
 pub fn pack_lines(logical: &[u8], version: u64, lines: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    pack_lines_into(logical, version, lines, &mut out);
+    out
+}
+
+/// [`pack_lines`] into `out` (cleared first), reusing its allocation.
+///
+/// # Panics
+///
+/// Same conditions as [`pack_lines`].
+fn pack_lines_into(logical: &[u8], version: u64, lines: usize, out: &mut Vec<u8>) {
     assert_eq!(
         logical.len(),
         lines * LINE_PAYLOAD_BYTES,
         "logical buffer must fill the lines exactly"
     );
-    let mut out = vec![0u8; lines * LINE_BYTES];
-    for line in 0..lines {
-        let dst = line * LINE_BYTES;
-        out[dst..dst + LINE_VERSION_BYTES].copy_from_slice(&version.to_le_bytes());
-        let src = line * LINE_PAYLOAD_BYTES;
-        out[dst + LINE_VERSION_BYTES..dst + LINE_BYTES]
-            .copy_from_slice(&logical[src..src + LINE_PAYLOAD_BYTES]);
+    out.clear();
+    out.reserve(lines * LINE_BYTES);
+    for payload in logical.chunks_exact(LINE_PAYLOAD_BYTES) {
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(payload);
     }
-    out
 }
 
 /// Reassembles the logical bytes of a versioned chunk, validating that all
@@ -805,6 +817,175 @@ pub fn unpack_lines(chunk: &[u8], lines: usize) -> Result<(Vec<u8>, u64), CodecE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The field-by-field encoder the lane-bulk one replaced, kept as its
+    /// oracle: one stitched `write_packed` per header field and per lane
+    /// word.
+    fn encode_fieldwise(l: &ChunkLayout, node: &Node, version: u64) -> Vec<u8> {
+        let mut out = vec![0u8; l.lines * LINE_BYTES];
+        for line in 0..l.lines {
+            let dst = line * LINE_BYTES;
+            out[dst..dst + LINE_VERSION_BYTES].copy_from_slice(&version.to_le_bytes());
+        }
+        write_packed(&mut out, 0, &NODE_MAGIC.to_le_bytes());
+        write_packed(&mut out, 4, &node.level.to_le_bytes());
+        write_packed(&mut out, 8, &(node.entries.len() as u32).to_le_bytes());
+        for (i, e) in node.entries.iter().enumerate() {
+            let lanes = [e.mbr.min_x(), e.mbr.min_y(), e.mbr.max_x(), e.mbr.max_y()];
+            for (f, v) in lanes.into_iter().enumerate() {
+                write_packed(&mut out, l.lane_off(f, i), &v.to_le_bytes());
+            }
+            let raw = match e.child {
+                EntryRef::Node(id) => u64::from(id.0),
+                EntryRef::Data(d) => d | DATA_TAG,
+            };
+            write_packed(&mut out, l.lane_off(LANE_CHILD, i), &raw.to_le_bytes());
+        }
+        out
+    }
+
+    /// The field-by-field decoder the lane-bulk one replaced, kept as its
+    /// oracle: one stitched `read_packed` per header field and lane word.
+    fn decode_fieldwise(l: &ChunkLayout, chunk: &[u8]) -> Result<(Node, u64), CodecError> {
+        let version = chunk_version(chunk, l.lines)?;
+        let magic = u32::from_le_bytes(read_packed::<4>(chunk, 0));
+        if magic != NODE_MAGIC {
+            return Err(CodecError::Malformed("bad node magic"));
+        }
+        let level = u32::from_le_bytes(read_packed::<4>(chunk, 4));
+        let count = u32::from_le_bytes(read_packed::<4>(chunk, 8)) as usize;
+        if count > l.max_entries {
+            return Err(CodecError::Malformed("entry count exceeds layout fanout"));
+        }
+        if level > 64 {
+            return Err(CodecError::Malformed("implausible node level"));
+        }
+        let mut node = Node::new(level);
+        for i in 0..count {
+            let f = |lane: usize| f64::from_le_bytes(read_packed::<8>(chunk, l.lane_off(lane, i)));
+            let (min_x, min_y, max_x, max_y) =
+                (f(LANE_XMIN), f(LANE_YMIN), f(LANE_XMAX), f(LANE_YMAX));
+            if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite())
+                || min_x > max_x
+                || min_y > max_y
+            {
+                return Err(CodecError::Malformed("invalid entry rectangle"));
+            }
+            let mbr = Rect::new(min_x, min_y, max_x, max_y);
+            let raw = u64::from_le_bytes(read_packed::<8>(chunk, l.lane_off(LANE_CHILD, i)));
+            let child = if level == 0 {
+                if raw & DATA_TAG == 0 {
+                    return Err(CodecError::Malformed("leaf entry without data tag"));
+                }
+                EntryRef::Data(raw & !DATA_TAG)
+            } else {
+                if raw & DATA_TAG != 0 {
+                    return Err(CodecError::Malformed("internal entry with data tag"));
+                }
+                if raw > u64::from(u32::MAX) {
+                    return Err(CodecError::Malformed("child id out of range"));
+                }
+                EntryRef::Node(NodeId(raw as u32))
+            };
+            node.entries.push(Entry { mbr, child });
+        }
+        Ok((node, version))
+    }
+
+    const FANOUTS: [usize; 3] = [4, 88, 128];
+
+    /// A node for fanout `FANOUTS[fanout]`: level, entries (truncated to
+    /// the fanout) and a version. Coordinates include negatives and zero
+    /// extents; child words use the full id and payload ranges.
+    fn arb_node() -> impl Strategy<Value = (ChunkLayout, Node, u64)> {
+        let entry = (
+            -1e6f64..1e6,
+            -1e6f64..1e6,
+            prop_oneof![0.0f64..1.0, 0.0f64..1e-300, 0.0f64..1e3],
+            0.0f64..10.0,
+            any::<u64>(),
+        );
+        (
+            0usize..FANOUTS.len(),
+            0u32..5,
+            prop::collection::vec(entry, 0..129),
+            any::<u64>(),
+        )
+            .prop_map(|(fanout, level, entries, version)| {
+                let layout = ChunkLayout::for_max_entries(FANOUTS[fanout]);
+                let mut node = Node::new(level);
+                for (x, y, w, h, raw) in entries.into_iter().take(layout.max_entries()) {
+                    let mbr = Rect::new(x, y, x + w, y + h);
+                    node.entries.push(if level == 0 {
+                        Entry::data(mbr, raw & !DATA_TAG)
+                    } else {
+                        Entry::node(mbr, NodeId(raw as u32))
+                    });
+                }
+                (layout, node, version)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lane-bulk encoder writes the field-wise encoder's bytes,
+        /// into a fresh buffer and into a dirty reused one.
+        #[test]
+        fn encode_matches_fieldwise(case in arb_node()) {
+            let (l, node, version) = case;
+            let expected = encode_fieldwise(&l, &node, version);
+            prop_assert_eq!(l.encode_node(&node, version), expected.clone());
+            let mut dirty = vec![0xEE; 2 * l.chunk_bytes()];
+            l.encode_node_into(&node, version, &mut dirty);
+            prop_assert_eq!(dirty, expected);
+        }
+
+        /// Under any single-byte corruption — of a version stamp, the
+        /// header, a coordinate lane, a child word, or anywhere — and
+        /// under a coordinate and child corruption of one entry, the
+        /// lane-bulk decoder returns exactly the field-wise decoder's
+        /// `Result`, and `validate_node` agrees with it.
+        #[test]
+        fn decode_matches_fieldwise_under_corruption(
+            case in arb_node(),
+            region in 0usize..6,
+            pick in any::<u64>(),
+            flip in 1u32..256,
+        ) {
+            let (l, node, version) = case;
+            let mut chunk = l.encode_node(&node, version);
+            let count = node.entries.len().max(1);
+            let pick = pick as usize;
+            let pos = match region {
+                // A line's version stamp.
+                0 => (pick % l.lines) * LINE_BYTES + pick / l.lines % LINE_VERSION_BYTES,
+                // The 16-byte header.
+                1 => payload_pos(pick % NODE_HEADER_BYTES),
+                // A coordinate-lane byte of a live entry.
+                2 => payload_pos(l.lane_off(pick % 4, pick / 4 % count) + pick / 512 % 8),
+                // A child-word byte of a live entry.
+                3 => payload_pos(l.lane_off(LANE_CHILD, pick % count) + pick / 256 % 8),
+                // The top byte of one coordinate and of the child word of
+                // the same entry, so check order within an entry shows.
+                4 => {
+                    let i = pick / 4 % count;
+                    let child = payload_pos(l.lane_off(LANE_CHILD, i) + 7);
+                    chunk[child] ^= (flip >> 1) as u8 | 0x80;
+                    payload_pos(l.lane_off(pick % 4, i) + 7)
+                }
+                _ => pick % chunk.len(),
+            };
+            chunk[pos] ^= flip as u8;
+            let expected = decode_fieldwise(&l, &chunk);
+            prop_assert_eq!(l.decode_node(&chunk), expected.clone());
+            prop_assert_eq!(
+                l.validate_node(&chunk),
+                expected.map(|(n, _)| n.level)
+            );
+        }
+    }
 
     fn sample_leaf() -> Node {
         let mut n = Node::new(0);
@@ -902,7 +1083,7 @@ mod tests {
     #[test]
     fn garbage_magic_rejected() {
         let l = ChunkLayout::for_max_entries(16);
-        let chunk = l.pack_lines(&vec![0xAB; l.lines() * LINE_PAYLOAD_BYTES], 1);
+        let chunk = pack_lines(&vec![0xAB; l.lines() * LINE_PAYLOAD_BYTES], 1, l.lines());
         assert!(matches!(
             l.decode_node(&chunk),
             Err(CodecError::Malformed(_))
@@ -1047,7 +1228,7 @@ mod tests {
                 conflicting: 4
             })
         );
-        let garbage = l.pack_lines(&vec![0xAB; l.lines() * LINE_PAYLOAD_BYTES], 1);
+        let garbage = pack_lines(&vec![0xAB; l.lines() * LINE_PAYLOAD_BYTES], 1, l.lines());
         assert!(matches!(
             l.decode_lanes_into(&garbage, &mut lanes),
             Err(CodecError::Malformed(_))
@@ -1094,7 +1275,7 @@ mod tests {
         let chunk = l.encode_node(&sample_internal(), 3);
         let (mut logical, v) = l.unpack_lines(&chunk).unwrap();
         logical[4..8].copy_from_slice(&0u32.to_le_bytes());
-        let retagged = l.pack_lines(&logical, v);
+        let retagged = pack_lines(&logical, v, l.lines());
         assert_eq!(
             l.decode_node(&retagged),
             Err(CodecError::Malformed("leaf entry without data tag"))

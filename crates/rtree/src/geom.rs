@@ -53,6 +53,22 @@ impl Rect {
         }
     }
 
+    /// Builds a rectangle whose coordinates the caller has already checked
+    /// against [`Rect::new`]'s conditions (finite, min not above max).
+    #[inline]
+    pub(crate) fn from_checked(min_x: f64, min_y: f64, max_x: f64, max_y: f64) -> Self {
+        debug_assert!(
+            min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite()
+        );
+        debug_assert!(min_x <= max_x && min_y <= max_y);
+        Rect {
+            min_x,
+            min_y,
+            max_x,
+            max_y,
+        }
+    }
+
     /// A zero-area rectangle at a point.
     pub fn point(x: f64, y: f64) -> Self {
         Rect::new(x, y, x, y)

@@ -5,6 +5,7 @@
 //! chunk memory.
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 use crate::geom::Rect;
 use crate::node::{Entry, EntryRef, Node, NodeId, RTreeConfig};
@@ -227,22 +228,25 @@ impl<S: NodeStore> RTree<S> {
             self.store.set_meta(meta);
             return;
         }
-        let mut reinserted = HashSet::new();
-        self.insert_entry(Entry::data(rect, data), 0, &mut reinserted);
+        self.insert_entry(Entry::data(rect, data), 0, &mut 0);
         let mut meta = self.store.meta();
         meta.len += 1;
         self.store.set_meta(meta);
     }
 
     /// Inserts `entry` into some node at `level` (0 = leaf level).
-    fn insert_entry(&mut self, entry: Entry, level: u32, reinserted: &mut HashSet<u32>) {
-        let (target, path) = self.choose_path(&entry.mbr, level);
-        self.add_to_node(target, path, entry, reinserted);
+    ///
+    /// `reinserted` has bit `l` set once level `l` has had its forced
+    /// reinsertion during the current top-level insert (node levels are at
+    /// most 64; the codec rejects anything higher).
+    fn insert_entry(&mut self, entry: Entry, level: u32, reinserted: &mut u128) {
+        let (target, node, path) = self.choose_path(&entry.mbr, level);
+        self.add_to_node(target, node, path, entry, reinserted);
     }
 
-    /// Descends from the root to a node at `target_level`, recording the
-    /// path as `(parent, child_index)` pairs.
-    fn choose_path(&self, mbr: &Rect, target_level: u32) -> (NodeId, Vec<(NodeId, usize)>) {
+    /// Descends from the root to a node at `target_level`, returning its id,
+    /// a copy of it, and the path as `(parent, child_index)` pairs.
+    fn choose_path(&self, mbr: &Rect, target_level: u32) -> (NodeId, Node, Vec<(NodeId, usize)>) {
         let meta = self.store.meta();
         let mut id = meta.root.expect("choose_path requires a non-empty tree");
         let mut path = Vec::with_capacity(meta.height as usize);
@@ -250,14 +254,17 @@ impl<S: NodeStore> RTree<S> {
             let next = self.store.visit(id, |node| {
                 debug_assert!(node.level >= target_level, "descended past target level");
                 if node.level == target_level {
-                    return None;
+                    return ControlFlow::Break(node.clone());
                 }
                 let idx = self.choose_subtree_index(node, mbr);
-                Some((idx, node.entries[idx].child.node().expect("internal entry")))
+                ControlFlow::Continue((
+                    idx,
+                    node.entries[idx].child.node().expect("internal entry"),
+                ))
             });
             match next {
-                None => return (id, path),
-                Some((idx, child)) => {
+                ControlFlow::Break(node) => return (id, node, path),
+                ControlFlow::Continue((idx, child)) => {
                     path.push((id, idx));
                     id = child;
                 }
@@ -266,36 +273,14 @@ impl<S: NodeStore> RTree<S> {
     }
 
     /// R\* ChooseSubtree: minimum overlap enlargement when children are
-    /// leaves, minimum area enlargement otherwise; ties by area.
+    /// leaves, minimum area enlargement otherwise; ties by area, then by
+    /// lowest index.
     fn choose_subtree_index(&self, node: &Node, mbr: &Rect) -> usize {
         debug_assert!(!node.is_leaf());
         let entries = &node.entries;
         if node.level == 1 {
             // Children are leaves: minimize overlap enlargement.
-            let mut best = 0usize;
-            let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            for (i, e) in entries.iter().enumerate() {
-                let enlarged = e.mbr.union(mbr);
-                let mut overlap_before = 0.0;
-                let mut overlap_after = 0.0;
-                for (j, o) in entries.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    overlap_before += e.mbr.intersection_area(&o.mbr);
-                    overlap_after += enlarged.intersection_area(&o.mbr);
-                }
-                let key = (
-                    overlap_after - overlap_before,
-                    e.mbr.enlargement(mbr),
-                    e.mbr.area(),
-                );
-                if key < best_key {
-                    best_key = key;
-                    best = i;
-                }
-            }
-            best
+            choose_leaf_parent(entries, mbr)
         } else {
             let mut best = 0usize;
             let mut best_key = (f64::INFINITY, f64::INFINITY);
@@ -310,27 +295,28 @@ impl<S: NodeStore> RTree<S> {
         }
     }
 
-    /// Adds `entry` to the node at `id`, handling overflow with forced
-    /// reinsertion (once per level per top-level insert) or an R\* split
-    /// that may propagate to the root.
+    /// Adds `entry` to `node`, the current content of the node at `id`,
+    /// handling overflow with forced reinsertion (once per level per
+    /// top-level insert) or an R\* split that may propagate to the root.
     fn add_to_node(
         &mut self,
         id: NodeId,
+        mut node: Node,
         mut path: Vec<(NodeId, usize)>,
         entry: Entry,
-        reinserted: &mut HashSet<u32>,
+        reinserted: &mut u128,
     ) {
-        let mut node = self.store.read(id);
         node.entries.push(entry);
         if node.entries.len() <= self.config.max_entries {
             self.store.write(id, &node);
-            self.adjust_upward(&path);
+            self.adjust_upward(&path, node.mbr().expect("node holds the new entry"));
             return;
         }
 
         let root_level = self.store.meta().height - 1;
-        if node.level < root_level && !reinserted.contains(&node.level) {
-            reinserted.insert(node.level);
+        let level_bit = 1u128 << node.level;
+        if node.level < root_level && *reinserted & level_bit == 0 {
+            *reinserted |= level_bit;
             self.force_reinsert(id, path, node, reinserted);
             return;
         }
@@ -368,7 +354,8 @@ impl<S: NodeStore> RTree<S> {
                 let mut parent = self.store.read(parent_id);
                 parent.entries[idx].mbr = mbr_a;
                 self.store.write(parent_id, &parent);
-                self.add_to_node(parent_id, path, Entry::node(mbr_b, sibling_id), reinserted);
+                let entry = Entry::node(mbr_b, sibling_id);
+                self.add_to_node(parent_id, parent, path, entry, reinserted);
             }
         }
     }
@@ -381,7 +368,7 @@ impl<S: NodeStore> RTree<S> {
         id: NodeId,
         path: Vec<(NodeId, usize)>,
         mut node: Node,
-        reinserted: &mut HashSet<u32>,
+        reinserted: &mut u128,
     ) {
         self.bump_structure_version();
         let node_mbr = node.mbr().expect("overflowing node is non-empty");
@@ -399,7 +386,7 @@ impl<S: NodeStore> RTree<S> {
         node.entries = keyed.into_iter().map(|(_, e)| e).collect();
         let level = node.level;
         self.store.write(id, &node);
-        self.adjust_upward(&path);
+        self.adjust_upward(&path, node.mbr().expect("reinsertion keeps entries"));
         // "Close reinsert": nearest of the evicted entries first.
         for e in evicted.into_iter().rev() {
             self.insert_entry(e, level, reinserted);
@@ -407,20 +394,19 @@ impl<S: NodeStore> RTree<S> {
     }
 
     /// Recomputes parent MBRs along `path` from the deepest node upward,
-    /// stopping early once nothing changes.
-    fn adjust_upward(&mut self, path: &[(NodeId, usize)]) {
+    /// given that node's MBR `child_mbr`, stopping early once nothing
+    /// changes.
+    fn adjust_upward(&mut self, path: &[(NodeId, usize)], mut child_mbr: Rect) {
         for &(pid, idx) in path.iter().rev() {
-            let mut parent = self.store.read(pid);
-            let child_id = parent.entries[idx].child.node().expect("internal entry");
-            let child_mbr = self
-                .store
-                .visit(child_id, |n| n.mbr())
-                .expect("tree nodes are non-empty");
-            if parent.entries[idx].mbr == child_mbr {
+            let stale = self.store.visit(pid, |parent| {
+                (parent.entries[idx].mbr != child_mbr).then(|| parent.clone())
+            });
+            let Some(mut parent) = stale else {
                 return;
-            }
+            };
             parent.entries[idx].mbr = child_mbr;
             self.store.write(pid, &parent);
+            child_mbr = parent.mbr().expect("tree nodes are non-empty");
         }
     }
 
@@ -508,8 +494,7 @@ impl<S: NodeStore> RTree<S> {
         for orphan in orphans {
             let level = orphan.level;
             for e in orphan.entries {
-                let mut reinserted = HashSet::new();
-                self.insert_entry(e, level, &mut reinserted);
+                self.insert_entry(e, level, &mut 0);
             }
         }
         self.shrink_root();
@@ -668,6 +653,90 @@ impl<S: NodeStore> RTree<S> {
     }
 }
 
+/// The R\* key of `entries[i]` as the parent of a new leaf entry `mbr`:
+/// `(overlap enlargement, area enlargement, area)`.
+fn overlap_key(entries: &[Entry], i: usize, mbr: &Rect) -> (f64, f64, f64) {
+    let e = &entries[i];
+    let enlarged = e.mbr.union(mbr);
+    let mut overlap_before = 0.0;
+    let mut overlap_after = 0.0;
+    for (j, o) in entries.iter().enumerate() {
+        if i == j {
+            continue;
+        }
+        overlap_before += e.mbr.intersection_area(&o.mbr);
+        overlap_after += enlarged.intersection_area(&o.mbr);
+    }
+    (
+        overlap_after - overlap_before,
+        e.mbr.enlargement(mbr),
+        e.mbr.area(),
+    )
+}
+
+/// R\* ChooseSubtree when the children are leaves: the index with the
+/// least [`overlap_key`], the first one on ties.
+///
+/// Each key costs O(M) intersection areas, so computing all of them is
+/// O(M²). The overlap enlargement is never negative: the enlarged
+/// rectangle contains the entry, and rounded min/max, subtraction,
+/// multiplication and summation are all monotone, so every after-term and
+/// every partial after-sum is at least its before-counterpart. Hence
+/// `((0, enlargement, area), i)` is a lower bound on `(key, i)`.
+/// Candidates are visited in that bound's order, and the scan stops at
+/// the first bound above the best `(key, index)` so far: the pick is
+/// exactly the exhaustive scan's. The order argument needs finite keys;
+/// with any non-finite bound or key every key is computed in index order.
+fn choose_leaf_parent(entries: &[Entry], mbr: &Rect) -> usize {
+    let exhaustive = || {
+        let mut best = 0usize;
+        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for i in 0..entries.len() {
+            let key = overlap_key(entries, i, mbr);
+            if key < best_key {
+                best_key = key;
+                best = i;
+            }
+        }
+        best
+    };
+    let bounds: Vec<(f64, f64, f64)> = entries
+        .iter()
+        .map(|e| (0.0, e.mbr.enlargement(mbr), e.mbr.area()))
+        .collect();
+    if !bounds.iter().all(|b| b.1.is_finite() && b.2.is_finite()) {
+        return exhaustive();
+    }
+    // `(key or bound, index)` pairs, compared lexicographically.
+    type Ranked = ((f64, f64, f64), usize);
+    let mut best: Option<Ranked> = None;
+    let mut prev: Option<Ranked> = None;
+    loop {
+        // The next candidate in (bound, index) order.
+        let mut next: Option<Ranked> = None;
+        for (i, &b) in bounds.iter().enumerate() {
+            let cand = (b, i);
+            if prev.is_none_or(|p| cand > p) && next.is_none_or(|n| cand < n) {
+                next = Some(cand);
+            }
+        }
+        let Some(cand) = next else { break };
+        if best.is_some_and(|b| cand > b) {
+            break;
+        }
+        let i = cand.1;
+        let key = overlap_key(entries, i, mbr);
+        if !key.0.is_finite() {
+            return exhaustive();
+        }
+        if best.is_none_or(|b| (key, i) < b) {
+            best = Some((key, i));
+        }
+        prev = Some(cand);
+    }
+    best.map_or(0, |(_, i)| i)
+}
+
 /// Streaming iterator returned by [`RTree::iter`].
 pub struct Iter<'a, S> {
     tree: &'a RTree<S>,
@@ -738,6 +807,177 @@ impl FromIterator<(Rect, u64)> for RTree<crate::store::MemStore> {
 mod tests {
     use super::*;
     use crate::store::MemStore;
+    use proptest::prelude::*;
+
+    /// The exhaustive level-1 ChooseSubtree scan the pruned
+    /// [`choose_leaf_parent`] replaced, kept verbatim as its oracle.
+    fn choose_leaf_parent_exhaustive(entries: &[Entry], mbr: &Rect) -> usize {
+        let mut best = 0usize;
+        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for (i, e) in entries.iter().enumerate() {
+            let enlarged = e.mbr.union(mbr);
+            let mut overlap_before = 0.0;
+            let mut overlap_after = 0.0;
+            for (j, o) in entries.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                overlap_before += e.mbr.intersection_area(&o.mbr);
+                overlap_after += enlarged.intersection_area(&o.mbr);
+            }
+            let key = (
+                overlap_after - overlap_before,
+                e.mbr.enlargement(mbr),
+                e.mbr.area(),
+            );
+            if key < best_key {
+                best_key = key;
+                best = i;
+            }
+        }
+        best
+    }
+
+    fn leaf_parent(rects: &[Rect]) -> Vec<Entry> {
+        (0u32..)
+            .zip(rects)
+            .map(|(i, &r)| Entry::node(r, NodeId(i + 1)))
+            .collect()
+    }
+
+    /// Rectangles on a coarse integer grid, so duplicates, zero-area
+    /// rectangles and exact key ties are common.
+    fn grid_rect() -> impl Strategy<Value = Rect> {
+        (0u32..8, 0u32..8, 0u32..3, 0u32..3).prop_map(|(x, y, w, h)| {
+            let (x, y) = (f64::from(x), f64::from(y));
+            Rect::new(x, y, x + f64::from(w), y + f64::from(h))
+        })
+    }
+
+    fn float_rect() -> impl Strategy<Value = Rect> {
+        (0.0f64..10.0, 0.0f64..10.0, 0.0f64..3.0, 0.0f64..3.0)
+            .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
+    }
+
+    /// Children that all contain the centre point `(5, 5)`, with grid
+    /// extents, so a small insert lands inside several of them at once.
+    fn around_centre() -> impl Strategy<Value = Rect> {
+        (0u32..4, 0u32..4, 0u32..4, 0u32..4).prop_map(|(a, b, c, d)| {
+            Rect::new(
+                5.0 - f64::from(a),
+                5.0 - f64::from(b),
+                5.0 + f64::from(c),
+                5.0 + f64::from(d),
+            )
+        })
+    }
+
+    fn any_rect() -> impl Strategy<Value = Rect> {
+        prop_oneof![grid_rect(), float_rect(), around_centre()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The pruned scan picks the exhaustive scan's index on random
+        /// leaf-parent nodes up to the largest chunk fanout.
+        #[test]
+        fn pruned_choose_subtree_matches_exhaustive(
+            rects in prop::collection::vec(any_rect(), 2..129),
+            insert in any_rect(),
+        ) {
+            let entries = leaf_parent(&rects);
+            prop_assert_eq!(
+                choose_leaf_parent(&entries, &insert),
+                choose_leaf_parent_exhaustive(&entries, &insert)
+            );
+        }
+
+        /// Same, with every child drawn from the small grid: most keys
+        /// tie with another child's.
+        #[test]
+        fn pruned_choose_subtree_matches_exhaustive_on_ties(
+            rects in prop::collection::vec(grid_rect(), 2..90),
+            insert in grid_rect(),
+        ) {
+            let entries = leaf_parent(&rects);
+            prop_assert_eq!(
+                choose_leaf_parent(&entries, &insert),
+                choose_leaf_parent_exhaustive(&entries, &insert)
+            );
+        }
+    }
+
+    #[test]
+    fn pruned_choose_subtree_edge_cases() {
+        let r = Rect::new;
+        let cases: Vec<(Vec<Rect>, Rect)> = vec![
+            // Duplicate children: every key ties, the first index wins.
+            (vec![r(0.0, 0.0, 1.0, 1.0); 5], Rect::point(0.5, 0.5)),
+            // Zero-area children and a zero-area insert.
+            (
+                vec![
+                    Rect::point(1.0, 1.0),
+                    r(0.0, 2.0, 4.0, 2.0),
+                    Rect::point(1.0, 1.0),
+                    r(3.0, 0.0, 3.0, 5.0),
+                ],
+                Rect::point(1.0, 1.0),
+            ),
+            // An insert contained in several children of different area.
+            (
+                vec![
+                    r(0.0, 0.0, 10.0, 10.0),
+                    r(4.0, 4.0, 6.0, 6.0),
+                    r(20.0, 20.0, 21.0, 21.0),
+                    r(3.0, 3.0, 7.0, 7.0),
+                    r(4.0, 4.0, 6.0, 6.0),
+                ],
+                r(4.5, 4.5, 5.0, 5.0),
+            ),
+            // Exact ties on overlap and enlargement, broken by area.
+            (
+                vec![
+                    r(0.0, 0.0, 2.0, 1.0),
+                    r(10.0, 0.0, 11.0, 1.0),
+                    r(0.0, 10.0, 1.0, 11.0),
+                ],
+                r(5.0, 5.0, 5.0, 5.0),
+            ),
+            // Areas that overflow to infinity: the non-finite fallback.
+            (
+                vec![
+                    r(-1e300, -1e300, 1e300, 1e300),
+                    r(0.0, 0.0, 1.0, 1.0),
+                    r(-1e300, 0.0, 1e300, 1e300),
+                ],
+                r(0.5, 0.5, 2.0, 2.0),
+            ),
+        ];
+        for (rects, insert) in cases {
+            let entries = leaf_parent(&rects);
+            assert_eq!(
+                choose_leaf_parent(&entries, &insert),
+                choose_leaf_parent_exhaustive(&entries, &insert),
+                "children {rects:?}, insert {insert:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn pruned_choose_subtree_picks_the_expected_child() {
+        let r = Rect::new;
+        // Contained in children 0, 1, 3 and 4 with zero overlap growth;
+        // 1 and 4 tie on the smallest area, and the lower index wins.
+        let entries = leaf_parent(&[
+            r(0.0, 0.0, 10.0, 10.0),
+            r(4.0, 4.0, 6.0, 6.0),
+            r(20.0, 20.0, 21.0, 21.0),
+            r(3.0, 3.0, 7.0, 7.0),
+            r(4.0, 4.0, 6.0, 6.0),
+        ]);
+        assert_eq!(choose_leaf_parent(&entries, &r(4.5, 4.5, 5.0, 5.0)), 1);
+    }
 
     fn small_config() -> RTreeConfig {
         RTreeConfig {
