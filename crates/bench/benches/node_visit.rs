@@ -6,11 +6,13 @@
 //! the >2x gate on this comparison lives in the `simd_sweep` binary.
 //!
 //! `node_visit_client` is what an offloading client does per chunk read:
-//! validate the bytes, then visit them on the same lane path, collecting
-//! the hits as `(mbr, payload)` items.
+//! the torn-read check of the retry loop (`chunk_version`), then one fused
+//! validate-and-unpack into the lane image (`validate_lanes_into`), then
+//! the visit over that image, collecting the hits as `(mbr, payload)`
+//! items.
 
 use catfish_core::{ClientBackend, RtreeBackend};
-use catfish_rtree::codec::{ChunkLayout, LaneNode};
+use catfish_rtree::codec::{chunk_version, ChunkLayout, LaneNode};
 use catfish_rtree::{Entry, Node, Rect};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -69,16 +71,9 @@ fn bench_node_visit(c: &mut Criterion) {
             let (mut items, mut children) = (Vec::new(), Vec::new());
             b.iter(|| {
                 items.clear();
-                layout.validate_node(&chunk).expect("valid chunk");
-                RtreeBackend::visit(
-                    &layout,
-                    &query,
-                    &chunk,
-                    &mut lanes,
-                    &mut items,
-                    &mut children,
-                )
-                .expect("leaf visit");
+                chunk_version(&chunk, layout.lines()).expect("untorn chunk");
+                RtreeBackend::validate(&layout, &chunk, &mut lanes).expect("valid chunk");
+                RtreeBackend::visit(&query, &lanes, &mut items, &mut children).expect("leaf visit");
                 items.len()
             });
         });

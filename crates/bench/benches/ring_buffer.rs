@@ -1,5 +1,7 @@
 //! Criterion micro-benchmarks of the ring-buffer protocol: full simulated
-//! send→receive cycles, including wrap-around pressure.
+//! send→receive cycles, including wrap-around pressure, plus the CRC-32
+//! every ring frame and mailbox deposit carries, at a small frame (64 B),
+//! a page (4 KiB) and a large mailbox deposit (9 KiB).
 //!
 //! These run entire mini-simulations per iteration batch, so the numbers
 //! measure simulator+protocol cost (useful for tracking regressions in the
@@ -7,7 +9,7 @@
 
 use catfish_core::conn::{establish, RkeyAllocator};
 use catfish_core::msg::Message;
-use catfish_rdma::{Endpoint, RdmaProfile};
+use catfish_rdma::{crc32, Endpoint, RdmaProfile};
 use catfish_rtree::Rect;
 use catfish_simnet::{LinkSpec, Network, Sim, SimDuration};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -58,5 +60,23 @@ fn bench_message_codec(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_ring_round_trips, bench_message_codec);
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crc32");
+    for len in [64usize, 4096, 9216] {
+        let data: Vec<u8> = (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        group.bench_with_input(BenchmarkId::from_parameter(len), &len, |b, _| {
+            b.iter(|| crc32(criterion::black_box(&data)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ring_round_trips,
+    bench_message_codec,
+    bench_crc32
+);
 criterion_main!(benches);

@@ -37,6 +37,13 @@ pub struct BpNode {
     pub next: Option<NodeId>,
 }
 
+impl Default for BpNode {
+    /// An empty leaf, as [`BpNode::leaf`].
+    fn default() -> Self {
+        BpNode::leaf()
+    }
+}
+
 impl BpNode {
     /// An empty leaf.
     pub fn leaf() -> Self {

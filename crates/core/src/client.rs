@@ -8,7 +8,7 @@
 //! rectangle expands one fetched node, and the best-first kNN that cannot
 //! be expressed as a plain frontier traversal.
 
-use catfish_rtree::codec::{ChunkLayout, LaneNode};
+use catfish_rtree::codec::{ChunkLayout, CodecError, LaneNode};
 use catfish_rtree::{min_dist_sq, EntryRef, Node, NodeId, Rect};
 use catfish_simnet::sleep;
 
@@ -33,29 +33,34 @@ impl ClientBackend for RtreeBackend {
         Message::SearchReq { seq, rect: *read }
     }
 
-    /// The server's lane path on the client: copy the coordinate lanes,
-    /// take the window bitmask, and resolve child words for the hits
+    /// De-stitches the chunk once into the lane image and checks every
+    /// entry there ([`ChunkLayout::validate_lanes_into`]).
+    fn validate(
+        layout: &ChunkLayout,
+        chunk: &[u8],
+        lanes: &mut LaneNode,
+    ) -> Result<u32, CodecError> {
+        layout.validate_lanes_into(chunk, lanes)
+    }
+
+    /// The server's lane path on the client: take the window bitmask over
+    /// the validated lane image and resolve child words for the hits
     /// only, in ascending entry order — the items and children
     /// [`RtreeBackend::expand`] produces for the decoded node.
     fn visit(
-        layout: &ChunkLayout,
         read: &Rect,
-        chunk: &[u8],
-        lanes: &mut LaneNode,
+        lanes: &LaneNode,
         items: &mut Vec<(Rect, u64)>,
         children: &mut Vec<(NodeId, u32)>,
     ) -> Result<(), Inconsistent> {
-        layout
-            .decode_lanes_into(chunk, lanes)
-            .map_err(|_| Inconsistent)?;
         let level = lanes.level();
         let mut hits = lanes.window_hits(read);
         while hits != 0 {
             let i = hits.trailing_zeros() as usize;
             hits &= hits - 1;
-            // `child_at` checks the tag against the level, so data only
-            // comes out of leaves and child ids only out of internal nodes.
-            match layout.child_at(chunk, i, level).map_err(|_| Inconsistent)? {
+            // `child` checks the tag against the level, so data only comes
+            // out of leaves and child ids only out of internal nodes.
+            match lanes.child(i).map_err(|_| Inconsistent)? {
                 EntryRef::Data(d) => items.push((lanes.rect_at(i), d)),
                 EntryRef::Node(c) => children.push((c, level - 1)),
             }
@@ -193,7 +198,7 @@ impl ServiceClient<RtreeBackend> {
     ) -> Result<Vec<(Rect, u64)>, Inconsistent> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
-        let meta = self.read_meta().await;
+        let meta = self.read_meta().await?;
         let Some(root) = meta.root else {
             return Ok(Vec::new());
         };
@@ -256,7 +261,7 @@ impl ServiceClient<RtreeBackend> {
         // Multi-chunk traversals must confirm no structural change moved
         // entries between the chunks mid-read (same rule as range reads).
         if self.stats.chunks_fetched - fetched_before >= 2 {
-            let fresh = self.refresh_meta().await;
+            let fresh = self.refresh_meta().await?;
             if fresh.structure_version != meta.structure_version {
                 return Err(Inconsistent);
             }
@@ -478,6 +483,36 @@ mod tests {
             assert_eq!(client.stats().offloaded_reads, 1);
             // Server CPU untouched by offloaded reads.
             assert_eq!(server.stats().reads, 0);
+        });
+    }
+
+    #[test]
+    fn corrupt_meta_chunk_restarts_then_falls_back_to_fast_messaging() {
+        let sim = Sim::new();
+        sim.run_until(async {
+            let (server, mut client) = build(AccessMode::Offloading, true);
+            // All-zero lines agree on their stamps, so every read of chunk
+            // 0 is untorn but fails the meta magic check.
+            let (region, chunk_bytes) = server.with_index(|t| {
+                let store = t.store();
+                (store.mem().region().clone(), store.layout().chunk_bytes())
+            });
+            region.write_local(0, &vec![0u8; chunk_bytes]);
+            let q = Rect::new(0.3, 0.05, 0.42, 0.12);
+            let mut got = client.search(&q).await;
+            got.sort_unstable();
+            assert!(!got.is_empty());
+            assert_eq!(got, expected(&server, &q));
+            let stats = client.stats();
+            assert_eq!(stats.offloaded_reads, 1);
+            assert_eq!(stats.offload_restarts, 8);
+            assert_eq!(stats.chunks_fetched, 0);
+            assert_eq!(server.stats().reads, 1, "the fallback ran on the server");
+            // kNN takes the same restart-then-fall-back path.
+            let want = client.nearest(0.31, 0.11, 5).await;
+            assert_eq!(want.len(), 5);
+            assert_eq!(client.nearest_offloaded(0.31, 0.11, 5).await, want);
+            assert_eq!(client.stats().offload_restarts, 16);
         });
     }
 

@@ -13,6 +13,7 @@
 //! point.
 
 use catfish_bplus::{BpChunkStore, BpConfig, BpLayout, BpNode, BpRefs, BpStore, BpTree};
+use catfish_rtree::codec::CodecError;
 use catfish_rtree::{NodeId, TreeMeta};
 use catfish_simnet::SimDuration;
 
@@ -673,13 +674,29 @@ pub enum KvRead {
 
 impl ClientBackend for KvBackend {
     type Read = KvRead;
-    type VisitScratch = ();
+    type VisitScratch = BpNode;
 
     fn read_request(seq: u32, read: &KvRead) -> KvMessage {
         match *read {
             KvRead::Get(key) => KvMessage::GetReq { seq, key },
             KvRead::Range { lo, hi } => KvMessage::RangeReq { seq, lo, hi },
         }
+    }
+
+    /// Decodes the chunk into the reused scratch node: the B+ check and
+    /// decode are one pass already.
+    fn validate(layout: &BpLayout, chunk: &[u8], node: &mut BpNode) -> Result<u32, CodecError> {
+        layout.decode_node_into(chunk, node)?;
+        Ok(node.level)
+    }
+
+    fn visit(
+        read: &KvRead,
+        node: &BpNode,
+        items: &mut Vec<(u64, u64)>,
+        children: &mut Vec<(NodeId, u32)>,
+    ) -> Result<(), Inconsistent> {
+        Self::expand(read, node, items, children)
     }
 
     /// Expands one fetched B+ node. Descents push the single child

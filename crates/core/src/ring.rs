@@ -54,7 +54,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use catfish_rdma::{CompletionQueue, MemoryRegion, QueuePair};
+use catfish_rdma::{crc32, CompletionQueue, MemoryRegion, QueuePair};
 use catfish_simnet::sync::Semaphore;
 use catfish_simnet::{select2, sleep, Either, SimDuration, SimTime};
 
@@ -77,37 +77,6 @@ fn padded(len: usize) -> u64 {
 /// Framed size of a payload: `[len][crc32]` header plus padded payload.
 fn framed(len: usize) -> u64 {
     8 + padded(len)
-}
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, built at
-/// compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `data` — the per-frame payload checksum.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 /// Why a ring send did not complete.
@@ -979,13 +948,6 @@ mod tests {
             rx: RingReceiver::new(ring, recv_qp, 2, cq),
             sender_ep,
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use catfish_rdma::mailbox::{mailbox_crc32, SLOT_HEADER_BYTES};
-use catfish_rdma::{QueuePair, SlotHeader};
-use catfish_rtree::codec::{CodecError, RemoteLayout};
+use catfish_rdma::mailbox::SLOT_HEADER_BYTES;
+use catfish_rdma::{crc32, QueuePair, SlotHeader};
+use catfish_rtree::codec::{chunk_version, CodecError, RemoteLayout, LINE_BYTES};
 use catfish_rtree::{NodeId, TreeMeta};
 use catfish_simnet::{now, sleep, spawn, CpuPool, SimDuration, SimTime};
 
@@ -23,20 +23,11 @@ use super::{
     ReplEnvelope, SearchPath, WireCodec, WireItem, WireMessage, FETCH_FLAG, STATUS_UNACKED,
 };
 
-/// Why one chunk read gave up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChunkReadError {
-    /// Retries exhausted on torn reads.
-    TooManyRetries,
-    /// The chunk no longer decodes to a plausible node (stale pointer).
-    Inconsistent,
-}
-
 /// The client's cache of validated upper-level chunks, stamped with the
 /// instant they were read off the wire.
 #[derive(Debug, Default)]
 pub(crate) struct NodeCache {
-    entries: HashMap<NodeId, (Vec<u8>, u32, SimTime)>,
+    entries: HashMap<NodeId, (Vec<u8>, SimTime)>,
     /// `(stamp, id)` of every entry: the first element is the stalest,
     /// ties broken by node id.
     by_age: BTreeSet<(SimTime, NodeId)>,
@@ -55,9 +46,9 @@ impl NodeCache {
 
     /// Stores `chunk` stamped `at`, first evicting the stalest entry if
     /// `id` is new and the cache holds `capacity` entries.
-    fn insert(&mut self, id: NodeId, chunk: &[u8], level: u32, at: SimTime, capacity: usize) {
+    fn insert(&mut self, id: NodeId, chunk: &[u8], at: SimTime, capacity: usize) {
         match self.entries.get(&id) {
-            Some(&(_, _, old)) => {
+            Some(&(_, old)) => {
                 self.by_age.remove(&(old, id));
             }
             None if self.entries.len() >= capacity => {
@@ -68,15 +59,15 @@ impl NodeCache {
             None => {}
         }
         self.by_age.insert((at, id));
-        self.entries.insert(id, (chunk.to_vec(), level, at));
+        self.entries.insert(id, (chunk.to_vec(), at));
     }
 }
 
 /// A Catfish client bound to one connection, generic over the index being
 /// served. Owns the single implementation of request/response sequencing,
 /// heartbeat consumption, Algorithm 1 routing, and the offloaded traversal
-/// engine; the backend contributes only [`ClientBackend::read_request`] and
-/// [`ClientBackend::visit`].
+/// engine; the backend contributes only [`ClientBackend::read_request`],
+/// [`ClientBackend::validate`] and [`ClientBackend::visit`].
 pub struct ServiceClient<B: ClientBackend> {
     pub(crate) ch: ClientChannel,
     pub(crate) cfg: ClientConfig,
@@ -85,7 +76,8 @@ pub struct ServiceClient<B: ClientBackend> {
     pub(crate) adaptive: AdaptiveState,
     pub(crate) meta_cache: Option<(TreeMeta, SimTime)>,
     pub(crate) node_cache: NodeCache,
-    /// Scratch reused by every [`ClientBackend::visit`] of this client.
+    /// The node image [`ClientBackend::validate`] leaves for
+    /// [`ClientBackend::visit`], reused by every chunk of this client.
     visit_scratch: B::VisitScratch,
     /// When set, responses are detected by busy-polling a core of this
     /// (client-machine) pool, FaRM-style, instead of blocking on the
@@ -572,7 +564,7 @@ impl<B: ClientBackend> ServiceClient<B> {
                         .read(mb.rkey, mb.layout.payload_offset(seq), hdr.len as usize)
                         .await
                         .expect("mailbox registered");
-                    if mailbox_crc32(&body) == hdr.crc {
+                    if crc32(&body) == hdr.crc {
                         if let Some(items) = self.decode_deposit(seq, body) {
                             // Ack consumption one-sided so the server can
                             // reclaim the slot lease on its next tick.
@@ -871,7 +863,7 @@ impl<B: ClientBackend> ServiceClient<B> {
     /// mismatch, undecodable chunk, or a structural reorganization raced
     /// the traversal.
     async fn offload_attempt(&mut self, read: &B::Read) -> Result<Vec<WireItem<B>>, Inconsistent> {
-        let meta = self.read_meta().await;
+        let meta = self.read_meta().await?;
         let Some(root) = meta.root else {
             return Ok(Vec::new());
         };
@@ -895,7 +887,7 @@ impl<B: ClientBackend> ServiceClient<B> {
         // silently. Cache-served nodes are exempt: their staleness is
         // bounded by the cache TTL by design.
         if self.stats.chunks_fetched - fetched_before >= 2 {
-            let fresh = self.refresh_meta().await;
+            let fresh = self.refresh_meta().await?;
             if fresh.structure_version != meta.structure_version {
                 return Err(Inconsistent);
             }
@@ -905,22 +897,22 @@ impl<B: ClientBackend> ServiceClient<B> {
 
     /// Consults the level cache for a node at `level`; `cache_floor` is
     /// the lowest cacheable level. A hit returns a copy of the cached
-    /// chunk and its level.
+    /// chunk.
     pub(crate) fn cache_lookup(
         &mut self,
         id: NodeId,
         level: u32,
         cache_floor: u32,
-    ) -> Option<(Vec<u8>, u32)> {
+    ) -> Option<Vec<u8>> {
         if self.cfg.cache_levels == 0 || level < cache_floor {
             return None;
         }
-        let (chunk, node_level, at) = self.node_cache.entries.get(&id)?;
+        let (chunk, at) = self.node_cache.entries.get(&id)?;
         if now().saturating_duration_since(*at) > self.cfg.node_cache_ttl {
             return None;
         }
         self.stats.cache_hits += 1;
-        Some((chunk.clone(), *node_level))
+        Some(chunk.clone())
     }
 
     /// Caches a chunk just read off the wire. Only wire reads are
@@ -931,7 +923,7 @@ impl<B: ClientBackend> ServiceClient<B> {
             return;
         }
         self.node_cache
-            .insert(id, chunk, level, now(), self.cfg.node_cache_capacity);
+            .insert(id, chunk, now(), self.cfg.node_cache_capacity);
     }
 
     /// Sequential offloading (the paper's baseline): one outstanding RDMA
@@ -946,26 +938,20 @@ impl<B: ClientBackend> ServiceClient<B> {
         let mut results = Vec::new();
         let mut queue: Vec<(NodeId, u32)> = vec![(root, root_level)];
         while let Some((id, level)) = queue.pop() {
-            let (chunk, node_level) = match self.cache_lookup(id, level, cache_floor) {
-                Some(hit) => hit,
+            let node_level = match self.cache_lookup(id, level, cache_floor) {
+                Some(chunk) => B::validate(&self.handle.layout, &chunk, &mut self.visit_scratch)
+                    .map_err(|_| Inconsistent)?,
                 None => {
                     let (chunk, node_level) = self.fetch_chunk(id).await?;
                     self.cache_store(id, node_level, cache_floor, &chunk);
-                    (chunk, node_level)
+                    node_level
                 }
             };
             if node_level != level {
                 return Err(Inconsistent);
             }
             sleep(self.cfg.client_node_visit).await;
-            B::visit(
-                &self.handle.layout,
-                read,
-                &chunk,
-                &mut self.visit_scratch,
-                &mut results,
-                &mut queue,
-            )?;
+            B::visit(read, &self.visit_scratch, &mut results, &mut queue)?;
         }
         Ok(results)
     }
@@ -993,19 +979,19 @@ impl<B: ClientBackend> ServiceClient<B> {
             spawn(async move {
                 let got = read_chunk::<B::Layout>(&qp, &handle, id, retries)
                     .await
-                    .map(|(chunk, level, retries)| (chunk, level, Some(retries)));
+                    .map(|(chunk, retries)| (chunk, Some(retries)));
                 tx.send((id, level, got));
             });
         };
         // Dispatches through the cache when possible, else over the wire.
-        // Each delivery carries the validated chunk, its level, and the
-        // wire read's torn retries (`None` when served from the cache).
+        // Each delivery carries an untorn chunk and the wire read's torn
+        // retries (`None` when served from the cache).
         let dispatch = |this: &mut Self, id: NodeId, level: u32, inflight: &mut usize| match this
             .cache_lookup(id, level, cache_floor)
         {
-            Some((chunk, node_level)) => {
+            Some(chunk) => {
                 *inflight += 1;
-                cache_tx.send((id, level, Ok((chunk, node_level, None))));
+                cache_tx.send((id, level, Ok((chunk, None))));
             }
             None => issue(id, level, inflight),
         };
@@ -1019,13 +1005,19 @@ impl<B: ClientBackend> ServiceClient<B> {
             if failed {
                 continue; // drain remaining reads after failure
             }
-            let Ok((chunk, node_level, wire_retries)) = got else {
+            let Ok((chunk, wire_retries)) = got else {
+                failed = true;
+                continue;
+            };
+            // The one pass over the chunk's bytes. A chunk it rejects is
+            // neither counted nor cached.
+            let Ok(node_level) = B::validate(&self.handle.layout, &chunk, &mut self.visit_scratch)
+            else {
                 failed = true;
                 continue;
             };
             if let Some(retries) = wire_retries {
-                self.stats.torn_retries += u64::from(retries);
-                self.stats.chunks_fetched += 1;
+                self.count_read(retries);
             }
             if node_level != level {
                 failed = true;
@@ -1035,16 +1027,7 @@ impl<B: ClientBackend> ServiceClient<B> {
                 self.cache_store(id, node_level, cache_floor, &chunk);
             }
             sleep(self.cfg.client_node_visit).await;
-            if B::visit(
-                &self.handle.layout,
-                read,
-                &chunk,
-                &mut self.visit_scratch,
-                &mut results,
-                &mut children,
-            )
-            .is_err()
-            {
+            if B::visit(read, &self.visit_scratch, &mut results, &mut children).is_err() {
                 failed = true;
                 continue;
             }
@@ -1059,47 +1042,66 @@ impl<B: ClientBackend> ServiceClient<B> {
         }
     }
 
-    /// Fetches and validates one chunk, counting retries; returns the
-    /// chunk bytes and the node level.
+    /// Fetches one chunk and validates it into the visit scratch,
+    /// counting the read once it is accepted; returns the chunk bytes and
+    /// the node level.
     async fn fetch_chunk(&mut self, id: NodeId) -> Result<(Vec<u8>, u32), Inconsistent> {
-        match read_chunk::<B::Layout>(&self.ch.qp, &self.handle, id, self.cfg.max_read_retries)
-            .await
-        {
-            Ok((chunk, level, retries)) => {
-                self.stats.torn_retries += u64::from(retries);
-                self.stats.chunks_fetched += 1;
-                Ok((chunk, level))
-            }
-            Err(_) => Err(Inconsistent),
-        }
+        let (chunk, retries) =
+            read_chunk::<B::Layout>(&self.ch.qp, &self.handle, id, self.cfg.max_read_retries)
+                .await?;
+        let level = B::validate(&self.handle.layout, &chunk, &mut self.visit_scratch)
+            .map_err(|_| Inconsistent)?;
+        self.count_read(retries);
+        Ok((chunk, level))
     }
 
-    /// Fetches, validates, and decodes one node, counting retries (kNN,
-    /// which needs every entry, not just the window hits).
+    /// Fetches and decodes one node, counting the read once it decodes
+    /// (kNN, which needs every entry, not just the window hits).
     pub(crate) async fn fetch_node(&mut self, id: NodeId) -> Result<LayoutNode<B>, Inconsistent> {
-        let (chunk, _) = self.fetch_chunk(id).await?;
+        let (chunk, retries) =
+            read_chunk::<B::Layout>(&self.ch.qp, &self.handle, id, self.cfg.max_read_retries)
+                .await?;
         let (node, _) = self
             .handle
             .layout
             .decode_node(&chunk)
             .map_err(|_| Inconsistent)?;
+        self.count_read(retries);
         Ok(node)
     }
 
+    /// Counts one accepted wire read of a node chunk and the torn reads
+    /// it retried.
+    fn count_read(&mut self, torn_retries: u32) {
+        self.stats.torn_retries += u64::from(torn_retries);
+        self.stats.chunks_fetched += 1;
+    }
+
     /// Reads (and caches) the index metadata from chunk 0.
-    pub(crate) async fn read_meta(&mut self) -> TreeMeta {
+    ///
+    /// # Errors
+    ///
+    /// As [`ServiceClient::refresh_meta`].
+    pub(crate) async fn read_meta(&mut self) -> Result<TreeMeta, Inconsistent> {
         let t = now();
         if let Some((m, at)) = self.meta_cache {
             if t.saturating_duration_since(at) <= self.cfg.meta_cache_ttl {
-                return m;
+                return Ok(m);
             }
         }
         self.refresh_meta().await
     }
 
     /// Reads chunk 0 unconditionally (bypassing the cached copy) and
-    /// refreshes the cache — the traversal validation path.
-    pub(crate) async fn refresh_meta(&mut self) -> TreeMeta {
+    /// refreshes the cache — the traversal validation path. Torn reads
+    /// are retried.
+    ///
+    /// # Errors
+    ///
+    /// [`Inconsistent`] when chunk 0 does not decode as metadata: the
+    /// traversal restarts like any other inconsistent view, and falls
+    /// back to the server after repeated attempts.
+    pub(crate) async fn refresh_meta(&mut self) -> Result<TreeMeta, Inconsistent> {
         let span = self.trace.begin();
         loop {
             let bytes = self
@@ -1113,28 +1115,31 @@ impl<B: ClientBackend> ServiceClient<B> {
                     self.stats.meta_refreshes += 1;
                     self.meta_cache = Some((m, now()));
                     self.trace.end(Phase::MetaRead, span);
-                    return m;
+                    return Ok(m);
                 }
                 Err(CodecError::TornRead { .. }) => {
                     self.stats.torn_retries += 1;
                 }
-                Err(CodecError::Malformed(what)) => {
-                    panic!("index metadata chunk is corrupt: {what}")
+                Err(CodecError::Malformed(_)) => {
+                    self.trace.end(Phase::MetaRead, span);
+                    return Err(Inconsistent);
                 }
             }
         }
     }
 }
 
-/// One chunk read, retried while torn, then checked with
-/// [`RemoteLayout::validate_node`]. Returns the read buffer, the node
-/// level, and the torn-read retries it took.
+/// One chunk read, retried while its line stamps disagree (a torn read).
+/// Returns the read buffer and the torn retries it took. The node itself
+/// is checked once, by the caller, with [`ClientBackend::validate`].
 pub(crate) async fn read_chunk<L: RemoteLayout>(
     qp: &QueuePair,
     handle: &RemoteHandle<L>,
     id: NodeId,
     max_retries: u32,
-) -> Result<(Vec<u8>, u32, u32), ChunkReadError> {
+) -> Result<(Vec<u8>, u32), Inconsistent> {
+    // Every remote layout is whole versioned cache lines.
+    let lines = handle.layout.chunk_bytes() / LINE_BYTES;
     let mut retries = 0u32;
     loop {
         let bytes = qp
@@ -1145,15 +1150,15 @@ pub(crate) async fn read_chunk<L: RemoteLayout>(
             )
             .await
             .expect("index arena registered");
-        match handle.layout.validate_node(&bytes) {
-            Ok(level) => return Ok((bytes, level, retries)),
+        match chunk_version(&bytes, lines) {
+            Ok(_) => return Ok((bytes, retries)),
             Err(CodecError::TornRead { .. }) => {
                 retries += 1;
                 if retries > max_retries {
-                    return Err(ChunkReadError::TooManyRetries);
+                    return Err(Inconsistent);
                 }
             }
-            Err(CodecError::Malformed(_)) => return Err(ChunkReadError::Inconsistent),
+            Err(CodecError::Malformed(_)) => return Err(Inconsistent),
         }
     }
 }

@@ -22,7 +22,7 @@
 //! generics; adding a third backend (hash index, sharded tree) is a
 //! two-trait implementation, not a fork of the dataplane.
 
-use catfish_rtree::codec::RemoteLayout;
+use catfish_rtree::codec::{CodecError, RemoteLayout};
 use catfish_rtree::NodeId;
 use catfish_simnet::SimDuration;
 
@@ -369,37 +369,45 @@ pub trait ClientBackend: IndexBackend {
     /// range, ...).
     type Read: Clone + std::fmt::Debug + 'static;
 
-    /// Per-client scratch that [`ClientBackend::visit`] reuses across
-    /// chunks (the R-tree's lane buffers; `()` where none is needed).
+    /// Per-client scratch that [`ClientBackend::validate`] fills and
+    /// [`ClientBackend::visit`] reads, reused across chunks (the R-tree's
+    /// lane image, the B+-tree's decoded node).
     type VisitScratch: Default + 'static;
 
     /// Builds the fast-messaging request for `read`.
     fn read_request(seq: u32, read: &Self::Read) -> WireMessage<Self>;
 
-    /// Visits one node chunk that already passed
-    /// [`RemoteLayout::validate_node`]: pushes matching items to `items`
-    /// and children still to visit to `children`, in the order
-    /// [`ClientBackend::expand`] would. The offload engine calls this for
-    /// every chunk, wire-fetched or cache-served.
+    /// Checks one node chunk whose line stamps already agree, accepting
+    /// exactly the chunks [`RemoteLayout::decode_node`] accepts and
+    /// returning the node level, or the error `decode_node` reports. An
+    /// accepted chunk is left in `scratch` for [`ClientBackend::visit`],
+    /// so the engine reads each chunk's bytes once.
     ///
-    /// The default decodes the node and calls [`ClientBackend::expand`];
-    /// a backend overrides it to work on the chunk bytes directly.
+    /// # Errors
+    ///
+    /// Same conditions, and the same error, as
+    /// [`RemoteLayout::decode_node`].
+    fn validate(
+        layout: &Self::Layout,
+        chunk: &[u8],
+        scratch: &mut Self::VisitScratch,
+    ) -> Result<u32, CodecError>;
+
+    /// Visits the node the last successful [`ClientBackend::validate`]
+    /// left in `scratch`: pushes matching items to `items` and children
+    /// still to visit to `children`, in the order
+    /// [`ClientBackend::expand`] would on the decoded node. The offload
+    /// engine calls this for every chunk, wire-fetched or cache-served.
     ///
     /// # Errors
     ///
     /// Same conditions as [`ClientBackend::expand`].
     fn visit(
-        layout: &Self::Layout,
         read: &Self::Read,
-        chunk: &[u8],
-        scratch: &mut Self::VisitScratch,
+        scratch: &Self::VisitScratch,
         items: &mut Vec<WireItem<Self>>,
         children: &mut Vec<(NodeId, u32)>,
-    ) -> Result<(), Inconsistent> {
-        let _ = scratch;
-        let (node, _) = layout.decode_node(chunk).map_err(|_| Inconsistent)?;
-        Self::expand(read, &node, items, children)
-    }
+    ) -> Result<(), Inconsistent>;
 
     /// Expands one fetched node: pushes matching items to `items` and
     /// children still to visit (with their expected level) to `children`.

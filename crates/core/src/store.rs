@@ -51,6 +51,10 @@ impl ChunkMemory for MrMemory {
         self.mr.read_local(offset, buf);
     }
 
+    fn with_bytes<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        self.mr.with_slice(offset, len, f)
+    }
+
     fn write_at(&mut self, offset: usize, data: &[u8]) {
         self.mr
             .write_local_torn(offset, data, self.torn_window.get());

@@ -1,11 +1,14 @@
 //! Visit parity: the offloading client's lane path over validated chunk
 //! bytes must match decoding the chunk into a `Node` and expanding it.
 //!
-//! For any chunk — well-formed or corrupted — `validate_node` must accept
-//! exactly the chunks `decode_node` accepts, with the same error
-//! otherwise, and for an accepted chunk `RtreeBackend::visit` must produce
-//! the same accept/reject decision, items and children, in the same order,
-//! as `RtreeBackend::expand` on the decoded node.
+//! For any chunk — well-formed or corrupted — `validate_node` and the
+//! client's fused pass (`RtreeBackend::validate`, which unpacks the chunk
+//! into the lane image while checking it) must accept exactly the chunks
+//! `decode_node` accepts, with the same level, and the same error
+//! otherwise. For an accepted chunk, `RtreeBackend::visit` over the image
+//! the fused pass left must produce the same accept/reject decision,
+//! items and children, in the same order, as `RtreeBackend::expand` on
+//! the decoded node.
 
 use catfish_core::{ClientBackend, RtreeBackend};
 use catfish_rtree::codec::{
@@ -112,6 +115,12 @@ fn assert_parity(layout: &ChunkLayout, chunk: &[u8], query: &Rect, lanes: &mut L
         <ChunkLayout as RemoteLayout>::validate_node(layout, chunk),
         validated
     );
+    let fused = RtreeBackend::validate(layout, chunk, lanes);
+    assert_eq!(
+        fused,
+        decoded.as_ref().map(|(node, _)| node.level).map_err(|e| *e),
+        "the fused pass and decode_node disagree"
+    );
     let node = match (decoded, validated) {
         (Ok((node, _)), Ok(level)) => {
             assert_eq!(level, node.level);
@@ -126,14 +135,7 @@ fn assert_parity(layout: &ChunkLayout, chunk: &[u8], query: &Rect, lanes: &mut L
     let (mut want_items, mut want_children) = (Vec::new(), Vec::new());
     let want = RtreeBackend::expand(query, &node, &mut want_items, &mut want_children);
     let (mut got_items, mut got_children) = (Vec::new(), Vec::new());
-    let got = RtreeBackend::visit(
-        layout,
-        query,
-        chunk,
-        lanes,
-        &mut got_items,
-        &mut got_children,
-    );
+    let got = RtreeBackend::visit(query, lanes, &mut got_items, &mut got_children);
     assert_eq!(got, want);
     assert_eq!(got_items, want_items);
     assert_eq!(got_children, want_children);

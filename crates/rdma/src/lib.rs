@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod crc;
 pub mod fault;
 pub mod mailbox;
 mod mr;
@@ -54,6 +55,7 @@ pub mod profile;
 mod qp;
 pub mod tcp;
 
+pub use crc::crc32;
 pub use fault::{FaultConfig, FaultCounters, FaultPlan};
 pub use mailbox::{DepositOutcome, Mailbox, MailboxHandle, MailboxLayout, SlotHeader};
 pub use mr::MemoryRegion;

@@ -42,6 +42,7 @@ use std::collections::BTreeMap;
 
 use catfish_simnet::{SimDuration, SimTime};
 
+use crate::crc::crc32;
 use crate::mr::MemoryRegion;
 
 /// Bytes of the per-slot header: `[seq u32][len u32][crc32 u32][pad u32]`.
@@ -50,39 +51,6 @@ pub const SLOT_HEADER_BYTES: usize = 16;
 /// Bytes of the client-written acknowledgement cell (one little-endian
 /// `u64` holding the latest consumed sequence number; `0` = none yet).
 pub const ACK_CELL_BYTES: usize = 8;
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, built at
-/// compile time. Duplicated from the core ring framing on purpose: the
-/// mailbox lives below the service layer and must not depend on it.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `data` — the mailbox payload checksum. A fetch whose
-/// payload bytes disagree with the header CRC raced a deposit and retries.
-pub fn mailbox_crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// Geometry of a mailbox region: how sequence numbers map to byte ranges.
 ///
@@ -287,7 +255,7 @@ impl Mailbox {
         let header = SlotHeader {
             seq,
             len: payload.len() as u32,
-            crc: mailbox_crc32(payload),
+            crc: crc32(payload),
         };
         self.mr.write_local(off, &header.encode());
         if let Some(prev) = self.leases.insert(slot, Lease { seq, since: now }) {
@@ -402,7 +370,7 @@ mod tests {
                 .mr
                 .snapshot_remote(off + SLOT_HEADER_BYTES, hdr.len as usize, now());
             assert_eq!(body, payload);
-            assert_eq!(mailbox_crc32(&body), hdr.crc);
+            assert_eq!(crc32(&body), hdr.crc);
             assert_eq!(mb.outstanding_leases(), 1);
         });
     }
@@ -447,14 +415,14 @@ mod tests {
             let body = mb
                 .mr
                 .snapshot_remote(off + SLOT_HEADER_BYTES, hdr.len as usize, mid);
-            assert_ne!(mailbox_crc32(&body), hdr.crc, "torn read must fail CRC");
+            assert_ne!(crc32(&body), hdr.crc, "torn read must fail CRC");
             // After the window the same read succeeds.
             sleep(window).await;
             let body = mb
                 .mr
                 .snapshot_remote(off + SLOT_HEADER_BYTES, hdr.len as usize, now());
             assert_eq!(body, new);
-            assert_eq!(mailbox_crc32(&body), hdr.crc);
+            assert_eq!(crc32(&body), hdr.crc);
         });
     }
 

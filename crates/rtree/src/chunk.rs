@@ -30,6 +30,21 @@ pub trait ChunkMemory {
     /// Panics if the range is out of bounds.
     fn read_into(&self, offset: usize, buf: &mut [u8]);
 
+    /// Lends `f` the `len` bytes at `offset` — the read path of the
+    /// store's visits, which decode straight from the lent bytes. The
+    /// default copies them into a fresh buffer with
+    /// [`ChunkMemory::read_into`]; memory that can lend a borrow in place
+    /// overrides it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    fn with_bytes<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        let mut buf = vec![0u8; len];
+        self.read_into(offset, &mut buf);
+        f(&buf)
+    }
+
     /// Writes `data` starting at `offset`.
     ///
     /// Implementations backed by shared (RDMA-visible) memory may model a
@@ -49,6 +64,10 @@ impl ChunkMemory for Vec<u8> {
 
     fn read_into(&self, offset: usize, buf: &mut [u8]) {
         buf.copy_from_slice(&self[offset..offset + buf.len()]);
+    }
+
+    fn with_bytes<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(&self[offset..offset + len])
     }
 
     fn write_at(&mut self, offset: usize, data: &[u8]) {
@@ -85,30 +104,17 @@ pub struct ChunkStore<M> {
     next: u32,
     live: usize,
     meta: TreeMeta,
-    /// Pool of decode scratch (chunk bytes + a reusable [`Node`]) for the
-    /// borrowed read path. One entry per concurrent visit depth: flat hot
-    /// loops reuse a single warm entry, recursive visits (invariant checks,
-    /// leaf searches) pop deeper ones. Allocates only the first time each
-    /// depth is reached.
-    scratch: RefCell<Vec<Scratch>>,
-    /// Pool of lane scratch (chunk bytes + a [`LaneNode`]) for the
-    /// vectorized search path. Search visits never nest, but the pool
-    /// mirrors [`ChunkStore::scratch`] for re-entrancy safety.
-    lane_scratch: RefCell<Vec<LaneScratch>>,
+    /// Pool of reusable decoded [`Node`]s for the borrowed read path. One
+    /// entry per concurrent visit depth: flat hot loops reuse a single
+    /// warm entry, recursive visits (invariant checks, leaf searches) pop
+    /// deeper ones. Allocates only the first time each depth is reached.
+    scratch: RefCell<Vec<Node>>,
+    /// Pool of [`LaneNode`] word images for the vectorized search path.
+    /// Search visits never nest, but the pool mirrors
+    /// [`ChunkStore::scratch`] for re-entrancy safety.
+    lane_scratch: RefCell<Vec<LaneNode>>,
     /// Reusable encode buffer for node and metadata writes.
     write_buf: Vec<u8>,
-}
-
-#[derive(Debug)]
-struct Scratch {
-    chunk: Vec<u8>,
-    node: Node,
-}
-
-#[derive(Debug)]
-struct LaneScratch {
-    chunk: Vec<u8>,
-    lanes: LaneNode,
 }
 
 impl<M: ChunkMemory> ChunkStore<M> {
@@ -237,37 +243,41 @@ impl<M: ChunkMemory> ChunkStore<M> {
         self.try_visit(id, Node::clone)
     }
 
-    /// Borrowed read path: reads the chunk at `id` into pooled scratch,
-    /// decodes it in place, and lends the resulting `&Node` to `f`.
+    /// Borrowed read path: decodes the chunk at `id` straight from the
+    /// arena bytes ([`ChunkMemory::with_bytes`]) into a pooled [`Node`],
+    /// and lends the result to `f`.
     ///
     /// Once the pool is warm this performs zero heap allocations per visit
-    /// while still running the full FaRM-style line-version check
-    /// ([`CodecError::TornRead`] on disagreement). Visits may nest: an inner
-    /// visit simply pops (or allocates) the next scratch entry.
+    /// (over memory that lends its bytes) while still running the full
+    /// FaRM-style line-version check ([`CodecError::TornRead`] on
+    /// disagreement). Visits may nest: an inner visit simply pops (or
+    /// allocates) the next scratch entry. The arena is borrowed only for
+    /// the decode, never while `f` runs.
     ///
     /// # Errors
     ///
     /// Propagates [`CodecError`] from decoding; `f` is not called on error.
     pub fn try_visit<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> Result<R, CodecError> {
-        let mut scratch = self.scratch.borrow_mut().pop().unwrap_or_else(|| Scratch {
-            chunk: vec![0u8; self.layout.chunk_bytes()],
-            node: Node::new(0),
-        });
-        self.mem
-            .read_into(self.layout.node_offset(id), &mut scratch.chunk);
-        let result = self
-            .layout
-            .decode_node_into(&scratch.chunk, &mut scratch.node)
-            .map(|_| f(&scratch.node));
-        self.scratch.borrow_mut().push(scratch);
+        let mut node = self
+            .scratch
+            .borrow_mut()
+            .pop()
+            .unwrap_or_else(|| Node::new(0));
+        let decoded = self.mem.with_bytes(
+            self.layout.node_offset(id),
+            self.layout.chunk_bytes(),
+            |chunk| self.layout.decode_node_into(chunk, &mut node),
+        );
+        let result = decoded.map(|_| f(&node));
+        self.scratch.borrow_mut().push(node);
         result
     }
 
-    /// Vectorized window-test visit: decodes only the coordinate lanes of
-    /// the chunk at `id` into pooled scratch, computes the hit bitmask with
-    /// [`LaneNode::window_hits`], and resolves just the hit entries —
-    /// emitting leaf data and pushing internal children in ascending entry
-    /// order, exactly like the scalar default.
+    /// Vectorized window-test visit: de-stitches the chunk at `id`
+    /// straight from the arena bytes into a pooled [`LaneNode`], computes
+    /// the hit bitmask with [`LaneNode::window_hits`], and resolves just
+    /// the hit entries — emitting leaf data and pushing internal children
+    /// in ascending entry order, exactly like the scalar default.
     ///
     /// # Errors
     ///
@@ -279,31 +289,25 @@ impl<M: ChunkMemory> ChunkStore<M> {
         stack: &mut Vec<NodeId>,
         emit: &mut dyn FnMut(Rect, u64),
     ) -> Result<(), CodecError> {
-        let mut s = self
-            .lane_scratch
-            .borrow_mut()
-            .pop()
-            .unwrap_or_else(|| LaneScratch {
-                chunk: vec![0u8; self.layout.chunk_bytes()],
-                lanes: LaneNode::new(),
-            });
-        self.mem
-            .read_into(self.layout.node_offset(id), &mut s.chunk);
+        let mut lanes = self.lane_scratch.borrow_mut().pop().unwrap_or_default();
         let result = (|| {
-            self.layout.decode_lanes_into(&s.chunk, &mut s.lanes)?;
-            let level = s.lanes.level();
-            let mut mask = s.lanes.window_hits(query);
+            self.mem.with_bytes(
+                self.layout.node_offset(id),
+                self.layout.chunk_bytes(),
+                |chunk| self.layout.decode_lanes_into(chunk, &mut lanes),
+            )?;
+            let mut mask = lanes.window_hits(query);
             while mask != 0 {
                 let i = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                match self.layout.child_at(&s.chunk, i, level)? {
-                    EntryRef::Data(d) => emit(s.lanes.rect_at(i), d),
+                match lanes.child(i)? {
+                    EntryRef::Data(d) => emit(lanes.rect_at(i), d),
                     EntryRef::Node(c) => stack.push(c),
                 }
             }
             Ok(())
         })();
-        self.lane_scratch.borrow_mut().push(s);
+        self.lane_scratch.borrow_mut().push(lanes);
         result
     }
 

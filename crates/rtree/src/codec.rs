@@ -25,6 +25,11 @@
 //! test over a whole node becomes four contiguous `f64` lane scans the
 //! compiler can vectorize; [`LaneNode::window_hits`] produces the hit set
 //! as a bitmask without branches.
+//!
+//! A reader de-stitches a chunk once: every line's 56 payload bytes are
+//! exactly seven little-endian words, so the logical payload unpacks into
+//! a word image in which word `2 + f·M + i` is element `i` of lane `f`.
+//! Validation, the window test, and child resolution all read that image.
 
 use std::fmt;
 
@@ -54,6 +59,11 @@ pub const MAX_BITMASK_ENTRIES: usize = 128;
 const MAX_LOGICAL_BYTES: usize = (NODE_HEADER_BYTES + ENTRY_BYTES * MAX_BITMASK_ENTRIES)
     .div_ceil(LINE_PAYLOAD_BYTES)
     * LINE_PAYLOAD_BYTES;
+/// Payload words per line, and of the largest chunk's word image.
+const LINE_PAYLOAD_WORDS: usize = LINE_PAYLOAD_BYTES / 8;
+const MAX_LOGICAL_WORDS: usize = MAX_LOGICAL_BYTES / 8;
+/// Words of the node header in the word image (magic and level, count).
+const NODE_HEADER_WORDS: usize = NODE_HEADER_BYTES / 8;
 const NODE_MAGIC: u32 = 0x5254_4E44; // "RTND"
 const META_MAGIC: u64 = 0x4341_5446_4953_4830; // "CATFISH0"
 const DATA_TAG: u64 = 1 << 63;
@@ -126,6 +136,12 @@ impl ChunkLayout {
     #[inline]
     fn lane_off(&self, f: usize, i: usize) -> usize {
         NODE_HEADER_BYTES + (f * self.max_entries + i) * 8
+    }
+
+    /// Words in this layout's word image.
+    #[inline]
+    fn image_words(&self) -> usize {
+        self.lines * LINE_PAYLOAD_WORDS
     }
 
     /// Maximum entries representable per node.
@@ -247,12 +263,9 @@ impl ChunkLayout {
     /// checked in order, the rectangle before the child word, and the
     /// first failure is reported.
     pub fn decode_node_into(&self, chunk: &[u8], node: &mut Node) -> Result<u64, CodecError> {
-        let mut image = [0u8; MAX_LOGICAL_BYTES];
+        let mut image = [0u64; MAX_LOGICAL_WORDS];
         let (version, level, count) = self.unpack_node(chunk, &mut image)?;
-        let word = |f: usize, i: usize| {
-            let at = self.lane_off(f, i);
-            u64::from_le_bytes(image[at..at + 8].try_into().expect("sized"))
-        };
+        let word = |f: usize, i: usize| image[NODE_HEADER_WORDS + f * self.max_entries + i];
         node.level = level;
         node.entries.clear();
         for i in 0..count {
@@ -277,8 +290,7 @@ impl ChunkLayout {
     /// line versions, magic, count, level, every entry rectangle finite
     /// and ordered, every child tag consistent with the level, child ids
     /// within `u32` — without building entries, and returns the node
-    /// level. The offloading client validates each read this way, then
-    /// visits the bytes on the lane path.
+    /// level.
     ///
     /// All entries are checked in one branchless pass; only a chunk that
     /// fails it is decoded, to report the error `decode_node` reports.
@@ -287,12 +299,45 @@ impl ChunkLayout {
     ///
     /// Same conditions, and the same error, as [`ChunkLayout::decode_node`].
     pub fn validate_node(&self, chunk: &[u8]) -> Result<u32, CodecError> {
-        let mut image = [0u8; MAX_LOGICAL_BYTES];
+        let mut image = [0u64; MAX_LOGICAL_WORDS];
         let (_, level, count) = self.unpack_node(chunk, &mut image)?;
-        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("sized"));
+        self.checked_level(chunk, &image, level, count)
+    }
+
+    /// [`ChunkLayout::validate_node`] that keeps what it unpacked: the
+    /// chunk is de-stitched once into `lane`'s word image, checked there,
+    /// and left for [`LaneNode::window_hits`], [`LaneNode::rect_at`] and
+    /// [`LaneNode::child`] to read. This is the offloading client's one
+    /// pass per fetched chunk.
+    ///
+    /// On error `lane` is left in an unspecified (but valid) state.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions, and the same error, as [`ChunkLayout::decode_node`].
+    pub fn validate_lanes_into(
+        &self,
+        chunk: &[u8],
+        lane: &mut LaneNode,
+    ) -> Result<u32, CodecError> {
+        self.decode_lanes_into(chunk, lane)?;
+        self.checked_level(chunk, &lane.words, lane.level, lane.count)
+    }
+
+    /// The per-entry half of validation over an unpacked word image:
+    /// `Ok(level)` when every entry rectangle is finite and ordered and
+    /// every child word fits the level, else the error
+    /// [`ChunkLayout::decode_node`] reports for `chunk`.
+    fn checked_level(
+        &self,
+        chunk: &[u8],
+        image: &[u64],
+        level: u32,
+        count: usize,
+    ) -> Result<u32, CodecError> {
         let lanes = |f: usize| {
-            let at = self.lane_off(f, 0);
-            image[at..at + 8 * count].chunks_exact(8).map(word)
+            let at = NODE_HEADER_WORDS + f * self.max_entries;
+            image[at..at + count].iter().copied()
         };
         let mut ok = true;
         for ((((min_x, min_y), max_x), max_y), raw) in lanes(LANE_XMIN)
@@ -323,80 +368,67 @@ impl ChunkLayout {
         }
     }
 
-    /// Decodes the tagged child word of entry `i` directly from a packed
-    /// chunk, validating the tag against the node `level`. Used by the
-    /// lane-scan search path to resolve only the entries the hit bitmask
-    /// selected, without materializing the whole node.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] if the tag bit disagrees with `level` or a
-    /// child id exceeds `u32`.
-    pub fn child_at(&self, chunk: &[u8], i: usize, level: u32) -> Result<EntryRef, CodecError> {
-        let raw = u64::from_le_bytes(read_packed::<8>(chunk, self.lane_off(LANE_CHILD, i)));
-        child_from_raw(raw, level)
-    }
-
-    /// Deserializes only the coordinate lanes of a node chunk into `lane`,
-    /// returning the chunk version. This is the fast path for search: the
-    /// four `f64` lanes are copied contiguously (no per-entry validation,
-    /// no `Entry` construction) so [`LaneNode::window_hits`] can scan them
-    /// branchlessly; child words stay in the chunk and are resolved on
-    /// demand with [`ChunkLayout::child_at`].
+    /// De-stitches a node chunk into `lane`'s word image and checks the
+    /// line versions and the header, returning the chunk version. Entries
+    /// are not checked: this is the server's search path over its own
+    /// arena, where [`LaneNode::child`] still checks each hit's tag.
+    /// [`ChunkLayout::validate_lanes_into`] adds the entry checks.
     ///
     /// On error `lane` is left in an unspecified (but valid) state.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ChunkLayout::decode_node`].
+    /// Same conditions as [`ChunkLayout::decode_node`], except that entry
+    /// rectangles and child words are not checked.
     pub fn decode_lanes_into(&self, chunk: &[u8], lane: &mut LaneNode) -> Result<u64, CodecError> {
-        lane.image.resize(self.lines * LINE_PAYLOAD_BYTES, 0);
-        let (version, level, count) = self.unpack_node(chunk, &mut lane.image)?;
+        lane.words.resize(self.image_words(), 0);
+        let (version, level, count) = self.unpack_node(chunk, &mut lane.words)?;
         lane.level = level;
         lane.count = count;
-        lane.lanes.clear();
-        for f in 0..4 {
-            let at = self.lane_off(f, 0);
-            lane.lanes.extend(
-                lane.image[at..at + 8 * count]
-                    .chunks_exact(8)
-                    .map(|b| f64::from_le_bytes(b.try_into().expect("sized"))),
-            );
-        }
+        lane.stride = self.max_entries;
         Ok(version)
     }
 
     /// Checks a node chunk's line versions, de-stitches its logical
-    /// payload into `image` with one whole-segment copy per line, and
+    /// payload into the word image `image` (seven words per line), and
     /// checks the header, returning `(version, level, count)`. Element `i`
-    /// of lane `f` is then at `image[lane_off(f, i)..][..8]`.
+    /// of lane `f` is then `image[2 + f * max_entries + i]`.
     ///
     /// Errors come in the order [`chunk_version`] and the header checks
     /// give them: length, then the first disagreeing stamp, then magic,
     /// count and level.
-    fn unpack_node(&self, chunk: &[u8], image: &mut [u8]) -> Result<(u64, u32, usize), CodecError> {
+    fn unpack_node(
+        &self,
+        chunk: &[u8],
+        image: &mut [u64],
+    ) -> Result<(u64, u32, usize), CodecError> {
         if chunk.len() != self.lines * LINE_BYTES {
             return Err(CodecError::Malformed("chunk length mismatch"));
         }
-        let stamp = |line: &[u8]| u64::from_le_bytes(line[..8].try_into().expect("sized"));
-        let version = stamp(chunk);
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("sized"));
+        let version = word(&chunk[..LINE_VERSION_BYTES]);
         let mut torn = false;
         for (line, payload) in chunk
             .chunks_exact(LINE_BYTES)
-            .zip(image[..self.lines * LINE_PAYLOAD_BYTES].chunks_exact_mut(LINE_PAYLOAD_BYTES))
+            .zip(image[..self.image_words()].chunks_exact_mut(LINE_PAYLOAD_WORDS))
         {
-            torn |= stamp(line) != version;
-            payload.copy_from_slice(&line[LINE_VERSION_BYTES..]);
+            torn |= word(&line[..LINE_VERSION_BYTES]) != version;
+            for (w, b) in payload
+                .iter_mut()
+                .zip(line[LINE_VERSION_BYTES..].chunks_exact(8))
+            {
+                *w = word(b);
+            }
         }
         if torn {
             return Err(chunk_version(chunk, self.lines).expect_err("a line stamp disagrees"));
         }
-        let field = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().expect("sized"));
-        if field(0) != NODE_MAGIC {
+        // Header words: magic | level << 32, then count in the low half.
+        if image[0] as u32 != NODE_MAGIC {
             return Err(CodecError::Malformed("bad node magic"));
         }
-        let level = field(4);
-        let count = field(8) as usize;
+        let level = (image[0] >> 32) as u32;
+        let count = image[1] as u32 as usize;
         if count > self.max_entries {
             return Err(CodecError::Malformed("entry count exceeds layout fanout"));
         }
@@ -433,15 +465,17 @@ impl ChunkLayout {
     ///
     /// Same conditions as [`ChunkLayout::decode_node`].
     pub fn decode_meta(&self, chunk: &[u8]) -> Result<(TreeMeta, u64), CodecError> {
-        let (logical, version) = self.unpack_lines(chunk)?;
-        let magic = u64::from_le_bytes(logical[0..8].try_into().expect("sized"));
-        if magic != META_MAGIC {
+        // Fields are read straight out of the packed lines: no allocation.
+        let version = chunk_version(chunk, self.lines)?;
+        let u32_at = |at: usize| u32::from_le_bytes(read_packed(chunk, at));
+        let u64_at = |at: usize| u64::from_le_bytes(read_packed(chunk, at));
+        if u64_at(0) != META_MAGIC {
             return Err(CodecError::Malformed("bad meta magic"));
         }
-        let root_raw = u32::from_le_bytes(logical[8..12].try_into().expect("sized"));
-        let height = u32::from_le_bytes(logical[12..16].try_into().expect("sized"));
-        let len = u64::from_le_bytes(logical[16..24].try_into().expect("sized"));
-        let structure_version = u64::from_le_bytes(logical[24..32].try_into().expect("sized"));
+        let root_raw = u32_at(8);
+        let height = u32_at(12);
+        let len = u64_at(16);
+        let structure_version = u64_at(24);
         let root = if root_raw == 0 {
             None
         } else {
@@ -460,25 +494,23 @@ impl ChunkLayout {
             version,
         ))
     }
-
-    fn unpack_lines(&self, chunk: &[u8]) -> Result<(Vec<u8>, u64), CodecError> {
-        unpack_lines(chunk, self.lines)
-    }
 }
 
-/// Reusable lane scratch for the vectorized search path.
+/// Reusable word-image scratch for the vectorized search path.
 ///
-/// Holds the four coordinate lanes of one decoded node as contiguous `f64`
-/// slices (`[xmin.. | ymin.. | xmax.. | ymax..]`, each `count` long) so a
-/// window test over the whole node is a branchless chunked scan. Produced
-/// by [`ChunkLayout::decode_lanes_into`]; intended to be pooled and reused
+/// Holds one node chunk de-stitched into little-endian words: two header
+/// words, then the five SoA lanes (`xmin.. | ymin.. | xmax.. | ymax.. |
+/// child..`) at a stride of the layout's fanout, so a window test over
+/// the whole node is a branchless scan of four contiguous lanes. Filled
+/// by [`ChunkLayout::decode_lanes_into`] or
+/// [`ChunkLayout::validate_lanes_into`]; intended to be pooled and reused
 /// across node visits so steady-state search performs no allocations.
 ///
 /// # Examples
 ///
 /// ```
 /// use catfish_rtree::codec::{ChunkLayout, LaneNode};
-/// use catfish_rtree::{Entry, Node, Rect};
+/// use catfish_rtree::{Entry, EntryRef, Node, Rect};
 ///
 /// let layout = ChunkLayout::for_max_entries(16);
 /// let mut node = Node::new(0);
@@ -487,17 +519,18 @@ impl ChunkLayout {
 /// let chunk = layout.encode_node(&node, 1);
 ///
 /// let mut lanes = LaneNode::new();
-/// layout.decode_lanes_into(&chunk, &mut lanes).unwrap();
+/// assert_eq!(layout.validate_lanes_into(&chunk, &mut lanes), Ok(0));
 /// assert_eq!(lanes.window_hits(&Rect::new(0.5, 0.5, 2.0, 2.0)), 0b01);
+/// assert_eq!(lanes.child(0), Ok(EntryRef::Data(7)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LaneNode {
     level: u32,
     count: usize,
-    /// `4 * count` values at stride `count`: xmin, ymin, xmax, ymax.
-    lanes: Vec<f64>,
+    /// Words between the starts of consecutive lanes (the layout fanout).
+    stride: usize,
     /// The chunk's logical payload, de-stitched from the versioned lines.
-    image: Vec<u8>,
+    words: Vec<u64>,
 }
 
 impl LaneNode {
@@ -516,6 +549,13 @@ impl LaneNode {
         self.count
     }
 
+    /// The `count` live words of lane `f`.
+    #[inline]
+    fn lane(&self, f: usize) -> &[u64] {
+        let at = NODE_HEADER_WORDS + f * self.stride;
+        &self.words[at..at + self.count]
+    }
+
     /// Bitmask of entries whose MBR intersects `query` (bit `i` set means
     /// entry `i` hits), computed branchlessly over the lanes.
     ///
@@ -525,18 +565,21 @@ impl LaneNode {
     #[inline]
     pub fn window_hits(&self, query: &Rect) -> u128 {
         let n = self.count;
-        let (xmin, rest) = self.lanes.split_at(n);
-        let (ymin, rest) = rest.split_at(n);
-        let (xmax, rest) = rest.split_at(n);
-        let ymax = &rest[..n];
+        let (xmin, ymin) = (self.lane(LANE_XMIN), self.lane(LANE_YMIN));
+        let (xmax, ymax) = (self.lane(LANE_XMAX), self.lane(LANE_YMAX));
         let (qxl, qyl, qxh, qyh) = (query.min_x(), query.min_y(), query.max_x(), query.max_y());
+        let f = f64::from_bits;
         // One 0/1 byte per entry (a loop the compiler vectorizes), then
         // eight bytes at a time gathered into eight mask bits: the multiply
         // moves byte j's low bit to bit 56 + j, and no two terms overlap.
         let mut bytes = [0u8; MAX_BITMASK_ENTRIES];
         for (i, b) in bytes[..n].iter_mut().enumerate() {
-            *b =
-                u8::from((xmin[i] <= qxh) & (qxl <= xmax[i]) & (ymin[i] <= qyh) & (qyl <= ymax[i]));
+            *b = u8::from(
+                (f(xmin[i]) <= qxh)
+                    & (qxl <= f(xmax[i]))
+                    & (f(ymin[i]) <= qyh)
+                    & (qyl <= f(ymax[i])),
+            );
         }
         let mut mask = 0u128;
         for (k, group) in bytes[..n.div_ceil(8) * 8].chunks_exact(8).enumerate() {
@@ -556,13 +599,25 @@ impl LaneNode {
     #[inline]
     pub fn rect_at(&self, i: usize) -> Rect {
         assert!(i < self.count, "entry index out of range");
-        let n = self.count;
-        Rect::new(
-            self.lanes[i],
-            self.lanes[n + i],
-            self.lanes[2 * n + i],
-            self.lanes[3 * n + i],
-        )
+        let at = |f: usize| f64::from_bits(self.lane(f)[i]);
+        Rect::new(at(LANE_XMIN), at(LANE_YMIN), at(LANE_XMAX), at(LANE_YMAX))
+    }
+
+    /// The child of entry `i`, its tag checked against the node level.
+    /// The lane search resolves only the entries the hit bitmask selected
+    /// this way, without materializing the node.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Malformed`] if the tag bit disagrees with the level
+    /// or a child id exceeds `u32`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= count`.
+    #[inline]
+    pub fn child(&self, i: usize) -> Result<EntryRef, CodecError> {
+        child_from_raw(self.lane(LANE_CHILD)[i], self.level)
     }
 }
 
@@ -1209,7 +1264,7 @@ mod tests {
             assert_eq!(lanes.count(), m);
             for (i, e) in n.entries.iter().enumerate() {
                 assert_eq!(lanes.rect_at(i), e.mbr);
-                assert_eq!(l.child_at(&chunk, i, 0), Ok(e.child));
+                assert_eq!(lanes.child(i), Ok(e.child));
             }
         }
     }
@@ -1273,7 +1328,7 @@ mod tests {
         // Encode an internal node, then flip its level to 0: the node-ref
         // entries lack the data tag and must be rejected.
         let chunk = l.encode_node(&sample_internal(), 3);
-        let (mut logical, v) = l.unpack_lines(&chunk).unwrap();
+        let (mut logical, v) = unpack_lines(&chunk, l.lines()).unwrap();
         logical[4..8].copy_from_slice(&0u32.to_le_bytes());
         let retagged = pack_lines(&logical, v, l.lines());
         assert_eq!(

@@ -1,6 +1,6 @@
 //! The deterministic single-threaded executor and virtual clock.
 //!
-//! A [`Sim`] owns a set of tasks (plain `Future`s, each with the one
+//! A [`Sim`] owns a slab of tasks (plain `Future`s, each with the one
 //! waker built for it at spawn), a ready queue, and a timer wheel keyed on
 //! [`SimTime`]. Execution alternates between two steps:
 //!
@@ -13,7 +13,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -22,14 +22,104 @@ use std::task::{Context, Poll, Wake, Waker};
 
 use crate::time::{SimDuration, SimTime};
 
-type TaskId = u64;
 type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
+
+/// A task's slab slot and the slot's generation when the task was
+/// spawned. A finished task's slot is reused with the next generation, so
+/// a waker that outlives its task names a stale generation and wakes
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TaskId {
+    slot: u32,
+    generation: u32,
+}
 
 /// A spawned task and the waker built for it once, at spawn: every poll
 /// of the task hands out this same waker.
 struct Task {
     fut: LocalFuture,
     waker: Waker,
+}
+
+struct Slot {
+    generation: u32,
+    /// `None` while the slot is free or its task is being polled.
+    task: Option<Task>,
+}
+
+/// The live tasks, indexed by slot: spawn reuses the most recently freed
+/// slot, and a lookup is an index plus a generation compare.
+#[derive(Default)]
+struct TaskSlab {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    live: usize,
+}
+
+/// Teardown drops the tasks still parked newest slot first, the reverse
+/// of the order they were allocated in, so back-to-back simulations in
+/// one process (catbench's repeated set-ups) reuse the freed memory
+/// compactly. Forward order measured a higher peak RSS there
+/// (EXPERIMENTS.md, "one pass per offloaded chunk").
+impl Drop for TaskSlab {
+    fn drop(&mut self) {
+        while let Some(slot) = self.slots.pop() {
+            drop(slot);
+        }
+    }
+}
+
+impl TaskSlab {
+    /// Claims a slot for a task about to be spawned; the task is parked
+    /// in it with [`TaskSlab::park`].
+    fn claim(&mut self) -> TaskId {
+        self.live += 1;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot {
+                generation: 0,
+                task: None,
+            });
+            (self.slots.len() - 1) as u32
+        });
+        TaskId {
+            slot,
+            generation: self.slots[slot as usize].generation,
+        }
+    }
+
+    /// Parks a claimed task (at spawn, or after a pending poll).
+    fn park(&mut self, id: TaskId, task: Task) {
+        let slot = &mut self.slots[id.slot as usize];
+        debug_assert_eq!(slot.generation, id.generation, "parking into a reused slot");
+        slot.task = Some(task);
+    }
+
+    /// Takes `id`'s task out for polling; `None` if the task finished
+    /// (the generation moved on) or is already out.
+    fn take(&mut self, id: TaskId) -> Option<Task> {
+        let slot = &mut self.slots[id.slot as usize];
+        if slot.generation != id.generation {
+            return None;
+        }
+        slot.task.take()
+    }
+
+    /// Frees a finished task's slot and retires its generation.
+    fn release(&mut self, id: TaskId) {
+        let slot = &mut self.slots[id.slot as usize];
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(id.slot);
+        self.live -= 1;
+    }
+
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
 }
 
 /// The shared ready queue. Wakers must be `Send + Sync`, so this lives
@@ -88,9 +178,8 @@ impl Ord for TimerEntry {
 
 pub(crate) struct Inner {
     now: Cell<SimTime>,
-    next_task: Cell<TaskId>,
     next_timer_seq: Cell<u64>,
-    tasks: RefCell<HashMap<TaskId, Task>>,
+    tasks: RefCell<TaskSlab>,
     ready: Arc<ReadyQueue>,
     timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
 }
@@ -171,9 +260,8 @@ impl Sim {
         Sim {
             inner: Rc::new(Inner {
                 now: Cell::new(SimTime::ZERO),
-                next_task: Cell::new(0),
                 next_timer_seq: Cell::new(0),
-                tasks: RefCell::new(HashMap::new()),
+                tasks: RefCell::new(TaskSlab::default()),
                 ready: Arc::new(ReadyQueue::default()),
                 timers: RefCell::new(BinaryHeap::new()),
             }),
@@ -206,8 +294,7 @@ impl Sim {
                 w.wake();
             }
         };
-        let id = self.inner.next_task.get();
-        self.inner.next_task.set(id + 1);
+        let id = self.inner.tasks.borrow_mut().claim();
         let task = Task {
             fut: Box::pin(wrapped),
             waker: Waker::from(Arc::new(TaskWaker {
@@ -215,7 +302,7 @@ impl Sim {
                 ready: Arc::clone(&self.inner.ready),
             })),
         };
-        self.inner.tasks.borrow_mut().insert(id, task);
+        self.inner.tasks.borrow_mut().park(id, task);
         self.inner
             .ready
             .queue
@@ -295,16 +382,20 @@ impl Sim {
                 .expect("ready queue poisoned")
                 .pop_front();
             let Some(id) = next else { return };
-            // Remove the task while polling so the task body may freely
-            // spawn siblings (which mutates the task map).
-            let Some(mut task) = self.inner.tasks.borrow_mut().remove(&id) else {
+            // Take the task out while polling so the task body may freely
+            // spawn siblings (which mutates the slab).
+            let Some(mut task) = self.inner.tasks.borrow_mut().take(id) else {
                 continue; // completed task woken redundantly
             };
             let mut cx = Context::from_waker(&task.waker);
             match task.fut.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => {}
+                Poll::Ready(()) => {
+                    self.inner.tasks.borrow_mut().release(id);
+                    // `task` drops here, outside the slab borrow: its
+                    // destructors may spawn or wake.
+                }
                 Poll::Pending => {
-                    self.inner.tasks.borrow_mut().insert(id, task);
+                    self.inner.tasks.borrow_mut().park(id, task);
                 }
             }
         }
@@ -696,6 +787,32 @@ mod tests {
         seen[0].wake_by_ref();
         sim.run();
         assert!(sim.inner.tasks.borrow().is_empty());
+    }
+
+    #[test]
+    fn stale_waker_does_not_poll_the_task_reusing_its_slot() {
+        let sim = Sim::new();
+        let stale: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let keep = Rc::clone(&stale);
+        sim.spawn(std::future::poll_fn(move |cx| {
+            *keep.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        }));
+        sim.run();
+        // A pending task that nothing wakes: it is polled once at spawn.
+        let polls = Rc::new(Cell::new(0u32));
+        let count = Rc::clone(&polls);
+        sim.spawn(std::future::poll_fn(move |_| {
+            count.set(count.get() + 1);
+            Poll::<()>::Pending
+        }));
+        sim.run();
+        assert_eq!(polls.get(), 1);
+        assert_eq!(sim.inner.tasks.borrow().slots.len(), 1, "slot not reused");
+        stale.borrow_mut().take().expect("waker captured").wake();
+        sim.run();
+        assert_eq!(polls.get(), 1, "a stale waker polled the slot's new task");
+        assert_eq!(sim.inner.tasks.borrow().len(), 1);
     }
 
     #[test]
