@@ -1,9 +1,16 @@
 //! Criterion micro-benchmarks of the R*-tree itself: insert, search at the
-//! paper's request scales, delete, and STR bulk loading.
+//! paper's request scales, delete, and STR bulk loading (down to a whole
+//! replicated cluster's set-up).
 
+use catfish_core::config::ServerConfig;
+use catfish_core::conn::RkeyAllocator;
+use catfish_core::server::{CatfishCluster, RtreeBackend};
+use catfish_core::service::IndexBackend;
+use catfish_rdma::profile::infiniband_100g;
 use catfish_rtree::chunk::{ChunkMemory, ChunkStore};
 use catfish_rtree::codec::ChunkLayout;
 use catfish_rtree::{bulk_load, EntryRef, MemStore, NodeStore, RTree, RTreeConfig, Rect};
+use catfish_simnet::{Network, Sim};
 use catfish_workload::{search_rect, skewed_insert_rect, uniform_rects, ScaleDist};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -213,6 +220,53 @@ fn bench_bulk_load(c: &mut Criterion) {
             );
         });
     }
+    // The server's shape: fanout 88 into a chunk arena sized as a server
+    // sizes it (`IndexBackend::estimate_chunks`), at one hybrid shard's
+    // slab and at the whole dataset.
+    let config = RTreeConfig::with_max_entries(88);
+    let layout = ChunkLayout::for_max_entries(config.max_entries);
+    for n in [250_000usize, 1_000_000] {
+        let items = uniform_rects(n, 1e-4, 4);
+        let chunks = <RtreeBackend as IndexBackend>::estimate_chunks(&config, n);
+        group.bench_with_input(BenchmarkId::new("chunk88", n), &items, |b, items| {
+            b.iter_batched(
+                || items.clone(),
+                |items| {
+                    let store = ChunkStore::new(vec![0u8; layout.arena_bytes(chunks)], layout);
+                    bulk_load(store, config, items)
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    // Whole-cluster set-up as `hybrid_replicated` does it: partition, build
+    // and load 4 shards of 3 replicas, string the forwarding pumps.
+    let items = uniform_rects(1_000_000, 1e-4, 4);
+    group.bench_with_input(
+        BenchmarkId::new("cluster_4x3", items.len()),
+        &items,
+        |b, items| {
+            b.iter_batched(
+                || items.clone(),
+                |items| {
+                    Sim::new().run_until(async move {
+                        let cluster = CatfishCluster::build_replicated(
+                            &Network::new(),
+                            &infiniband_100g(),
+                            ServerConfig::default(),
+                            config,
+                            items,
+                            4,
+                            3,
+                            &RkeyAllocator::new(),
+                        );
+                        cluster.shards()
+                    })
+                },
+                BatchSize::LargeInput,
+            );
+        },
+    );
     group.finish();
 }
 

@@ -209,6 +209,61 @@ impl<M: ChunkMemory> BpChunkStore<M> {
         &self.mem
     }
 
+    /// The allocator state `(next_unused_chunk, free_list)` — what a copy
+    /// of the store must carry besides the arena bytes.
+    pub fn allocator_state(&self) -> (u32, Vec<u32>) {
+        (self.next, self.free.clone())
+    }
+
+    /// Reconstructs a store from its parts: the arena bytes, the layout,
+    /// and the allocator state. Per-chunk version counters are recovered
+    /// from the chunks' own line stamps, and the tree metadata from
+    /// chunk 0.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description if the metadata chunk does not decode or the
+    /// allocator state is inconsistent with the arena size.
+    pub fn from_parts(
+        mem: M,
+        layout: BpLayout,
+        next: u32,
+        free: Vec<u32>,
+    ) -> Result<Self, &'static str> {
+        let capacity = mem.len() / layout.chunk_bytes();
+        if capacity < 2 || next as usize > capacity || next == 0 {
+            return Err("allocator state inconsistent with arena size");
+        }
+        if free.iter().any(|&f| f == 0 || f >= next) {
+            return Err("free list references out-of-range chunks");
+        }
+        let mut seen = vec![false; next as usize];
+        for &f in &free {
+            if std::mem::replace(&mut seen[f as usize], true) {
+                return Err("free list repeats a chunk");
+            }
+        }
+        let mut versions = vec![0u64; capacity];
+        let mut line0 = [0u8; 8];
+        for (i, v) in versions.iter_mut().enumerate().take(next as usize) {
+            mem.read_into(i * layout.chunk_bytes(), &mut line0);
+            *v = u64::from_le_bytes(line0);
+        }
+        let mut buf = vec![0u8; layout.chunk_bytes()];
+        mem.read_into(0, &mut buf);
+        let (meta, _) = decode_meta(&layout, &buf).map_err(|_| "metadata chunk does not decode")?;
+        Ok(BpChunkStore {
+            mem,
+            layout,
+            versions,
+            free,
+            next,
+            meta,
+            scratch: RefCell::new(Vec::new()),
+            write_buf: Vec::new(),
+        })
+    }
+
     fn persist_meta(&mut self) {
         self.versions[0] += 1;
         let chunk = encode_meta(&self.layout, &self.meta, self.versions[0]);
@@ -437,6 +492,40 @@ mod tests {
             s.try_visit(id, |_| ()),
             Err(CodecError::TornRead { .. })
         ));
+    }
+
+    #[test]
+    fn from_parts_reopens_the_same_store() {
+        let layout = BpLayout::for_max_keys(8);
+        let mut s = BpChunkStore::new(vec![0u8; layout.arena_bytes(8)], layout);
+        let a = s.alloc();
+        let b = s.alloc();
+        let mut n = BpNode::leaf();
+        n.keys.push(4);
+        n.values_mut().push(40);
+        s.write(b, &n);
+        s.free(a);
+        s.set_meta(TreeMeta {
+            root: Some(b),
+            height: 1,
+            len: 1,
+            structure_version: 2,
+        });
+        let (next, free) = s.allocator_state();
+        let mut r = BpChunkStore::from_parts(s.mem.clone(), layout, next, free).unwrap();
+        assert_eq!(r.meta(), s.meta());
+        assert_eq!(r.versions, s.versions);
+        assert_eq!(r.read(b), n);
+        // Both stores continue identically: the freed chunk comes back
+        // first, and the next write stamps the same version.
+        assert_eq!((r.alloc(), s.alloc()), (a, a));
+        r.write(b, &n);
+        s.write(b, &n);
+        assert_eq!(r.mem, s.mem);
+        assert_eq!(
+            BpChunkStore::from_parts(s.mem.clone(), layout, next, vec![a.index(); 2]).unwrap_err(),
+            "free list repeats a chunk"
+        );
     }
 
     #[test]

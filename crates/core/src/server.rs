@@ -129,6 +129,16 @@ impl IndexBackend for RtreeBackend {
         bulk_load(ChunkStore::new(mem, layout), cfg, items)
     }
 
+    fn replicate(&self, mem: MrMemory) -> Self {
+        let store = self.store();
+        let (next, free) = store.allocator_state();
+        let layout = store.layout();
+        mem.copy_from(store.mem(), layout.arena_bytes(next));
+        let copy = ChunkStore::from_parts(mem, layout, next, free)
+            .expect("a live store's allocator state fits an arena of its size");
+        RTree::open(copy, self.config())
+    }
+
     fn set_torn_window(&self, window: SimDuration) {
         self.store().mem().set_torn_window(window);
     }

@@ -491,13 +491,12 @@ impl<B: IndexBackend + ShardPartition> ClusterServer<B> {
     }
 }
 
-impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B>
-where
-    B::LoadItem: Clone,
-{
+impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B> {
     /// Builds a **replicated** cluster: `shards` replica sets of
-    /// `replicas` servers each, every member bulk-loaded with its shard's
-    /// partition. Replica 0 of each set starts as primary; the whole set
+    /// `replicas` servers each. Replica 0 of each set is bulk-loaded with
+    /// its shard's partition and starts as primary; every other member is
+    /// built with [`ServiceServer::build_backup`], its arena a byte copy
+    /// of replica 0's (DESIGN.md §9). The whole set
     /// shares one [`ReplicaCtl`]. Between every ordered pair of members a
     /// forwarding pump (a dedicated ring connection plus a queue-draining
     /// task) is strung, and every member gets the fan-out hook — so
@@ -529,11 +528,19 @@ where
         #[allow(clippy::type_complexity)]
         let mut pump_traces: Vec<(usize, usize, Box<dyn Fn(TraceSink)>)> = Vec::new();
         for (i, part) in parts.into_iter().enumerate() {
-            let set: Vec<ServiceServer<B>> = (0..replicas)
-                .map(|_| {
-                    ServiceServer::build(net, profile, cfg, index_cfg.clone(), part.clone(), rkeys)
-                })
-                .collect();
+            let mut set: Vec<ServiceServer<B>> = Vec::with_capacity(replicas);
+            set.push(ServiceServer::build(
+                net,
+                profile,
+                cfg,
+                index_cfg.clone(),
+                part,
+                rkeys,
+            ));
+            for _ in 1..replicas {
+                let backup = set[0].build_backup();
+                set.push(backup);
+            }
             let ctl = ReplicaCtl::new(replicas);
             if replicas > 1 {
                 for (r, s) in set.iter().enumerate() {

@@ -302,6 +302,13 @@ pub trait IndexBackend: Sized + 'static {
         items: Vec<Self::LoadItem>,
     ) -> Self;
 
+    /// A copy of this index in `mem`, a fresh zeroed arena of the same
+    /// size: the used chunk prefix and the allocator state are copied, so
+    /// the copy equals, byte for byte, an index built by [`IndexBackend::load`]
+    /// from the same items and updated by the same operations. This is how
+    /// a backup replica starts (DESIGN.md §9).
+    fn replicate(&self, mem: MrMemory) -> Self;
+
     /// Sets the torn-write visibility window on the backing arena (enabled
     /// after load, once clients may be racing writers).
     fn set_torn_window(&self, window: SimDuration);

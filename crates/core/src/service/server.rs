@@ -195,17 +195,54 @@ impl<B: IndexBackend> ServiceServer<B> {
         items: Vec<B::LoadItem>,
         rkeys: &RkeyAllocator,
     ) -> ServiceServer<B> {
+        let layout = B::layout(&index_cfg);
+        let arena_bytes = layout.arena_bytes(B::estimate_chunks(&index_cfg, items.len()));
+        Self::build_with(net, profile, cfg, layout, arena_bytes, rkeys, |mem| {
+            B::load(mem, layout, index_cfg, items)
+        })
+    }
+
+    /// Builds a backup of this server on a fresh fabric node of the same
+    /// configuration, on the same fabric and rkey allocator. Its arena is
+    /// the same size and starts as a byte copy of this server's
+    /// ([`IndexBackend::replicate`]) instead of a second bulk load.
+    pub fn build_backup(&self) -> ServiceServer<B> {
+        let inner = &self.inner;
+        let arena_bytes = inner
+            .endpoint
+            .memory_region(inner.rkey)
+            .expect("the index arena is registered at build")
+            .len();
+        Self::build_with(
+            inner.endpoint.network(),
+            &inner.profile,
+            inner.cfg,
+            inner.layout,
+            arena_bytes,
+            &inner.rkeys,
+            |mem| inner.backend.borrow().replicate(mem),
+        )
+    }
+
+    /// The one server set-up: a node, its NIC and cores, and a registered
+    /// arena of `arena_bytes` that `index` fills with torn visibility off
+    /// (no clients yet), enabled after.
+    fn build_with(
+        net: &Network,
+        profile: &NetProfile,
+        cfg: ServerConfig,
+        layout: B::Layout,
+        arena_bytes: usize,
+        rkeys: &RkeyAllocator,
+        index: impl FnOnce(MrMemory) -> B,
+    ) -> ServiceServer<B> {
         let node = net.add_node(profile.link);
         let endpoint = Endpoint::new(net, node, profile.rdma);
         let cpu = CpuPool::new(cfg.cores, cfg.quantum);
-        let layout = B::layout(&index_cfg);
-        let chunks = B::estimate_chunks(&index_cfg, items.len());
         let rkey = rkeys.alloc();
-        let mr = MemoryRegion::new(layout.arena_bytes(chunks), rkey);
+        let mr = MemoryRegion::new(arena_bytes, rkey);
         endpoint.register(mr.clone());
-        // Load with torn visibility disabled (no clients yet), enable after.
-        let mem = MrMemory::new(mr, SimDuration::ZERO);
-        let backend = B::load(mem, layout, index_cfg, items);
+        let backend = index(MrMemory::new(mr, SimDuration::ZERO));
         backend.set_torn_window(cfg.torn_write_window);
         ServiceServer {
             inner: Rc::new(ServerInner {

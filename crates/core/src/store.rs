@@ -40,6 +40,17 @@ impl MrMemory {
     pub fn set_torn_window(&self, window: SimDuration) {
         self.torn_window.set(window);
     }
+
+    /// Copies the first `len` bytes of `src` into this arena in one
+    /// untorn write — how a backup's arena starts from its primary's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either arena is shorter than `len`.
+    pub fn copy_from(&self, src: &MrMemory, len: usize) {
+        src.mr
+            .with_slice(0, len, |bytes| self.mr.write_local(0, bytes));
+    }
 }
 
 impl ChunkMemory for MrMemory {

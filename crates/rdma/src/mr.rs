@@ -34,48 +34,39 @@ struct TornWrite {
     completes: SimTime,
 }
 
-/// One cache line of registered memory. The `repr(align)` guarantees the
-/// whole buffer starts on a cache-line boundary, so chunk slots (whole
-/// multiples of 64 bytes) never straddle an extra line — matching how a
-/// real registration would pin page-aligned memory for the NIC.
-#[derive(Clone, Copy)]
-#[repr(C, align(64))]
-struct Line([u8; TORN_LINE]);
-
-/// A byte buffer whose base address is cache-line-aligned.
+/// A zeroed byte buffer whose base address is cache-line-aligned, so chunk
+/// slots (whole multiples of 64 bytes) never straddle an extra line —
+/// matching how a real registration would pin page-aligned memory for the
+/// NIC.
+///
+/// The backing `vec![0; len + 63]` is a byte-aligned zeroed allocation,
+/// which the allocator serves with `calloc`: large buffers come straight
+/// from fresh kernel pages, so pages a run never writes are never resident
+/// (a 64-byte-aligned zeroed allocation would be memset eagerly). The
+/// region starts at the first cache-line boundary inside the buffer.
 struct AlignedBuf {
-    lines: Vec<Line>,
+    buf: Vec<u8>,
+    start: usize,
     len: usize,
 }
 
 impl AlignedBuf {
-    fn from_bytes(bytes: &[u8]) -> Self {
-        let mut lines = vec![Line([0u8; TORN_LINE]); bytes.len().div_ceil(TORN_LINE)];
-        for (i, chunk) in bytes.chunks(TORN_LINE).enumerate() {
-            lines[i].0[..chunk.len()].copy_from_slice(chunk);
-        }
-        let buf = AlignedBuf {
-            lines,
-            len: bytes.len(),
-        };
-        debug_assert_eq!(
-            buf.as_slice().as_ptr() as usize % TORN_LINE,
-            0,
+    fn zeroed(len: usize) -> Self {
+        let buf = vec![0u8; len + TORN_LINE - 1];
+        let start = buf.as_ptr().align_offset(TORN_LINE);
+        assert!(
+            start < TORN_LINE,
             "registered region base must be cache-line-aligned"
         );
-        buf
+        AlignedBuf { buf, start, len }
     }
 
     fn as_slice(&self) -> &[u8] {
-        // SAFETY: `Line` is a transparent 64-byte array with no padding, so
-        // the line storage is `lines.len() * 64` contiguous initialized
-        // bytes; `len` never exceeds that.
-        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast::<u8>(), self.len) }
+        &self.buf[self.start..self.start + self.len]
     }
 
     fn as_mut_slice(&mut self) -> &mut [u8] {
-        // SAFETY: as in `as_slice`, plus exclusive access via `&mut self`.
-        unsafe { std::slice::from_raw_parts_mut(self.lines.as_mut_ptr().cast::<u8>(), self.len) }
+        &mut self.buf[self.start..self.start + self.len]
     }
 }
 
@@ -114,15 +105,13 @@ pub struct MemoryRegion {
 
 impl MemoryRegion {
     /// Registers a zeroed region of `len` bytes with remote key `rkey`.
+    ///
+    /// The region keeps its full modelled size, but host memory is touched
+    /// only where it is written: pages never written stay unbacked.
     pub fn new(len: usize, rkey: u32) -> Self {
-        Self::from_bytes(vec![0; len], rkey)
-    }
-
-    /// Registers existing memory (copied into cache-line-aligned backing).
-    pub fn from_bytes(bytes: Vec<u8>, rkey: u32) -> Self {
         MemoryRegion {
             inner: Rc::new(RefCell::new(MrInner {
-                bytes: AlignedBuf::from_bytes(&bytes),
+                bytes: AlignedBuf::zeroed(len),
                 rkey,
                 torn: VecDeque::new(),
             })),
@@ -393,25 +382,20 @@ mod tests {
     }
 
     #[test]
-    fn base_is_cache_line_aligned() {
-        for len in [0usize, 1, 63, 64, 65, 4096, 100_000] {
+    fn fresh_regions_are_zeroed_and_line_aligned() {
+        for len in (0usize..=300).chain([3 << 20, (5 << 20) + 17]) {
             let mr = MemoryRegion::new(len, 1);
+            assert_eq!(mr.len(), len);
             assert!(
                 mr.base_alignment() >= TORN_LINE,
                 "len {len}: alignment {} below cache line",
                 mr.base_alignment()
             );
+            assert!(
+                mr.with_slice(0, len, |b| b.iter().all(|&x| x == 0)),
+                "len {len}: fresh region not zeroed"
+            );
         }
-    }
-
-    #[test]
-    fn from_bytes_preserves_contents_and_aligns() {
-        let data: Vec<u8> = (0..200u8).collect();
-        let mr = MemoryRegion::from_bytes(data.clone(), 3);
-        assert!(mr.base_alignment() >= TORN_LINE);
-        let mut buf = vec![0u8; 200];
-        mr.read_local(0, &mut buf);
-        assert_eq!(buf, data);
     }
 
     #[test]

@@ -68,29 +68,31 @@ pub fn bulk_load_with_fill<S: NodeStore>(
     }
 
     // Level 0: pack data entries into leaves.
-    let entries: Vec<Entry> = items
+    let mut current: Vec<Entry> = items
         .into_iter()
         .map(|(rect, data)| Entry::data(rect, data))
         .collect();
+    let mut next: Vec<Entry> = Vec::new();
+    let mut node = Node::new(0);
+    let mut keys = Vec::new();
     let mut level = 0u32;
-    let mut current = entries;
     loop {
-        let nodes = str_pack(current, fill, config.min_entries);
-        let mut next: Vec<Entry> = Vec::with_capacity(nodes.len());
-        let single = nodes.len() == 1;
-        for group in nodes {
+        let ends = str_pack(&mut current, fill, config.min_entries, &mut keys);
+        next.clear();
+        node.level = level;
+        let mut start = 0;
+        for &end in &ends {
             let id = store.alloc();
-            let node = Node {
-                level,
-                entries: group,
-            };
+            node.entries.clear();
+            node.entries.extend_from_slice(&current[start..end]);
             store.write(id, &node);
             next.push(Entry::node(
                 node.mbr().expect("packed groups are non-empty"),
                 id,
             ));
+            start = end;
         }
-        if single {
+        if ends.len() == 1 {
             let root = next[0].child.node().expect("node entry");
             store.set_meta(TreeMeta {
                 root: Some(root),
@@ -100,7 +102,7 @@ pub fn bulk_load_with_fill<S: NodeStore>(
             });
             return RTree::open(store, config);
         }
-        current = next;
+        std::mem::swap(&mut current, &mut next);
         level += 1;
     }
 }
@@ -155,14 +157,40 @@ pub fn partition_by_x(items: Vec<(Rect, u64)>, shards: usize) -> SpacePartition 
     assert!(shards > 0, "a cluster needs at least one shard");
     let cuts: Vec<f64> = if items.is_empty() {
         (1..shards).map(|i| i as f64 / shards as f64).collect()
+    } else if shards == 1 {
+        Vec::new()
     } else {
-        let mut centers: Vec<f64> = items.iter().map(|(r, _)| r.center().0).collect();
-        centers.sort_by(|a, b| a.partial_cmp(b).expect("finite coordinates"));
+        let n = items.len();
+        // The order statistics the cuts read, found by selection on
+        // `(key, index)` pairs: unique, so each lands on exactly the item a
+        // stable sort of the centers would put there.
+        let mut keys: Vec<(u64, usize)> = items
+            .iter()
+            .enumerate()
+            .map(|(i, (r, _))| (center_key(r.center().0), i))
+            .collect();
+        let mut ranks: Vec<usize> = (1..shards)
+            .flat_map(|i| {
+                let at = i * n / shards;
+                [at.saturating_sub(1), at.min(n - 1)]
+            })
+            .collect();
+        ranks.sort_unstable();
+        ranks.dedup();
+        let mut lo = 0;
+        for &rank in &ranks {
+            // Every key before `lo` is below every key from `lo` on, so a
+            // selection within `keys[lo..]` is a global one, and it leaves
+            // the ranks already placed before `lo` untouched.
+            keys[lo..].select_nth_unstable(rank - lo);
+            lo = rank + 1;
+        }
+        let center = |rank: usize| items[keys[rank].1].0.center().0;
         (1..shards)
             .map(|i| {
-                let at = i * centers.len() / shards;
-                let right = centers[at.min(centers.len() - 1)];
-                let left = centers[at.saturating_sub(1)];
+                let at = i * n / shards;
+                let right = center(at.min(n - 1));
+                let left = center(at.saturating_sub(1));
                 if left < right {
                     // Midpoint between the slabs; `partition_point(c <= x)`
                     // sends the boundary value itself to the right shard.
@@ -192,67 +220,100 @@ pub fn partition_by_x(items: Vec<(Rect, u64)>, shards: usize) -> SpacePartition 
     }
 }
 
-/// Partitions entries into groups of about `fill` using Sort-Tile-Recursive
-/// tiling; every group has at least `min_entries` entries (except when the
-/// whole input is smaller than that, which can only happen for the root).
-fn str_pack(mut entries: Vec<Entry>, fill: usize, min_entries: usize) -> Vec<Vec<Entry>> {
+/// Sorts `entries` into Sort-Tile-Recursive order in place and returns the
+/// end index of each consecutive group of about `fill`; every group has at
+/// least `min_entries` entries (except when the whole input is smaller than
+/// that, which can only happen for the root). `keys` is sort scratch.
+fn str_pack(
+    entries: &mut [Entry],
+    fill: usize,
+    min_entries: usize,
+    keys: &mut Vec<(u64, usize)>,
+) -> Vec<usize> {
     let n = entries.len();
     if n <= fill {
-        return vec![entries];
+        return vec![n];
     }
     let pages = n.div_ceil(fill);
     let slices = (pages as f64).sqrt().ceil() as usize;
     let per_slice = n.div_ceil(slices);
 
-    sort_by_center(&mut entries, 0);
-    let mut groups = Vec::with_capacity(pages);
-    let mut rest = entries;
-    while !rest.is_empty() {
-        let take = per_slice.min(rest.len());
-        let mut slice: Vec<Entry> = rest.drain(..take).collect();
-        sort_by_center(&mut slice, 1);
-        while !slice.is_empty() {
-            let mut take = fill.min(slice.len());
-            let remainder = slice.len() - take;
+    sort_by_center(entries, 0, keys);
+    let mut ends = Vec::with_capacity(pages);
+    for (s, slice) in entries.chunks_mut(per_slice).enumerate() {
+        sort_by_center(slice, 1, keys);
+        let mut start = 0;
+        while start < slice.len() {
+            let left = slice.len() - start;
+            let mut take = fill.min(left);
+            let remainder = left - take;
             if remainder > 0 && remainder < min_entries {
                 // Shrink this group so the slice's final group still
                 // satisfies the minimum fanout.
-                take = slice.len() - min_entries;
+                take = left - min_entries;
             }
-            groups.push(slice.drain(..take).collect::<Vec<_>>());
+            start += take;
+            ends.push(s * per_slice + start);
         }
     }
-    balance_tail(&mut groups, fill, min_entries);
-    groups
+    balance_tail(&mut ends, fill, min_entries);
+    ends
 }
 
 /// If the last group (which may come from an undersized final slice) is
 /// below the minimum fanout, merge it with its predecessor, re-splitting if
 /// the merge would exceed the fill target.
-fn balance_tail(groups: &mut Vec<Vec<Entry>>, fill: usize, min_entries: usize) {
-    if groups.len() < 2 || groups[groups.len() - 1].len() >= min_entries {
+fn balance_tail(ends: &mut Vec<usize>, fill: usize, min_entries: usize) {
+    let k = ends.len();
+    if k < 2 || ends[k - 1] - ends[k - 2] >= min_entries {
         return;
     }
-    let tail = groups.pop().expect("len checked");
-    let mut merged = groups.pop().expect("len checked");
-    merged.extend(tail);
-    if merged.len() <= fill {
-        groups.push(merged);
-    } else {
-        let half = merged.len() / 2;
-        debug_assert!(half >= min_entries && merged.len() - half >= min_entries);
-        let second = merged.split_off(half);
-        groups.push(merged);
-        groups.push(second);
+    let start = if k > 2 { ends[k - 3] } else { 0 };
+    let end = ends[k - 1];
+    ends.truncate(k - 2);
+    let merged = end - start;
+    if merged > fill {
+        let half = merged / 2;
+        debug_assert!(half >= min_entries && merged - half >= min_entries);
+        ends.push(start + half);
     }
+    ends.push(end);
 }
 
-fn sort_by_center(entries: &mut [Entry], axis: usize) {
-    entries.sort_by(|a, b| {
-        let ka = center_axis(&a.mbr, axis);
-        let kb = center_axis(&b.mbr, axis);
-        ka.partial_cmp(&kb).expect("finite coordinates")
-    });
+/// Stable sort of `entries` by rectangle center on `axis`: the `(key,
+/// index)` pairs are unique, so an unstable sort of them breaks ties by
+/// original position exactly as a stable comparison sort would.
+fn sort_by_center(entries: &mut [Entry], axis: usize, keys: &mut Vec<(u64, usize)>) {
+    if entries.len() < 2 {
+        return;
+    }
+    keys.clear();
+    keys.extend(
+        entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (center_key(center_axis(&e.mbr, axis)), i)),
+    );
+    keys.sort_unstable();
+    let sorted: Vec<Entry> = keys.iter().map(|&(_, i)| entries[i]).collect();
+    entries.copy_from_slice(&sorted);
+}
+
+/// An order-preserving `u64` image of a center coordinate: `a < b` exactly
+/// when `center_key(a) < center_key(b)`, and `-0.0` and `+0.0` share a key
+/// as they compare equal.
+///
+/// # Panics
+///
+/// Panics on NaN, which has no place in the order.
+fn center_key(c: f64) -> u64 {
+    assert!(!c.is_nan(), "finite coordinates required, got a NaN center");
+    let bits = (c + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 fn center_axis(r: &Rect, axis: usize) -> f64 {
@@ -268,6 +329,223 @@ fn center_axis(r: &Rect, axis: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::store::MemStore;
+    use proptest::prelude::*;
+
+    /// The comparison-sort STR packing [`str_pack`] replaced, kept verbatim
+    /// as the reference its groups must equal.
+    fn oracle_str_pack(
+        mut entries: Vec<Entry>,
+        fill: usize,
+        min_entries: usize,
+    ) -> Vec<Vec<Entry>> {
+        let n = entries.len();
+        if n <= fill {
+            return vec![entries];
+        }
+        let pages = n.div_ceil(fill);
+        let slices = (pages as f64).sqrt().ceil() as usize;
+        let per_slice = n.div_ceil(slices);
+
+        oracle_sort_by_center(&mut entries, 0);
+        let mut groups = Vec::with_capacity(pages);
+        let mut rest = entries;
+        while !rest.is_empty() {
+            let take = per_slice.min(rest.len());
+            let mut slice: Vec<Entry> = rest.drain(..take).collect();
+            oracle_sort_by_center(&mut slice, 1);
+            while !slice.is_empty() {
+                let mut take = fill.min(slice.len());
+                let remainder = slice.len() - take;
+                if remainder > 0 && remainder < min_entries {
+                    take = slice.len() - min_entries;
+                }
+                groups.push(slice.drain(..take).collect::<Vec<_>>());
+            }
+        }
+        oracle_balance_tail(&mut groups, fill, min_entries);
+        groups
+    }
+
+    fn oracle_balance_tail(groups: &mut Vec<Vec<Entry>>, fill: usize, min_entries: usize) {
+        if groups.len() < 2 || groups[groups.len() - 1].len() >= min_entries {
+            return;
+        }
+        let tail = groups.pop().expect("len checked");
+        let mut merged = groups.pop().expect("len checked");
+        merged.extend(tail);
+        if merged.len() <= fill {
+            groups.push(merged);
+        } else {
+            let half = merged.len() / 2;
+            let second = merged.split_off(half);
+            groups.push(merged);
+            groups.push(second);
+        }
+    }
+
+    fn oracle_sort_by_center(entries: &mut [Entry], axis: usize) {
+        entries.sort_by(|a, b| {
+            let ka = center_axis(&a.mbr, axis);
+            let kb = center_axis(&b.mbr, axis);
+            ka.partial_cmp(&kb).expect("finite coordinates")
+        });
+    }
+
+    /// The sorting [`partition_by_x`] replaced, kept verbatim as the
+    /// reference its cuts and slabs must equal.
+    fn oracle_partition_by_x(items: Vec<(Rect, u64)>, shards: usize) -> SpacePartition {
+        assert!(shards > 0, "a cluster needs at least one shard");
+        let cuts: Vec<f64> = if items.is_empty() {
+            (1..shards).map(|i| i as f64 / shards as f64).collect()
+        } else {
+            let mut centers: Vec<f64> = items.iter().map(|(r, _)| r.center().0).collect();
+            centers.sort_by(|a, b| a.partial_cmp(b).expect("finite coordinates"));
+            (1..shards)
+                .map(|i| {
+                    let at = i * centers.len() / shards;
+                    let right = centers[at.min(centers.len() - 1)];
+                    let left = centers[at.saturating_sub(1)];
+                    if left < right {
+                        (left + right) / 2.0
+                    } else {
+                        right
+                    }
+                })
+                .collect()
+        };
+        let mut slabs: Vec<Vec<(Rect, u64)>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut bounds: Vec<Option<Rect>> = vec![None; shards];
+        for (rect, data) in items {
+            let s = cuts.partition_point(|c| *c <= rect.center().0);
+            bounds[s] = Some(match bounds[s] {
+                Some(b) => b.union(&rect),
+                None => rect,
+            });
+            slabs[s].push((rect, data));
+        }
+        SpacePartition {
+            slabs,
+            cuts,
+            bounds,
+        }
+    }
+
+    /// Items whose centers come from a handful of values, `-0.0` and
+    /// `+0.0` among them, so long tie runs straddle every slice, group and
+    /// cut boundary.
+    fn tie_heavy_items(max: usize) -> impl Strategy<Value = Vec<(Rect, u64)>> {
+        const CENTERS: [f64; 7] = [-1.0, -0.0, 0.0, 0.0, 0.5, 0.5, 2.0];
+        // A zero half-width keeps a `-0.0` center (`-0.0 + 0.0` is `+0.0`).
+        fn span(c: f64, half: usize) -> (f64, f64) {
+            if half == 0 {
+                (c, c)
+            } else {
+                (c - 0.25 * half as f64, c + 0.25 * half as f64)
+            }
+        }
+        prop::collection::vec((0usize..7, 0usize..7, 0usize..3, 0usize..3), 1..max).prop_map(|v| {
+            v.into_iter()
+                .enumerate()
+                .map(|(i, (cx, cy, hx, hy))| {
+                    let (x0, x1) = span(CENTERS[cx], hx);
+                    let (y0, y1) = span(CENTERS[cy], hy);
+                    (Rect::new(x0, y0, x1, y1), i as u64)
+                })
+                .collect()
+        })
+    }
+
+    fn entries_of(items: &[(Rect, u64)]) -> Vec<Entry> {
+        items.iter().map(|&(r, d)| Entry::data(r, d)).collect()
+    }
+
+    fn bits(rect: &Rect) -> [u64; 4] {
+        [rect.min_x(), rect.min_y(), rect.max_x(), rect.max_y()].map(f64::to_bits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Keyed STR packing forms exactly the oracle's groups, entry for
+        /// entry and bit for bit, at small fanouts and at fanout 88.
+        #[test]
+        fn str_pack_matches_comparison_sort_oracle(
+            items in tie_heavy_items(600),
+            fanout in 0usize..4,
+        ) {
+            let (fill, min_entries) = [(4, 2), (5, 2), (10, 4), (70, 35)][fanout];
+            let mut entries = entries_of(&items);
+            let ends = str_pack(&mut entries, fill, min_entries, &mut Vec::new());
+            let mut start = 0;
+            let groups: Vec<Vec<Entry>> = ends
+                .iter()
+                .map(|&end| {
+                    let g = entries[start..end].to_vec();
+                    start = end;
+                    g
+                })
+                .collect();
+            prop_assert_eq!(start, entries.len());
+            let expect = oracle_str_pack(entries_of(&items), fill, min_entries);
+            prop_assert_eq!(groups.len(), expect.len());
+            for (g, e) in groups.iter().zip(&expect) {
+                prop_assert_eq!(g.len(), e.len());
+                for (a, b) in g.iter().zip(e) {
+                    prop_assert_eq!(bits(&a.mbr), bits(&b.mbr));
+                    prop_assert_eq!(a.child, b.child);
+                }
+            }
+        }
+
+        /// Selected cuts equal the sorted oracle's bit for bit, and every
+        /// item lands in the same slab, for 1 to 8 shards.
+        #[test]
+        fn partition_matches_sorting_oracle(
+            items in tie_heavy_items(300),
+            shards in 1usize..9,
+        ) {
+            let got = partition_by_x(items.clone(), shards);
+            let expect = oracle_partition_by_x(items, shards);
+            let cut_bits = |p: &SpacePartition| p.cuts.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(cut_bits(&got), cut_bits(&expect));
+            prop_assert_eq!(got.slabs, expect.slabs);
+            prop_assert_eq!(got.bounds, expect.bounds);
+        }
+    }
+
+    #[test]
+    fn center_keys_follow_the_float_order() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            0.5,
+            1e300,
+            f64::INFINITY,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    center_key(a).cmp(&center_key(b)),
+                    a.partial_cmp(&b).expect("no NaN"),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    /// `Rect::new` admits only finite coordinates, so a center can
+    /// overflow to infinity but never be NaN; should one arise, the key
+    /// panics as the comparison sort's `partial_cmp` did.
+    #[test]
+    #[should_panic(expected = "finite coordinates")]
+    fn nan_center_panics() {
+        let _ = center_key(f64::NAN);
+    }
 
     fn items(n: u64) -> Vec<(Rect, u64)> {
         (0..n)
