@@ -19,12 +19,12 @@ use std::rc::Rc;
 
 use catfish_bench::{banner, timed, BenchArgs};
 use catfish_bplus::BpConfig;
-use catfish_core::config::{AccessMode, ClientConfig, ServerConfig, ServerMode};
-use catfish_core::conn::RkeyAllocator;
-use catfish_core::kv::{KvClient, KvRead, KvServer};
+use catfish_core::config::{AccessMode, ClientConfig, Scheme, ServerMode};
+use catfish_core::harness::{ExperimentSpec, Testbed};
+use catfish_core::kv::{KvBackend, KvRead};
+use catfish_core::service::cluster::shard_seed;
 use catfish_core::{LatencyHistogram, ServiceStats};
-use catfish_rdma::{profile, Endpoint, RdmaProfile};
-use catfish_simnet::{now, sleep, spawn, Network, Sim, SimDuration};
+use catfish_simnet::{now, sleep, spawn, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -113,7 +113,13 @@ fn fmt_ns(ns: u64) -> String {
     format!("{:.2}us", ns as f64 / 1e3)
 }
 
-/// One (mode, clients, max_batch) measurement.
+/// One (mode, clients, max_batch) measurement on a one-shard KV
+/// testbed: a 28-core server in `mode` and `clients` fast-messaging
+/// clients on up to eight machines. Every get is checked against the
+/// loaded value.
+// Each client task owns its shard connection, so the borrow held across
+// `read_batch` excludes nothing.
+#[allow(clippy::await_holding_refcell_ref)]
 fn run_cell(
     keys: u64,
     clients: usize,
@@ -122,25 +128,25 @@ fn run_cell(
     max_batch: usize,
     seed: u64,
 ) -> Cell {
-    let sim = Sim::new();
-    sim.run_until(async move {
-        let net = Network::new();
-        let prof = profile::infiniband_100g();
-        let rkeys = RkeyAllocator::new();
-        let server = KvServer::build(
-            &net,
-            &prof,
-            ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            },
+    let spec = ExperimentSpec {
+        scheme: Scheme::FastMessaging,
+        clients,
+        client_nodes: 8,
+        server_mode: Some(mode),
+        client_config: Some(ClientConfig {
+            mode: AccessMode::FastMessaging,
+            max_batch,
+            ..ClientConfig::default()
+        }),
+        seed,
+        ..ExperimentSpec::default()
+    };
+    Sim::new().run_until(async move {
+        let bed = Testbed::<KvBackend>::build(
+            &spec,
             BpConfig::default(),
             (0..keys).map(|k| (k, k * 2)).collect(),
-            &rkeys,
         );
-        let eps: Vec<Endpoint> = (0..8)
-            .map(|_| Endpoint::new(&net, net.add_node(prof.link), RdmaProfile::default()))
-            .collect();
         let stats = Rc::new(RefCell::new((
             LatencyHistogram::new(),
             ServiceStats::default(),
@@ -148,17 +154,9 @@ fn run_cell(
         let started = now();
         let mut handles = Vec::new();
         for c in 0..clients {
-            let ch = server.accept(&eps[c % 8]);
-            let mut client = KvClient::new(
-                ch,
-                server.remote_handle(),
-                ClientConfig {
-                    mode: AccessMode::FastMessaging,
-                    max_batch,
-                    ..ClientConfig::default()
-                },
-                seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
+            // The shard connection's back-off seed is exactly this formula.
+            let client_seed = seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let conn = bed.connect(c, shard_seed(client_seed, 0)).shard_client(0);
             let stats = Rc::clone(&stats);
             handles.push(spawn(async move {
                 sleep(SimDuration::from_nanos(17_039 * c as u64)).await;
@@ -171,7 +169,7 @@ fn run_cell(
                         .map(|_| KvRead::Get(rng.gen::<u64>() % keys))
                         .collect();
                     let t0 = now();
-                    let results = client.read_batch(&reads).await;
+                    let results = conn.borrow_mut().read_batch(&reads).await;
                     // Per-op latency: the window's makespan amortized over
                     // its ops, recorded once per op so percentiles weight
                     // windows by how much work they carried.
@@ -180,14 +178,15 @@ fn run_cell(
                         let KvRead::Get(key) = *read else {
                             unreachable!()
                         };
-                        debug_assert_eq!(items.first().map(|&(_, v)| v), Some(key * 2));
+                        let got = items.first().map(|&(_, v)| v);
+                        assert_eq!(got, Some(key * 2), "client {c}: wrong value for key {key}");
                         rec.record(per_op);
                     }
                     issued += window;
                 }
                 let mut s = stats.borrow_mut();
                 s.0.merge(&rec);
-                s.1.merge(&client.stats());
+                s.1.merge(&conn.borrow().stats());
             }));
         }
         for h in handles {

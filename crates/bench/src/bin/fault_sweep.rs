@@ -80,7 +80,7 @@ fn run_cell(cell: &Cell, args: &BenchArgs, size: usize, ops: usize, shards: usiz
     };
     let (label, fault) = (cell.label.to_string(), cell.fault);
     Sim::new().run_until(async move {
-        let bed = Testbed::build(&spec);
+        let bed: Testbed = Testbed::build(&spec, spec.tree_config, spec.dataset.clone());
         chaos::arm_watchdog("fault_sweep cell");
         let w = chaos::insert_read_back(&bed, spec.seed, ops, 1).await;
         let leaked_slots = chaos::leaked_slots(bed.cluster()).await;

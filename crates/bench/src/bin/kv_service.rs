@@ -10,13 +10,12 @@ use std::rc::Rc;
 
 use catfish_bench::{banner, timed, BenchArgs};
 use catfish_bplus::BpConfig;
-use catfish_core::config::{AccessMode, AdaptiveParams, ClientConfig, ServerConfig, ServerMode};
-use catfish_core::conn::RkeyAllocator;
-use catfish_core::kv::{KvClient, KvServer};
+use catfish_core::config::{AccessMode, AdaptiveParams, ClientConfig, Scheme, ServerMode};
+use catfish_core::harness::{ExperimentSpec, Testbed};
+use catfish_core::kv::KvBackend;
+use catfish_core::service::cluster::shard_seed;
 use catfish_core::LatencyHistogram;
-use catfish_rdma::{profile, Endpoint, RdmaProfile};
-use catfish_simnet::{now, sleep, spawn, Network, Sim, SimDuration};
-use catfish_workload::ZipfSampler;
+use catfish_simnet::{now, sleep, spawn, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,30 +70,33 @@ struct Cell {
     offloaded: u64,
 }
 
+/// One cell on a one-shard KV testbed: a 28-core event-driven server
+/// (heartbeats on for the adaptive cell only) and `clients` closed-loop
+/// clients on eight machines. Every get is checked against the loaded
+/// value.
 fn run_cell(keys: u64, clients: usize, requests: usize, mode: AccessMode, seed: u64) -> Cell {
-    let sim = Sim::new();
-    sim.run_until(async move {
-        let net = Network::new();
-        let prof = profile::infiniband_100g();
-        let rkeys = RkeyAllocator::new();
-        let server = KvServer::build(
-            &net,
-            &prof,
-            ServerConfig {
-                mode: ServerMode::EventDriven,
-                ..ServerConfig::default()
-            },
+    let spec = ExperimentSpec {
+        scheme: match mode {
+            AccessMode::Adaptive(_) => Scheme::Catfish,
+            AccessMode::Offloading => Scheme::RdmaOffloading,
+            _ => Scheme::FastMessaging,
+        },
+        clients,
+        client_nodes: 8,
+        server_mode: Some(ServerMode::EventDriven),
+        client_config: Some(ClientConfig {
+            mode,
+            ..ClientConfig::default()
+        }),
+        seed,
+        ..ExperimentSpec::default()
+    };
+    Sim::new().run_until(async move {
+        let bed = Testbed::<KvBackend>::build(
+            &spec,
             BpConfig::default(),
             (0..keys).map(|k| (k, k * 2)).collect(),
-            &rkeys,
         );
-        if matches!(mode, AccessMode::Adaptive(_)) {
-            server.start_heartbeats();
-        }
-        let eps: Vec<Endpoint> = (0..8)
-            .map(|_| Endpoint::new(&net, net.add_node(prof.link), RdmaProfile::default()))
-            .collect();
-        let sampler = Rc::new(ZipfSampler::new(keys, 0.99));
         let stats = Rc::new(RefCell::new((
             LatencyHistogram::new(),
             0u64, // fast
@@ -103,27 +105,19 @@ fn run_cell(keys: u64, clients: usize, requests: usize, mode: AccessMode, seed: 
         let started = now();
         let mut handles = Vec::new();
         for c in 0..clients {
-            let ch = server.accept(&eps[c % 8]);
-            let mut client = KvClient::new(
-                ch,
-                server.remote_handle(),
-                ClientConfig {
-                    mode,
-                    ..ClientConfig::default()
-                },
-                seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let sampler = Rc::clone(&sampler);
+            // The shard connection's back-off seed is exactly this formula.
+            let client_seed = seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut client = bed.connect(c, shard_seed(client_seed, 0));
             let stats = Rc::clone(&stats);
             handles.push(spawn(async move {
                 sleep(SimDuration::from_nanos(17_039 * c as u64)).await;
                 let mut rng = StdRng::seed_from_u64(seed ^ c as u64);
                 let mut rec = LatencyHistogram::new();
                 for _ in 0..requests {
-                    let key = rng.gen::<u64>() % sampler.n();
+                    let key = rng.gen::<u64>() % keys;
                     let t0 = now();
                     let got = client.get(key).await;
-                    debug_assert_eq!(got, Some(key * 2));
+                    assert_eq!(got, Some(key * 2), "client {c}: wrong value for key {key}");
                     rec.record(now() - t0);
                 }
                 let mut s = stats.borrow_mut();

@@ -123,7 +123,7 @@ fn run_chaos_cell(
     };
     let (label, killed) = (cell.label.to_string(), kill);
     Sim::new().run_until(async move {
-        let bed = Testbed::build(&spec);
+        let bed: Testbed = Testbed::build(&spec, spec.tree_config, spec.dataset.clone());
         let cluster = bed.cluster();
         let old_primary = cluster.ctl(0).primary();
         chaos::arm_watchdog("repair_sweep chaos cell");
@@ -232,7 +232,7 @@ fn run_repair_cell(label: &str, n: usize, d: usize) -> RepairCell {
         ..ExperimentSpec::default()
     };
     let report = Sim::new().run_until(async move {
-        let bed = Testbed::build(&spec);
+        let bed: Testbed = Testbed::build(&spec, spec.tree_config, spec.dataset.clone());
         let cluster = bed.cluster();
         // Diverge the backup: drop `d` entries spread evenly across the
         // key space — the scattered case, where a contiguous-range

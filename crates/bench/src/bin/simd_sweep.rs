@@ -224,7 +224,7 @@ fn run_e2e(
         ..ExperimentSpec::default()
     };
     Sim::new().run_until(async move {
-        let bed = Testbed::build(&spec);
+        let bed: Testbed = Testbed::build(&spec, spec.tree_config, spec.dataset.clone());
         let hist = Rc::new(RefCell::new(LatencyHistogram::new()));
         let started = now();
         let mut handles = Vec::new();

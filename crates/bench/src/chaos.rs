@@ -15,6 +15,7 @@ use catfish_core::config::{AccessMode, AdaptiveParams, ClientConfig, ServerConfi
 use catfish_core::harness::{ExperimentSpec, Testbed};
 use catfish_core::obs::{FlightDump, LatencyHistogram};
 use catfish_core::server::CatfishCluster;
+use catfish_core::service::MAILBOX_LEASE_TTL;
 use catfish_core::ServiceStats;
 use catfish_rdma::FaultConfig;
 use catfish_rtree::{RTreeConfig, Rect};
@@ -220,7 +221,7 @@ pub fn audit_exactly_once(
 /// returns the slots still leased across every replica — a crash-restarted
 /// or timed-out fetch must never strand one.
 pub async fn leaked_slots(cluster: &CatfishCluster) -> usize {
-    sleep(ServerConfig::default().mailbox_lease_ttl + HEARTBEAT * 4).await;
+    sleep(MAILBOX_LEASE_TTL + HEARTBEAT * 4).await;
     (0..cluster.shards())
         .flat_map(|s| (0..cluster.replicas()).map(move |r| (s, r)))
         .map(|(s, r)| cluster.replica(s, r).mailbox_outstanding())

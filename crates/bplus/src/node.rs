@@ -240,38 +240,6 @@ impl BpLayout {
         }
     }
 
-    /// Accepts exactly the chunks [`BpLayout::decode_node`] accepts —
-    /// line versions, magic, key count, level, strictly sorted keys, and
-    /// for internal nodes at least one key and child ids within `u32` —
-    /// without building the node, and returns the node level. Only a
-    /// chunk that fails is decoded, to report the error `decode_node`
-    /// reports.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions, and the same error, as [`BpLayout::decode_node`].
-    pub fn validate_node(&self, chunk: &[u8]) -> Result<u32, CodecError> {
-        let checked = || -> Option<u32> {
-            chunk_version(chunk, self.lines).ok()?;
-            let field = |at: usize| u32::from_le_bytes(read_packed::<4>(chunk, at));
-            let (level, count) = (field(4), field(8) as usize);
-            if field(0) != NODE_MAGIC || count > self.max_keys || level > 64 {
-                return None;
-            }
-            let word = |at: usize| u64::from_le_bytes(read_packed::<8>(chunk, at));
-            let key = |i: usize| word(HEADER_BYTES + 8 * i);
-            let child = |i: usize| word(HEADER_BYTES + 8 * self.max_keys + 8 * i);
-            let sorted = (1..count).all(|i| key(i - 1) < key(i));
-            let children_ok =
-                level == 0 || (count > 0 && (0..=count).all(|i| child(i) <= u64::from(u32::MAX)));
-            (sorted && children_ok).then_some(level)
-        };
-        match checked() {
-            Some(level) => Ok(level),
-            None => self.decode_node(chunk).map(|(node, _)| node.level),
-        }
-    }
-
     /// Deserializes a node chunk with version validation.
     ///
     /// # Errors
@@ -467,38 +435,6 @@ mod tests {
         let mut buf = vec![0xFFu8; layout.chunk_bytes() * 2];
         layout.encode_node_into(&node, 9, &mut buf);
         assert_eq!(buf, layout.encode_node(&node, 9));
-    }
-
-    #[test]
-    fn validate_agrees_with_decode_on_damaged_chunks() {
-        let layout = BpLayout::for_max_keys(8);
-        let leaf = BpNode {
-            level: 0,
-            keys: vec![1, 5, 9],
-            refs: BpRefs::Values(vec![10, 50, 90]),
-            next: Some(NodeId(4)),
-        };
-        let internal = BpNode {
-            level: 2,
-            keys: vec![100, 200],
-            refs: BpRefs::Children(vec![NodeId(1), NodeId(2), NodeId(3)]),
-            next: None,
-        };
-        for node in [&leaf, &internal, &BpNode::leaf()] {
-            let clean = layout.encode_node(node, 3);
-            // Every single-byte flip: versions, header, keys, slots.
-            for at in 0..clean.len() {
-                let mut chunk = clean.clone();
-                chunk[at] ^= 0x81;
-                let want = layout.decode_node(&chunk).map(|(n, _)| n.level);
-                assert_eq!(layout.validate_node(&chunk), want, "flip at {at}");
-            }
-            assert_eq!(layout.validate_node(&clean), Ok(node.level));
-            assert_eq!(
-                layout.validate_node(&clean[..64]),
-                layout.decode_node(&clean[..64]).map(|(n, _)| n.level)
-            );
-        }
     }
 
     #[test]

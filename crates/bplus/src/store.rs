@@ -339,16 +339,8 @@ impl RemoteLayout for BpLayout {
         BpLayout::decode_node(self, chunk)
     }
 
-    fn validate_node(&self, chunk: &[u8]) -> Result<u32, CodecError> {
-        BpLayout::validate_node(self, chunk)
-    }
-
     fn decode_meta(&self, chunk: &[u8]) -> Result<(TreeMeta, u64), CodecError> {
         decode_meta(self, chunk)
-    }
-
-    fn node_level(node: &BpNode) -> u32 {
-        node.level
     }
 }
 

@@ -17,6 +17,24 @@ use crate::service::HeartbeatInfo;
 /// response arrives (`new = α·old + (1-α)·sample`).
 const EWMA_KEEP: f64 = 0.75;
 
+/// `k` of the heartbeat-staleness failsafe: a client that has *seen* a
+/// heartbeat but then hears nothing for `k · Inv` stops trusting the last
+/// utilization figure and treats the server as busy (failing over to
+/// offloading) until heartbeats resume. Clients that have never received
+/// a heartbeat are unaffected (they keep the fast path).
+const STALE_AFTER_INTERVALS: u64 = 5;
+const _: () = assert!(STALE_AFTER_INTERVALS >= 2, "failsafe must outlast jitter");
+
+/// Minimum server utilization before fetching engages. Below this the
+/// server has posting headroom and write-back's single round trip gives
+/// strictly better latency, so fetching would only add RTTs.
+const FETCH_UTIL_FLOOR: f64 = 0.5;
+
+/// Fallback result-count crossover used until a heartbeat carrying
+/// per-mode serving-cost terms arrives (then the crossover is derived
+/// from the advertised costs instead).
+const FETCH_ITEMS_THRESHOLD: f64 = 64.0;
+
 /// Per-client state of Algorithm 1.
 #[derive(Debug)]
 pub struct AdaptiveState {
@@ -153,7 +171,7 @@ impl AdaptiveState {
     /// fetching beats write-back for the *server*: solve
     /// `wb_fixed + wb_per_kb·S = fetch_fixed + fetch_per_kb·S` for the
     /// response size `S` and divide by the item size. Falls back to
-    /// [`AdaptiveParams::fetch_items_threshold`] until the server has
+    /// `FETCH_ITEMS_THRESHOLD` until the server has
     /// advertised usable cost terms (fetching must have a higher fixed
     /// cost and a lower per-byte cost, otherwise no crossover exists).
     pub fn threshold_items(&self) -> f64 {
@@ -165,7 +183,7 @@ impl AdaptiveState {
                 return fixed_gap / per_item;
             }
         }
-        self.params.fetch_items_threshold
+        FETCH_ITEMS_THRESHOLD
     }
 
     /// Current back-off band (`r_busy`, `r_off`) — diagnostics and tests.
@@ -195,14 +213,11 @@ impl AdaptiveState {
     }
 
     /// The staleness failsafe: a client that has *seen* a heartbeat but
-    /// then heard nothing for `stale_after_intervals · Inv` stops trusting
+    /// then heard nothing for `STALE_AFTER_INTERVALS · Inv` stops trusting
     /// the last utilization figure and fails over to offloading until the
     /// stream resumes — the graceful-degradation dual of Algorithm 1.
     /// Returns `true` while the failsafe holds the offloaded route.
     fn staleness_failsafe(&mut self, t: SimTime) -> bool {
-        if self.params.stale_after_intervals == 0 {
-            return false; // failsafe disabled
-        }
         let Some(seen) = self.last_seen else {
             // Never heard the server: keep the fast path (matching the
             // paper's "it ignores that no heartbeat has arrived").
@@ -213,7 +228,7 @@ impl AdaptiveState {
             self.params
                 .heartbeat_interval
                 .as_nanos()
-                .saturating_mul(u64::from(self.params.stale_after_intervals)),
+                .saturating_mul(STALE_AFTER_INTERVALS),
         );
         if silent > stale_after {
             if !self.stale {
@@ -261,7 +276,7 @@ impl AdaptiveState {
     /// fetching because a deposited response still costs server CPU —
     /// offloading is the only route that relieves the server entirely.
     /// Fetching is chosen only when the server is contended
-    /// (`last_util ≥ fetch_util_floor`) *and* responses are expected to be
+    /// (`last_util ≥ FETCH_UTIL_FLOOR`) *and* responses are expected to be
     /// large enough (`ewma_items ≥ threshold_items()`) that moving NIC
     /// write-initiation to the client is a net server-side win.
     ///
@@ -321,7 +336,7 @@ impl AdaptiveState {
     fn fetch_regime(&mut self) -> bool {
         let threshold = self.threshold_items();
         let want = self.params.fetch_enabled
-            && self.last_util >= self.params.fetch_util_floor
+            && self.last_util >= FETCH_UTIL_FLOOR
             && self.ewma_items >= threshold;
         if want != self.in_fetch_regime {
             self.in_fetch_regime = want;
@@ -527,7 +542,7 @@ mod tests {
             sleep(SimDuration::from_millis(11)).await;
             assert_eq!(s.decide_route(), RouteChoice::Fast);
             // A contended-but-not-busy server with large responses: fetch.
-            // (util 0.7 sits above fetch_util_floor yet below the 0.95
+            // (util 0.7 sits above FETCH_UTIL_FLOOR yet below the 0.95
             // busy threshold, so the offload band never engages.)
             s.note_heartbeat(0.7);
             sleep(SimDuration::from_millis(11)).await;
@@ -574,10 +589,7 @@ mod tests {
         sim.run_until(async {
             let mut s = AdaptiveState::new(AdaptiveParams::three_way(), 13);
             // No cost terms yet: static fallback threshold.
-            assert_eq!(
-                s.threshold_items(),
-                AdaptiveParams::three_way().fetch_items_threshold
-            );
+            assert_eq!(s.threshold_items(), FETCH_ITEMS_THRESHOLD);
             // wb: 4000 + 2500/KB, fetch: 10000 + 400/KB, 40-byte items →
             // S* = 6000/2100 KiB ≈ 2.857 KiB ≈ 73.1 items.
             s.note_heartbeat_info(HeartbeatInfo {
@@ -591,10 +603,7 @@ mod tests {
             assert!((70.0..80.0).contains(&t), "derived crossover: {t}");
             // Degenerate terms (no crossover): fall back.
             s.note_heartbeat_info(HeartbeatInfo::util_only(900));
-            assert_eq!(
-                s.threshold_items(),
-                AdaptiveParams::three_way().fetch_items_threshold
-            );
+            assert_eq!(s.threshold_items(), FETCH_ITEMS_THRESHOLD);
         });
     }
 

@@ -15,6 +15,7 @@ use catfish_simnet::sleep;
 use crate::msg::Message;
 use crate::obs::{Phase, SpanCtx};
 use crate::server::RtreeBackend;
+use crate::service::client::CLIENT_NODE_VISIT;
 use crate::service::{ClientBackend, ClusterClient, Inconsistent, OpKind, ServiceClient};
 
 pub use crate::service::SearchPath;
@@ -228,7 +229,7 @@ impl ServiceClient<RtreeBackend> {
                     if node.level != level {
                         return Err(Inconsistent);
                     }
-                    sleep(self.cfg.client_node_visit).await;
+                    sleep(CLIENT_NODE_VISIT).await;
                     for e in &node.entries {
                         let d = catfish_rtree::min_dist_sq(&e.mbr, x, y);
                         seq += 1;

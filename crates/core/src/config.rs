@@ -89,26 +89,10 @@ pub struct AdaptiveParams {
     /// `Inv`: how often the server publishes heartbeats and how long a
     /// client considers one fresh. The paper uses 10 ms.
     pub heartbeat_interval: SimDuration,
-    /// `k`: heartbeat-staleness failsafe. A client that has *seen* a
-    /// heartbeat but then hears nothing for `k · Inv` stops trusting the
-    /// last utilization figure and treats the server as busy (failing
-    /// over to offloading) until heartbeats resume — the
-    /// graceful-degradation dual of Algorithm 1. Clients that have never
-    /// received a heartbeat are unaffected (they keep the fast path, as
-    /// before).
-    pub stale_after_intervals: u32,
     /// Enable the third (remote-result-fetching) route in the policy.
     /// Off by default so the binary Algorithm 1 behavior — and every
     /// experiment built on it — is unchanged unless a client opts in.
     pub fetch_enabled: bool,
-    /// Minimum server utilization before fetching engages. Below this the
-    /// server has posting headroom and write-back's single round trip
-    /// gives strictly better latency, so fetching would only add RTTs.
-    pub fetch_util_floor: f64,
-    /// Fallback result-count crossover used until a heartbeat carrying
-    /// per-mode serving-cost terms arrives (then the crossover is derived
-    /// from the advertised costs instead).
-    pub fetch_items_threshold: f64,
     /// Hysteresis for the staleness failsafe: once a client has frozen on
     /// the offload band because heartbeats went silent, it unfreezes only
     /// after this many *consecutive* fresh heartbeats. 1 restores the old
@@ -125,10 +109,7 @@ impl Default for AdaptiveParams {
             n_backoff: 8,
             busy_threshold: 0.95,
             heartbeat_interval: SimDuration::from_millis(10),
-            stale_after_intervals: 5,
             fetch_enabled: false,
-            fetch_util_floor: 0.5,
-            fetch_items_threshold: 64.0,
             stale_recovery_intervals: 2,
         }
     }
@@ -156,10 +137,6 @@ pub struct ServerConfig {
     pub mode: ServerMode,
     /// Cost model for request processing.
     pub cost: CostModel,
-    /// Duration over which a multi-cache-line node update is remotely
-    /// visible as torn (drives version-validation retries in offloading
-    /// clients).
-    pub torn_write_window: SimDuration,
     /// Heartbeat publication interval (`Inv`).
     pub heartbeat_interval: SimDuration,
     /// Per-connection ring buffer capacity in bytes (the paper uses
@@ -185,11 +162,6 @@ pub struct ServerConfig {
     /// Bytes per mailbox slot, including its 16-byte header. Responses
     /// whose encoding exceeds the slot fall back to the write-back path.
     pub mailbox_slot_bytes: usize,
-    /// How long a deposited-but-unacknowledged mailbox slot stays leased
-    /// before the heartbeat-tick sweep reclaims it — the server-side dual
-    /// of the client's `stale_after_intervals` heartbeat failover (a
-    /// client that restarted mid-fetch will never ack).
-    pub mailbox_lease_ttl: SimDuration,
     /// Per-connection retransmission-dedup window: how many recent
     /// non-read sequence numbers (with their cached completion status) a
     /// worker remembers. A retransmission storm longer than this window
@@ -206,7 +178,6 @@ impl Default for ServerConfig {
             quantum: SimDuration::from_millis(1),
             mode: ServerMode::EventDriven,
             cost: CostModel::default(),
-            torn_write_window: SimDuration::from_micros(2),
             heartbeat_interval: SimDuration::from_millis(10),
             ring_capacity: 256 * 1024,
             response_segment_results: 1000,
@@ -214,7 +185,6 @@ impl Default for ServerConfig {
             merge_writes: true,
             mailbox_slots: 16,
             mailbox_slot_bytes: 16 * 1024,
-            mailbox_lease_ttl: SimDuration::from_millis(50),
             dedup_window: 1024,
         }
     }
@@ -250,8 +220,6 @@ pub struct ClientConfig {
     pub meta_cache_ttl: SimDuration,
     /// Give up after this many version-validation retries of one chunk.
     pub max_read_retries: u32,
-    /// Client-side per-chunk processing cost (latency only).
-    pub client_node_visit: SimDuration,
     /// Cache the top `n` levels of the tree client-side (0 disables).
     /// A Cell-style enhancement the paper's §VI anticipates: cached
     /// internal nodes skip their RDMA Reads, trading staleness (bounded
@@ -270,10 +238,6 @@ pub struct ClientConfig {
     /// the group-read path. 1 disables client-side batching (every
     /// request is its own doorbell, today's behavior).
     pub max_batch: usize,
-    /// Latency guard for client-side coalescing: a flush is capped so its
-    /// estimated service time (per-op estimate × batch size) stays within
-    /// this window. ZERO disables the guard (only `max_batch` caps).
-    pub batch_window: SimDuration,
     /// Deadline for one fast-messaging request attempt: if no response
     /// arrives within this window the request is retransmitted (the
     /// server deduplicates by sequence number). Generous relative to
@@ -281,18 +245,6 @@ pub struct ClientConfig {
     pub request_timeout: SimDuration,
     /// Retransmission attempts after the first send before giving up.
     pub max_retries: u32,
-    /// Initial client backoff between retransmission attempts; doubles
-    /// per retry up to [`ClientConfig::retry_backoff_max`].
-    pub retry_backoff: SimDuration,
-    /// Ceiling for the retransmission backoff.
-    pub retry_backoff_max: SimDuration,
-    /// Delay before the first mailbox header poll of a fetch and between
-    /// unsuccessful polls; doubles up to
-    /// [`ClientConfig::fetch_poll_max`]. Small relative to service time
-    /// so a ready result is picked up within one poll.
-    pub fetch_poll_initial: SimDuration,
-    /// Ceiling for the fetch poll backoff.
-    pub fetch_poll_max: SimDuration,
 }
 
 impl Default for ClientConfig {
@@ -302,18 +254,12 @@ impl Default for ClientConfig {
             multi_issue: true,
             meta_cache_ttl: SimDuration::from_millis(10),
             max_read_retries: 64,
-            client_node_visit: SimDuration::from_micros(2),
             cache_levels: 0,
             node_cache_ttl: SimDuration::from_millis(10),
             node_cache_capacity: 4096,
             max_batch: 16,
-            batch_window: SimDuration::from_millis(1),
             request_timeout: SimDuration::from_secs(1),
             max_retries: 16,
-            retry_backoff: SimDuration::from_micros(100),
-            retry_backoff_max: SimDuration::from_millis(100),
-            fetch_poll_initial: SimDuration::from_micros(4),
-            fetch_poll_max: SimDuration::from_micros(256),
         }
     }
 }
@@ -354,7 +300,6 @@ mod tests {
         assert_eq!(a.n_backoff, 8);
         assert_eq!(a.busy_threshold, 0.95);
         assert_eq!(a.heartbeat_interval, SimDuration::from_millis(10));
-        assert!(a.stale_after_intervals >= 2, "failsafe must outlast jitter");
         assert!(
             a.stale_recovery_intervals >= 1,
             "unfreezing needs at least one fresh heartbeat"
@@ -372,7 +317,7 @@ mod tests {
         assert!(s.cost.post_per_kb > s.cost.deposit_per_kb);
         assert!(s.mailbox_slots > 0);
         assert!(s.mailbox_slot_bytes > 16);
-        assert!(s.mailbox_lease_ttl >= a.heartbeat_interval);
+        assert!(crate::service::MAILBOX_LEASE_TTL >= a.heartbeat_interval);
         assert!(s.dedup_window >= 64, "dedup must cover a retry burst");
         assert!(!a.fetch_enabled, "three-way policy is opt-in");
     }

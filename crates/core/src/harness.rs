@@ -1,25 +1,28 @@
 //! Whole-cluster experiment harness.
 //!
-//! Every run builds one topology: a [`CatfishCluster`] of
+//! Every run builds one topology: a [`ClusterServer`] of
 //! [`ExperimentSpec::shards`] shards (each optionally a replica set) plus
 //! up to hundreds of client threads spread over a handful of client
 //! machines sharing NICs. The paper's single Catfish server is the
 //! one-shard cluster, the default. The harness runs a workload trace
 //! through a chosen [`Scheme`] and reports throughput, latency, server CPU
-//! utilization, and server NIC bandwidth. Every figure-regeneration binary
-//! in `catfish-bench` is a thin loop over [`run_experiment`].
+//! utilization, and server NIC bandwidth. The figure-regeneration binaries
+//! in `catfish-bench` are thin loops over [`run_experiment`] or a
+//! [`Testbed`].
 //!
 //! The build phase is [`Testbed`]: network, cluster, fault wiring,
 //! heartbeats, trace sink and client NICs, plus [`Testbed::connect`] for
-//! configured clients. [`run_experiment`] is a `Testbed` plus a trace
+//! configured clients. It is generic over the index backend (the R-tree
+//! by default). [`run_experiment`] is an R-tree `Testbed` plus a trace
 //! driver; bench cells with client loops of their own (the chaos and
-//! SIMD gates) build the same `Testbed`, so every measured R-tree cell
-//! runs on one topology code path.
+//! SIMD gates, and the KV service and batching benches on
+//! `Testbed<KvBackend>`) build the same `Testbed`, so every measured cell
+//! of either backend runs on one topology code path.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use catfish_rdma::tcp::{TcpConn, TcpEndpoint};
+use catfish_rdma::tcp::{TcpConn, TcpEndpoint, TcpProfile};
 use catfish_rdma::{Endpoint, FaultConfig, FaultPlan, NetProfile};
 use catfish_rtree::{RTreeConfig, Rect};
 use catfish_simnet::{now, sleep, spawn, CpuPool, Network, Sim, SimDuration};
@@ -33,7 +36,8 @@ use crate::obs::{
     AdaptiveEventLog, AdaptiveEventRecord, FlightDump, LatencyHistogram, MetricsRegistry, Phase,
     SpanRecord, TraceSink,
 };
-use crate::server::{CatfishCluster, CatfishServer};
+use crate::server::{CatfishServer, RtreeBackend};
+use crate::service::{ClientBackend, ClusterClient, ClusterServer, ShardPartition};
 use crate::stats::{LatencySummary, ServiceStats};
 
 /// Everything needed to run one experiment cell.
@@ -47,13 +51,15 @@ pub struct ExperimentSpec {
     pub clients: usize,
     /// Client machines the threads are spread over (the paper uses 8).
     pub client_nodes: usize,
-    /// Rectangles pre-loaded into the server's tree.
+    /// Rectangles pre-loaded into the server's tree by
+    /// [`run_experiment`] ([`Testbed::build`] takes its load items as an
+    /// argument instead).
     pub dataset: Vec<(Rect, u64)>,
     /// Per-client request trace specification.
     pub trace: TraceSpec,
     /// Server configuration (mode is overridden per scheme).
     pub server: ServerConfig,
-    /// Tree fanout configuration.
+    /// Tree fanout configuration [`run_experiment`] builds with.
     pub tree_config: RTreeConfig,
     /// Base RNG seed (traces and back-off randomization derive from it).
     pub seed: u64,
@@ -100,7 +106,7 @@ pub struct ExperimentSpec {
     pub request_timeout: Option<SimDuration>,
     /// Overrides every client's retransmission budget (`--max-retries`).
     pub max_retries: Option<u32>,
-    /// Server shards of the [`CatfishCluster`]. `1` (the default) models
+    /// Server shards of the [`ClusterServer`]. `1` (the default) models
     /// the paper's single server; `> 1` partitions the dataset into x-slabs
     /// served to scatter-gather clients. Each shard is a full machine with
     /// `server`'s configuration and its own heartbeat stream / Algorithm 1
@@ -362,47 +368,47 @@ struct ClientOutcome {
 }
 
 /// One experiment cell's topology, built and waiting for clients: the
-/// network, the [`CatfishCluster`] (one shard models the paper's single
-/// server) with its fault plan, heartbeats and trace sink, and the client
-/// machines' NICs. [`run_experiment`] drives a workload trace through it;
-/// benchmarks with their own client loops (the chaos gates, the SIMD
-/// ablation) build the same topology and connect their clients with
-/// [`Testbed::connect`].
+/// network, the [`ClusterServer`] of backend `B` (one shard models the
+/// paper's single server) with its fault plan, heartbeats and trace sink,
+/// and the client machines' NICs. [`run_experiment`] drives a workload
+/// trace through an R-tree testbed; benchmarks with their own client
+/// loops (the chaos gates, the SIMD ablation, the KV benches) build the
+/// same topology and connect their clients with [`Testbed::connect`].
 ///
 /// Fault targeting lives here and nowhere else: with
 /// [`ExperimentSpec::fault_shard`] unset the plan attaches to every
 /// replica's server NIC and every client NIC; set, it attaches to that
 /// shard's primary only and every other NIC runs clean.
 #[derive(Debug)]
-pub struct Testbed {
+pub struct Testbed<B: ClientBackend + ShardPartition = RtreeBackend> {
     net: Network,
-    cluster: CatfishCluster,
+    cluster: ClusterServer<B>,
     fault_plan: Option<FaultPlan>,
     trace_sink: Option<TraceSink>,
     event_log: Option<AdaptiveEventLog>,
     /// Client machines; client `i` sits on NIC `i % nics.len()`.
     nics: Vec<Endpoint>,
     poll_pools: Vec<Option<CpuPool>>,
-    /// The TCP baseline's sockets on the same client machines (empty for
-    /// RDMA schemes).
-    tcp_nics: Vec<TcpEndpoint>,
     client_cfg: ClientConfig,
     request_timeout: Option<SimDuration>,
     max_retries: Option<u32>,
 }
 
-impl Testbed {
-    /// Builds `spec`'s topology. Call inside a running [`Sim`]: servers
-    /// spawn their heartbeat publishers here and their connection workers
-    /// as clients connect.
+impl<B: ClientBackend + ShardPartition> Testbed<B> {
+    /// Builds `spec`'s topology over a cluster of `B` bulk-loaded with
+    /// `items` under `index_cfg`. Reads the topology fields of `spec`
+    /// (profile, scheme, server, shards, replicas, client machines,
+    /// faults, tracing and client overrides), never its R-tree
+    /// `dataset` or `tree_config`. Call inside a running [`Sim`]: servers
+    /// spawn their heartbeat publishers here (for [`Scheme::Catfish`]
+    /// only) and their connection workers as clients connect.
     ///
     /// # Panics
     ///
     /// Panics on a TCP baseline with more than one shard or replica.
-    pub fn build(spec: &ExperimentSpec) -> Testbed {
-        let tcp = spec.scheme == Scheme::TcpIp;
+    pub fn build(spec: &ExperimentSpec, index_cfg: B::Config, items: Vec<B::LoadItem>) -> Self {
         assert!(
-            !tcp || (spec.shards == 1 && spec.replicas == 1),
+            spec.scheme != Scheme::TcpIp || (spec.shards == 1 && spec.replicas == 1),
             "the TCP baseline is single-server only; use shards = 1 and replicas = 1"
         );
         let net = Network::new();
@@ -413,12 +419,12 @@ impl Testbed {
             Scheme::FastMessaging | Scheme::RdmaOffloading => ServerMode::Polling,
             Scheme::Catfish | Scheme::TcpIp => ServerMode::EventDriven,
         });
-        let cluster = CatfishCluster::build_replicated(
+        let cluster = ClusterServer::build_replicated(
             &net,
             &spec.profile,
             server_cfg,
-            spec.tree_config,
-            spec.dataset.clone(),
+            index_cfg,
+            items,
             spec.shards,
             spec.replicas,
             &rkeys,
@@ -484,13 +490,6 @@ impl Testbed {
                     .map(|cores| CpuPool::new(cores, server_cfg.quantum))
             })
             .collect();
-        let tcp_nics = if tcp {
-            nics.iter()
-                .map(|ep| TcpEndpoint::new(&net, ep.node(), spec.profile.tcp, None))
-                .collect()
-        } else {
-            Vec::new()
-        };
         Testbed {
             net,
             cluster,
@@ -499,7 +498,6 @@ impl Testbed {
             event_log,
             nics,
             poll_pools,
-            tcp_nics,
             client_cfg: spec
                 .client_config
                 .unwrap_or_else(|| client_config_for(spec.scheme, &server_cfg)),
@@ -509,7 +507,7 @@ impl Testbed {
     }
 
     /// The cluster under test.
-    pub fn cluster(&self) -> &CatfishCluster {
+    pub fn cluster(&self) -> &ClusterServer<B> {
         &self.cluster
     }
 
@@ -528,7 +526,7 @@ impl Testbed {
     /// with the scheme's client configuration, or
     /// [`ExperimentSpec::client_config`] when set. Per-shard connection
     /// seeds derive from `seed`, which each caller chooses.
-    pub fn connect(&self, client_id: usize, seed: u64) -> CatfishClusterClient {
+    pub fn connect(&self, client_id: usize, seed: u64) -> ClusterClient<B> {
         self.connect_with(client_id, self.client_cfg, seed)
     }
 
@@ -541,7 +539,7 @@ impl Testbed {
         client_id: usize,
         mut cfg: ClientConfig,
         seed: u64,
-    ) -> CatfishClusterClient {
+    ) -> ClusterClient<B> {
         if let Some(t) = self.request_timeout {
             cfg.request_timeout = t;
         }
@@ -549,7 +547,7 @@ impl Testbed {
             cfg.max_retries = r;
         }
         let nic = client_id % self.nics.len();
-        let client = CatfishClusterClient::connect_from(&self.cluster, &self.nics[nic], cfg, seed);
+        let client = ClusterClient::connect_from(&self.cluster, &self.nics[nic], cfg, seed);
         if let Some(pool) = &self.poll_pools[nic] {
             client.set_response_polling(pool);
         }
@@ -562,13 +560,17 @@ impl Testbed {
         client.set_flight_ids(client_id as u32);
         client
     }
+}
 
+impl Testbed {
     /// The TCP baseline's analogue of [`Testbed::connect`]: one socket
-    /// from client `client_id`'s machine to the single server.
-    fn connect_tcp(&self, client_id: usize) -> TcpConn {
+    /// from client `client_id`'s machine, over its `tcp` stack, to the
+    /// single server.
+    fn connect_tcp(&self, client_id: usize, tcp: TcpProfile) -> TcpConn {
+        let node = self.nics[client_id % self.nics.len()].node();
         let server = self.cluster.shard(0);
         let (conn, server_side) =
-            self.tcp_nics[client_id % self.tcp_nics.len()].connect(&server.tcp_endpoint());
+            TcpEndpoint::new(&self.net, node, tcp, None).connect(&server.tcp_endpoint());
         server.accept_tcp(server_side);
         conn
     }
@@ -579,7 +581,7 @@ impl Testbed {
 /// counter once. Per-shard resource accounting: server CPU is the mean
 /// across shards (each shard is a full machine) and NIC bandwidth the sum.
 async fn run_cluster(spec: ExperimentSpec) -> RunResult {
-    let bed = Testbed::build(&spec);
+    let bed: Testbed = Testbed::build(&spec, spec.tree_config, spec.dataset.clone());
     let net = &bed.net;
     // Primaries at build time (replica 0 of each set) — the machines the
     // timeline watches.
@@ -600,7 +602,7 @@ async fn run_cluster(spec: ExperimentSpec) -> RunResult {
         // client machines would; this also de-phases the steady state.
         let stagger = SimDuration::from_nanos(17_039 * client_id as u64);
         if spec.scheme == Scheme::TcpIp {
-            let conn = bed.connect_tcp(client_id);
+            let conn = bed.connect_tcp(client_id, spec.profile.tcp);
             handles.push(spawn(async move {
                 sleep(stagger).await;
                 let outcome = tcp_client_task(conn, trace).await;
@@ -800,34 +802,10 @@ async fn tcp_client_task(conn: TcpConn, trace: Vec<Request>) -> ClientOutcome {
     outcome
 }
 
-/// Convenience: measure average server CPU and bandwidth for the
-/// motivating experiment (Fig. 2) while a TCP search workload runs.
-#[derive(Debug, Clone, Copy)]
-pub struct UtilizationPoint {
-    /// Clients in this cell.
-    pub clients: usize,
-    /// Mean server CPU utilization `[0, 1]`.
-    pub cpu: f64,
-    /// Mean server NIC throughput in Gbps.
-    pub bandwidth_gbps: f64,
-}
-
-/// Runs a TCP/IP workload and reports the server's resource profile (the
-/// paper's Fig. 2 motivating measurement).
-pub fn measure_tcp_utilization(spec: &ExperimentSpec) -> UtilizationPoint {
-    let mut spec = spec.clone();
-    spec.scheme = Scheme::TcpIp;
-    let r = run_experiment(&spec);
-    UtilizationPoint {
-        clients: r.clients,
-        cpu: r.server_cpu,
-        bandwidth_gbps: r.server_bw_gbps,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::CatfishCluster;
     use catfish_workload::uniform_rects;
 
     fn small_spec(scheme: Scheme) -> ExperimentSpec {
@@ -1052,8 +1030,8 @@ mod tests {
     fn tcp_utilization_point_is_sane() {
         let mut spec = small_spec(Scheme::TcpIp);
         spec.profile = catfish_rdma::profile::ethernet_1g();
-        let p = measure_tcp_utilization(&spec);
-        assert!(p.cpu > 0.0 && p.cpu <= 1.0);
-        assert!(p.bandwidth_gbps > 0.0 && p.bandwidth_gbps <= 1.0);
+        let r = run_experiment(&spec);
+        assert!(r.server_cpu > 0.0 && r.server_cpu <= 1.0);
+        assert!(r.server_bw_gbps > 0.0 && r.server_bw_gbps <= 1.0);
     }
 }

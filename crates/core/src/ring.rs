@@ -281,12 +281,6 @@ impl RingSender {
         u64::from_le_bytes(b)
     }
 
-    /// Bytes currently unreclaimed in the ring (from the sender's view,
-    /// which may lag the receiver's actual progress).
-    pub fn in_flight(&self) -> u64 {
-        self.shared.tail.get() - self.processed()
-    }
-
     /// Builds the framed wire image of `payload`: length word, payload
     /// CRC, payload bytes, zero padding to a 4-byte boundary. If a fault
     /// plan is attached to the local endpoint, a payload byte may be
@@ -908,11 +902,6 @@ impl RingReceiver {
                 Either::Right(()) => return None,
             }
         }
-    }
-
-    /// Number of pending completions (diagnostic).
-    pub fn pending_completions(&self) -> usize {
-        self.shared.cq.len()
     }
 }
 

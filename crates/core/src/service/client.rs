@@ -23,6 +23,25 @@ use super::{
     ReplEnvelope, SearchPath, WireCodec, WireItem, WireMessage, FETCH_FLAG, STATUS_UNACKED,
 };
 
+/// Client-side per-chunk processing cost of an offloaded traversal
+/// (latency only).
+pub(crate) const CLIENT_NODE_VISIT: SimDuration = SimDuration::from_micros(2);
+/// Latency guard for client-side coalescing: a flush is capped so its
+/// estimated service time (per-op estimate × batch size) stays within
+/// this window.
+const BATCH_WINDOW: SimDuration = SimDuration::from_millis(1);
+/// Initial backoff between retransmission attempts; doubles per retry up
+/// to [`RETRY_BACKOFF_MAX`].
+const RETRY_BACKOFF: SimDuration = SimDuration::from_micros(100);
+/// Ceiling for the retransmission backoff.
+const RETRY_BACKOFF_MAX: SimDuration = SimDuration::from_millis(100);
+/// Delay before the first mailbox header poll of a fetch and between
+/// unsuccessful polls; doubles up to [`FETCH_POLL_MAX`]. Small relative
+/// to service time so a ready result is picked up within one poll.
+const FETCH_POLL_INITIAL: SimDuration = SimDuration::from_micros(4);
+/// Ceiling for the fetch poll backoff.
+const FETCH_POLL_MAX: SimDuration = SimDuration::from_micros(256);
+
 /// The client's cache of validated upper-level chunks, stamped with the
 /// instant they were read off the wire.
 #[derive(Debug, Default)]
@@ -275,10 +294,10 @@ impl<B: ClientBackend> ServiceClient<B> {
         }
     }
 
-    /// Doubles a backoff up to the configured ceiling.
+    /// Doubles a backoff up to [`RETRY_BACKOFF_MAX`].
     fn next_backoff(&self, backoff: SimDuration) -> SimDuration {
         let doubled = backoff.as_nanos().saturating_mul(2);
-        SimDuration::from_nanos(doubled.min(self.cfg.retry_backoff_max.as_nanos()))
+        SimDuration::from_nanos(doubled.min(RETRY_BACKOFF_MAX.as_nanos()))
     }
 
     /// Handles one request-attempt timeout: counts it, nudges a possibly
@@ -404,7 +423,7 @@ impl<B: ClientBackend> ServiceClient<B> {
         let wait_span = self.trace.begin();
         let mut out = Vec::new();
         let mut retries = 0u32;
-        let mut backoff = self.cfg.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         loop {
             let deadline = now() + self.cfg.request_timeout;
             loop {
@@ -521,10 +540,10 @@ impl<B: ClientBackend> ServiceClient<B> {
         // Write-back fallback accumulation (slot-overflow responses).
         let mut wb_items: Vec<WireItem<B>> = Vec::new();
         let mut retries = 0u32;
-        let mut backoff = self.cfg.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         loop {
             let deadline = now() + self.cfg.request_timeout;
-            let mut poll = self.cfg.fetch_poll_initial;
+            let mut poll = FETCH_POLL_INITIAL;
             loop {
                 // Drain the response ring opportunistically: heartbeats
                 // keep Algorithm 1 fed, and an overflowed response comes
@@ -593,7 +612,7 @@ impl<B: ClientBackend> ServiceClient<B> {
                 poll = SimDuration::from_nanos(
                     poll.as_nanos()
                         .saturating_mul(2)
-                        .min(self.cfg.fetch_poll_max.as_nanos()),
+                        .min(FETCH_POLL_MAX.as_nanos()),
                 );
             }
             // Attempt timed out (lost request or lost deposit): retransmit
@@ -633,9 +652,9 @@ impl<B: ClientBackend> ServiceClient<B> {
     /// flight the rest of the window queues, and each subsequent flush
     /// packs up to [`crate::config::ClientConfig::max_batch`] queued
     /// requests into one `Batch` frame (one ring write, one CQ event, one
-    /// server wakeup). [`crate::config::ClientConfig::batch_window`]
-    /// additionally caps a flush so its estimated service time (previous
-    /// flush's per-op time × batch size) stays within the window.
+    /// server wakeup). A 1 ms latency window additionally caps a flush so
+    /// its estimated service time (previous flush's per-op time × batch
+    /// size) stays within it.
     ///
     /// Results are returned per read, in request order. With `max_batch`
     /// = 1 every request is its own frame — exactly the sequential path.
@@ -644,7 +663,7 @@ impl<B: ClientBackend> ServiceClient<B> {
         let max_batch = self.cfg.max_batch.max(1);
         let mut out: Vec<Vec<WireItem<B>>> = Vec::with_capacity(reads.len());
         // Per-op service-time estimate from the previous flush, feeding
-        // the batch_window latency guard.
+        // the BATCH_WINDOW latency guard.
         let mut est_per_op: Option<SimDuration> = None;
         let mut next = 0usize;
         while next < reads.len() {
@@ -654,10 +673,10 @@ impl<B: ClientBackend> ServiceClient<B> {
             } else {
                 remaining.min(max_batch)
             };
-            if chunk > 1 && !self.cfg.batch_window.is_zero() {
+            if chunk > 1 {
                 if let Some(est) = est_per_op {
                     if !est.is_zero() {
-                        let cap = (self.cfg.batch_window.as_nanos() / est.as_nanos()).max(1);
+                        let cap = (BATCH_WINDOW.as_nanos() / est.as_nanos()).max(1);
                         chunk = chunk.min(cap as usize);
                     }
                 }
@@ -711,7 +730,7 @@ impl<B: ClientBackend> ServiceClient<B> {
             let mut bufs: Vec<Vec<WireItem<B>>> = vec![Vec::new(); chunk];
             let mut done = 0usize;
             let mut retries = 0u32;
-            let mut backoff = self.cfg.retry_backoff;
+            let mut backoff = RETRY_BACKOFF;
             'flush: while done < chunk {
                 let deadline = now() + self.cfg.request_timeout;
                 while done < chunk {
@@ -950,7 +969,7 @@ impl<B: ClientBackend> ServiceClient<B> {
             if node_level != level {
                 return Err(Inconsistent);
             }
-            sleep(self.cfg.client_node_visit).await;
+            sleep(CLIENT_NODE_VISIT).await;
             B::visit(read, &self.visit_scratch, &mut results, &mut queue)?;
         }
         Ok(results)
@@ -1026,7 +1045,7 @@ impl<B: ClientBackend> ServiceClient<B> {
             if wire_retries.is_some() {
                 self.cache_store(id, node_level, cache_floor, &chunk);
             }
-            sleep(self.cfg.client_node_visit).await;
+            sleep(CLIENT_NODE_VISIT).await;
             if B::visit(read, &self.visit_scratch, &mut results, &mut children).is_err() {
                 failed = true;
                 continue;

@@ -54,6 +54,15 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The back-off seed [`ClusterClient::connect_from`] gives the connection
+/// to shard `shard`'s primary of a client connected with `seed`. It is an
+/// involution in `seed` (`shard_seed(shard_seed(s, i), i) == s`), so a
+/// caller that wants a one-shard connection seeded with exactly `s`
+/// connects with `shard_seed(s, 0)`.
+pub fn shard_seed(seed: u64, shard: usize) -> u64 {
+    seed ^ mix64(shard as u64 + 1)
+}
+
 /// Virtual ring points per shard: enough that shard loads stay within a
 /// few percent of each other without making lookup tables large.
 const RING_POINTS_PER_SHARD: usize = 16;
@@ -447,10 +456,12 @@ impl<B: IndexBackend> std::fmt::Debug for ClusterServer<B> {
     }
 }
 
-impl<B: IndexBackend + ShardPartition> ClusterServer<B> {
-    /// Builds `shards` servers, partitioning `items` with the backend's
-    /// [`ShardPartition`]. Every shard gets the same `cfg` — each shard is
-    /// a full machine, so scaling shards scales cores and NICs with them.
+impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B> {
+    /// Builds `shards` unreplicated servers, partitioning `items` with the
+    /// backend's [`ShardPartition`]: [`ClusterServer::build_replicated`]
+    /// with one member per set. Every shard gets the same `cfg` — each
+    /// shard is a full machine, so scaling shards scales cores and NICs
+    /// with them.
     ///
     /// # Panics
     ///
@@ -464,34 +475,9 @@ impl<B: IndexBackend + ShardPartition> ClusterServer<B> {
         shards: usize,
         rkeys: &RkeyAllocator,
     ) -> ClusterServer<B> {
-        assert!(shards > 0, "a cluster needs at least one shard");
-        let (parts, map) = B::partition(items, shards);
-        let sets: Vec<Vec<ServiceServer<B>>> = parts
-            .into_iter()
-            .map(|part| {
-                vec![ServiceServer::build(
-                    net,
-                    profile,
-                    cfg,
-                    index_cfg.clone(),
-                    part,
-                    rkeys,
-                )]
-            })
-            .collect();
-        let ctls = (0..sets.len()).map(|_| ReplicaCtl::new(1)).collect();
-        ClusterServer {
-            sets,
-            ctls,
-            map,
-            pump_traces: Vec::new(),
-            trace: RefCell::default(),
-            repair_flight: FlightRecorder::new(),
-        }
+        Self::build_replicated(net, profile, cfg, index_cfg, items, shards, 1, rkeys)
     }
-}
 
-impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B> {
     /// Builds a **replicated** cluster: `shards` replica sets of
     /// `replicas` servers each. Replica 0 of each set is bulk-loaded with
     /// its shard's partition and starts as primary; every other member is
@@ -503,8 +489,7 @@ impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B> {
     /// whichever member is promoted later already has its forwarding
     /// plumbing in place.
     ///
-    /// With `replicas == 1` this is exactly [`ClusterServer::build`]: no
-    /// pumps, no envelopes, byte-identical wire traffic.
+    /// With `replicas == 1` there are no pumps and no envelopes.
     ///
     /// # Panics
     ///
@@ -920,8 +905,8 @@ impl<B: ClientBackend> ClusterClient<B> {
                     // Replica 0's seed is the pre-replication formula, so
                     // unreplicated runs stay byte-identical; backups get
                     // their own decorrelated streams.
-                    let shard_seed = if r == 0 {
-                        seed ^ mix64(i as u64 + 1)
+                    let conn_seed = if r == 0 {
+                        shard_seed(seed, i)
                     } else {
                         seed ^ mix64(((r as u64) << 32) | (i as u64 + 1))
                     };
@@ -929,7 +914,7 @@ impl<B: ClientBackend> ClusterClient<B> {
                         ch,
                         s.remote_handle(),
                         cfg,
-                        shard_seed,
+                        conn_seed,
                     )))
                 })
                 .collect();

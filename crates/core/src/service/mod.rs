@@ -30,7 +30,7 @@ use crate::config::CostModel;
 use crate::msg::MsgError;
 use crate::store::MrMemory;
 
-mod client;
+pub(crate) mod client;
 pub mod cluster;
 mod server;
 
@@ -38,7 +38,7 @@ pub use client::ServiceClient;
 pub use cluster::{
     ClusterClient, ClusterServer, RepairReport, ReplicaCtl, ShardMap, ShardPartition,
 };
-pub use server::ServiceServer;
+pub use server::{ServiceServer, MAILBOX_LEASE_TTL};
 
 /// Request message type of a backend's wire codec.
 pub type WireMessage<B> = <<B as IndexBackend>::Wire as WireCodec>::Message;

@@ -52,6 +52,16 @@ const SPIN_GRACE: SimDuration = SimDuration::from_micros(20);
 /// worker parks off-CPU on the completion channel.
 const SPIN_YIELD_ROUNDS: u32 = 2;
 
+/// Duration over which a multi-cache-line node update is remotely visible
+/// as torn (drives version-validation retries in offloading clients).
+const TORN_WRITE_WINDOW: SimDuration = SimDuration::from_micros(2);
+
+/// How long a deposited-but-unacknowledged mailbox slot stays leased
+/// before the heartbeat-tick sweep reclaims it — the server-side dual of
+/// the client's heartbeat-staleness failover (a client that restarted
+/// mid-fetch will never ack).
+pub const MAILBOX_LEASE_TTL: SimDuration = SimDuration::from_millis(50);
+
 /// Scales a per-KiB cost term to `bytes` of payload.
 fn per_kb_cost(per_kb: SimDuration, bytes: usize) -> SimDuration {
     SimDuration::from_nanos((per_kb.as_nanos().saturating_mul(bytes as u64)) / 1024)
@@ -243,7 +253,7 @@ impl<B: IndexBackend> ServiceServer<B> {
         let mr = MemoryRegion::new(arena_bytes, rkey);
         endpoint.register(mr.clone());
         let backend = index(MrMemory::new(mr, SimDuration::ZERO));
-        backend.set_torn_window(cfg.torn_write_window);
+        backend.set_torn_window(TORN_WRITE_WINDOW);
         ServiceServer {
             inner: Rc::new(ServerInner {
                 endpoint,
@@ -431,12 +441,11 @@ impl<B: IndexBackend> ServiceServer<B> {
                 // failsafe, covering clients that crashed mid-fetch.
                 {
                     let t = now();
-                    let ttl = this.inner.cfg.mailbox_lease_ttl;
                     let mut reclaimed = 0u64;
                     for mb in this.inner.mailboxes.borrow().iter() {
                         let mut mb = mb.borrow_mut();
                         reclaimed += mb.reclaim_acked();
-                        reclaimed += mb.sweep_stale(t, ttl);
+                        reclaimed += mb.sweep_stale(t, MAILBOX_LEASE_TTL);
                     }
                     if reclaimed > 0 {
                         this.inner.stats.borrow_mut().mailbox_reclaims += reclaimed;
@@ -907,12 +916,9 @@ impl<B: IndexBackend> ServiceServer<B> {
                 if let Some(mb) = &ch.mailbox {
                     let payload =
                         B::Wire::encode(&B::Wire::end(seq, exec.items.clone(), exec.status));
-                    let outcome = mb.borrow_mut().try_deposit(
-                        seq,
-                        &payload,
-                        self.inner.cfg.torn_write_window,
-                        now(),
-                    );
+                    let outcome =
+                        mb.borrow_mut()
+                            .try_deposit(seq, &payload, TORN_WRITE_WINDOW, now());
                     match outcome {
                         DepositOutcome::Stored => {
                             deposit_cost +=

@@ -280,16 +280,6 @@ impl QueuePair {
         self.local.faults.borrow().clone()
     }
 
-    /// The local fabric node.
-    pub fn local_node(&self) -> NodeId {
-        self.local.node
-    }
-
-    /// The remote fabric node.
-    pub fn remote_node(&self) -> NodeId {
-        self.remote.node
-    }
-
     fn remote_mr(&self, rkey: u32, offset: usize, len: usize) -> Result<MemoryRegion, RdmaError> {
         let mr = self
             .remote

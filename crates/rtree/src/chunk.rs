@@ -158,11 +158,6 @@ impl<M: ChunkMemory> ChunkStore<M> {
         self.layout
     }
 
-    /// Number of chunks the arena can hold (including the meta chunk).
-    pub fn capacity_chunks(&self) -> u32 {
-        self.versions.len() as u32
-    }
-
     /// Shared access to the backing memory.
     pub fn mem(&self) -> &M {
         &self.mem

@@ -289,23 +289,9 @@ impl ChunkLayout {
     /// Accepts exactly the chunks [`ChunkLayout::decode_node`] accepts —
     /// line versions, magic, count, level, every entry rectangle finite
     /// and ordered, every child tag consistent with the level, child ids
-    /// within `u32` — without building entries, and returns the node
-    /// level.
-    ///
-    /// All entries are checked in one branchless pass; only a chunk that
-    /// fails it is decoded, to report the error `decode_node` reports.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions, and the same error, as [`ChunkLayout::decode_node`].
-    pub fn validate_node(&self, chunk: &[u8]) -> Result<u32, CodecError> {
-        let mut image = [0u64; MAX_LOGICAL_WORDS];
-        let (_, level, count) = self.unpack_node(chunk, &mut image)?;
-        self.checked_level(chunk, &image, level, count)
-    }
-
-    /// [`ChunkLayout::validate_node`] that keeps what it unpacked: the
-    /// chunk is de-stitched once into `lane`'s word image, checked there,
+    /// within `u32` — and returns the node level, without building
+    /// entries: the chunk is de-stitched once into `lane`'s word image,
+    /// checked there,
     /// and left for [`LaneNode::window_hits`], [`LaneNode::rect_at`] and
     /// [`LaneNode::child`] to read. This is the offloading client's one
     /// pass per fetched chunk.
@@ -653,29 +639,12 @@ pub trait RemoteLayout: Copy + fmt::Debug + 'static {
     /// [`CodecError::Malformed`] if the payload is not a valid node.
     fn decode_node(&self, chunk: &[u8]) -> Result<(Self::Node, u64), CodecError>;
 
-    /// Accepts or rejects a node chunk exactly as
-    /// [`RemoteLayout::decode_node`] does, returning the node level. The
-    /// default decodes and discards the node; a layout can override it
-    /// with a check that builds nothing.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RemoteLayout::decode_node`].
-    fn validate_node(&self, chunk: &[u8]) -> Result<u32, CodecError> {
-        self.decode_node(chunk)
-            .map(|(node, _)| Self::node_level(&node))
-    }
-
     /// Decodes the chunk-0 metadata record.
     ///
     /// # Errors
     ///
     /// Same conditions as [`RemoteLayout::decode_node`].
     fn decode_meta(&self, chunk: &[u8]) -> Result<(TreeMeta, u64), CodecError>;
-
-    /// Level of a decoded node (0 = leaf). Traversals cross-check this
-    /// against the level they expected to catch stale pointers.
-    fn node_level(node: &Self::Node) -> u32;
 }
 
 impl RemoteLayout for ChunkLayout {
@@ -697,16 +666,8 @@ impl RemoteLayout for ChunkLayout {
         ChunkLayout::decode_node(self, chunk)
     }
 
-    fn validate_node(&self, chunk: &[u8]) -> Result<u32, CodecError> {
-        ChunkLayout::validate_node(self, chunk)
-    }
-
     fn decode_meta(&self, chunk: &[u8]) -> Result<(TreeMeta, u64), CodecError> {
         ChunkLayout::decode_meta(self, chunk)
-    }
-
-    fn node_level(node: &Node) -> u32 {
-        node.level
     }
 }
 
@@ -1001,7 +962,7 @@ mod tests {
         /// header, a coordinate lane, a child word, or anywhere — and
         /// under a coordinate and child corruption of one entry, the
         /// lane-bulk decoder returns exactly the field-wise decoder's
-        /// `Result`, and `validate_node` agrees with it.
+        /// `Result`.
         #[test]
         fn decode_matches_fieldwise_under_corruption(
             case in arb_node(),
@@ -1034,11 +995,7 @@ mod tests {
             };
             chunk[pos] ^= flip as u8;
             let expected = decode_fieldwise(&l, &chunk);
-            prop_assert_eq!(l.decode_node(&chunk), expected.clone());
-            prop_assert_eq!(
-                l.validate_node(&chunk),
-                expected.map(|(n, _)| n.level)
-            );
+            prop_assert_eq!(l.decode_node(&chunk), expected);
         }
     }
 

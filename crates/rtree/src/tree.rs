@@ -79,14 +79,6 @@ impl<S: NodeStore> RTree<S> {
         &self.store
     }
 
-    /// Exclusive access to the node store.
-    ///
-    /// Mutating nodes directly can violate tree invariants; this is exposed
-    /// for fault-injection tests and for wiring stores to simulated memory.
-    pub fn store_mut(&mut self) -> &mut S {
-        &mut self.store
-    }
-
     /// Consumes the tree, returning the store.
     pub fn into_store(self) -> S {
         self.store
@@ -105,15 +97,6 @@ impl<S: NodeStore> RTree<S> {
     /// Number of levels (0 when empty, 1 for a lone leaf root).
     pub fn height(&self) -> u32 {
         self.store.meta().height
-    }
-
-    /// The boundary MBR of the whole tree: the union of every stored
-    /// item's rectangle (`None` when empty). A cluster shard exports this
-    /// so scatter-gather clients can skip shards whose data cannot
-    /// intersect a window query.
-    pub fn root_mbr(&self) -> Option<Rect> {
-        let root = self.store.meta().root?;
-        self.store.visit(root, |node| node.mbr())
     }
 
     // -----------------------------------------------------------------

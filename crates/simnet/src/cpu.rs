@@ -86,11 +86,6 @@ impl CpuPool {
         self.quantum
     }
 
-    /// Number of threads currently queued for a core.
-    pub fn runnable_waiting(&self) -> usize {
-        self.sem.waiters()
-    }
-
     /// Acquires a core, waiting FIFO behind other runnable threads.
     ///
     /// The returned guard accounts the hold as busy time; drop it to yield

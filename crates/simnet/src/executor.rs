@@ -499,13 +499,6 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
-impl<T> JoinHandle<T> {
-    /// Returns `Some` if the task has finished, consuming the result.
-    pub fn try_take(&self) -> Option<T> {
-        self.state.borrow_mut().result.take()
-    }
-}
-
 /// The current virtual time of the simulation running on this thread.
 ///
 /// # Panics

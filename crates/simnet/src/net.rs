@@ -198,11 +198,6 @@ impl Network {
             at: crate::executor::now(),
         }
     }
-
-    /// The link spec of `node`.
-    pub fn link_spec(&self, node: NodeId) -> LinkSpec {
-        self.node(node).spec
-    }
 }
 
 trait SaturatingRewind {
