@@ -481,11 +481,6 @@ impl Semaphore {
     pub fn available(&self) -> usize {
         self.shared.borrow().available
     }
-
-    /// Number of tasks waiting for a permit.
-    pub fn waiters(&self) -> usize {
-        self.shared.borrow().waiters.len()
-    }
 }
 
 impl SemState {
