@@ -18,8 +18,6 @@ use crate::server::RtreeBackend;
 use crate::service::client::CLIENT_NODE_VISIT;
 use crate::service::{ClientBackend, ClusterClient, Inconsistent, OpKind, ServiceClient};
 
-pub use crate::service::SearchPath;
-
 /// The Catfish R-tree client.
 pub type CatfishClient = ServiceClient<RtreeBackend>;
 
@@ -106,30 +104,21 @@ impl ServiceClient<RtreeBackend> {
     /// path per the configured [`crate::config::AccessMode`]. Returns the
     /// payload ids.
     pub async fn search(&mut self, rect: &Rect) -> Vec<u64> {
-        self.search_traced(rect).await.0
-    }
-
-    /// Like [`CatfishClient::search`], also reporting which path ran.
-    pub async fn search_traced(&mut self, rect: &Rect) -> (Vec<u64>, SearchPath) {
-        let (items, path) = self.read_traced(rect).await;
-        (items.into_iter().map(|(_, d)| d).collect(), path)
+        let items = self.read(rect).await;
+        items.into_iter().map(|(_, d)| d).collect()
     }
 
     /// Inserts an item; write requests always travel through the ring and
     /// are executed by server threads (paper §III-B).
     pub async fn insert(&mut self, rect: Rect, data: u64) -> bool {
-        self.write_request(OpKind::Write, |seq| Message::InsertReq { seq, rect, data })
-            .await
-            .0
-            == 1
+        let insert = |seq| Message::InsertReq { seq, rect, data };
+        self.write_request(OpKind::Write, None, insert).await.0 == 1
     }
 
     /// Deletes the exact item `(rect, data)` through the server.
     pub async fn delete(&mut self, rect: Rect, data: u64) -> bool {
-        self.write_request(OpKind::Remove, |seq| Message::DeleteReq { seq, rect, data })
-            .await
-            .0
-            == 1
+        let delete = |seq| Message::DeleteReq { seq, rect, data };
+        self.write_request(OpKind::Remove, None, delete).await.0 == 1
     }
 
     /// Finds the `k` items nearest to `(x, y)`, in increasing distance
@@ -147,14 +136,9 @@ impl ServiceClient<RtreeBackend> {
         k: u32,
         parent: Option<SpanCtx>,
     ) -> Vec<(Rect, u64)> {
-        self.drain_pending();
-        let opened = self.op_begin(parent);
-        let out = self
-            .fast_request(|seq| Message::NearestReq { seq, x, y, k })
+        self.rpc(parent, None, |seq| Message::NearestReq { seq, x, y, k })
             .await
-            .1;
-        self.op_end(opened);
-        out
+            .1
     }
 
     /// Offloaded kNN: best-first search executed entirely with one-sided
@@ -175,11 +159,7 @@ impl ServiceClient<RtreeBackend> {
                     self.op_end(opened);
                     return out;
                 }
-                Err(Inconsistent) => {
-                    self.stats.offload_restarts += 1;
-                    self.meta_cache = None;
-                    self.node_cache.clear();
-                }
+                Err(Inconsistent) => self.restart_offload(),
             }
         }
         // Fall back to the server path; its request links to this op's
@@ -259,14 +239,7 @@ impl ServiceClient<RtreeBackend> {
                 }
             }
         }
-        // Multi-chunk traversals must confirm no structural change moved
-        // entries between the chunks mid-read (same rule as range reads).
-        if self.stats.chunks_fetched - fetched_before >= 2 {
-            let fresh = self.refresh_meta().await?;
-            if fresh.structure_version != meta.structure_version {
-                return Err(Inconsistent);
-            }
-        }
+        self.confirm_structure(&meta, fetched_before).await?;
         Ok(out)
     }
 }
@@ -293,7 +266,7 @@ impl ClusterClient<RtreeBackend> {
                 let leg = Some(root.ctx());
                 let parts = self
                     .scatter(&targets, move |shard| {
-                        Box::pin(async move { shard.borrow_mut().read_under(&rect, leg).await.0 })
+                        Box::pin(async move { shard.borrow_mut().read_under(&rect, leg).await })
                     })
                     .await;
                 let merge = self.trace.borrow().begin();
@@ -618,15 +591,11 @@ mod tests {
             // (including the client's randomized consumption phase).
             sleep(SimDuration::from_millis(25)).await;
             client.adaptive.note_heartbeat(0.99);
-            let mut offloaded = 0;
             for _ in 0..16 {
-                let (_, path) = client.search_traced(&Rect::new(0.4, 0.4, 0.41, 0.41)).await;
-                if path == SearchPath::Offloaded {
-                    offloaded += 1;
-                }
+                client.search(&Rect::new(0.4, 0.4, 0.41, 0.41)).await;
             }
             assert!(
-                offloaded > 0,
+                client.stats().offloaded_reads > 0,
                 "busy heartbeat must trigger at least some offloading"
             );
         });

@@ -775,20 +775,16 @@ impl ServiceClient<KvBackend> {
     /// Inserts or replaces a pair through the server; returns the previous
     /// value if any.
     pub async fn put(&mut self, key: u64, value: u64) -> Option<u64> {
-        self.write_request(OpKind::Write, |seq| KvMessage::PutReq { seq, key, value })
-            .await
-            .1
-            .first()
-            .map(|&(_, v)| v)
+        let put = |seq| KvMessage::PutReq { seq, key, value };
+        let (_, items) = self.write_request(OpKind::Write, None, put).await;
+        items.first().map(|&(_, v)| v)
     }
 
     /// Removes a key through the server; returns its value if present.
     pub async fn remove(&mut self, key: u64) -> Option<u64> {
-        self.write_request(OpKind::Remove, |seq| KvMessage::RemoveReq { seq, key })
-            .await
-            .1
-            .first()
-            .map(|&(_, v)| v)
+        let remove = |seq| KvMessage::RemoveReq { seq, key };
+        let (_, items) = self.write_request(OpKind::Remove, None, remove).await;
+        items.first().map(|&(_, v)| v)
     }
 
     /// All pairs with `lo <= key <= hi`, served by the server.
@@ -804,12 +800,11 @@ impl ServiceClient<KvBackend> {
         hi: u64,
         parent: Option<SpanCtx>,
     ) -> Vec<(u64, u64)> {
-        self.drain_pending();
         self.stats.fast_reads += 1;
-        let opened = self.op_begin(parent);
-        let out = self.fast_read(&KvRead::Range { lo, hi }).await;
-        self.op_end(opened);
-        out
+        let range = KvRead::Range { lo, hi };
+        self.rpc(parent, None, |seq| KvBackend::read_request(seq, &range))
+            .await
+            .1
     }
 
     /// All pairs with `lo <= key <= hi`, gathered entirely with one-sided

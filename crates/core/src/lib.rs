@@ -62,8 +62,7 @@ pub mod stats;
 pub mod store;
 
 pub use adaptive::AdaptiveState;
-pub use client::CatfishClusterClient;
-pub use client::{CatfishClient, SearchPath};
+pub use client::{CatfishClient, CatfishClusterClient};
 pub use config::{
     AccessMode, AdaptiveParams, ClientConfig, CostModel, Scheme, ServerConfig, ServerMode,
 };

@@ -5,7 +5,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use catfish_rdma::mailbox::SLOT_HEADER_BYTES;
-use catfish_rdma::{crc32, QueuePair, SlotHeader};
+use catfish_rdma::{crc32, MailboxHandle, QueuePair, SlotHeader};
 use catfish_rtree::codec::{chunk_version, CodecError, RemoteLayout, LINE_BYTES};
 use catfish_rtree::{NodeId, TreeMeta};
 use catfish_simnet::{now, sleep, spawn, CpuPool, SimDuration, SimTime};
@@ -20,7 +20,7 @@ use crate::stats::ServiceStats;
 
 use super::{
     ClientBackend, HeartbeatInfo, Incoming, Inconsistent, LayoutNode, OpKind, RemoteHandle,
-    ReplEnvelope, SearchPath, WireCodec, WireItem, WireMessage, FETCH_FLAG, STATUS_UNACKED,
+    ReplEnvelope, WireCodec, WireItem, WireMessage, FETCH_FLAG, STATUS_UNACKED,
 };
 
 /// Client-side per-chunk processing cost of an offloaded traversal
@@ -82,6 +82,36 @@ impl NodeCache {
     }
 }
 
+/// One request of an exchange: its message, the sequence number its
+/// response frames carry, the root span its END closes (a read of a
+/// `read_batch` window is a trace of its own), and what came back.
+struct Request<B: ClientBackend> {
+    seq: u32,
+    msg: WireMessage<B>,
+    root: Option<OpenSpan>,
+    /// Items of the current attempt's CONT/END frames.
+    items: Vec<WireItem<B>>,
+    /// The END frame's status, once it arrived.
+    status: Option<u32>,
+}
+
+impl<B: ClientBackend> Request<B> {
+    fn new(seq: u32, msg: WireMessage<B>, root: Option<OpenSpan>) -> Self {
+        Request {
+            seq,
+            msg,
+            root,
+            items: Vec::new(),
+            status: None,
+        }
+    }
+
+    /// Still waiting for its END frame.
+    fn pending(&self) -> bool {
+        self.status.is_none()
+    }
+}
+
 /// A Catfish client bound to one connection, generic over the index being
 /// served. Owns the single implementation of request/response sequencing,
 /// heartbeat consumption, Algorithm 1 routing, and the offloaded traversal
@@ -109,11 +139,6 @@ pub struct ServiceClient<B: ClientBackend> {
     /// The operation span currently open (one at a time per client; an
     /// offload→fast fallback nests into the same tree).
     cur_op: Option<OpenSpan>,
-    /// Set by the replication layer before a mutation: the next
-    /// [`ServiceClient::fast_request`] wraps its request in a
-    /// [`ReplEnvelope`] (stable origin/op identity, epoch fence) with
-    /// `link_seq` bound to the connection sequence number at send time.
-    pub(crate) pending_origin: Option<ReplEnvelope>,
     /// Always-on recorder of recent protocol events, dumped on anomalies.
     pub(crate) flight: FlightRecorder,
     /// Virtual instant of the last heartbeat consumed (for annotating
@@ -162,7 +187,6 @@ impl<B: ClientBackend> ServiceClient<B> {
             stats: ServiceStats::default(),
             trace: TraceSink::default(),
             cur_op: None,
-            pending_origin: None,
             flight,
             last_heartbeat: None,
             stale_reported: 0,
@@ -276,12 +300,7 @@ impl<B: ClientBackend> ServiceClient<B> {
                 }
                 let quantum = pool.quantum();
                 let core = pool.acquire().await;
-                let turn_end = now() + quantum;
-                let turn_end = if turn_end < deadline {
-                    turn_end
-                } else {
-                    deadline
-                };
+                let turn_end = (now() + quantum).min(deadline);
                 let got = self.ch.rx.wait_message_until(turn_end).await;
                 drop(core);
                 if got.is_some() {
@@ -294,38 +313,11 @@ impl<B: ClientBackend> ServiceClient<B> {
         }
     }
 
-    /// Doubles a backoff up to [`RETRY_BACKOFF_MAX`].
-    fn next_backoff(&self, backoff: SimDuration) -> SimDuration {
-        let doubled = backoff.as_nanos().saturating_mul(2);
-        SimDuration::from_nanos(doubled.min(RETRY_BACKOFF_MAX.as_nanos()))
-    }
-
-    /// Handles one request-attempt timeout: counts it, nudges a possibly
-    /// wedged response stream past any lost-write hole, and backs off
-    /// (attributed to [`Phase::RetryBackoff`]). Returns `false` when the
-    /// retry budget is exhausted.
-    async fn timeout_backoff(&mut self, seq: u32, retries: u32, backoff: SimDuration) -> bool {
-        self.stats.timeouts += 1;
-        self.flight.anomaly(Anomaly::Timeout { seq });
-        if retries >= self.cfg.max_retries {
-            return false;
-        }
-        self.ch.rx.resync();
-        let span = self.trace.begin();
-        sleep(backoff).await;
-        self.trace.end(Phase::RetryBackoff, span);
-        true
-    }
-
     /// Consumes everything already sitting in the response ring —
     /// primarily heartbeats accumulated while the client was offloading.
     pub(crate) fn drain_pending(&mut self) {
         while let Some(bytes) = self.ch.rx.try_pop() {
-            if let Ok(msg) = B::Wire::decode(&bytes) {
-                if let Incoming::Heartbeat(p) = B::Wire::classify(msg) {
-                    self.note_heartbeat(p);
-                }
-            }
+            self.absorb(&bytes, &mut []);
         }
     }
 
@@ -340,21 +332,16 @@ impl<B: ClientBackend> ServiceClient<B> {
     /// Executes `read`, choosing the execution path per the configured
     /// [`AccessMode`].
     pub async fn read(&mut self, read: &B::Read) -> Vec<WireItem<B>> {
-        self.read_traced(read).await.0
-    }
-
-    /// Like [`ServiceClient::read`], also reporting which path ran.
-    pub async fn read_traced(&mut self, read: &B::Read) -> (Vec<WireItem<B>>, SearchPath) {
         self.read_under(read, None).await
     }
 
-    /// [`ServiceClient::read_traced`] as an `Rpc` leg under `parent` (a
+    /// [`ServiceClient::read`] as an `Rpc` leg under `parent` (a
     /// scatter-gather root) when given.
     pub(crate) async fn read_under(
         &mut self,
         read: &B::Read,
         parent: Option<SpanCtx>,
-    ) -> (Vec<WireItem<B>>, SearchPath) {
+    ) -> Vec<WireItem<B>> {
         self.drain_pending();
         let route = match self.cfg.mode {
             AccessMode::FastMessaging => RouteChoice::Fast,
@@ -365,283 +352,206 @@ impl<B: ClientBackend> ServiceClient<B> {
         self.flight.note(FlightEvent::Route { route });
         self.check_stale_heartbeat();
         let opened = self.op_begin(parent);
-        let (items, path) = match route {
+        let items = match route {
             RouteChoice::Offload => {
                 self.stats.offloaded_reads += 1;
-                (self.offload_read(read).await, SearchPath::Offloaded)
+                self.offload_read(read).await
             }
             RouteChoice::Fetch => {
                 self.stats.fetched_reads += 1;
-                (self.fetch_read(read).await, SearchPath::Fetched)
+                self.fetch_read(read).await
             }
             RouteChoice::Fast => {
                 self.stats.fast_reads += 1;
-                (self.fast_read(read).await, SearchPath::FastMessaging)
+                self.fast_read(read).await
             }
         };
         // Every observed response feeds the expected-size EWMA the
         // three-way policy compares against the fetch crossover.
         self.adaptive.note_response_items(items.len());
         self.op_end(opened);
-        (items, path)
+        items
     }
 
     // ------------------------------------------------------------------
-    // Fast messaging
+    // The request exchange (fast messaging, batching, retransmission)
     // ------------------------------------------------------------------
 
-    /// Sends one request over the ring and collects its CONT/END response
-    /// segments, returning `(status, items)`. Heartbeats observed while
-    /// waiting are recorded; stale or unexpected messages are dropped.
-    /// Giving up (retry budget spent, or the ring is closed) returns
-    /// [`STATUS_UNACKED`]: the request *may* have executed — only an END
-    /// frame proves acknowledgement.
-    pub(crate) async fn fast_request(
+    /// Sends `reqs` as one frame and collects CONT/END frames until each
+    /// has its END: the one ring round trip behind single, batched,
+    /// forwarded and (through [`ServiceClient::absorb`] and
+    /// [`ServiceClient::retransmit`]) fetched requests. Each attempt waits
+    /// up to the request timeout; then the still-pending requests are
+    /// re-sent under their original sequence numbers (the server's dedup
+    /// window keeps retried writes idempotent), with capped exponential
+    /// backoff between attempts. A request given up on (retry budget
+    /// spent, or the ring is closed) is left without a status and
+    /// reported as [`STATUS_UNACKED`]: it *may* have executed — only an
+    /// END frame proves acknowledgement.
+    async fn exchange(&mut self, reqs: &mut [Request<B>]) {
+        let Some(bytes) = self.send_pending(reqs).await else {
+            return;
+        };
+        self.flight.note(FlightEvent::Send {
+            seq: reqs[0].seq,
+            bytes,
+        });
+        // CqWait: request delivered until the last END frame is in hand —
+        // everything the client spends blocked on the response path.
+        let wait_span = self.trace.begin();
+        let mut retries = 0;
+        loop {
+            let deadline = now() + self.cfg.request_timeout;
+            while reqs.iter().any(Request::pending) {
+                let Some(bytes) = self.recv_ring_message(deadline).await else {
+                    break;
+                };
+                self.absorb(&bytes, reqs);
+            }
+            if !reqs.iter().any(Request::pending) || !self.retransmit(reqs, &mut retries).await {
+                break;
+            }
+        }
+        // Abandoned requests still close their root span: a server that
+        // executed the request after the client gave up emits child spans
+        // under this root, so the tree stays connected.
+        for root in reqs.iter_mut().filter_map(|r| r.root.take()) {
+            self.trace.close(root);
+        }
+        self.trace.end(Phase::CqWait, wait_span);
+    }
+
+    /// Sends the still-pending requests of `reqs` as one frame — the lone
+    /// message, or a `Batch` of two or more — under the first one's own
+    /// sequence number. Returns the frame's length, or `None` when the
+    /// ring is closed.
+    async fn send_pending(&mut self, reqs: &[Request<B>]) -> Option<u32> {
+        let mut pending = reqs.iter().filter(|r| r.pending());
+        let first = pending.next().expect("a request is pending");
+        let encoded = if pending.next().is_none() {
+            B::Wire::encode(&first.msg)
+        } else {
+            let msgs = reqs.iter().filter(|r| r.pending());
+            B::Wire::encode(&B::Wire::batch(msgs.map(|r| r.msg.clone()).collect()))
+        };
+        // The frame's immediate is the request's own sequence number,
+        // which carries the fetch flag on a fetched read.
+        let imm = B::Wire::request_meta(&first.msg).map_or(first.seq, |(seq, _)| seq);
+        self.ch.tx.send(&encoded, imm).await.ok()?;
+        Some(encoded.len() as u32)
+    }
+
+    /// Routes one response-ring frame: a heartbeat feeds Algorithm 1,
+    /// and a CONT or END frame goes to the pending request of its
+    /// sequence number. An END closes that request's root span. Stale,
+    /// unexpected and undecodable frames are dropped.
+    fn absorb(&mut self, bytes: &[u8], reqs: &mut [Request<B>]) {
+        let Ok(msg) = B::Wire::decode(bytes) else {
+            return;
+        };
+        let (seq, items, status) = match B::Wire::classify(msg) {
+            Incoming::Heartbeat(info) => return self.note_heartbeat(info),
+            Incoming::Cont { seq, items } => (seq, items, None),
+            Incoming::End { seq, items, status } => (seq, items, Some(status)),
+            _ => return,
+        };
+        let Some(r) = reqs.iter_mut().find(|r| r.seq == seq && r.pending()) else {
+            return;
+        };
+        r.items.extend(items);
+        if status.is_some() {
+            r.status = status;
+            self.flight.note(FlightEvent::Recv {
+                seq,
+                items: r.items.len() as u32,
+            });
+            if let Some(root) = r.root.take() {
+                self.trace.close(root);
+            }
+        }
+    }
+
+    /// Handles one attempt timeout: counts it against the lowest pending
+    /// sequence number, nudges a possibly wedged response stream past any
+    /// lost-write hole, backs off (attributed to [`Phase::RetryBackoff`];
+    /// [`RETRY_BACKOFF`] doubled per earlier retry, up to
+    /// [`RETRY_BACKOFF_MAX`]) and re-sends the still-pending requests.
+    /// Their partial CONT items are dropped: a retransmitted request
+    /// re-sends its full response. Returns `false` when giving up: the
+    /// retry budget is spent or the ring is closed.
+    async fn retransmit(&mut self, reqs: &mut [Request<B>], retries: &mut u32) -> bool {
+        let seq = reqs
+            .iter()
+            .find(|r| r.pending())
+            .expect("a request is pending")
+            .seq;
+        self.stats.timeouts += 1;
+        self.flight.anomaly(Anomaly::Timeout { seq });
+        if *retries >= self.cfg.max_retries {
+            return false;
+        }
+        self.ch.rx.resync();
+        let doubling = 1u64.checked_shl(*retries).unwrap_or(u64::MAX);
+        let backoff = RETRY_BACKOFF.as_nanos().saturating_mul(doubling);
+        let span = self.trace.begin();
+        sleep(SimDuration::from_nanos(
+            backoff.min(RETRY_BACKOFF_MAX.as_nanos()),
+        ))
+        .await;
+        self.trace.end(Phase::RetryBackoff, span);
+        *retries += 1;
+        for r in reqs.iter_mut().filter(|r| r.pending()) {
+            r.items.clear();
+            self.stats.retransmits += 1;
+            self.flight.note(FlightEvent::Retransmit { seq: r.seq });
+        }
+        self.send_pending(reqs).await.is_some()
+    }
+
+    /// Exchanges one request built for the next sequence number — inside
+    /// `env` when given, with `link_seq` bound to that sequence number, so
+    /// every retransmission re-sends identical bytes — linked to the open
+    /// operation span. Returns `(status, items)` from the END frame.
+    async fn fast_request(
         &mut self,
+        env: Option<ReplEnvelope>,
         build: impl FnOnce(u32) -> WireMessage<B>,
     ) -> (u32, Vec<WireItem<B>>) {
         self.seq += 1;
         let seq = self.seq;
-        // The envelope is applied before the single encode, so every
-        // retransmission re-sends the identical bytes.
         let mut msg = build(seq);
-        if let Some(mut env) = self.pending_origin.take() {
+        if let Some(mut env) = env {
             env.link_seq = seq;
             msg = B::Wire::replicated(env, msg);
         }
         self.link_op(seq);
-        let encoded = B::Wire::encode(&msg);
-        if self.ch.tx.send(&encoded, seq).await.is_err() {
-            return (STATUS_UNACKED, Vec::new());
-        }
-        self.flight.note(FlightEvent::Send {
-            seq,
-            bytes: encoded.len() as u32,
-        });
-        // CqWait: request delivered until the END frame is in hand —
-        // everything the client spends blocked on the response path.
-        let wait_span = self.trace.begin();
-        let mut out = Vec::new();
-        let mut retries = 0u32;
-        let mut backoff = RETRY_BACKOFF;
-        loop {
-            let deadline = now() + self.cfg.request_timeout;
-            loop {
-                let Some(bytes) = self.recv_ring_message(deadline).await else {
-                    break;
-                };
-                let Ok(msg) = B::Wire::decode(&bytes) else {
-                    continue;
-                };
-                match B::Wire::classify(msg) {
-                    Incoming::Heartbeat(p) => self.note_heartbeat(p),
-                    Incoming::Cont { seq: s, items } if s == seq => out.extend(items),
-                    Incoming::End {
-                        seq: s,
-                        items,
-                        status,
-                    } if s == seq => {
-                        out.extend(items);
-                        self.flight.note(FlightEvent::Recv {
-                            seq,
-                            items: out.len() as u32,
-                        });
-                        self.trace.end(Phase::CqWait, wait_span);
-                        return (status, out);
-                    }
-                    _ => {}
-                }
-            }
-            // Attempt timed out: retransmit under the same sequence number
-            // (the server's dedup window keeps retried writes idempotent),
-            // with capped exponential backoff between attempts.
-            if !self.timeout_backoff(seq, retries, backoff).await {
-                self.trace.end(Phase::CqWait, wait_span);
-                return (STATUS_UNACKED, out);
-            }
-            backoff = self.next_backoff(backoff);
-            retries += 1;
-            // CONT segments of an abandoned attempt may be partial; a
-            // retransmitted request re-sends the full response.
-            out.clear();
-            self.stats.retransmits += 1;
-            self.flight.note(FlightEvent::Retransmit { seq });
-            if self.ch.tx.send(&encoded, seq).await.is_err() {
-                self.trace.end(Phase::CqWait, wait_span);
-                return (STATUS_UNACKED, out);
-            }
-        }
+        let mut req = Request::new(seq, msg, None);
+        self.exchange(std::slice::from_mut(&mut req)).await;
+        (req.status.unwrap_or(STATUS_UNACKED), req.items)
     }
 
-    /// Ships an already-built mutation down this connection inside a
-    /// [`ReplEnvelope`] — the primary→backup forwarding leg. The span
-    /// parent (when given) makes the leg an `Rpc` child of the request
-    /// that triggered it, so forwarded hops stay connected in the trace
-    /// assembly. Returns the backup's END status ([`STATUS_UNACKED`] when
-    /// the backup never answered within the retry budget).
-    pub(crate) async fn forward(
+    /// One traced round trip: drains pending heartbeats, opens the
+    /// operation span (a root, or an `Rpc` leg under `parent`), exchanges
+    /// the request `build` makes (inside `env` when given) and closes the
+    /// span. Returns `(status, items)` from the END frame.
+    pub(crate) async fn rpc(
         &mut self,
-        inner: WireMessage<B>,
-        env: ReplEnvelope,
         parent: Option<SpanCtx>,
-    ) -> u32 {
+        env: Option<ReplEnvelope>,
+        build: impl FnOnce(u32) -> WireMessage<B>,
+    ) -> (u32, Vec<WireItem<B>>) {
         self.drain_pending();
-        self.pending_origin = Some(env);
         let opened = self.op_begin(parent);
-        let (status, _) = self.fast_request(move |_| inner).await;
+        let result = self.fast_request(env, build).await;
         self.op_end(opened);
-        status
+        result
     }
 
     /// A read served by the server through fast messaging.
     pub(crate) async fn fast_read(&mut self, read: &B::Read) -> Vec<WireItem<B>> {
-        self.fast_request(|seq| B::read_request(seq, read)).await.1
-    }
-
-    // ------------------------------------------------------------------
-    // Mailbox fetching (RFP-style remote result fetching)
-    // ------------------------------------------------------------------
-
-    /// A read whose response the client **pulls** out of the server's
-    /// mailbox with one-sided RDMA Reads instead of having the server
-    /// ring-write it: the request goes out flagged with [`FETCH_FLAG`],
-    /// the server deposits the encoded END frame into this client's slot,
-    /// and the fetch loop polls the slot header (sequence-stamped, CRC'd,
-    /// so it sees either the full deposit or retries) with exponential
-    /// poll backoff. The PR 5 deadline/retransmit protocol covers lost
-    /// fetches: only reads travel this path, so a retransmitted request
-    /// simply re-executes and re-deposits — exactly-once by idempotence.
-    ///
-    /// Responses that overflowed the slot (or raced a missing mailbox)
-    /// arrive as ordinary write-back frames, which the loop also drains.
-    pub(crate) async fn fetch_read(&mut self, read: &B::Read) -> Vec<WireItem<B>> {
-        let Some(mb) = self.ch.mailbox else {
-            // The server allocated no mailbox: serve over the ring.
-            self.stats.fetch_fallbacks += 1;
-            self.stats.fetched_reads -= 1;
-            self.stats.fast_reads += 1;
-            self.flight
-                .anomaly(Anomaly::FetchFallback { seq: self.seq + 1 });
-            return self.fast_read(read).await;
-        };
-        self.seq += 1;
-        let seq = self.seq;
-        let wire_seq = seq | FETCH_FLAG;
-        self.link_op(seq);
-        let encoded = B::Wire::encode(&B::read_request(wire_seq, read));
-        if self.ch.tx.send(&encoded, wire_seq).await.is_err() {
-            return Vec::new();
-        }
-        self.flight.note(FlightEvent::Send {
-            seq,
-            bytes: encoded.len() as u32,
-        });
-        let span = self.trace.begin();
-        // Write-back fallback accumulation (slot-overflow responses).
-        let mut wb_items: Vec<WireItem<B>> = Vec::new();
-        let mut retries = 0u32;
-        let mut backoff = RETRY_BACKOFF;
-        loop {
-            let deadline = now() + self.cfg.request_timeout;
-            let mut poll = FETCH_POLL_INITIAL;
-            loop {
-                // Drain the response ring opportunistically: heartbeats
-                // keep Algorithm 1 fed, and an overflowed response comes
-                // back this way under the masked sequence number.
-                while let Some(bytes) = self.ch.rx.try_pop() {
-                    let Ok(msg) = B::Wire::decode(&bytes) else {
-                        continue;
-                    };
-                    match B::Wire::classify(msg) {
-                        Incoming::Heartbeat(p) => self.note_heartbeat(p),
-                        Incoming::Cont { seq: s, items } if s == seq => wb_items.extend(items),
-                        Incoming::End { seq: s, items, .. } if s == seq => {
-                            wb_items.extend(items);
-                            self.flight.note(FlightEvent::Recv {
-                                seq,
-                                items: wb_items.len() as u32,
-                            });
-                            self.trace.end(Phase::MailboxFetch, span);
-                            return wb_items;
-                        }
-                        _ => {}
-                    }
-                }
-                // One-sided header probe: sees either the full deposit
-                // (header is written last, atomically) or stale bytes.
-                let hdr_bytes = self
-                    .ch
-                    .qp
-                    .read(mb.rkey, mb.layout.slot_offset(seq), SLOT_HEADER_BYTES)
-                    .await
-                    .expect("mailbox registered");
-                let hdr = SlotHeader::parse(&hdr_bytes);
-                if hdr.seq == seq && hdr.len as usize <= mb.layout.payload_capacity() {
-                    let body = self
-                        .ch
-                        .qp
-                        .read(mb.rkey, mb.layout.payload_offset(seq), hdr.len as usize)
-                        .await
-                        .expect("mailbox registered");
-                    if crc32(&body) == hdr.crc {
-                        if let Some(items) = self.decode_deposit(seq, body) {
-                            // Ack consumption one-sided so the server can
-                            // reclaim the slot lease on its next tick.
-                            self.ch
-                                .qp
-                                .write(mb.ack_rkey, 0, &u64::from(seq).to_le_bytes())
-                                .await
-                                .expect("ack cell registered");
-                            self.flight.note(FlightEvent::Recv {
-                                seq,
-                                items: items.len() as u32,
-                            });
-                            self.trace.end(Phase::MailboxFetch, span);
-                            return items;
-                        }
-                    } else {
-                        // Torn deposit: the payload raced the fetch.
-                        self.stats.torn_retries += 1;
-                    }
-                }
-                let remaining = deadline.saturating_duration_since(now());
-                if remaining.is_zero() {
-                    break;
-                }
-                sleep(poll.min(remaining)).await;
-                poll = SimDuration::from_nanos(
-                    poll.as_nanos()
-                        .saturating_mul(2)
-                        .min(FETCH_POLL_MAX.as_nanos()),
-                );
-            }
-            // Attempt timed out (lost request or lost deposit): retransmit
-            // under the same flagged sequence number. Fetch serves reads
-            // only, so the server re-executing is exactly-once by
-            // idempotence; the redeposit overwrites the same slot.
-            if !self.timeout_backoff(seq, retries, backoff).await {
-                self.trace.end(Phase::MailboxFetch, span);
-                return wb_items;
-            }
-            backoff = self.next_backoff(backoff);
-            retries += 1;
-            wb_items.clear();
-            self.stats.retransmits += 1;
-            self.flight.note(FlightEvent::Retransmit { seq });
-            if self.ch.tx.send(&encoded, wire_seq).await.is_err() {
-                self.trace.end(Phase::MailboxFetch, span);
-                return Vec::new();
-            }
-        }
-    }
-
-    /// Decodes a fetched deposit: must be an END frame for `seq`.
-    fn decode_deposit(&mut self, seq: u32, body: Vec<u8>) -> Option<Vec<WireItem<B>>> {
-        let msg = B::Wire::decode(&body).ok()?;
-        match B::Wire::classify(msg) {
-            Incoming::End { seq: s, items, .. } if s == seq => Some(items),
-            _ => None,
-        }
+        self.fast_request(None, |seq| B::read_request(seq, read))
+            .await
+            .1
     }
 
     /// Executes a window of reads through fast messaging, coalescing the
@@ -665,172 +575,186 @@ impl<B: ClientBackend> ServiceClient<B> {
         // Per-op service-time estimate from the previous flush, feeding
         // the BATCH_WINDOW latency guard.
         let mut est_per_op: Option<SimDuration> = None;
-        let mut next = 0usize;
-        while next < reads.len() {
-            let remaining = reads.len() - next;
+        while out.len() < reads.len() {
+            let next = out.len();
             let mut chunk = if next == 0 {
                 1 // ring idle: no queue yet, nothing to coalesce
             } else {
-                remaining.min(max_batch)
+                (reads.len() - next).min(max_batch)
             };
-            if chunk > 1 {
-                if let Some(est) = est_per_op {
-                    if !est.is_zero() {
-                        let cap = (BATCH_WINDOW.as_nanos() / est.as_nanos()).max(1);
-                        chunk = chunk.min(cap as usize);
-                    }
-                }
+            if let Some(est) = est_per_op.filter(|est| !est.is_zero()) {
+                let cap = (BATCH_WINDOW.as_nanos() / est.as_nanos()).max(1);
+                chunk = chunk.min(cap as usize);
             }
             let started = now();
             // Per-read root spans: each read in the window is its own
             // trace, linked by its own sequence number, so coalescing and
             // retransmission preserve identity.
-            let mut open: HashMap<u32, OpenSpan> = HashMap::new();
-            let mut seqs = Vec::with_capacity(chunk);
-            let mut msgs = Vec::with_capacity(chunk);
-            for read in &reads[next..next + chunk] {
-                self.seq += 1;
-                seqs.push(self.seq);
-                if self.trace.is_active() {
-                    let root = self.trace.open(None);
-                    self.trace
-                        .link(self.ch.tx.ring_rkey(), self.seq, root.ctx());
-                    open.insert(self.seq, root);
-                }
-                msgs.push(B::read_request(self.seq, read));
-            }
+            let mut reqs: Vec<Request<B>> = reads[next..next + chunk]
+                .iter()
+                .map(|read| {
+                    self.seq += 1;
+                    let seq = self.seq;
+                    let root = self.trace.is_active().then(|| {
+                        let root = self.trace.open(None);
+                        self.trace.link(self.ch.tx.ring_rkey(), seq, root.ctx());
+                        root
+                    });
+                    Request::new(seq, B::read_request(seq, read), root)
+                })
+                .collect();
             self.stats.fast_reads += chunk as u64;
-            let first_seq = seqs[0];
-            let sent = if chunk == 1 {
-                let msg = msgs.pop().expect("one request");
-                let encoded = B::Wire::encode(&msg);
-                self.flight.note(FlightEvent::Send {
-                    seq: first_seq,
-                    bytes: encoded.len() as u32,
-                });
-                self.ch.tx.send(&encoded, first_seq).await
-            } else {
+            if chunk > 1 {
                 self.stats.batches_sent += 1;
                 self.stats.batched_msgs += chunk as u64;
-                let encoded = B::Wire::encode(&B::Wire::batch(msgs));
-                self.flight.note(FlightEvent::Send {
-                    seq: first_seq,
-                    bytes: encoded.len() as u32,
-                });
-                self.ch.tx.send(&encoded, first_seq).await
-            };
-            if sent.is_err() {
-                out.extend(vec![Vec::new(); chunk]);
-                next += chunk;
-                continue;
             }
-            let wait_span = self.trace.begin();
-            let mut pending: HashMap<u32, usize> =
-                seqs.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-            let mut bufs: Vec<Vec<WireItem<B>>> = vec![Vec::new(); chunk];
-            let mut done = 0usize;
-            let mut retries = 0u32;
-            let mut backoff = RETRY_BACKOFF;
-            'flush: while done < chunk {
-                let deadline = now() + self.cfg.request_timeout;
-                while done < chunk {
-                    let Some(bytes) = self.recv_ring_message(deadline).await else {
-                        break;
-                    };
-                    let Ok(msg) = B::Wire::decode(&bytes) else {
-                        continue;
-                    };
-                    match B::Wire::classify(msg) {
-                        Incoming::Heartbeat(p) => self.note_heartbeat(p),
-                        Incoming::Cont { seq, items } => {
-                            if let Some(&i) = pending.get(&seq) {
-                                bufs[i].extend(items);
-                            }
-                        }
-                        Incoming::End { seq, items, .. } => {
-                            if let Some(i) = pending.remove(&seq) {
-                                bufs[i].extend(items);
-                                done += 1;
-                                self.flight.note(FlightEvent::Recv {
-                                    seq,
-                                    items: bufs[i].len() as u32,
-                                });
-                                if let Some(root) = open.remove(&seq) {
-                                    self.trace.close(root);
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                if done >= chunk {
-                    break;
-                }
-                // Responses for part of the flush never arrived:
-                // retransmit only the still-pending requests, re-keyed by
-                // their original sequence numbers so server-side dedup
-                // keeps the retried operations idempotent.
-                let timed_out = pending.keys().next().copied().unwrap_or(first_seq);
-                if !self.timeout_backoff(timed_out, retries, backoff).await {
-                    break; // give up: unanswered slots stay empty
-                }
-                backoff = self.next_backoff(backoff);
-                retries += 1;
-                let mut redo: Vec<(usize, u32)> = pending.iter().map(|(&s, &i)| (i, s)).collect();
-                redo.sort_unstable();
-                let mut remsgs = Vec::with_capacity(redo.len());
-                for &(i, s) in &redo {
-                    bufs[i].clear(); // partial CONTs will be re-sent in full
-                    remsgs.push(B::read_request(s, &reads[next + i]));
-                    self.flight.note(FlightEvent::Retransmit { seq: s });
-                }
-                self.stats.retransmits += remsgs.len() as u64;
-                let re_seq = redo[0].1;
-                let resent = if remsgs.len() == 1 {
-                    let msg = remsgs.pop().expect("one request");
-                    self.ch.tx.send(&B::Wire::encode(&msg), re_seq).await
-                } else {
-                    self.ch
-                        .tx
-                        .send(&B::Wire::encode(&B::Wire::batch(remsgs)), re_seq)
-                        .await
-                };
-                if resent.is_err() {
-                    break 'flush;
-                }
-            }
-            // Abandoned reads still close their root span: a server that
-            // executed the request after the client gave up emits child
-            // spans under this root, so the tree stays connected.
-            for (_, root) in open.drain() {
-                self.trace.close(root);
-            }
-            self.trace.end(Phase::CqWait, wait_span);
+            self.exchange(&mut reqs).await;
             est_per_op = Some(now().saturating_duration_since(started) / chunk as u64);
-            out.extend(bufs);
-            next += chunk;
+            out.extend(reqs.into_iter().map(|r| r.items));
         }
         out
     }
 
-    /// A write-class request (insert, put, delete, ...); writes always
-    /// travel through the ring and are executed by server threads (paper
-    /// §III-B). Returns `(status, items)` from the END frame.
+    /// A write-class request (insert, put, delete, ...), inside `env` on
+    /// a replicated shard; writes always travel through the ring and are
+    /// executed by server threads (paper §III-B). Returns `(status,
+    /// items)` from the END frame.
     pub(crate) async fn write_request(
         &mut self,
         kind: OpKind,
+        env: Option<ReplEnvelope>,
         build: impl FnOnce(u32) -> WireMessage<B>,
     ) -> (u32, Vec<WireItem<B>>) {
-        self.drain_pending();
         match kind {
             OpKind::Write => self.stats.writes_sent += 1,
             OpKind::Remove => self.stats.removes_sent += 1,
             OpKind::Read => {}
         }
-        let opened = self.op_begin(None);
-        let result = self.fast_request(build).await;
-        self.op_end(opened);
-        result
+        self.rpc(None, env, build).await
+    }
+
+    // ------------------------------------------------------------------
+    // Mailbox fetching (RFP-style remote result fetching)
+    // ------------------------------------------------------------------
+
+    /// A read whose response the client **pulls** out of the server's
+    /// mailbox with one-sided RDMA Reads instead of having the server
+    /// ring-write it: the request goes out flagged with [`FETCH_FLAG`],
+    /// the server deposits the encoded END frame into this client's slot,
+    /// and the fetch loop polls the slot header (sequence-stamped, CRC'd,
+    /// so it sees either the full deposit or retries) with exponential
+    /// poll backoff. It never blocks on the ring; it drains it through
+    /// the exchange's absorb step, and times out and resends through its
+    /// retransmit step. Only reads travel this path, so a retransmitted
+    /// request simply re-executes and re-deposits (overwriting the same
+    /// slot) — exactly-once by idempotence.
+    ///
+    /// Responses that overflowed the slot (or raced a missing mailbox)
+    /// arrive as ordinary write-back frames, which the drain collects.
+    pub(crate) async fn fetch_read(&mut self, read: &B::Read) -> Vec<WireItem<B>> {
+        let Some(mb) = self.ch.mailbox else {
+            // The server allocated no mailbox: serve over the ring.
+            self.stats.fetch_fallbacks += 1;
+            self.stats.fetched_reads -= 1;
+            self.stats.fast_reads += 1;
+            self.flight
+                .anomaly(Anomaly::FetchFallback { seq: self.seq + 1 });
+            return self.fast_read(read).await;
+        };
+        self.seq += 1;
+        let seq = self.seq;
+        self.link_op(seq);
+        let mut req = Request::new(seq, B::read_request(seq | FETCH_FLAG, read), None);
+        let reqs = std::slice::from_mut(&mut req);
+        let Some(bytes) = self.send_pending(reqs).await else {
+            return Vec::new();
+        };
+        self.flight.note(FlightEvent::Send { seq, bytes });
+        let span = self.trace.begin();
+        let mut retries = 0;
+        loop {
+            let deadline = now() + self.cfg.request_timeout;
+            let mut poll = FETCH_POLL_INITIAL;
+            let answered = loop {
+                // Drain the response ring opportunistically: heartbeats
+                // keep Algorithm 1 fed, and an overflowed response comes
+                // back this way under the masked sequence number.
+                while let Some(bytes) = self.ch.rx.try_pop() {
+                    self.absorb(&bytes, reqs);
+                    if !reqs[0].pending() {
+                        break;
+                    }
+                }
+                if !reqs[0].pending() {
+                    break true;
+                }
+                if let Some(items) = self.probe_mailbox(mb, seq).await {
+                    self.flight.note(FlightEvent::Recv {
+                        seq,
+                        items: items.len() as u32,
+                    });
+                    reqs[0].items = items;
+                    break true;
+                }
+                let remaining = deadline.saturating_duration_since(now());
+                if remaining.is_zero() {
+                    break false;
+                }
+                sleep(poll.min(remaining)).await;
+                poll = (poll * 2).min(FETCH_POLL_MAX);
+            };
+            // Timed out (lost request or lost deposit): resend under the
+            // same flagged sequence number.
+            if answered || !self.retransmit(reqs, &mut retries).await {
+                break;
+            }
+        }
+        self.trace.end(Phase::MailboxFetch, span);
+        req.items
+    }
+
+    /// One one-sided look at this client's mailbox slot for `seq`: reads
+    /// the header, then (when it names `seq` and fits the slot) the body,
+    /// and accepts a CRC-clean END frame for `seq`, acknowledging it so
+    /// the server can reclaim the slot lease. `None` while the deposit is
+    /// missing, stale or torn.
+    async fn probe_mailbox(&mut self, mb: MailboxHandle, seq: u32) -> Option<Vec<WireItem<B>>> {
+        // The header is written last, atomically: the probe sees either
+        // the full deposit or stale bytes.
+        let hdr_bytes = self
+            .ch
+            .qp
+            .read(mb.rkey, mb.layout.slot_offset(seq), SLOT_HEADER_BYTES)
+            .await
+            .expect("mailbox registered");
+        let hdr = SlotHeader::parse(&hdr_bytes);
+        if hdr.seq != seq || hdr.len as usize > mb.layout.payload_capacity() {
+            return None;
+        }
+        let body = self
+            .ch
+            .qp
+            .read(mb.rkey, mb.layout.payload_offset(seq), hdr.len as usize)
+            .await
+            .expect("mailbox registered");
+        if crc32(&body) != hdr.crc {
+            // Torn deposit: the payload raced the fetch.
+            self.stats.torn_retries += 1;
+            return None;
+        }
+        let msg = B::Wire::decode(&body).ok()?;
+        let Incoming::End { seq: s, items, .. } = B::Wire::classify(msg) else {
+            return None;
+        };
+        if s != seq {
+            return None;
+        }
+        self.ch
+            .qp
+            .write(mb.ack_rkey, 0, &u64::from(seq).to_le_bytes())
+            .await
+            .expect("ack cell registered");
+        Some(items)
     }
 
     // ------------------------------------------------------------------
@@ -859,9 +783,7 @@ impl<B: ClientBackend> ServiceClient<B> {
                     return items;
                 }
                 Err(Inconsistent) => {
-                    self.stats.offload_restarts += 1;
-                    self.meta_cache = None;
-                    self.node_cache.clear();
+                    self.restart_offload();
                     attempts += 1;
                     if attempts == 1 {
                         retry_span = self.trace.begin();
@@ -897,21 +819,39 @@ impl<B: ClientBackend> ServiceClient<B> {
             self.traverse_sequential(read, root, meta.height - 1, cache_floor)
                 .await?
         };
-        // A single-chunk traversal is made consistent by its line-version
-        // stamps alone; anything longer must also confirm that no
-        // structural reorganization (split, merge, forced reinsertion)
-        // moved entries between the chunks while they were being read —
-        // each chunk validates individually, but entries relocated from an
-        // already-read node to a not-yet-read sibling would vanish
-        // silently. Cache-served nodes are exempt: their staleness is
-        // bounded by the cache TTL by design.
+        self.confirm_structure(&meta, fetched_before).await?;
+        Ok(items)
+    }
+
+    /// Forgets every cached view of the index after an inconsistent
+    /// offloaded traversal, which then restarts from fresh metadata.
+    pub(crate) fn restart_offload(&mut self) {
+        self.stats.offload_restarts += 1;
+        self.meta_cache = None;
+        self.node_cache.clear();
+    }
+
+    /// Confirms a traversal that read chunks since `chunks_fetched` was
+    /// `fetched_before` under `meta`. A single-chunk traversal is made
+    /// consistent by its line-version stamps alone; anything longer must
+    /// also confirm that no structural reorganization (split, merge,
+    /// forced reinsertion) moved entries between the chunks while they
+    /// were being read — each chunk validates individually, but entries
+    /// relocated from an already-read node to a not-yet-read sibling
+    /// would vanish silently. Cache-served nodes are exempt: their
+    /// staleness is bounded by the cache TTL by design.
+    pub(crate) async fn confirm_structure(
+        &mut self,
+        meta: &TreeMeta,
+        fetched_before: u64,
+    ) -> Result<(), Inconsistent> {
         if self.stats.chunks_fetched - fetched_before >= 2 {
             let fresh = self.refresh_meta().await?;
             if fresh.structure_version != meta.structure_version {
                 return Err(Inconsistent);
             }
         }
-        Ok(items)
+        Ok(())
     }
 
     /// Consults the level cache for a node at `level`; `cache_floor` is

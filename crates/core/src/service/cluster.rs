@@ -413,9 +413,11 @@ async fn forward_pump<B: ClientBackend>(
             job.done.send(STATUS_UNACKED);
             continue;
         }
-        let status = client
+        // The leg is an `Rpc` child of the request that triggered it, so
+        // forwarded hops stay connected in the trace assembly.
+        let (status, _) = client
             .borrow_mut()
-            .forward(job.msg, job.env, job.parent)
+            .rpc(job.parent, Some(job.env), |_| job.msg)
             .await;
         // Retry-budget exhaustion is deliberately NOT a suspicion: a
         // primary whose own NIC is partitioned would otherwise declare
@@ -986,7 +988,7 @@ impl<B: ClientBackend> ClusterClient<B> {
         if conns.len() <= 1 {
             return self.shards[shard]
                 .borrow_mut()
-                .write_request(kind, &build)
+                .write_request(kind, None, &build)
                 .await;
         }
         let ctl = &self.ctls[shard];
@@ -997,17 +999,17 @@ impl<B: ClientBackend> ClusterClient<B> {
         for _ in 0..attempts {
             let epoch = ctl.epoch();
             let primary = ctl.primary();
-            let (status, items) = {
-                let mut c = conns[primary].borrow_mut();
-                c.pending_origin = Some(ReplEnvelope {
-                    link_seq: 0,
-                    origin: self.origin,
-                    op_id,
-                    epoch,
-                    flags: 0,
-                });
-                c.write_request(kind, &build).await
+            let env = ReplEnvelope {
+                link_seq: 0,
+                origin: self.origin,
+                op_id,
+                epoch,
+                flags: 0,
             };
+            let (status, items) = conns[primary]
+                .borrow_mut()
+                .write_request(kind, Some(env), &build)
+                .await;
             if status == STATUS_UNACKED {
                 ctl.suspect(primary, epoch);
                 last = (status, items);

@@ -269,6 +269,21 @@ pub struct Execution<W: WireCodec> {
     pub nodes_visited: u64,
 }
 
+impl<W: WireCodec> Execution<W> {
+    /// A request answered with `status` without running the backend (a
+    /// dedup hit, an epoch fence, an applied-table hit): no cost, no items.
+    pub(crate) fn answered(seq: u32, kind: OpKind, status: u32) -> Self {
+        Execution {
+            seq,
+            kind,
+            cost: SimDuration::ZERO,
+            items: Vec::new(),
+            status,
+            nodes_visited: 0,
+        }
+    }
+}
+
 /// An index that can be served over the Catfish dataplane.
 ///
 /// Implementations live in the index crates' service ports (the R-tree's in
@@ -445,18 +460,6 @@ pub struct RemoteHandle<L: RemoteLayout> {
     pub rkey: u32,
     /// Chunk geometry (shared constant of the deployment).
     pub layout: L,
-}
-
-/// Which path executed a read (for tests and diagnostics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchPath {
-    /// Server-side traversal via the ring buffer.
-    FastMessaging,
-    /// Client-side traversal via one-sided reads.
-    Offloaded,
-    /// Server-side traversal, result pulled from the mailbox with
-    /// one-sided reads (remote result fetching).
-    Fetched,
 }
 
 /// Splits `items` into CONT frames terminated by an END frame carrying

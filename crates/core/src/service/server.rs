@@ -559,18 +559,7 @@ impl<B: IndexBackend> ServiceServer<B> {
             else {
                 continue;
             };
-            let msgs = self.drain_arrived(first, &ch);
-            let mut execs = Vec::new();
-            for msg in msgs {
-                if self.inject_worker_faults().await {
-                    continue;
-                }
-                execs.extend(
-                    self.process(msg, false, Some((ch.rx.ring_rkey(), &dedup)))
-                        .await,
-                );
-            }
-            self.respond(execs, &ch, false).await;
+            self.serve_batch(first, &ch, &dedup, false).await;
         }
     }
 
@@ -605,7 +594,7 @@ impl<B: IndexBackend> ServiceServer<B> {
                     continue;
                 };
                 let core = self.inner.cpu.acquire().await;
-                self.serve_batch(first, &ch, &dedup).await;
+                self.serve_batch(first, &ch, &dedup, true).await;
                 drop(core);
                 idle_turns = 0;
                 continue;
@@ -624,7 +613,7 @@ impl<B: IndexBackend> ServiceServer<B> {
                 };
                 let Some(first) = decoded else { continue };
                 got_any = true;
-                self.serve_batch(first, &ch, &dedup).await;
+                self.serve_batch(first, &ch, &dedup, true).await;
                 if now() >= turn_end {
                     break;
                 }
@@ -641,13 +630,15 @@ impl<B: IndexBackend> ServiceServer<B> {
         }
     }
 
-    /// Drains, executes, and answers one batch starting at `first`, on a
-    /// core the caller already holds (shared by the polling-style workers).
+    /// Drains, executes, and answers one batch starting at `first`: on a
+    /// core the caller already holds (the polling-style workers), or
+    /// queueing each charge through the pool (the event-driven worker).
     async fn serve_batch(
         &self,
         first: WireMessage<B>,
         ch: &ServerChannel,
         dedup: &RefCell<DedupWindow>,
+        holding_core: bool,
     ) {
         let msgs = self.drain_arrived(first, ch);
         let mut execs = Vec::new();
@@ -656,11 +647,11 @@ impl<B: IndexBackend> ServiceServer<B> {
                 continue;
             }
             execs.extend(
-                self.process(m, true, Some((ch.rx.ring_rkey(), dedup)))
+                self.process(m, holding_core, Some((ch.rx.ring_rkey(), dedup)))
                     .await,
             );
         }
-        self.respond(execs, ch, true).await;
+        self.respond(execs, ch, holding_core).await;
     }
 
     /// Charges `cost` of CPU: queued through the pool in event mode, or
@@ -734,14 +725,7 @@ impl<B: IndexBackend> ServiceServer<B> {
                 if kind != OpKind::Read {
                     if let Some(status) = dedup.borrow().hit(seq) {
                         self.inner.stats.borrow_mut().dup_drops += 1;
-                        execs.push(Execution {
-                            seq,
-                            kind,
-                            cost: SimDuration::ZERO,
-                            items: Vec::new(),
-                            status,
-                            nodes_visited: 0,
-                        });
+                        execs.push(Execution::answered(seq, kind, status));
                         continue;
                     }
                 }
@@ -765,14 +749,7 @@ impl<B: IndexBackend> ServiceServer<B> {
                         // reissue after the writer refreshes its epoch must
                         // be re-judged, not answered from cache.
                         self.inner.stats.borrow_mut().repl_fenced += 1;
-                        execs.push(Execution {
-                            seq,
-                            kind,
-                            cost: SimDuration::ZERO,
-                            items: Vec::new(),
-                            status: REPL_FENCED,
-                            nodes_visited: 0,
-                        });
+                        execs.push(Execution::answered(seq, kind, REPL_FENCED));
                         continue;
                     }
                     if let Some(env) = &env {
@@ -788,14 +765,7 @@ impl<B: IndexBackend> ServiceServer<B> {
                             if let Some(dedup) = dedup {
                                 dedup.borrow_mut().record(seq, status);
                             }
-                            execs.push(Execution {
-                                seq,
-                                kind,
-                                cost: SimDuration::ZERO,
-                                items: Vec::new(),
-                                status,
-                                nodes_visited: 0,
-                            });
+                            execs.push(Execution::answered(seq, kind, status));
                             continue;
                         }
                         // A fresh enveloped client mutation on the primary
