@@ -324,12 +324,32 @@ pub fn write_metrics(args: &BenchArgs, reg: &catfish_core::MetricsRegistry) {
     }
 }
 
-/// Runs `f`, printing wall-clock time spent simulating.
+/// Runs `f`, printing wall-clock time spent simulating and the process's
+/// peak resident set so far.
 pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     let start = Instant::now();
     let out = f();
-    eprintln!("[wall] {label}: {:.1}s", start.elapsed().as_secs_f64());
+    eprintln!(
+        "[wall] {label}: {:.1}s, peak RSS {}",
+        start.elapsed().as_secs_f64(),
+        peak_rss_mib().map_or("n/a".into(), |m| format!("{m:.0} MiB"))
+    );
     out
+}
+
+/// Peak resident set of this process (`VmHWM`), in MiB, where
+/// `/proc/self/status` reports it.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
 }
 
 /// The tree configuration used by the figure benchmarks: fanout 88 packs

@@ -16,9 +16,18 @@
 //! the first portion of the write as new and the remainder as old, at
 //! cache-line granularity — which is exactly the mixed-version state the
 //! codec's validation rejects.
+//!
+//! ## Host backing
+//!
+//! Each region is one private anonymous mapping of its full registered
+//! size. Pages read as zero and become resident only when first written,
+//! and dropping the last clone of a region unmaps it, so a dropped set-up
+//! gives its pages back to the OS instead of leaving them with the heap.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ffi::{c_int, c_long, c_void};
+use std::ptr::NonNull;
 use std::rc::Rc;
 
 use catfish_simnet::{SimDuration, SimTime};
@@ -34,39 +43,98 @@ struct TornWrite {
     completes: SimTime,
 }
 
-/// A zeroed byte buffer whose base address is cache-line-aligned, so chunk
-/// slots (whole multiples of 64 bytes) never straddle an extra line —
-/// matching how a real registration would pin page-aligned memory for the
-/// NIC.
+/// A zeroed byte buffer held in its own private anonymous mapping.
 ///
-/// The backing `vec![0; len + 63]` is a byte-aligned zeroed allocation,
-/// which the allocator serves with `calloc`: large buffers come straight
-/// from fresh kernel pages, so pages a run never writes are never resident
-/// (a 64-byte-aligned zeroed allocation would be memset eagerly). The
-/// region starts at the first cache-line boundary inside the buffer.
+/// Fresh anonymous pages read as zero and stay unbacked until first
+/// written, so a region costs the host only the pages a run touches, and
+/// dropping it returns them straight to the OS (`munmap`). A heap buffer
+/// could not promise either: once glibc raises its dynamic mmap threshold
+/// (on the first free of a large mapped chunk), regions are carved from the
+/// heap, `calloc` memsets every reused chunk, and freed pages stay with the
+/// allocator. The base is page-aligned, so chunk slots (whole multiples of
+/// 64 bytes) never straddle an extra cache line — matching how a real
+/// registration pins page-aligned memory for the NIC.
 struct AlignedBuf {
-    buf: Vec<u8>,
-    start: usize,
+    ptr: NonNull<u8>,
     len: usize,
+}
+
+// Linux values of the mmap constants.
+const PROT_READ: c_int = 1;
+const PROT_WRITE: c_int = 2;
+const MAP_PRIVATE: c_int = 0x02;
+const MAP_ANONYMOUS: c_int = 0x20;
+
+extern "C" {
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        offset: c_long,
+    ) -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
 }
 
 impl AlignedBuf {
     fn zeroed(len: usize) -> Self {
-        let buf = vec![0u8; len + TORN_LINE - 1];
-        let start = buf.as_ptr().align_offset(TORN_LINE);
+        // SAFETY: a fresh private anonymous mapping at a kernel-chosen
+        // address aliases no existing memory; the arguments need no other
+        // precondition.
+        let addr = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                Self::map_len(len),
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        // mmap reports failure as MAP_FAILED, (void *) -1.
         assert!(
-            start < TORN_LINE,
+            addr as usize != usize::MAX,
+            "mmap of a {len}-byte region failed: {}",
+            std::io::Error::last_os_error()
+        );
+        let ptr = NonNull::new(addr.cast::<u8>()).expect("mmap returned a null mapping");
+        assert!(
+            (ptr.as_ptr() as usize).is_multiple_of(TORN_LINE),
             "registered region base must be cache-line-aligned"
         );
-        AlignedBuf { buf, start, len }
+        AlignedBuf { ptr, len }
+    }
+
+    /// Bytes mapped for a `len`-byte region: a zero-length region still
+    /// holds one page, so its base is a valid mapping to unmap.
+    fn map_len(len: usize) -> usize {
+        len.max(1)
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.buf[self.start..self.start + self.len]
+        // SAFETY: `ptr` heads a live read/write mapping of at least `len`
+        // bytes, owned by `self` until `drop`; the shared borrow of `self`
+        // excludes every mutable slice of it.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
     fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.buf[self.start..self.start + self.len]
+        // SAFETY: as in `as_slice`; the exclusive borrow of `self` makes
+        // this the only slice of the mapping.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl Drop for AlignedBuf {
+    fn drop(&mut self) {
+        // SAFETY: `ptr` and `map_len(len)` are exactly what `zeroed`
+        // mapped, and no slice of the mapping outlives `self`. A failed
+        // unmap only leaks the pages, and `drop` must not panic, so the
+        // result is ignored.
+        unsafe {
+            munmap(self.ptr.as_ptr().cast(), Self::map_len(self.len));
+        }
     }
 }
 
@@ -107,7 +175,8 @@ impl MemoryRegion {
     /// Registers a zeroed region of `len` bytes with remote key `rkey`.
     ///
     /// The region keeps its full modelled size, but host memory is touched
-    /// only where it is written: pages never written stay unbacked.
+    /// only where it is written: pages never written stay unbacked, and
+    /// dropping the last clone returns every page to the OS.
     pub fn new(len: usize, rkey: u32) -> Self {
         MemoryRegion {
             inner: Rc::new(RefCell::new(MrInner {
@@ -126,19 +195,6 @@ impl MemoryRegion {
     /// Region length in bytes.
     pub fn len(&self) -> usize {
         self.inner.borrow().bytes.len
-    }
-
-    /// Alignment of the region's base address in bytes (at least the
-    /// cache-line size — node slots that are whole multiples of 64 bytes
-    /// therefore never straddle an extra line).
-    pub fn base_alignment(&self) -> usize {
-        let inner = self.inner.borrow();
-        let addr = inner.bytes.as_slice().as_ptr() as usize;
-        if addr == 0 {
-            TORN_LINE
-        } else {
-            1 << addr.trailing_zeros()
-        }
     }
 
     /// True if the region has zero length.
@@ -386,10 +442,10 @@ mod tests {
         for len in (0usize..=300).chain([3 << 20, (5 << 20) + 17]) {
             let mr = MemoryRegion::new(len, 1);
             assert_eq!(mr.len(), len);
+            let base = mr.with_slice(0, len, |b| b.as_ptr() as usize);
             assert!(
-                mr.base_alignment() >= TORN_LINE,
-                "len {len}: alignment {} below cache line",
-                mr.base_alignment()
+                base.is_multiple_of(TORN_LINE),
+                "len {len}: base {base:#x} not line-aligned"
             );
             assert!(
                 mr.with_slice(0, len, |b| b.iter().all(|&x| x == 0)),
