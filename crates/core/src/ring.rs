@@ -52,6 +52,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::pin::pin;
 use std::rc::Rc;
 
 use catfish_rdma::{crc32, CompletionQueue, MemoryRegion, QueuePair};
@@ -890,8 +891,8 @@ impl RingReceiver {
                 return None;
             }
             self.flush_writeback();
-            let wait = Box::pin(self.shared.cq.wait());
-            let timer = Box::pin(catfish_simnet::sleep_until(deadline));
+            let wait = pin!(self.shared.cq.wait());
+            let timer = pin!(catfish_simnet::sleep_until(deadline));
             match select2(wait, timer).await {
                 Either::Left(completion) => {
                     self.credit_pending(completion.byte_len);

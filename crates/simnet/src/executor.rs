@@ -1,22 +1,25 @@
 //! The deterministic single-threaded executor and virtual clock.
 //!
 //! A [`Sim`] owns a slab of tasks (plain `Future`s, each with the one
-//! waker built for it at spawn), a ready queue, and a timer wheel keyed on
-//! [`SimTime`]. Execution alternates between two steps:
+//! waker built for it at spawn), a ready queue, and a timer table: a slab
+//! of timer slots under an indexed binary min-heap ordered by deadline,
+//! then registration order. A [`Sleep`] holds its slot's key, so dropping
+//! an unfired sleep takes its timer out of the heap at once, and the table
+//! holds live timers only. Execution alternates between two steps:
 //!
 //! 1. poll every ready task to quiescence (FIFO order), then
-//! 2. advance the virtual clock to the earliest pending timer and fire it.
+//! 2. advance the virtual clock to the earliest pending timer and fire
+//!    every timer due at that instant, in registration order.
 //!
 //! Nothing ever blocks on the host OS and no host time is read, so a given
 //! program produces the identical event interleaving on every run — which is
 //! what makes the benchmark figures reproducible.
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
@@ -145,43 +148,190 @@ impl Wake for TaskWaker {
     }
 }
 
-#[derive(Debug, Default)]
-struct TimerState {
-    waker: Option<Waker>,
-    cancelled: bool,
+/// An armed timer's slot and the slot's generation when it was armed.
+/// Firing or cancelling frees the slot and retires its generation, so a
+/// key kept past either names a stale generation and cancels nothing.
+#[derive(Debug, Clone, Copy)]
+struct TimerKey {
+    slot: u32,
+    generation: u32,
 }
 
-type TimerSlot = Rc<RefCell<TimerState>>;
-
-struct TimerEntry {
+struct TimerSlot {
     deadline: SimTime,
+    /// Registration order; breaks ties between equal deadlines.
     seq: u64,
-    slot: TimerSlot,
+    /// `Some` while armed.
+    waker: Option<Waker>,
+    /// This slot's index in [`TimerTable::heap`] while armed.
+    pos: u32,
+    generation: u32,
 }
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
+/// The pending timers: a slab of slots and a binary min-heap of the armed
+/// slot ids ordered by `(deadline, seq)`. Each slot knows its heap
+/// position, so a cancelled timer leaves the heap at once in O(log n)
+/// instead of staying until its deadline; only live timers are ever held.
+#[derive(Default)]
+struct TimerTable {
+    slots: Vec<TimerSlot>,
+    free: Vec<u32>,
+    heap: Vec<u32>,
+    next_seq: u64,
+}
+
+impl TimerTable {
+    fn arm(&mut self, deadline: SimTime, waker: Waker) -> TimerKey {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let pos = self.heap.len() as u32;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let t = &mut self.slots[slot as usize];
+                t.deadline = deadline;
+                t.seq = seq;
+                t.waker = Some(waker);
+                t.pos = pos;
+                slot
+            }
+            None => {
+                self.slots.push(TimerSlot {
+                    deadline,
+                    seq,
+                    waker: Some(waker),
+                    pos,
+                    generation: 0,
+                });
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.heap.push(slot);
+        self.sift_up(pos as usize);
+        TimerKey {
+            slot,
+            generation: self.slots[slot as usize].generation,
+        }
+    }
+
+    /// `key`'s slot, if its timer is still armed.
+    fn armed(&mut self, key: TimerKey) -> Option<&mut TimerSlot> {
+        let t = &mut self.slots[key.slot as usize];
+        (t.generation == key.generation).then_some(t)
+    }
+
+    /// Points an armed timer at `waker`; false if it already fired or was
+    /// cancelled.
+    fn set_waker(&mut self, key: TimerKey, waker: &Waker) -> bool {
+        match self.armed(key) {
+            Some(t) => {
+                store_waker(&mut t.waker, waker);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Disarms `key`'s timer; a no-op if it already fired or was cancelled.
+    fn cancel(&mut self, key: TimerKey) {
+        if let Some(t) = self.armed(key) {
+            let pos = t.pos as usize;
+            self.remove(pos);
+        }
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.heap.first().map(|&s| self.slots[s as usize].deadline)
+    }
+
+    /// Disarms the earliest timer if it is due at `at` and returns its
+    /// waker.
+    fn pop_due(&mut self, at: SimTime) -> Option<Waker> {
+        if self.next_deadline() != Some(at) {
+            return None;
+        }
+        Some(self.remove(0))
+    }
+
+    /// Takes the heap entry at `pos` out, frees its slot and retires the
+    /// slot's generation.
+    fn remove(&mut self, pos: usize) -> Waker {
+        let slot = self.heap.swap_remove(pos);
+        if pos < self.heap.len() {
+            self.slots[self.heap[pos] as usize].pos = pos as u32;
+            if !self.sift_up(pos) {
+                self.sift_down(pos);
+            }
+        }
+        let t = &mut self.slots[slot as usize];
+        t.generation = t.generation.wrapping_add(1);
+        self.free.push(slot);
+        t.waker.take().expect("an armed timer holds a waker")
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn key(&self, pos: usize) -> (SimTime, u64) {
+        let t = &self.slots[self.heap[pos] as usize];
+        (t.deadline, t.seq)
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.slots[self.heap[a] as usize].pos = a as u32;
+        self.slots[self.heap[b] as usize].pos = b as u32;
+    }
+
+    /// Moves the entry at `pos` up to its place; true if it moved.
+    fn sift_up(&mut self, mut pos: usize) -> bool {
+        let start = pos;
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.key(pos) >= self.key(parent) {
+                break;
+            }
+            self.swap(pos, parent);
+            pos = parent;
+        }
+        pos != start
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        loop {
+            let left = 2 * pos + 1;
+            if left >= self.heap.len() {
+                return;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.key(right) < self.key(left) {
+                right
+            } else {
+                left
+            };
+            if self.key(pos) <= self.key(child) {
+                return;
+            }
+            self.swap(pos, child);
+            pos = child;
+        }
     }
 }
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
+
+/// Stores `waker` in `stored`, keeping the stored waker when it already
+/// wakes the same task: a re-poll then costs no clone.
+pub(crate) fn store_waker(stored: &mut Option<Waker>, waker: &Waker) {
+    match stored {
+        Some(w) if w.will_wake(waker) => {}
+        _ => *stored = Some(waker.clone()),
     }
 }
 
 pub(crate) struct Inner {
     now: Cell<SimTime>,
-    next_timer_seq: Cell<u64>,
     tasks: RefCell<TaskSlab>,
     ready: Arc<ReadyQueue>,
-    timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
+    timers: RefCell<TimerTable>,
 }
 
 thread_local! {
@@ -221,6 +371,10 @@ impl Drop for EnterGuard {
 /// simulation. Build one, spawn root tasks, then drive it with
 /// [`Sim::run_until`] or [`Sim::run`].
 ///
+/// Its `Debug` output shows the clock, the live tasks and the live timers:
+/// `timers` counts armed sleeps only ([`Sim::pending_timers`]), since a
+/// dropped sleep leaves the timer table at once.
+///
 /// # Examples
 ///
 /// ```
@@ -249,7 +403,7 @@ impl std::fmt::Debug for Sim {
         f.debug_struct("Sim")
             .field("now", &self.inner.now.get())
             .field("tasks", &self.inner.tasks.borrow().len())
-            .field("timers", &self.inner.timers.borrow().len())
+            .field("timers", &self.pending_timers())
             .finish()
     }
 }
@@ -260,10 +414,9 @@ impl Sim {
         Sim {
             inner: Rc::new(Inner {
                 now: Cell::new(SimTime::ZERO),
-                next_timer_seq: Cell::new(0),
                 tasks: RefCell::new(TaskSlab::default()),
                 ready: Arc::new(ReadyQueue::default()),
-                timers: RefCell::new(BinaryHeap::new()),
+                timers: RefCell::new(TimerTable::default()),
             }),
         }
     }
@@ -271,6 +424,18 @@ impl Sim {
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.inner.now.get()
+    }
+
+    /// Live timers: armed sleeps that have neither fired nor been dropped.
+    /// A dropped sleep leaves at once, so this is at most the sleeps that
+    /// parked tasks are waiting on. `Debug` prints it as `timers`.
+    pub fn pending_timers(&self) -> usize {
+        self.inner.timers.borrow().len()
+    }
+
+    /// Spawned tasks that have not finished. `Debug` prints it as `tasks`.
+    pub fn live_tasks(&self) -> usize {
+        self.inner.tasks.borrow().len()
     }
 
     /// Spawns a task onto the simulation and returns a handle to its result.
@@ -401,67 +566,32 @@ impl Sim {
         }
     }
 
-    /// Advances the clock to the next live timer (bounded by `limit`) and
-    /// wakes every timer scheduled at that instant. Cancelled timers are
-    /// purged without advancing the clock. Returns false if there was no
-    /// eligible timer.
+    /// Advances the clock to the next timer (bounded by `limit`) and
+    /// wakes every timer scheduled at that instant, in registration order.
+    /// Returns false if there was no eligible timer.
     fn fire_next_timer(&self, limit: Option<SimTime>) -> bool {
-        let deadline = loop {
-            let mut timers = self.inner.timers.borrow_mut();
-            match timers.peek() {
-                Some(Reverse(e)) if e.slot.borrow().cancelled => {
-                    timers.pop();
-                }
-                Some(Reverse(e)) => break e.deadline,
-                None => return false,
-            }
+        let Some(deadline) = self.inner.timers.borrow().next_deadline() else {
+            return false;
         };
-        if let Some(limit) = limit {
-            if deadline > limit {
-                return false;
-            }
+        if limit.is_some_and(|limit| deadline > limit) {
+            return false;
         }
         debug_assert!(deadline >= self.now(), "timer scheduled in the past");
         self.inner.now.set(deadline);
         loop {
-            let slot = {
-                let mut timers = self.inner.timers.borrow_mut();
-                match timers.peek() {
-                    Some(Reverse(e)) if e.deadline == deadline => {
-                        timers.pop().map(|Reverse(e)| e.slot)
-                    }
-                    _ => None,
-                }
-            };
-            match slot {
-                Some(slot) => {
-                    let mut state = slot.borrow_mut();
-                    if !state.cancelled {
-                        if let Some(w) = state.waker.take() {
-                            w.wake();
-                        }
-                    }
-                }
-                None => break,
+            // Taken out first, so the waker runs outside the table borrow.
+            let waker = self.inner.timers.borrow_mut().pop_due(deadline);
+            match waker {
+                Some(waker) => waker.wake(),
+                None => return true,
             }
         }
-        true
     }
 }
 
 impl Inner {
     pub(crate) fn now(&self) -> SimTime {
         self.now.get()
-    }
-
-    fn register_timer(&self, deadline: SimTime, slot: TimerSlot) {
-        let seq = self.next_timer_seq.get();
-        self.next_timer_seq.set(seq + 1);
-        self.timers.borrow_mut().push(Reverse(TimerEntry {
-            deadline,
-            seq,
-            slot,
-        }));
     }
 }
 
@@ -492,7 +622,7 @@ impl<T> Future for JoinHandle<T> {
         match s.result.take() {
             Some(out) => Poll::Ready(out),
             None => {
-                s.waker = Some(cx.waker().clone());
+                store_waker(&mut s.waker, cx.waker());
                 Poll::Pending
             }
         }
@@ -540,9 +670,8 @@ where
 pub fn sleep(dur: SimDuration) -> Sleep {
     Sleep {
         dur: Some(dur),
-        slot: None,
         deadline: SimTime::ZERO,
-        done: false,
+        timer: None,
     }
 }
 
@@ -550,48 +679,60 @@ pub fn sleep(dur: SimDuration) -> Sleep {
 pub fn sleep_until(deadline: SimTime) -> Sleep {
     Sleep {
         dur: None,
-        slot: None,
         deadline,
-        done: false,
+        timer: None,
     }
 }
 
 /// Future returned by [`sleep`] and [`sleep_until`].
 ///
-/// Dropping an unfired `Sleep` cancels its timer (it will not hold the
-/// simulation clock hostage).
+/// Dropping an unfired `Sleep` cancels its timer: it leaves the
+/// simulation's timer table at once and does not hold the clock hostage.
 #[derive(Debug)]
 pub struct Sleep {
     dur: Option<SimDuration>,
-    slot: Option<TimerSlot>,
     deadline: SimTime,
-    done: bool,
+    /// The simulation the timer is armed in, and its key there.
+    timer: Option<(Weak<Inner>, TimerKey)>,
+}
+
+impl Sleep {
+    fn disarm(&mut self) {
+        if let Some((sim, key)) = self.timer.take() {
+            // A simulation already gone took its timers with it.
+            if let Some(inner) = sim.upgrade() {
+                inner.timers.borrow_mut().cancel(key);
+            }
+        }
+    }
 }
 
 impl Future for Sleep {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = &mut *self;
         with_current(|inner| {
-            if let Some(dur) = self.dur.take() {
-                self.deadline = inner.now() + dur;
+            if let Some(dur) = this.dur.take() {
+                this.deadline = inner.now() + dur;
             }
-            if inner.now() >= self.deadline {
-                self.done = true;
+            if inner.now() >= this.deadline {
+                this.disarm();
                 return Poll::Ready(());
             }
-            match &self.slot {
-                Some(slot) => {
-                    slot.borrow_mut().waker = Some(cx.waker().clone());
+            if let Some((sim, key)) = &this.timer {
+                if Weak::as_ptr(sim) == Rc::as_ptr(inner)
+                    && inner.timers.borrow_mut().set_waker(*key, cx.waker())
+                {
+                    return Poll::Pending;
                 }
-                None => {
-                    let slot: TimerSlot = Rc::new(RefCell::new(TimerState {
-                        waker: Some(cx.waker().clone()),
-                        cancelled: false,
-                    }));
-                    inner.register_timer(self.deadline, Rc::clone(&slot));
-                    self.slot = Some(slot);
-                }
+                // Armed in another simulation: it moves to this one.
+                this.disarm();
             }
+            let key = inner
+                .timers
+                .borrow_mut()
+                .arm(this.deadline, cx.waker().clone());
+            this.timer = Some((Rc::downgrade(inner), key));
             Poll::Pending
         })
     }
@@ -599,13 +740,7 @@ impl Future for Sleep {
 
 impl Drop for Sleep {
     fn drop(&mut self) {
-        if !self.done {
-            if let Some(slot) = &self.slot {
-                let mut s = slot.borrow_mut();
-                s.cancelled = true;
-                s.waker = None;
-            }
-        }
+        self.disarm();
     }
 }
 
@@ -821,16 +956,146 @@ mod tests {
     #[test]
     fn nested_sims_are_independent() {
         let outer = Sim::new();
-        let t = outer.run_until(async {
+        let outer_view = outer.clone();
+        let t = outer.run_until(async move {
             sleep(SimDuration::from_micros(1)).await;
+            // One timer parked in the outer table while the inner runs.
+            spawn(sleep(SimDuration::from_secs(3600)));
+            yield_now().await;
             let inner = Sim::new();
-            let inner_t = inner.run_until(async {
+            let inner_view = inner.clone();
+            let inner_t = inner.run_until(async move {
                 sleep(SimDuration::from_micros(9)).await;
+                spawn(sleep(SimDuration::from_micros(5)));
+                yield_now().await;
+                assert_eq!(inner_view.pending_timers(), 1);
                 now()
             });
+            assert_eq!(outer_view.pending_timers(), 1);
+            inner.run();
+            assert_eq!(inner.pending_timers(), 0);
+            assert_eq!(inner.now().as_nanos(), 14_000);
+            assert_eq!(outer_view.pending_timers(), 1);
             (now(), inner_t)
         });
         assert_eq!(t.0.as_nanos(), 1_000);
         assert_eq!(t.1.as_nanos(), 9_000);
+    }
+
+    #[test]
+    fn a_sleep_outliving_its_sim_drops_cleanly() {
+        let sim = Sim::new();
+        let armed: Rc<RefCell<Option<Sleep>>> = Rc::default();
+        let keep = Rc::clone(&armed);
+        sim.run_until(async move {
+            let mut s = sleep(SimDuration::from_secs(1));
+            std::future::poll_fn(|cx| {
+                assert!(Pin::new(&mut s).poll(cx).is_pending());
+                Poll::Ready(())
+            })
+            .await;
+            *keep.borrow_mut() = Some(s);
+        });
+        assert_eq!(sim.pending_timers(), 1);
+        drop(sim);
+        drop(armed);
+    }
+
+    /// Records its id and the clock each time a timer wakes it.
+    struct Recorder {
+        id: usize,
+        log: Arc<Mutex<Vec<(usize, SimTime)>>>,
+    }
+
+    impl Wake for Recorder {
+        fn wake(self: Arc<Self>) {
+            self.log.lock().unwrap().push((self.id, now()));
+        }
+    }
+
+    /// Polls `s` once inside `sim` with `waker`.
+    fn poll_in(sim: &Sim, s: Sleep, waker: &Waker) -> (Sleep, Poll<()>) {
+        let waker = waker.clone();
+        sim.run_until(async move {
+            let mut s = s;
+            let polled = Pin::new(&mut s).poll(&mut Context::from_waker(&waker));
+            (s, polled)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Random arm, re-poll, cancel and advance steps against a model
+        /// ordered by (deadline, registration order). Deadlines are drawn
+        /// from a few ticks ahead, so many timers share one.
+        #[test]
+        fn timer_table_matches_an_ordered_model(
+            ops in proptest::collection::vec((0u8..4, 0u64..1_000), 1..300)
+        ) {
+            use std::collections::BTreeMap;
+            const TICK: u64 = 10;
+            let sim = Sim::new();
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let recorder = |id| Waker::from(Arc::new(Recorder { id, log: Arc::clone(&log) }));
+            // Per timer id: the Sleep (None once dropped) and its waker.
+            let mut sleeps: Vec<(Option<Sleep>, Waker)> = Vec::new();
+            let mut model: BTreeMap<(SimTime, usize), usize> = BTreeMap::new();
+            let mut armed_key: Vec<Option<(SimTime, usize)>> = Vec::new();
+            let mut expected = Vec::new();
+            for (kind, arg) in ops {
+                let live: Vec<usize> =
+                    (0..sleeps.len()).filter(|&i| sleeps[i].0.is_some()).collect();
+                match kind {
+                    0 => {
+                        let id = sleeps.len();
+                        let deadline = sim.now() + SimDuration::from_nanos(TICK * (1 + arg % 4));
+                        let waker = recorder(id);
+                        let (s, polled) = poll_in(&sim, sleep_until(deadline), &waker);
+                        proptest::prop_assert!(polled.is_pending());
+                        model.insert((deadline, id), id);
+                        armed_key.push(Some((deadline, id)));
+                        sleeps.push((Some(s), waker));
+                    }
+                    1 if !live.is_empty() => {
+                        // Re-poll with the same waker or a fresh one that
+                        // wakes the same id: the timer keeps its place.
+                        let id = live[arg as usize % live.len()];
+                        if arg % 2 == 1 {
+                            sleeps[id].1 = recorder(id);
+                        }
+                        let s = sleeps[id].0.take().unwrap();
+                        let (s, polled) = poll_in(&sim, s, &sleeps[id].1);
+                        sleeps[id].0 = Some(s);
+                        let fired = armed_key[id].is_none();
+                        proptest::prop_assert_eq!(polled.is_ready(), fired);
+                    }
+                    2 if !live.is_empty() => {
+                        // Dropping a fired Sleep cancels nothing, even when
+                        // its slot now holds another timer.
+                        let id = live[arg as usize % live.len()];
+                        drop(sleeps[id].0.take());
+                        if let Some(k) = armed_key[id].take() {
+                            model.remove(&k);
+                        }
+                    }
+                    _ => {
+                        let limit = sim.now() + SimDuration::from_nanos(arg % (3 * TICK));
+                        while let Some((&k, &id)) = model.iter().next() {
+                            if k.0 > limit {
+                                break;
+                            }
+                            model.remove(&k);
+                            armed_key[id] = None;
+                            expected.push((id, k.0));
+                        }
+                        sim.run_for(limit - sim.now());
+                        proptest::prop_assert_eq!(sim.now(), limit);
+                    }
+                }
+                proptest::prop_assert_eq!(&*log.lock().unwrap(), &expected);
+                proptest::prop_assert_eq!(sim.pending_timers(), model.len());
+            }
+        }
     }
 }

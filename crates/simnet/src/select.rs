@@ -16,7 +16,8 @@ pub enum Either<A, B> {
 /// Races two futures, resolving with whichever completes first (biased
 /// toward the first on simultaneous readiness). The loser is dropped.
 ///
-/// Futures must be `Unpin`; wrap with `Box::pin` if needed.
+/// Futures must be `Unpin`; pin them on the stack with [`std::pin::pin!`]
+/// (or box them with `Box::pin`) if needed.
 ///
 /// # Examples
 ///
@@ -25,8 +26,8 @@ pub enum Either<A, B> {
 ///
 /// let sim = Sim::new();
 /// let won = sim.run_until(async {
-///     let fast = Box::pin(sleep(SimDuration::from_micros(1)));
-///     let slow = Box::pin(sleep(SimDuration::from_micros(9)));
+///     let fast = std::pin::pin!(sleep(SimDuration::from_micros(1)));
+///     let slow = std::pin::pin!(sleep(SimDuration::from_micros(9)));
 ///     matches!(select2(fast, slow).await, Either::Left(()))
 /// });
 /// assert!(won);
@@ -104,15 +105,19 @@ mod tests {
 
     #[test]
     fn loser_is_cancelled() {
-        // After select2 resolves, the losing sleep must not keep the
-        // simulation alive past its own deadline.
+        // After select2 resolves, the losing sleep must leave the timer
+        // table at once and not keep the simulation alive past its own
+        // deadline, however many races lose.
         let sim = Sim::new();
         sim.run_until(async {
-            let a = Box::pin(sleep(SimDuration::from_micros(1)));
-            let b = Box::pin(sleep(SimDuration::from_secs(3600)));
-            select2(a, b).await;
+            for _ in 0..10_000 {
+                let a = std::pin::pin!(sleep(SimDuration::from_nanos(1)));
+                let b = std::pin::pin!(sleep(SimDuration::from_secs(3600)));
+                assert!(matches!(select2(a, b).await, Either::Left(())));
+            }
         });
+        assert_eq!(sim.pending_timers(), 0);
         sim.run(); // drains remaining work
-        assert!(sim.now() < crate::time::SimTime::from_nanos(1_000_000));
+        assert_eq!(sim.now().as_nanos(), 10_000);
     }
 }

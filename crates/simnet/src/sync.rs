@@ -12,6 +12,8 @@ use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
+use crate::executor::store_waker;
+
 // ---------------------------------------------------------------------------
 // oneshot
 // ---------------------------------------------------------------------------
@@ -115,7 +117,7 @@ impl<T> Future for OneshotReceiver<T> {
         if s.closed {
             return Poll::Ready(Err(RecvError));
         }
-        s.waker = Some(cx.waker().clone());
+        store_waker(&mut s.waker, cx.waker());
         Poll::Pending
     }
 }
@@ -273,7 +275,7 @@ impl<T> Future for Recv<'_, T> {
         if s.senders == 0 {
             return Poll::Ready(None);
         }
-        s.waker = Some(cx.waker().clone());
+        store_waker(&mut s.waker, cx.waker());
         Poll::Pending
     }
 }
@@ -395,7 +397,7 @@ impl Future for Notified {
         if w.notified {
             Poll::Ready(())
         } else {
-            w.waker = Some(cx.waker().clone());
+            store_waker(&mut w.waker, cx.waker());
             Poll::Pending
         }
     }
@@ -558,7 +560,7 @@ impl Future for Acquire {
             if w.granted {
                 true
             } else {
-                w.waker = Some(cx.waker().clone());
+                store_waker(&mut w.waker, cx.waker());
                 false
             }
         };
