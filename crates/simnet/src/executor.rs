@@ -1,10 +1,16 @@
 //! The deterministic single-threaded executor and virtual clock.
 //!
-//! A [`Sim`] owns a slab of tasks (plain `Future`s, each with the one
-//! waker built for it at spawn), a ready queue, and a timer table: a slab
-//! of timer slots under an indexed binary min-heap ordered by deadline,
-//! then registration order. A [`Sleep`] holds its slot's key, so dropping
-//! an unfired sleep takes its timer out of the heap at once, and the table
+//! A [`Sim`] owns a slab of tasks, a ready queue and a timer table. A
+//! spawned task is one `Rc` cell holding its id, its future, its output
+//! slot and its join waker; its waker is a `RawWaker` over that cell's
+//! non-atomic count, and waking pushes the task's id onto the ready queue,
+//! a plain `RefCell<VecDeque>`. Nothing on the wake path takes a lock or
+//! does an atomic read-modify-write, which is sound because a waker
+//! refuses to run anywhere but on its simulation's thread. The timer table
+//! keeps timers due within 65.5 µs of now in a wheel of 64 ns
+//! buckets and later ones under an indexed binary min-heap; both order by
+//! deadline, then registration. A [`Sleep`] holds its timer's key, so
+//! dropping an unfired sleep takes its timer out at once, and the table
 //! holds live timers only. Execution alternates between two steps:
 //!
 //! 1. poll every ready task to quiescence (FIFO order), then
@@ -18,14 +24,12 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
+use std::mem::ManuallyDrop;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use crate::time::{SimDuration, SimTime};
-
-type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
 
 /// A task's slab slot and the slot's generation when the task was
 /// spawned. A finished task's slot is reused with the next generation, so
@@ -37,17 +41,205 @@ struct TaskId {
     generation: u32,
 }
 
-/// A spawned task and the waker built for it once, at spawn: every poll
-/// of the task hands out this same waker.
-struct Task {
-    fut: LocalFuture,
-    waker: Waker,
+/// The ids of woken tasks, in wake order. Only the simulation's own thread
+/// touches it (each waker checks), so it needs no lock.
+type ReadyQueue = RefCell<VecDeque<TaskId>>;
+
+thread_local! {
+    static THREAD_MARK: u8 = const { 0 };
+}
+
+/// An address unique to the calling thread among the threads alive now:
+/// its own copy of a thread-local byte. A thread started after the
+/// simulation's thread exits may reuse the address; it is then the only
+/// live thread that passes the check, so counts are still never touched
+/// by two threads at once.
+#[inline]
+fn thread_mark() -> usize {
+    THREAD_MARK.with(|m| m as *const u8 as usize)
+}
+
+/// What a task's waker reads: where to queue the task and which thread
+/// may touch its counts.
+struct Header {
+    id: TaskId,
+    ready: Rc<ReadyQueue>,
+    /// [`thread_mark`] of the thread running the task's simulation.
+    thread: usize,
+}
+
+/// A spawned task: the one allocation a spawn makes. The slab holds one
+/// count on it while the task is unfinished, its [`JoinHandle`] one, and
+/// each clone of its waker one.
+struct TaskCell<F: Future> {
+    header: Header,
+    join: RefCell<JoinState<F::Output>>,
+    /// `Some` until the future completes or its simulation is dropped. It
+    /// is pinned: never moved out, only dropped in place.
+    future: RefCell<Option<F>>,
+}
+
+/// A task as the slab sees it, with its future's type erased.
+trait Runnable {
+    /// Polls the future once, unless it already completed.
+    ///
+    /// # Safety
+    ///
+    /// `data` is `Rc::as_ptr` of an `Rc` holding this very cell.
+    unsafe fn poll(&self, data: *const ()) -> Poll<()>;
+
+    /// Drops the future in place and the join waker, breaking every cycle
+    /// through a waker the task handed out (a task parked on its own
+    /// `Notify`, channel or timer holds a count on its own cell).
+    fn tear_down(&self);
+}
+
+/// A task as its [`JoinHandle`] sees it, with only its output type known.
+trait Joinable<T> {
+    fn join(&self) -> &RefCell<JoinState<T>>;
+}
+
+impl<F: Future + 'static> TaskCell<F> {
+    const VTABLE: RawWakerVTable = RawWakerVTable::new(
+        Self::clone_waker,
+        Self::wake,
+        Self::wake_by_ref,
+        Self::drop_waker,
+    );
+
+    /// The header of the cell a waker's data pointer names.
+    ///
+    /// # Safety
+    ///
+    /// `data` is a live waker's data pointer: `Rc::as_ptr` of a cell of
+    /// this type on which the waker holds a count (or, for the waker lent
+    /// to a poll, on which the poll's caller does).
+    unsafe fn header<'a>(data: *const ()) -> &'a Header {
+        // SAFETY: per the contract the cell is alive for as long as the
+        // waker is. The header is never written after spawn, so reading
+        // it even from a foreign thread races with nothing.
+        unsafe { &(*data.cast::<Self>()).header }
+    }
+
+    /// Whether the calling thread runs the cell's simulation, the only
+    /// thread allowed to touch its non-atomic count or its ready queue.
+    fn owned_here(header: &Header) -> bool {
+        header.thread == thread_mark()
+    }
+
+    fn assert_owned_here(header: &Header) {
+        assert!(
+            Self::owned_here(header),
+            "a simulation task's waker was used off the thread running its simulation"
+        );
+    }
+
+    /// The vtable's `clone`: one more count on the cell.
+    ///
+    /// # Safety
+    ///
+    /// `data` satisfies [`Self::header`]'s contract. So do the vtable's
+    /// other functions', the only data pointers this vtable is paired with.
+    unsafe fn clone_waker(data: *const ()) -> RawWaker {
+        // SAFETY: per this function's contract.
+        let header = unsafe { Self::header(data) };
+        Self::assert_owned_here(header);
+        // SAFETY: `data` is `Rc::as_ptr` of a live `Rc<Self>` (the same
+        // pointer `Rc::into_raw` gives), and only this thread touches the
+        // count, as just checked.
+        unsafe { Rc::increment_strong_count(data.cast::<Self>()) };
+        RawWaker::new(data, &Self::VTABLE)
+    }
+
+    /// # Safety
+    ///
+    /// As for [`Self::clone_waker`]; the waker's count is consumed.
+    unsafe fn wake(data: *const ()) {
+        // SAFETY: as in `clone_waker`. `wake_by_ref` returns only on the
+        // simulation's thread, which then gives back this waker's count.
+        unsafe {
+            Self::wake_by_ref(data);
+            Rc::decrement_strong_count(data.cast::<Self>());
+        }
+    }
+
+    /// # Safety
+    ///
+    /// As for [`Self::clone_waker`].
+    unsafe fn wake_by_ref(data: *const ()) {
+        // SAFETY: as in `clone_waker`.
+        let header = unsafe { Self::header(data) };
+        Self::assert_owned_here(header);
+        header.ready.borrow_mut().push_back(header.id);
+    }
+
+    /// Gives back the waker's count. Off the simulation's thread the count
+    /// is leaked instead: a leak is safe, a racing decrement is not.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::clone_waker`]; the waker's count is consumed.
+    unsafe fn drop_waker(data: *const ()) {
+        // SAFETY: as in `clone_waker`.
+        let header = unsafe { Self::header(data) };
+        if Self::owned_here(header) {
+            // SAFETY: this waker owns one count on the live cell, and only
+            // this thread touches the count.
+            unsafe { Rc::decrement_strong_count(data.cast::<Self>()) };
+        }
+    }
+}
+
+impl<F: Future + 'static> Runnable for TaskCell<F> {
+    unsafe fn poll(&self, data: *const ()) -> Poll<()> {
+        // SAFETY: `data` names this cell and the caller's `Rc` keeps it
+        // alive across the poll. The waker is only lent (`ManuallyDrop`):
+        // it holds no count of its own, and wakers cloned from it take one.
+        let waker =
+            ManuallyDrop::new(unsafe { Waker::from_raw(RawWaker::new(data, &Self::VTABLE)) });
+        let mut cx = Context::from_waker(&waker);
+        let mut slot = self.future.borrow_mut();
+        let Some(fut) = slot.as_mut() else {
+            return Poll::Ready(());
+        };
+        // SAFETY: the future sits in the cell's `Rc` allocation, which never
+        // moves, and it is never moved out of its slot: it is only dropped
+        // in place (below, or in `tear_down`).
+        let Poll::Ready(out) = unsafe { Pin::new_unchecked(fut) }.poll(&mut cx) else {
+            return Poll::Pending;
+        };
+        *slot = None;
+        drop(slot);
+        let mut join = self.join.borrow_mut();
+        if join.detached {
+            drop(join);
+            drop(out);
+        } else {
+            join.result = Some(out);
+            if let Some(w) = join.waker.take() {
+                w.wake();
+            }
+        }
+        Poll::Ready(())
+    }
+
+    fn tear_down(&self) {
+        *self.future.borrow_mut() = None;
+        let waker = self.join.borrow_mut().waker.take();
+        drop(waker);
+    }
+}
+
+impl<F: Future + 'static> Joinable<F::Output> for TaskCell<F> {
+    fn join(&self) -> &RefCell<JoinState<F::Output>> {
+        &self.join
+    }
 }
 
 struct Slot {
     generation: u32,
     /// `None` while the slot is free or its task is being polled.
-    task: Option<Task>,
+    task: Option<Rc<dyn Runnable>>,
 }
 
 /// The live tasks, indexed by slot: spawn reuses the most recently freed
@@ -59,15 +251,18 @@ struct TaskSlab {
     live: usize,
 }
 
-/// Teardown drops the tasks still parked newest slot first, the reverse
+/// Teardown drops the futures still parked newest slot first, the reverse
 /// of the order they were allocated in, so back-to-back simulations in
 /// one process (catbench's repeated set-ups) reuse the freed memory
 /// compactly. Forward order measured a higher peak RSS there
-/// (EXPERIMENTS.md, "one pass per offloaded chunk").
+/// (EXPERIMENTS.md, "one pass per offloaded chunk"). Each future is
+/// dropped in place even when a waker elsewhere keeps its cell alive.
 impl Drop for TaskSlab {
     fn drop(&mut self) {
         while let Some(slot) = self.slots.pop() {
-            drop(slot);
+            if let Some(task) = slot.task {
+                task.tear_down();
+            }
         }
     }
 }
@@ -91,7 +286,7 @@ impl TaskSlab {
     }
 
     /// Parks a claimed task (at spawn, or after a pending poll).
-    fn park(&mut self, id: TaskId, task: Task) {
+    fn park(&mut self, id: TaskId, task: Rc<dyn Runnable>) {
         let slot = &mut self.slots[id.slot as usize];
         debug_assert_eq!(slot.generation, id.generation, "parking into a reused slot");
         slot.task = Some(task);
@@ -99,7 +294,7 @@ impl TaskSlab {
 
     /// Takes `id`'s task out for polling; `None` if the task finished
     /// (the generation moved on) or is already out.
-    fn take(&mut self, id: TaskId) -> Option<Task> {
+    fn take(&mut self, id: TaskId) -> Option<Rc<dyn Runnable>> {
         let slot = &mut self.slots[id.slot as usize];
         if slot.generation != id.generation {
             return None;
@@ -125,29 +320,6 @@ impl TaskSlab {
     }
 }
 
-/// The shared ready queue. Wakers must be `Send + Sync`, so this lives
-/// behind an `Arc<Mutex<_>>` even though the executor itself is
-/// single-threaded.
-#[derive(Default)]
-struct ReadyQueue {
-    queue: Mutex<VecDeque<TaskId>>,
-}
-
-struct TaskWaker {
-    id: TaskId,
-    ready: Arc<ReadyQueue>,
-}
-
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.ready
-            .queue
-            .lock()
-            .expect("ready queue poisoned")
-            .push_back(self.id);
-    }
-}
-
 /// An armed timer's slot and the slot's generation when it was armed.
 /// Firing or cancelling frees the slot and retires its generation, so a
 /// key kept past either names a stale generation and cancels nothing.
@@ -157,41 +329,89 @@ struct TimerKey {
     generation: u32,
 }
 
+/// log2 of a wheel bucket's width in nanoseconds.
+const TICK_SHIFT: u32 = 6;
+/// Buckets in the timer wheel.
+const WHEEL_BUCKETS: usize = 1024;
+/// No slot: the end of a wheel bucket's list.
+const NIL: u32 = u32::MAX;
+/// [`TimerSlot::pos`] of a timer in the wheel rather than the heap.
+const IN_WHEEL: u32 = u32::MAX;
+
+/// The wheel tick (64 ns bucket index, unwrapped) of `t`.
+fn tick(t: SimTime) -> u64 {
+    t.as_nanos() >> TICK_SHIFT
+}
+
 struct TimerSlot {
     deadline: SimTime,
     /// Registration order; breaks ties between equal deadlines.
     seq: u64,
     /// `Some` while armed.
     waker: Option<Waker>,
-    /// This slot's index in [`TimerTable::heap`] while armed.
+    /// This slot's index in [`TimerTable::heap`], or [`IN_WHEEL`].
     pos: u32,
+    /// Neighbours in the timer's wheel bucket ([`NIL`] at either end).
+    prev: u32,
+    next: u32,
     generation: u32,
 }
 
-/// The pending timers: a slab of slots and a binary min-heap of the armed
-/// slot ids ordered by `(deadline, seq)`. Each slot knows its heap
-/// position, so a cancelled timer leaves the heap at once in O(log n)
-/// instead of staying until its deadline; only live timers are ever held.
-#[derive(Default)]
+/// The pending timers, in two tiers over one slab of slots, both ordered
+/// by `(deadline, seq)`:
+///
+/// - the *wheel* holds timers whose deadline tick is less than
+///   [`WHEEL_BUCKETS`] ticks past now's. Each bucket is a list linked
+///   through the slots and kept sorted, so arming appends after the last
+///   timer due no later and cancelling unlinks in O(1); a bitmap of the
+///   non-empty buckets finds the earliest. Since the clock only advances
+///   to the earliest deadline, every wheel timer stays within one turn of
+///   now and each bucket holds a single tick.
+/// - the *heap* is a binary min-heap of the other timers' slot ids. Each
+///   slot knows its heap position, so a cancelled timer leaves the heap at
+///   once in O(log n).
+///
+/// A heap timer stays there as the clock nears its deadline; the next
+/// timer is whichever tier's head orders first. Only live timers are held.
+/// This is a calendar queue (Brown, CACM 1988) over a fallback heap.
 struct TimerTable {
     slots: Vec<TimerSlot>,
     free: Vec<u32>,
     heap: Vec<u32>,
+    bucket_head: Box<[u32]>,
+    bucket_tail: Box<[u32]>,
+    /// Bit `b` set when bucket `b` is non-empty.
+    occupied: [u64; WHEEL_BUCKETS / 64],
+    in_wheel: usize,
     next_seq: u64,
 }
 
+impl Default for TimerTable {
+    fn default() -> Self {
+        TimerTable {
+            slots: Vec::new(),
+            free: Vec::new(),
+            heap: Vec::new(),
+            bucket_head: vec![NIL; WHEEL_BUCKETS].into_boxed_slice(),
+            bucket_tail: vec![NIL; WHEEL_BUCKETS].into_boxed_slice(),
+            occupied: [0; WHEEL_BUCKETS / 64],
+            in_wheel: 0,
+            next_seq: 0,
+        }
+    }
+}
+
 impl TimerTable {
-    fn arm(&mut self, deadline: SimTime, waker: Waker) -> TimerKey {
+    /// Arms a timer for `deadline`, which is after `now`.
+    fn arm(&mut self, deadline: SimTime, waker: Waker, now: SimTime) -> TimerKey {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let pos = self.heap.len() as u32;
         let slot = match self.free.pop() {
             Some(slot) => {
                 let t = &mut self.slots[slot as usize];
                 t.deadline = deadline;
                 t.seq = seq;
                 t.waker = Some(waker);
-                t.pos = pos;
                 slot
             }
             None => {
@@ -199,14 +419,22 @@ impl TimerTable {
                     deadline,
                     seq,
                     waker: Some(waker),
-                    pos,
+                    pos: 0,
+                    prev: NIL,
+                    next: NIL,
                     generation: 0,
                 });
                 (self.slots.len() - 1) as u32
             }
         };
-        self.heap.push(slot);
-        self.sift_up(pos as usize);
+        if tick(deadline) < tick(now) + WHEEL_BUCKETS as u64 {
+            self.link(slot);
+        } else {
+            let pos = self.heap.len();
+            self.slots[slot as usize].pos = pos as u32;
+            self.heap.push(slot);
+            self.sift_up(pos);
+        }
         TimerKey {
             slot,
             generation: self.slots[slot as usize].generation,
@@ -233,33 +461,57 @@ impl TimerTable {
 
     /// Disarms `key`'s timer; a no-op if it already fired or was cancelled.
     fn cancel(&mut self, key: TimerKey) {
-        if let Some(t) = self.armed(key) {
-            let pos = t.pos as usize;
-            self.remove(pos);
+        if self.armed(key).is_some() {
+            self.remove(key.slot);
         }
     }
 
-    fn next_deadline(&self) -> Option<SimTime> {
-        self.heap.first().map(|&s| self.slots[s as usize].deadline)
+    /// The deadline of the timer that fires next: the earlier of the
+    /// wheel's and the heap's heads.
+    fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
+        let deadline = |s: u32| self.slots[s as usize].deadline;
+        let wheel = self.wheel_first(now).map(deadline);
+        let heap = self.heap.first().map(|&s| deadline(s));
+        match (wheel, heap) {
+            (Some(w), Some(h)) => Some(w.min(h)),
+            (w, h) => w.or(h),
+        }
     }
 
-    /// Disarms the earliest timer if it is due at `at` and returns its
-    /// waker.
+    /// Disarms the next timer if it is due at `at`, the current time, and
+    /// returns its waker. A wheel timer due now heads now's bucket, so
+    /// this reads one head per tier and scans nothing.
     fn pop_due(&mut self, at: SimTime) -> Option<Waker> {
-        if self.next_deadline() != Some(at) {
-            return None;
-        }
-        Some(self.remove(0))
+        let due = |s: &u32| *s != NIL && self.slots[*s as usize].deadline == at;
+        let wheel = Some(self.bucket_head[tick(at) as usize % WHEEL_BUCKETS]).filter(due);
+        let heap = self.heap.first().copied().filter(due);
+        let slot = match (wheel, heap) {
+            (Some(w), Some(h)) => {
+                if self.key(w) < self.key(h) {
+                    w
+                } else {
+                    h
+                }
+            }
+            (w, h) => w.or(h)?,
+        };
+        Some(self.remove(slot))
     }
 
-    /// Takes the heap entry at `pos` out, frees its slot and retires the
-    /// slot's generation.
-    fn remove(&mut self, pos: usize) -> Waker {
-        let slot = self.heap.swap_remove(pos);
-        if pos < self.heap.len() {
-            self.slots[self.heap[pos] as usize].pos = pos as u32;
-            if !self.sift_up(pos) {
-                self.sift_down(pos);
+    /// Takes an armed timer out of its tier, frees its slot and retires
+    /// the slot's generation.
+    fn remove(&mut self, slot: u32) -> Waker {
+        let pos = self.slots[slot as usize].pos;
+        if pos == IN_WHEEL {
+            self.unlink(slot);
+        } else {
+            let pos = pos as usize;
+            self.heap.swap_remove(pos);
+            if pos < self.heap.len() {
+                self.slots[self.heap[pos] as usize].pos = pos as u32;
+                if !self.sift_up(pos) {
+                    self.sift_down(pos);
+                }
             }
         }
         let t = &mut self.slots[slot as usize];
@@ -269,12 +521,89 @@ impl TimerTable {
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.in_wheel
     }
 
-    fn key(&self, pos: usize) -> (SimTime, u64) {
-        let t = &self.slots[self.heap[pos] as usize];
+    fn key(&self, slot: u32) -> (SimTime, u64) {
+        let t = &self.slots[slot as usize];
         (t.deadline, t.seq)
+    }
+
+    fn bucket(&self, slot: u32) -> usize {
+        tick(self.slots[slot as usize].deadline) as usize % WHEEL_BUCKETS
+    }
+
+    /// Puts `slot` into its wheel bucket after every timer due no later:
+    /// it was registered last, so that is its `(deadline, seq)` place.
+    fn link(&mut self, slot: u32) {
+        let b = self.bucket(slot);
+        let deadline = self.slots[slot as usize].deadline;
+        let mut prev = self.bucket_tail[b];
+        while prev != NIL && self.slots[prev as usize].deadline > deadline {
+            prev = self.slots[prev as usize].prev;
+        }
+        let next = match prev {
+            NIL => self.bucket_head[b],
+            p => self.slots[p as usize].next,
+        };
+        let t = &mut self.slots[slot as usize];
+        t.pos = IN_WHEEL;
+        t.prev = prev;
+        t.next = next;
+        match prev {
+            NIL => self.bucket_head[b] = slot,
+            p => self.slots[p as usize].next = slot,
+        }
+        match next {
+            NIL => self.bucket_tail[b] = slot,
+            n => self.slots[n as usize].prev = slot,
+        }
+        self.occupied[b / 64] |= 1 << (b % 64);
+        self.in_wheel += 1;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let b = self.bucket(slot);
+        let TimerSlot { prev, next, .. } = self.slots[slot as usize];
+        match prev {
+            NIL => self.bucket_head[b] = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.bucket_tail[b] = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+        if self.bucket_head[b] == NIL {
+            self.occupied[b / 64] &= !(1 << (b % 64));
+        }
+        self.in_wheel -= 1;
+    }
+
+    /// The head of the first non-empty bucket at or after now's, wrapping
+    /// once round the wheel.
+    fn wheel_first(&self, now: SimTime) -> Option<u32> {
+        if self.in_wheel == 0 {
+            return None;
+        }
+        let words = self.occupied.len();
+        let start = tick(now) as usize % WHEEL_BUCKETS;
+        let mut word = start / 64;
+        let mut bits = self.occupied[word] & (!0u64 << (start % 64));
+        // The start word is visited twice: its bits at or after `start`
+        // first, then (a full turn later) the ones before it.
+        for _ in 0..=words {
+            if bits != 0 {
+                let b = word * 64 + bits.trailing_zeros() as usize;
+                return Some(self.bucket_head[b]);
+            }
+            word = (word + 1) % words;
+            bits = self.occupied[word];
+        }
+        unreachable!("a non-empty wheel has an occupied bucket")
+    }
+
+    fn heap_key(&self, pos: usize) -> (SimTime, u64) {
+        self.key(self.heap[pos])
     }
 
     fn swap(&mut self, a: usize, b: usize) {
@@ -283,12 +612,12 @@ impl TimerTable {
         self.slots[self.heap[b] as usize].pos = b as u32;
     }
 
-    /// Moves the entry at `pos` up to its place; true if it moved.
+    /// Moves the heap entry at `pos` up to its place; true if it moved.
     fn sift_up(&mut self, mut pos: usize) -> bool {
         let start = pos;
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            if self.key(pos) >= self.key(parent) {
+            if self.heap_key(pos) >= self.heap_key(parent) {
                 break;
             }
             self.swap(pos, parent);
@@ -304,12 +633,12 @@ impl TimerTable {
                 return;
             }
             let right = left + 1;
-            let child = if right < self.heap.len() && self.key(right) < self.key(left) {
+            let child = if right < self.heap.len() && self.heap_key(right) < self.heap_key(left) {
                 right
             } else {
                 left
             };
-            if self.key(pos) <= self.key(child) {
+            if self.heap_key(pos) <= self.heap_key(child) {
                 return;
             }
             self.swap(pos, child);
@@ -330,7 +659,7 @@ pub(crate) fn store_waker(stored: &mut Option<Waker>, waker: &Waker) {
 pub(crate) struct Inner {
     now: Cell<SimTime>,
     tasks: RefCell<TaskSlab>,
-    ready: Arc<ReadyQueue>,
+    ready: Rc<ReadyQueue>,
     timers: RefCell<TimerTable>,
 }
 
@@ -415,7 +744,7 @@ impl Sim {
             inner: Rc::new(Inner {
                 now: Cell::new(SimTime::ZERO),
                 tasks: RefCell::new(TaskSlab::default()),
-                ready: Arc::new(ReadyQueue::default()),
+                ready: Rc::default(),
                 timers: RefCell::new(TimerTable::default()),
             }),
         }
@@ -446,35 +775,23 @@ impl Sim {
         T: 'static,
         F: Future<Output = T> + 'static,
     {
-        let state = Rc::new(RefCell::new(JoinState::<T> {
-            result: None,
-            waker: None,
-        }));
-        let state2 = Rc::clone(&state);
-        let wrapped = async move {
-            let out = fut.await;
-            let mut s = state2.borrow_mut();
-            s.result = Some(out);
-            if let Some(w) = s.waker.take() {
-                w.wake();
-            }
-        };
         let id = self.inner.tasks.borrow_mut().claim();
-        let task = Task {
-            fut: Box::pin(wrapped),
-            waker: Waker::from(Arc::new(TaskWaker {
+        let task = Rc::new(TaskCell {
+            header: Header {
                 id,
-                ready: Arc::clone(&self.inner.ready),
-            })),
-        };
-        self.inner.tasks.borrow_mut().park(id, task);
-        self.inner
-            .ready
-            .queue
-            .lock()
-            .expect("ready queue poisoned")
-            .push_back(id);
-        JoinHandle { state }
+                ready: Rc::clone(&self.inner.ready),
+                thread: thread_mark(),
+            },
+            join: RefCell::new(JoinState {
+                result: None,
+                waker: None,
+                detached: false,
+            }),
+            future: RefCell::new(Some(fut)),
+        });
+        self.inner.tasks.borrow_mut().park(id, task.clone());
+        self.inner.ready.borrow_mut().push_back(id);
+        JoinHandle { task }
     }
 
     /// Runs the simulation until `fut` completes and returns its output.
@@ -497,7 +814,7 @@ impl Sim {
         let _guard = EnterGuard::new(Rc::clone(&self.inner));
         loop {
             self.drain_ready();
-            if let Some(out) = handle.state.borrow_mut().result.take() {
+            if let Some(out) = handle.take_result() {
                 return out;
             }
             if !self.fire_next_timer(None) {
@@ -539,25 +856,19 @@ impl Sim {
 
     fn drain_ready(&self) {
         loop {
-            let next = self
-                .inner
-                .ready
-                .queue
-                .lock()
-                .expect("ready queue poisoned")
-                .pop_front();
+            let next = self.inner.ready.borrow_mut().pop_front();
             let Some(id) = next else { return };
             // Take the task out while polling so the task body may freely
             // spawn siblings (which mutates the slab).
-            let Some(mut task) = self.inner.tasks.borrow_mut().take(id) else {
+            let Some(task) = self.inner.tasks.borrow_mut().take(id) else {
                 continue; // completed task woken redundantly
             };
-            let mut cx = Context::from_waker(&task.waker);
-            match task.fut.as_mut().poll(&mut cx) {
+            // SAFETY: the pointer is `Rc::as_ptr` of `task` itself.
+            match unsafe { task.poll(Rc::as_ptr(&task).cast()) } {
                 Poll::Ready(()) => {
                     self.inner.tasks.borrow_mut().release(id);
-                    // `task` drops here, outside the slab borrow: its
-                    // destructors may spawn or wake.
+                    // `task` drops here, outside the slab borrow: if it
+                    // is the last count, the wakers it holds drop too.
                 }
                 Poll::Pending => {
                     self.inner.tasks.borrow_mut().park(id, task);
@@ -570,7 +881,7 @@ impl Sim {
     /// wakes every timer scheduled at that instant, in registration order.
     /// Returns false if there was no eligible timer.
     fn fire_next_timer(&self, limit: Option<SimTime>) -> bool {
-        let Some(deadline) = self.inner.timers.borrow().next_deadline() else {
+        let Some(deadline) = self.inner.timers.borrow().next_deadline(self.now()) else {
             return false;
         };
         if limit.is_some_and(|limit| deadline > limit) {
@@ -598,19 +909,29 @@ impl Inner {
 struct JoinState<T> {
     result: Option<T>,
     waker: Option<Waker>,
+    /// Set when the handle is dropped: the output is then dropped as soon
+    /// as the task returns it.
+    detached: bool,
 }
 
 /// Handle to a spawned task's result. Awaiting it yields the task output.
 ///
 /// Dropping the handle detaches the task (it keeps running).
 pub struct JoinHandle<T> {
-    state: Rc<RefCell<JoinState<T>>>,
+    task: Rc<dyn Joinable<T>>,
+}
+
+impl<T> JoinHandle<T> {
+    /// Takes the task's output, if it has finished and not been taken.
+    fn take_result(&self) -> Option<T> {
+        self.task.join().borrow_mut().result.take()
+    }
 }
 
 impl<T> std::fmt::Debug for JoinHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JoinHandle")
-            .field("completed", &self.state.borrow().result.is_some())
+            .field("completed", &self.task.join().borrow().result.is_some())
             .finish()
     }
 }
@@ -618,7 +939,7 @@ impl<T> std::fmt::Debug for JoinHandle<T> {
 impl<T> Future for JoinHandle<T> {
     type Output = T;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut s = self.state.borrow_mut();
+        let mut s = self.task.join().borrow_mut();
         match s.result.take() {
             Some(out) => Poll::Ready(out),
             None => {
@@ -626,6 +947,16 @@ impl<T> Future for JoinHandle<T> {
                 Poll::Pending
             }
         }
+    }
+}
+
+impl<T> Drop for JoinHandle<T> {
+    fn drop(&mut self) {
+        let mut s = self.task.join().borrow_mut();
+        s.detached = true;
+        let out = s.result.take();
+        drop(s);
+        drop(out);
     }
 }
 
@@ -731,7 +1062,7 @@ impl Future for Sleep {
             let key = inner
                 .timers
                 .borrow_mut()
-                .arm(this.deadline, cx.waker().clone());
+                .arm(this.deadline, cx.waker().clone(), inner.now());
             this.timer = Some((Rc::downgrade(inner), key));
             Poll::Pending
         })
@@ -771,6 +1102,8 @@ impl Future for YieldNow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
+    use std::task::Wake;
 
     #[test]
     fn clock_starts_at_zero() {
@@ -985,6 +1318,8 @@ mod tests {
     #[test]
     fn a_sleep_outliving_its_sim_drops_cleanly() {
         let sim = Sim::new();
+        let parked = sim.spawn(std::future::pending::<u32>());
+        let finished = sim.spawn(async { 7u32 });
         let armed: Rc<RefCell<Option<Sleep>>> = Rc::default();
         let keep = Rc::clone(&armed);
         sim.run_until(async move {
@@ -997,8 +1332,114 @@ mod tests {
             *keep.borrow_mut() = Some(s);
         });
         assert_eq!(sim.pending_timers(), 1);
+        assert_eq!(sim.live_tasks(), 1);
         drop(sim);
         drop(armed);
+        // Both join handles outlive the simulation too: the unfinished
+        // task never resolves, the finished one still yields its output.
+        let mut cx = Context::from_waker(Waker::noop());
+        let (mut parked, mut finished) = (parked, finished);
+        assert!(Pin::new(&mut parked).poll(&mut cx).is_pending());
+        assert_eq!(Pin::new(&mut finished).poll(&mut cx), Poll::Ready(7));
+        drop(parked);
+    }
+
+    /// Counts the drops of the futures it is moved into.
+    struct DropCounter(Rc<Cell<usize>>);
+
+    impl Drop for DropCounter {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn dropping_a_sim_drops_every_parked_future() {
+        use crate::sync::{channel, Notify};
+        let dropped = Rc::new(Cell::new(0));
+        let counter = || DropCounter(Rc::clone(&dropped));
+        let sim = Sim::new();
+        // Each parked future holds a count on its own task cell through
+        // its waker: in its own Notify's waiter, in its own channel, in a
+        // sibling's join state, or in the timer table.
+        let g = counter();
+        sim.spawn(async move {
+            let _g = g;
+            let notify = Notify::new();
+            notify.notified().await;
+        });
+        let g = counter();
+        sim.spawn(async move {
+            let _g = g;
+            let (_tx, mut rx) = channel::<u32>();
+            rx.recv().await;
+        });
+        let (g, sibling_g) = (counter(), counter());
+        sim.spawn(async move {
+            let _g = g;
+            let sibling = spawn(async move {
+                let _g = sibling_g;
+                let notify = Notify::new();
+                notify.notified().await;
+            });
+            sibling.await;
+        });
+        let g = counter();
+        sim.spawn(async move {
+            let _g = g;
+            sleep(SimDuration::from_secs(3600)).await;
+        });
+        sim.run_for(SimDuration::from_micros(1));
+        assert_eq!(sim.live_tasks(), 5);
+        assert_eq!(dropped.get(), 0);
+        drop(sim);
+        assert_eq!(dropped.get(), 5, "a parked future outlived its simulation");
+    }
+
+    #[test]
+    fn a_task_waker_refuses_other_threads() {
+        use crate::sync::Notify;
+        let sim = Sim::new();
+        let notify = Notify::new();
+        let n = notify.clone();
+        let captured: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let keep = Rc::clone(&captured);
+        let task = sim.spawn(async move {
+            std::future::poll_fn(|cx| {
+                *keep.borrow_mut() = Some(cx.waker().clone());
+                Poll::Ready(())
+            })
+            .await;
+            n.notified().await;
+            42
+        });
+        sim.run();
+        let waker = captured.borrow_mut().take().expect("waker captured");
+        let count = || {
+            let tasks = sim.inner.tasks.borrow();
+            Rc::strong_count(tasks.slots[0].task.as_ref().expect("parked"))
+        };
+        let before = count();
+        let off_thread = |f: fn(Waker)| {
+            let w = waker.clone();
+            std::thread::spawn(move || f(w)).join()
+        };
+        assert!(off_thread(|w| w.wake_by_ref()).is_err());
+        assert!(off_thread(Waker::wake).is_err());
+        assert!(off_thread(|w| drop(w.clone())).is_err());
+        assert!(off_thread(drop).is_ok());
+        // Each clone sent away was leaked there, never given back.
+        assert_eq!(count(), before + 4, "a foreign thread touched the count");
+        assert!(sim.inner.ready.borrow().is_empty());
+        for _ in 0..4 {
+            // SAFETY: reclaims, on the simulation's thread, one of the
+            // counts the foreign threads leaked: the rebuilt waker owns it.
+            drop(unsafe { Waker::from_raw(RawWaker::new(waker.data(), waker.vtable())) });
+        }
+        assert_eq!(count(), before);
+        notify.notify_one();
+        assert_eq!(sim.run_until(task), 42);
+        assert_eq!(sim.live_tasks(), 0);
     }
 
     /// Records its id and the clock each time a timer wakes it.
@@ -1023,18 +1464,33 @@ mod tests {
         })
     }
 
+    /// The first deadline past the wheel at `now`: the earliest one that
+    /// goes into the heap.
+    fn horizon(now: SimTime) -> SimTime {
+        SimTime::from_nanos((tick(now) + WHEEL_BUCKETS as u64) << TICK_SHIFT)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// Random arm, re-poll, cancel and advance steps against a model
-        /// ordered by (deadline, registration order). Deadlines are drawn
-        /// from a few ticks ahead, so many timers share one.
+        /// ordered by (deadline, registration order). Deadlines span both
+        /// tiers: a few nanoseconds ahead (so many timers share one), equal
+        /// to a live timer's, at the wheel's horizon and one nanosecond
+        /// either side of it, anywhere in the wheel's span, and up to 2 s
+        /// ahead. Advances step a few nanoseconds, about one wheel span, or
+        /// up to 2 s, so heap timers come due while wheel timers wait.
         #[test]
         fn timer_table_matches_an_ordered_model(
-            ops in proptest::collection::vec((0u8..4, 0u64..1_000), 1..300)
+            ops in proptest::collection::vec(
+                (0u8..4, 0u64..1_000, 1u64..2_000_000_000),
+                1..300,
+            )
         ) {
             use std::collections::BTreeMap;
-            const TICK: u64 = 10;
+            const NEAR: u64 = 10;
+            let span = (WHEEL_BUCKETS as u64) << TICK_SHIFT;
+            let ns = SimDuration::from_nanos;
             let sim = Sim::new();
             let log = Arc::new(Mutex::new(Vec::new()));
             let recorder = |id| Waker::from(Arc::new(Recorder { id, log: Arc::clone(&log) }));
@@ -1043,13 +1499,25 @@ mod tests {
             let mut model: BTreeMap<(SimTime, usize), usize> = BTreeMap::new();
             let mut armed_key: Vec<Option<(SimTime, usize)>> = Vec::new();
             let mut expected = Vec::new();
-            for (kind, arg) in ops {
+            for (kind, arg, far) in ops {
                 let live: Vec<usize> =
                     (0..sleeps.len()).filter(|&i| sleeps[i].0.is_some()).collect();
                 match kind {
                     0 => {
                         let id = sleeps.len();
-                        let deadline = sim.now() + SimDuration::from_nanos(TICK * (1 + arg % 4));
+                        let now = sim.now();
+                        let deadline = match arg % 8 {
+                            1 if !model.is_empty() => {
+                                model.keys().nth(far as usize % model.len()).unwrap().0
+                            }
+                            2 => horizon(now) - ns(1),
+                            3 => horizon(now),
+                            4 => horizon(now) + ns(1),
+                            5 => now + ns(span),
+                            6 => now + ns(far % span),
+                            7 => now + ns(far),
+                            _ => now + ns(NEAR * (1 + arg / 8 % 4)),
+                        };
                         let waker = recorder(id);
                         let (s, polled) = poll_in(&sim, sleep_until(deadline), &waker);
                         proptest::prop_assert!(polled.is_pending());
@@ -1080,7 +1548,12 @@ mod tests {
                         }
                     }
                     _ => {
-                        let limit = sim.now() + SimDuration::from_nanos(arg % (3 * TICK));
+                        let step = match arg % 3 {
+                            0 => arg % (3 * NEAR),
+                            1 => span - 64 + arg % 128,
+                            _ => far,
+                        };
+                        let limit = sim.now() + ns(step);
                         while let Some((&k, &id)) = model.iter().next() {
                             if k.0 > limit {
                                 break;
