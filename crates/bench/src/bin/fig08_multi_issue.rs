@@ -3,6 +3,10 @@
 //! A single client offloads searches at four request scales; multi-issue
 //! overlaps the round trips of sibling fetches, cutting latency most where
 //! traversals touch many nodes (large scopes).
+//!
+//! Self-asserting: exits nonzero unless the multi-issue mean is below the
+//! sequential mean at every scale, and the reduction at the largest scale
+//! (1e-2) exceeds the reduction at the smallest (1e-5).
 
 use catfish_bench::{banner, paper_tree_config, timed, BenchArgs};
 use catfish_core::config::{AccessMode, ClientConfig, Scheme};
@@ -21,7 +25,10 @@ fn main() {
         "{:>10} {:>18} {:>18} {:>10}",
         "scale", "sequential", "multi-issue", "reduction"
     );
-    for bound in [1e-5, 1e-4, 1e-3, 1e-2] {
+    let scales = [1e-5, 1e-4, 1e-3, 1e-2];
+    let mut reductions = Vec::new();
+    let mut pass = true;
+    for bound in scales {
         let mut means = Vec::new();
         for multi_issue in [false, true] {
             let mut spec = ExperimentSpec {
@@ -55,5 +62,26 @@ fn main() {
             means[1].to_string(),
             reduction
         );
+        if means[1] >= means[0] {
+            eprintln!(
+                "GATE FAILED: at scale {bound} multi-issue {} is not below sequential {}",
+                means[1], means[0]
+            );
+            pass = false;
+        }
+        reductions.push(reduction);
+    }
+    let (small, large) = (reductions[0], reductions[scales.len() - 1]);
+    println!(
+        "reduction grows with scale: {small:.2}% at 1e-5 -> {large:.2}% at 1e-2 (gate: grows)"
+    );
+    if large <= small {
+        eprintln!(
+            "GATE FAILED: reduction at 1e-2 ({large:.2}%) does not exceed 1e-5 ({small:.2}%)"
+        );
+        pass = false;
+    }
+    if !pass {
+        std::process::exit(1);
     }
 }

@@ -335,10 +335,6 @@ impl RemoteLayout for BpLayout {
         BpLayout::arena_bytes(self, chunks)
     }
 
-    fn decode_node(&self, chunk: &[u8]) -> Result<(BpNode, u64), CodecError> {
-        BpLayout::decode_node(self, chunk)
-    }
-
     fn decode_meta(&self, chunk: &[u8]) -> Result<(TreeMeta, u64), CodecError> {
         decode_meta(self, chunk)
     }

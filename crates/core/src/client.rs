@@ -5,17 +5,18 @@
 //! Path routing (Algorithm 1), the ring request/response sequencing, and
 //! the offloaded traversal engine (sequential and multi-issue, §IV-C) all
 //! live in [`crate::service`]; this module contributes only how a search
-//! rectangle expands one fetched node, and the best-first kNN that cannot
-//! be expressed as a plain frontier traversal.
+//! rectangle expands one fetched node, and kNN's best-first frontier.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use catfish_rtree::codec::{ChunkLayout, CodecError, LaneNode};
 use catfish_rtree::{min_dist_sq, EntryRef, Node, NodeId, Rect};
-use catfish_simnet::sleep;
 
 use crate::msg::Message;
-use crate::obs::{Phase, SpanCtx};
+use crate::obs::SpanCtx;
 use crate::server::RtreeBackend;
-use crate::service::client::CLIENT_NODE_VISIT;
+use crate::service::client::Frontier;
 use crate::service::{ClientBackend, ClusterClient, Inconsistent, OpKind, ServiceClient};
 
 /// The Catfish R-tree client.
@@ -146,101 +147,98 @@ impl ServiceClient<RtreeBackend> {
     /// fetches (each expansion depends on the globally nearest frontier
     /// node), so every expansion costs a round trip — it trades latency for
     /// zero server CPU. Falls back to the server after repeated
-    /// inconsistencies.
+    /// inconsistencies; its request links to this op's span, so the
+    /// server spans land in the same tree.
     pub async fn nearest_offloaded(&mut self, x: f64, y: f64, k: u32) -> Vec<(Rect, u64)> {
-        self.drain_pending();
-        let opened = self.op_begin(None);
-        let span = self.trace.begin();
-        for _ in 0..8 {
-            match self.nearest_attempt(x, y, k).await {
-                Ok(out) => {
-                    self.trace
-                        .end_under(Phase::OffloadRead, span, self.op_ctx());
-                    self.op_end(opened);
-                    return out;
-                }
-                Err(Inconsistent) => self.restart_offload(),
-            }
+        let start = |root, level| Nearest::new(x, y, k, root, level);
+        let fallback = async |this: &mut Self| this.nearest(x, y, k).await;
+        self.offload(false, start, fallback).await
+    }
+}
+
+/// Offloaded kNN's visit of the node [`ClientBackend::validate`] left in
+/// `lanes`: every entry, in entry order, with its squared minimum distance
+/// to `(x, y)` and its child, the tag checked against the level.
+pub fn nearest_entries(
+    lanes: &LaneNode,
+    x: f64,
+    y: f64,
+) -> impl Iterator<Item = Result<(f64, Rect, EntryRef), Inconsistent>> + '_ {
+    (0..lanes.count()).map(move |i| {
+        let rect = lanes.rect_at(i);
+        let child = lanes.child(i).map_err(|_| Inconsistent)?;
+        Ok((min_dist_sq(&rect, x, y), rect, child))
+    })
+}
+
+/// Offloaded kNN's frontier: a min-heap of nodes and items keyed by squared
+/// minimum distance to the query point, ties broken by push order. Items
+/// popped before the next node are the answer, nearest first.
+struct Nearest {
+    x: f64,
+    y: f64,
+    k: usize,
+    /// `(distance bits, push order, candidate)`: distances are finite and
+    /// non-negative, so their IEEE bit patterns order as the values do.
+    heap: BinaryHeap<Reverse<(u64, u64, Candidate)>>,
+    pushed: u64,
+    /// Every item pushed, indexed by [`Candidate::Item`].
+    items: Vec<(Rect, u64)>,
+    out: Vec<(Rect, u64)>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Candidate {
+    Node(NodeId, u32),
+    Item(usize),
+}
+
+impl Nearest {
+    fn new(x: f64, y: f64, k: u32, root: NodeId, level: u32) -> Self {
+        let mut heap = BinaryHeap::new();
+        heap.push(Reverse((0, 0, Candidate::Node(root, level))));
+        Nearest {
+            x,
+            y,
+            k: k as usize,
+            heap,
+            pushed: 0,
+            items: Vec::new(),
+            out: Vec::new(),
         }
-        // Fall back to the server path; its request links to this op's
-        // span, so the server spans land in the same tree.
-        let out = self.nearest(x, y, k).await;
-        self.trace
-            .end_under(Phase::OffloadRead, span, self.op_ctx());
-        self.op_end(opened);
-        out
+    }
+}
+
+impl Frontier<RtreeBackend> for Nearest {
+    fn visit(&mut self, lanes: &LaneNode) -> Result<(), Inconsistent> {
+        for entry in nearest_entries(lanes, self.x, self.y) {
+            let (dist, rect, child) = entry?;
+            let candidate = match child {
+                EntryRef::Data(data) => {
+                    self.items.push((rect, data));
+                    Candidate::Item(self.items.len() - 1)
+                }
+                EntryRef::Node(id) => Candidate::Node(id, lanes.level() - 1),
+            };
+            self.pushed += 1;
+            self.heap
+                .push(Reverse((dist.to_bits(), self.pushed, candidate)));
+        }
+        Ok(())
     }
 
-    async fn nearest_attempt(
-        &mut self,
-        x: f64,
-        y: f64,
-        k: u32,
-    ) -> Result<Vec<(Rect, u64)>, Inconsistent> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let meta = self.read_meta().await?;
-        let Some(root) = meta.root else {
-            return Ok(Vec::new());
-        };
-        // Min-heap over (distance, tiebreak): OrderedF64 via bit tricks —
-        // distances are finite and non-negative, so the IEEE bit pattern
-        // orders identically to the value.
-        let key = |d: f64| d.to_bits();
-        let mut heap: BinaryHeap<Reverse<(u64, u64, HeapEntry)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        heap.push(Reverse((
-            key(0.0),
-            seq,
-            HeapEntry::Node(root, meta.height - 1),
-        )));
-        let fetched_before = self.stats.chunks_fetched;
-        let mut out = Vec::with_capacity(k as usize);
-        'search: while let Some(Reverse((_, _, entry))) = heap.pop() {
-            match entry {
-                HeapEntry::Item(rect, data) => {
-                    out.push((rect.into(), data));
-                    if out.len() == k as usize {
-                        break 'search;
-                    }
-                }
-                HeapEntry::Node(id, level) => {
-                    let node = self.fetch_node(id).await?;
-                    if node.level != level {
-                        return Err(Inconsistent);
-                    }
-                    sleep(CLIENT_NODE_VISIT).await;
-                    for e in &node.entries {
-                        let d = catfish_rtree::min_dist_sq(&e.mbr, x, y);
-                        seq += 1;
-                        match e.child {
-                            catfish_rtree::EntryRef::Data(data) => {
-                                if node.level != 0 {
-                                    return Err(Inconsistent);
-                                }
-                                heap.push(Reverse((
-                                    key(d),
-                                    seq,
-                                    HeapEntry::Item(e.mbr.into(), data),
-                                )));
-                            }
-                            catfish_rtree::EntryRef::Node(c) => {
-                                if node.level == 0 {
-                                    return Err(Inconsistent);
-                                }
-                                heap.push(Reverse((
-                                    key(d),
-                                    seq,
-                                    HeapEntry::Node(c, node.level - 1),
-                                )));
-                            }
-                        }
-                    }
-                }
+    fn pop(&mut self) -> Option<(NodeId, u32)> {
+        while self.out.len() < self.k {
+            match self.heap.pop()?.0 .2 {
+                Candidate::Item(i) => self.out.push(self.items[i]),
+                Candidate::Node(id, level) => return Some((id, level)),
             }
         }
-        self.confirm_structure(&meta, fetched_before).await?;
-        Ok(out)
+        None
+    }
+
+    fn into_items(self) -> Vec<(Rect, u64)> {
+        self.out
     }
 }
 
@@ -330,49 +328,17 @@ impl ClusterClient<RtreeBackend> {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum HeapEntry {
-    Node(NodeId, u32),
-    Item(RectBits, u64),
-}
-
-/// `Rect` is not `Ord` (floats); the heap orders by distance and sequence
-/// only, so entries store the rectangle as raw bits for derivable ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct RectBits([u64; 4]);
-
-impl From<Rect> for RectBits {
-    fn from(r: Rect) -> Self {
-        RectBits([
-            r.min_x().to_bits(),
-            r.min_y().to_bits(),
-            r.max_x().to_bits(),
-            r.max_y().to_bits(),
-        ])
-    }
-}
-
-impl From<RectBits> for Rect {
-    fn from(b: RectBits) -> Self {
-        Rect::new(
-            f64::from_bits(b.0[0]),
-            f64::from_bits(b.0[1]),
-            f64::from_bits(b.0[2]),
-            f64::from_bits(b.0[3]),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{AccessMode, AdaptiveParams, ClientConfig, ServerConfig, ServerMode};
     use crate::conn::RkeyAllocator;
+    use crate::obs::{Phase, TraceSink};
     use crate::server::CatfishServer;
     use catfish_rdma::profile::infiniband_100g;
     use catfish_rdma::{Endpoint, RdmaProfile};
     use catfish_rtree::RTreeConfig;
-    use catfish_simnet::{now, Network, Sim, SimDuration};
+    use catfish_simnet::{now, sleep, Network, Sim, SimDuration};
 
     fn grid_items(n: u64) -> Vec<(Rect, u64)> {
         (0..n)
@@ -460,11 +426,20 @@ mod tests {
         });
     }
 
+    /// Counts the retained `OffloadRead` and `OffloadRetry` spans.
+    fn offload_spans(sink: &TraceSink) -> (usize, usize) {
+        let spans = sink.spans();
+        let count = |phase| spans.iter().filter(|s| s.kind == phase).count();
+        (count(Phase::OffloadRead), count(Phase::OffloadRetry))
+    }
+
     #[test]
     fn corrupt_meta_chunk_restarts_then_falls_back_to_fast_messaging() {
         let sim = Sim::new();
         sim.run_until(async {
             let (server, mut client) = build(AccessMode::Offloading, true);
+            let sink = TraceSink::with_spans();
+            client.set_trace(sink.clone());
             // All-zero lines agree on their stamps, so every read of chunk
             // 0 is untorn but fails the meta magic check.
             let (region, chunk_bytes) = server.with_index(|t| {
@@ -482,11 +457,13 @@ mod tests {
             assert_eq!(stats.offload_restarts, 8);
             assert_eq!(stats.chunks_fetched, 0);
             assert_eq!(server.stats().reads, 1, "the fallback ran on the server");
+            assert_eq!(offload_spans(&sink), (1, 1));
             // kNN takes the same restart-then-fall-back path.
             let want = client.nearest(0.31, 0.11, 5).await;
             assert_eq!(want.len(), 5);
             assert_eq!(client.nearest_offloaded(0.31, 0.11, 5).await, want);
             assert_eq!(client.stats().offload_restarts, 16);
+            assert_eq!(offload_spans(&sink), (2, 2));
         });
     }
 

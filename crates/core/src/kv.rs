@@ -811,12 +811,8 @@ impl ServiceClient<KvBackend> {
     /// reads: descend to the leaf containing `lo`, then walk the leaf
     /// chain. Falls back to the server after repeated inconsistencies.
     pub async fn range_offloaded(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        self.drain_pending();
         self.stats.offloaded_reads += 1;
-        let opened = self.op_begin(None);
-        let out = self.offload_read(&KvRead::Range { lo, hi }).await;
-        self.op_end(opened);
-        out
+        self.offload_read(&KvRead::Range { lo, hi }).await
     }
 }
 

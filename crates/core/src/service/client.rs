@@ -19,8 +19,8 @@ use crate::obs::{
 use crate::stats::ServiceStats;
 
 use super::{
-    ClientBackend, HeartbeatInfo, Incoming, Inconsistent, LayoutNode, OpKind, RemoteHandle,
-    ReplEnvelope, WireCodec, WireItem, WireMessage, FETCH_FLAG, STATUS_UNACKED,
+    ClientBackend, HeartbeatInfo, Incoming, Inconsistent, OpKind, RemoteHandle, ReplEnvelope,
+    WireCodec, WireItem, WireMessage, FETCH_FLAG, STATUS_UNACKED,
 };
 
 /// Client-side per-chunk processing cost of an offloaded traversal
@@ -128,6 +128,9 @@ pub struct ServiceClient<B: ClientBackend> {
     /// The node image [`ClientBackend::validate`] leaves for
     /// [`ClientBackend::visit`], reused by every chunk of this client.
     visit_scratch: B::VisitScratch,
+    /// The nodes a multi-issue walk dispatches at once, reused by every
+    /// walk of this client.
+    dispatch: Vec<(NodeId, u32)>,
     /// When set, responses are detected by busy-polling a core of this
     /// (client-machine) pool, FaRM-style, instead of blocking on the
     /// completion channel — the client-side half of the oversubscription
@@ -183,6 +186,7 @@ impl<B: ClientBackend> ServiceClient<B> {
             meta_cache: None,
             node_cache: NodeCache::default(),
             visit_scratch: B::VisitScratch::default(),
+            dispatch: Vec::new(),
             poll_pool: None,
             stats: ServiceStats::default(),
             trace: TraceSink::default(),
@@ -234,7 +238,7 @@ impl<B: ClientBackend> ServiceClient<B> {
     /// Closes the operation span opened by the matching
     /// [`ServiceClient::op_begin`].
     pub(crate) fn op_end(&mut self, opened: bool) {
-        if let (true, Some(op)) = (opened, self.cur_op.take()) {
+        if let Some(op) = self.cur_op.take_if(|_| opened) {
             self.trace.close(op);
         }
     }
@@ -761,10 +765,32 @@ impl<B: ClientBackend> ServiceClient<B> {
     // RDMA offloading
     // ------------------------------------------------------------------
 
-    /// A read traversing the index with one-sided RDMA Reads. After eight
-    /// inconsistent attempts the index is churning faster than we can
-    /// traverse it; fall back to the server's consistent view.
+    /// A read traversing the index with one-sided RDMA Reads: the
+    /// window-search walk, falling back to the server's consistent view.
     pub(crate) async fn offload_read(&mut self, read: &B::Read) -> Vec<WireItem<B>> {
+        let start = |root, level| Window {
+            read,
+            items: Vec::new(),
+            stack: vec![(root, level)],
+        };
+        let fallback = async |this: &mut Self| this.fast_read(read).await;
+        self.offload(self.cfg.multi_issue, start, fallback).await
+    }
+
+    /// The restart wrapper around every offloaded read, inside the open
+    /// operation span or a root span of its own. Each attempt walks a
+    /// fresh frontier `start` builds at the root; after eight inconsistent
+    /// attempts the index is churning faster than we can traverse it, so
+    /// `fallback` asks the server. Reads a node's children at once
+    /// (multi-issue, §IV-C) when `multi_issue` is set, else one at a time.
+    pub(crate) async fn offload<F: Frontier<B>>(
+        &mut self,
+        multi_issue: bool,
+        start: impl Fn(NodeId, u32) -> F,
+        fallback: impl AsyncFnOnce(&mut Self) -> Vec<WireItem<B>>,
+    ) -> Vec<WireItem<B>> {
+        self.drain_pending();
+        let opened = self.op_begin(None);
         // OffloadRead spans the whole traversal including restarts (a
         // child of the open op); OffloadRetry spans only from the first
         // failure onward, so (OffloadRead − OffloadRetry) is the cost of a
@@ -772,39 +798,44 @@ impl<B: ClientBackend> ServiceClient<B> {
         let total_span = self.trace.begin();
         let mut retry_span = total_span;
         let mut attempts = 0u32;
-        loop {
-            match self.offload_attempt(read).await {
-                Ok(items) => {
-                    if attempts > 0 {
-                        self.trace.end(Phase::OffloadRetry, retry_span);
-                    }
-                    self.trace
-                        .end_under(Phase::OffloadRead, total_span, self.op_ctx());
-                    return items;
-                }
+        let items = loop {
+            match self.offload_attempt(&start, multi_issue).await {
+                Ok(items) => break items,
                 Err(Inconsistent) => {
-                    self.restart_offload();
+                    // Forget every cached view of the index; the next
+                    // attempt starts from fresh metadata.
+                    self.stats.offload_restarts += 1;
+                    self.meta_cache = None;
+                    self.node_cache.clear();
                     attempts += 1;
                     if attempts == 1 {
                         retry_span = self.trace.begin();
                     }
                     if attempts >= 8 {
-                        let items = self.fast_read(read).await;
-                        self.trace.end(Phase::OffloadRetry, retry_span);
-                        self.trace
-                            .end_under(Phase::OffloadRead, total_span, self.op_ctx());
-                        return items;
+                        break fallback(self).await;
                     }
                 }
             }
+        };
+        if attempts > 0 {
+            self.trace
+                .end_under(Phase::OffloadRetry, retry_span, self.op_ctx());
         }
+        self.trace
+            .end_under(Phase::OffloadRead, total_span, self.op_ctx());
+        self.op_end(opened);
+        items
     }
 
     /// One traversal attempt; [`Inconsistent`] means a stale root, level
     /// mismatch, undecodable chunk, or a structural reorganization raced
     /// the traversal.
-    async fn offload_attempt(&mut self, read: &B::Read) -> Result<Vec<WireItem<B>>, Inconsistent> {
-        let meta = self.read_meta().await?;
+    async fn offload_attempt<F: Frontier<B>>(
+        &mut self,
+        start: impl Fn(NodeId, u32) -> F,
+        multi_issue: bool,
+    ) -> Result<Vec<WireItem<B>>, Inconsistent> {
+        let meta = self.read_meta(false).await?;
         let Some(root) = meta.root else {
             return Ok(Vec::new());
         };
@@ -812,46 +843,26 @@ impl<B: ClientBackend> ServiceClient<B> {
         // cache (internal top levels only; leaves are never cached).
         let cache_floor = meta.height.saturating_sub(self.cfg.cache_levels).max(1);
         let fetched_before = self.stats.chunks_fetched;
-        let items = if self.cfg.multi_issue {
-            self.traverse_multi_issue(read, root, meta.height - 1, cache_floor)
-                .await?
+        let mut frontier = start(root, meta.height - 1);
+        if multi_issue {
+            self.walk_multi_issue(&mut frontier, cache_floor).await?;
         } else {
-            self.traverse_sequential(read, root, meta.height - 1, cache_floor)
-                .await?
-        };
-        self.confirm_structure(&meta, fetched_before).await?;
-        Ok(items)
-    }
-
-    /// Forgets every cached view of the index after an inconsistent
-    /// offloaded traversal, which then restarts from fresh metadata.
-    pub(crate) fn restart_offload(&mut self) {
-        self.stats.offload_restarts += 1;
-        self.meta_cache = None;
-        self.node_cache.clear();
-    }
-
-    /// Confirms a traversal that read chunks since `chunks_fetched` was
-    /// `fetched_before` under `meta`. A single-chunk traversal is made
-    /// consistent by its line-version stamps alone; anything longer must
-    /// also confirm that no structural reorganization (split, merge,
-    /// forced reinsertion) moved entries between the chunks while they
-    /// were being read — each chunk validates individually, but entries
-    /// relocated from an already-read node to a not-yet-read sibling
-    /// would vanish silently. Cache-served nodes are exempt: their
-    /// staleness is bounded by the cache TTL by design.
-    pub(crate) async fn confirm_structure(
-        &mut self,
-        meta: &TreeMeta,
-        fetched_before: u64,
-    ) -> Result<(), Inconsistent> {
-        if self.stats.chunks_fetched - fetched_before >= 2 {
-            let fresh = self.refresh_meta().await?;
-            if fresh.structure_version != meta.structure_version {
-                return Err(Inconsistent);
-            }
+            self.walk(&mut frontier, cache_floor).await?;
         }
-        Ok(())
+        // A single-chunk walk is made consistent by its line-version
+        // stamps alone; a longer one must also confirm that no structural
+        // reorganization (split, merge, forced reinsertion) moved entries
+        // between the chunks while they were being read — each chunk
+        // validates individually, but entries relocated from an
+        // already-read node to a not-yet-read sibling would vanish
+        // silently. Cache-served nodes are exempt: their staleness is
+        // bounded by the cache TTL by design.
+        if self.stats.chunks_fetched - fetched_before >= 2
+            && self.read_meta(true).await?.structure_version != meta.structure_version
+        {
+            return Err(Inconsistent);
+        }
+        Ok(frontier.into_items())
     }
 
     /// Consults the level cache for a node at `level`; `cache_floor` is
@@ -885,216 +896,200 @@ impl<B: ClientBackend> ServiceClient<B> {
             .insert(id, chunk, now(), self.cfg.node_cache_capacity);
     }
 
-    /// Sequential offloading (the paper's baseline): one outstanding RDMA
-    /// read; every node access is a full round trip.
-    async fn traverse_sequential(
+    /// Walks `frontier` with one read in flight (the paper's sequential
+    /// baseline, and kNN): every node access is a full round trip, awaited
+    /// inline, so no other task's ready work can overtake it to the NIC.
+    async fn walk<F: Frontier<B>>(
         &mut self,
-        read: &B::Read,
-        root: NodeId,
-        root_level: u32,
+        frontier: &mut F,
         cache_floor: u32,
-    ) -> Result<Vec<WireItem<B>>, Inconsistent> {
-        let mut results = Vec::new();
-        let mut queue: Vec<(NodeId, u32)> = vec![(root, root_level)];
-        while let Some((id, level)) = queue.pop() {
-            let node_level = match self.cache_lookup(id, level, cache_floor) {
-                Some(chunk) => B::validate(&self.handle.layout, &chunk, &mut self.visit_scratch)
-                    .map_err(|_| Inconsistent)?,
+    ) -> Result<(), Inconsistent> {
+        while let Some((id, level)) = frontier.pop() {
+            let (chunk, wire) = match self.cache_lookup(id, level, cache_floor) {
+                Some(chunk) => (chunk, None),
                 None => {
-                    let (chunk, node_level) = self.fetch_chunk(id).await?;
-                    self.cache_store(id, node_level, cache_floor, &chunk);
-                    node_level
+                    let offset = self.handle.layout.node_offset(id);
+                    let read =
+                        read_chunk(&self.ch.qp, &self.handle, offset, self.cfg.max_read_retries);
+                    let (chunk, torn) = read.await?;
+                    (chunk, Some(torn))
                 }
             };
-            if node_level != level {
-                return Err(Inconsistent);
-            }
-            sleep(CLIENT_NODE_VISIT).await;
-            B::visit(read, &self.visit_scratch, &mut results, &mut queue)?;
+            self.deliver(frontier, id, level, &chunk, wire, cache_floor)
+                .await?;
         }
-        Ok(results)
+        Ok(())
     }
 
-    /// Multi-issue offloading (§IV-C): all matching children of a
-    /// processed node are fetched with concurrently issued reads, hiding
-    /// round trips in a pipeline.
-    async fn traverse_multi_issue(
+    /// Walks `frontier` multi-issue (§IV-C): every node it holds is
+    /// dispatched at once, in the order it was queued (ascending entry
+    /// order), each wire read in a task of its own, so sibling round trips
+    /// overlap. Cache hits travel the wire reads' channel; chunks are
+    /// delivered in completion order.
+    async fn walk_multi_issue<F: Frontier<B>>(
         &mut self,
-        read: &B::Read,
-        root: NodeId,
-        root_level: u32,
+        frontier: &mut F,
         cache_floor: u32,
-    ) -> Result<Vec<WireItem<B>>, Inconsistent> {
+    ) -> Result<(), Inconsistent> {
         let (tx, mut rx) = catfish_simnet::sync::channel();
         let mut inflight = 0usize;
-        let qp = self.ch.qp.clone();
-        let handle = self.handle;
-        let retries = self.cfg.max_read_retries;
-        let cache_tx = tx.clone();
-        let issue = move |id: NodeId, level: u32, inflight: &mut usize| {
-            let qp = qp.clone();
-            let tx = tx.clone();
-            *inflight += 1;
-            spawn(async move {
-                let got = read_chunk::<B::Layout>(&qp, &handle, id, retries)
-                    .await
-                    .map(|(chunk, retries)| (chunk, Some(retries)));
-                tx.send((id, level, got));
-            });
-        };
-        // Dispatches through the cache when possible, else over the wire.
-        // Each delivery carries an untorn chunk and the wire read's torn
-        // retries (`None` when served from the cache).
-        let dispatch = |this: &mut Self, id: NodeId, level: u32, inflight: &mut usize| match this
-            .cache_lookup(id, level, cache_floor)
-        {
-            Some(chunk) => {
-                *inflight += 1;
-                cache_tx.send((id, level, Ok((chunk, None))));
-            }
-            None => issue(id, level, inflight),
-        };
-        dispatch(self, root, root_level, &mut inflight);
-        let mut results = Vec::new();
-        let mut children = Vec::new();
+        let mut queued = std::mem::take(&mut self.dispatch);
         let mut failed = false;
-        while inflight > 0 {
+        loop {
+            if !failed {
+                // The frontier pops LIFO: last queued first.
+                queued.extend(std::iter::from_fn(|| frontier.pop()));
+                for (id, level) in queued.drain(..).rev() {
+                    inflight += 1;
+                    match self.cache_lookup(id, level, cache_floor) {
+                        Some(chunk) => tx.send((id, level, Ok((chunk, None)))),
+                        None => {
+                            let (qp, handle, tx) = (self.ch.qp.clone(), self.handle, tx.clone());
+                            let offset = handle.layout.node_offset(id);
+                            let retries = self.cfg.max_read_retries;
+                            spawn(async move {
+                                let got = read_chunk(&qp, &handle, offset, retries).await;
+                                tx.send((id, level, got.map(|(chunk, torn)| (chunk, Some(torn)))));
+                            });
+                        }
+                    }
+                }
+            }
+            if inflight == 0 {
+                break;
+            }
             let (id, level, got) = rx.recv().await.expect("sender held locally");
             inflight -= 1;
-            if failed {
-                continue; // drain remaining reads after failure
-            }
-            let Ok((chunk, wire_retries)) = got else {
-                failed = true;
-                continue;
-            };
-            // The one pass over the chunk's bytes. A chunk it rejects is
-            // neither counted nor cached.
-            let Ok(node_level) = B::validate(&self.handle.layout, &chunk, &mut self.visit_scratch)
-            else {
-                failed = true;
-                continue;
-            };
-            if let Some(retries) = wire_retries {
-                self.count_read(retries);
-            }
-            if node_level != level {
-                failed = true;
-                continue;
-            }
-            if wire_retries.is_some() {
-                self.cache_store(id, node_level, cache_floor, &chunk);
-            }
-            sleep(CLIENT_NODE_VISIT).await;
-            if B::visit(read, &self.visit_scratch, &mut results, &mut children).is_err() {
-                failed = true;
-                continue;
-            }
-            for (child, child_level) in children.drain(..) {
-                dispatch(self, child, child_level, &mut inflight);
+            // After a failure the remaining reads only drain.
+            if !failed {
+                failed = match got {
+                    Ok((chunk, wire)) => self
+                        .deliver(frontier, id, level, &chunk, wire, cache_floor)
+                        .await
+                        .is_err(),
+                    Err(Inconsistent) => true,
+                };
             }
         }
+        self.dispatch = queued;
         if failed {
             Err(Inconsistent)
         } else {
-            Ok(results)
+            Ok(())
         }
     }
 
-    /// Fetches one chunk and validates it into the visit scratch,
-    /// counting the read once it is accepted; returns the chunk bytes and
-    /// the node level.
-    async fn fetch_chunk(&mut self, id: NodeId) -> Result<(Vec<u8>, u32), Inconsistent> {
-        let (chunk, retries) =
-            read_chunk::<B::Layout>(&self.ch.qp, &self.handle, id, self.cfg.max_read_retries)
-                .await?;
-        let level = B::validate(&self.handle.layout, &chunk, &mut self.visit_scratch)
+    /// The delivery step of every walk: one untorn chunk of node `id`,
+    /// expected at `level`, read off the wire after `wire` torn retries or
+    /// (`None`) served from the cache. Validates it, counts a wire read,
+    /// checks the level, caches a wire read, pays the client's visit cost
+    /// and hands the node to `frontier`.
+    async fn deliver<F: Frontier<B>>(
+        &mut self,
+        frontier: &mut F,
+        id: NodeId,
+        level: u32,
+        chunk: &[u8],
+        wire: Option<u32>,
+        cache_floor: u32,
+    ) -> Result<(), Inconsistent> {
+        // The one pass over the chunk's bytes. A chunk it rejects is
+        // neither counted nor cached.
+        let node_level = B::validate(&self.handle.layout, chunk, &mut self.visit_scratch)
             .map_err(|_| Inconsistent)?;
-        self.count_read(retries);
-        Ok((chunk, level))
-    }
-
-    /// Fetches and decodes one node, counting the read once it decodes
-    /// (kNN, which needs every entry, not just the window hits).
-    pub(crate) async fn fetch_node(&mut self, id: NodeId) -> Result<LayoutNode<B>, Inconsistent> {
-        let (chunk, retries) =
-            read_chunk::<B::Layout>(&self.ch.qp, &self.handle, id, self.cfg.max_read_retries)
-                .await?;
-        let (node, _) = self
-            .handle
-            .layout
-            .decode_node(&chunk)
-            .map_err(|_| Inconsistent)?;
-        self.count_read(retries);
-        Ok(node)
-    }
-
-    /// Counts one accepted wire read of a node chunk and the torn reads
-    /// it retried.
-    fn count_read(&mut self, torn_retries: u32) {
-        self.stats.torn_retries += u64::from(torn_retries);
-        self.stats.chunks_fetched += 1;
-    }
-
-    /// Reads (and caches) the index metadata from chunk 0.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServiceClient::refresh_meta`].
-    pub(crate) async fn read_meta(&mut self) -> Result<TreeMeta, Inconsistent> {
-        let t = now();
-        if let Some((m, at)) = self.meta_cache {
-            if t.saturating_duration_since(at) <= self.cfg.meta_cache_ttl {
-                return Ok(m);
-            }
+        if let Some(torn) = wire {
+            self.stats.torn_retries += u64::from(torn);
+            self.stats.chunks_fetched += 1;
         }
-        self.refresh_meta().await
+        if node_level != level {
+            return Err(Inconsistent);
+        }
+        if wire.is_some() {
+            self.cache_store(id, node_level, cache_floor, chunk);
+        }
+        sleep(CLIENT_NODE_VISIT).await;
+        frontier.visit(&self.visit_scratch)
     }
 
-    /// Reads chunk 0 unconditionally (bypassing the cached copy) and
-    /// refreshes the cache — the traversal validation path. Torn reads
-    /// are retried.
+    /// The index metadata: the cached copy while it is within the meta
+    /// TTL and not `fresh`, else chunk 0 read (torn reads retried without
+    /// bound) and cached.
     ///
     /// # Errors
     ///
     /// [`Inconsistent`] when chunk 0 does not decode as metadata: the
     /// traversal restarts like any other inconsistent view, and falls
     /// back to the server after repeated attempts.
-    pub(crate) async fn refresh_meta(&mut self) -> Result<TreeMeta, Inconsistent> {
-        let span = self.trace.begin();
-        loop {
-            let bytes = self
-                .ch
-                .qp
-                .read(self.handle.rkey, 0, self.handle.layout.chunk_bytes())
-                .await
-                .expect("index arena registered");
-            match self.handle.layout.decode_meta(&bytes) {
-                Ok((m, _)) => {
-                    self.stats.meta_refreshes += 1;
-                    self.meta_cache = Some((m, now()));
-                    self.trace.end(Phase::MetaRead, span);
-                    return Ok(m);
-                }
-                Err(CodecError::TornRead { .. }) => {
-                    self.stats.torn_retries += 1;
-                }
-                Err(CodecError::Malformed(_)) => {
-                    self.trace.end(Phase::MetaRead, span);
-                    return Err(Inconsistent);
-                }
+    async fn read_meta(&mut self, fresh: bool) -> Result<TreeMeta, Inconsistent> {
+        if let Some((m, at)) = self.meta_cache {
+            if !fresh && now().saturating_duration_since(at) <= self.cfg.meta_cache_ttl {
+                return Ok(m);
             }
         }
+        let span = self.trace.begin();
+        let meta = read_chunk(&self.ch.qp, &self.handle, 0, u32::MAX)
+            .await
+            .and_then(|(bytes, torn)| {
+                self.stats.torn_retries += u64::from(torn);
+                let decoded = self.handle.layout.decode_meta(&bytes);
+                decoded.map_err(|_| Inconsistent)
+            });
+        self.trace.end(Phase::MetaRead, span);
+        let (m, _) = meta?;
+        self.stats.meta_refreshes += 1;
+        self.meta_cache = Some((m, now()));
+        Ok(m)
     }
 }
 
-/// One chunk read, retried while its line stamps disagree (a torn read).
-/// Returns the read buffer and the torn retries it took. The node itself
-/// is checked once, by the caller, with [`ClientBackend::validate`].
-pub(crate) async fn read_chunk<L: RemoteLayout>(
+/// The nodes an offloaded walk has still to read, and what it makes of
+/// each node it reads: a window search's LIFO stack of children
+/// ([`Window`]), offloaded kNN's distance heap.
+pub(crate) trait Frontier<B: ClientBackend> {
+    /// Visits the node [`ClientBackend::validate`] left in `scratch`,
+    /// queueing its children.
+    fn visit(&mut self, scratch: &B::VisitScratch) -> Result<(), Inconsistent>;
+
+    /// The next node to read with its expected level; `None` ends the
+    /// walk.
+    fn pop(&mut self) -> Option<(NodeId, u32)>;
+
+    /// What the walk found.
+    fn into_items(self) -> Vec<WireItem<B>>;
+}
+
+/// A window search (or KV lookup): [`ClientBackend::visit`]'s items and
+/// a LIFO stack of the children still to read.
+struct Window<'r, B: ClientBackend> {
+    read: &'r B::Read,
+    items: Vec<WireItem<B>>,
+    stack: Vec<(NodeId, u32)>,
+}
+
+impl<B: ClientBackend> Frontier<B> for Window<'_, B> {
+    fn visit(&mut self, scratch: &B::VisitScratch) -> Result<(), Inconsistent> {
+        B::visit(self.read, scratch, &mut self.items, &mut self.stack)
+    }
+
+    fn pop(&mut self) -> Option<(NodeId, u32)> {
+        self.stack.pop()
+    }
+
+    fn into_items(self) -> Vec<WireItem<B>> {
+        self.items
+    }
+}
+
+/// The one remote read: the chunk at byte `offset` of the index arena
+/// (chunk 0 holds the metadata), read again while its line stamps disagree
+/// (a torn read), at most `max_retries` times. Returns the untorn bytes and
+/// the torn retries they took. What the chunk holds is checked by the
+/// caller: [`ClientBackend::validate`] for a node, `decode_meta` for the
+/// metadata.
+async fn read_chunk<L: RemoteLayout>(
     qp: &QueuePair,
     handle: &RemoteHandle<L>,
-    id: NodeId,
+    offset: usize,
     max_retries: u32,
 ) -> Result<(Vec<u8>, u32), Inconsistent> {
     // Every remote layout is whole versioned cache lines.
@@ -1102,22 +1097,13 @@ pub(crate) async fn read_chunk<L: RemoteLayout>(
     let mut retries = 0u32;
     loop {
         let bytes = qp
-            .read(
-                handle.rkey,
-                handle.layout.node_offset(id),
-                handle.layout.chunk_bytes(),
-            )
+            .read(handle.rkey, offset, handle.layout.chunk_bytes())
             .await
             .expect("index arena registered");
         match chunk_version(&bytes, lines) {
             Ok(_) => return Ok((bytes, retries)),
-            Err(CodecError::TornRead { .. }) => {
-                retries += 1;
-                if retries > max_retries {
-                    return Err(Inconsistent);
-                }
-            }
-            Err(CodecError::Malformed(_)) => return Err(Inconsistent),
+            Err(CodecError::TornRead { .. }) if retries < max_retries => retries += 1,
+            Err(_) => return Err(Inconsistent),
         }
     }
 }

@@ -400,15 +400,17 @@ pub trait ClientBackend: IndexBackend {
     fn read_request(seq: u32, read: &Self::Read) -> WireMessage<Self>;
 
     /// Checks one node chunk whose line stamps already agree, accepting
-    /// exactly the chunks [`RemoteLayout::decode_node`] accepts and
-    /// returning the node level, or the error `decode_node` reports. An
-    /// accepted chunk is left in `scratch` for [`ClientBackend::visit`],
-    /// so the engine reads each chunk's bytes once.
+    /// exactly the chunks the layout's own `decode_node`
+    /// ([`catfish_rtree::codec::ChunkLayout::decode_node`],
+    /// [`catfish_bplus::BpLayout::decode_node`]) accepts and returning the
+    /// node level, or the error `decode_node` reports. An accepted chunk
+    /// is left in `scratch` for [`ClientBackend::visit`], so the engine
+    /// reads each chunk's bytes once.
     ///
     /// # Errors
     ///
-    /// Same conditions, and the same error, as
-    /// [`RemoteLayout::decode_node`].
+    /// Same conditions, and the same error, as the layout's
+    /// `decode_node`.
     fn validate(
         layout: &Self::Layout,
         chunk: &[u8],

@@ -376,43 +376,57 @@ fn protocol_knn_matches_local() {
 }
 
 /// Offloaded kNN (best-first over one-sided reads) matches the server's
-/// local computation and touches no server CPU.
+/// local computation and touches no server CPU, with and without the
+/// client's node cache; with it, repeated probes are served partly from
+/// the cache.
 #[test]
 fn offloaded_knn_matches_local() {
-    let sim = Sim::new();
-    sim.run_until(async {
-        let (net, server) = build(4, 5_000);
-        let mut client = attach(
-            &net,
-            &server,
-            ClientConfig {
-                mode: AccessMode::Offloading,
-                ..ClientConfig::default()
-            },
-            21,
-        );
-        let busy_before = server.cpu().busy_time();
-        for probe in 0..15u64 {
-            let x = (probe as f64 * 0.041) % 1.0;
-            let y = (probe as f64 * 0.029) % 1.0;
-            let got = client.nearest_offloaded(x, y, 6).await;
-            let expect = server.with_index(|t| t.nearest(x, y, 6));
-            assert_eq!(got.len(), 6, "probe {probe}");
-            // Ties at equal distance may order differently between the
-            // local and remote heaps; compare the distance sequences.
-            for (g, e) in got.iter().zip(&expect) {
-                let gd = catfish_rtree::min_dist_sq(&g.0, x, y);
-                assert!(
-                    (gd - e.dist_sq).abs() < 1e-12,
-                    "probe {probe}: distance {gd} vs {}",
-                    e.dist_sq
-                );
+    for cache_levels in [0, 2] {
+        let sim = Sim::new();
+        sim.run_until(async move {
+            let (net, server) = build(4, 5_000);
+            let mut client = attach(
+                &net,
+                &server,
+                ClientConfig {
+                    mode: AccessMode::Offloading,
+                    cache_levels,
+                    ..ClientConfig::default()
+                },
+                21,
+            );
+            let busy_before = server.cpu().busy_time();
+            for probe in 0..15u64 {
+                let x = (probe as f64 * 0.041) % 1.0;
+                let y = (probe as f64 * 0.029) % 1.0;
+                let got = client.nearest_offloaded(x, y, 6).await;
+                let expect = server.with_index(|t| t.nearest(x, y, 6));
+                assert_eq!(got.len(), 6, "cache_levels {cache_levels} probe {probe}");
+                // Ties at equal distance may order differently between the
+                // local and remote heaps; compare the distance sequences.
+                for (g, e) in got.iter().zip(&expect) {
+                    let gd = catfish_rtree::min_dist_sq(&g.0, x, y);
+                    assert!(
+                        (gd - e.dist_sq).abs() < 1e-12,
+                        "cache_levels {cache_levels} probe {probe}: distance {gd} vs {}",
+                        e.dist_sq
+                    );
+                }
             }
-        }
-        assert_eq!(
-            server.cpu().busy_time(),
-            busy_before,
-            "offloaded kNN must not consume server CPU"
-        );
-    });
+            // Like the server, k = 0 finds nothing.
+            assert!(client.nearest_offloaded(0.5, 0.5, 0).await.is_empty());
+            let stats = client.stats();
+            assert_eq!(stats.offloaded_reads, 0, "kNN is not a routed read");
+            if cache_levels == 0 {
+                assert_eq!(stats.cache_hits, 0);
+            } else {
+                assert!(stats.cache_hits > 0, "repeated probes hit the node cache");
+            }
+            assert_eq!(
+                server.cpu().busy_time(),
+                busy_before,
+                "offloaded kNN must not consume server CPU"
+            );
+        });
+    }
 }

@@ -7,13 +7,15 @@
 //! accepts, with the same level, and the same error otherwise. For an accepted chunk, `RtreeBackend::visit` over the image
 //! the fused pass left must produce the same accept/reject decision,
 //! items and children, in the same order, as `RtreeBackend::expand` on
-//! the decoded node.
+//! the decoded node. Offloaded kNN's lane visit (`nearest_entries`) must
+//! rank the same entries, in entry order, as the decoded node's.
 
+use catfish_core::client::nearest_entries;
 use catfish_core::{ClientBackend, RtreeBackend};
 use catfish_rtree::codec::{
     read_packed, write_packed, ChunkLayout, LaneNode, LINE_BYTES, MAX_BITMASK_ENTRIES,
 };
-use catfish_rtree::{Entry, Node, NodeId, Rect};
+use catfish_rtree::{min_dist_sq, Entry, EntryRef, Node, NodeId, Rect};
 use proptest::prelude::*;
 
 const DATA_TAG: u64 = 1 << 63;
@@ -127,6 +129,59 @@ fn assert_parity(layout: &ChunkLayout, chunk: &[u8], query: &Rect, lanes: &mut L
     assert_eq!(got_children, want_children);
 }
 
+/// Runs kNN's lane visit over `chunk` and, when the fused pass accepts
+/// it, asserts it yields the decoded node's `(min_dist_sq bits, child)`
+/// sequence.
+fn assert_nearest_parity(
+    layout: &ChunkLayout,
+    chunk: &[u8],
+    (x, y): (f64, f64),
+    lanes: &mut LaneNode,
+) {
+    if RtreeBackend::validate(layout, chunk, lanes).is_err() {
+        return;
+    }
+    let (node, _) = layout
+        .decode_node(chunk)
+        .expect("the fused pass accepted it");
+    let want: Vec<(u64, EntryRef)> = node
+        .entries
+        .iter()
+        .map(|e| (min_dist_sq(&e.mbr, x, y).to_bits(), e.child))
+        .collect();
+    let got: Vec<(u64, EntryRef)> = nearest_entries(lanes, x, y)
+        .map(|e| {
+            let (d, _, child) = e.expect("an accepted chunk's children are checked");
+            (d.to_bits(), child)
+        })
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// A node of up to `fanout` entries at `level`, encoded clean and with
+/// `corruption` applied.
+fn clean_and_damaged(
+    fanout: usize,
+    (level, count_seed, version): (u32, u64, u64),
+    entries: &[(Rect, u64)],
+    corruption: &Corruption,
+) -> (ChunkLayout, Vec<u8>, Vec<u8>) {
+    let layout = ChunkLayout::for_max_entries(fanout);
+    let count = (count_seed as usize % (fanout + 1)).min(entries.len());
+    let mut node = Node::new(level);
+    for &(mbr, raw) in &entries[..count] {
+        node.entries.push(if level == 0 {
+            Entry::data(mbr, raw & !DATA_TAG)
+        } else {
+            Entry::node(mbr, NodeId(raw as u32))
+        });
+    }
+    let clean = layout.encode_node(&node, version);
+    let mut damaged = clean.clone();
+    corrupt(&mut damaged, &layout, count, corruption);
+    (layout, clean, damaged)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
@@ -138,23 +193,27 @@ proptest! {
         query in arb_rect(),
         corruption in arb_corruption(),
     ) {
-        let (level, count_seed, version) = shape;
-        let layout = ChunkLayout::for_max_entries(fanout);
-        let count = (count_seed as usize % (fanout + 1)).min(entries.len());
-        let mut node = Node::new(level);
-        for &(mbr, raw) in &entries[..count] {
-            node.entries.push(if level == 0 {
-                Entry::data(mbr, raw & !DATA_TAG)
-            } else {
-                Entry::node(mbr, NodeId(raw as u32))
-            });
-        }
-        let clean = layout.encode_node(&node, version);
-        let mut damaged = clean.clone();
-        corrupt(&mut damaged, &layout, count, &corruption);
+        let (layout, clean, damaged) = clean_and_damaged(fanout, shape, &entries, &corruption);
         // One pooled scratch serves both visits, as it does in the client.
         let mut lanes = LaneNode::new();
         assert_parity(&layout, &clean, &query, &mut lanes);
         assert_parity(&layout, &damaged, &query, &mut lanes);
+    }
+
+    #[test]
+    fn nearest_lane_visit_matches_decode(
+        fanout in 1usize..(MAX_BITMASK_ENTRIES + 1),
+        shape in (0u32..4, any::<u64>(), any::<u64>()),
+        entries in prop::collection::vec((arb_rect(), any::<u64>()), 0..(MAX_BITMASK_ENTRIES + 1)),
+        query in arb_rect(),
+        corruption in arb_corruption(),
+    ) {
+        let (layout, clean, damaged) = clean_and_damaged(fanout, shape, &entries, &corruption);
+        // The query window's two corners are the query points.
+        let mut lanes = LaneNode::new();
+        for point in [(query.min_x(), query.min_y()), (query.max_x(), query.max_y())] {
+            assert_nearest_parity(&layout, &clean, point, &mut lanes);
+            assert_nearest_parity(&layout, &damaged, point, &mut lanes);
+        }
     }
 }
