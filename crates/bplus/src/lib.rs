@@ -29,5 +29,5 @@ mod store;
 mod tree;
 
 pub use node::{BpConfig, BpLayout, BpNode, BpRefs};
-pub use store::{decode_meta, encode_meta, BpChunkStore, BpMemStore, BpStore};
+pub use store::{BpChunkStore, BpMemStore, BpStore};
 pub use tree::BpTree;

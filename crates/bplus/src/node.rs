@@ -5,8 +5,8 @@
 //! each stamped with the node version, validated on every read.
 
 use catfish_rtree::codec::{
-    chunk_version, read_packed, write_packed, CodecError, LINE_BYTES, LINE_PAYLOAD_BYTES,
-    LINE_VERSION_BYTES,
+    chunk_version, read_packed, write_packed, CodecError, RemoteLayout, LINE_BYTES,
+    LINE_PAYLOAD_BYTES, LINE_VERSION_BYTES,
 };
 use catfish_rtree::NodeId;
 
@@ -172,21 +172,6 @@ impl BpLayout {
         self.max_keys
     }
 
-    /// Bytes per chunk.
-    pub fn chunk_bytes(&self) -> usize {
-        self.lines * 64
-    }
-
-    /// Byte offset of node `id` in the arena (chunk 0 is metadata).
-    pub fn node_offset(&self, id: NodeId) -> usize {
-        id.index() as usize * self.chunk_bytes()
-    }
-
-    /// Total arena bytes for `chunks` chunks.
-    pub fn arena_bytes(&self, chunks: u32) -> usize {
-        self.chunk_bytes() * chunks as usize
-    }
-
     /// Serializes a node with the given version stamp.
     ///
     /// # Panics
@@ -199,6 +184,28 @@ impl BpLayout {
         out
     }
 
+    /// Deserializes a node chunk with version validation.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::TornRead`] on racing writes;
+    /// [`CodecError::Malformed`] on anything implausible.
+    pub fn decode_node(&self, chunk: &[u8]) -> Result<(BpNode, u64), CodecError> {
+        let mut node = BpNode::leaf();
+        let version = self.decode_node_into(chunk, &mut node)?;
+        Ok((node, version))
+    }
+}
+
+impl RemoteLayout for BpLayout {
+    type Node = BpNode;
+
+    const META_MAGIC: u64 = 0x4250_4C55_5330_4D45; // "BPLUS0ME"
+
+    fn chunk_bytes(&self) -> usize {
+        self.lines * LINE_BYTES
+    }
+
     /// Serializes a node directly into `out`, reusing its capacity. The
     /// version stamps and every field are written at their packed
     /// positions, so no intermediate logical buffer is allocated.
@@ -207,7 +214,7 @@ impl BpLayout {
     ///
     /// Panics if the node exceeds the layout's fanout or is internally
     /// inconsistent.
-    pub fn encode_node_into(&self, node: &BpNode, version: u64, out: &mut Vec<u8>) {
+    fn encode_node_into(&self, node: &BpNode, version: u64, out: &mut Vec<u8>) {
         assert!(node.keys.len() <= self.max_keys, "node overflows layout");
         out.clear();
         out.resize(self.lines * LINE_BYTES, 0);
@@ -240,18 +247,6 @@ impl BpLayout {
         }
     }
 
-    /// Deserializes a node chunk with version validation.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::TornRead`] on racing writes;
-    /// [`CodecError::Malformed`] on anything implausible.
-    pub fn decode_node(&self, chunk: &[u8]) -> Result<(BpNode, u64), CodecError> {
-        let mut node = BpNode::leaf();
-        let version = self.decode_node_into(chunk, &mut node)?;
-        Ok((node, version))
-    }
-
     /// Deserializes a node chunk into `node`, reusing its key and slot
     /// vectors, and returns the version. Fields are read straight out of
     /// the packed chunk, so a decode into warm scratch performs no heap
@@ -262,7 +257,7 @@ impl BpLayout {
     /// [`CodecError::TornRead`] on racing writes;
     /// [`CodecError::Malformed`] on anything implausible. On error `node`
     /// is left in an unspecified but valid state.
-    pub fn decode_node_into(&self, chunk: &[u8], node: &mut BpNode) -> Result<u64, CodecError> {
+    fn decode_node_into(&self, chunk: &[u8], node: &mut BpNode) -> Result<u64, CodecError> {
         let version = chunk_version(chunk, self.lines)?;
         let magic = u32::from_le_bytes(read_packed::<4>(chunk, 0));
         if magic != NODE_MAGIC {

@@ -616,6 +616,7 @@ mod tests {
     fn chunk_store_backed_tree() {
         use crate::node::BpLayout;
         use crate::store::BpChunkStore;
+        use catfish_rtree::codec::RemoteLayout;
         let layout = BpLayout::for_max_keys(8);
         let store = BpChunkStore::new(vec![0u8; layout.arena_bytes(4096)], layout);
         let mut t = BpTree::new(store, BpConfig::with_max_keys(8));

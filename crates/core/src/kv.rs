@@ -13,7 +13,7 @@
 //! point.
 
 use catfish_bplus::{BpChunkStore, BpConfig, BpLayout, BpNode, BpRefs, BpStore, BpTree};
-use catfish_rtree::codec::CodecError;
+use catfish_rtree::codec::{CodecError, RemoteLayout};
 use catfish_rtree::{NodeId, TreeMeta};
 use catfish_simnet::SimDuration;
 
@@ -26,7 +26,7 @@ use crate::service::{
     IndexBackend, OpKind, RangeDigest, RemoteHandle, ReplEnvelope, ServiceClient, ServiceServer,
     ShardMap, ShardPartition, WireCodec,
 };
-use crate::store::MrMemory;
+use crate::store::{replicate_store, MrMemory};
 
 // ---------------------------------------------------------------------
 // Wire format
@@ -527,13 +527,7 @@ impl IndexBackend for KvBackend {
     }
 
     fn replicate(&self, mem: MrMemory) -> Self {
-        let store = self.store();
-        let (next, free) = store.allocator_state();
-        let layout = store.layout();
-        mem.copy_from(store.mem(), layout.arena_bytes(next));
-        let copy = BpChunkStore::from_parts(mem, layout, next, free)
-            .expect("a live store's allocator state fits an arena of its size");
-        BpTree::open(copy, self.config())
+        BpTree::open(replicate_store(self.store(), mem), self.config())
     }
 
     fn set_torn_window(&self, window: SimDuration) {

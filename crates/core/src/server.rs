@@ -18,7 +18,7 @@ use crate::service::{
     ClusterServer, Execution, IndexBackend, OpKind, RangeDigest, RemoteHandle, ServiceServer,
     ShardMap, ShardPartition,
 };
-use crate::store::MrMemory;
+use crate::store::{replicate_store, MrMemory};
 
 /// The R-tree service backend: an R\*-tree over a registered chunk arena.
 pub type RtreeBackend = RTree<ChunkStore<MrMemory>>;
@@ -130,13 +130,7 @@ impl IndexBackend for RtreeBackend {
     }
 
     fn replicate(&self, mem: MrMemory) -> Self {
-        let store = self.store();
-        let (next, free) = store.allocator_state();
-        let layout = store.layout();
-        mem.copy_from(store.mem(), layout.arena_bytes(next));
-        let copy = ChunkStore::from_parts(mem, layout, next, free)
-            .expect("a live store's allocator state fits an arena of its size");
-        RTree::open(copy, self.config())
+        RTree::open(replicate_store(self.store(), mem), self.config())
     }
 
     fn set_torn_window(&self, window: SimDuration) {

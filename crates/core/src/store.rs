@@ -5,7 +5,8 @@
 use std::cell::Cell;
 
 use catfish_rdma::MemoryRegion;
-use catfish_rtree::chunk::ChunkMemory;
+use catfish_rtree::chunk::{ChunkMemory, ChunkStore};
+use catfish_rtree::codec::RemoteLayout;
 use catfish_simnet::SimDuration;
 
 /// [`ChunkMemory`] backed by a registered memory region.
@@ -40,17 +41,31 @@ impl MrMemory {
     pub fn set_torn_window(&self, window: SimDuration) {
         self.torn_window.set(window);
     }
+}
 
-    /// Copies the first `len` bytes of `src` into this arena in one
-    /// untorn write — how a backup's arena starts from its primary's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either arena is shorter than `len`.
-    pub fn copy_from(&self, src: &MrMemory, len: usize) {
-        src.mr
-            .with_slice(0, len, |bytes| self.mr.write_local(0, bytes));
-    }
+/// A copy of `store` in `mem`, a fresh zeroed arena of the same size: the
+/// used chunk prefix in one untorn write, plus the allocator state, so the
+/// copy equals the original byte for byte. Both backends'
+/// [`IndexBackend::replicate`](crate::service::IndexBackend::replicate):
+/// how a backup's arena starts from its primary's.
+///
+/// # Panics
+///
+/// Panics if `mem` is shorter than the used prefix.
+pub(crate) fn replicate_store<C: RemoteLayout>(
+    store: &ChunkStore<MrMemory, C>,
+    mem: MrMemory,
+) -> ChunkStore<MrMemory, C> {
+    let (next, free) = store.allocator_state();
+    let layout = store.layout();
+    store
+        .mem()
+        .mr
+        .with_slice(0, layout.arena_bytes(next), |bytes| {
+            mem.mr.write_local(0, bytes)
+        });
+    ChunkStore::from_parts(mem, layout, next, free)
+        .expect("a live store's allocator state fits an arena of its size")
 }
 
 impl ChunkMemory for MrMemory {

@@ -8,7 +8,7 @@
 
 use std::cell::RefCell;
 
-use crate::codec::{ChunkLayout, CodecError, LaneNode, LINE_BYTES};
+use crate::codec::{ChunkLayout, CodecError, LaneNode, RemoteLayout, LINE_BYTES};
 use crate::geom::Rect;
 use crate::node::{EntryRef, Node, NodeId};
 use crate::store::{NodeStore, TreeMeta};
@@ -75,8 +75,14 @@ impl ChunkMemory for Vec<u8> {
     }
 }
 
-/// A [`NodeStore`] that serializes every node into a fixed-size versioned
-/// chunk of `mem`. Chunk 0 holds the tree metadata; node chunks start at 1.
+/// The versioned chunk arena: every node serialized by the chunk format
+/// `C` into a fixed-size versioned chunk of `mem`. Chunk 0 holds the tree
+/// metadata; node chunks start at 1.
+///
+/// Both indexes live in it: with the default [`ChunkLayout`] it is the
+/// R-tree's [`NodeStore`], and with the B+-tree's layout it is the KV
+/// service's store (`catfish-bplus`). The allocator, the per-chunk version
+/// stamps, the metadata chunk and the borrowed read path are shared.
 ///
 /// # Examples
 ///
@@ -93,9 +99,9 @@ impl ChunkMemory for Vec<u8> {
 /// assert!(store.read(id).is_leaf());
 /// ```
 #[derive(Debug)]
-pub struct ChunkStore<M> {
+pub struct ChunkStore<M, C: RemoteLayout = ChunkLayout> {
     mem: M,
-    layout: ChunkLayout,
+    layout: C,
     versions: Vec<u64>,
     free: Vec<u32>,
     /// `is_free[i]` is true while chunk `i` sits on `free`, so a double
@@ -104,27 +110,27 @@ pub struct ChunkStore<M> {
     next: u32,
     live: usize,
     meta: TreeMeta,
-    /// Pool of reusable decoded [`Node`]s for the borrowed read path. One
+    /// Pool of reusable decoded nodes for the borrowed read path. One
     /// entry per concurrent visit depth: flat hot loops reuse a single
     /// warm entry, recursive visits (invariant checks, leaf searches) pop
     /// deeper ones. Allocates only the first time each depth is reached.
-    scratch: RefCell<Vec<Node>>,
-    /// Pool of [`LaneNode`] word images for the vectorized search path.
-    /// Search visits never nest, but the pool mirrors
-    /// [`ChunkStore::scratch`] for re-entrancy safety.
+    scratch: RefCell<Vec<C::Node>>,
+    /// Pool of [`LaneNode`] word images for the R-tree's vectorized search
+    /// path (empty under other formats). Search visits never nest, but the
+    /// pool mirrors [`ChunkStore::scratch`] for re-entrancy safety.
     lane_scratch: RefCell<Vec<LaneNode>>,
     /// Reusable encode buffer for node and metadata writes.
     write_buf: Vec<u8>,
 }
 
-impl<M: ChunkMemory> ChunkStore<M> {
+impl<M: ChunkMemory, C: RemoteLayout> ChunkStore<M, C> {
     /// Creates a store over `mem`, writing an empty metadata chunk.
     ///
     /// # Panics
     ///
     /// Panics if `mem` cannot hold at least the metadata chunk plus one
     /// node chunk.
-    pub fn new(mem: M, layout: ChunkLayout) -> Self {
+    pub fn new(mem: M, layout: C) -> Self {
         let capacity = mem.len() / layout.chunk_bytes();
         assert!(
             capacity >= 2,
@@ -136,25 +142,33 @@ impl<M: ChunkMemory> ChunkStore<M> {
         // every node slot line-aligned (the registered-memory backing
         // asserts its base alignment; see `catfish_rdma::MemoryRegion`).
         debug_assert_eq!(layout.chunk_bytes() % LINE_BYTES, 0);
-        let mut store = ChunkStore {
-            mem,
-            layout,
-            versions: vec![0; capacity],
-            free: Vec::new(),
-            is_free: vec![false; capacity],
-            next: 1,
-            live: 0,
-            meta: TreeMeta::default(),
-            scratch: RefCell::new(Vec::new()),
-            lane_scratch: RefCell::new(Vec::new()),
-            write_buf: Vec::new(),
-        };
+        let mut store = Self::with_state(mem, layout, vec![0; capacity], 1, Vec::new());
         store.persist_meta();
         store
     }
 
+    fn with_state(mem: M, layout: C, versions: Vec<u64>, next: u32, free: Vec<u32>) -> Self {
+        let mut is_free = vec![false; versions.len()];
+        for &f in &free {
+            is_free[f as usize] = true;
+        }
+        ChunkStore {
+            mem,
+            layout,
+            is_free,
+            live: (next as usize - 1) - free.len(),
+            versions,
+            free,
+            next,
+            meta: TreeMeta::default(),
+            scratch: RefCell::new(Vec::new()),
+            lane_scratch: RefCell::new(Vec::new()),
+            write_buf: Vec::new(),
+        }
+    }
+
     /// The chunk layout in use.
-    pub fn layout(&self) -> ChunkLayout {
+    pub fn layout(&self) -> C {
         self.layout
     }
 
@@ -183,12 +197,7 @@ impl<M: ChunkMemory> ChunkStore<M> {
     ///
     /// Returns a description if the metadata chunk does not decode or the
     /// allocator state is inconsistent with the arena size.
-    pub fn from_parts(
-        mem: M,
-        layout: ChunkLayout,
-        next: u32,
-        free: Vec<u32>,
-    ) -> Result<Self, &'static str> {
+    pub fn from_parts(mem: M, layout: C, next: u32, free: Vec<u32>) -> Result<Self, &'static str> {
         let capacity = mem.len() / layout.chunk_bytes();
         if capacity < 2 || next as usize > capacity || next == 0 {
             return Err("allocator state inconsistent with arena size");
@@ -196,37 +205,25 @@ impl<M: ChunkMemory> ChunkStore<M> {
         if free.iter().any(|&f| f == 0 || f >= next) {
             return Err("free list references out-of-range chunks");
         }
-        let mut is_free = vec![false; capacity];
-        for &f in &free {
-            if std::mem::replace(&mut is_free[f as usize], true) {
-                return Err("free list repeats a chunk");
-            }
+        let mut seen = vec![false; next as usize];
+        if free
+            .iter()
+            .any(|&f| std::mem::replace(&mut seen[f as usize], true))
+        {
+            return Err("free list repeats a chunk");
         }
         let mut versions = vec![0u64; capacity];
         let mut line0 = [0u8; 8];
         for (i, v) in versions.iter_mut().enumerate().take(next as usize) {
-            mem.read_into(layout.chunk_offset(i as u32), &mut line0);
+            mem.read_into(layout.node_offset(NodeId(i as u32)), &mut line0);
             *v = u64::from_le_bytes(line0);
         }
-        let mut buf = vec![0u8; layout.chunk_bytes()];
-        mem.read_into(0, &mut buf);
-        let (meta, _) = layout
-            .decode_meta(&buf)
+        let (meta, _) = mem
+            .with_bytes(0, layout.chunk_bytes(), |chunk| layout.decode_meta(chunk))
             .map_err(|_| "metadata chunk does not decode")?;
-        let live = (next as usize - 1) - free.len();
-        Ok(ChunkStore {
-            mem,
-            layout,
-            versions,
-            free,
-            is_free,
-            next,
-            live,
-            meta,
-            scratch: RefCell::new(Vec::new()),
-            lane_scratch: RefCell::new(Vec::new()),
-            write_buf: Vec::new(),
-        })
+        let mut store = Self::with_state(mem, layout, versions, next, free);
+        store.meta = meta;
+        Ok(store)
     }
 
     /// Reads and decodes the chunk at `id` without panicking on errors.
@@ -234,13 +231,13 @@ impl<M: ChunkMemory> ChunkStore<M> {
     /// # Errors
     ///
     /// Propagates [`CodecError`] from decoding.
-    pub fn try_read(&self, id: NodeId) -> Result<Node, CodecError> {
-        self.try_visit(id, Node::clone)
+    pub fn try_read(&self, id: NodeId) -> Result<C::Node, CodecError> {
+        self.try_visit(id, C::Node::clone)
     }
 
     /// Borrowed read path: decodes the chunk at `id` straight from the
-    /// arena bytes ([`ChunkMemory::with_bytes`]) into a pooled [`Node`],
-    /// and lends the result to `f`.
+    /// arena bytes ([`ChunkMemory::with_bytes`]) into a pooled node, and
+    /// lends the result to `f`.
     ///
     /// Once the pool is warm this performs zero heap allocations per visit
     /// (over memory that lends its bytes) while still running the full
@@ -252,12 +249,8 @@ impl<M: ChunkMemory> ChunkStore<M> {
     /// # Errors
     ///
     /// Propagates [`CodecError`] from decoding; `f` is not called on error.
-    pub fn try_visit<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> Result<R, CodecError> {
-        let mut node = self
-            .scratch
-            .borrow_mut()
-            .pop()
-            .unwrap_or_else(|| Node::new(0));
+    pub fn try_visit<R>(&self, id: NodeId, f: impl FnOnce(&C::Node) -> R) -> Result<R, CodecError> {
+        let mut node = self.scratch.borrow_mut().pop().unwrap_or_default();
         let decoded = self.mem.with_bytes(
             self.layout.node_offset(id),
             self.layout.chunk_bytes(),
@@ -268,6 +261,142 @@ impl<M: ChunkMemory> ChunkStore<M> {
         result
     }
 
+    fn persist_meta(&mut self) {
+        self.versions[0] += 1;
+        let mut chunk = std::mem::take(&mut self.write_buf);
+        self.layout
+            .encode_meta_into(&self.meta, self.versions[0], &mut chunk);
+        self.mem.write_at(0, &chunk);
+        self.write_buf = chunk;
+    }
+}
+
+/// The node operations of a [`ChunkStore`], under any chunk format.
+///
+/// Each index's store trait forwards to it: the R-tree's [`NodeStore`]
+/// below, and the B+-tree's `BpStore` in `catfish-bplus`. It is a trait
+/// rather than inherent methods so that on a concrete store it does not
+/// shadow those traits' methods of the same names.
+pub trait ChunkArena {
+    /// The decoded node type.
+    type Node;
+
+    /// Reads the node at `id` into an owned value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chunk does not decode. Local reads never tear (torn
+    /// snapshots are a remote-visibility effect), so that is a store bug.
+    fn read(&self, id: NodeId) -> Self::Node;
+
+    /// Lends the node at `id` to `f` ([`ChunkStore::try_visit`]).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`ChunkArena::read`].
+    fn visit<R>(&self, id: NodeId, f: impl FnOnce(&Self::Node) -> R) -> R;
+
+    /// Replaces the node at `id`, bumping its chunk version.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is outside the arena or is the metadata chunk.
+    fn write(&mut self, id: NodeId, node: &Self::Node);
+
+    /// Allocates a chunk: the last freed one, else a fresh chunk
+    /// initialized to an empty leaf so that reads of it decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena is exhausted.
+    fn alloc(&mut self) -> NodeId;
+
+    /// Returns `id`'s chunk to the free list, checking in O(1) that it
+    /// is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was never allocated or is already free.
+    fn free(&mut self, id: NodeId);
+
+    /// The tree metadata.
+    fn meta(&self) -> TreeMeta;
+
+    /// Persists tree metadata to chunk 0, bumping its version.
+    fn set_meta(&mut self, meta: TreeMeta);
+
+    /// Number of live (allocated, not freed) node chunks.
+    fn node_count(&self) -> usize;
+}
+
+impl<M: ChunkMemory, C: RemoteLayout> ChunkArena for ChunkStore<M, C> {
+    type Node = C::Node;
+
+    fn read(&self, id: NodeId) -> Self::Node {
+        self.visit(id, C::Node::clone)
+    }
+
+    fn visit<R>(&self, id: NodeId, f: impl FnOnce(&Self::Node) -> R) -> R {
+        self.try_visit(id, f)
+            .unwrap_or_else(|e| panic!("chunk store read of {id} failed: {e}"))
+    }
+
+    fn write(&mut self, id: NodeId, node: &Self::Node) {
+        let idx = id.0 as usize;
+        assert!(
+            idx >= 1 && idx < self.versions.len(),
+            "write to out-of-range chunk {id}"
+        );
+        self.versions[idx] += 1;
+        let mut chunk = std::mem::take(&mut self.write_buf);
+        self.layout
+            .encode_node_into(node, self.versions[idx], &mut chunk);
+        self.mem.write_at(self.layout.node_offset(id), &chunk);
+        self.write_buf = chunk;
+    }
+
+    fn alloc(&mut self) -> NodeId {
+        self.live += 1;
+        if let Some(i) = self.free.pop() {
+            self.is_free[i as usize] = false;
+            return NodeId(i);
+        }
+        assert!(
+            (self.next as usize) < self.versions.len(),
+            "chunk arena exhausted: {} chunks",
+            self.versions.len()
+        );
+        let id = NodeId(self.next);
+        self.next += 1;
+        self.write(id, &C::Node::default());
+        id
+    }
+
+    fn free(&mut self, id: NodeId) {
+        assert!(
+            id.0 >= 1 && id.0 < self.next && !self.is_free[id.0 as usize],
+            "invalid free of chunk {id}"
+        );
+        self.is_free[id.0 as usize] = true;
+        self.free.push(id.0);
+        self.live -= 1;
+    }
+
+    fn meta(&self) -> TreeMeta {
+        self.meta
+    }
+
+    fn set_meta(&mut self, meta: TreeMeta) {
+        self.meta = meta;
+        self.persist_meta();
+    }
+
+    fn node_count(&self) -> usize {
+        self.live
+    }
+}
+
+impl<M: ChunkMemory> ChunkStore<M, ChunkLayout> {
     /// Vectorized window-test visit: de-stitches the chunk at `id`
     /// straight from the arena bytes into a pooled [`LaneNode`], computes
     /// the hit bitmask with [`LaneNode::window_hits`], and resolves just
@@ -305,26 +434,17 @@ impl<M: ChunkMemory> ChunkStore<M> {
         self.lane_scratch.borrow_mut().push(lanes);
         result
     }
-
-    fn persist_meta(&mut self) {
-        self.versions[0] += 1;
-        let mut chunk = std::mem::take(&mut self.write_buf);
-        self.layout
-            .encode_meta_into(&self.meta, self.versions[0], &mut chunk);
-        self.mem.write_at(0, &chunk);
-        self.write_buf = chunk;
-    }
 }
 
+/// The R-tree's store: each method is [`ChunkArena`]'s of the same name,
+/// except that the window-search visit runs on the SoA lanes.
 impl<M: ChunkMemory> NodeStore for ChunkStore<M> {
     fn read(&self, id: NodeId) -> Node {
-        self.try_read(id)
-            .unwrap_or_else(|e| panic!("chunk store read of {id} failed: {e}"))
+        ChunkArena::read(self, id)
     }
 
     fn visit<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
-        self.try_visit(id, f)
-            .unwrap_or_else(|e| panic!("chunk store read of {id} failed: {e}"))
+        ChunkArena::visit(self, id, f)
     }
 
     fn search_node(
@@ -334,73 +454,45 @@ impl<M: ChunkMemory> NodeStore for ChunkStore<M> {
         stack: &mut Vec<NodeId>,
         emit: &mut dyn FnMut(Rect, u64),
     ) {
-        // Local reads never tear (torn snapshots are a remote-visibility
-        // effect), so a decode failure here is a store bug, same as `visit`.
+        // Local reads never tear, so a decode failure is a store bug, as
+        // in `visit`.
         self.try_search_node(id, query, stack, emit)
             .unwrap_or_else(|e| panic!("chunk store read of {id} failed: {e}"))
     }
 
     fn write(&mut self, id: NodeId, node: &Node) {
-        let idx = id.0 as usize;
-        assert!(
-            idx >= 1 && idx < self.versions.len(),
-            "write to out-of-range chunk {id}"
-        );
-        self.versions[idx] += 1;
-        let mut chunk = std::mem::take(&mut self.write_buf);
-        self.layout
-            .encode_node_into(node, self.versions[idx], &mut chunk);
-        self.mem.write_at(self.layout.node_offset(id), &chunk);
-        self.write_buf = chunk;
+        ChunkArena::write(self, id, node)
     }
 
     fn alloc(&mut self) -> NodeId {
-        self.live += 1;
-        if let Some(i) = self.free.pop() {
-            self.is_free[i as usize] = false;
-            return NodeId(i);
-        }
-        assert!(
-            (self.next as usize) < self.versions.len(),
-            "chunk arena exhausted: {} chunks",
-            self.versions.len()
-        );
-        let id = NodeId(self.next);
-        self.next += 1;
-        // Initialize the chunk so reads of a freshly allocated node decode.
-        self.write(id, &Node::new(0));
-        id
+        ChunkArena::alloc(self)
     }
 
     fn free(&mut self, id: NodeId) {
-        assert!(
-            id.0 >= 1 && id.0 < self.next && !self.is_free[id.0 as usize],
-            "invalid free of chunk {id}"
-        );
-        self.is_free[id.0 as usize] = true;
-        self.free.push(id.0);
-        self.live -= 1;
+        ChunkArena::free(self, id)
     }
 
     fn meta(&self) -> TreeMeta {
-        self.meta
+        ChunkArena::meta(self)
     }
 
     fn set_meta(&mut self, meta: TreeMeta) {
-        self.meta = meta;
-        self.persist_meta();
+        ChunkArena::set_meta(self, meta)
     }
 
     fn node_count(&self) -> usize {
-        self.live
+        ChunkArena::node_count(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    // Not a glob: the tests call `NodeStore`'s methods, which `ChunkArena`
+    // would make ambiguous.
+    use super::{ChunkLayout, ChunkMemory, ChunkStore, CodecError, RemoteLayout, LINE_BYTES};
     use crate::geom::Rect;
-    use crate::node::Entry;
+    use crate::node::{Entry, Node, NodeId};
+    use crate::store::{NodeStore, TreeMeta};
 
     fn store_with(chunks: u32) -> ChunkStore<Vec<u8>> {
         let layout = ChunkLayout::for_max_entries(8);
@@ -521,8 +613,6 @@ mod tests {
 
     #[test]
     fn torn_read_surfaces_through_try_visit() {
-        use crate::codec::LINE_BYTES;
-
         let mut s = store_with(8);
         let id = s.alloc();
         let mut n = Node::new(0);

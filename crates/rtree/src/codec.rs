@@ -65,7 +65,6 @@ const MAX_LOGICAL_WORDS: usize = MAX_LOGICAL_BYTES / 8;
 /// Words of the node header in the word image (magic and level, count).
 const NODE_HEADER_WORDS: usize = NODE_HEADER_BYTES / 8;
 const NODE_MAGIC: u32 = 0x5254_4E44; // "RTND"
-const META_MAGIC: u64 = 0x4341_5446_4953_4830; // "CATFISH0"
 const DATA_TAG: u64 = 1 << 63;
 
 /// Errors produced while decoding a chunk.
@@ -154,25 +153,19 @@ impl ChunkLayout {
         self.lines
     }
 
-    /// Bytes per chunk (a multiple of the cache-line size).
+    /// [`RemoteLayout::chunk_bytes`], callable without the trait in scope.
     pub fn chunk_bytes(&self) -> usize {
-        self.lines * LINE_BYTES
+        RemoteLayout::chunk_bytes(self)
     }
 
-    /// Byte offset of chunk `index` within the arena.
-    pub fn chunk_offset(&self, index: u32) -> usize {
-        index as usize * self.chunk_bytes()
-    }
-
-    /// Byte offset of the chunk storing `id` (node chunks start at index 1;
-    /// chunk 0 is the metadata).
+    /// [`RemoteLayout::node_offset`], callable without the trait in scope.
     pub fn node_offset(&self, id: NodeId) -> usize {
-        self.chunk_offset(id.0)
+        RemoteLayout::node_offset(self, id)
     }
 
-    /// Total arena bytes needed for `chunks` chunks (including chunk 0).
+    /// [`RemoteLayout::arena_bytes`], callable without the trait in scope.
     pub fn arena_bytes(&self, chunks: u32) -> usize {
-        self.chunk_bytes() * chunks as usize
+        RemoteLayout::arena_bytes(self, chunks)
     }
 
     /// Serializes `node` into a fresh chunk stamped with `version`.
@@ -187,56 +180,6 @@ impl ChunkLayout {
         out
     }
 
-    /// Serializes `node` directly into `out` (cleared and resized). The
-    /// header and the five lanes are laid out in a stack image of the
-    /// logical payload, which is then stamped and packed line by line.
-    /// Reusing `out` across calls makes the write path allocation-free in
-    /// steady state.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ChunkLayout::encode_node`].
-    pub fn encode_node_into(&self, node: &Node, version: u64, out: &mut Vec<u8>) {
-        assert!(
-            node.entries.len() <= self.max_entries,
-            "node has {} entries but the layout allows {}",
-            node.entries.len(),
-            self.max_entries
-        );
-        let mut image = [0u8; MAX_LOGICAL_BYTES];
-        let logical = &mut image[..self.lines * LINE_PAYLOAD_BYTES];
-        logical[0..4].copy_from_slice(&NODE_MAGIC.to_le_bytes());
-        logical[4..8].copy_from_slice(&node.level.to_le_bytes());
-        logical[8..12].copy_from_slice(&(node.entries.len() as u32).to_le_bytes());
-        // Logical bytes 12..16 reserved (left zero). Entries go into the
-        // five SoA lanes (see the module docs).
-        for (i, e) in node.entries.iter().enumerate() {
-            let raw = match e.child {
-                EntryRef::Node(id) => {
-                    let v = u64::from(id.0);
-                    assert!(v & DATA_TAG == 0, "node id uses reserved tag bit");
-                    v
-                }
-                EntryRef::Data(d) => {
-                    assert!(d & DATA_TAG == 0, "data payload uses reserved tag bit");
-                    d | DATA_TAG
-                }
-            };
-            let words = [
-                e.mbr.min_x().to_bits(),
-                e.mbr.min_y().to_bits(),
-                e.mbr.max_x().to_bits(),
-                e.mbr.max_y().to_bits(),
-                raw,
-            ];
-            for (f, w) in words.into_iter().enumerate() {
-                let at = self.lane_off(f, i);
-                logical[at..at + 8].copy_from_slice(&w.to_le_bytes());
-            }
-        }
-        pack_lines_into(logical, version, self.lines, out);
-    }
-
     /// Deserializes a node chunk, validating version consistency.
     ///
     /// # Errors
@@ -247,43 +190,6 @@ impl ChunkLayout {
         let mut node = Node::new(0);
         let version = self.decode_node_into(chunk, &mut node)?;
         Ok((node, version))
-    }
-
-    /// Deserializes a node chunk into `node`, reusing its entry buffer, and
-    /// returns the chunk version. The payload is de-stitched from the
-    /// packed lines into a stack image, one whole line segment at a time,
-    /// so with a warm `node` the whole decode performs zero heap
-    /// allocations.
-    ///
-    /// On error `node` is left in an unspecified (but valid) state.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ChunkLayout::decode_node`]. Entries are
-    /// checked in order, the rectangle before the child word, and the
-    /// first failure is reported.
-    pub fn decode_node_into(&self, chunk: &[u8], node: &mut Node) -> Result<u64, CodecError> {
-        let mut image = [0u64; MAX_LOGICAL_WORDS];
-        let (version, level, count) = self.unpack_node(chunk, &mut image)?;
-        let word = |f: usize, i: usize| image[NODE_HEADER_WORDS + f * self.max_entries + i];
-        node.level = level;
-        node.entries.clear();
-        for i in 0..count {
-            let min_x = f64::from_bits(word(LANE_XMIN, i));
-            let min_y = f64::from_bits(word(LANE_YMIN, i));
-            let max_x = f64::from_bits(word(LANE_XMAX, i));
-            let max_y = f64::from_bits(word(LANE_YMAX, i));
-            if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite())
-                || min_x > max_x
-                || min_y > max_y
-            {
-                return Err(CodecError::Malformed("invalid entry rectangle"));
-            }
-            let mbr = Rect::from_checked(min_x, min_y, max_x, max_y);
-            let child = child_from_raw(word(LANE_CHILD, i), level)?;
-            node.entries.push(Entry { mbr, child });
-        }
-        Ok(version)
     }
 
     /// Accepts exactly the chunks [`ChunkLayout::decode_node`] accepts —
@@ -423,63 +329,6 @@ impl ChunkLayout {
         }
         Ok((version, level, count))
     }
-
-    /// Serializes tree metadata into chunk 0's format.
-    pub fn encode_meta(&self, meta: &TreeMeta, version: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_meta_into(meta, version, &mut out);
-        out
-    }
-
-    /// Serializes tree metadata into `out` (cleared and resized), without
-    /// allocating once `out` has grown to a chunk.
-    pub(crate) fn encode_meta_into(&self, meta: &TreeMeta, version: u64, out: &mut Vec<u8>) {
-        let mut image = [0u8; MAX_LOGICAL_BYTES];
-        let logical = &mut image[..self.lines * LINE_PAYLOAD_BYTES];
-        logical[0..8].copy_from_slice(&META_MAGIC.to_le_bytes());
-        let root_raw = meta.root.map_or(0, |id| id.0 + 1);
-        logical[8..12].copy_from_slice(&root_raw.to_le_bytes());
-        logical[12..16].copy_from_slice(&meta.height.to_le_bytes());
-        logical[16..24].copy_from_slice(&meta.len.to_le_bytes());
-        logical[24..32].copy_from_slice(&meta.structure_version.to_le_bytes());
-        pack_lines_into(logical, version, self.lines, out);
-    }
-
-    /// Deserializes tree metadata, validating version consistency.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ChunkLayout::decode_node`].
-    pub fn decode_meta(&self, chunk: &[u8]) -> Result<(TreeMeta, u64), CodecError> {
-        // Fields are read straight out of the packed lines: no allocation.
-        let version = chunk_version(chunk, self.lines)?;
-        let u32_at = |at: usize| u32::from_le_bytes(read_packed(chunk, at));
-        let u64_at = |at: usize| u64::from_le_bytes(read_packed(chunk, at));
-        if u64_at(0) != META_MAGIC {
-            return Err(CodecError::Malformed("bad meta magic"));
-        }
-        let root_raw = u32_at(8);
-        let height = u32_at(12);
-        let len = u64_at(16);
-        let structure_version = u64_at(24);
-        let root = if root_raw == 0 {
-            None
-        } else {
-            Some(NodeId(root_raw - 1))
-        };
-        if root.is_none() != (height == 0) {
-            return Err(CodecError::Malformed("root/height mismatch"));
-        }
-        Ok((
-            TreeMeta {
-                root,
-                height,
-                len,
-                structure_version,
-            },
-            version,
-        ))
-    }
 }
 
 /// Reusable word-image scratch for the vectorized search path.
@@ -610,57 +459,204 @@ impl LaneNode {
     }
 }
 
-/// A chunk layout that offloading clients can traverse remotely.
+/// A chunk format: how one index's nodes and its metadata record sit in
+/// an arena of versioned cache-line chunks.
 ///
 /// Every index served over the Catfish dataplane stores its nodes in a
-/// fixed-stride arena of versioned cache-line chunks, with chunk 0 holding a
-/// [`TreeMeta`] bootstrap record. This trait captures the surface an RDMA
-/// client needs — where a node lives, how big a read to issue, and how to
-/// decode the metadata record — without saying anything about the index
-/// structure itself; each index's client backend checks its own nodes. The
-/// R-tree's [`ChunkLayout`] and the B+-tree's layout in `catfish-bplus` both
-/// implement it, which is what lets the generic service core in
-/// `catfish-core` run one offload engine over either index.
+/// fixed-stride arena of such chunks, with chunk 0 holding a [`TreeMeta`]
+/// bootstrap record. A format supplies its node type, chunk size and node
+/// codec and the magic word of its metadata record; the trait supplies the
+/// arena geometry and the one metadata codec. The R-tree's [`ChunkLayout`]
+/// and the B+-tree's layout in `catfish-bplus` implement it, which is what
+/// lets [`ChunkStore`](crate::chunk::ChunkStore) be the one arena for
+/// both indexes and the generic service core in `catfish-core` run one
+/// offload engine over either.
 pub trait RemoteLayout: Copy + fmt::Debug + 'static {
-    /// Decoded node type this layout produces.
-    type Node: Clone + fmt::Debug + 'static;
+    /// Decoded node type. Its default is the empty leaf a freshly
+    /// allocated chunk holds.
+    type Node: Clone + Default + fmt::Debug + 'static;
 
-    /// Bytes per chunk — the size of every one-sided read.
+    /// First word of this format's metadata record, telling the indexes'
+    /// arenas apart.
+    const META_MAGIC: u64;
+
+    /// Bytes per chunk — the size of every one-sided read. A multiple of
+    /// [`LINE_BYTES`].
     fn chunk_bytes(&self) -> usize;
 
-    /// Byte offset of the chunk storing `id` within the arena.
-    fn node_offset(&self, id: NodeId) -> usize;
+    /// Serializes `node` into `out` (cleared and resized), stamping every
+    /// line with `version`. Reusing `out` across calls makes the write
+    /// path allocation-free in steady state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node does not fit the format.
+    fn encode_node_into(&self, node: &Self::Node, version: u64, out: &mut Vec<u8>);
+
+    /// Deserializes a node chunk into `node`, reusing its buffers, and
+    /// returns the chunk version. On error `node` is left in an
+    /// unspecified (but valid) state.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::TornRead`] if line versions disagree;
+    /// [`CodecError::Malformed`] if the payload is not a valid node.
+    fn decode_node_into(&self, chunk: &[u8], node: &mut Self::Node) -> Result<u64, CodecError>;
+
+    /// Byte offset of the chunk storing `id` within the arena (node chunks
+    /// start at index 1; chunk 0 is the metadata).
+    fn node_offset(&self, id: NodeId) -> usize {
+        id.0 as usize * self.chunk_bytes()
+    }
 
     /// Total arena bytes needed for `chunks` chunks (including chunk 0).
-    fn arena_bytes(&self, chunks: u32) -> usize;
+    fn arena_bytes(&self, chunks: u32) -> usize {
+        self.chunk_bytes() * chunks as usize
+    }
 
-    /// Decodes the chunk-0 metadata record, validating version
-    /// consistency.
+    /// Serializes tree metadata into a chunk-0 record in `out` (cleared
+    /// and resized): [`RemoteLayout::META_MAGIC`], the root id plus one (0
+    /// for none), height, item count and structure version, at logical
+    /// bytes 0..32, every line stamped with `version`.
+    fn encode_meta_into(&self, meta: &TreeMeta, version: u64, out: &mut Vec<u8>) {
+        out.clear();
+        out.resize(self.chunk_bytes(), 0);
+        for line in out.chunks_exact_mut(LINE_BYTES) {
+            line[..LINE_VERSION_BYTES].copy_from_slice(&version.to_le_bytes());
+        }
+        let root_raw = meta.root.map_or(0, |id| id.0 + 1);
+        write_packed(out, 0, &Self::META_MAGIC.to_le_bytes());
+        write_packed(out, 8, &root_raw.to_le_bytes());
+        write_packed(out, 12, &meta.height.to_le_bytes());
+        write_packed(out, 16, &meta.len.to_le_bytes());
+        write_packed(out, 24, &meta.structure_version.to_le_bytes());
+    }
+
+    /// Deserializes tree metadata, validating version consistency.
     ///
     /// # Errors
     ///
     /// [`CodecError::TornRead`] if the read raced a concurrent write;
-    /// [`CodecError::Malformed`] if the payload is not a metadata record.
-    fn decode_meta(&self, chunk: &[u8]) -> Result<(TreeMeta, u64), CodecError>;
+    /// [`CodecError::Malformed`] if the payload is not this format's
+    /// metadata record.
+    fn decode_meta(&self, chunk: &[u8]) -> Result<(TreeMeta, u64), CodecError> {
+        // Fields are read straight out of the packed lines: no allocation.
+        let version = chunk_version(chunk, self.chunk_bytes() / LINE_BYTES)?;
+        let u32_at = |at: usize| u32::from_le_bytes(read_packed(chunk, at));
+        let u64_at = |at: usize| u64::from_le_bytes(read_packed(chunk, at));
+        if u64_at(0) != Self::META_MAGIC {
+            return Err(CodecError::Malformed("bad meta magic"));
+        }
+        let root_raw = u32_at(8);
+        let height = u32_at(12);
+        let root = root_raw.checked_sub(1).map(NodeId);
+        if root.is_none() != (height == 0) {
+            return Err(CodecError::Malformed("root/height mismatch"));
+        }
+        let meta = TreeMeta {
+            root,
+            height,
+            len: u64_at(16),
+            structure_version: u64_at(24),
+        };
+        Ok((meta, version))
+    }
 }
 
 impl RemoteLayout for ChunkLayout {
     type Node = Node;
 
+    const META_MAGIC: u64 = 0x4341_5446_4953_4830; // "CATFISH0"
+
     fn chunk_bytes(&self) -> usize {
-        ChunkLayout::chunk_bytes(self)
+        self.lines * LINE_BYTES
     }
 
-    fn node_offset(&self, id: NodeId) -> usize {
-        ChunkLayout::node_offset(self, id)
+    /// Serializes `node` directly into `out` (cleared and resized). The
+    /// header and the five lanes are laid out in a stack image of the
+    /// logical payload, which is then stamped and packed line by line.
+    /// Reusing `out` across calls makes the write path allocation-free in
+    /// steady state.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`ChunkLayout::encode_node`].
+    fn encode_node_into(&self, node: &Node, version: u64, out: &mut Vec<u8>) {
+        assert!(
+            node.entries.len() <= self.max_entries,
+            "node has {} entries but the layout allows {}",
+            node.entries.len(),
+            self.max_entries
+        );
+        let mut image = [0u8; MAX_LOGICAL_BYTES];
+        let logical = &mut image[..self.lines * LINE_PAYLOAD_BYTES];
+        logical[0..4].copy_from_slice(&NODE_MAGIC.to_le_bytes());
+        logical[4..8].copy_from_slice(&node.level.to_le_bytes());
+        logical[8..12].copy_from_slice(&(node.entries.len() as u32).to_le_bytes());
+        // Logical bytes 12..16 reserved (left zero). Entries go into the
+        // five SoA lanes (see the module docs).
+        for (i, e) in node.entries.iter().enumerate() {
+            let raw = match e.child {
+                EntryRef::Node(id) => {
+                    let v = u64::from(id.0);
+                    assert!(v & DATA_TAG == 0, "node id uses reserved tag bit");
+                    v
+                }
+                EntryRef::Data(d) => {
+                    assert!(d & DATA_TAG == 0, "data payload uses reserved tag bit");
+                    d | DATA_TAG
+                }
+            };
+            let words = [
+                e.mbr.min_x().to_bits(),
+                e.mbr.min_y().to_bits(),
+                e.mbr.max_x().to_bits(),
+                e.mbr.max_y().to_bits(),
+                raw,
+            ];
+            for (f, w) in words.into_iter().enumerate() {
+                let at = self.lane_off(f, i);
+                logical[at..at + 8].copy_from_slice(&w.to_le_bytes());
+            }
+        }
+        pack_lines_into(logical, version, self.lines, out);
     }
 
-    fn arena_bytes(&self, chunks: u32) -> usize {
-        ChunkLayout::arena_bytes(self, chunks)
-    }
-
-    fn decode_meta(&self, chunk: &[u8]) -> Result<(TreeMeta, u64), CodecError> {
-        ChunkLayout::decode_meta(self, chunk)
+    /// Deserializes a node chunk into `node`, reusing its entry buffer, and
+    /// returns the chunk version. The payload is de-stitched from the
+    /// packed lines into a stack image, one whole line segment at a time,
+    /// so with a warm `node` the whole decode performs zero heap
+    /// allocations.
+    ///
+    /// On error `node` is left in an unspecified (but valid) state.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ChunkLayout::decode_node`]. Entries are
+    /// checked in order, the rectangle before the child word, and the
+    /// first failure is reported.
+    fn decode_node_into(&self, chunk: &[u8], node: &mut Node) -> Result<u64, CodecError> {
+        let mut image = [0u64; MAX_LOGICAL_WORDS];
+        let (version, level, count) = self.unpack_node(chunk, &mut image)?;
+        let word = |f: usize, i: usize| image[NODE_HEADER_WORDS + f * self.max_entries + i];
+        node.level = level;
+        node.entries.clear();
+        for i in 0..count {
+            let min_x = f64::from_bits(word(LANE_XMIN, i));
+            let min_y = f64::from_bits(word(LANE_YMIN, i));
+            let max_x = f64::from_bits(word(LANE_XMAX, i));
+            let max_y = f64::from_bits(word(LANE_YMAX, i));
+            if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite())
+                || min_x > max_x
+                || min_y > max_y
+            {
+                return Err(CodecError::Malformed("invalid entry rectangle"));
+            }
+            let mbr = Rect::from_checked(min_x, min_y, max_x, max_y);
+            let child = child_from_raw(word(LANE_CHILD, i), level)?;
+            node.entries.push(Entry { mbr, child });
+        }
+        Ok(version)
     }
 }
 
@@ -685,9 +681,8 @@ fn child_from_raw(raw: u64, level: u32) -> Result<EntryRef, CodecError> {
 }
 
 /// Validates that every line stamp of a packed chunk agrees and returns the
-/// common version. This is the allocation-free half of [`unpack_lines`]:
-/// zero-copy readers call it once, then parse fields straight out of the
-/// packed payload bytes.
+/// common version. Zero-copy readers call it once, then parse fields
+/// straight out of the packed payload bytes.
 ///
 /// # Errors
 ///
@@ -758,24 +753,12 @@ pub fn write_packed(chunk: &mut [u8], logical: usize, data: &[u8]) {
 }
 
 /// Splits a logical byte buffer into `lines` versioned cache lines (8-byte
-/// stamp + 56 payload bytes each). Shared by every chunk format built on
-/// the FaRM-style validation scheme (the R-tree here, the B+-tree in
-/// `catfish-bplus`).
+/// stamp + 56 payload bytes each) in `out` (cleared first), reusing its
+/// allocation.
 ///
 /// # Panics
 ///
 /// Panics if `logical` is not exactly `lines * 56` bytes.
-pub fn pack_lines(logical: &[u8], version: u64, lines: usize) -> Vec<u8> {
-    let mut out = Vec::new();
-    pack_lines_into(logical, version, lines, &mut out);
-    out
-}
-
-/// [`pack_lines`] into `out` (cleared first), reusing its allocation.
-///
-/// # Panics
-///
-/// Same conditions as [`pack_lines`].
 fn pack_lines_into(logical: &[u8], version: u64, lines: usize, out: &mut Vec<u8>) {
     assert_eq!(
         logical.len(),
@@ -790,43 +773,23 @@ fn pack_lines_into(logical: &[u8], version: u64, lines: usize, out: &mut Vec<u8>
     }
 }
 
-/// Reassembles the logical bytes of a versioned chunk, validating that all
-/// line stamps agree. Inverse of [`pack_lines`].
-///
-/// # Errors
-///
-/// [`CodecError::TornRead`] on version disagreement;
-/// [`CodecError::Malformed`] if the chunk is not `lines * 64` bytes.
-pub fn unpack_lines(chunk: &[u8], lines: usize) -> Result<(Vec<u8>, u64), CodecError> {
-    if chunk.len() != lines * LINE_BYTES {
-        return Err(CodecError::Malformed("chunk length mismatch"));
-    }
-    let version = u64::from_le_bytes(chunk[0..LINE_VERSION_BYTES].try_into().expect("sized"));
-    let mut logical = vec![0u8; lines * LINE_PAYLOAD_BYTES];
-    for line in 0..lines {
-        let src = line * LINE_BYTES;
-        let v = u64::from_le_bytes(
-            chunk[src..src + LINE_VERSION_BYTES]
-                .try_into()
-                .expect("sized"),
-        );
-        if v != version {
-            return Err(CodecError::TornRead {
-                first: version,
-                conflicting: v,
-            });
-        }
-        let dst = line * LINE_PAYLOAD_BYTES;
-        logical[dst..dst + LINE_PAYLOAD_BYTES]
-            .copy_from_slice(&chunk[src + LINE_VERSION_BYTES..src + LINE_BYTES]);
-    }
-    Ok((logical, version))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A chunk of `lines` lines stamped `version` around `logical`.
+    fn pack_lines(logical: &[u8], version: u64, lines: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        pack_lines_into(logical, version, lines, &mut out);
+        out
+    }
+
+    fn encode_meta(l: &ChunkLayout, meta: &TreeMeta, version: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        l.encode_meta_into(meta, version, &mut out);
+        out
+    }
 
     /// The field-by-field encoder the lane-bulk one replaced, kept as its
     /// oracle: one stitched `write_packed` per header field and per lane
@@ -1104,7 +1067,7 @@ mod tests {
             len: 2_000_000,
             structure_version: 41,
         };
-        let chunk = l.encode_meta(&meta, 77);
+        let chunk = encode_meta(&l, &meta, 77);
         assert_eq!(l.decode_meta(&chunk).unwrap(), (meta, 77));
     }
 
@@ -1112,7 +1075,10 @@ mod tests {
     fn empty_meta_round_trip() {
         let l = ChunkLayout::for_max_entries(16);
         let meta = TreeMeta::default();
-        assert_eq!(l.decode_meta(&l.encode_meta(&meta, 0)).unwrap(), (meta, 0));
+        assert_eq!(
+            l.decode_meta(&encode_meta(&l, &meta, 0)).unwrap(),
+            (meta, 0)
+        );
     }
 
     #[test]
@@ -1124,7 +1090,7 @@ mod tests {
             len: 1,
             structure_version: 0,
         };
-        let (back, _) = l.decode_meta(&l.encode_meta(&meta, 1)).unwrap();
+        let (back, _) = l.decode_meta(&encode_meta(&l, &meta, 1)).unwrap();
         assert_eq!(back.root, Some(NodeId(0)));
     }
 
@@ -1277,12 +1243,10 @@ mod tests {
         let l = ChunkLayout::for_max_entries(4);
         // Encode an internal node, then flip its level to 0: the node-ref
         // entries lack the data tag and must be rejected.
-        let chunk = l.encode_node(&sample_internal(), 3);
-        let (mut logical, v) = unpack_lines(&chunk, l.lines()).unwrap();
-        logical[4..8].copy_from_slice(&0u32.to_le_bytes());
-        let retagged = pack_lines(&logical, v, l.lines());
+        let mut chunk = l.encode_node(&sample_internal(), 3);
+        write_packed(&mut chunk, 4, &0u32.to_le_bytes());
         assert_eq!(
-            l.decode_node(&retagged),
+            l.decode_node(&chunk),
             Err(CodecError::Malformed("leaf entry without data tag"))
         );
     }

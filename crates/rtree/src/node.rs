@@ -4,8 +4,8 @@ use crate::geom::Rect;
 
 /// Identifies a node within a [`NodeStore`](crate::store::NodeStore).
 ///
-/// Also the chunk index in the RDMA-readable chunk layout: `chunk_offset =
-/// id * chunk_bytes` (chunk 0 is the tree metadata, so node ids start at 1).
+/// Also the chunk index in the RDMA-readable chunk layout: the node's byte
+/// offset is `id * chunk_bytes` (chunk 0 is the tree metadata, so node ids start at 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
@@ -78,7 +78,8 @@ impl Entry {
 }
 
 /// An R-tree node. `level == 0` means leaf; the root has the highest level.
-#[derive(Debug, Clone, PartialEq)]
+/// The default is an empty leaf, as `Node::new(0)`.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Node {
     /// Height of this node above the leaves (leaf = 0).
     pub level: u32,

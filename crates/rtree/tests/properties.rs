@@ -2,7 +2,7 @@
 //! versioned chunk codec.
 
 use catfish_rtree::chunk::ChunkStore;
-use catfish_rtree::codec::{ChunkLayout, CodecError, LINE_BYTES};
+use catfish_rtree::codec::{ChunkLayout, CodecError, RemoteLayout, LINE_BYTES};
 use catfish_rtree::{
     bulk_load, Entry, MemStore, Node, NodeStore, RTree, RTreeConfig, Rect, TreeMeta,
 };
@@ -235,7 +235,8 @@ proptest! {
             len,
             structure_version: len % 97,
         };
-        let chunk = layout.encode_meta(&meta, version);
+        let mut chunk = Vec::new();
+        layout.encode_meta_into(&meta, version, &mut chunk);
         prop_assert_eq!(layout.decode_meta(&chunk).unwrap(), (meta, version));
     }
 }

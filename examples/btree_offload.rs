@@ -6,9 +6,10 @@
 //!
 //! Run with: `cargo run --release --example btree_offload`
 
-use catfish::bplus::{decode_meta, BpChunkStore, BpConfig, BpLayout, BpTree};
+use catfish::bplus::{BpConfig, BpLayout, BpTree};
 use catfish::rdma::{Endpoint, MemoryRegion, QueuePair, RdmaProfile};
-use catfish::rtree::codec::CodecError;
+use catfish::rtree::chunk::{ChunkMemory, ChunkStore};
+use catfish::rtree::codec::{CodecError, RemoteLayout};
 use catfish::simnet::{now, Network, Sim, SimDuration};
 
 /// ChunkMemory adapter over a registered region with torn-write windows.
@@ -18,7 +19,7 @@ struct Arena {
     window: SimDuration,
 }
 
-impl catfish::rtree::chunk::ChunkMemory for Arena {
+impl ChunkMemory for Arena {
     fn len(&self) -> usize {
         self.mr.len()
     }
@@ -34,7 +35,7 @@ impl catfish::rtree::chunk::ChunkMemory for Arena {
 async fn remote_get(qp: &QueuePair, rkey: u32, layout: BpLayout, key: u64) -> Option<u64> {
     let meta = loop {
         let bytes = qp.read(rkey, 0, layout.chunk_bytes()).await.expect("mr");
-        match decode_meta(&layout, &bytes) {
+        match layout.decode_meta(&bytes) {
             Ok((m, _)) => break m,
             Err(CodecError::TornRead { .. }) => continue,
             Err(e) => panic!("corrupt meta: {e}"),
@@ -75,7 +76,8 @@ fn main() {
         let server_ep = Endpoint::new(&net, net.add_node(profile.link), profile.rdma);
         let client_ep = Endpoint::new(&net, net.add_node(profile.link), RdmaProfile::default());
 
-        // Server: a B+-tree in a registered arena.
+        // Server: a B+-tree in a registered arena — the R-tree's chunk
+        // store, under the B+ chunk format.
         let layout = BpLayout::for_max_keys(64);
         let mr = MemoryRegion::new(layout.arena_bytes(4096), 42);
         server_ep.register(mr.clone());
@@ -83,10 +85,7 @@ fn main() {
             mr,
             window: SimDuration::from_micros(2),
         };
-        let mut tree = BpTree::new(
-            BpChunkStore::new(arena, layout),
-            BpConfig::with_max_keys(64),
-        );
+        let mut tree = BpTree::new(ChunkStore::new(arena, layout), BpConfig::with_max_keys(64));
         for k in 0..50_000u64 {
             tree.insert(k * 3, k);
         }
