@@ -142,29 +142,21 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkStore<M, C> {
         // every node slot line-aligned (the registered-memory backing
         // asserts its base alignment; see `catfish_rdma::MemoryRegion`).
         debug_assert_eq!(layout.chunk_bytes() % LINE_BYTES, 0);
-        let mut store = Self::with_state(mem, layout, vec![0; capacity], 1, Vec::new());
-        store.persist_meta();
-        store
-    }
-
-    fn with_state(mem: M, layout: C, versions: Vec<u64>, next: u32, free: Vec<u32>) -> Self {
-        let mut is_free = vec![false; versions.len()];
-        for &f in &free {
-            is_free[f as usize] = true;
-        }
-        ChunkStore {
+        let mut store = ChunkStore {
             mem,
             layout,
-            is_free,
-            live: (next as usize - 1) - free.len(),
-            versions,
-            free,
-            next,
+            versions: vec![0; capacity],
+            free: Vec::new(),
+            is_free: vec![false; capacity],
+            next: 1,
+            live: 0,
             meta: TreeMeta::default(),
             scratch: RefCell::new(Vec::new()),
             lane_scratch: RefCell::new(Vec::new()),
             write_buf: Vec::new(),
-        }
+        };
+        store.persist_meta();
+        store
     }
 
     /// The chunk layout in use.
@@ -205,12 +197,11 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkStore<M, C> {
         if free.iter().any(|&f| f == 0 || f >= next) {
             return Err("free list references out-of-range chunks");
         }
-        let mut seen = vec![false; next as usize];
-        if free
-            .iter()
-            .any(|&f| std::mem::replace(&mut seen[f as usize], true))
-        {
-            return Err("free list repeats a chunk");
+        let mut is_free = vec![false; capacity];
+        for &f in &free {
+            if std::mem::replace(&mut is_free[f as usize], true) {
+                return Err("free list repeats a chunk");
+            }
         }
         let mut versions = vec![0u64; capacity];
         let mut line0 = [0u8; 8];
@@ -218,12 +209,25 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkStore<M, C> {
             mem.read_into(layout.node_offset(NodeId(i as u32)), &mut line0);
             *v = u64::from_le_bytes(line0);
         }
-        let (meta, _) = mem
-            .with_bytes(0, layout.chunk_bytes(), |chunk| layout.decode_meta(chunk))
+        let mut buf = vec![0u8; layout.chunk_bytes()];
+        mem.read_into(0, &mut buf);
+        let (meta, _) = layout
+            .decode_meta(&buf)
             .map_err(|_| "metadata chunk does not decode")?;
-        let mut store = Self::with_state(mem, layout, versions, next, free);
-        store.meta = meta;
-        Ok(store)
+        let live = (next as usize - 1) - free.len();
+        Ok(ChunkStore {
+            mem,
+            layout,
+            versions,
+            free,
+            is_free,
+            next,
+            live,
+            meta,
+            scratch: RefCell::new(Vec::new()),
+            lane_scratch: RefCell::new(Vec::new()),
+            write_buf: Vec::new(),
+        })
     }
 
     /// Reads and decodes the chunk at `id` without panicking on errors.
