@@ -28,7 +28,7 @@ fn main() {
         trace: TraceSpec::search_only(ScaleDist::small(), args.requests.max(1_500)),
         tree_config: paper_tree_config(),
         seed: args.seed,
-        collect_adaptive_events: true,
+        collect_spans: true,
         ..ExperimentSpec::default()
     };
     args.apply_faults(&mut spec);

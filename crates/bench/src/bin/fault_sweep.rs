@@ -105,8 +105,9 @@ fn run_cell(cell: &Cell, args: &BenchArgs, size: usize, ops: usize, shards: usiz
     })
 }
 
-/// Flight-recorder smoke: every client-side timeout and CRC failure must
-/// have produced an annotated dump, and once a connection has warmed up
+/// Flight-recorder smoke: every client-side timeout, CRC failure and
+/// stale-heartbeat window must have produced an annotated dump, and once
+/// a connection has warmed up
 /// (its event ring reached 32 entries — the ring never shrinks, so
 /// per-connection history depth is monotone) every later dump must carry
 /// that ≥32-event history. Returns (timeout_dumps, crc_dumps) for the
@@ -122,6 +123,11 @@ fn check_flight(r: &CellResult) -> (u64, u64) {
         .iter()
         .filter(|d| d.anomaly == Anomaly::ChecksumFailure)
         .count() as u64;
+    let stale_dumps = r
+        .flight
+        .iter()
+        .filter(|d| matches!(d.anomaly, Anomaly::StaleHeartbeat { .. }))
+        .count() as u64;
     // stats.flight_dumps counts every fired dump (including any dropped
     // past the retention cap); the per-anomaly equalities only hold when
     // nothing was dropped — always the case at sweep scale.
@@ -135,6 +141,11 @@ fn check_flight(r: &CellResult) -> (u64, u64) {
             crc_dumps, r.client_crc,
             "{}: {} client CRC failures but {} checksum flight dumps",
             r.label, r.client_crc, crc_dumps
+        );
+        assert_eq!(
+            stale_dumps, r.stats.stale_heartbeat_windows,
+            "{}: {} stale-heartbeat windows but {} stale flight dumps",
+            r.label, r.stats.stale_heartbeat_windows, stale_dumps
         );
     }
     let mut warm: std::collections::HashMap<(u32, u32), bool> = std::collections::HashMap::new();

@@ -73,7 +73,7 @@ fn run_cell(
         trace,
         tree_config: paper_tree_config(),
         seed: args.seed,
-        collect_adaptive_events: hot,
+        collect_spans: hot,
         ..ExperimentSpec::default()
     };
     let result = run_experiment(&spec);

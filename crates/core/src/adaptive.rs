@@ -10,7 +10,9 @@ use rand::{Rng, SeedableRng};
 use catfish_simnet::{now, SimDuration, SimTime};
 
 use crate::config::AdaptiveParams;
-use crate::obs::{AdaptiveEvent, AdaptiveEventLog, RouteChoice};
+use crate::obs::{
+    AdaptiveEvent, AdaptiveEventLog, Anomaly, FlightEvent, FlightRecorder, RouteChoice,
+};
 use crate::service::HeartbeatInfo;
 
 /// EWMA weight given to the previous response-size estimate when a new
@@ -60,8 +62,9 @@ pub struct AdaptiveState {
     /// ([`AdaptiveParams::stale_recovery_intervals`]).
     fresh_streak: u32,
     rng: StdRng,
-    /// Optional structured event timeline ([`AdaptiveState::set_event_log`]).
-    events: Option<AdaptiveEventLog>,
+    /// The connection's recorder: every decision step enters it as a
+    /// [`FlightEvent::Adaptive`] entry.
+    flight: FlightRecorder,
     /// Most recent utilization figure (kept even after `u_serv` is
     /// consumed) — gates the fetch regime: fetching only pays off while
     /// the server NIC-initiation budget is actually contended.
@@ -83,8 +86,15 @@ pub struct AdaptiveState {
 impl AdaptiveState {
     /// Creates the state with a seeded RNG. The heartbeat-consumption
     /// phase is randomized across one interval so independent clients do
-    /// not escalate and reset in lockstep.
+    /// not escalate and reset in lockstep. Decision steps go to a recorder
+    /// of its own; see [`AdaptiveState::with_recorder`].
     pub fn new(params: AdaptiveParams, seed: u64) -> Self {
+        Self::with_recorder(params, seed, FlightRecorder::new())
+    }
+
+    /// [`AdaptiveState::new`] recording into `flight`, the recorder of the
+    /// connection this state decides for.
+    pub fn with_recorder(params: AdaptiveParams, seed: u64, flight: FlightRecorder) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let inv = params.heartbeat_interval.as_nanos().max(1);
         let t0 = catfish_simnet::try_now().unwrap_or(SimTime::ZERO)
@@ -100,7 +110,7 @@ impl AdaptiveState {
             stale_windows: 0,
             fresh_streak: 0,
             rng,
-            events: None,
+            flight,
             last_util: 0.0,
             costs: None,
             ewma_items: 0.0,
@@ -109,17 +119,16 @@ impl AdaptiveState {
         }
     }
 
-    /// Emits every decision step ([`AdaptiveEvent`]) into `log` — use a
-    /// [`AdaptiveEventLog::for_client`] handle so the timeline records
-    /// which client decided. Logging is opt-in and off by default.
+    /// Retains every decision step ([`AdaptiveEvent`]) in `log` through
+    /// the recorder — use a [`AdaptiveEventLog::for_client`] handle so the
+    /// timeline records which client decided. Retention is opt-in and off
+    /// by default.
     pub fn set_event_log(&mut self, log: AdaptiveEventLog) {
-        self.events = Some(log);
+        self.flight.set_event_log(log);
     }
 
     fn emit(&self, event: AdaptiveEvent) {
-        if let Some(log) = &self.events {
-            log.emit(event);
-        }
+        self.flight.note(FlightEvent::Adaptive(event));
     }
 
     /// Records a heartbeat's utilization (in `[0, 1]`).
@@ -232,11 +241,12 @@ impl AdaptiveState {
         );
         if silent > stale_after {
             if !self.stale {
+                // One dump per window, whichever call engaged it.
                 self.stale = true;
                 self.stale_windows += 1;
-                self.emit(AdaptiveEvent::StaleHeartbeat {
-                    silent_ns: silent.as_nanos(),
-                });
+                let silent_ns = silent.as_nanos();
+                self.emit(AdaptiveEvent::StaleHeartbeat { silent_ns });
+                self.flight.anomaly(Anomaly::StaleHeartbeat { silent_ns });
             }
             // Any relapse into silence voids partial recovery progress:
             // the unfreeze streak must be *consecutive* fresh intervals.
@@ -469,6 +479,37 @@ mod tests {
             assert!(!s.decide(), "second consecutive heartbeat: unfrozen");
             assert!(!s.is_stale());
             assert_eq!(s.stale_windows(), 1);
+        });
+    }
+
+    #[test]
+    fn stale_window_dumps_once_whichever_call_engages_it() {
+        let sim = Sim::new();
+        sim.run_until(async {
+            let flight = FlightRecorder::new();
+            let mut s = AdaptiveState::with_recorder(params(), 6, flight.clone());
+            sleep(SimDuration::from_millis(15)).await;
+            s.note_heartbeat(0.1);
+            sleep(SimDuration::from_millis(60)).await;
+            // The failure detector's probe engages the window; the next
+            // decision routes inside it and dumps nothing more.
+            assert!(s.probe_stale());
+            assert!(s.decide());
+            let dumps = flight.dumps();
+            assert_eq!(dumps.len(), 1);
+            assert_eq!(
+                dumps[0].anomaly,
+                Anomaly::StaleHeartbeat {
+                    silent_ns: 60_000_000
+                }
+            );
+            let last = dumps[0].history.last().map(|e| e.event);
+            assert_eq!(
+                last,
+                Some(FlightEvent::Adaptive(AdaptiveEvent::StaleHeartbeat {
+                    silent_ns: 60_000_000
+                }))
+            );
         });
     }
 

@@ -79,17 +79,17 @@ pub struct ExperimentSpec {
     /// unconstrained CPUs. Used by the Fig. 7 polling runs, where client
     /// machines host more threads than cores.
     pub client_polling_cores: Option<usize>,
-    /// Record every client's Algorithm 1 decision steps into
-    /// [`RunResult::adaptive_events`] (heartbeat consumed, band
-    /// escalated/reset, route chosen, with sim timestamps).
-    pub collect_adaptive_events: bool,
-    /// Attach one shared span-retaining [`TraceSink`] to every server and
-    /// client, populating [`RunResult::phase_hists`] with the per-phase
+    /// The one retention switch for a run's traces. Durations are
+    /// [`Phase`]s: one shared span-retaining [`TraceSink`] on every server
+    /// and client populates [`RunResult::phase_hists`] with the per-phase
     /// latency breakdown and [`RunResult::spans`] with the causally linked
     /// records (request roots, per-shard RPC legs, server dispatch and
     /// index-exec spans, offloads, merges) that
     /// [`crate::obs::TraceAssembler`] stitches into per-request trees.
-    /// Spans observe virtual time without advancing it and add nothing to
+    /// Instants are [`crate::obs::FlightEvent`]s in each connection's
+    /// always-on recorder; this switch also retains their Algorithm 1
+    /// steps as [`RunResult::adaptive_events`] through one
+    /// [`AdaptiveEventLog`]. Neither advances virtual time nor adds to
     /// the wire, so enabling this cannot change a run's outcome.
     pub collect_spans: bool,
     /// Fault-injection configuration. When set, one [`FaultPlan`] seeded
@@ -141,7 +141,6 @@ impl Default for ExperimentSpec {
             client_config: None,
             explicit_traces: None,
             client_polling_cores: None,
-            collect_adaptive_events: false,
             collect_spans: false,
             fault: None,
             request_timeout: None,
@@ -198,8 +197,9 @@ pub struct RunResult {
     /// that recorded spans. Populated when
     /// [`ExperimentSpec::collect_spans`] is set; empty otherwise.
     pub phase_hists: Vec<(Phase, LatencyHistogram)>,
-    /// Timeline of adaptive (Algorithm 1) decision events. Populated when
-    /// [`ExperimentSpec::collect_adaptive_events`] is set.
+    /// Timeline of adaptive (Algorithm 1) decision events, the retained
+    /// view of every connection recorder's `Adaptive` entries. Populated
+    /// when [`ExperimentSpec::collect_spans`] is set; empty otherwise.
     pub adaptive_events: Vec<AdaptiveEventRecord>,
     /// Distributed-trace span records across every node in the run.
     /// Populated when [`ExperimentSpec::collect_spans`] is set; empty
@@ -466,7 +466,7 @@ impl<B: ClientBackend + ShardPartition> Testbed<B> {
         if let Some(sink) = &trace_sink {
             cluster.set_trace(sink);
         }
-        let event_log = spec.collect_adaptive_events.then(AdaptiveEventLog::new);
+        let event_log = spec.collect_spans.then(AdaptiveEventLog::new);
 
         // Client machines share NICs.
         let node_count = spec.client_nodes.max(1).min(spec.clients.max(1));

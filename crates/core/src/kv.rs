@@ -18,7 +18,10 @@ use catfish_rtree::{NodeId, TreeMeta};
 use catfish_simnet::SimDuration;
 
 use crate::config::CostModel;
-use crate::msg::{get_repl_env, put_repl_env, MsgError, REPL_ENV_WIRE_BYTES};
+use crate::msg::{
+    get_batch, get_heartbeat, get_repl_env, le_u32, le_u64, put_batch, put_heartbeat, put_repl_env,
+    MsgError, REPL_ENV_WIRE_BYTES,
+};
 use crate::obs::SpanCtx;
 use crate::service::cluster::mix64;
 use crate::service::{
@@ -165,24 +168,13 @@ impl KvMessage {
             }
             KvMessage::Heartbeat { info } => {
                 out.push(TAG_HEARTBEAT);
-                out.extend_from_slice(&info.util_permille.to_le_bytes());
-                out.extend_from_slice(&info.wb_fixed_ns.to_le_bytes());
-                out.extend_from_slice(&info.wb_per_kb_ns.to_le_bytes());
-                out.extend_from_slice(&info.fetch_fixed_ns.to_le_bytes());
-                out.extend_from_slice(&info.fetch_per_kb_ns.to_le_bytes());
+                put_heartbeat(&mut out, info);
             }
             KvMessage::Batch(msgs) => {
                 out.push(TAG_BATCH);
-                out.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
-                for m in msgs {
-                    debug_assert!(
-                        !matches!(m, KvMessage::Batch(_)),
-                        "batch frames must not nest"
-                    );
-                    let inner = m.encode();
-                    out.extend_from_slice(&(inner.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&inner);
-                }
+                put_batch(&mut out, msgs, KvMessage::encode, |m| {
+                    matches!(m, KvMessage::Batch(_))
+                });
             }
             KvMessage::Replicated { env, inner } => {
                 debug_assert!(
@@ -204,16 +196,8 @@ impl KvMessage {
     /// Returns [`MsgError`] on truncation or unknown tags.
     pub fn decode(buf: &[u8]) -> Result<KvMessage, MsgError> {
         let (&tag, rest) = buf.split_first().ok_or(MsgError::Truncated)?;
-        let u32_at = |o: usize| -> Result<u32, MsgError> {
-            rest.get(o..o + 4)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("sized")))
-                .ok_or(MsgError::Truncated)
-        };
-        let u64_at = |o: usize| -> Result<u64, MsgError> {
-            rest.get(o..o + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().expect("sized")))
-                .ok_or(MsgError::Truncated)
-        };
+        let u32_at = |o: usize| le_u32(rest, o);
+        let u64_at = |o: usize| le_u64(rest, o);
         match tag {
             TAG_GET => Ok(KvMessage::GetReq {
                 seq: u32_at(0)?,
@@ -264,43 +248,12 @@ impl KvMessage {
                     status,
                 })
             }
-            TAG_HEARTBEAT => {
-                let b = rest.get(0..2).ok_or(MsgError::Truncated)?;
-                let util_permille = u16::from_le_bytes(b.try_into().expect("sized"));
-                let cost = |o: usize| -> Result<u32, MsgError> {
-                    rest.get(o..o + 4)
-                        .map(|b| u32::from_le_bytes(b.try_into().expect("sized")))
-                        .ok_or(MsgError::Truncated)
-                };
-                Ok(KvMessage::Heartbeat {
-                    info: HeartbeatInfo {
-                        util_permille,
-                        wb_fixed_ns: cost(2)?,
-                        wb_per_kb_ns: cost(6)?,
-                        fetch_fixed_ns: cost(10)?,
-                        fetch_per_kb_ns: cost(14)?,
-                    },
-                })
-            }
-            TAG_BATCH => {
-                let n = u32_at(0)? as usize;
-                if rest.len() < 4usize.saturating_add(n.saturating_mul(4)) {
-                    return Err(MsgError::Truncated);
-                }
-                let mut msgs = Vec::with_capacity(n);
-                let mut at = 4usize;
-                for _ in 0..n {
-                    let len = u32_at(at)? as usize;
-                    let body = rest.get(at + 4..at + 4 + len).ok_or(MsgError::Truncated)?;
-                    let inner = KvMessage::decode(body)?;
-                    if matches!(inner, KvMessage::Batch(_)) {
-                        return Err(MsgError::NestedBatch);
-                    }
-                    msgs.push(inner);
-                    at += 4 + len;
-                }
-                Ok(KvMessage::Batch(msgs))
-            }
+            TAG_HEARTBEAT => Ok(KvMessage::Heartbeat {
+                info: get_heartbeat(rest)?,
+            }),
+            TAG_BATCH => Ok(KvMessage::Batch(get_batch(rest, KvMessage::decode, |m| {
+                matches!(m, KvMessage::Batch(_))
+            })?)),
             TAG_REPLICATED => {
                 let env = get_repl_env(rest)?;
                 let inner = KvMessage::decode(&rest[REPL_ENV_WIRE_BYTES..])?;

@@ -46,6 +46,85 @@ pub(crate) fn get_repl_env(buf: &[u8]) -> Result<ReplEnvelope, MsgError> {
     })
 }
 
+/// The little-endian `u32` at `buf[o..]`, or [`MsgError::Truncated`].
+pub(crate) fn le_u32(buf: &[u8], o: usize) -> Result<u32, MsgError> {
+    let b = buf.get(o..o + 4).ok_or(MsgError::Truncated)?;
+    Ok(u32::from_le_bytes(b.try_into().expect("sized")))
+}
+
+/// The little-endian `u64` at `buf[o..]`, or [`MsgError::Truncated`].
+pub(crate) fn le_u64(buf: &[u8], o: usize) -> Result<u64, MsgError> {
+    let b = buf.get(o..o + 8).ok_or(MsgError::Truncated)?;
+    Ok(u64::from_le_bytes(b.try_into().expect("sized")))
+}
+
+/// Writes a heartbeat frame's body (behind its tag byte): utilization
+/// and the four per-mode serving-cost terms.
+pub(crate) fn put_heartbeat(out: &mut Vec<u8>, info: &HeartbeatInfo) {
+    out.extend_from_slice(&info.util_permille.to_le_bytes());
+    out.extend_from_slice(&info.wb_fixed_ns.to_le_bytes());
+    out.extend_from_slice(&info.wb_per_kb_ns.to_le_bytes());
+    out.extend_from_slice(&info.fetch_fixed_ns.to_le_bytes());
+    out.extend_from_slice(&info.fetch_per_kb_ns.to_le_bytes());
+}
+
+pub(crate) fn get_heartbeat(buf: &[u8]) -> Result<HeartbeatInfo, MsgError> {
+    let b = buf.get(0..2).ok_or(MsgError::Truncated)?;
+    let cost = |o: usize| le_u32(buf, o);
+    Ok(HeartbeatInfo {
+        util_permille: u16::from_le_bytes(b.try_into().expect("sized")),
+        wb_fixed_ns: cost(2)?,
+        wb_per_kb_ns: cost(6)?,
+        fetch_fixed_ns: cost(10)?,
+        fetch_per_kb_ns: cost(14)?,
+    })
+}
+
+/// Writes a batch frame's body (behind its tag byte): the message count,
+/// then each message length-prefixed. Batches must not nest.
+pub(crate) fn put_batch<M>(
+    out: &mut Vec<u8>,
+    msgs: &[M],
+    encode: impl Fn(&M) -> Vec<u8>,
+    is_batch: impl Fn(&M) -> bool,
+) {
+    out.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
+    for m in msgs {
+        debug_assert!(!is_batch(m), "batch frames must not nest");
+        let inner = encode(m);
+        out.extend_from_slice(&(inner.len() as u32).to_le_bytes());
+        out.extend_from_slice(&inner);
+    }
+}
+
+pub(crate) fn get_batch<M>(
+    buf: &[u8],
+    decode: impl Fn(&[u8]) -> Result<M, MsgError>,
+    is_batch: impl Fn(&M) -> bool,
+) -> Result<Vec<M>, MsgError> {
+    let u32_at = |o: usize| le_u32(buf, o);
+    let n = u32_at(0)? as usize;
+    // Validate against the buffer before allocating: each inner message
+    // needs at least its 4-byte length prefix, so a forged count must not
+    // trigger a huge allocation.
+    if buf.len() < 4usize.saturating_add(n.saturating_mul(4)) {
+        return Err(MsgError::Truncated);
+    }
+    let mut msgs = Vec::with_capacity(n);
+    let mut at = 4usize;
+    for _ in 0..n {
+        let len = u32_at(at)? as usize;
+        let body = buf.get(at + 4..at + 4 + len).ok_or(MsgError::Truncated)?;
+        let inner = decode(body)?;
+        if is_batch(&inner) {
+            return Err(MsgError::NestedBatch);
+        }
+        msgs.push(inner);
+        at += 4 + len;
+    }
+    Ok(msgs)
+}
+
 /// A typed ring-buffer message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -234,24 +313,13 @@ impl Message {
             }
             Message::Heartbeat { info } => {
                 out.push(TAG_HEARTBEAT);
-                out.extend_from_slice(&info.util_permille.to_le_bytes());
-                out.extend_from_slice(&info.wb_fixed_ns.to_le_bytes());
-                out.extend_from_slice(&info.wb_per_kb_ns.to_le_bytes());
-                out.extend_from_slice(&info.fetch_fixed_ns.to_le_bytes());
-                out.extend_from_slice(&info.fetch_per_kb_ns.to_le_bytes());
+                put_heartbeat(&mut out, info);
             }
             Message::Batch(msgs) => {
                 out.push(TAG_BATCH);
-                out.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
-                for m in msgs {
-                    debug_assert!(
-                        !matches!(m, Message::Batch(_)),
-                        "batch frames must not nest"
-                    );
-                    let inner = m.encode();
-                    out.extend_from_slice(&(inner.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&inner);
-                }
+                put_batch(&mut out, msgs, Message::encode, |m| {
+                    matches!(m, Message::Batch(_))
+                });
             }
             Message::Replicated { env, inner } => {
                 debug_assert!(
@@ -287,16 +355,8 @@ impl Message {
     /// Returns [`MsgError`] on truncation, unknown tags, or invalid fields.
     pub fn decode(buf: &[u8]) -> Result<Message, MsgError> {
         let (&tag, rest) = buf.split_first().ok_or(MsgError::Truncated)?;
-        let u32_at = |o: usize| -> Result<u32, MsgError> {
-            rest.get(o..o + 4)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("sized")))
-                .ok_or(MsgError::Truncated)
-        };
-        let u64_at = |o: usize| -> Result<u64, MsgError> {
-            rest.get(o..o + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().expect("sized")))
-                .ok_or(MsgError::Truncated)
-        };
+        let u32_at = |o: usize| le_u32(rest, o);
+        let u64_at = |o: usize| le_u64(rest, o);
         match tag {
             TAG_SEARCH => Ok(Message::SearchReq {
                 seq: u32_at(0)?,
@@ -348,11 +408,7 @@ impl Message {
                 })
             }
             TAG_NEAREST => {
-                let f64_at = |o: usize| -> Result<f64, MsgError> {
-                    rest.get(o..o + 8)
-                        .map(|b| f64::from_le_bytes(b.try_into().expect("sized")))
-                        .ok_or(MsgError::Truncated)
-                };
+                let f64_at = |o: usize| u64_at(o).map(f64::from_bits);
                 let (x, y) = (f64_at(4)?, f64_at(12)?);
                 if !x.is_finite() || !y.is_finite() {
                     return Err(MsgError::BadRect);
@@ -364,45 +420,12 @@ impl Message {
                     k: u32_at(20)?,
                 })
             }
-            TAG_HEARTBEAT => {
-                let b = rest.get(0..2).ok_or(MsgError::Truncated)?;
-                let util_permille = u16::from_le_bytes(b.try_into().expect("sized"));
-                let cost = |o: usize| -> Result<u32, MsgError> {
-                    rest.get(o..o + 4)
-                        .map(|b| u32::from_le_bytes(b.try_into().expect("sized")))
-                        .ok_or(MsgError::Truncated)
-                };
-                Ok(Message::Heartbeat {
-                    info: HeartbeatInfo {
-                        util_permille,
-                        wb_fixed_ns: cost(2)?,
-                        wb_per_kb_ns: cost(6)?,
-                        fetch_fixed_ns: cost(10)?,
-                        fetch_per_kb_ns: cost(14)?,
-                    },
-                })
-            }
-            TAG_BATCH => {
-                let n = u32_at(0)? as usize;
-                // Validate against the buffer before allocating: each inner
-                // message needs at least its 4-byte length prefix.
-                if rest.len() < 4usize.saturating_add(n.saturating_mul(4)) {
-                    return Err(MsgError::Truncated);
-                }
-                let mut msgs = Vec::with_capacity(n);
-                let mut at = 4usize;
-                for _ in 0..n {
-                    let len = u32_at(at)? as usize;
-                    let body = rest.get(at + 4..at + 4 + len).ok_or(MsgError::Truncated)?;
-                    let inner = Message::decode(body)?;
-                    if matches!(inner, Message::Batch(_)) {
-                        return Err(MsgError::NestedBatch);
-                    }
-                    msgs.push(inner);
-                    at += 4 + len;
-                }
-                Ok(Message::Batch(msgs))
-            }
+            TAG_HEARTBEAT => Ok(Message::Heartbeat {
+                info: get_heartbeat(rest)?,
+            }),
+            TAG_BATCH => Ok(Message::Batch(get_batch(rest, Message::decode, |m| {
+                matches!(m, Message::Batch(_))
+            })?)),
             TAG_REPLICATED => {
                 let env = get_repl_env(rest)?;
                 let inner = Message::decode(&rest[REPL_ENV_WIRE_BYTES..])?;

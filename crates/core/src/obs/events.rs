@@ -1,22 +1,22 @@
-//! Structured adaptive-decision events.
+//! Structured adaptive-decision events and their retained timeline.
 //!
 //! Algorithm 1's behaviour — heartbeat utilization consumption, busy-band
-//! escalation, back-off draining, and the final fast-vs-offload route —
-//! was previously only visible through aggregate counters. The client's
-//! [`crate::adaptive::AdaptiveState`] can now emit one
-//! [`AdaptiveEventRecord`] per decision step into a shared
-//! [`AdaptiveEventLog`], turning a run into a replayable timeline that
-//! `adaptive_dynamics --metrics-out` writes as JSONL.
+//! escalation, back-off draining, the staleness failsafe and the final
+//! route — is recorded as [`AdaptiveEvent`]s. The one emitter is the
+//! connection's [`crate::obs::FlightRecorder`]: each step enters its ring
+//! as a [`crate::obs::FlightEvent::Adaptive`] entry. An attached
+//! [`AdaptiveEventLog`] is the recorder's retained view of those steps,
+//! one [`AdaptiveEventRecord`] per step, turning a run into a replayable
+//! timeline that `adaptive_dynamics --metrics-out` writes as JSONL.
 //!
-//! Event logging is opt-in per run, off the request hot path (a few
-//! events per adaptive decision), and the satellite tests script it
-//! directly.
+//! Retention is opt-in per run and off the request hot path (a few
+//! events per adaptive decision).
 
 use std::cell::RefCell;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::rc::Rc;
 
-use catfish_simnet::{try_now, SimTime};
+use catfish_simnet::SimTime;
 
 /// The transport a decision routed one operation down — the three-way
 /// generalization of the paper's binary fast-vs-offload choice. `Fast`
@@ -107,6 +107,32 @@ impl AdaptiveEvent {
             AdaptiveEvent::FetchTransition { .. } => "fetch_transition",
         }
     }
+
+    /// Appends the event's fields as `,"name":value` JSON pairs: the one
+    /// field writer behind both [`AdaptiveEventRecord::to_json`] and the
+    /// `Adaptive` entries of a flight dump.
+    pub(crate) fn write_fields(&self, out: &mut String) {
+        let _ = match *self {
+            AdaptiveEvent::HeartbeatConsumed { util } => write!(out, ",\"util\":{util:.4}"),
+            AdaptiveEvent::BandEscalated { r_busy, r_off } => {
+                write!(out, ",\"r_busy\":{r_busy},\"r_off\":{r_off}")
+            }
+            AdaptiveEvent::BusyReset => Ok(()),
+            AdaptiveEvent::StaleHeartbeat { silent_ns } => {
+                write!(out, ",\"silent_ns\":{silent_ns}")
+            }
+            AdaptiveEvent::Route { route } => write!(out, ",\"route\":\"{route}\""),
+            AdaptiveEvent::FetchTransition {
+                entering,
+                ewma_items,
+                threshold_items,
+            } => write!(
+                out,
+                ",\"entering\":{entering},\"ewma_items\":{ewma_items:.2},\
+                 \"threshold_items\":{threshold_items:.2}"
+            ),
+        };
+    }
 }
 
 /// An [`AdaptiveEvent`] stamped with its virtual time, client id, and
@@ -130,38 +156,16 @@ impl AdaptiveEventRecord {
     /// newline). Hand-rolled: every field is numeric or a fixed literal,
     /// so no escaping is needed.
     pub fn to_json(&self) -> String {
-        let head = format!(
+        let mut out = format!(
             "{{\"t_ns\":{},\"client\":{},\"shard\":{},\"event\":\"{}\"",
             self.t.as_nanos(),
             self.client,
             self.shard,
             self.event.kind()
         );
-        match self.event {
-            AdaptiveEvent::HeartbeatConsumed { util } => {
-                format!("{head},\"util\":{util:.4}}}")
-            }
-            AdaptiveEvent::BandEscalated { r_busy, r_off } => {
-                format!("{head},\"r_busy\":{r_busy},\"r_off\":{r_off}}}")
-            }
-            AdaptiveEvent::BusyReset => format!("{head}}}"),
-            AdaptiveEvent::StaleHeartbeat { silent_ns } => {
-                format!("{head},\"silent_ns\":{silent_ns}}}")
-            }
-            AdaptiveEvent::Route { route } => {
-                format!("{head},\"route\":\"{route}\"}}")
-            }
-            AdaptiveEvent::FetchTransition {
-                entering,
-                ewma_items,
-                threshold_items,
-            } => {
-                format!(
-                    "{head},\"entering\":{entering},\"ewma_items\":{ewma_items:.2},\
-                     \"threshold_items\":{threshold_items:.2}}}"
-                )
-            }
-        }
+        self.event.write_fields(&mut out);
+        out.push('}');
+        out
     }
 }
 
@@ -171,11 +175,13 @@ impl fmt::Display for AdaptiveEventRecord {
     }
 }
 
-/// A shared, append-only log of adaptive events for one run.
+/// A shared, append-only Algorithm 1 timeline for one run: the retained
+/// view of the `Adaptive` entries of every connection recorder it is
+/// attached to (`AdaptiveState::set_event_log` attaches it).
 ///
 /// Cloning shares the buffer; [`AdaptiveEventLog::for_client`] stamps a
-/// client id so each client's `AdaptiveState` gets its own handle into
-/// the common timeline.
+/// client id so each client's recorder gets its own handle into the
+/// common timeline.
 #[derive(Debug, Clone, Default)]
 pub struct AdaptiveEventLog {
     events: Rc<RefCell<Vec<AdaptiveEventRecord>>>,
@@ -190,7 +196,7 @@ impl AdaptiveEventLog {
     }
 
     /// A handle onto the same buffer that stamps `client` on every
-    /// event it emits (keeping this handle's shard id).
+    /// event it records (keeping this handle's shard id).
     pub fn for_client(&self, client: u32) -> Self {
         AdaptiveEventLog {
             events: Rc::clone(&self.events),
@@ -200,8 +206,8 @@ impl AdaptiveEventLog {
     }
 
     /// A handle onto the same buffer that stamps `shard` on every event
-    /// it emits (keeping this handle's client id). A cluster client holds
-    /// one per-shard `AdaptiveState`, each wired to
+    /// it records (keeping this handle's client id). A cluster client
+    /// holds one recorder per shard connection, each wired to
     /// `log.for_client(c).for_shard(s)`.
     pub fn for_shard(&self, shard: u32) -> Self {
         AdaptiveEventLog {
@@ -211,40 +217,20 @@ impl AdaptiveEventLog {
         }
     }
 
-    /// Appends an event stamped with the current virtual time (epoch
-    /// outside a simulation) and this handle's client and shard ids.
-    pub fn emit(&self, event: AdaptiveEvent) {
+    /// Appends an event recorded at `t`, stamped with this handle's
+    /// client and shard ids.
+    pub(crate) fn push(&self, t: SimTime, event: AdaptiveEvent) {
         self.events.borrow_mut().push(AdaptiveEventRecord {
-            t: try_now().unwrap_or(SimTime::ZERO),
+            t,
             client: self.client,
             shard: self.shard,
             event,
         });
     }
 
-    /// Number of events logged so far.
-    pub fn len(&self) -> usize {
-        self.events.borrow().len()
-    }
-
-    /// True if no events were logged.
-    pub fn is_empty(&self) -> bool {
-        self.events.borrow().is_empty()
-    }
-
     /// Snapshot of the full timeline in emission order.
     pub fn snapshot(&self) -> Vec<AdaptiveEventRecord> {
         self.events.borrow().clone()
-    }
-
-    /// The timeline as JSONL (one event per line, trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for rec in self.events.borrow().iter() {
-            out.push_str(&rec.to_json());
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -257,10 +243,13 @@ mod tests {
         let log = AdaptiveEventLog::new();
         let c3 = log.for_client(3);
         let c7 = log.for_client(7);
-        c3.emit(AdaptiveEvent::Route {
-            route: RouteChoice::Fast,
-        });
-        c7.emit(AdaptiveEvent::BusyReset);
+        c3.push(
+            SimTime::ZERO,
+            AdaptiveEvent::Route {
+                route: RouteChoice::Fast,
+            },
+        );
+        c7.push(SimTime::ZERO, AdaptiveEvent::BusyReset);
         let events = log.snapshot();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].client, 3);
@@ -272,12 +261,18 @@ mod tests {
         let log = AdaptiveEventLog::new();
         let c2s1 = log.for_client(2).for_shard(1);
         let c2s3 = log.for_client(2).for_shard(3);
-        c2s1.emit(AdaptiveEvent::Route {
-            route: RouteChoice::Offload,
-        });
-        c2s3.emit(AdaptiveEvent::Route {
-            route: RouteChoice::Fast,
-        });
+        c2s1.push(
+            SimTime::ZERO,
+            AdaptiveEvent::Route {
+                route: RouteChoice::Offload,
+            },
+        );
+        c2s3.push(
+            SimTime::ZERO,
+            AdaptiveEvent::Route {
+                route: RouteChoice::Fast,
+            },
+        );
         let events = log.snapshot();
         assert_eq!((events[0].client, events[0].shard), (2, 1));
         assert_eq!((events[1].client, events[1].shard), (2, 3));
@@ -286,26 +281,40 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_one_object_per_line() {
+    fn records_render_as_one_object_each() {
         let log = AdaptiveEventLog::new();
-        log.emit(AdaptiveEvent::HeartbeatConsumed { util: 0.97 });
-        log.emit(AdaptiveEvent::BandEscalated {
-            r_busy: 2,
-            r_off: 11,
-        });
-        log.emit(AdaptiveEvent::Route {
-            route: RouteChoice::Offload,
-        });
-        log.emit(AdaptiveEvent::StaleHeartbeat {
-            silent_ns: 50_000_000,
-        });
-        log.emit(AdaptiveEvent::FetchTransition {
-            entering: true,
-            ewma_items: 120.5,
-            threshold_items: 73.0,
-        });
-        let jsonl = log.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
+        log.push(
+            SimTime::ZERO,
+            AdaptiveEvent::HeartbeatConsumed { util: 0.97 },
+        );
+        log.push(
+            SimTime::ZERO,
+            AdaptiveEvent::BandEscalated {
+                r_busy: 2,
+                r_off: 11,
+            },
+        );
+        log.push(
+            SimTime::ZERO,
+            AdaptiveEvent::Route {
+                route: RouteChoice::Offload,
+            },
+        );
+        log.push(
+            SimTime::ZERO,
+            AdaptiveEvent::StaleHeartbeat {
+                silent_ns: 50_000_000,
+            },
+        );
+        log.push(
+            SimTime::ZERO,
+            AdaptiveEvent::FetchTransition {
+                entering: true,
+                ewma_items: 120.5,
+                threshold_items: 73.0,
+            },
+        );
+        let lines: Vec<String> = log.snapshot().iter().map(|r| r.to_json()).collect();
         assert_eq!(lines.len(), 5);
         assert!(lines[3].contains("\"event\":\"stale_heartbeat\""));
         assert!(lines[3].contains("\"silent_ns\":50000000"));
@@ -329,26 +338,12 @@ mod tests {
         assert_eq!(RouteChoice::Fetch.name(), "fetch");
         assert_eq!(RouteChoice::Offload.name(), "offload");
         let log = AdaptiveEventLog::new();
-        log.emit(AdaptiveEvent::Route {
-            route: RouteChoice::Fetch,
-        });
-        assert!(log.to_jsonl().contains("\"route\":\"fetch\""));
-    }
-
-    #[test]
-    fn events_are_stamped_with_virtual_time() {
-        use catfish_simnet::{sleep, Sim, SimDuration};
-        let sim = Sim::new();
-        sim.run_until(async {
-            let log = AdaptiveEventLog::new();
-            log.emit(AdaptiveEvent::BusyReset);
-            sleep(SimDuration::from_micros(9)).await;
-            log.emit(AdaptiveEvent::BusyReset);
-            let events = log.snapshot();
-            assert_eq!(
-                events[1].t.saturating_duration_since(events[0].t),
-                SimDuration::from_micros(9)
-            );
-        });
+        log.push(
+            SimTime::ZERO,
+            AdaptiveEvent::Route {
+                route: RouteChoice::Fetch,
+            },
+        );
+        assert!(log.snapshot()[0].to_json().contains("\"route\":\"fetch\""));
     }
 }

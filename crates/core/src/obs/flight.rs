@@ -1,29 +1,34 @@
-//! The per-connection flight recorder: a fixed-size ring of recent
-//! protocol and adaptive events, auto-dumped on anomalies.
+//! The per-connection flight recorder: the one emitter of a
+//! connection's discrete events, kept in a fixed-size ring and
+//! auto-dumped on anomalies.
 //!
 //! A tail-latency excursion under a fault plan used to leave no record of
 //! *what the connection was doing* when it happened — counters say a
 //! timeout occurred, not what preceded it. Every [`crate::service::ServiceClient`]
 //! therefore keeps a [`FlightRecorder`]: an **always-on** bounded ring of
-//! the last [`FLIGHT_RING`] protocol events (sends, responses,
-//! retransmits, heartbeats, route decisions). Recording is O(1) per event
-//! with no allocation in steady state and touches no virtual time, so it
+//! the last [`FLIGHT_RING`] events — sends, responses, retransmits and
+//! heartbeats from the protocol, and every Algorithm 1 step
+//! ([`FlightEvent::Adaptive`]) from the connection's
+//! [`crate::adaptive::AdaptiveState`]. Recording is O(1) per event with
+//! no allocation in steady state and touches no virtual time, so it
 //! cannot perturb a run. When an anomaly fires — a timeout, a ring CRC
 //! failure, a receiver resync, a stale-heartbeat failover, or a mailbox
 //! fetch fallback — the recorder snapshots the ring into an annotated
 //! [`FlightDump`], preserving the ≥32 events of history that explain it.
 //!
+//! An attached [`AdaptiveEventLog`] retains every `Adaptive` entry the
+//! ring sees, so the Algorithm 1 timeline is a view of this one stream.
 //! Unlike phase spans, the recorder is always on: it is precisely the
 //! thing one wants running in production builds.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::rc::Rc;
 
 use catfish_simnet::{try_now, SimTime};
 
-use super::events::RouteChoice;
+use super::events::{AdaptiveEvent, AdaptiveEventLog};
 
 /// Capacity of the per-connection event ring. Dump consumers rely on at
 /// least 32 events of pre-anomaly history once a connection has warmed
@@ -34,8 +39,8 @@ pub const FLIGHT_RING: usize = 64;
 /// pathological connection cannot grow without bound.
 const MAX_DUMPS: usize = 256;
 
-/// One routine protocol event in a connection's recent history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One event in a connection's recent history.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlightEvent {
     /// A request frame was posted to the ring.
     Send {
@@ -61,23 +66,39 @@ pub enum FlightEvent {
         /// Advertised server CPU utilization × 1000.
         util_permille: u16,
     },
-    /// Algorithm 1 routed an operation.
-    Route {
-        /// The transport chosen.
-        route: RouteChoice,
-    },
+    /// One Algorithm 1 step: a heartbeat consumed, a band escalated or
+    /// reset, the staleness failsafe engaged, a fetch-regime transition,
+    /// or the route an adaptive read took.
+    Adaptive(AdaptiveEvent),
 }
 
 impl FlightEvent {
-    /// Stable snake_case name used in JSONL output.
+    /// Stable snake_case name used in JSONL output (an `Adaptive` entry
+    /// carries its [`AdaptiveEvent::kind`]).
     pub fn kind(&self) -> &'static str {
         match self {
             FlightEvent::Send { .. } => "send",
             FlightEvent::Recv { .. } => "recv",
             FlightEvent::Retransmit { .. } => "retransmit",
             FlightEvent::HeartbeatRx { .. } => "heartbeat_rx",
-            FlightEvent::Route { .. } => "route",
+            FlightEvent::Adaptive(e) => e.kind(),
         }
+    }
+
+    /// Appends the event's fields as `,"name":value` JSON pairs.
+    fn write_fields(&self, out: &mut String) {
+        let _ = match *self {
+            FlightEvent::Send { seq, bytes } => write!(out, ",\"seq\":{seq},\"bytes\":{bytes}"),
+            FlightEvent::Recv { seq, items } => write!(out, ",\"seq\":{seq},\"items\":{items}"),
+            FlightEvent::Retransmit { seq } => write!(out, ",\"seq\":{seq}"),
+            FlightEvent::HeartbeatRx { util_permille } => {
+                write!(out, ",\"util_permille\":{util_permille}")
+            }
+            FlightEvent::Adaptive(e) => {
+                e.write_fields(out);
+                Ok(())
+            }
+        };
     }
 }
 
@@ -93,8 +114,8 @@ pub enum Anomaly {
     ChecksumFailure,
     /// The receiver resynchronized past a hole in the ring.
     Resync,
-    /// The heartbeat stream went stale and the client failed over to
-    /// offloading.
+    /// The heartbeat stream went stale and the staleness failsafe
+    /// engaged (fired once per window, by the failsafe itself).
     StaleHeartbeat {
         /// Silence at the failover, nanoseconds of virtual time.
         silent_ns: u64,
@@ -103,12 +124,6 @@ pub enum Anomaly {
     FetchFallback {
         /// Request sequence number.
         seq: u32,
-    },
-    /// A hash-range reconciliation pass finished with replicas still
-    /// divergent (the root digests disagreed after the walk).
-    RepairFailed {
-        /// Entries still differing between the replicas after repair.
-        residual: u64,
     },
 }
 
@@ -121,7 +136,6 @@ impl Anomaly {
             Anomaly::Resync => "resync",
             Anomaly::StaleHeartbeat { .. } => "stale_heartbeat",
             Anomaly::FetchFallback { .. } => "fetch_fallback",
-            Anomaly::RepairFailed { .. } => "repair_failed",
         }
     }
 }
@@ -133,7 +147,7 @@ impl fmt::Display for Anomaly {
 }
 
 /// A [`FlightEvent`] stamped with its virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlightEntry {
     /// Virtual instant the event was recorded.
     pub t: SimTime,
@@ -143,7 +157,7 @@ pub struct FlightEntry {
 
 /// One anomaly's annotated history: the anomaly, its connection identity,
 /// and a snapshot of the event ring (oldest first) at the moment it fired.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightDump {
     /// Virtual instant the anomaly fired.
     pub t: SimTime,
@@ -168,43 +182,25 @@ impl FlightDump {
             self.shard,
             self.anomaly.kind()
         );
-        match self.anomaly {
+        let _ = match self.anomaly {
             Anomaly::Timeout { seq } | Anomaly::FetchFallback { seq } => {
-                out.push_str(&format!(",\"seq\":{seq}"));
+                write!(out, ",\"seq\":{seq}")
             }
-            Anomaly::StaleHeartbeat { silent_ns } => {
-                out.push_str(&format!(",\"silent_ns\":{silent_ns}"));
-            }
-            Anomaly::RepairFailed { residual } => {
-                out.push_str(&format!(",\"residual\":{residual}"));
-            }
-            Anomaly::ChecksumFailure | Anomaly::Resync => {}
-        }
+            Anomaly::StaleHeartbeat { silent_ns } => write!(out, ",\"silent_ns\":{silent_ns}"),
+            Anomaly::ChecksumFailure | Anomaly::Resync => Ok(()),
+        };
         out.push_str(",\"history\":[");
         for (i, e) in self.history.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "{{\"t_ns\":{},\"event\":\"{}\"",
                 e.t.as_nanos(),
                 e.event.kind()
-            ));
-            match e.event {
-                FlightEvent::Send { seq, bytes } => {
-                    out.push_str(&format!(",\"seq\":{seq},\"bytes\":{bytes}"));
-                }
-                FlightEvent::Recv { seq, items } => {
-                    out.push_str(&format!(",\"seq\":{seq},\"items\":{items}"));
-                }
-                FlightEvent::Retransmit { seq } => out.push_str(&format!(",\"seq\":{seq}")),
-                FlightEvent::HeartbeatRx { util_permille } => {
-                    out.push_str(&format!(",\"util_permille\":{util_permille}"));
-                }
-                FlightEvent::Route { route } => {
-                    out.push_str(&format!(",\"route\":\"{route}\""));
-                }
-            }
+            );
+            e.event.write_fields(&mut out);
             out.push('}');
         }
         out.push_str("]}");
@@ -219,11 +215,13 @@ struct RecorderInner {
     dropped_dumps: u64,
     client: u32,
     shard: u32,
+    /// Retained view of the `Adaptive` entries, when a run asked for it.
+    timeline: Option<AdaptiveEventLog>,
 }
 
 /// The always-on per-connection flight recorder (cloneable shared
 /// handle). Created by every `ServiceClient`; the ring receiver and the
-/// adaptive layer share the same recorder through clones.
+/// connection's `AdaptiveState` share the same recorder through clones.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
     inner: Rc<RefCell<RecorderInner>>,
@@ -247,17 +245,26 @@ impl FlightRecorder {
         inner.shard = shard;
     }
 
-    /// Records one routine event (O(1), no virtual time touched).
+    /// Retains every future `Adaptive` entry in `log` as well — use a
+    /// [`AdaptiveEventLog::for_client`] handle, whose ids stamp the
+    /// records.
+    pub(crate) fn set_event_log(&self, log: AdaptiveEventLog) {
+        self.inner.borrow_mut().timeline = Some(log);
+    }
+
+    /// Records one event (O(1), no virtual time touched); an `Adaptive`
+    /// event also enters the attached timeline.
     #[inline]
     pub fn note(&self, event: FlightEvent) {
+        let t = try_now().unwrap_or(SimTime::ZERO);
         let mut inner = self.inner.borrow_mut();
         if inner.ring.len() == FLIGHT_RING {
             inner.ring.pop_front();
         }
-        inner.ring.push_back(FlightEntry {
-            t: try_now().unwrap_or(SimTime::ZERO),
-            event,
-        });
+        inner.ring.push_back(FlightEntry { t, event });
+        if let (FlightEvent::Adaptive(e), Some(log)) = (event, &inner.timeline) {
+            log.push(t, e);
+        }
     }
 
     /// Fires an anomaly: snapshots the current ring into an annotated
@@ -301,6 +308,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::RouteChoice;
 
     #[test]
     fn ring_is_bounded_and_dump_preserves_history() {
@@ -330,9 +338,9 @@ mod tests {
     #[test]
     fn burst_of_anomalies_each_snapshot_their_own_history() {
         let rec = FlightRecorder::new();
-        rec.note(FlightEvent::Route {
+        rec.note(FlightEvent::Adaptive(AdaptiveEvent::Route {
             route: RouteChoice::Fast,
-        });
+        }));
         rec.anomaly(Anomaly::ChecksumFailure);
         rec.note(FlightEvent::Retransmit { seq: 1 });
         rec.anomaly(Anomaly::Resync);
@@ -368,5 +376,36 @@ mod tests {
         assert!(json.contains("\"silent_ns\":50000000"));
         assert!(json.contains("\"event\":\"send\""));
         assert!(json.contains("\"util_permille\":512"));
+    }
+
+    #[test]
+    fn adaptive_entries_feed_the_attached_timeline() {
+        use catfish_simnet::{sleep, Sim, SimDuration};
+        let sim = Sim::new();
+        sim.run_until(async {
+            let rec = FlightRecorder::new();
+            let log = AdaptiveEventLog::new();
+            rec.set_event_log(log.for_client(4).for_shard(2));
+            rec.note(FlightEvent::Adaptive(AdaptiveEvent::BusyReset));
+            rec.note(FlightEvent::Send { seq: 1, bytes: 37 });
+            sleep(SimDuration::from_micros(9)).await;
+            rec.note(FlightEvent::Adaptive(AdaptiveEvent::Route {
+                route: RouteChoice::Offload,
+            }));
+            // Protocol events stay in the ring only.
+            assert_eq!(rec.ring_len(), 3);
+            let events = log.snapshot();
+            assert_eq!(events.len(), 2);
+            assert_eq!((events[1].client, events[1].shard), (4, 2));
+            assert_eq!(
+                events[1].t.saturating_duration_since(events[0].t),
+                SimDuration::from_micros(9)
+            );
+            // A dump renders an adaptive entry with the timeline's fields.
+            rec.anomaly(Anomaly::Resync);
+            let json = rec.dumps()[0].to_json();
+            assert!(json.contains("\"event\":\"busy_reset\"}"));
+            assert!(json.ends_with("\"event\":\"route\",\"route\":\"offload\"}]}"));
+        });
     }
 }

@@ -477,7 +477,7 @@ mod tests {
             let got = fast_search(&ch, 1, Rect::new(0.0, 0.0, 0.05, 0.05)).await;
             assert!(!got.is_empty());
             assert_eq!(server.stats().decode_errors, 1);
-            assert!(server.stats().to_string().contains("decode errors 1"));
+            assert!(server.stats().to_string().contains("decode_errors=1 "));
         });
     }
 

@@ -142,13 +142,9 @@ pub struct ServiceClient<B: ClientBackend> {
     /// The operation span currently open (one at a time per client; an
     /// offload→fast fallback nests into the same tree).
     cur_op: Option<OpenSpan>,
-    /// Always-on recorder of recent protocol events, dumped on anomalies.
+    /// Always-on recorder of recent protocol and Algorithm 1 events,
+    /// dumped on anomalies; shared with `ch.rx` and `adaptive`.
     pub(crate) flight: FlightRecorder,
-    /// Virtual instant of the last heartbeat consumed (for annotating
-    /// stale-heartbeat anomalies with the silence length).
-    last_heartbeat: Option<SimTime>,
-    /// Stale-window count already reported to the flight recorder.
-    stale_reported: u64,
 }
 
 impl<B: ClientBackend> std::fmt::Debug for ServiceClient<B> {
@@ -173,10 +169,10 @@ impl<B: ClientBackend> ServiceClient<B> {
             AccessMode::Adaptive(p) => p,
             _ => Default::default(),
         };
-        let mut adaptive = AdaptiveState::new(params, seed);
-        adaptive.set_item_bytes(B::Wire::ITEM_WIRE_BYTES);
         let flight = FlightRecorder::new();
         ch.rx.set_flight(flight.clone());
+        let mut adaptive = AdaptiveState::with_recorder(params, seed, flight.clone());
+        adaptive.set_item_bytes(B::Wire::ITEM_WIRE_BYTES);
         ServiceClient {
             ch,
             cfg,
@@ -192,8 +188,6 @@ impl<B: ClientBackend> ServiceClient<B> {
             trace: TraceSink::default(),
             cur_op: None,
             flight,
-            last_heartbeat: None,
-            stale_reported: 0,
         }
     }
 
@@ -207,8 +201,9 @@ impl<B: ClientBackend> ServiceClient<B> {
         self.trace = sink;
     }
 
-    /// Emits this client's Algorithm 1 decision steps into `log`
-    /// (see [`crate::obs::AdaptiveEventLog`]).
+    /// Retains this client's Algorithm 1 decision steps in `log`, the
+    /// timeline view of its recorder's `Adaptive` entries (see
+    /// [`crate::obs::AdaptiveEventLog`]).
     pub fn set_adaptive_event_log(&mut self, log: crate::obs::AdaptiveEventLog) {
         self.adaptive.set_event_log(log);
     }
@@ -260,25 +255,10 @@ impl<B: ClientBackend> ServiceClient<B> {
     /// — the promotion trigger the replicated cluster client watches.
     /// Time-aware: drains pending heartbeats first, then advances the
     /// failsafe to the current instant, so a silent primary is detected
-    /// even between routing decisions.
+    /// even between routing decisions. A window it engages dumps here.
     pub fn is_stale(&mut self) -> bool {
         self.drain_pending();
         self.adaptive.probe_stale()
-    }
-
-    /// Reports fresh stale-heartbeat failovers (edge-triggered by the
-    /// adaptive layer) to the flight recorder, annotated with how long
-    /// the heartbeat stream had been silent.
-    fn check_stale_heartbeat(&mut self) {
-        let windows = self.adaptive.stale_windows();
-        if windows > self.stale_reported {
-            self.stale_reported = windows;
-            let silent_ns = self
-                .last_heartbeat
-                .map(|at| now().saturating_duration_since(at).as_nanos())
-                .unwrap_or(0);
-            self.flight.anomaly(Anomaly::StaleHeartbeat { silent_ns });
-        }
     }
 
     /// Counters so far, folding in the response-ring integrity counters
@@ -326,7 +306,6 @@ impl<B: ClientBackend> ServiceClient<B> {
     }
 
     fn note_heartbeat(&mut self, info: HeartbeatInfo) {
-        self.last_heartbeat = Some(now());
         self.flight.note(FlightEvent::HeartbeatRx {
             util_permille: info.util_permille,
         });
@@ -353,8 +332,6 @@ impl<B: ClientBackend> ServiceClient<B> {
             AccessMode::Fetching => RouteChoice::Fetch,
             AccessMode::Adaptive(_) => self.adaptive.decide_route(),
         };
-        self.flight.note(FlightEvent::Route { route });
-        self.check_stale_heartbeat();
         let opened = self.op_begin(parent);
         let items = match route {
             RouteChoice::Offload => {

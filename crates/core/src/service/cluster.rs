@@ -35,8 +35,7 @@ use catfish_simnet::{spawn, CpuPool, Network};
 use crate::config::{AccessMode, ClientConfig, ServerConfig};
 use crate::conn::RkeyAllocator;
 use crate::obs::{
-    AdaptiveEventLog, Anomaly, FlightRecorder, OpenSpan, Phase, SpanCtx, SpanStart, TraceSink,
-    SERVER_NODE_BASE,
+    AdaptiveEventLog, OpenSpan, Phase, SpanCtx, SpanStart, TraceSink, SERVER_NODE_BASE,
 };
 use crate::stats::ServiceStats;
 
@@ -445,8 +444,6 @@ pub struct ClusterServer<B: IndexBackend> {
     pump_traces: Vec<(usize, usize, Box<dyn Fn(TraceSink)>)>,
     /// Cluster-level span recorder for repair traces.
     trace: RefCell<TraceSink>,
-    /// Failed reconciliations dump here.
-    repair_flight: FlightRecorder,
 }
 
 impl<B: IndexBackend> std::fmt::Debug for ClusterServer<B> {
@@ -607,7 +604,6 @@ impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B> {
             map,
             pump_traces,
             trace: RefCell::default(),
-            repair_flight: FlightRecorder::new(),
         }
     }
 }
@@ -699,12 +695,6 @@ impl<B: IndexBackend> ClusterServer<B> {
         }
         total
     }
-
-    /// Anomaly dumps from failed reconciliations (see
-    /// [`ClusterServer::repair_replica`]).
-    pub fn repair_flight_dumps(&self) -> Vec<crate::obs::FlightDump> {
-        self.repair_flight.dumps()
-    }
 }
 
 /// Entries per leaf range in the reconciliation walk: once a range's
@@ -772,11 +762,6 @@ impl<B: IndexBackend + RangeDigest> ClusterServer<B> {
         let root_a = auth.with_index(|ix| ix.digest_range(0, u64::MAX));
         let root_l = lag.with_index(|ix| ix.digest_range(0, u64::MAX));
         report.converged = root_a == root_l;
-        if !report.converged {
-            self.repair_flight.anomaly(Anomaly::RepairFailed {
-                residual: root_a.0 ^ root_l.0,
-            });
-        }
 
         // Repair shows up in traces like a scattered read: one root with a
         // merge child, stamped under the cluster's own recorder.

@@ -9,8 +9,10 @@ use catfish_simnet::SimDuration;
 /// `name: "help", fold;` where `fold` says whether
 /// [`ServiceStats::fold_server`] adds the server's value into a client
 /// snapshot. The table generates the struct (the help text is each field's
-/// doc), [`ServiceStats::merge`], [`ServiceStats::fold_server`], and
-/// [`ServiceStats::counters`], which the metrics export walks.
+/// doc), [`ServiceStats::merge`], [`ServiceStats::fold_server`],
+/// [`ServiceStats::counters`], which the metrics export walks, and
+/// `Display`, which prints every counter as `name=value` in table order
+/// followed by the derived figures.
 macro_rules! service_counters {
     ($($name:ident: $help:literal, $fold:literal;)*) => {
         /// Unified operation counters for a Catfish service endpoint.
@@ -50,6 +52,20 @@ macro_rules! service_counters {
             /// declaration order.
             pub fn counters(&self) -> Vec<(&'static str, &'static str, u64)> {
                 vec![$((stringify!($name), $help, self.$name),)*]
+            }
+        }
+
+        impl fmt::Display for ServiceStats {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                $(write!(f, concat!(stringify!($name), "={} "), self.$name)?;)*
+                write!(
+                    f,
+                    "({:.1}% offloaded, dominant {}, {:.1} msgs/batch, mean repl lag {})",
+                    self.offload_fraction() * 100.0,
+                    self.dominant_transport(),
+                    self.msgs_per_batch(),
+                    self.mean_repl_lag(),
+                )
             }
         }
     };
@@ -146,45 +162,6 @@ impl ServiceStats {
     }
 }
 
-impl fmt::Display for ServiceStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fast {} / fetched {} / offloaded {} ({:.1}% offloaded, dominant {}), torn retries {}, \
-             restarts {}, cache hits {}, batches {} ({:.1} msgs/batch), merged writes {}, \
-             deposits {} (fallbacks {}, reclaims {}), decode errors {}, timeouts {}, \
-             retransmits {}, dup drops {}, checksum failures {}, resyncs {}, stale hb windows {}, \
-             flight dumps {}, repl forwards {} (fenced {}, dups {}, mean lag {})",
-            self.fast_reads,
-            self.fetched_reads,
-            self.offloaded_reads,
-            self.offload_fraction() * 100.0,
-            self.dominant_transport(),
-            self.torn_retries,
-            self.offload_restarts,
-            self.cache_hits,
-            self.batches_sent,
-            self.msgs_per_batch(),
-            self.merged_writes,
-            self.fetched_responses,
-            self.fetch_fallbacks,
-            self.mailbox_reclaims,
-            self.decode_errors,
-            self.timeouts,
-            self.retransmits,
-            self.dup_drops,
-            self.checksum_failures,
-            self.resyncs,
-            self.stale_heartbeat_windows,
-            self.flight_dumps,
-            self.repl_forwards,
-            self.repl_fenced,
-            self.repl_dups,
-            self.mean_repl_lag(),
-        )
-    }
-}
-
 /// Summary statistics over a set of latency samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencySummary {
@@ -275,7 +252,9 @@ mod tests {
         assert_eq!(a.repl_fenced, 2);
         assert_eq!(a.repl_dups, 1);
         assert_eq!(a.mean_repl_lag(), SimDuration::from_nanos(2_000));
-        assert!(a.to_string().contains("repl forwards 4 (fenced 2, dups 1"));
+        assert!(a
+            .to_string()
+            .contains("repl_forwards=4 repl_fenced=2 repl_dups=1 "));
     }
 
     #[test]
@@ -307,7 +286,7 @@ mod tests {
     fn empty_service_stats_display_is_sane() {
         let s = ServiceStats::default();
         assert_eq!(s.offload_fraction(), 0.0);
-        assert!(s.to_string().contains("fast 0"));
+        assert!(s.to_string().contains("fast_reads=0 "));
         assert_eq!(s.dominant_transport(), "-");
     }
 

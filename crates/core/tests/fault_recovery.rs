@@ -10,11 +10,11 @@
 use catfish_core::config::{AccessMode, AdaptiveParams, ClientConfig, ServerConfig, ServerMode};
 use catfish_core::conn::RkeyAllocator;
 use catfish_core::server::CatfishServer;
-use catfish_core::CatfishClient;
+use catfish_core::{Anomaly, CatfishClient};
 use catfish_rdma::profile::infiniband_100g;
 use catfish_rdma::{Endpoint, FaultConfig, FaultPlan, RdmaProfile};
 use catfish_rtree::{RTreeConfig, Rect};
-use catfish_simnet::{now, Network, Sim, SimDuration};
+use catfish_simnet::{now, sleep, Network, Sim, SimDuration};
 use proptest::prelude::*;
 
 /// Ids far above the pre-loaded dataset, so occurrence counts are exact.
@@ -264,5 +264,75 @@ fn faults_are_isolated_to_the_faulty_connection() {
             faulty.stats().timeouts > 0 || plan.counters().total() == 0,
             "the faulty connection should have observed its faults"
         );
+    });
+}
+
+/// Probes `client`'s failsafe once per millisecond (one heartbeat
+/// interval, so resumed heartbeats count as consecutive fresh intervals)
+/// for `ms` milliseconds; returns whether it holds at the end.
+async fn probe_for(client: &mut CatfishClient, ms: u64) -> bool {
+    for _ in 0..ms {
+        sleep(SimDuration::from_millis(1)).await;
+        client.is_stale();
+    }
+    client.is_stale()
+}
+
+/// A stale heartbeat window engaged by the failure detector's probe
+/// (`is_stale`), with no read in between, still dumps exactly once: the
+/// failsafe fires the anomaly where it engages, not a later read. The
+/// server's heartbeats are suppressed twice, each time after the client
+/// has heard it, so two windows open and two dumps must match them.
+#[test]
+fn stale_windows_engaged_by_probes_dump_once_each() {
+    let sim = Sim::new();
+    sim.run_until(async move {
+        let (net, server) = build(2, 2_000);
+        server.start_heartbeats();
+        let profile = infiniband_100g();
+        let ep = Endpoint::new(&net, net.add_node(profile.link), RdmaProfile::default());
+        let ch = server.accept(&ep);
+        let mut client = CatfishClient::new(ch, server.remote_handle(), retry_config(), 21);
+        let silence = FaultPlan::new(
+            FaultConfig {
+                suppress_heartbeat: 1.0,
+                ..FaultConfig::off()
+            },
+            21,
+        );
+        assert!(
+            !probe_for(&mut client, 5).await,
+            "fresh heartbeats: no failsafe"
+        );
+        for _ in 0..2 {
+            // Silence the server for well over 5 intervals, then let it
+            // resume.
+            server.endpoint().set_fault_plan(Some(silence.clone()));
+            assert!(
+                probe_for(&mut client, 12).await,
+                "12 ms of silence engages the failsafe"
+            );
+            server.endpoint().set_fault_plan(None);
+            assert!(
+                !probe_for(&mut client, 5).await,
+                "resumed heartbeats release it"
+            );
+        }
+
+        let windows = client.stats().stale_heartbeat_windows;
+        let dumps: Vec<_> = client
+            .flight()
+            .dumps()
+            .into_iter()
+            .filter_map(|d| match d.anomaly {
+                Anomaly::StaleHeartbeat { silent_ns } => Some(silent_ns),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(windows, 2, "two silences, two windows");
+        assert_eq!(dumps.len() as u64, windows, "one dump per stale window");
+        for silent_ns in dumps {
+            assert!(silent_ns > 5_000_000, "dumped silence {silent_ns} ns");
+        }
     });
 }

@@ -360,9 +360,9 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkArena for ChunkStore<M, C> {
     }
 
     fn alloc(&mut self) -> NodeId {
-        self.live += 1;
         if let Some(i) = self.free.pop() {
             self.is_free[i as usize] = false;
+            self.live += 1;
             return NodeId(i);
         }
         assert!(
@@ -372,6 +372,7 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkArena for ChunkStore<M, C> {
         );
         let id = NodeId(self.next);
         self.next += 1;
+        self.live += 1;
         self.write(id, &C::Node::default());
         id
     }
@@ -563,6 +564,17 @@ mod tests {
         let mut s = store_with(2); // meta + 1 node
         let _ = s.alloc();
         let _ = s.alloc();
+    }
+
+    #[test]
+    fn exhaustion_leaves_node_count_unchanged() {
+        let mut s = store_with(3); // meta + 2 nodes
+        let _ = s.alloc();
+        let _ = s.alloc();
+        assert_eq!(s.node_count(), 2);
+        let full = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.alloc()));
+        assert!(full.is_err(), "a full arena must refuse to allocate");
+        assert_eq!(s.node_count(), 2);
     }
 
     #[test]
