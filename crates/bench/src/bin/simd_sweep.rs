@@ -9,10 +9,9 @@
 //!    branchless `window_hits` bitmask) — the code the chunk store now
 //!    runs on every server-side search. Gate: **> 2x** speedup.
 //! 2. **End-to-end throughput at 64 clients** (simulated): the R-tree
-//!    service before this PR's server-side changes (polling workers,
-//!    one doorbell per response write) versus after (adaptive
-//!    spin → yield → block workers, merged response doorbells). Gate:
-//!    the optimized configuration must gain throughput.
+//!    service with polling workers versus adaptive spin → yield → block
+//!    workers; both post one doorbell per response batch. Gate: the
+//!    optimized configuration must gain throughput.
 //!
 //! A failed gate prints the offending numbers and exits nonzero, so CI
 //! can hold the line. Results go to stdout and `BENCH_simd.json`.
@@ -23,7 +22,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use catfish_bench::{banner, paper_tree_config, timed, BenchArgs};
-use catfish_core::config::{AccessMode, ClientConfig, Scheme, ServerConfig, ServerMode};
+use catfish_core::config::{AccessMode, ClientConfig, Scheme, ServerMode};
 use catfish_core::harness::{ExperimentSpec, Testbed};
 use catfish_core::LatencyHistogram;
 use catfish_rdma::FaultConfig;
@@ -49,7 +48,6 @@ struct VisitBench {
 struct E2eCell {
     label: &'static str,
     mode: ServerMode,
-    merge_writes: bool,
     kops: f64,
     mean_ns: u64,
     p99_ns: u64,
@@ -59,7 +57,7 @@ fn main() {
     let args = BenchArgs::parse();
     banner(
         "SIMD sweep",
-        "SoA node layout, merged doorbells, adaptive spin: before/after gates",
+        "SoA node layout, adaptive spin: before/after gates",
     );
 
     // --- Gate 1: node-visit microbench -----------------------------------
@@ -77,20 +75,12 @@ fn main() {
         "\ne2e: {rects} rects, {E2E_CLIENTS} clients x {requests} searches, windows of {WINDOW}"
     );
     let baseline = timed("e2e baseline", || {
-        run_e2e(
-            "baseline",
-            ServerMode::Polling,
-            false,
-            rects,
-            requests,
-            args.seed,
-        )
+        run_e2e("baseline", ServerMode::Polling, rects, requests, args.seed)
     });
     let optimized = timed("e2e optimized", || {
         run_e2e(
             "optimized",
             ServerMode::AdaptiveSpin,
-            true,
             rects,
             requests,
             args.seed,
@@ -99,10 +89,9 @@ fn main() {
     let gain_pct = (optimized.kops / baseline.kops - 1.0) * 100.0;
     for c in [&baseline, &optimized] {
         println!(
-            "  {:<10} {:?} merge={:<5} {:>10.1} Kops  mean {:>9.2}us  p99 {:>9.2}us",
+            "  {:<10} {:?} {:>10.1} Kops  mean {:>9.2}us  p99 {:>9.2}us",
             c.label,
             c.mode,
-            c.merge_writes,
             c.kops,
             c.mean_ns as f64 / 1e3,
             c.p99_ns as f64 / 1e3,
@@ -199,7 +188,6 @@ fn node_visit_bench() -> VisitBench {
 fn run_e2e(
     label: &'static str,
     mode: ServerMode,
-    merge_writes: bool,
     rects: usize,
     requests: usize,
     seed: u64,
@@ -209,10 +197,6 @@ fn run_e2e(
         clients: E2E_CLIENTS,
         client_nodes: 8,
         dataset: catfish_workload::uniform_rects(rects, 1e-4, seed),
-        server: ServerConfig {
-            merge_writes,
-            ..ServerConfig::default()
-        },
         server_mode: Some(mode),
         tree_config: paper_tree_config(),
         seed,
@@ -268,7 +252,6 @@ fn run_e2e(
         E2eCell {
             label,
             mode,
-            merge_writes,
             kops: summary.count as f64 / makespan.as_secs_f64() / 1e3,
             mean_ns: summary.mean.as_nanos(),
             p99_ns: summary.p99.as_nanos(),
@@ -286,9 +269,9 @@ fn render_json(
 ) -> String {
     let cell = |c: &E2eCell| {
         format!(
-            "{{\"label\": \"{}\", \"server_mode\": \"{:?}\", \"merge_writes\": {}, \
-             \"kops\": {:.2}, \"mean_ns\": {}, \"p99_ns\": {}}}",
-            c.label, c.mode, c.merge_writes, c.kops, c.mean_ns, c.p99_ns
+            "{{\"label\": \"{}\", \"server_mode\": \"{:?}\", \"kops\": {:.2}, \
+             \"mean_ns\": {}, \"p99_ns\": {}}}",
+            c.label, c.mode, c.kops, c.mean_ns, c.p99_ns
         )
     };
     format!(

@@ -148,11 +148,6 @@ pub struct ServerConfig {
     /// maximum response frames coalesced into one doorbell. 1 disables
     /// batching (every frame pays its own dispatch and post).
     pub max_batch: usize,
-    /// Merge adjacent response-ring writes into one doorbell
-    /// (RDMAbox-style): concurrent sends on a connection's response ring
-    /// stage their frames and the first sender to win the append lock
-    /// posts them all with a single Write-with-Immediate.
-    pub merge_writes: bool,
     /// Slots in each client's result mailbox (0 disables mailboxes — no
     /// per-client region is registered and fetch-mode clients fall back
     /// to write-back). Storm-style frugality: the per-client server
@@ -182,7 +177,6 @@ impl Default for ServerConfig {
             ring_capacity: 256 * 1024,
             response_segment_results: 1000,
             max_batch: 16,
-            merge_writes: true,
             mailbox_slots: 16,
             mailbox_slot_bytes: 16 * 1024,
             dedup_window: 1024,

@@ -51,7 +51,6 @@
 //! happy path is untouched.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::pin::pin;
 use std::rc::Rc;
 
@@ -102,17 +101,6 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// A staged frame's completion cell: `None` until a flusher posts (or
-/// fails) the frame, then the result its sender returns.
-type SendTicket = Rc<Cell<Option<Result<(), SendError>>>>;
-
-/// One frame parked in the merge-staging queue: its wire image and the
-/// completion cell its sender is waiting on.
-struct StagedFrame {
-    bytes: Vec<u8>,
-    done: SendTicket,
-}
-
 struct SenderShared {
     qp: QueuePair,
     ring_rkey: u32,
@@ -124,16 +112,6 @@ struct SenderShared {
     /// Set when the receiving peer departs; senders drop messages instead
     /// of writing into a ring nobody will ever drain.
     closed: Rc<Cell<bool>>,
-    /// Doorbell merging (RDMAbox-style): when set, concurrent [`RingSender::send`]
-    /// calls stage their frames and the first sender to win the lock posts
-    /// every staged frame as one contiguous Write-with-Immediate.
-    merge: Cell<bool>,
-    /// Frames awaiting a flush while merging is on (FIFO: staging order is
-    /// wire order).
-    staged: RefCell<VecDeque<StagedFrame>>,
-    /// Frames that rode another sender's doorbell instead of paying for
-    /// their own (diagnostics; see [`RingSender::merged_writes`]).
-    merged_writes: Cell<u64>,
     /// Span sink + phase each send is attributed to (None: untraced).
     trace: RefCell<Option<(TraceSink, Phase)>>,
 }
@@ -213,9 +191,6 @@ impl RingSender {
                 processed_cell,
                 lock: Semaphore::new(1),
                 closed: Rc::new(Cell::new(false)),
-                merge: Cell::new(false),
-                staged: RefCell::new(VecDeque::new()),
-                merged_writes: Cell::new(0),
                 trace: RefCell::new(None),
             }),
         }
@@ -240,28 +215,6 @@ impl RingSender {
             .borrow()
             .as_ref()
             .map(|(s, p)| (s.clone(), *p, s.begin()))
-    }
-
-    /// Enables (or disables) RDMAbox-style doorbell merging for this
-    /// direction. With merging on, concurrent [`RingSender::send`] calls
-    /// stage their frames in arrival order and the first sender to win the
-    /// append lock writes **all** staged frames contiguously with a single
-    /// RDMA Write-with-Immediate — adjacent ring writes share one doorbell
-    /// ring, one NIC message, and one receiver wakeup. Off (the default),
-    /// every `send` posts its own write, today's behavior.
-    pub fn set_merge(&self, on: bool) {
-        self.shared.merge.set(on);
-    }
-
-    /// Whether doorbell merging is enabled ([`RingSender::set_merge`]).
-    pub fn merge_enabled(&self) -> bool {
-        self.shared.merge.get()
-    }
-
-    /// Frames that rode another sender's doorbell instead of posting their
-    /// own write (only advances while merging is enabled).
-    pub fn merged_writes(&self) -> u64 {
-        self.shared.merged_writes.get()
     }
 
     /// A handle for marking this direction's receiver as departed.
@@ -308,14 +261,12 @@ impl RingSender {
     /// exponential backoff) while the ring is full. The immediate value
     /// `imm` is delivered with the completion.
     ///
-    /// Concurrent senders are serialized FIFO; message boundaries are
-    /// always preserved. With doorbell merging on
-    /// ([`RingSender::set_merge`]) a send that arrives while another
-    /// sender holds the append lock is staged and written by that sender's
-    /// doorbell instead of posting its own. Returns [`SendError::Closed`]
-    /// (dropping the message) if the peer has departed, and
-    /// [`SendError::Timeout`] if the ring stays full past the give-up
-    /// deadline.
+    /// Concurrent senders are serialized FIFO under the append lock, and
+    /// each posts its own Write-with-Immediate; message boundaries are
+    /// always preserved. To share one doorbell among several frames, use
+    /// [`RingSender::send_batch`]. Returns [`SendError::Closed`] (dropping
+    /// the message) if the peer has departed, and [`SendError::Timeout`]
+    /// if the ring stays full past the give-up deadline.
     ///
     /// # Panics
     ///
@@ -333,28 +284,7 @@ impl RingSender {
             return Err(SendError::Closed);
         }
         let span = self.span_begin();
-        let res = if s.merge.get() {
-            // Stage first, then contend for the lock: whoever wins flushes
-            // the whole queue, so by the time this sender gets the lock
-            // its frame may already be on the wire.
-            let done: SendTicket = Rc::new(Cell::new(None));
-            s.staged.borrow_mut().push_back(StagedFrame {
-                bytes: self.frame(payload),
-                done: Rc::clone(&done),
-            });
-            let _guard = s.lock.acquire().await;
-            match done.get() {
-                Some(res) => {
-                    // Another sender's doorbell carried this frame.
-                    s.merged_writes.set(s.merged_writes.get() + 1);
-                    res
-                }
-                None => {
-                    self.flush_staged(imm).await;
-                    done.get().expect("flusher resolves every staged frame")
-                }
-            }
-        } else {
+        let res = {
             let _guard = s.lock.acquire().await;
             let frame = self.frame(payload);
             self.post(&frame, imm).await
@@ -363,44 +293,6 @@ impl RingSender {
             sink.end(phase, start);
         }
         res
-    }
-
-    /// Posts every staged frame (including frames staged **while** a post
-    /// is in flight — they merge into the next group) as capacity-bounded
-    /// contiguous Write-with-Immediate groups. Caller holds the append
-    /// lock. Every staged frame's completion cell is resolved: with the
-    /// post result for frames in a posted group, or [`SendError::Closed`]
-    /// for frames abandoned after a peer departure.
-    async fn flush_staged(&self, imm: u32) {
-        let s = &*self.shared;
-        let group_cap = (s.capacity / 2) as usize;
-        loop {
-            // Gather the next contiguous group out of the staging queue.
-            let mut group: Vec<u8> = Vec::new();
-            let mut tickets: Vec<SendTicket> = Vec::new();
-            {
-                let mut staged = s.staged.borrow_mut();
-                while let Some(front) = staged.front() {
-                    if !group.is_empty() && group.len() + front.bytes.len() > group_cap {
-                        break;
-                    }
-                    let f = staged.pop_front().expect("front exists");
-                    group.extend_from_slice(&f.bytes);
-                    tickets.push(f.done);
-                }
-            }
-            if tickets.is_empty() {
-                return;
-            }
-            let res = if s.closed.get() {
-                Err(SendError::Closed)
-            } else {
-                self.post(&group, imm).await
-            };
-            for t in &tickets {
-                t.set(Some(res));
-            }
-        }
     }
 
     /// Appends every payload in `payloads` to the remote ring and rings
@@ -967,49 +859,6 @@ mod tests {
             // Frame consumption matches try_pop: the next frame follows.
             assert_eq!(rig.rx.try_pop(), Some(b"second".to_vec()));
             assert_eq!(rig.rx.try_pop_map(|p| p.len()), None);
-        });
-    }
-
-    #[test]
-    fn merged_sends_share_one_doorbell() {
-        let sim = Sim::new();
-        sim.run_until(async {
-            let rig = build_ring(4096);
-            rig.tx.set_merge(true);
-            assert!(rig.tx.merge_enabled());
-            // Concurrent senders: the first wins the append lock and its
-            // doorbell carries every frame staged while it posted.
-            let mut handles = Vec::new();
-            for i in 0..4u8 {
-                let tx = rig.tx.clone();
-                handles.push(spawn(async move { tx.send(&[i; 16], 0).await }));
-            }
-            for h in handles {
-                h.await.unwrap();
-            }
-            // Staging order is wire order: frames arrive intact, in order.
-            for i in 0..4u8 {
-                assert_eq!(rig.rx.wait_message().await, vec![i; 16]);
-            }
-            assert!(
-                rig.tx.merged_writes() >= 2,
-                "frames staged behind the lock holder should ride its doorbell, got {}",
-                rig.tx.merged_writes()
-            );
-        });
-    }
-
-    #[test]
-    fn merged_sends_fail_cleanly_when_peer_departs() {
-        let sim = Sim::new();
-        sim.run_until(async {
-            let rig = build_ring(4096);
-            rig.tx.set_merge(true);
-            rig.tx.send(b"before close", 0).await.unwrap();
-            rig.tx.liveness().close();
-            assert_eq!(rig.tx.send(b"after", 0).await, Err(SendError::Closed));
-            assert_eq!(rig.rx.try_pop(), Some(b"before close".to_vec()));
-            assert_eq!(rig.rx.try_pop(), None);
         });
     }
 

@@ -352,9 +352,6 @@ impl<B: IndexBackend> ServiceServer<B> {
             st.checksum_failures += rx.checksum_failures();
             st.resyncs += rx.resyncs();
         }
-        for tx in self.inner.heartbeat_targets.borrow().iter() {
-            st.merged_writes += tx.merged_writes();
-        }
         st
     }
 
@@ -403,10 +400,6 @@ impl<B: IndexBackend> ServiceServer<B> {
         self.inner.rings.borrow_mut().push(sc.rx.clone());
         sc.rx
             .set_trace(self.inner.trace.borrow().clone(), Phase::ServerQueue);
-        // RDMAbox-style doorbell merging on the response ring: concurrent
-        // response/heartbeat writes to this client coalesce into one NIC
-        // message per doorbell.
-        sc.tx.set_merge(self.inner.cfg.merge_writes);
         let this = self.clone();
         spawn(async move {
             match this.inner.cfg.mode {
