@@ -230,15 +230,6 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkStore<M, C> {
         })
     }
 
-    /// Reads and decodes the chunk at `id` without panicking on errors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CodecError`] from decoding.
-    pub fn try_read(&self, id: NodeId) -> Result<C::Node, CodecError> {
-        self.try_visit(id, C::Node::clone)
-    }
-
     /// Borrowed read path: decodes the chunk at `id` straight from the
     /// arena bytes ([`ChunkMemory::with_bytes`]) into a pooled node, and
     /// lends the result to `f`.
