@@ -8,8 +8,9 @@
 //!
 //! A transport matrix repeats the off/on comparison across every response
 //! transport — fast-messaging write-back under both event-driven and
-//! adaptive-spin servers, mailbox fetching, and offloaded reads — also
-//! requiring every traced run's spans to assemble into connected trees.
+//! polling servers (the polling row serves on a core its worker already
+//! holds), mailbox fetching, and offloaded reads — also requiring every
+//! traced run's spans to assemble into connected trees.
 //!
 //! Also prints the per-phase latency breakdown from a single-client run
 //! and checks that the request-path phases (ring enqueue, server queue,
@@ -56,9 +57,9 @@ fn matrix_cells(args: &BenchArgs, clients: usize) -> Vec<(&'static str, Experime
             ServerMode::EventDriven,
         ),
         (
-            "write-back/adaptive-spin",
+            "write-back/polling",
             AccessMode::FastMessaging,
-            ServerMode::AdaptiveSpin,
+            ServerMode::Polling,
         ),
         ("fetch/event", AccessMode::Fetching, ServerMode::EventDriven),
         (

@@ -13,15 +13,6 @@ pub enum ServerMode {
     /// Workers block on the completion channel (RDMA Write-with-IMM) and
     /// yield the CPU until a message arrives.
     EventDriven,
-    /// Adaptive spin: a worker polls its ring for a short grace window
-    /// (20 µs) after the last arrival (polling-grade latency while traffic
-    /// flows), releases the core and yields when the grace expires, and
-    /// after two idle turns parks off-CPU on the completion channel
-    /// (re-arming the CQ) until the next message. Keeps hot connections on
-    /// the fast path without Fig. 7's oversubscription collapse: idle
-    /// connections cost no cores. [`ServerMode::Polling`] is the same
-    /// worker with the grace stretched to the whole quantum and no parking.
-    AdaptiveSpin,
 }
 
 /// CPU cost model for server-side request processing.

@@ -44,14 +44,6 @@ use super::{
     ReplEnvelope, WireCodec, WireMessage, FETCH_FLAG, REPL_FENCED,
 };
 
-/// [`ServerMode::AdaptiveSpin`]: how long a worker keeps spinning on its
-/// ring after the last arrival before releasing its core.
-const SPIN_GRACE: SimDuration = SimDuration::from_micros(20);
-
-/// [`ServerMode::AdaptiveSpin`]: consecutive idle spin turns before the
-/// worker parks off-CPU on the completion channel.
-const SPIN_YIELD_ROUNDS: u32 = 2;
-
 /// Duration over which a multi-cache-line node update is remotely visible
 /// as torn (drives version-validation retries in offloading clients).
 const TORN_WRITE_WINDOW: SimDuration = SimDuration::from_micros(2);
@@ -404,14 +396,7 @@ impl<B: IndexBackend> ServiceServer<B> {
         spawn(async move {
             match this.inner.cfg.mode {
                 ServerMode::EventDriven => this.worker_event(sc).await,
-                ServerMode::Polling => {
-                    let quantum = this.inner.cpu.quantum();
-                    this.worker_spin(sc, quantum, None).await
-                }
-                ServerMode::AdaptiveSpin => {
-                    this.worker_spin(sc, SPIN_GRACE, Some(SPIN_YIELD_ROUNDS))
-                        .await
-                }
+                ServerMode::Polling => this.worker_polling(sc).await,
             }
         });
         cc
@@ -556,67 +541,30 @@ impl<B: IndexBackend> ServiceServer<B> {
         }
     }
 
-    /// The spinning worker behind [`ServerMode::Polling`] and
-    /// [`ServerMode::AdaptiveSpin`] (spin → yield → block). Each turn it
-    /// holds a core for at most one scheduling quantum and polls its ring,
-    /// serving batches while messages keep arriving within `grace` of the
-    /// last one; then it releases the core and re-contends, so
-    /// oversubscribed spinners rotate through the run queue. After
-    /// `park_after` consecutive idle turns it parks **off-CPU** on the
-    /// completion channel (CQ re-arm) until the next message.
-    ///
-    /// Polling is the case `grace = quantum`, never parking: the deadline
-    /// is always the turn's end, so the worker occupies its core for the
-    /// whole quantum, busy or not — Fig. 7's collapse once connections
-    /// outnumber cores. Adaptive spin keeps polling-grade pickup latency on
-    /// hot connections while idle ones cost no cores, so piling connections
-    /// onto the server degrades like event-driven instead.
-    async fn worker_spin(&self, ch: ServerChannel, grace: SimDuration, park_after: Option<u32>) {
+    /// The polling worker behind [`ServerMode::Polling`]. Each turn it
+    /// holds a core for one scheduling quantum and serves every batch
+    /// that arrives before the turn ends, busy or not; then it releases
+    /// the core and re-contends, so oversubscribed pollers rotate through
+    /// the run queue and wait a quantum per turn — Fig. 7's collapse once
+    /// connections outnumber cores.
+    async fn worker_polling(&self, ch: ServerChannel) {
         let quantum = self.inner.cpu.quantum();
         let dedup = RefCell::new(DedupWindow::new(self.inner.cfg.dedup_window));
-        let mut idle_turns = 0u32;
         loop {
-            if park_after.is_some_and(|n| idle_turns >= n) {
-                // Blocked phase: no core held while waiting. The CQ wait
-                // models Write-with-IMM event delivery after re-arming.
-                let Some(first) = ch
-                    .rx
-                    .wait_message_map(|payload| self.decode_frame(payload))
-                    .await
-                else {
-                    continue;
-                };
-                let core = self.inner.cpu.acquire().await;
-                self.serve_batch(first, &ch, &dedup, true).await;
-                drop(core);
-                idle_turns = 0;
-                continue;
-            }
             let core = self.inner.cpu.acquire().await;
             let turn_end = now() + quantum;
-            let mut got_any = false;
-            loop {
-                let deadline = (now() + grace).min(turn_end);
-                let Some(decoded) = ch
-                    .rx
-                    .wait_message_until_map(deadline, |payload| self.decode_frame(payload))
-                    .await
-                else {
-                    break;
-                };
+            while let Some(decoded) = ch
+                .rx
+                .wait_message_until_map(turn_end, |payload| self.decode_frame(payload))
+                .await
+            {
                 let Some(first) = decoded else { continue };
-                got_any = true;
                 self.serve_batch(first, &ch, &dedup, true).await;
                 if now() >= turn_end {
                     break;
                 }
             }
             drop(core);
-            idle_turns = if got_any {
-                0
-            } else {
-                idle_turns.saturating_add(1)
-            };
             // Re-contend: with more workers than cores this lands at the
             // back of the run queue (round-robin).
             catfish_simnet::yield_now().await;
@@ -624,7 +572,7 @@ impl<B: IndexBackend> ServiceServer<B> {
     }
 
     /// Drains, executes, and answers one batch starting at `first`: on a
-    /// core the caller already holds (the polling-style workers), or
+    /// core the caller already holds (the polling worker), or
     /// queueing each charge through the pool (the event-driven worker).
     async fn serve_batch(
         &self,

@@ -169,11 +169,7 @@ fn mode_counters_are_consistent_for_both_backends() {
 /// enabled and stay at zero when disabled.
 #[test]
 fn batched_reads_match_sequential_for_both_backends_and_modes() {
-    for server_mode in [
-        ServerMode::EventDriven,
-        ServerMode::Polling,
-        ServerMode::AdaptiveSpin,
-    ] {
+    for server_mode in [ServerMode::EventDriven, ServerMode::Polling] {
         for max_batch in [1usize, 8] {
             let sim = Sim::new();
             sim.run_until(async move {
