@@ -34,11 +34,10 @@ use catfish_simnet::{spawn, CpuPool, Network};
 
 use crate::config::{AccessMode, ClientConfig, ServerConfig};
 use crate::conn::RkeyAllocator;
-use crate::obs::{
-    AdaptiveEventLog, OpenSpan, Phase, SpanCtx, SpanStart, TraceSink, SERVER_NODE_BASE,
-};
+use crate::obs::{AdaptiveEventLog, OpenSpan, Phase, SpanStart, TraceSink, SERVER_NODE_BASE};
 use crate::stats::ServiceStats;
 
+use super::server::ForwardJob;
 use super::{
     ClientBackend, IndexBackend, OpKind, RangeDigest, ReplEnvelope, ServiceClient, ServiceServer,
     WireItem, WireMessage, REPL_FENCED, STATUS_UNACKED,
@@ -382,16 +381,6 @@ pub struct RepairReport {
     pub converged: bool,
 }
 
-/// One forwarding job queued to a backup's pump: the bare mutation, its
-/// envelope, the trace parent of the originating request, and the oneshot
-/// the primary's END awaits.
-struct ForwardJob<B: ClientBackend> {
-    msg: WireMessage<B>,
-    env: ReplEnvelope,
-    parent: Option<SpanCtx>,
-    done: catfish_simnet::sync::OneshotSender<u32>,
-}
-
 /// Per-backup forwarding pump: exclusively owns one ring connection
 /// primary-node → backup and ships queued mutations over it **in order**
 /// (the connection seq + dedup window give the leg exactly-once). One
@@ -433,20 +422,19 @@ async fn forward_pump<B: ClientBackend>(
 /// own cores, own NIC, own registered arena, own heartbeat stream. With
 /// [`ClusterServer::build_replicated`] each shard is a k-way replica set
 /// instead of a single server.
-pub struct ClusterServer<B: IndexBackend> {
+pub struct ClusterServer<B: ClientBackend> {
     /// `sets[shard][replica]`; unreplicated clusters hold one-member sets.
     sets: Vec<Vec<ServiceServer<B>>>,
     ctls: Vec<ReplicaCtl>,
     map: ShardMap,
-    /// Trace installers for the forwarding pump clients, type-erased so
-    /// the struct carries no `ClientBackend` bound: `(shard, replica, f)`.
-    #[allow(clippy::type_complexity)]
-    pump_traces: Vec<(usize, usize, Box<dyn Fn(TraceSink)>)>,
+    /// The forwarding pumps' ring clients, `(shard, sending replica,
+    /// client)`, kept so [`ClusterServer::set_trace`] can reach them.
+    pumps: Vec<(usize, usize, Rc<RefCell<ServiceClient<B>>>)>,
     /// Cluster-level span recorder for repair traces.
     trace: RefCell<TraceSink>,
 }
 
-impl<B: IndexBackend> std::fmt::Debug for ClusterServer<B> {
+impl<B: ClientBackend> std::fmt::Debug for ClusterServer<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterServer")
             .field("shards", &self.sets.len())
@@ -455,7 +443,7 @@ impl<B: IndexBackend> std::fmt::Debug for ClusterServer<B> {
     }
 }
 
-impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B> {
+impl<B: ClientBackend + ShardPartition> ClusterServer<B> {
     /// Builds `shards` unreplicated servers, partitioning `items` with the
     /// backend's [`ShardPartition`]: [`ClusterServer::build_replicated`]
     /// with one member per set. Every shard gets the same `cfg` — each
@@ -484,8 +472,8 @@ impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B> {
     /// of replica 0's (DESIGN.md §9). The whole set
     /// shares one [`ReplicaCtl`]. Between every ordered pair of members a
     /// forwarding pump (a dedicated ring connection plus a queue-draining
-    /// task) is strung, and every member gets the fan-out hook — so
-    /// whichever member is promoted later already has its forwarding
+    /// task) is strung, and every member holds the pumps to its peers —
+    /// so whichever member is promoted later already has its forwarding
     /// plumbing in place.
     ///
     /// With `replicas == 1` there are no pumps and no envelopes.
@@ -509,8 +497,7 @@ impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B> {
         let (parts, map) = B::partition(items, shards);
         let mut sets = Vec::with_capacity(shards);
         let mut ctls = Vec::with_capacity(shards);
-        #[allow(clippy::type_complexity)]
-        let mut pump_traces: Vec<(usize, usize, Box<dyn Fn(TraceSink)>)> = Vec::new();
+        let mut pumps = Vec::new();
         for (i, part) in parts.into_iter().enumerate() {
             let mut set: Vec<ServiceServer<B>> = Vec::with_capacity(replicas);
             set.push(ServiceServer::build(
@@ -527,9 +514,6 @@ impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B> {
             }
             let ctl = ReplicaCtl::new(replicas);
             if replicas > 1 {
-                for (r, s) in set.iter().enumerate() {
-                    s.set_replica_role(ctl.clone(), r);
-                }
                 // Forwarding legs are plain fast-messaging ring traffic:
                 // no adaptive policy, no offloading.
                 let pump_cfg = ClientConfig {
@@ -537,11 +521,10 @@ impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B> {
                     ..ClientConfig::default()
                 };
                 for r in 0..replicas {
-                    let mut peers: Vec<Option<catfish_simnet::sync::Sender<ForwardJob<B>>>> =
-                        Vec::with_capacity(replicas);
+                    let mut backups = Vec::with_capacity(replicas);
                     for r2 in 0..replicas {
                         if r2 == r {
-                            peers.push(None);
+                            backups.push(None);
                             continue;
                         }
                         let ch = set[r2].accept(set[r].endpoint());
@@ -553,46 +536,12 @@ impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B> {
                             pump_cfg,
                             seed,
                         )));
-                        {
-                            let c = Rc::clone(&client);
-                            pump_traces.push((
-                                i,
-                                r,
-                                Box::new(move |sink: TraceSink| c.borrow_mut().set_trace(sink)),
-                            ));
-                        }
+                        pumps.push((i, r, Rc::clone(&client)));
                         let (tx, rx) = catfish_simnet::sync::channel();
                         spawn(forward_pump(client, rx, ctl.clone(), r2));
-                        peers.push(Some(tx));
+                        backups.push(Some(tx));
                     }
-                    let peers = Rc::new(peers);
-                    let fwd_ctl = ctl.clone();
-                    set[r].set_forwarder(move |msg, env, parent| {
-                        let peers = Rc::clone(&peers);
-                        let ctl = fwd_ctl.clone();
-                        Box::pin(async move {
-                            // Fan out to every live backup, then await all
-                            // acks: synchronous replication to the live set.
-                            let mut acks = Vec::new();
-                            for (peer, tx) in peers.iter().enumerate() {
-                                let Some(tx) = tx else { continue };
-                                if !ctl.is_alive(peer) {
-                                    continue;
-                                }
-                                let (done, wait) = catfish_simnet::sync::oneshot();
-                                tx.send(ForwardJob {
-                                    msg: msg.clone(),
-                                    env,
-                                    parent,
-                                    done,
-                                });
-                                acks.push(wait);
-                            }
-                            for w in acks {
-                                let _ = w.await;
-                            }
-                        })
-                    });
+                    set[r].set_replica_role(ctl.clone(), r, backups);
                 }
             }
             sets.push(set);
@@ -602,13 +551,13 @@ impl<B: IndexBackend + ShardPartition + ClientBackend> ClusterServer<B> {
             sets,
             ctls,
             map,
-            pump_traces,
+            pumps,
             trace: RefCell::default(),
         }
     }
 }
 
-impl<B: IndexBackend> ClusterServer<B> {
+impl<B: ClientBackend> ClusterServer<B> {
     /// Number of shards (replica sets).
     pub fn shards(&self) -> usize {
         self.sets.len()
@@ -664,8 +613,8 @@ impl<B: IndexBackend> ClusterServer<B> {
                 s.set_trace(node(i, r));
             }
         }
-        for (i, r, install) in &self.pump_traces {
-            install(node(*i, *r).spans_only());
+        for (i, r, client) in &self.pumps {
+            client.borrow_mut().set_trace(node(*i, *r).spans_only());
         }
         *self.trace.borrow_mut() = sink.clone();
     }
@@ -708,7 +657,7 @@ const DIGEST_WIRE_BYTES: u64 = 8 + 8 + 16;
 /// authority).
 const KEY_WIRE_BYTES: u64 = 8;
 
-impl<B: IndexBackend + RangeDigest> ClusterServer<B> {
+impl<B: ClientBackend + RangeDigest> ClusterServer<B> {
     /// Reconciles a lagging replica against the shard's current primary by
     /// recursive hash-range bisection (the HRTree scheme): compare the
     /// `(xor-fingerprint, count)` digest of a key range, skip it when equal,

@@ -21,14 +21,13 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 
 use catfish_rdma::tcp::{TcpConn, TcpEndpoint};
 use catfish_rdma::{DepositOutcome, Endpoint, Mailbox, MailboxLayout, MemoryRegion, NetProfile};
 use catfish_rtree::codec::RemoteLayout;
 use catfish_rtree::TreeMeta;
+use catfish_simnet::sync::{oneshot, OneshotSender, Sender};
 use catfish_simnet::{now, sleep, spawn, CpuPool, Network, SimDuration};
 
 use crate::config::{ServerConfig, ServerMode};
@@ -98,11 +97,15 @@ impl DedupWindow {
     }
 }
 
-/// Primary-side mutation fan-out hook, installed by the cluster builder:
-/// `(mutation, envelope, trace parent)` → a future that resolves once
-/// every live backup has acknowledged the forwarded mutation.
-pub type ForwardFn<B> =
-    dyn Fn(WireMessage<B>, ReplEnvelope, Option<SpanCtx>) -> Pin<Box<dyn Future<Output = ()>>>;
+/// One forwarding job a primary queues to a backup's pump: the bare
+/// mutation, its envelope, the trace parent of the originating request,
+/// and the oneshot the primary's END awaits.
+pub(crate) struct ForwardJob<B: IndexBackend> {
+    pub(crate) msg: WireMessage<B>,
+    pub(crate) env: ReplEnvelope,
+    pub(crate) parent: Option<SpanCtx>,
+    pub(crate) done: OneshotSender<u32>,
+}
 
 /// Replication role of one server — a member of a k-way replica set, or
 /// (the default) a standalone server with every field inert.
@@ -119,10 +122,11 @@ struct ReplState<B: IndexBackend> {
     /// production system would truncate below the writers' acked
     /// watermark.
     applied: HashMap<(u64, u64), u32>,
-    /// Primary-side fan-out to the set's backups. Installed on every
-    /// replica so whichever holds the primary role after a promotion
-    /// already has it.
-    forwarder: Option<Rc<ForwardFn<B>>>,
+    /// Forwarding pumps to the set's other members, indexed by replica
+    /// id (`None` at this server's own). Every member holds its own, so
+    /// whichever holds the primary role after a promotion already has
+    /// them.
+    backups: Vec<Option<Sender<ForwardJob<B>>>>,
 }
 
 impl<B: IndexBackend> Default for ReplState<B> {
@@ -131,7 +135,7 @@ impl<B: IndexBackend> Default for ReplState<B> {
             ctl: None,
             id: 0,
             applied: HashMap::new(),
-            forwarder: None,
+            backups: Vec::new(),
         }
     }
 }
@@ -315,25 +319,22 @@ impl<B: IndexBackend> ServiceServer<B> {
     }
 
     /// Enrolls this server in a replica set: `ctl` is the set's shared
-    /// control block, `id` this server's index within it. From here on,
-    /// mutations are epoch-fenced and non-primaries reject client
-    /// submissions (forwarded legs excepted).
-    pub fn set_replica_role(&self, ctl: ReplicaCtl, id: usize) {
+    /// control block, `id` this server's index within it, and `backups`
+    /// the forwarding pumps to the other members, indexed by replica id
+    /// (`None` at `id`). From here on, mutations are epoch-fenced and
+    /// non-primaries reject client submissions (forwarded legs
+    /// excepted); while primary, this server forwards each accepted
+    /// mutation down every live member's pump.
+    pub(crate) fn set_replica_role(
+        &self,
+        ctl: ReplicaCtl,
+        id: usize,
+        backups: Vec<Option<Sender<ForwardJob<B>>>>,
+    ) {
         let mut repl = self.inner.repl.borrow_mut();
         repl.ctl = Some(ctl);
         repl.id = id;
-    }
-
-    /// Installs the primary-side mutation fan-out hook. The cluster
-    /// builder installs one on **every** replica — whichever server holds
-    /// the primary role after a promotion forwards with it; on backups it
-    /// sits unused.
-    pub fn set_forwarder(
-        &self,
-        f: impl Fn(WireMessage<B>, ReplEnvelope, Option<SpanCtx>) -> Pin<Box<dyn Future<Output = ()>>>
-            + 'static,
-    ) {
-        self.inner.repl.borrow_mut().forwarder = Some(Rc::new(f));
+        repl.backups = backups;
     }
 
     /// Aggregate counters, folding in the request-ring integrity counters
@@ -756,41 +757,55 @@ impl<B: IndexBackend> ServiceServer<B> {
                     OpKind::Remove => st.removes += 1,
                 }
             }
-            // Primary-side fan-out: ship the accepted mutation to every
-            // live backup and wait for their acks before this END is
-            // released — synchronous k-way replication. The hook and the
-            // outgoing envelope are resolved first so no RefCell borrow is
-            // held across the forwarding await.
             if let Some(inner_msg) = forward_copy {
-                let hook = {
-                    let repl = self.inner.repl.borrow();
-                    let ctl = repl.ctl.as_ref().expect("forward implies replication");
-                    repl.forwarder.clone().map(|f| {
-                        let env = env.as_ref().expect("forward implies envelope");
-                        (
-                            f,
-                            ReplEnvelope {
-                                link_seq: 0, // bound per backup link at send time
-                                origin: env.origin,
-                                op_id: env.op_id,
-                                epoch: ctl.epoch(),
-                                flags: ReplEnvelope::FORWARDED,
-                            },
-                        )
-                    })
-                };
-                if let Some((forward, env_out)) = hook {
-                    let t0 = now();
-                    forward(inner_msg, env_out, parent).await;
-                    let mut st = self.inner.stats.borrow_mut();
-                    st.repl_forwards += 1;
-                    st.repl_lag_ns += (now() - t0).as_nanos();
-                }
+                let env = env.as_ref().expect("forward implies envelope");
+                self.forward(inner_msg, env, parent).await;
             }
             execs.push(exec);
         }
         trace.end_under(Phase::IndexExec, exec_span, senders);
         execs
+    }
+
+    /// Primary-side fan-out: queues the accepted mutation `msg` to every
+    /// live backup's pump under a forwarded copy of `env` stamped with the
+    /// current epoch, and waits for every ack before the caller releases
+    /// its END — synchronous k-way replication. The jobs are queued before
+    /// the first await, so no `RefCell` borrow is held across it.
+    async fn forward(&self, msg: WireMessage<B>, env: &ReplEnvelope, parent: Option<SpanCtx>) {
+        let t0 = now();
+        let acks: Vec<_> = {
+            let repl = self.inner.repl.borrow();
+            let ctl = repl.ctl.as_ref().expect("forward implies replication");
+            let env = ReplEnvelope {
+                link_seq: 0, // bound per backup link at send time
+                origin: env.origin,
+                op_id: env.op_id,
+                epoch: ctl.epoch(),
+                flags: ReplEnvelope::FORWARDED,
+            };
+            repl.backups
+                .iter()
+                .enumerate()
+                .filter_map(|(peer, tx)| {
+                    let tx = tx.as_ref().filter(|_| ctl.is_alive(peer))?;
+                    let (done, wait) = oneshot();
+                    tx.send(ForwardJob {
+                        msg: msg.clone(),
+                        env,
+                        parent,
+                        done,
+                    });
+                    Some(wait)
+                })
+                .collect()
+        };
+        for wait in acks {
+            let _ = wait.await;
+        }
+        let mut st = self.inner.stats.borrow_mut();
+        st.repl_forwards += 1;
+        st.repl_lag_ns += (now() - t0).as_nanos();
     }
 
     /// Sends every response frame of `execs`, coalescing up to `max_batch`
