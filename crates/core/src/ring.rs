@@ -235,26 +235,27 @@ impl RingSender {
         u64::from_le_bytes(b)
     }
 
-    /// Builds the framed wire image of `payload`: length word, payload
-    /// CRC, payload bytes, zero padding to a 4-byte boundary. If a fault
-    /// plan is attached to the local endpoint, a payload byte may be
-    /// flipped *after* the checksum is computed — modeling in-flight
-    /// corruption that the receiver's CRC check must catch.
-    fn frame(&self, payload: &[u8]) -> Vec<u8> {
-        let total = framed(payload.len()) as usize;
-        let mut frame = Vec::with_capacity(total);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        frame.resize(total, 0);
+    /// Appends the framed wire image of `payload` to `group`: length
+    /// word, payload CRC, payload bytes, zero padding to a 4-byte
+    /// boundary. If a fault plan is attached to the local endpoint, a
+    /// payload byte may be flipped *after* the checksum is computed —
+    /// modeling in-flight corruption that the receiver's CRC check must
+    /// catch.
+    fn frame_into(&self, payload: &[u8], group: &mut Vec<u8>) {
+        let start = group.len();
+        let end = start + framed(payload.len()) as usize;
+        group.reserve(end - start);
+        group.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        group.extend_from_slice(&crc32(payload).to_le_bytes());
+        group.extend_from_slice(payload);
+        group.resize(end, 0);
         if !payload.is_empty() {
             if let Some(plan) = self.shared.qp.fault_plan() {
                 if let Some((at, mask)) = plan.corrupt_frame(payload.len()) {
-                    frame[8 + at] ^= mask;
+                    group[start + 8 + at] ^= mask;
                 }
             }
         }
-        frame
     }
 
     /// Appends `payload` to the remote ring, waiting (with capped
@@ -272,27 +273,7 @@ impl RingSender {
     ///
     /// Panics if the framed message cannot ever fit the ring.
     pub async fn send(&self, payload: &[u8], imm: u32) -> Result<(), SendError> {
-        let s = &*self.shared;
-        let total = framed(payload.len());
-        assert!(
-            total + 8 <= s.capacity,
-            "message of {} bytes cannot fit a {}-byte ring",
-            payload.len(),
-            s.capacity
-        );
-        if s.closed.get() {
-            return Err(SendError::Closed);
-        }
-        let span = self.span_begin();
-        let res = {
-            let _guard = s.lock.acquire().await;
-            let frame = self.frame(payload);
-            self.post(&frame, imm).await
-        };
-        if let Some((sink, phase, start)) = span {
-            sink.end(phase, start);
-        }
-        res
+        self.send_batch(&[payload], imm).await.map(|_| ())
     }
 
     /// Appends every payload in `payloads` to the remote ring and rings
@@ -309,13 +290,17 @@ impl RingSender {
     /// # Panics
     ///
     /// Panics if any single framed message cannot ever fit the ring.
-    pub async fn send_batch(&self, payloads: &[Vec<u8>], imm: u32) -> Result<usize, SendError> {
+    pub async fn send_batch(
+        &self,
+        payloads: &[impl AsRef<[u8]>],
+        imm: u32,
+    ) -> Result<usize, SendError> {
         let s = &*self.shared;
         // Cap multi-frame groups at half the ring: a wrapped reservation
         // consumes `to_end + total` bytes of budget, which is only
         // guaranteed satisfiable (once the receiver fully drains) for
         // totals up to capacity / 2. A lone frame may exceed the cap —
-        // it forms its own group, matching `send`'s size contract.
+        // it forms its own group, so `send`'s one frame always posts.
         let group_cap = s.capacity / 2;
         if s.closed.get() {
             return Err(SendError::Closed);
@@ -326,6 +311,7 @@ impl RingSender {
         let mut group: Vec<u8> = Vec::new();
         let mut res = Ok(());
         for payload in payloads {
+            let payload = payload.as_ref();
             let total = framed(payload.len());
             assert!(
                 total + 8 <= s.capacity,
@@ -341,7 +327,7 @@ impl RingSender {
                 doorbells += 1;
                 group.clear();
             }
-            group.extend_from_slice(&self.frame(payload));
+            self.frame_into(payload, &mut group);
         }
         if res.is_ok() && !group.is_empty() {
             match self.post(&group, imm).await {
