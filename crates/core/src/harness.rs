@@ -177,8 +177,11 @@ pub struct RunResult {
     pub server_cpu: f64,
     /// Mean server NIC throughput over the run, in Gbps (both directions).
     pub server_bw_gbps: f64,
-    /// Client-side service counters merged over all clients (fast vs
-    /// offloaded reads, torn retries, restarts, cache hits, ...).
+    /// Service counters merged over all clients (fast vs offloaded
+    /// reads, torn retries, restarts, cache hits, ...), with every
+    /// shard's server-side `fold` counters folded in (duplicate
+    /// suppression, ring integrity, decode errors, mailbox deposits,
+    /// replication; see [`ServiceStats::fold_server`]).
     pub stats: ServiceStats,
     /// Per-shard counters (client-side per-shard-connection counters
     /// merged over all clients, plus each shard's server-side integrity

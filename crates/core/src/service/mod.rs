@@ -193,23 +193,14 @@ pub trait WireCodec: Sized + 'static {
 
     /// Wraps a mutation in a replication envelope (stable op identity,
     /// epoch fence). Envelopes wrap bare requests only — never a batch, a
-    /// response, or another replication envelope.
-    ///
-    /// Codecs that don't participate in replication may keep the default,
-    /// which returns `inner` unchanged (the envelope is dropped, so a
-    /// replicated cluster over such a codec would not be exactly-once —
-    /// both shipped codecs implement it).
-    fn replicated(env: ReplEnvelope, inner: Self::Message) -> Self::Message {
-        let _ = env;
-        inner
-    }
+    /// response, or another replication envelope. Every codec carries the
+    /// envelope: exactly-once across a replica set rests on it.
+    fn replicated(env: ReplEnvelope, inner: Self::Message) -> Self::Message;
 
     /// Splits a replication envelope off a message: `(Some(env), inner)`
     /// for a wrapped mutation, `(None, msg)` unchanged otherwise. The
     /// server strips this before dedup lookup and execution.
-    fn take_origin(msg: Self::Message) -> (Option<ReplEnvelope>, Self::Message) {
-        (None, msg)
-    }
+    fn take_origin(msg: Self::Message) -> (Option<ReplEnvelope>, Self::Message);
 }
 
 /// A received message, classified for the generic receive loops.
