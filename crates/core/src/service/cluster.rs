@@ -429,6 +429,7 @@ pub struct ClusterServer<B: ClientBackend> {
     map: ShardMap,
     /// The forwarding pumps' ring clients, `(shard, sending replica,
     /// client)`, kept so [`ClusterServer::set_trace`] can reach them.
+    #[allow(clippy::type_complexity)]
     pumps: Vec<(usize, usize, Rc<RefCell<ServiceClient<B>>>)>,
     /// Cluster-level span recorder for repair traces.
     trace: RefCell<TraceSink>,
