@@ -194,14 +194,8 @@ impl IndexBackend for RtreeBackend {
                     nodes_visited: 0,
                 })
             }
-            // Responses/heartbeats never arrive at the server; batches are
-            // unrolled and replication envelopes stripped by the generic
-            // server before execute.
-            Message::ResponseCont { .. }
-            | Message::ResponseEnd { .. }
-            | Message::Heartbeat { .. }
-            | Message::Batch(_)
-            | Message::Replicated { .. } => None,
+            // Responses never arrive at the server.
+            Message::ResponseCont { .. } | Message::ResponseEnd { .. } => None,
         }
     }
 }
@@ -211,7 +205,7 @@ mod tests {
     use super::*;
     use crate::config::ServerConfig;
     use crate::conn::{ClientChannel, RkeyAllocator};
-    use crate::service::response_frames;
+    use crate::service::{response_frames, Frame};
     use catfish_rdma::profile::infiniband_100g;
     use catfish_rdma::tcp::TcpEndpoint;
     use catfish_rdma::{Endpoint, RdmaProfile};
@@ -255,17 +249,17 @@ mod tests {
         let mut out = Vec::new();
         loop {
             let bytes = ch.rx.wait_message().await;
-            match Message::decode(&bytes).unwrap() {
-                Message::ResponseCont { seq: s, results } if s == seq => {
+            match Frame::decode::<RtreeWire>(&bytes).unwrap() {
+                Frame::Msg(Message::ResponseCont { seq: s, results }) if s == seq => {
                     out.extend(results.iter().map(|(_, d)| *d));
                 }
-                Message::ResponseEnd {
+                Frame::Msg(Message::ResponseEnd {
                     seq: s, results, ..
-                } if s == seq => {
+                }) if s == seq => {
                     out.extend(results.iter().map(|(_, d)| *d));
                     return out;
                 }
-                Message::Heartbeat { .. } => {}
+                Frame::Heartbeat(_) => {}
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -389,8 +383,8 @@ mod tests {
             sleep(SimDuration::from_millis(11)).await;
             let bytes = ch.rx.wait_message().await;
             assert!(matches!(
-                Message::decode(&bytes).unwrap(),
-                Message::Heartbeat { .. }
+                Frame::decode::<RtreeWire>(&bytes).unwrap(),
+                Frame::Heartbeat(_)
             ));
         });
     }
@@ -438,7 +432,7 @@ mod tests {
             let q1 = Rect::new(0.0, 0.0, 0.03, 0.03);
             let q2 = Rect::new(0.2, 0.2, 0.23, 0.23);
             let ins = Rect::new(0.7, 0.7, 0.701, 0.701);
-            let batch = Message::Batch(vec![
+            let batch = Frame::Batch(vec![
                 Message::SearchReq { seq: 1, rect: q1 },
                 Message::SearchReq { seq: 2, rect: q2 },
                 Message::InsertReq {
@@ -447,7 +441,7 @@ mod tests {
                     data: 777,
                 },
             ]);
-            ch.tx.send(&batch.encode(), 0).await.unwrap();
+            ch.tx.send(&batch.encode::<RtreeWire>(), 0).await.unwrap();
             let mut ends = 0;
             while ends < 3 {
                 let bytes = ch.rx.wait_message().await;
@@ -513,8 +507,8 @@ mod tests {
             // The surviving connection still receives heartbeats.
             let bytes = ch1.rx.wait_message().await;
             assert!(matches!(
-                Message::decode(&bytes).unwrap(),
-                Message::Heartbeat { .. }
+                Frame::decode::<RtreeWire>(&bytes).unwrap(),
+                Frame::Heartbeat(_)
             ));
             // The departed ring receives none after the close.
             assert_eq!(ch2.rx.try_pop(), None);

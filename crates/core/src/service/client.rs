@@ -19,8 +19,8 @@ use crate::obs::{
 use crate::stats::ServiceStats;
 
 use super::{
-    ClientBackend, HeartbeatInfo, Incoming, Inconsistent, OpKind, RemoteHandle, ReplEnvelope,
-    WireCodec, WireItem, WireMessage, FETCH_FLAG, STATUS_UNACKED,
+    ClientBackend, Frame, HeartbeatInfo, Incoming, Inconsistent, OpKind, RemoteHandle,
+    ReplEnvelope, WireCodec, WireItem, WireMessage, FETCH_FLAG, STATUS_UNACKED,
 };
 
 /// Client-side per-chunk processing cost of an offloaded traversal
@@ -88,6 +88,9 @@ impl NodeCache {
 struct Request<B: ClientBackend> {
     seq: u32,
     msg: WireMessage<B>,
+    /// The replication envelope a replicated mutation travels under. Such
+    /// a request is exchanged alone: a batch carries bare reads.
+    env: Option<ReplEnvelope>,
     root: Option<OpenSpan>,
     /// Items of the current attempt's CONT/END frames.
     items: Vec<WireItem<B>>,
@@ -100,6 +103,7 @@ impl<B: ClientBackend> Request<B> {
         Request {
             seq,
             msg,
+            env: None,
             root,
             items: Vec::new(),
             status: None,
@@ -403,21 +407,33 @@ impl<B: ClientBackend> ServiceClient<B> {
     }
 
     /// Sends the still-pending requests of `reqs` as one frame — the lone
-    /// message, or a `Batch` of two or more — under the first one's own
-    /// sequence number. Returns the frame's length, or `None` when the
-    /// ring is closed.
+    /// message (inside its envelope if it has one), or a `Batch` of two or
+    /// more — under the first one's own sequence number. Returns the
+    /// frame's length, or `None` when the ring is closed.
     async fn send_pending(&mut self, reqs: &[Request<B>]) -> Option<u32> {
         let mut pending = reqs.iter().filter(|r| r.pending());
         let first = pending.next().expect("a request is pending");
-        let encoded = if pending.next().is_none() {
-            B::Wire::encode(&first.msg)
-        } else {
-            let msgs = reqs.iter().filter(|r| r.pending());
-            B::Wire::encode(&B::Wire::batch(msgs.map(|r| r.msg.clone()).collect()))
+        let frame = match (pending.next(), first.env) {
+            (None, None) => Frame::Msg(&first.msg),
+            (None, Some(env)) => Frame::Replicated {
+                env,
+                inner: &first.msg,
+            },
+            (Some(_), _) => Frame::Batch(
+                reqs.iter()
+                    .filter(|r| r.pending())
+                    .map(|r| &r.msg)
+                    .collect(),
+            ),
         };
-        // The frame's immediate is the request's own sequence number,
-        // which carries the fetch flag on a fetched read.
-        let imm = B::Wire::request_meta(&first.msg).map_or(first.seq, |(seq, _)| seq);
+        let encoded = frame.encode::<B::Wire>();
+        // The frame's immediate is the request's connection-scoped
+        // sequence number: the envelope's link sequence, or the
+        // message's own, which carries the fetch flag on a fetched read.
+        let imm = match first.env {
+            Some(env) => env.link_seq,
+            None => B::Wire::request_meta(&first.msg).map_or(first.seq, |(seq, _)| seq),
+        };
         self.ch.tx.send(&encoded, imm).await.ok()?;
         Some(encoded.len() as u32)
     }
@@ -427,14 +443,15 @@ impl<B: ClientBackend> ServiceClient<B> {
     /// sequence number. An END closes that request's root span. Stale,
     /// unexpected and undecodable frames are dropped.
     fn absorb(&mut self, bytes: &[u8], reqs: &mut [Request<B>]) {
-        let Ok(msg) = B::Wire::decode(bytes) else {
-            return;
+        let msg = match Frame::decode::<B::Wire>(bytes) {
+            Ok(Frame::Msg(msg)) => msg,
+            Ok(Frame::Heartbeat(info)) => return self.note_heartbeat(info),
+            _ => return,
         };
         let (seq, items, status) = match B::Wire::classify(msg) {
-            Incoming::Heartbeat(info) => return self.note_heartbeat(info),
             Incoming::Cont { seq, items } => (seq, items, None),
             Incoming::End { seq, items, status } => (seq, items, Some(status)),
-            _ => return,
+            Incoming::Request(_) => return,
         };
         let Some(r) = reqs.iter_mut().find(|r| r.seq == seq && r.pending()) else {
             return;
@@ -500,13 +517,13 @@ impl<B: ClientBackend> ServiceClient<B> {
     ) -> (u32, Vec<WireItem<B>>) {
         self.seq += 1;
         let seq = self.seq;
-        let mut msg = build(seq);
-        if let Some(mut env) = env {
-            env.link_seq = seq;
-            msg = B::Wire::replicated(env, msg);
-        }
+        let msg = build(seq);
         self.link_op(seq);
         let mut req = Request::new(seq, msg, None);
+        req.env = env.map(|env| ReplEnvelope {
+            link_seq: seq,
+            ..env
+        });
         self.exchange(std::slice::from_mut(&mut req)).await;
         (req.status.unwrap_or(STATUS_UNACKED), req.items)
     }

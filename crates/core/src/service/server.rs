@@ -39,7 +39,7 @@ use crate::store::MrMemory;
 
 use super::cluster::ReplicaCtl;
 use super::{
-    response_frames, Execution, HeartbeatInfo, Incoming, IndexBackend, OpKind, RemoteHandle,
+    response_frames, Execution, Frame, HeartbeatInfo, Incoming, IndexBackend, OpKind, RemoteHandle,
     ReplEnvelope, WireCodec, WireMessage, FETCH_FLAG, REPL_FENCED,
 };
 
@@ -443,7 +443,9 @@ impl<B: IndexBackend> ServiceServer<B> {
                     fetch_fixed_ns: cost.deposit.as_nanos().min(u64::from(u32::MAX)) as u32,
                     fetch_per_kb_ns: cost.deposit_per_kb.as_nanos().min(u64::from(u32::MAX)) as u32,
                 };
-                let msg: Rc<[u8]> = B::Wire::encode(&B::Wire::heartbeat(info)).into();
+                let msg: Rc<[u8]> = Frame::<WireMessage<B>>::Heartbeat(info)
+                    .encode::<B::Wire>()
+                    .into();
                 let targets: Vec<RingSender> = this.inner.heartbeat_targets.borrow().clone();
                 let plan = this.inner.endpoint.fault_plan();
                 let mut any_closed = false;
@@ -475,11 +477,11 @@ impl<B: IndexBackend> ServiceServer<B> {
 
     /// Decodes one ring frame **in place**: the payload slice is borrowed
     /// straight out of the registered ring region (no intermediate `Vec`
-    /// copy) and parsed into an owned wire message before the frame slot is
+    /// copy) and parsed into an owned frame before the frame slot is
     /// recycled. A malformed request is dropped (a real server would close
     /// the connection) and counted so operators can see it happening.
-    fn decode_frame(&self, bytes: &[u8]) -> Option<WireMessage<B>> {
-        match B::Wire::decode(bytes) {
+    fn decode_frame(&self, bytes: &[u8]) -> Option<Frame<WireMessage<B>>> {
+        match Frame::decode::<B::Wire>(bytes) {
             Ok(m) => Some(m),
             Err(_) => {
                 self.inner.stats.borrow_mut().decode_errors += 1;
@@ -494,7 +496,11 @@ impl<B: IndexBackend> ServiceServer<B> {
     /// today's one-frame path. Each drained frame is decoded in place from
     /// the ring (see [`ServiceServer::decode_frame`]); malformed frames are
     /// counted and skipped without consuming batch slots.
-    fn drain_arrived(&self, first: WireMessage<B>, ch: &ServerChannel) -> Vec<WireMessage<B>> {
+    fn drain_arrived(
+        &self,
+        first: Frame<WireMessage<B>>,
+        ch: &ServerChannel,
+    ) -> Vec<Frame<WireMessage<B>>> {
         let max_batch = self.inner.cfg.max_batch.max(1);
         let mut msgs = vec![first];
         while msgs.len() < max_batch {
@@ -577,19 +583,19 @@ impl<B: IndexBackend> ServiceServer<B> {
     /// queueing each charge through the pool (the event-driven worker).
     async fn serve_batch(
         &self,
-        first: WireMessage<B>,
+        first: Frame<WireMessage<B>>,
         ch: &ServerChannel,
         dedup: &RefCell<DedupWindow>,
         holding_core: bool,
     ) {
-        let msgs = self.drain_arrived(first, ch);
+        let frames = self.drain_arrived(first, ch);
         let mut execs = Vec::new();
-        for m in msgs {
+        for frame in frames {
             if self.inject_worker_faults().await {
                 continue;
             }
             execs.extend(
-                self.process(m, holding_core, Some((ch.rx.ring_rkey(), dedup)))
+                self.process(frame, holding_core, Some((ch.rx.ring_rkey(), dedup)))
                     .await,
             );
         }
@@ -606,63 +612,69 @@ impl<B: IndexBackend> ServiceServer<B> {
         }
     }
 
-    /// Executes, charges, and counts one already-decoded ring frame —
-    /// which may carry a single request or a doorbell batch of them. The
-    /// frame's bytes were parsed in place by [`ServiceServer::decode_frame`]
-    /// while still borrowed from the registered ring region; here only the
-    /// fixed `dispatch` cost (CQ poll, wakeup, decode) is charged — **once
-    /// per frame**, so a batch of N requests amortizes it N ways. Shared by
+    /// Executes, charges, and counts one already-decoded ring frame — a
+    /// single request, a doorbell batch of them, or a mutation under a
+    /// replication envelope. The frame's bytes were parsed in place by
+    /// [`ServiceServer::decode_frame`] while still borrowed from the
+    /// registered ring region; here only the fixed `dispatch` cost (CQ
+    /// poll, wakeup, decode) is charged — **once per frame**, so a batch
+    /// of N requests amortizes it N ways. Shared by
     /// the ring workers (`ring`: the connection's request-ring rkey and
     /// dedup window) and the TCP baseline; only the response transport
     /// differs between them.
     async fn process(
         &self,
-        msg: WireMessage<B>,
+        frame: Frame<WireMessage<B>>,
         holding_core: bool,
         ring: Option<(u32, &RefCell<DedupWindow>)>,
     ) -> Vec<Execution<B::Wire>> {
         let trace = self.inner.trace.borrow().clone();
         let dedup = ring.map(|(_, dedup)| dedup);
-        // A request's sender span, found by the request's name on this
-        // connection: the ring it arrived on plus its sequence number.
-        let sender = |m: &WireMessage<B>| {
+        // A request's name on this connection is its sequence number, or
+        // its envelope's link sequence (the inner one names it on the
+        // originating client's connection). Its sender span is found by
+        // that name and the ring it arrived on.
+        let meta = |env: Option<&ReplEnvelope>, m: &WireMessage<B>| {
+            let (seq, kind) = B::Wire::request_meta(m)?;
+            Some((env.map_or(seq, |e| e.link_seq), kind))
+        };
+        let sender = |meta: Option<(u32, OpKind)>| {
             let (rkey, _) = ring?;
-            let (seq, _) = B::Wire::request_meta(m)?;
+            let (seq, _) = meta?;
             trace.linked(rkey, seq & !FETCH_FLAG)
         };
         let dispatch_span = trace.begin();
         self.charge(self.inner.cfg.cost.dispatch, holding_core)
             .await;
-        let msgs = match B::Wire::classify(msg) {
-            Incoming::Batch(msgs) => Some(msgs),
-            Incoming::Request(m) => Some(vec![m]),
-            // Responses/heartbeats never arrive at the server.
-            Incoming::Heartbeat(_) | Incoming::Cont { .. } | Incoming::End { .. } => None,
+        // The frame's requests, each with its envelope if it has one
+        // (responses and heartbeats never arrive at the server).
+        let reqs: Vec<(Option<ReplEnvelope>, WireMessage<B>)> = match frame {
+            Frame::Msg(m) => match B::Wire::classify(m) {
+                Incoming::Request(m) => vec![(None, m)],
+                Incoming::Cont { .. } | Incoming::End { .. } => Vec::new(),
+            },
+            Frame::Batch(msgs) => msgs.into_iter().map(|m| (None, m)).collect(),
+            Frame::Replicated { env, inner } => vec![(Some(env), inner)],
+            Frame::Heartbeat(_) => Vec::new(),
         };
         // Every request in a batch frame shares the frame's single
         // dispatch charge and execution run, so each gets both spans.
-        let senders: Vec<SpanCtx> = msgs.iter().flatten().filter_map(sender).collect();
+        let senders: Vec<SpanCtx> = reqs
+            .iter()
+            .filter_map(|(env, m)| sender(meta(env.as_ref(), m)))
+            .collect();
         trace.end_under(Phase::Dispatch, dispatch_span, senders.iter().copied());
-        let Some(msgs) = msgs else {
+        if reqs.is_empty() {
             return Vec::new();
-        };
+        }
         let exec_span = trace.begin();
-        let mut execs = Vec::with_capacity(msgs.len());
-        for m in msgs {
-            let parent = sender(&m);
-            // Strip the replication envelope: the backend and the dedup
-            // window see the bare mutation; the envelope carries the
-            // connection sequence, the set-wide op identity, and the epoch
-            // fence.
-            let (env, m) = B::Wire::take_origin(m);
+        let mut execs = Vec::with_capacity(reqs.len());
+        for (env, m) in reqs {
             // Duplicate detection: a retransmitted write-class request is
             // answered from the cached END status instead of being applied
-            // twice — retried inserts/deletes stay idempotent. A
-            // replicated mutation's connection-scoped identity is the
-            // envelope's link sequence (the inner sequence belongs to the
-            // originating client's connection).
-            let meta = B::Wire::request_meta(&m)
-                .map(|(seq, kind)| (env.as_ref().map_or(seq, |e| e.link_seq), kind));
+            // twice — retried inserts/deletes stay idempotent.
+            let meta = meta(env.as_ref(), &m);
+            let parent = sender(meta);
             if let (Some(dedup), Some((seq, kind))) = (dedup, meta) {
                 if kind != OpKind::Read {
                     if let Some(status) = dedup.borrow().hit(seq) {
@@ -938,10 +950,10 @@ impl<B: IndexBackend> ServiceServer<B> {
     async fn handle_tcp(&self, bytes: Vec<u8>, conn: &Rc<TcpConn>) {
         // TCP is the lossless baseline: no retransmission layer above it,
         // so no dedup window either.
-        let Some(msg) = self.decode_frame(&bytes) else {
+        let Some(frame) = self.decode_frame(&bytes) else {
             return;
         };
-        let execs = self.process(msg, false, None).await;
+        let execs = self.process(frame, false, None).await;
         if execs.is_empty() {
             return;
         }

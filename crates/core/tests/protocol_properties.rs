@@ -1,5 +1,5 @@
-//! Property-based tests of the wire protocol: [`WireCodec`] round-trips
-//! for *both* service message sets (R-tree and KV) through one generic
+//! Property-based tests of the wire protocol: [`Frame`] round-trips for
+//! *both* service message sets (R-tree and KV) through one generic
 //! property, and ring-buffer stream integrity under arbitrary payload
 //! sequences.
 
@@ -8,21 +8,21 @@ use std::fmt::Debug;
 use catfish_core::conn::{establish, RkeyAllocator};
 use catfish_core::kv::{KvMessage, KvWire};
 use catfish_core::msg::{Message, RtreeWire};
-use catfish_core::service::{HeartbeatInfo, WireCodec};
+use catfish_core::service::{Frame, HeartbeatInfo, ReplEnvelope, WireCodec};
 use catfish_rdma::{Endpoint, RdmaProfile};
 use catfish_rtree::Rect;
 use catfish_simnet::{LinkSpec, Network, Sim, SimDuration};
 use proptest::prelude::*;
 
-/// The single round-trip law every codec must satisfy: decode(encode(m))
-/// reproduces m exactly, whichever backend's message set m comes from.
-fn assert_codec_round_trips<W: WireCodec>(msg: W::Message)
+/// The single round-trip law every frame must satisfy: decode(encode(f))
+/// reproduces f exactly, whichever backend's message set f carries.
+fn assert_codec_round_trips<W: WireCodec>(frame: Frame<W::Message>)
 where
     W::Message: PartialEq + Debug + Clone,
 {
-    let bytes = W::encode(&msg);
-    let back = W::decode(&bytes).expect("well-formed frame decodes");
-    assert_eq!(back, msg);
+    let bytes = frame.encode::<W>();
+    let back = Frame::decode::<W>(&bytes).expect("well-formed frame decodes");
+    assert_eq!(back, frame);
 }
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -77,13 +77,36 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 status,
             }
         }),
-        arb_heartbeat_info().prop_map(|info| Message::Heartbeat { info }),
     ]
 }
 
-/// A doorbell batch of arbitrary (non-batch) R-tree messages.
-fn arb_batch_message() -> impl Strategy<Value = Message> {
-    prop::collection::vec(arb_message(), 1..8).prop_map(Message::Batch)
+fn arb_env() -> impl Strategy<Value = ReplEnvelope> {
+    (
+        any::<u32>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u8>(),
+    )
+        .prop_map(|(link_seq, origin, op_id, epoch, flags)| ReplEnvelope {
+            link_seq,
+            origin,
+            op_id,
+            epoch,
+            flags,
+        })
+}
+
+/// Every frame kind around arbitrary bare messages of one codec.
+fn arb_frame<M: Clone + Debug + 'static, S: Strategy<Value = M> + 'static>(
+    msg: fn() -> S,
+) -> impl Strategy<Value = Frame<M>> {
+    prop_oneof![
+        msg().prop_map(Frame::Msg),
+        arb_heartbeat_info().prop_map(Frame::Heartbeat),
+        prop::collection::vec(msg(), 1..8).prop_map(Frame::Batch),
+        (arb_env(), msg()).prop_map(|(env, inner)| Frame::Replicated { env, inner }),
+    ]
 }
 
 fn arb_entries() -> impl Strategy<Value = Vec<(u64, u64)>> {
@@ -110,46 +133,31 @@ fn arb_kv_message() -> impl Strategy<Value = KvMessage> {
                 status,
             }
         }),
-        arb_heartbeat_info().prop_map(|info| KvMessage::Heartbeat { info }),
     ]
-}
-
-/// A doorbell batch of arbitrary (non-batch) KV messages.
-fn arb_kv_batch_message() -> impl Strategy<Value = KvMessage> {
-    prop::collection::vec(arb_kv_message(), 1..8).prop_map(KvMessage::Batch)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every R-tree message round-trips through the generic codec, and
-    /// encoded_len is exact.
+    /// Every R-tree message's encoded_len is exact, and every R-tree
+    /// frame round-trips.
     #[test]
-    fn rtree_codec_round_trips(msg in arb_message()) {
+    fn rtree_codec_round_trips(msg in arb_message(), frame in arb_frame(arb_message)) {
         prop_assert_eq!(msg.encode().len(), msg.encoded_len());
-        assert_codec_round_trips::<RtreeWire>(msg);
+        assert_codec_round_trips::<RtreeWire>(frame);
     }
 
-    /// Every KV message round-trips through the generic codec.
+    /// Every KV frame round-trips.
     #[test]
-    fn kv_codec_round_trips(msg in arb_kv_message()) {
-        assert_codec_round_trips::<KvWire>(msg);
+    fn kv_codec_round_trips(frame in arb_frame(arb_kv_message)) {
+        assert_codec_round_trips::<KvWire>(frame);
     }
 
-    /// Doorbell batches of arbitrary messages round-trip for both codecs,
-    /// and the R-tree batch's encoded_len is exact.
-    #[test]
-    fn batch_codec_round_trips(rt in arb_batch_message(), kv in arb_kv_batch_message()) {
-        prop_assert_eq!(rt.encode().len(), rt.encoded_len());
-        assert_codec_round_trips::<RtreeWire>(rt);
-        assert_codec_round_trips::<KvWire>(kv);
-    }
-
-    /// Decoding never panics on arbitrary bytes — for either codec.
+    /// Decoding a frame never panics on arbitrary bytes — for either codec.
     #[test]
     fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
-        let _ = RtreeWire::decode(&bytes);
-        let _ = KvWire::decode(&bytes);
+        let _ = Frame::decode::<RtreeWire>(&bytes);
+        let _ = Frame::decode::<KvWire>(&bytes);
     }
 
     /// An arbitrary sequence of payloads pushed through a (small) ring
