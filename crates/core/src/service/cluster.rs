@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use catfish_rdma::{Endpoint, NetProfile, RdmaProfile};
-use catfish_rtree::Rect;
+use catfish_rtree::{slab_of, Rect};
 use catfish_simnet::{spawn, CpuPool, Network};
 
 use crate::config::{AccessMode, ClientConfig, ServerConfig};
@@ -77,9 +77,8 @@ const RING_POINTS_PER_SHARD: usize = 16;
 pub enum ShardMap {
     /// Space partition (R-tree): contiguous x-slabs.
     Region {
-        /// Ascending x cuts between adjacent slabs (`shards - 1` entries).
-        /// Authoritative for ownership: center-x `x` belongs to shard
-        /// `cuts.partition_point(|c| *c <= x)`.
+        /// Ascending x cuts between adjacent slabs (`shards - 1` entries),
+        /// authoritative for ownership through [`slab_of`].
         cuts: Vec<f64>,
         /// Per-shard boundary MBR (`None` while a shard holds nothing),
         /// shared by all clones of the map.
@@ -137,10 +136,7 @@ impl ShardMap {
     /// Panics on a hash map (keys route with [`ShardMap::key_shard`]).
     pub fn home_shard(&self, rect: &Rect) -> usize {
         match self {
-            ShardMap::Region { cuts, .. } => {
-                let x = rect.center().0;
-                cuts.partition_point(|c| *c <= x)
-            }
+            ShardMap::Region { cuts, .. } => slab_of(cuts, rect.center().0),
             ShardMap::Hash { .. } => panic!("home_shard called on a hash-partitioned map"),
         }
     }
@@ -305,16 +301,6 @@ impl ReplicaCtl {
     /// Whether `id` is currently believed alive.
     pub fn is_alive(&self, id: usize) -> bool {
         self.inner.borrow().alive[id]
-    }
-
-    /// Alive members excluding the primary — the forwarding fan-out width.
-    pub fn live_backups(&self) -> usize {
-        let s = self.inner.borrow();
-        s.alive
-            .iter()
-            .enumerate()
-            .filter(|&(i, &a)| a && i != s.primary)
-            .count()
     }
 
     /// Reports `id` suspect under `observed_epoch`. Epoch-gated for
@@ -776,11 +762,8 @@ impl<B: ClientBackend + RangeDigest> ClusterServer<B> {
 /// per-shard client runs its own Algorithm 1 against that shard's
 /// heartbeat stream.
 pub struct ClusterClient<B: ClientBackend> {
-    /// Connections to each shard's replica 0 — the pre-replication view.
-    /// With `replicas == 1` these are the only connections.
-    pub(crate) shards: Vec<Rc<RefCell<ServiceClient<B>>>>,
     /// All connections, `replicas[shard][replica]`. `replicas[i][0]` is
-    /// the same `Rc` as `shards[i]`.
+    /// shard `i`'s replica 0, its only connection when `replicas == 1`.
     pub(crate) replicas: Vec<Vec<Rc<RefCell<ServiceClient<B>>>>>,
     /// Shared replica-set control blocks (one per shard, shared with the
     /// server side and every other client — the simulation stand-in for a
@@ -802,7 +785,7 @@ pub struct ClusterClient<B: ClientBackend> {
 impl<B: ClientBackend> std::fmt::Debug for ClusterClient<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterClient")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.replicas.len())
             .finish()
     }
 }
@@ -831,7 +814,6 @@ impl<B: ClientBackend> ClusterClient<B> {
         cfg: ClientConfig,
         seed: u64,
     ) -> ClusterClient<B> {
-        let mut shards = Vec::with_capacity(server.sets.len());
         let mut replicas = Vec::with_capacity(server.sets.len());
         for (i, set) in server.sets.iter().enumerate() {
             let conns: Vec<Rc<RefCell<ServiceClient<B>>>> = set
@@ -855,11 +837,9 @@ impl<B: ClientBackend> ClusterClient<B> {
                     )))
                 })
                 .collect();
-            shards.push(Rc::clone(&conns[0]));
             replicas.push(conns);
         }
         ClusterClient {
-            shards,
             replicas,
             ctls: server.ctls.clone(),
             map: server.map.clone(),
@@ -878,7 +858,7 @@ impl<B: ClientBackend> ClusterClient<B> {
     pub(crate) fn read_conn(&self, shard: usize) -> Rc<RefCell<ServiceClient<B>>> {
         let conns = &self.replicas[shard];
         if conns.len() <= 1 {
-            return Rc::clone(&self.shards[shard]);
+            return Rc::clone(&conns[0]);
         }
         let ctl = &self.ctls[shard];
         let primary = ctl.primary();
@@ -921,7 +901,7 @@ impl<B: ClientBackend> ClusterClient<B> {
     ) -> (u32, Vec<WireItem<B>>) {
         let conns = &self.replicas[shard];
         if conns.len() <= 1 {
-            return self.shards[shard]
+            return conns[0]
                 .borrow_mut()
                 .write_request(kind, None, &build)
                 .await;
@@ -965,12 +945,12 @@ impl<B: ClientBackend> ClusterClient<B> {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.replicas.len()
     }
 
     /// The shared handle to one shard's client (tests and the harness).
     pub fn shard_client(&self, i: usize) -> Rc<RefCell<ServiceClient<B>>> {
-        Rc::clone(&self.shards[i])
+        Rc::clone(&self.replicas[i][0])
     }
 
     /// The cluster's routing map (bounds reflect every client's inserts).
@@ -1200,7 +1180,6 @@ mod tests {
         assert!(ctl.is_alive(0));
         // Rejoining neither reclaims leadership nor bumps the epoch.
         assert_eq!((ctl.primary(), ctl.epoch()), (1, epoch));
-        assert_eq!(ctl.live_backups(), 2);
     }
 
     mod replicated {

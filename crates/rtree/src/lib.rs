@@ -36,7 +36,7 @@ mod split;
 mod store;
 mod tree;
 
-pub use bulk::{bulk_load, bulk_load_with_fill, partition_by_x, SpacePartition};
+pub use bulk::{bulk_load, bulk_load_with_fill, partition_by_x, slab_of, SpacePartition};
 pub use geom::Rect;
 pub use knn::{min_dist_sq, Neighbor};
 pub use node::{Entry, EntryRef, Node, NodeId, RTreeConfig};
