@@ -188,11 +188,6 @@ impl Rect {
         })
     }
 
-    /// True if the point `(x, y)` lies inside or on the boundary.
-    pub fn contains_point(&self, x: f64, y: f64) -> bool {
-        x >= self.min_x && x <= self.max_x && y >= self.min_y && y <= self.max_y
-    }
-
     /// Area of the overlap region (zero if disjoint).
     pub fn intersection_area(&self, other: &Rect) -> f64 {
         let w = (self.max_x.min(other.max_x) - self.min_x.max(other.min_x)).max(0.0);
@@ -335,14 +330,6 @@ mod tests {
         // Touching edges intersect in a degenerate rectangle.
         let d = Rect::new(2.0, 0.0, 3.0, 2.0);
         assert_eq!(a.intersection(&d), Some(Rect::new(2.0, 0.0, 2.0, 2.0)));
-    }
-
-    #[test]
-    fn contains_point_boundaries() {
-        let r = Rect::new(0.0, 0.0, 1.0, 1.0);
-        assert!(r.contains_point(0.5, 0.5));
-        assert!(r.contains_point(0.0, 1.0)); // boundary counts
-        assert!(!r.contains_point(1.1, 0.5));
     }
 
     #[test]

@@ -287,8 +287,7 @@ impl<T> Future for Recv<'_, T> {
 /// An edge-triggered wakeup primitive, like a condition variable for tasks.
 ///
 /// A call to [`Notify::notify_one`] wakes exactly one waiter (or stores one
-/// permit if none is waiting); [`Notify::notify_waiters`] wakes everyone
-/// currently waiting without storing a permit.
+/// permit if none is waiting).
 #[derive(Clone, Default)]
 pub struct Notify {
     shared: Rc<RefCell<NotifyState>>,
@@ -336,20 +335,6 @@ impl Notify {
             }
         }
         s.permits += 1;
-    }
-
-    /// Wakes every current waiter without storing a permit.
-    pub fn notify_waiters(&self) {
-        let mut s = self.shared.borrow_mut();
-        for weak in s.waiters.drain(..) {
-            if let Some(w) = weak.upgrade() {
-                let mut w = w.borrow_mut();
-                w.notified = true;
-                if let Some(wk) = w.waker.take() {
-                    wk.wake();
-                }
-            }
-        }
     }
 
     /// Waits until notified (consumes a stored permit immediately if one
@@ -463,19 +448,6 @@ impl Semaphore {
         Acquire {
             shared: Rc::clone(&self.shared),
             waiter: None,
-        }
-    }
-
-    /// Tries to take a permit without waiting.
-    pub fn try_acquire(&self) -> Option<SemPermit> {
-        let mut s = self.shared.borrow_mut();
-        if s.available > 0 && s.waiters.is_empty() {
-            s.available -= 1;
-            Some(SemPermit {
-                shared: Rc::clone(&self.shared),
-            })
-        } else {
-            None
         }
     }
 
@@ -706,20 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn notify_waiters_skips_permit() {
-        let sim = Sim::new();
-        sim.run_until(async {
-            let n = Notify::new();
-            n.notify_waiters(); // nobody waiting: no permit stored
-            let n2 = n.clone();
-            let h = spawn(async move { n2.notified().await });
-            sleep(SimDuration::from_nanos(1)).await;
-            n.notify_waiters();
-            h.await;
-        });
-    }
-
-    #[test]
     fn semaphore_limits_concurrency() {
         let sim = Sim::new();
         let max_inside = sim.run_until(async {
@@ -771,18 +729,6 @@ mod tests {
             Rc::try_unwrap(log).unwrap().into_inner()
         });
         assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn semaphore_try_acquire_respects_waiters() {
-        let sim = Sim::new();
-        sim.run_until(async {
-            let sem = Semaphore::new(1);
-            let p = sem.acquire().await;
-            assert!(sem.try_acquire().is_none());
-            drop(p);
-            assert!(sem.try_acquire().is_some());
-        });
     }
 
     #[test]

@@ -27,11 +27,11 @@
 #![warn(missing_debug_implementations)]
 
 mod dataset;
+mod hotspot;
 mod requests;
 mod scale;
-mod zipf;
 
 pub use dataset::{rea02_dataset, rea02_queries, uniform_rects, REA02_FULL_SIZE};
+pub use hotspot::SpatialHotspot;
 pub use requests::{hotspot_search_rect, search_rect, skewed_insert_rect, Request, TraceSpec};
 pub use scale::ScaleDist;
-pub use zipf::{SpatialHotspot, ZipfSampler};
