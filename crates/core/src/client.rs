@@ -43,10 +43,12 @@ impl ClientBackend for RtreeBackend {
         layout.validate_lanes_into(chunk, lanes)
     }
 
-    /// The server's lane path on the client: take the window bitmask over
-    /// the validated lane image and resolve child words for the hits
-    /// only, in ascending entry order — the items and children
-    /// [`RtreeBackend::expand`] produces for the decoded node.
+    /// The server's lane visit on the client ([`LaneNode::visit_window`]
+    /// over the validated lane image): the items and children, in
+    /// ascending entry order, that [`RtreeBackend::expand`] produces for
+    /// the decoded node. The visit checks each hit's tag against the
+    /// level, so data only comes out of leaves and child ids only out of
+    /// internal nodes.
     fn visit(
         read: &Rect,
         lanes: &LaneNode,
@@ -54,18 +56,13 @@ impl ClientBackend for RtreeBackend {
         children: &mut Vec<(NodeId, u32)>,
     ) -> Result<(), Inconsistent> {
         let level = lanes.level();
-        let mut hits = lanes.window_hits(read);
-        while hits != 0 {
-            let i = hits.trailing_zeros() as usize;
-            hits &= hits - 1;
-            // `child` checks the tag against the level, so data only comes
-            // out of leaves and child ids only out of internal nodes.
-            match lanes.child(i).map_err(|_| Inconsistent)? {
-                EntryRef::Data(d) => items.push((lanes.rect_at(i), d)),
-                EntryRef::Node(c) => children.push((c, level - 1)),
-            }
-        }
-        Ok(())
+        lanes
+            .visit_window(
+                read,
+                |r, d| items.push((r, d)),
+                |c| children.push((c, level - 1)),
+            )
+            .map_err(|_| Inconsistent)
     }
 
     /// Intersects a node against the query, pushing full `(mbr, payload)`

@@ -10,7 +10,7 @@ use std::cell::RefCell;
 
 use crate::codec::{ChunkLayout, CodecError, LaneNode, RemoteLayout, LINE_BYTES};
 use crate::geom::Rect;
-use crate::node::{EntryRef, Node, NodeId};
+use crate::node::{Node, NodeId};
 use crate::store::{NodeStore, TreeMeta};
 
 /// Byte-addressable backing memory for a chunk arena.
@@ -394,10 +394,9 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkArena for ChunkStore<M, C> {
 
 impl<M: ChunkMemory> ChunkStore<M, ChunkLayout> {
     /// Vectorized window-test visit: de-stitches the chunk at `id`
-    /// straight from the arena bytes into a pooled [`LaneNode`], computes
-    /// the hit bitmask with [`LaneNode::window_hits`], and resolves just
-    /// the hit entries — emitting leaf data and pushing internal children
-    /// in ascending entry order, exactly like the scalar default.
+    /// straight from the arena bytes into a pooled [`LaneNode`] and runs
+    /// [`LaneNode::visit_window`] — emitting leaf data and pushing internal
+    /// children in ascending entry order, exactly like the scalar default.
     ///
     /// # Errors
     ///
@@ -410,23 +409,13 @@ impl<M: ChunkMemory> ChunkStore<M, ChunkLayout> {
         emit: &mut dyn FnMut(Rect, u64),
     ) -> Result<(), CodecError> {
         let mut lanes = self.lane_scratch.borrow_mut().pop().unwrap_or_default();
-        let result = (|| {
-            self.mem.with_bytes(
-                self.layout.node_offset(id),
-                self.layout.chunk_bytes(),
-                |chunk| self.layout.decode_lanes_into(chunk, &mut lanes),
-            )?;
-            let mut mask = lanes.window_hits(query);
-            while mask != 0 {
-                let i = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                match lanes.child(i)? {
-                    EntryRef::Data(d) => emit(lanes.rect_at(i), d),
-                    EntryRef::Node(c) => stack.push(c),
-                }
-            }
-            Ok(())
-        })();
+        let (at, len) = (self.layout.node_offset(id), self.layout.chunk_bytes());
+        let result = self
+            .mem
+            .with_bytes(at, len, |chunk| {
+                self.layout.decode_lanes_into(chunk, &mut lanes)
+            })
+            .and_then(|_| lanes.visit_window(query, emit, |c| stack.push(c)));
         self.lane_scratch.borrow_mut().push(lanes);
         result
     }

@@ -457,6 +457,32 @@ impl LaneNode {
     pub fn child(&self, i: usize) -> Result<EntryRef, CodecError> {
         child_from_raw(self.lane(LANE_CHILD)[i], self.level)
     }
+
+    /// The window search's node visit: resolves only the entries
+    /// [`LaneNode::window_hits`] selects, in ascending entry order — leaf
+    /// data with its rectangle to `data`, child ids to `node`.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Malformed`] from [`LaneNode::child`].
+    #[inline]
+    pub fn visit_window(
+        &self,
+        query: &Rect,
+        mut data: impl FnMut(Rect, u64),
+        mut node: impl FnMut(NodeId),
+    ) -> Result<(), CodecError> {
+        let mut mask = self.window_hits(query);
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            match self.child(i)? {
+                EntryRef::Data(d) => data(self.rect_at(i), d),
+                EntryRef::Node(c) => node(c),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A chunk format: how one index's nodes and its metadata record sit in

@@ -116,25 +116,19 @@ impl<S: NodeStore> RTree<S> {
     /// lane-friendly layout (the chunk store) runs its branchless bitmask
     /// scan here without the tree code changing.
     pub fn search_into(&self, query: &Rect, out: &mut Vec<u64>) -> SearchStats {
-        let mut stats = SearchStats::default();
-        let Some(root) = self.store.meta().root else {
-            return stats;
-        };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            stats.nodes_visited += 1;
-            self.store.search_node(id, query, &mut stack, &mut |_, d| {
-                out.push(d);
-                stats.results += 1;
-            });
-        }
-        stats
+        self.search_with(query, |_, d| out.push(d))
     }
 
     /// Like [`RTree::search_into`], but collects full `(rectangle,
     /// payload)` pairs — what a server returns to clients, since response
     /// size (40 bytes per result) drives network cost.
     pub fn search_items_into(&self, query: &Rect, out: &mut Vec<(Rect, u64)>) -> SearchStats {
+        self.search_with(query, |r, d| out.push((r, d)))
+    }
+
+    /// The one window traversal: every item intersecting `query` goes to
+    /// `emit`, nodes popped from a stack their visits push children onto.
+    fn search_with(&self, query: &Rect, mut emit: impl FnMut(Rect, u64)) -> SearchStats {
         let mut stats = SearchStats::default();
         let Some(root) = self.store.meta().root else {
             return stats;
@@ -143,7 +137,7 @@ impl<S: NodeStore> RTree<S> {
         while let Some(id) = stack.pop() {
             stats.nodes_visited += 1;
             self.store.search_node(id, query, &mut stack, &mut |r, d| {
-                out.push((r, d));
+                emit(r, d);
                 stats.results += 1;
             });
         }
