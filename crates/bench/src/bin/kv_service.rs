@@ -2,8 +2,7 @@
 //! machinery. Compares fast messaging, offloaded gets, and the adaptive
 //! policy for point lookups across client counts. (Key popularity is
 //! irrelevant in this cost model — every B+-tree lookup walks the same
-//! height — so keys are drawn uniformly; the Zipfian sampler exists in
-//! `catfish-workload` for cache-sensitive extensions.)
+//! height — so keys are drawn uniformly.)
 
 use std::cell::RefCell;
 use std::rc::Rc;
