@@ -643,7 +643,10 @@ mod tests {
             let t = s.threshold_items();
             assert!((70.0..80.0).contains(&t), "derived crossover: {t}");
             // Degenerate terms (no crossover): fall back.
-            s.note_heartbeat_info(HeartbeatInfo::util_only(900));
+            s.note_heartbeat_info(HeartbeatInfo {
+                util_permille: 900,
+                ..HeartbeatInfo::default()
+            });
             assert_eq!(s.threshold_items(), FETCH_ITEMS_THRESHOLD);
         });
     }
