@@ -558,18 +558,24 @@ pub trait RemoteLayout: Copy + fmt::Debug + 'static {
         write_packed(out, 24, &meta.structure_version.to_le_bytes());
     }
 
-    /// Deserializes tree metadata, validating version consistency.
+    /// Deserializes tree metadata from line 0 of `bytes`: the first
+    /// [`LINE_BYTES`] of chunk 0, or the whole chunk. The record's 32
+    /// bytes sit inside line 0's payload, and one cache line is atomic to
+    /// a CPU store and to an RDMA Read, so the record cannot tear and a
+    /// one-line read is all a remote reader needs.
     ///
     /// # Errors
     ///
-    /// [`CodecError::TornRead`] if the read raced a concurrent write;
-    /// [`CodecError::Malformed`] if the payload is not this format's
-    /// metadata record.
-    fn decode_meta(&self, chunk: &[u8]) -> Result<(TreeMeta, u64), CodecError> {
-        // Fields are read straight out of the packed lines: no allocation.
-        let version = chunk_version(chunk, self.chunk_bytes() / LINE_BYTES)?;
-        let u32_at = |at: usize| u32::from_le_bytes(read_packed(chunk, at));
-        let u64_at = |at: usize| u64::from_le_bytes(read_packed(chunk, at));
+    /// [`CodecError::Malformed`] if `bytes` is shorter than a line or
+    /// line 0 is not this format's metadata record.
+    fn decode_meta(&self, bytes: &[u8]) -> Result<(TreeMeta, u64), CodecError> {
+        // Fields are read straight out of the packed line: no allocation.
+        let line = bytes
+            .get(..LINE_BYTES)
+            .ok_or(CodecError::Malformed("meta line truncated"))?;
+        let version = u64::from_le_bytes(line[..LINE_VERSION_BYTES].try_into().expect("sized"));
+        let u32_at = |at: usize| u32::from_le_bytes(read_packed(line, at));
+        let u64_at = |at: usize| u64::from_le_bytes(read_packed(line, at));
         if u64_at(0) != Self::META_MAGIC {
             return Err(CodecError::Malformed("bad meta magic"));
         }
@@ -1095,6 +1101,13 @@ mod tests {
         };
         let chunk = encode_meta(&l, &meta, 77);
         assert_eq!(l.decode_meta(&chunk).unwrap(), (meta, 77));
+        // The record is line 0: its first line alone decodes the same,
+        // and less than a line does not decode.
+        assert_eq!(l.decode_meta(&chunk[..LINE_BYTES]).unwrap(), (meta, 77));
+        assert!(matches!(
+            l.decode_meta(&chunk[..LINE_BYTES - 1]),
+            Err(CodecError::Malformed(_))
+        ));
     }
 
     #[test]
