@@ -82,7 +82,7 @@ service_counters! {
     writes_sent: "Write requests sent by clients (always fast messaging).", false;
     removes_sent: "Remove requests sent by clients.", false;
     torn_retries: "Chunk reads retried after version-validation failure (torn reads).", false;
-    meta_refreshes: "Metadata chunk reads issued by clients.", false;
+    meta_refreshes: "Metadata line reads issued by clients.", false;
     offload_restarts: "Offloaded traversals restarted after observing an inconsistency.", false;
     chunks_fetched: "Chunks fetched over the wire by offloaded traversals.", false;
     cache_hits: "Chunk reads avoided by the client-side level cache.", false;
