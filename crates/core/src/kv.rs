@@ -556,6 +556,10 @@ impl ClientBackend for KvBackend {
         Self::expand(read, node, items, children)
     }
 
+    fn leaf_visits_extend(read: &KvRead) -> bool {
+        matches!(read, KvRead::Range { .. })
+    }
+
     /// Expands one fetched B+ node. Descents push the single child
     /// covering the search key; leaf visits push matching pairs, and range
     /// scans continue through the leaf `next` chain (at most one child per
@@ -671,6 +675,8 @@ mod tests {
     use catfish_rdma::profile::infiniband_100g;
     use catfish_rdma::{Endpoint, RdmaProfile};
     use catfish_simnet::{spawn, Network, Sim};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn build(items: Vec<(u64, u64)>) -> (Network, KvServer) {
         let net = Network::new();
@@ -704,6 +710,27 @@ mod tests {
             },
             seed,
         )
+    }
+
+    /// An offloading client that walks multi-issue or one read at a time.
+    fn attach_offloading(
+        net: &Network,
+        server: &KvServer,
+        multi_issue: bool,
+        seed: u64,
+    ) -> KvClient {
+        let ep = Endpoint::new(
+            net,
+            net.add_node(infiniband_100g().link),
+            RdmaProfile::default(),
+        );
+        let ch = server.accept(&ep);
+        let cfg = ClientConfig {
+            mode: AccessMode::Offloading,
+            multi_issue,
+            ..ClientConfig::default()
+        };
+        KvClient::new(ch, server.remote_handle(), cfg, seed)
     }
 
     fn items(n: u64) -> Vec<(u64, u64)> {
@@ -928,6 +955,91 @@ mod tests {
             }
             w.await;
         });
+    }
+
+    /// Removes that borrow or merge move keys between leaves while
+    /// offloaded range scans follow the leaf chain, on both walks. A leaf
+    /// visit can queue the next leaf, so no leaf is known to be a scan's
+    /// last read: a structure check posted behind an earlier leaf would
+    /// miss a rebalance between it and a later leaf read. Every scan must
+    /// be strictly increasing and keep every key the writer never touches.
+    #[test]
+    fn offloaded_range_survives_concurrent_rebalancing() {
+        for multi_issue in [true, false] {
+            let sim = Sim::new();
+            sim.run_until(async move {
+                // Multiples of 4 stay; the writer removes and re-puts the rest.
+                const KEYS: u64 = 6_000;
+                let (net, server) = build((0..KEYS).map(|k| (k, k)).collect());
+                let mut writer = attach(&net, &server, AccessMode::FastMessaging, 12);
+                let at = Rc::new(Cell::new(0u64));
+                let done = Rc::new(Cell::new(false));
+                let (w_at, w_done) = (Rc::clone(&at), Rc::clone(&done));
+                let w = spawn(async move {
+                    for round in 0..2u64 {
+                        for k in (0..KEYS).filter(|k| k % 4 != 0) {
+                            w_at.set(k);
+                            if round % 2 == 0 {
+                                writer.remove(k).await;
+                            } else {
+                                writer.put(k, k).await;
+                            }
+                        }
+                    }
+                    w_done.set(true);
+                });
+                let mut reader = attach_offloading(&net, &server, multi_issue, 13);
+                let mut scans = 0u32;
+                while !done.get() {
+                    // A window around the writer, so scans race its rebalances.
+                    let lo = at.get().saturating_sub(300);
+                    let hi = lo + 600;
+                    let out = reader.range_offloaded(lo, hi).await;
+                    assert!(
+                        out.windows(2).all(|p| p[0].0 < p[1].0),
+                        "multi_issue {multi_issue}: scan [{lo}, {hi}] not strictly increasing"
+                    );
+                    for k in (lo.next_multiple_of(4)..=hi.min(KEYS - 1)).step_by(4) {
+                        assert!(
+                            out.iter().any(|&(ok, _)| ok == k),
+                            "multi_issue {multi_issue}: scan [{lo}, {hi}] lost key {k}"
+                        );
+                    }
+                    scans += 1;
+                }
+                w.await;
+                let s = reader.stats();
+                assert!(scans >= 100, "only {scans} scans raced the writer");
+                assert!(s.offload_restarts > 0, "no scan saw a rebalance");
+            });
+        }
+    }
+
+    /// An unloaded offloaded range scan over many leaves reads the
+    /// metadata line once, for its structure check after the last leaf,
+    /// on both walks.
+    #[test]
+    fn offloaded_range_checks_structure_once() {
+        for multi_issue in [true, false] {
+            let sim = Sim::new();
+            sim.run_until(async move {
+                let (net, server) = build((0..4_000u64).map(|k| (k, k)).collect());
+                let mut c = attach_offloading(&net, &server, multi_issue, 11);
+                // Caches the metadata the next scan starts from.
+                c.range_offloaded(0, 10).await;
+                let before = c.stats();
+                let out = c.range_offloaded(100, 900).await;
+                assert_eq!(out.len(), 801);
+                let s = c.stats();
+                let chunks = s.chunks_fetched - before.chunks_fetched;
+                assert!(chunks >= 25, "{chunks} chunks");
+                assert_eq!(
+                    s.meta_refreshes - before.meta_refreshes,
+                    1,
+                    "multi_issue {multi_issue}"
+                );
+            });
+        }
     }
 
     #[test]

@@ -405,6 +405,14 @@ pub trait ClientBackend: IndexBackend {
         items: &mut Vec<WireItem<Self>>,
         children: &mut Vec<(NodeId, u32)>,
     ) -> Result<(), Inconsistent>;
+
+    /// Whether visiting a leaf for `read` can queue another node (a range
+    /// scan following the leaf chain). No leaf of such a walk is known to
+    /// be its last read until it is visited, so the offloaded walk checks
+    /// the structure after the last read instead of behind it.
+    fn leaf_visits_extend(_read: &Self::Read) -> bool {
+        false
+    }
 }
 
 /// An offloaded traversal observed a state that cannot belong to any
