@@ -30,8 +30,7 @@ use catfish_bench::chaos::{self, unique_rect, CLIENTS};
 use catfish_bench::{banner, timed, BenchArgs};
 use catfish_core::config::{AccessMode, ClientConfig, ServerConfig};
 use catfish_core::harness::{ExperimentSpec, Testbed};
-use catfish_core::server::CatfishCluster;
-use catfish_core::service::{RangeDigest, RepairReport};
+use catfish_core::service::{RepairReport, Repairable};
 use catfish_core::ServiceStats;
 use catfish_rdma::FaultConfig;
 use catfish_rtree::RTreeConfig;
@@ -72,14 +71,6 @@ struct ChaosResult {
     /// The cell's distributed trace (JSONL), when `--trace-out` is set —
     /// forwarding legs included, for the `trace_tool --check` gate.
     spans_jsonl: Option<String>,
-}
-
-/// Root digest of one replica's index: `(xor_fingerprint, entry_count)`
-/// over the full repair-key space.
-fn root_digest(cluster: &CatfishCluster, shard: usize, r: usize) -> (u64, u64) {
-    cluster
-        .replica(shard, r)
-        .with_index(|ix| ix.digest_range(0, u64::MAX))
 }
 
 fn run_chaos_cell(
@@ -181,10 +172,10 @@ fn run_chaos_cell(
         stats.merge(&probe.stats());
         let mut consistent = true;
         for s in 0..cluster.shards() {
-            let want = root_digest(cluster, s, cluster.ctl(s).primary());
+            let want = cluster.member_digest(s, cluster.ctl(s).primary());
             for r in 0..cluster.replicas() {
                 if cluster.ctl(s).is_alive(r) {
-                    consistent &= root_digest(cluster, s, r) == want;
+                    consistent &= cluster.member_digest(s, r) == want;
                 }
             }
         }
@@ -236,20 +227,19 @@ fn run_repair_cell(label: &str, n: usize, d: usize) -> RepairCell {
         let cluster = bed.cluster();
         // Diverge the backup: drop `d` entries spread evenly across the
         // key space — the scattered case, where a contiguous-range
-        // shortcut would not help the walk.
-        let mut keys: Vec<u64> = cluster
-            .replica(0, 1)
-            .with_index(|ix| ix.items_in_range(0, u64::MAX))
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        keys.sort_unstable();
-        let stride = (keys.len() / d.max(1)).max(1);
-        let victims: Vec<u64> = keys.iter().step_by(stride).take(d).copied().collect();
-        assert_eq!(victims.len(), d, "dataset too small for divergence {d}");
-        for k in &victims {
-            cluster.replica(0, 1).with_index_mut(|ix| {
-                ix.remove_by_repair_key(*k);
+        // shortcut would not help the walk. The entry list is dropped
+        // before repair takes its own snapshots.
+        {
+            let backup = cluster.replica(0, 1);
+            let mut entries = backup.with_index(|ix| ix.repair_entries());
+            entries.sort_unstable_by_key(|&(key, _, _)| key);
+            let stride = (entries.len() / d.max(1)).max(1);
+            let victims: Vec<_> = entries.iter().step_by(stride).take(d).collect();
+            assert_eq!(victims.len(), d, "dataset too small for divergence {d}");
+            backup.with_index_mut(|ix| {
+                for (_, _, entry) in victims {
+                    ix.remove_entry(entry);
+                }
             });
         }
         cluster.repair_replica(0, 1)
@@ -485,6 +475,9 @@ fn main() {
             "{}: wrong entry count re-shipped",
             c.label
         );
+        // The authority only ever holds more entries here: a tombstone
+        // would be a walk bug.
+        assert_eq!(r.removed, 0, "{}: removed entries", c.label);
         assert!(
             r.rounds <= bound,
             "{}: {} rounds breaks the O(log n) bound {}",

@@ -23,7 +23,7 @@ use crate::obs::SpanCtx;
 use crate::service::cluster::mix64;
 use crate::service::{
     ClientBackend, ClusterClient, ClusterServer, Execution, Incoming, Inconsistent, IndexBackend,
-    OpKind, RangeDigest, RemoteHandle, ServiceClient, ServiceServer, ShardMap, ShardPartition,
+    OpKind, RemoteHandle, Repairable, ServiceClient, ServiceServer, ShardMap, ShardPartition,
     WireCodec,
 };
 use crate::store::{replicate_store, MrMemory};
@@ -470,48 +470,22 @@ fn kv_fingerprint(key: u64, value: u64) -> u64 {
     mix64(mix64(key) ^ mix64(value ^ 0x9e37_79b9_7f4a_7c15))
 }
 
-impl RangeDigest for KvBackend {
+impl Repairable for KvBackend {
     type Entry = (u64, u64);
 
-    fn digest_range(&self, lo: u64, hi: u64) -> (u64, u64) {
-        let mut xor = 0u64;
-        let mut count = 0u64;
-        for (k, v) in self.range(0, u64::MAX) {
-            if (lo..=hi).contains(&mix64(k)) {
-                xor ^= kv_fingerprint(k, v);
-                count += 1;
-            }
-        }
-        (xor, count)
-    }
-
-    fn items_in_range(&self, lo: u64, hi: u64) -> Vec<(u64, (u64, u64))> {
+    fn repair_entries(&self) -> Vec<(u64, u64, (u64, u64))> {
         self.range(0, u64::MAX)
             .into_iter()
-            .filter(|&(k, _)| (lo..=hi).contains(&mix64(k)))
-            .map(|(k, v)| (mix64(k), (k, v)))
+            .map(|(k, v)| (mix64(k), kv_fingerprint(k, v), (k, v)))
             .collect()
     }
 
-    fn apply_entry(&mut self, entry: &(u64, u64)) {
-        self.insert(entry.0, entry.1);
+    fn insert_entry(&mut self, &(key, value): &(u64, u64)) {
+        self.insert(key, value);
     }
 
-    fn remove_by_repair_key(&mut self, key: u64) {
-        // mix64 is a bijection, so at most one application key maps here.
-        let stale: Vec<u64> = self
-            .range(0, u64::MAX)
-            .into_iter()
-            .map(|(k, _)| k)
-            .filter(|&k| mix64(k) == key)
-            .collect();
-        for k in stale {
-            self.remove(k);
-        }
-    }
-
-    fn entry_wire_bytes() -> usize {
-        <KvWire as WireCodec>::ITEM_WIRE_BYTES
+    fn remove_entry(&mut self, &(key, _): &(u64, u64)) {
+        self.remove(key);
     }
 }
 

@@ -15,7 +15,7 @@ use crate::config::CostModel;
 use crate::msg::{Message, RtreeWire};
 use crate::service::cluster::mix64;
 use crate::service::{
-    ClusterServer, Execution, IndexBackend, OpKind, RangeDigest, RemoteHandle, ServiceServer,
+    ClusterServer, Execution, IndexBackend, OpKind, RemoteHandle, Repairable, ServiceServer,
     ShardMap, ShardPartition,
 };
 use crate::store::{replicate_store, MrMemory};
@@ -53,52 +53,24 @@ fn rtree_fingerprint(rect: &Rect, data: u64) -> u64 {
     h
 }
 
-impl RangeDigest for RtreeBackend {
+impl Repairable for RtreeBackend {
     type Entry = (Rect, u64);
 
     /// Repair keys are `mix64(id)`, not the raw id: bulk-load ids are
     /// dense integers, and bisection needs them spread uniformly over the
     /// `u64` keyspace for balanced halves.
-    fn digest_range(&self, lo: u64, hi: u64) -> (u64, u64) {
-        let mut xor = 0u64;
-        let mut count = 0u64;
-        for (rect, data) in self.items() {
-            if (lo..=hi).contains(&mix64(data)) {
-                xor ^= rtree_fingerprint(&rect, data);
-                count += 1;
-            }
-        }
-        (xor, count)
-    }
-
-    fn items_in_range(&self, lo: u64, hi: u64) -> Vec<(u64, Self::Entry)> {
-        self.items()
-            .into_iter()
-            .filter(|(_, data)| (lo..=hi).contains(&mix64(*data)))
-            .map(|(rect, data)| (mix64(data), (rect, data)))
+    fn repair_entries(&self) -> Vec<(u64, u64, (Rect, u64))> {
+        self.iter()
+            .map(|(rect, data)| (mix64(data), rtree_fingerprint(&rect, data), (rect, data)))
             .collect()
     }
 
-    fn apply_entry(&mut self, entry: &Self::Entry) {
-        // Upsert by id: a stale copy under the same id (diverged geometry)
-        // must not survive next to the authoritative one.
-        self.remove_by_repair_key(mix64(entry.1));
-        self.insert(entry.0, entry.1);
+    fn insert_entry(&mut self, &(rect, data): &(Rect, u64)) {
+        self.insert(rect, data);
     }
 
-    fn remove_by_repair_key(&mut self, key: u64) {
-        let stale: Vec<(Rect, u64)> = self
-            .items()
-            .into_iter()
-            .filter(|(_, data)| mix64(*data) == key)
-            .collect();
-        for (rect, data) in stale {
-            self.delete(&rect, data);
-        }
-    }
-
-    fn entry_wire_bytes() -> usize {
-        <RtreeWire as crate::service::WireCodec>::ITEM_WIRE_BYTES
+    fn remove_entry(&mut self, (rect, data): &(Rect, u64)) {
+        self.delete(rect, *data);
     }
 }
 

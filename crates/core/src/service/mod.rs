@@ -299,47 +299,33 @@ pub trait IndexBackend: Sized + 'static {
     ) -> Option<Execution<Self::Wire>>;
 }
 
-/// Anti-entropy support: cumulated hashes over key ranges, the backend
-/// half of hash-range reconciliation (reconcile-rs's `HRTree` idea).
+/// Anti-entropy support: a member's entries, the backend half of
+/// hash-range reconciliation (reconcile-rs's `HRTree` idea; Meyer,
+/// "Range-Based Set Reconciliation").
 ///
-/// Every entry is assigned a *repair key* (a hash of its identity, so
-/// entries spread uniformly over the `u64` keyspace regardless of how
-/// clustered the application's ids are) and a *fingerprint* (a hash of
-/// its full content). [`RangeDigest::digest_range`] folds the
-/// fingerprints of every entry whose repair key falls in `[lo, hi]` with
-/// XOR — an order-independent, composable digest: the digest of a range
-/// equals the XOR of the digests of any partition of it. Two replicas
-/// compare digests top-down, bisecting only mismatched halves, and locate
-/// a divergence of `d` entries in `O(log n)` round trips instead of
-/// shipping the whole index.
-pub trait RangeDigest {
-    /// `(xor_of_fingerprints, entry_count)` over repair keys in
-    /// `[lo, hi]` (inclusive).
-    fn digest_range(&self, lo: u64, hi: u64) -> (u64, u64);
-
-    /// The entries whose repair keys fall in `[lo, hi]`, as
-    /// `(repair_key, entry)` pairs — the transfer unit of reconciliation.
-    fn items_in_range(&self, lo: u64, hi: u64) -> Vec<(u64, Self::Entry)>
-    where
-        Self: Sized;
-
+/// Every entry carries a *repair key* (a hash of its identity, so entries
+/// spread uniformly over the `u64` keyspace regardless of how clustered
+/// the application's ids are) and a *fingerprint* (a hash of its full
+/// content). [`ClusterServer::repair_replica`] sorts each member's list by
+/// repair key once and folds fingerprints with XOR — an order-independent,
+/// composable digest: the digest of a range equals the XOR of the digests
+/// of any partition of it. Two replicas compare digests top-down,
+/// bisecting only mismatched halves, and locate a divergence of `d`
+/// entries in `O(log n)` round trips instead of shipping the whole index.
+pub trait Repairable {
     /// One transferable entry (enough to insert it on the lagging side).
-    /// Equality is content equality — reconciliation compares entries
-    /// under the same repair key to decide whether to re-transfer.
-    type Entry: Clone + PartialEq + std::fmt::Debug;
+    /// Equality is content equality: repair compares the copies under one
+    /// repair key to decide whether to re-transfer.
+    type Entry: PartialEq;
 
-    /// Applies one transferred entry (upsert by identity).
-    fn apply_entry(&mut self, entry: &Self::Entry);
+    /// Every entry as `(repair_key, fingerprint, entry)`, in any order.
+    fn repair_entries(&self) -> Vec<(u64, u64, Self::Entry)>;
 
-    /// Removes the entry with this repair key, if present (the lagging
-    /// side holds an entry the authority does not).
-    fn remove_by_repair_key(&mut self, key: u64);
+    /// Inserts one entry shipped from the authority.
+    fn insert_entry(&mut self, entry: &Self::Entry);
 
-    /// Wire bytes one transferred entry occupies (byte accounting for the
-    /// repair-vs-full-resync comparison).
-    fn entry_wire_bytes() -> usize
-    where
-        Self: Sized;
+    /// Removes one copy of an entry this member holds.
+    fn remove_entry(&mut self, entry: &Self::Entry);
 }
 
 /// The client-side half of a backend: how offloaded traversals interpret

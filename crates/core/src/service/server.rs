@@ -307,13 +307,15 @@ impl<B: IndexBackend> ServiceServer<B> {
         self.inner.backend.borrow().meta()
     }
 
-    /// Runs `f` with shared access to the server's index (tests).
+    /// Runs `f` with shared access to the server's index (repair snapshots
+    /// and tests).
     pub fn with_index<R>(&self, f: impl FnOnce(&B) -> R) -> R {
         f(&self.inner.backend.borrow())
     }
 
-    /// Runs `f` with exclusive access to the server's index (hash-range
-    /// repair applies transferred entries through this).
+    /// Runs `f` with exclusive access to the server's index: hash-range
+    /// repair removes a lagging member's differing copies and inserts the
+    /// authority's entries through this, and tests diverge members with it.
     pub fn with_index_mut<R>(&self, f: impl FnOnce(&mut B) -> R) -> R {
         f(&mut self.inner.backend.borrow_mut())
     }
