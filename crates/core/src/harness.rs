@@ -1014,12 +1014,13 @@ mod tests {
             repl_fenced: 1030,
             repl_dups: 1031,
             repl_lag_ns: 1032,
+            short_reads: 1033,
         };
         let mut r = run_experiment(&small_spec(Scheme::Catfish));
         r.stats = stats;
         let text = r.metrics().to_prometheus();
         let counters = stats.counters();
-        assert_eq!(counters.len(), 32);
+        assert_eq!(counters.len(), 33);
         for (name, _, value) in counters {
             let line = format!("catfish_{name}_total {value}");
             assert!(text.contains(&line), "missing `{line}`");

@@ -82,6 +82,8 @@ service_counters! {
     writes_sent: "Write requests sent by clients (always fast messaging).", false;
     removes_sent: "Remove requests sent by clients.", false;
     torn_retries: "Chunk reads retried after version-validation failure (torn reads).", false;
+    short_reads: "Chunk reads repeated whole because the node held more lines than its \
+        level's bound let the client read.", false;
     meta_refreshes: "Metadata line reads issued by clients.", false;
     offload_restarts: "Offloaded traversals restarted after observing an inconsistency.", false;
     chunks_fetched: "Chunks fetched over the wire by offloaded traversals.", false;

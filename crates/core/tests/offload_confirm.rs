@@ -21,7 +21,7 @@ use catfish_core::CatfishClient;
 use catfish_rdma::profile::infiniband_100g;
 use catfish_rdma::{Endpoint, QueuePair};
 use catfish_rtree::codec::LINE_BYTES;
-use catfish_rtree::{NodeId, RTreeConfig, Rect};
+use catfish_rtree::{EntryRef, NodeId, NodeStore, RTreeConfig, Rect};
 use catfish_simnet::{
     now, sleep, sleep_until, spawn, JoinHandle, Network, NodeId as NetNode, Sim, SimDuration,
     SimTime,
@@ -172,6 +172,30 @@ async fn search_all(client: &mut CatfishClient, what: &str) {
     }
 }
 
+/// The chunks an offloaded search of `window()` reads, and the bytes the
+/// server sends for them: every node the window reaches, each read at its
+/// level's line bound.
+fn walk_reads(bed: &Bed) -> (u64, u64) {
+    bed.server.with_index(|tree| {
+        let store = tree.store();
+        let bounds = store.level_lines();
+        let mut stack: Vec<NodeId> = store.meta().root.into_iter().collect();
+        let (mut chunks, mut bytes) = (0, 0);
+        while let Some(id) = stack.pop() {
+            let node = store.read(id);
+            let lines = bounds.get(node.level).expect("every level has a bound");
+            chunks += 1;
+            bytes += (lines * LINE_BYTES) as u64;
+            for e in node.entries.iter().filter(|e| e.mbr.intersects(&window())) {
+                if let EntryRef::Node(child) = e.child {
+                    stack.push(child);
+                }
+            }
+        }
+        (chunks, bytes)
+    })
+}
+
 /// The idle round trip of one read of `len` bytes.
 async fn round_trip(bed: &Bed, len: usize) -> SimDuration {
     let handle = bed.server.remote_handle();
@@ -213,7 +237,9 @@ fn multi_issue_check_rides_behind_the_last_chunk_read() {
         let (c1, s1) = sent(&bed);
 
         let chunks = after.chunks_fetched - before.chunks_fetched;
+        let (walk_chunks, chunk_bytes) = walk_reads(&bed);
         assert!(chunks >= 3, "the walk reads every level: {chunks} chunks");
+        assert_eq!(chunks, walk_chunks);
         assert_eq!(after.meta_refreshes - before.meta_refreshes, 1);
         assert_eq!(
             c1 - c0,
@@ -222,14 +248,13 @@ fn multi_issue_check_rides_behind_the_last_chunk_read() {
         );
         assert_eq!(
             s1 - s0,
-            chunks * layout.chunk_bytes() as u64 + LINE_BYTES as u64,
+            chunk_bytes + LINE_BYTES as u64,
             "the check reads one 64-byte line"
         );
         // Requests are posted in order on one queue pair; the server's
         // bytes move when a request reaches it.
         let check_posted = first_at(&samples, c1, |s| s.1);
-        let last_chunk_served =
-            first_at(&samples, s0 + chunks * layout.chunk_bytes() as u64, |s| s.2);
+        let last_chunk_served = first_at(&samples, s0 + chunk_bytes, |s| s.2);
         assert!(
             check_posted < last_chunk_served,
             "check posted at {check_posted:?}, last chunk served at {last_chunk_served:?}"

@@ -8,7 +8,7 @@
 
 use std::cell::RefCell;
 
-use crate::codec::{ChunkLayout, CodecError, LaneNode, RemoteLayout, LINE_BYTES};
+use crate::codec::{ChunkLayout, CodecError, LaneNode, LevelLines, RemoteLayout, LINE_BYTES};
 use crate::geom::Rect;
 use crate::node::{Node, NodeId};
 use crate::store::{NodeStore, TreeMeta};
@@ -77,7 +77,7 @@ impl ChunkMemory for Vec<u8> {
 
 /// The versioned chunk arena: every node serialized by the chunk format
 /// `C` into a fixed-size versioned chunk of `mem`. Chunk 0 holds the tree
-/// metadata; node chunks start at 1.
+/// metadata and the arena's [`LevelLines`]; node chunks start at 1.
 ///
 /// Both indexes live in it: with the default [`ChunkLayout`] it is the
 /// R-tree's [`NodeStore`], and with the B+-tree's layout it is the KV
@@ -110,6 +110,11 @@ pub struct ChunkStore<M, C: RemoteLayout = ChunkLayout> {
     next: u32,
     live: usize,
     meta: TreeMeta,
+    /// Per level, the most lines a node written there has used (formats
+    /// whose nodes fill a prefix of their chunk; all zero otherwise).
+    /// Written with every metadata write, and a node write that raises a
+    /// bound writes the metadata first, so chunk 0 always holds them.
+    level_lines: LevelLines,
     /// Pool of reusable decoded nodes for the borrowed read path. One
     /// entry per concurrent visit depth: flat hot loops reuse a single
     /// warm entry, recursive visits (invariant checks, leaf searches) pop
@@ -151,6 +156,7 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkStore<M, C> {
             next: 1,
             live: 0,
             meta: TreeMeta::default(),
+            level_lines: LevelLines::default(),
             scratch: RefCell::new(Vec::new()),
             lane_scratch: RefCell::new(Vec::new()),
             write_buf: Vec::new(),
@@ -180,10 +186,15 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkStore<M, C> {
         (self.next, self.free.clone())
     }
 
+    /// The per-level line bounds, as chunk 0 holds them.
+    pub fn level_lines(&self) -> LevelLines {
+        self.level_lines
+    }
+
     /// Reconstructs a store from persisted parts: the arena bytes, the
     /// layout, and the allocator state. Per-chunk version counters are
     /// recovered from the chunks' own line stamps, and the tree metadata
-    /// from chunk 0.
+    /// and level line bounds from chunk 0.
     ///
     /// # Errors
     ///
@@ -214,6 +225,7 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkStore<M, C> {
         let (meta, _) = layout
             .decode_meta(&buf)
             .map_err(|_| "metadata chunk does not decode")?;
+        let level_lines = LevelLines::from_meta_line(&buf);
         let live = (next as usize - 1) - free.len();
         Ok(ChunkStore {
             mem,
@@ -224,6 +236,7 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkStore<M, C> {
             next,
             live,
             meta,
+            level_lines,
             scratch: RefCell::new(Vec::new()),
             lane_scratch: RefCell::new(Vec::new()),
             write_buf: Vec::new(),
@@ -261,6 +274,7 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkStore<M, C> {
         let mut chunk = std::mem::take(&mut self.write_buf);
         self.layout
             .encode_meta_into(&self.meta, self.versions[0], &mut chunk);
+        self.level_lines.write_meta_line(&mut chunk);
         self.mem.write_at(0, &chunk);
         self.write_buf = chunk;
     }
@@ -291,7 +305,10 @@ pub trait ChunkArena {
     /// Same conditions as [`ChunkArena::read`].
     fn visit<R>(&self, id: NodeId, f: impl FnOnce(&Self::Node) -> R) -> R;
 
-    /// Replaces the node at `id`, bumping its chunk version.
+    /// Replaces the node at `id`, bumping its chunk version. A node that
+    /// uses more lines than its level's bound first raises the bound and
+    /// rewrites the metadata, so no reader that reads the metadata after
+    /// the node finds it longer than the bound.
     ///
     /// # Panics
     ///
@@ -317,7 +334,8 @@ pub trait ChunkArena {
     /// The tree metadata.
     fn meta(&self) -> TreeMeta;
 
-    /// Persists tree metadata to chunk 0, bumping its version.
+    /// Persists tree metadata to chunk 0, bumping its version, with the
+    /// level line bounds as they stand.
     fn set_meta(&mut self, meta: TreeMeta);
 
     /// Number of live (allocated, not freed) node chunks.
@@ -343,6 +361,11 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkArena for ChunkStore<M, C> {
             "write to out-of-range chunk {id}"
         );
         self.versions[idx] += 1;
+        if let Some((level, lines)) = self.layout.extent(node) {
+            if self.level_lines.note(level, lines) {
+                self.persist_meta();
+            }
+        }
         let mut chunk = std::mem::take(&mut self.write_buf);
         self.layout
             .encode_node_into(node, self.versions[idx], &mut chunk);
