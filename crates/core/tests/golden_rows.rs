@@ -508,73 +508,73 @@ fn read_batch_under_faults_is_reproducible() {
 }
 
 const OFFLOAD_MULTI_ISSUE: &str = concat!(
-    "RDMA offloading           8 clients   1 shards      400.20 Kops  mean   15.982us  p99   21.841us  cpu 100.0%  bw   56.10 Gbps  modes f/F/o      0/     0/   240 (offload)  torn    0.0/kop  restarts   0.0/kop\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=240 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=248 offload_restarts=0 chunks_fetched=1013 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=240 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=248 offload_restarts=0 chunks_fetched=1013 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "RDMA offloading           8 clients   1 shards      415.06 Kops  mean   15.165us  p99   20.479us  cpu 100.0%  bw   35.13 Gbps  modes f/F/o      0/     0/   240 (offload)  torn    0.0/kop  restarts   0.0/kop\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=240 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=248 offload_restarts=0 chunks_fetched=1013 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=240 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=248 offload_restarts=0 chunks_fetched=1013 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 
 const OFFLOAD_SEQUENTIAL: &str = concat!(
-    "RDMA offloading           8 clients   1 shards      350.20 Kops  mean   18.736us  p99   32.781us  cpu 100.0%  bw   49.09 Gbps  modes f/F/o      0/     0/   240 (offload)  torn    0.0/kop  restarts   0.0/kop\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=240 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=248 offload_restarts=0 chunks_fetched=1013 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=240 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=248 offload_restarts=0 chunks_fetched=1013 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "RDMA offloading           8 clients   1 shards      358.41 Kops  mean   18.249us  p99   32.009us  cpu 100.0%  bw   30.34 Gbps  modes f/F/o      0/     0/   240 (offload)  torn    0.0/kop  restarts   0.0/kop\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=240 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=248 offload_restarts=0 chunks_fetched=1013 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=240 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=248 offload_restarts=0 chunks_fetched=1013 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 
 const ADAPTIVE_THREE_WAY: &str = concat!(
-    "Catfish                  16 clients   1 shards       12.70 Kops  mean    1.089ms  p99    3.670ms  cpu  98.1%  bw    4.23 Gbps  modes f/F/o     81/   170/   229 (offload)  torn    0.0/kop  restarts   0.0/kop\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=81 offloaded_reads=229 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=259 offload_restarts=0 chunks_fetched=3741 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=170 fetched_responses=97 fetch_fallbacks=73 mailbox_reclaims=70 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=81 offloaded_reads=229 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=259 offload_restarts=0 chunks_fetched=3741 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=170 fetched_responses=97 fetch_fallbacks=73 mailbox_reclaims=70 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "Catfish                  16 clients   1 shards       12.84 Kops  mean    1.080ms  p99    3.670ms  cpu  99.0%  bw    3.43 Gbps  modes f/F/o     81/   169/   230 (offload)  torn    0.0/kop  restarts   0.0/kop\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=81 offloaded_reads=230 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=259 offload_restarts=0 chunks_fetched=3748 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=169 fetched_responses=96 fetch_fallbacks=73 mailbox_reclaims=71 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=81 offloaded_reads=230 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=259 offload_restarts=0 chunks_fetched=3748 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=169 fetched_responses=96 fetch_fallbacks=73 mailbox_reclaims=71 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 
 const REPLICATED_HYBRID: &str = concat!(
-    "Catfish                  32 clients   4 shards       49.71 Kops  mean  603.225us  p99    2.097ms  cpu  87.8%  bw    1.08 Gbps  modes f/F/o   2882/     0/   393 (fast)  torn    0.3/kop  restarts   0.0/kop  off/shard [0.07 0.16 0.17 0.07]\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=2882 offloaded_reads=393 writes_sent=332 removes_sent=0 torn_retries=1 meta_refreshes=514 offload_restarts=0 chunks_fetched=1683 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=332 repl_fenced=0 repl_dups=0 repl_lag_ns=36050568\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=724 offloaded_reads=57 writes_sent=71 removes_sent=0 torn_retries=0 meta_refreshes=76 offload_restarts=0 chunks_fetched=247 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=71 repl_fenced=0 repl_dups=0 repl_lag_ns=7699314\n",
-    "shard 1: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=772 offloaded_reads=149 writes_sent=94 removes_sent=0 torn_retries=1 meta_refreshes=193 offload_restarts=0 chunks_fetched=636 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=94 repl_fenced=0 repl_dups=0 repl_lag_ns=10189803\n",
-    "shard 2: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=683 offloaded_reads=137 writes_sent=98 removes_sent=0 torn_retries=0 meta_refreshes=173 offload_restarts=0 chunks_fetched=573 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=98 repl_fenced=0 repl_dups=0 repl_lag_ns=10685849\n",
-    "shard 3: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=703 offloaded_reads=50 writes_sent=69 removes_sent=0 torn_retries=0 meta_refreshes=72 offload_restarts=0 chunks_fetched=227 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=69 repl_fenced=0 repl_dups=0 repl_lag_ns=7475602\n",
+    "Catfish                  32 clients   4 shards       49.36 Kops  mean  612.532us  p99    2.097ms  cpu  87.1%  bw    0.68 Gbps  modes f/F/o   2872/     0/   402 (fast)  torn    0.0/kop  restarts   0.0/kop  off/shard [0.08 0.17 0.16 0.08]\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=2872 offloaded_reads=402 writes_sent=332 removes_sent=0 torn_retries=0 short_reads=3 meta_refreshes=524 offload_restarts=0 chunks_fetched=1706 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=332 repl_fenced=0 repl_dups=0 repl_lag_ns=35980409\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=722 offloaded_reads=59 writes_sent=71 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=77 offload_restarts=0 chunks_fetched=260 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=71 repl_fenced=0 repl_dups=0 repl_lag_ns=7688179\n",
+    "shard 1: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=768 offloaded_reads=153 writes_sent=94 removes_sent=0 torn_retries=0 short_reads=1 meta_refreshes=199 offload_restarts=0 chunks_fetched=643 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=94 repl_fenced=0 repl_dups=0 repl_lag_ns=10185423\n",
+    "shard 2: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=688 offloaded_reads=131 writes_sent=98 removes_sent=0 torn_retries=0 short_reads=2 meta_refreshes=167 offload_restarts=0 chunks_fetched=541 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=98 repl_fenced=0 repl_dups=0 repl_lag_ns=10617359\n",
+    "shard 3: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=694 offloaded_reads=59 writes_sent=69 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=81 offload_restarts=0 chunks_fetched=262 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=69 repl_fenced=0 repl_dups=0 repl_lag_ns=7489448\n",
 );
 
 const FAST_MESSAGING_POLLING: &str = concat!(
     "Fast messaging            8 clients   1 shards       21.35 Kops  mean  232.060us  p99    3.146ms  cpu 100.0%  bw    0.11 Gbps  modes f/F/o    240/     0/     0 (fast)  torn    0.0/kop  restarts   0.0/kop\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=240 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=240 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=240 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=240 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 const TCP: &str = concat!(
     "TCP/IP-100G InfiniBand    8 clients   1 shards       29.68 Kops  mean  263.366us  p99  393.215us  cpu  99.3%  bw    0.14 Gbps  modes f/F/o      0/     0/     0 (-)  torn    0.0/kop  restarts   0.0/kop\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 const WHOLE_CLUSTER_FAULT: &str = concat!(
     "Catfish                   8 clients   1 shards       18.25 Kops  mean  386.134us  p99  917.503us  cpu  93.1%  bw    0.12 Gbps  modes f/F/o    213/     0/     0 (fast)  torn    0.0/kop  restarts   0.0/kop\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=213 offloaded_reads=0 writes_sent=27 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=149 retransmits=149 dup_drops=21 checksum_failures=0 resyncs=30 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=164 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=213 offloaded_reads=0 writes_sent=27 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=149 retransmits=149 dup_drops=21 checksum_failures=0 resyncs=30 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=164 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=213 offloaded_reads=0 writes_sent=27 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=149 retransmits=149 dup_drops=21 checksum_failures=0 resyncs=30 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=164 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=213 offloaded_reads=0 writes_sent=27 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=149 retransmits=149 dup_drops=21 checksum_failures=0 resyncs=30 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=164 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 const CORRUPTING_FAULT: &str = concat!(
-    "Catfish                   8 clients   1 shards       60.62 Kops  mean   74.595us  p99  524.287us  cpu  68.5%  bw    6.30 Gbps  modes f/F/o     34/     0/   179 (offload)  torn    0.0/kop  restarts   0.0/kop\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=34 offloaded_reads=179 writes_sent=27 removes_sent=0 torn_retries=0 meta_refreshes=187 offload_restarts=0 chunks_fetched=744 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=14 retransmits=14 dup_drops=6 checksum_failures=5 resyncs=7 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=23 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=34 offloaded_reads=179 writes_sent=27 removes_sent=0 torn_retries=0 meta_refreshes=187 offload_restarts=0 chunks_fetched=744 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=14 retransmits=14 dup_drops=6 checksum_failures=5 resyncs=7 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=23 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "Catfish                   8 clients   1 shards       89.05 Kops  mean   67.917us  p99  458.751us  cpu  88.3%  bw    5.88 Gbps  modes f/F/o     24/     0/   189 (offload)  torn    0.0/kop  restarts   0.0/kop\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=24 offloaded_reads=189 writes_sent=27 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=197 offload_restarts=0 chunks_fetched=783 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=13 retransmits=13 dup_drops=6 checksum_failures=4 resyncs=7 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=21 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=24 offloaded_reads=189 writes_sent=27 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=197 offload_restarts=0 chunks_fetched=783 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=13 retransmits=13 dup_drops=6 checksum_failures=4 resyncs=7 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=21 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 const SINGLE_SHARD_FAULT: &str = concat!(
     "Catfish                   8 clients   4 shards       69.52 Kops  mean  106.176us  p99  262.143us  cpu  66.0%  bw    0.32 Gbps  modes f/F/o    228/     0/     0 (fast)  torn    0.0/kop  restarts   0.0/kop  off/shard [0.00 0.00 0.00 0.00]\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=228 offloaded_reads=0 writes_sent=27 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=2 retransmits=2 dup_drops=0 checksum_failures=0 resyncs=1 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=3 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=62 offloaded_reads=0 writes_sent=6 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=1 retransmits=1 dup_drops=0 checksum_failures=0 resyncs=1 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=2 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 1: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=60 offloaded_reads=0 writes_sent=8 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=1 retransmits=1 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=1 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 2: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=58 offloaded_reads=0 writes_sent=8 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 3: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=48 offloaded_reads=0 writes_sent=5 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=228 offloaded_reads=0 writes_sent=27 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=2 retransmits=2 dup_drops=0 checksum_failures=0 resyncs=1 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=3 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=62 offloaded_reads=0 writes_sent=6 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=1 retransmits=1 dup_drops=0 checksum_failures=0 resyncs=1 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=2 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 1: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=60 offloaded_reads=0 writes_sent=8 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=1 retransmits=1 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=1 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 2: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=58 offloaded_reads=0 writes_sent=8 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 3: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=48 offloaded_reads=0 writes_sent=5 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 const OFFLOAD_NODE_CACHE: &str = concat!(
-    "RDMA offloading           8 clients   1 shards      531.22 Kops  mean   11.168us  p99   20.479us  cpu 100.0%  bw   38.54 Gbps  modes f/F/o      0/     0/   240 (offload)  torn    0.0/kop  restarts   0.0/kop\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=240 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=180 offload_restarts=0 chunks_fetched=523 cache_hits=490 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=240 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=180 offload_restarts=0 chunks_fetched=523 cache_hits=490 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "RDMA offloading           8 clients   1 shards      537.65 Kops  mean   10.990us  p99   20.479us  cpu 100.0%  bw   30.46 Gbps  modes f/F/o      0/     0/   240 (offload)  torn    0.0/kop  restarts   0.0/kop\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=240 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=180 offload_restarts=0 chunks_fetched=523 cache_hits=490 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=240 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=180 offload_restarts=0 chunks_fetched=523 cache_hits=490 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 const KNN: &str = concat!(
     "k=1 fast 62093ns [19604]\n",
-    "k=1 offloaded 17289ns [19604]\n",
+    "k=1 offloaded 16823ns [19604]\n",
     "k=8 fast 147849ns [12116, 17458, 3973, 10173, 7875, 7575, 10113, 1746]\n",
-    "k=8 offloaded 15225ns [12116, 17458, 3973, 10173, 7875, 7575, 10113, 1746]\n",
+    "k=8 offloaded 14759ns [12116, 17458, 3973, 10173, 7875, 7575, 10113, 1746]\n",
     "k=40 fast 539876ns [8653, 10461, 17642, 7087, 11469, 4377, 7541, 14861, 12465, 4614, 3182, 14162, 18051, 18040, 5513, 7428, 9322, 16373, 8113, 3724, 19591, 11714, 16810, 9073, 10823, 18527, 8617, 15006, 10443, 13919, 2260, 3504, 7693, 9260, 16646, 8677, 4373, 10220, 13147, 14503]\n",
-    "k=40 offloaded 28386ns [8653, 10461, 17642, 7087, 11469, 4377, 7541, 14861, 12465, 4614, 3182, 14162, 18051, 18040, 5513, 7428, 9322, 16373, 8113, 3724, 19591, 11714, 16810, 9073, 10823, 18527, 8617, 15006, 10443, 13919, 2260, 3504, 7693, 9260, 16646, 8677, 4373, 10220, 13147, 14503]\n",
-    "client: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=4 offload_restarts=0 chunks_fetched=12 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "k=40 offloaded 27719ns [8653, 10461, 17642, 7087, 11469, 4377, 7541, 14861, 12465, 4614, 3182, 14162, 18051, 18040, 5513, 7428, 9322, 16373, 8113, 3724, 19591, 11714, 16810, 9073, 10823, 18527, 8617, 15006, 10443, 13919, 2260, 3504, 7693, 9260, 16646, 8677, 4373, 10220, 13147, 14503]\n",
+    "client: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=4 offload_restarts=0 chunks_fetched=12 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 const KV_GETS_PUTS: &str = concat!(
     "client 0: done 30258811ns got 45 replaced 15 sum 283260\n",
@@ -593,21 +593,21 @@ const KV_GETS_PUTS: &str = concat!(
     "client 13: done 31190351ns got 45 replaced 15 sum 310503\n",
     "client 14: done 30266951ns got 45 replaced 15 sum 297983\n",
     "client 15: done 31202421ns got 45 replaced 15 sum 295463\n",
-    "clients: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=500 offloaded_reads=220 writes_sent=240 removes_sent=0 torn_retries=0 meta_refreshes=242 offload_restarts=0 chunks_fetched=440 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "server: reads=500 writes=240 removes=0 results_returned=500 nodes_visited=1000 fast_reads=0 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "clients: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=500 offloaded_reads=220 writes_sent=240 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=242 offload_restarts=0 chunks_fetched=440 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "server: reads=500 writes=240 removes=0 results_returned=500 nodes_visited=1000 fast_reads=0 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 const FETCHING_LOSSY: &str = concat!(
     "Catfish                   8 clients   1 shards        0.11 Kops  mean   19.537ms  p99  707.455ms  cpu   4.0%  bw    0.02 Gbps  modes f/F/o      0/   213/     0 (fetch)  torn    0.0/kop  restarts   0.0/kop\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=0 writes_sent=27 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=745 retransmits=739 dup_drops=65 checksum_failures=0 resyncs=57 stale_heartbeat_windows=0 fetched_reads=213 fetched_responses=653 fetch_fallbacks=192 mailbox_reclaims=201 flight_dumps=760 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=0 writes_sent=27 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=745 retransmits=739 dup_drops=65 checksum_failures=0 resyncs=57 stale_heartbeat_windows=0 fetched_reads=213 fetched_responses=653 fetch_fallbacks=192 mailbox_reclaims=201 flight_dumps=760 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=0 writes_sent=27 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=745 retransmits=739 dup_drops=65 checksum_failures=0 resyncs=57 stale_heartbeat_windows=0 fetched_reads=213 fetched_responses=653 fetch_fallbacks=192 mailbox_reclaims=201 flight_dumps=760 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=0 writes_sent=27 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=745 retransmits=739 dup_drops=65 checksum_failures=0 resyncs=57 stale_heartbeat_windows=0 fetched_reads=213 fetched_responses=653 fetch_fallbacks=192 mailbox_reclaims=201 flight_dumps=760 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 const REPLICATED_HYBRID_FAULT: &str = concat!(
-    "Catfish                  32 clients   4 shards        1.29 Kops  mean    6.273ms  p99   16.777ms  cpu   3.7%  bw    0.06 Gbps  modes f/F/o    701/     0/   263 (fast)  torn    0.0/kop  restarts   0.0/kop  off/shard [0.14 0.53 0.36 0.00]\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=701 offloaded_reads=263 writes_sent=107 removes_sent=0 torn_retries=0 meta_refreshes=360 offload_restarts=0 chunks_fetched=1073 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=1144 retransmits=1137 dup_drops=181 checksum_failures=0 resyncs=39 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=1183 repl_forwards=100 repl_fenced=0 repl_dups=7 repl_lag_ns=10133346\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=198 offloaded_reads=31 writes_sent=30 removes_sent=0 torn_retries=0 meta_refreshes=46 offload_restarts=0 chunks_fetched=134 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=307 retransmits=300 dup_drops=30 checksum_failures=0 resyncs=39 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=346 repl_forwards=23 repl_fenced=0 repl_dups=7 repl_lag_ns=1828434\n",
-    "shard 1: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=125 offloaded_reads=142 writes_sent=32 removes_sent=0 torn_retries=0 meta_refreshes=187 offload_restarts=0 chunks_fetched=550 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=601 retransmits=601 dup_drops=124 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=601 repl_forwards=32 repl_fenced=0 repl_dups=0 repl_lag_ns=3451392\n",
-    "shard 2: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=157 offloaded_reads=90 writes_sent=25 removes_sent=0 torn_retries=0 meta_refreshes=127 offload_restarts=0 chunks_fetched=389 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=214 retransmits=214 dup_drops=23 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=214 repl_forwards=25 repl_fenced=0 repl_dups=0 repl_lag_ns=2696400\n",
-    "shard 3: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=221 offloaded_reads=0 writes_sent=20 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=22 retransmits=22 dup_drops=4 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=22 repl_forwards=20 repl_fenced=0 repl_dups=0 repl_lag_ns=2157120\n",
+    "Catfish                  32 clients   4 shards        1.29 Kops  mean    6.271ms  p99   16.777ms  cpu   3.7%  bw    0.04 Gbps  modes f/F/o    694/     0/   270 (fast)  torn    0.0/kop  restarts   0.0/kop  off/shard [0.14 0.53 0.39 0.00]\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=694 offloaded_reads=270 writes_sent=107 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=367 offload_restarts=0 chunks_fetched=1098 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=1160 retransmits=1153 dup_drops=188 checksum_failures=0 resyncs=32 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=1192 repl_forwards=93 repl_fenced=0 repl_dups=7 repl_lag_ns=10049846\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=198 offloaded_reads=31 writes_sent=30 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=45 offload_restarts=0 chunks_fetched=134 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=304 retransmits=297 dup_drops=30 checksum_failures=0 resyncs=32 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=336 repl_forwards=16 repl_fenced=0 repl_dups=7 repl_lag_ns=1731512\n",
+    "shard 1: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=125 offloaded_reads=142 writes_sent=32 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=187 offload_restarts=0 chunks_fetched=550 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=602 retransmits=602 dup_drops=126 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=602 repl_forwards=32 repl_fenced=0 repl_dups=0 repl_lag_ns=3457238\n",
+    "shard 2: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=150 offloaded_reads=97 writes_sent=25 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=135 offload_restarts=0 chunks_fetched=414 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=233 retransmits=233 dup_drops=27 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=233 repl_forwards=25 repl_fenced=0 repl_dups=0 repl_lag_ns=2703976\n",
+    "shard 3: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=221 offloaded_reads=0 writes_sent=20 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=21 retransmits=21 dup_drops=5 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=21 repl_forwards=20 repl_fenced=0 repl_dups=0 repl_lag_ns=2157120\n",
 );
 const READ_BATCH_LOSSY: &str = concat!(
     "client 0 window 0: 452448ns [[8451], [16607, 19342, 16582, 5175, 12291], [18388, 4822], [19816, 17731], [3376, 1288, 584], [9109, 16795], [19745, 9604, 9899], [8654, 18439, 10556, 19460, 4527]]\n",
@@ -642,6 +642,6 @@ const READ_BATCH_LOSSY: &str = concat!(
     "client 7 window 1: 12853674ns [[], [], [10310], [18238, 11347, 17524], [12046, 3319, 3680], [12819], [14484], [18973, 19845, 9524, 13399]]\n",
     "client 7 window 2: 20671838ns [[2013, 16343], [6535, 7854, 10593], [19307], [], [10106], [17994], [], [12320, 8882, 18086, 2255, 5113]]\n",
     "client 7 window 3: 21125039ns [[18720, 8445, 6144, 4551], [13082, 19493, 16908, 7658], [18298, 4146, 15693], [5299], [7480], [16862, 15636], [19778, 11879], [2536]]\n",
-    "clients: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=256 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=34 batched_msgs=193 decode_errors=0 timeouts=171 retransmits=329 dup_drops=0 checksum_failures=0 resyncs=8 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=179 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "server: reads=557 writes=0 removes=0 results_returned=1380 nodes_visited=1998 fast_reads=0 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=82 batched_msgs=506 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=8 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "clients: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=256 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=34 batched_msgs=193 decode_errors=0 timeouts=171 retransmits=329 dup_drops=0 checksum_failures=0 resyncs=8 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=179 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "server: reads=557 writes=0 removes=0 results_returned=1380 nodes_visited=1998 fast_reads=0 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=82 batched_msgs=506 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=8 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
