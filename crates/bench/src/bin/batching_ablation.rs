@@ -17,7 +17,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use catfish_bench::{banner, timed, BenchArgs};
+use catfish_bench::{banner, command_json, timed, BenchArgs};
 use catfish_bplus::BpConfig;
 use catfish_core::config::{AccessMode, ClientConfig, Scheme, ServerMode};
 use catfish_core::harness::{ExperimentSpec, Testbed};
@@ -210,7 +210,10 @@ fn run_cell(
 }
 
 fn render_json(cells: &[Cell]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"batching_ablation\",\n  \"cells\": [\n");
+    let mut out = format!(
+        "{{\n  \"command\": {},\n  \"bench\": \"batching_ablation\",\n  \"cells\": [\n",
+        command_json()
+    );
     for (i, c) in cells.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"server_mode\": \"{:?}\", \"clients\": {}, \"max_batch\": {}, \

@@ -16,7 +16,7 @@
 //! wedges instead of recovering.
 
 use catfish_bench::chaos::{self, CLIENTS};
-use catfish_bench::{banner, timed, BenchArgs};
+use catfish_bench::{banner, command_json, timed, BenchArgs};
 use catfish_core::config::AccessMode;
 use catfish_core::harness::{ExperimentSpec, Testbed};
 use catfish_core::obs::{Anomaly, FlightDump, LatencyHistogram};
@@ -399,7 +399,8 @@ fn main() {
     }
 
     let body = format!(
-        "{{\"harness\":\"fault_sweep\",\"clients\":{CLIENTS},\"shards\":{shards},\"ops_per_client\":{ops},\"dataset\":{size},\"seed\":{},\"cells\":[\n{}\n]}}\n",
+        "{{\"command\":{},\"harness\":\"fault_sweep\",\"clients\":{CLIENTS},\"shards\":{shards},\"ops_per_client\":{ops},\"dataset\":{size},\"seed\":{},\"cells\":[\n{}\n]}}\n",
+        command_json(),
         args.seed,
         results
             .iter()

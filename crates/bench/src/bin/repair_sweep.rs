@@ -27,7 +27,7 @@
 //! instead of recovering.
 
 use catfish_bench::chaos::{self, unique_rect, CLIENTS};
-use catfish_bench::{banner, timed, BenchArgs};
+use catfish_bench::{banner, command_json, timed, BenchArgs};
 use catfish_core::config::{AccessMode, ClientConfig, ServerConfig};
 use catfish_core::harness::{ExperimentSpec, Testbed};
 use catfish_core::service::{RepairReport, Repairable};
@@ -496,7 +496,8 @@ fn main() {
     }
 
     let body = format!(
-        "{{\"harness\":\"repair_sweep\",\"clients\":{CLIENTS},\"shards\":{shards},\"replicas\":{replicas},\"ops_per_client\":{ops},\"dataset\":{size},\"seed\":{},\"chaos\":[\n{}\n],\"repair\":[\n{}\n]}}\n",
+        "{{\"command\":{},\"harness\":\"repair_sweep\",\"clients\":{CLIENTS},\"shards\":{shards},\"replicas\":{replicas},\"ops_per_client\":{ops},\"dataset\":{size},\"seed\":{},\"chaos\":[\n{}\n],\"repair\":[\n{}\n]}}\n",
+        command_json(),
         args.seed,
         chaos.iter().map(json_chaos).collect::<Vec<_>>().join(",\n"),
         repairs.iter().map(json_repair).collect::<Vec<_>>().join(",\n"),

@@ -22,7 +22,7 @@
 //! * the largest cell: static fetching beats write-back by >= 15% Kops;
 //! * every cell: three-way adaptive within 10% of the best static mode.
 
-use catfish_bench::{banner, paper_tree_config, timed, BenchArgs};
+use catfish_bench::{banner, command_json, paper_tree_config, timed, BenchArgs};
 use catfish_core::config::{AccessMode, AdaptiveParams, ClientConfig, Scheme, ServerConfig};
 use catfish_core::harness::{run_experiment, ExperimentSpec, RunResult};
 use catfish_rtree::{bulk_load, MemStore, Rect};
@@ -257,7 +257,8 @@ fn main() {
     // gate still leaves the full per-cell data on disk for post-mortem.
     let crossover_json = crossover_items.map_or("null".to_string(), |c| format!("{c:.1}"));
     let body = format!(
-        "{{\"harness\":\"rfp_crossover\",\"clients\":{clients},\"requests\":{requests},\"dataset\":{size},\"seed\":{},\"crossover_items\":{crossover_json},\"cells\":[\n{}\n]}}\n",
+        "{{\"command\":{},\"harness\":\"rfp_crossover\",\"clients\":{clients},\"requests\":{requests},\"dataset\":{size},\"seed\":{},\"crossover_items\":{crossover_json},\"cells\":[\n{}\n]}}\n",
+        command_json(),
         args.seed,
         cells
             .iter()

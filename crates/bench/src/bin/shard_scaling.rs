@@ -24,7 +24,7 @@
 //!
 //! Emits `BENCH_shards.json` (see EXPERIMENTS.md).
 
-use catfish_bench::{banner, paper_tree_config, timed, BenchArgs};
+use catfish_bench::{banner, command_json, paper_tree_config, timed, BenchArgs};
 use catfish_core::config::Scheme;
 use catfish_core::harness::{run_experiment, ExperimentSpec, RunResult};
 use catfish_core::{AdaptiveEvent, RouteChoice};
@@ -269,7 +269,8 @@ fn main() {
     }
 
     let body = format!(
-        "{{\"harness\":\"shard_scaling\",\"dataset\":{size},\"requests_per_client\":{requests},\"seed\":{},\"hot_region\":[0.0,0.0,0.2,1.0],\"hot_fraction\":0.85,\"cells\":[\n{}\n]}}\n",
+        "{{\"command\":{},\"harness\":\"shard_scaling\",\"dataset\":{size},\"requests_per_client\":{requests},\"seed\":{},\"hot_region\":[0.0,0.0,0.2,1.0],\"hot_fraction\":0.85,\"cells\":[\n{}\n]}}\n",
+        command_json(),
         args.seed,
         cells.iter().map(json_cell).collect::<Vec<_>>().join(",\n"),
     );

@@ -13,7 +13,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use catfish_bench::banner;
+use catfish_bench::{banner, command_json};
 use catfish_rtree::codec::{ChunkLayout, LaneNode};
 use catfish_rtree::{Entry, Node, Rect};
 
@@ -103,9 +103,12 @@ fn node_visit_bench() -> VisitBench {
 
 fn render_json(visit: &VisitBench, pass: bool) -> String {
     format!(
-        "{{\n  \"bench\": \"simd_sweep\",\n  \"node_visit\": {{\"fanout\": 88, \
+        "{{\n  \"command\": {},\n  \"bench\": \"simd_sweep\",\n  \"node_visit\": {{\"fanout\": 88, \
          \"aos_ns\": {:.1}, \"soa_ns\": {:.1}, \"speedup\": {:.3}, \
          \"gate_min_speedup\": {NODE_VISIT_GATE}, \"pass\": {pass}}},\n  \"pass\": {pass}\n}}\n",
-        visit.aos_ns, visit.soa_ns, visit.speedup,
+        command_json(),
+        visit.aos_ns,
+        visit.soa_ns,
+        visit.speedup,
     )
 }
