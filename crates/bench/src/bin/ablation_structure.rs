@@ -1,7 +1,8 @@
-//! Ablation: structural design choices — node chunk size (fanout), ring
-//! buffer capacity, and the multi-issue window's interaction with chunk
-//! size. Chunk size trades per-read payload against traversal depth for
-//! offloading clients; ring capacity bounds fast-messaging pipelining.
+//! Ablation: structural design choices — node chunk size (fanout), the
+//! client's cache of upper nodes, and ring buffer capacity. Chunk size
+//! trades per-read payload against traversal depth for offloading
+//! clients; the cache takes the upper levels off the wire; ring capacity
+//! bounds fast-messaging pipelining.
 
 use catfish_bench::{banner, timed, BenchArgs};
 use catfish_core::config::{AccessMode, ClientConfig, Scheme, ServerConfig};
@@ -15,7 +16,7 @@ fn main() {
     let args = BenchArgs::parse();
     banner(
         "Ablation",
-        "chunk size (fanout), ring capacity — 64 clients, CPU-bound scale",
+        "chunk size (fanout), upper-node cache, ring capacity — 64 clients, CPU-bound scale",
     );
     let dataset = uniform_rects(args.size, 1e-4, args.seed);
 
@@ -62,37 +63,52 @@ fn main() {
         );
     }
 
-    println!("\n-- client-side level cache (offloading, 64 clients) --");
+    // The cache keeps every node at `UPPER_LEVEL` or above until a write
+    // bumps the structure version; inserts that rewrite an upper node
+    // empty it, so the hybrid row shows what writes cost it.
+    println!("\n-- client cache of upper nodes (offloading, 64 clients) --");
     println!(
-        "{:>8} {:>14} {:>14} {:>12}",
-        "levels", "offload Kops", "offload mean", "cache hits"
+        "{:>8} {:>14} {:>14} {:>10} {:>14}",
+        "trace", "offload Kops", "offload mean", "hit rate", "chunks/search"
     );
-    for cache_levels in [0u32, 1, 2, 3] {
+    let traces = [
+        (
+            "search",
+            TraceSpec::search_only(ScaleDist::small(), args.requests),
+        ),
+        (
+            "hybrid",
+            TraceSpec::hybrid(ScaleDist::small(), args.requests),
+        ),
+    ];
+    for (name, trace) in traces {
         let mut spec = ExperimentSpec {
             profile: profile::infiniband_100g(),
             scheme: Scheme::RdmaOffloading,
             client_config: Some(ClientConfig {
                 mode: AccessMode::Offloading,
                 multi_issue: true,
-                cache_levels,
                 ..ClientConfig::default()
             }),
             clients: 64,
             client_nodes: 8,
             dataset: dataset.clone(),
-            trace: TraceSpec::search_only(ScaleDist::small(), args.requests),
+            trace,
             tree_config: RTreeConfig::with_max_entries(88),
             seed: args.seed,
             ..ExperimentSpec::default()
         };
         args.apply_faults(&mut spec);
-        let r = timed(&format!("cache {cache_levels}"), || run_experiment(&spec));
+        let r = timed(&format!("cache, {name}"), || run_experiment(&spec));
+        let s = &r.stats;
+        let nodes = s.cache_hits + s.chunks_fetched;
         println!(
-            "{:>8} {:>14.1} {:>14} {:>12}",
-            cache_levels,
+            "{:>8} {:>14.1} {:>14} {:>9.1}% {:>14.2}",
+            name,
             r.throughput_kops,
             r.latency.mean.to_string(),
-            r.stats.cache_hits,
+            100.0 * s.cache_hits as f64 / nodes.max(1) as f64,
+            s.chunks_fetched as f64 / s.offloaded_reads.max(1) as f64,
         );
     }
 

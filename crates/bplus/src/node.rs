@@ -206,6 +206,10 @@ impl RemoteLayout for BpLayout {
         self.lines * LINE_BYTES
     }
 
+    fn level(&self, node: &BpNode) -> u32 {
+        node.level
+    }
+
     /// Serializes a node directly into `out`, reusing its capacity. The
     /// version stamps and every field are written at their packed
     /// positions, so no intermediate logical buffer is allocated.

@@ -3,7 +3,8 @@
 //! lives in this crate because this crate sees both.
 //!
 //! Random alloc / free / write / `set_meta` sequences run against a model
-//! of the arena. Afterwards the store, and a copy rebuilt by `from_parts`
+//! of the arena, whose structure version rises with every upper node
+//! written and never goes back. Afterwards the store, and a copy rebuilt by `from_parts`
 //! from the used chunk prefix and `allocator_state()`, must both hold every
 //! live node, the metadata and the allocator state, and must go on
 //! identically. Freeing a free, unallocated or metadata chunk must panic.
@@ -14,7 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use catfish_bplus::{BpLayout, BpNode, BpRefs};
 use catfish_rtree::chunk::{ChunkArena, ChunkStore};
 use catfish_rtree::codec::{ChunkLayout, RemoteLayout};
-use catfish_rtree::{Entry, Node, NodeId, Rect, TreeMeta};
+use catfish_rtree::{Entry, Node, NodeId, Rect, TreeMeta, UPPER_LEVEL};
 use proptest::prelude::*;
 
 /// Chunks in each arena: metadata plus 23 nodes, so long sequences fill it.
@@ -138,15 +139,20 @@ where
             Op::Write(i, seed) if !live.is_empty() => {
                 let id = live[i % live.len()];
                 store.write(NodeId(id), &node(seed));
+                // An upper node's write bumps the structure version.
+                if layout.level(&node(seed)) >= UPPER_LEVEL {
+                    meta.structure_version += 1;
+                }
                 contents.insert(id, node(seed));
             }
             Op::SetMeta(seed) => {
                 let root = live.first().map(|&id| NodeId(id));
+                // The structure version never goes back.
                 meta = TreeMeta {
                     root,
                     height: root.map_or(0, |_| 1 + (seed % 4) as u32),
                     len: seed,
-                    structure_version: seed >> 3,
+                    structure_version: (seed >> 3).max(meta.structure_version),
                 };
                 store.set_meta(meta);
             }

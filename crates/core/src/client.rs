@@ -348,14 +348,6 @@ mod tests {
     }
 
     fn build(mode: AccessMode, multi_issue: bool) -> (CatfishServer, CatfishClient) {
-        build_with(mode, multi_issue, RTreeConfig::default())
-    }
-
-    fn build_with(
-        mode: AccessMode,
-        multi_issue: bool,
-        tree: RTreeConfig,
-    ) -> (CatfishServer, CatfishClient) {
         let net = Network::new();
         let profile = infiniband_100g();
         let rkeys = RkeyAllocator::new();
@@ -367,7 +359,7 @@ mod tests {
                 mode: ServerMode::EventDriven,
                 ..ServerConfig::default()
             },
-            tree,
+            RTreeConfig::default(),
             grid_items(2000),
             &rkeys,
         );
@@ -614,109 +606,5 @@ mod tests {
             client.adaptive.note_heartbeat(1.0);
             assert!(client.adaptive.decide() || client.adaptive.band().0 > 0);
         });
-    }
-
-    #[test]
-    fn node_cache_expires_on_its_own_ttl() {
-        let sim = Sim::new();
-        sim.run_until(async {
-            let (_server, mut client) = build(AccessMode::Offloading, false);
-            client.cfg.cache_levels = 2;
-            client.cfg.node_cache_ttl = SimDuration::from_millis(5);
-            // The meta TTL is far longer; expiry must follow the node TTL.
-            client.cfg.meta_cache_ttl = SimDuration::from_secs(60);
-            let id = NodeId(1);
-            client.cache_store(id, 3, 1, &[]);
-            assert!(client.cache_lookup(id, 3, 1).is_some());
-            sleep(SimDuration::from_millis(6)).await;
-            assert!(client.cache_lookup(id, 3, 1).is_none());
-            assert_eq!(client.stats().cache_hits, 1);
-        });
-    }
-
-    #[test]
-    fn node_cache_capacity_evicts_stalest() {
-        let sim = Sim::new();
-        sim.run_until(async {
-            let (_server, mut client) = build(AccessMode::Offloading, false);
-            client.cfg.cache_levels = 2;
-            client.cfg.node_cache_capacity = 2;
-            for i in 0..3u32 {
-                client.cache_store(NodeId(i), 3, 1, &[]);
-                sleep(SimDuration::from_millis(1)).await;
-            }
-            assert_eq!(client.node_cache.len(), 2);
-            // The first (stalest) entry made way for the third.
-            assert!(client.cache_lookup(NodeId(0), 3, 1).is_none());
-            assert!(client.cache_lookup(NodeId(1), 3, 1).is_some());
-            assert!(client.cache_lookup(NodeId(2), 3, 1).is_some());
-            // Re-storing an already-cached id never evicts.
-            client.cache_store(NodeId(2), 3, 1, &[]);
-            assert!(client.cache_lookup(NodeId(1), 3, 1).is_some());
-        });
-    }
-
-    #[test]
-    fn node_cache_evicts_same_instant_entries_by_id() {
-        let sim = Sim::new();
-        sim.run_until(async {
-            let (_server, mut client) = build(AccessMode::Offloading, false);
-            client.cfg.cache_levels = 2;
-            client.cfg.node_cache_capacity = 2;
-            for i in [7u32, 3, 5] {
-                client.cache_store(NodeId(i), 3, 1, &[]);
-            }
-            // All three share one stamp; the lowest id goes first.
-            assert!(client.cache_lookup(NodeId(3), 3, 1).is_none());
-            assert!(client.cache_lookup(NodeId(5), 3, 1).is_some());
-            assert!(client.cache_lookup(NodeId(7), 3, 1).is_some());
-        });
-    }
-
-    /// Cache hits must not re-stamp an entry: a root searched every
-    /// millisecond still goes back to the wire at least once per TTL.
-    #[test]
-    fn node_cache_hits_do_not_extend_ttl() {
-        for multi_issue in [false, true] {
-            let sim = Sim::new();
-            sim.run_until(async move {
-                // Fanout 88 over 2,000 items is a two-level tree, so with
-                // `cache_levels = 2` the root is the only cacheable node
-                // and a search without a cache hit re-fetched the root.
-                let (server, mut client) = build_with(
-                    AccessMode::Offloading,
-                    multi_issue,
-                    RTreeConfig::with_max_entries(88),
-                );
-                assert_eq!(server.meta().height, 2);
-                let ttl = SimDuration::from_millis(5);
-                client.cfg.cache_levels = 2;
-                client.cfg.node_cache_ttl = ttl;
-                client.cfg.meta_cache_ttl = SimDuration::from_secs(60);
-                let q = Rect::new(0.3, 0.3, 0.32, 0.32);
-                let start = now();
-                let mut root_fetches = Vec::new();
-                while now().saturating_duration_since(start) < ttl * 3 {
-                    let hits = client.stats().cache_hits;
-                    assert_eq!(client.search(&q).await.len(), expected(&server, &q).len());
-                    if client.stats().cache_hits == hits {
-                        root_fetches.push(now());
-                    }
-                    sleep(SimDuration::from_millis(1)).await;
-                }
-                assert!(
-                    root_fetches.len() >= 3,
-                    "multi_issue={multi_issue}: root fetched at {root_fetches:?}"
-                );
-                // The end of the run closes the last gap.
-                root_fetches.push(now());
-                for w in root_fetches.windows(2) {
-                    assert!(
-                        w[1].saturating_duration_since(w[0]) <= ttl + SimDuration::from_millis(1),
-                        "multi_issue={multi_issue}: root served from cache past its TTL: {root_fetches:?}"
-                    );
-                }
-            });
-        }
     }
 }

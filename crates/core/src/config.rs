@@ -205,20 +205,6 @@ pub struct ClientConfig {
     pub meta_cache_ttl: SimDuration,
     /// Give up after this many version-validation retries of one chunk.
     pub max_read_retries: u32,
-    /// Cache the top `n` levels of the tree client-side (0 disables).
-    /// A Cell-style enhancement the paper's §VI anticipates: cached
-    /// internal nodes skip their RDMA Reads, trading staleness (bounded
-    /// by [`ClientConfig::node_cache_ttl`]) for round trips.
-    pub cache_levels: u32,
-    /// How long a cached internal node stays valid before an offloaded
-    /// search re-fetches it. Separate from [`ClientConfig::meta_cache_ttl`]:
-    /// internal nodes move less than the root metadata, so they may
-    /// tolerate a different staleness bound.
-    pub node_cache_ttl: SimDuration,
-    /// Maximum entries in the client node cache; storing into a full
-    /// cache evicts the stalest entry. Bounds client memory no matter how
-    /// large the tree's cached levels grow.
-    pub node_cache_capacity: usize,
     /// Maximum requests coalesced into one doorbell-batched ring frame by
     /// the group-read path. 1 disables client-side batching (every
     /// request is its own doorbell, today's behavior).
@@ -239,9 +225,6 @@ impl Default for ClientConfig {
             multi_issue: true,
             meta_cache_ttl: SimDuration::from_millis(10),
             max_read_retries: 64,
-            cache_levels: 0,
-            node_cache_ttl: SimDuration::from_millis(10),
-            node_cache_capacity: 4096,
             max_batch: 16,
             request_timeout: SimDuration::from_secs(1),
             max_retries: 16,

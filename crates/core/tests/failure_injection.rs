@@ -8,7 +8,7 @@ use catfish_core::CatfishClient;
 use catfish_rdma::profile::infiniband_100g;
 use catfish_rdma::{Endpoint, RdmaProfile};
 use catfish_rtree::{RTreeConfig, Rect};
-use catfish_simnet::{sleep, spawn, Network, Sim, SimDuration};
+use catfish_simnet::{spawn, Network, Sim, SimDuration};
 
 fn dataset(n: u64) -> Vec<(Rect, u64)> {
     (0..n)
@@ -255,103 +255,43 @@ fn offloading_correct_under_deletes() {
     });
 }
 
-/// The client-side level cache returns identical results while skipping
-/// repeat reads of the top levels.
+/// The client's cache of upper nodes returns the server's results while
+/// taking the root off the wire: every walk reads exactly the nodes the
+/// server's own search visits, one of them from the cache after the first.
 #[test]
 fn level_cache_correct_and_effective() {
-    let sim = Sim::new();
-    sim.run_until(async {
-        let (net, server) = build(8, 10_000);
-        let mut cached = attach(
-            &net,
-            &server,
-            ClientConfig {
-                mode: AccessMode::Offloading,
-                multi_issue: true,
-                cache_levels: 2,
-                meta_cache_ttl: SimDuration::from_millis(100),
-                ..ClientConfig::default()
-            },
-            7,
-        );
-        let mut plain = attach(
-            &net,
-            &server,
-            ClientConfig {
-                mode: AccessMode::Offloading,
-                multi_issue: true,
-                cache_levels: 0,
-                ..ClientConfig::default()
-            },
-            8,
-        );
-        for i in 0..60u64 {
-            let x = (i as f64 * 0.013) % 0.85;
-            let q = Rect::new(x, x, x + 0.05, x + 0.05);
-            let mut a = cached.search(&q).await;
-            let mut b = plain.search(&q).await;
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "query {i}");
-        }
-        assert!(cached.stats().cache_hits > 0, "cache never hit");
-        assert_eq!(plain.stats().cache_hits, 0);
-        assert!(
-            cached.stats().chunks_fetched < plain.stats().chunks_fetched,
-            "cache must reduce fetches: {} vs {}",
-            cached.stats().chunks_fetched,
-            plain.stats().chunks_fetched
-        );
-    });
-}
-
-/// Cache staleness is bounded by the TTL: after the tree grows (new root,
-/// redistributed entries), searches issued once the TTL has expired see
-/// everything again.
-#[test]
-fn stale_level_cache_recovers_after_ttl() {
-    let sim = Sim::new();
-    sim.run_until(async {
-        let (net, server) = build(8, 2_000);
-        let base = dataset(2_000);
-        let ttl = SimDuration::from_millis(5);
-        let mut reader = attach(
-            &net,
-            &server,
-            ClientConfig {
-                mode: AccessMode::Offloading,
-                multi_issue: true,
-                cache_levels: 3,
-                meta_cache_ttl: ttl,
-                ..ClientConfig::default()
-            },
-            9,
-        );
-        // Warm the cache.
-        let q0 = Rect::new(0.1, 0.1, 0.2, 0.2);
-        let _ = reader.search(&q0).await;
-        assert!(reader.stats().meta_refreshes >= 1);
-        // Grow the tree enough to add a level (root relocates, entries
-        // redistribute between the old root and its new sibling).
-        let mut writer = attach(&net, &server, ClientConfig::default(), 10);
-        for i in 0..30_000u64 {
-            let x = (i as f64 * 0.0000317) % 0.95;
-            writer
-                .insert(Rect::new(x, x, x + 0.001, x + 0.001), 9_000_000 + i)
-                .await;
-        }
-        // Let every cached entry expire, then verify full visibility.
-        sleep(ttl + SimDuration::from_millis(1)).await;
-        for i in 0..40u64 {
-            let x = (i as f64 * 0.019) % 0.85;
-            let q = Rect::new(x, x, x + 0.06, x + 0.06);
-            let got = reader.search(&q).await;
-            for (r, d) in base.iter().filter(|(r, _)| r.intersects(&q)) {
-                assert!(got.contains(d), "query {i} lost {d} ({r:?})");
+    for multi_issue in [true, false] {
+        let sim = Sim::new();
+        sim.run_until(async move {
+            let (net, server) = build(8, 10_000);
+            assert_eq!(server.meta().height, 3, "the root is the one upper node");
+            let mut client = attach(
+                &net,
+                &server,
+                ClientConfig {
+                    mode: AccessMode::Offloading,
+                    multi_issue,
+                    ..ClientConfig::default()
+                },
+                7,
+            );
+            let mut visited = 0;
+            for i in 0..60u64 {
+                let x = (i as f64 * 0.013) % 0.85;
+                let q = Rect::new(x, x, x + 0.05, x + 0.05);
+                let mut got = client.search(&q).await;
+                let mut expect = Vec::new();
+                visited += server.with_index(|t| t.search_into(&q, &mut expect).nodes_visited);
+                got.sort_unstable();
+                expect.sort_unstable();
+                assert_eq!(got, expect, "query {i}");
             }
-        }
-        assert!(reader.stats().meta_refreshes >= 2, "meta must be re-read");
-    });
+            let s = client.stats();
+            assert_eq!(s.offload_restarts, 0);
+            assert_eq!(s.cache_hits, 59, "multi_issue {multi_issue}");
+            assert_eq!(s.chunks_fetched + s.cache_hits, visited as u64);
+        });
+    }
 }
 
 /// kNN requests through the protocol return the exact same neighbors the
@@ -376,57 +316,51 @@ fn protocol_knn_matches_local() {
 }
 
 /// Offloaded kNN (best-first over one-sided reads) matches the server's
-/// local computation and touches no server CPU, with and without the
-/// client's node cache; with it, repeated probes are served partly from
-/// the cache.
+/// local computation and touches no server CPU; every probe after the
+/// first is served the root from the client's cache of upper nodes.
 #[test]
 fn offloaded_knn_matches_local() {
-    for cache_levels in [0, 2] {
-        let sim = Sim::new();
-        sim.run_until(async move {
-            let (net, server) = build(4, 5_000);
-            let mut client = attach(
-                &net,
-                &server,
-                ClientConfig {
-                    mode: AccessMode::Offloading,
-                    cache_levels,
-                    ..ClientConfig::default()
-                },
-                21,
-            );
-            let busy_before = server.cpu().busy_time();
-            for probe in 0..15u64 {
-                let x = (probe as f64 * 0.041) % 1.0;
-                let y = (probe as f64 * 0.029) % 1.0;
-                let got = client.nearest_offloaded(x, y, 6).await;
-                let expect = server.with_index(|t| t.nearest(x, y, 6));
-                assert_eq!(got.len(), 6, "cache_levels {cache_levels} probe {probe}");
-                // Ties at equal distance may order differently between the
-                // local and remote heaps; compare the distance sequences.
-                for (g, e) in got.iter().zip(&expect) {
-                    let gd = catfish_rtree::min_dist_sq(&g.0, x, y);
-                    assert!(
-                        (gd - e.dist_sq).abs() < 1e-12,
-                        "cache_levels {cache_levels} probe {probe}: distance {gd} vs {}",
-                        e.dist_sq
-                    );
-                }
+    let sim = Sim::new();
+    sim.run_until(async move {
+        let (net, server) = build(4, 5_000);
+        assert_eq!(server.meta().height, 3, "the root is the one upper node");
+        let mut client = attach(
+            &net,
+            &server,
+            ClientConfig {
+                mode: AccessMode::Offloading,
+                ..ClientConfig::default()
+            },
+            21,
+        );
+        let busy_before = server.cpu().busy_time();
+        for probe in 0..15u64 {
+            let x = (probe as f64 * 0.041) % 1.0;
+            let y = (probe as f64 * 0.029) % 1.0;
+            let got = client.nearest_offloaded(x, y, 6).await;
+            let expect = server.with_index(|t| t.nearest(x, y, 6));
+            assert_eq!(got.len(), 6, "probe {probe}");
+            // Ties at equal distance may order differently between the
+            // local and remote heaps; compare the distance sequences.
+            for (g, e) in got.iter().zip(&expect) {
+                let gd = catfish_rtree::min_dist_sq(&g.0, x, y);
+                assert!(
+                    (gd - e.dist_sq).abs() < 1e-12,
+                    "probe {probe}: distance {gd} vs {}",
+                    e.dist_sq
+                );
             }
-            // Like the server, k = 0 finds nothing.
-            assert!(client.nearest_offloaded(0.5, 0.5, 0).await.is_empty());
-            let stats = client.stats();
-            assert_eq!(stats.offloaded_reads, 0, "kNN is not a routed read");
-            if cache_levels == 0 {
-                assert_eq!(stats.cache_hits, 0);
-            } else {
-                assert!(stats.cache_hits > 0, "repeated probes hit the node cache");
-            }
-            assert_eq!(
-                server.cpu().busy_time(),
-                busy_before,
-                "offloaded kNN must not consume server CPU"
-            );
-        });
-    }
+        }
+        // Like the server, k = 0 finds nothing.
+        assert!(client.nearest_offloaded(0.5, 0.5, 0).await.is_empty());
+        let stats = client.stats();
+        assert_eq!(stats.offloaded_reads, 0, "kNN is not a routed read");
+        assert_eq!(stats.offload_restarts, 0);
+        assert_eq!(stats.cache_hits, 14, "repeated probes hit the cached root");
+        assert_eq!(
+            server.cpu().busy_time(),
+            busy_before,
+            "offloaded kNN must not consume server CPU"
+        );
+    });
 }

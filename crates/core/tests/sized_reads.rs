@@ -20,7 +20,7 @@ use catfish_core::CatfishClient;
 use catfish_rdma::profile::infiniband_100g;
 use catfish_rdma::Endpoint;
 use catfish_rtree::codec::{lines_for, LINE_BYTES};
-use catfish_rtree::{EntryRef, NodeId, NodeStore, RTreeConfig, Rect};
+use catfish_rtree::{EntryRef, NodeId, NodeStore, RTreeConfig, Rect, UPPER_LEVEL};
 use catfish_simnet::{now, sleep, spawn, JoinHandle, Network, Sim, SimDuration};
 
 /// Preloaded items: a 128-column grid, three levels at fanout 88. Its
@@ -153,9 +153,9 @@ async fn search_all(client: &mut CatfishClient, what: &str) -> Vec<u64> {
 }
 
 /// A sequential walk over the bulk-loaded tree reads the root at the
-/// lines of its four entries and every other node at its level's bound,
-/// never a whole chunk; a multi-issue walk puts the same bytes on the
-/// wire. At fanout 88 a whole chunk is 64 lines, where bulk-loaded nodes
+/// lines of its four entries, and once the root is cached every other
+/// node at its level's bound, never a whole chunk; a multi-issue walk puts
+/// the same bytes on the wire. At fanout 88 a whole chunk is 64 lines, where bulk-loaded nodes
 /// of at most 70 entries use 51.
 #[test]
 fn every_node_read_is_its_level_bound() {
@@ -173,7 +173,15 @@ fn every_node_read_is_its_level_bound() {
                 .iter()
                 .all(|&b| b * LINE_BYTES < layout.chunk_bytes()));
 
+            // The cold walk reads the metadata line, then the root at the
+            // lines of its four entries, and caches the root.
+            let stop = Rc::new(Cell::new(false));
+            let sampled = responses(&bed, stop.clone());
             search_all(&mut bed.client, "warm-up").await;
+            stop.set(true);
+            let cold = sampled.await;
+            let root_read = (lines_for(4) * LINE_BYTES) as u64;
+            assert_eq!(cold[..2], [LINE_BYTES as u64, root_read], "the root read");
             sleep(SimDuration::from_millis(1)).await;
             let before = bed.client.stats();
             let stop = Rc::new(Cell::new(false));
@@ -183,28 +191,25 @@ fn every_node_read_is_its_level_bound() {
             let sizes = sampled.await;
             let after = bed.client.stats();
 
-            // The chunk reads, then the 64-byte structure check.
+            // The lower chunk reads, then the 64-byte structure check.
             let (check, reads) = sizes.split_last().expect("the walk read");
             assert_eq!(*check, LINE_BYTES as u64, "the structure check");
             let mut expected: Vec<u64> = nodes
                 .iter()
+                .filter(|&&(level, _)| level < UPPER_LEVEL)
                 .map(|&(level, _)| (bounds[level as usize] * LINE_BYTES) as u64)
                 .collect();
             assert_eq!(
                 after.chunks_fetched - before.chunks_fetched,
-                nodes.len() as u64
+                nodes.len() as u64 - 1
             );
+            assert_eq!(after.cache_hits - before.cache_hits, 1, "the cached root");
             assert_eq!(after.short_reads, 0);
             if multi_issue {
                 // Sibling reads may post within one sample.
                 let total: u64 = reads.iter().sum();
                 assert_eq!(total, expected.iter().sum::<u64>());
             } else {
-                assert_eq!(
-                    reads[0],
-                    (lines_for(4) * LINE_BYTES) as u64,
-                    "the root read"
-                );
                 let mut reads = reads.to_vec();
                 reads.sort_unstable();
                 expected.sort_unstable();

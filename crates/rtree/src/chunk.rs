@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use crate::codec::{ChunkLayout, CodecError, LaneNode, LevelLines, RemoteLayout, LINE_BYTES};
 use crate::geom::Rect;
 use crate::node::{Node, NodeId};
-use crate::store::{NodeStore, TreeMeta};
+use crate::store::{NodeStore, TreeMeta, UPPER_LEVEL};
 
 /// Byte-addressable backing memory for a chunk arena.
 pub trait ChunkMemory {
@@ -259,14 +259,22 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkStore<M, C> {
     /// Propagates [`CodecError`] from decoding; `f` is not called on error.
     pub fn try_visit<R>(&self, id: NodeId, f: impl FnOnce(&C::Node) -> R) -> Result<R, CodecError> {
         let mut node = self.scratch.borrow_mut().pop().unwrap_or_default();
-        let decoded = self.mem.with_bytes(
-            self.layout.node_offset(id),
-            self.layout.chunk_bytes(),
-            |chunk| self.layout.decode_node_into(chunk, &mut node),
-        );
+        let decoded =
+            self.with_node_bytes(id, |bytes| self.layout.decode_node_into(bytes, &mut node));
         let result = decoded.map(|_| f(&node));
         self.scratch.borrow_mut().push(node);
         result
+    }
+
+    /// Lends `f` the lines node `id` uses: its chunk cut at
+    /// [`RemoteLayout::lines_used`] of the chunk's first line, so a decode
+    /// de-stitches and version-checks only the node's own lines.
+    fn with_node_bytes<R>(&self, id: NodeId, f: impl FnOnce(&[u8]) -> R) -> R {
+        let (at, len) = (self.layout.node_offset(id), self.layout.chunk_bytes());
+        self.mem.with_bytes(at, len, |chunk| {
+            let lines = self.layout.lines_used(chunk).min(len / LINE_BYTES);
+            f(&chunk[..lines * LINE_BYTES])
+        })
     }
 
     fn persist_meta(&mut self) {
@@ -305,10 +313,12 @@ pub trait ChunkArena {
     /// Same conditions as [`ChunkArena::read`].
     fn visit<R>(&self, id: NodeId, f: impl FnOnce(&Self::Node) -> R) -> R;
 
-    /// Replaces the node at `id`, bumping its chunk version. A node that
-    /// uses more lines than its level's bound first raises the bound and
-    /// rewrites the metadata, so no reader that reads the metadata after
-    /// the node finds it longer than the bound.
+    /// Replaces the node at `id`, bumping its chunk version. The metadata
+    /// is rewritten first when the node is at [`UPPER_LEVEL`] or above
+    /// (its structure version bumped, so a client's cache of upper nodes
+    /// drops the old copy) or uses more lines than its level's bound (the
+    /// bound raised, so no reader that reads the metadata after the node
+    /// finds it longer than the bound).
     ///
     /// # Panics
     ///
@@ -335,7 +345,9 @@ pub trait ChunkArena {
     fn meta(&self) -> TreeMeta;
 
     /// Persists tree metadata to chunk 0, bumping its version, with the
-    /// level line bounds as they stand.
+    /// level line bounds as they stand. The structure version never goes
+    /// below the store's own: a node write may have bumped it since the
+    /// caller read the metadata.
     fn set_meta(&mut self, meta: TreeMeta);
 
     /// Number of live (allocated, not freed) node chunks.
@@ -361,10 +373,17 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkArena for ChunkStore<M, C> {
             "write to out-of-range chunk {id}"
         );
         self.versions[idx] += 1;
-        if let Some((level, lines)) = self.layout.extent(node) {
-            if self.level_lines.note(level, lines) {
-                self.persist_meta();
-            }
+        let level = self.layout.level(node);
+        let raised = self
+            .layout
+            .extent(node)
+            .is_some_and(|lines| self.level_lines.note(level, lines));
+        let upper = level >= UPPER_LEVEL;
+        if upper {
+            self.meta.structure_version += 1;
+        }
+        if raised || upper {
+            self.persist_meta();
         }
         let mut chunk = std::mem::take(&mut self.write_buf);
         self.layout
@@ -406,7 +425,13 @@ impl<M: ChunkMemory, C: RemoteLayout> ChunkArena for ChunkStore<M, C> {
     }
 
     fn set_meta(&mut self, meta: TreeMeta) {
-        self.meta = meta;
+        // A caller's copy taken before a node write bumped the structure
+        // version keeps the bump: the version never goes back.
+        let structure_version = meta.structure_version.max(self.meta.structure_version);
+        self.meta = TreeMeta {
+            structure_version,
+            ..meta
+        };
         self.persist_meta();
     }
 
@@ -432,12 +457,8 @@ impl<M: ChunkMemory> ChunkStore<M, ChunkLayout> {
         emit: &mut dyn FnMut(Rect, u64),
     ) -> Result<(), CodecError> {
         let mut lanes = self.lane_scratch.borrow_mut().pop().unwrap_or_default();
-        let (at, len) = (self.layout.node_offset(id), self.layout.chunk_bytes());
         let result = self
-            .mem
-            .with_bytes(at, len, |chunk| {
-                self.layout.decode_lanes_into(chunk, &mut lanes)
-            })
+            .with_node_bytes(id, |bytes| self.layout.decode_lanes_into(bytes, &mut lanes))
             .and_then(|_| lanes.visit_window(query, emit, |c| stack.push(c)));
         self.lane_scratch.borrow_mut().push(lanes);
         result
@@ -635,8 +656,11 @@ mod tests {
         let mut s = store_with(8);
         let id = s.alloc();
         let mut n = Node::new(0);
-        n.entries
-            .push(Entry::data(Rect::new(0.1, 0.1, 0.2, 0.2), 9));
+        // Two entries take two lines, so the second is the node's own.
+        for d in [9, 10] {
+            n.entries
+                .push(Entry::data(Rect::new(0.1, 0.1, 0.2, 0.2), d));
+        }
         s.write(id, &n);
         let layout = s.layout();
         let (next, free) = s.allocator_state();

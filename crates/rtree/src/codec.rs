@@ -631,11 +631,14 @@ pub trait RemoteLayout: Copy + fmt::Debug + 'static {
     /// [`CodecError::Malformed`] if the payload is not a valid node.
     fn decode_node_into(&self, chunk: &[u8], node: &mut Self::Node) -> Result<u64, CodecError>;
 
+    /// The level of `node` (0 for a leaf).
+    fn level(&self, node: &Self::Node) -> u32;
+
     /// For a format whose nodes fill only a prefix of their chunk, the
-    /// level of `node` and the lines its encoding needs, which the arena
-    /// folds into its [`LevelLines`]. `None` (the default) for a format
-    /// that is always read whole.
-    fn extent(&self, _node: &Self::Node) -> Option<(u32, usize)> {
+    /// lines `node`'s encoding needs, which the arena folds into its
+    /// [`LevelLines`]. `None` (the default) for a format that is always
+    /// read whole.
+    fn extent(&self, _node: &Self::Node) -> Option<usize> {
         None
     }
 
@@ -722,8 +725,12 @@ impl RemoteLayout for ChunkLayout {
         self.lines * LINE_BYTES
     }
 
-    fn extent(&self, node: &Node) -> Option<(u32, usize)> {
-        Some((node.level, lines_for(node.entries.len())))
+    fn level(&self, node: &Node) -> u32 {
+        node.level
+    }
+
+    fn extent(&self, node: &Node) -> Option<usize> {
+        Some(lines_for(node.entries.len()))
     }
 
     /// [`lines_for`] the count in the node header, capped at the layout's

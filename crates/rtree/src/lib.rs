@@ -40,5 +40,5 @@ pub use bulk::{bulk_load, bulk_load_with_fill, partition_by_x, slab_of, SpacePar
 pub use geom::Rect;
 pub use knn::{min_dist_sq, Neighbor};
 pub use node::{Entry, EntryRef, Node, NodeId, RTreeConfig};
-pub use store::{MemStore, NodeStore, TreeMeta};
+pub use store::{MemStore, NodeStore, TreeMeta, UPPER_LEVEL};
 pub use tree::{Iter, RTree, SearchStats};

@@ -10,6 +10,12 @@
 use crate::geom::Rect;
 use crate::node::{EntryRef, Node, NodeId};
 
+/// The lowest level of the tree's upper nodes. A chunk arena bumps
+/// [`TreeMeta::structure_version`] before every write of a node at this
+/// level or above, so an offloading client may keep the upper nodes it
+/// read for as long as the version it read them under stands.
+pub const UPPER_LEVEL: u32 = 2;
+
 /// Tree-level metadata, persisted alongside the nodes so that offloading
 /// clients can bootstrap a traversal (it lives in chunk 0 of the chunk
 /// layout).
@@ -22,13 +28,15 @@ pub struct TreeMeta {
     /// Number of data items in the tree.
     pub len: u64,
     /// Bumped whenever entries move **between** nodes (splits, forced
-    /// reinsertion, underflow dissolution, root collapse). Per-chunk
-    /// version stamps catch torn reads of a single node, but a traversal
-    /// spanning several one-sided reads can still observe a parent from
-    /// before such a reorganization and a child from after it — silently
-    /// missing the relocated entries. Offloading clients record this
-    /// counter when they bootstrap and re-validate it after a multi-chunk
-    /// traversal, restarting on a mismatch.
+    /// reinsertion, underflow dissolution, root collapse), and, in a chunk
+    /// arena, before every write of a node at [`UPPER_LEVEL`] or above.
+    /// Per-chunk version stamps catch torn reads of a single node, but a
+    /// traversal spanning several one-sided reads can still observe a
+    /// parent from before such a reorganization and a child from after it
+    /// — silently missing the relocated entries. Offloading clients record
+    /// this counter when they bootstrap and re-validate it after a
+    /// multi-chunk traversal or one served partly from their cache of
+    /// upper nodes, restarting on a mismatch.
     pub structure_version: u64,
 }
 

@@ -140,9 +140,9 @@ proptest! {
         for (i, (r, d)) in items.iter().enumerate() {
             aos.insert(*r, *d);
             soa.insert(*r, *d);
-            prop_assert_eq!(
-                aos.store().meta().structure_version,
-                soa.store().meta().structure_version
+            // The arena also bumps before every upper node write.
+            prop_assert!(
+                soa.store().meta().structure_version >= aos.store().meta().structure_version
             );
             // Probe right after reorganizations and periodically between.
             if soa.store().meta().structure_version as usize > version_probes as usize
