@@ -87,7 +87,7 @@ service_counters! {
     meta_refreshes: "Metadata line reads issued by clients.", false;
     offload_restarts: "Offloaded traversals restarted after observing an inconsistency.", false;
     chunks_fetched: "Chunks fetched over the wire by offloaded traversals.", false;
-    cache_hits: "Chunk reads avoided by the client-side level cache.", false;
+    cache_hits: "Chunk reads served by the client's cache of upper nodes.", false;
     batches_sent: "Doorbell batches carrying two or more coalesced messages: request \
         batches on a client, response batches on a server.", false;
     batched_msgs: "Messages carried inside doorbell batches.", false;
