@@ -522,8 +522,6 @@ mod tests {
             // Inserts go through the ring even in offloading mode.
             let rect = Rect::new(0.88, 0.88, 0.882, 0.882);
             assert!(client.insert(rect, 777_000).await);
-            // Invalidate the cached meta so the traversal sees the update.
-            client.meta_cache = None;
             let got = client.search(&rect).await;
             assert!(got.contains(&777_000));
             assert!(client.stats().writes_sent == 1);

@@ -200,9 +200,6 @@ pub struct ClientConfig {
     /// Issue concurrent RDMA Reads for all intersecting children
     /// (paper §IV-C) instead of fetching nodes one at a time.
     pub multi_issue: bool,
-    /// How long a cached copy of the tree metadata (root id, height) stays
-    /// valid before an offloaded search re-reads chunk 0.
-    pub meta_cache_ttl: SimDuration,
     /// Give up after this many version-validation retries of one chunk.
     pub max_read_retries: u32,
     /// Maximum requests coalesced into one doorbell-batched ring frame by
@@ -223,7 +220,6 @@ impl Default for ClientConfig {
         ClientConfig {
             mode: AccessMode::Adaptive(AdaptiveParams::default()),
             multi_issue: true,
-            meta_cache_ttl: SimDuration::from_millis(10),
             max_read_retries: 64,
             max_batch: 16,
             request_timeout: SimDuration::from_secs(1),

@@ -113,7 +113,9 @@ pub struct ServiceClient<B: ClientBackend> {
     pub(crate) handle: RemoteHandle<B::Layout>,
     pub(crate) seq: u32,
     pub(crate) adaptive: AdaptiveState,
-    pub(crate) meta_cache: Option<(TreeMeta, SimTime)>,
+    /// The metadata the last structure check read, where every offloaded
+    /// walk starts; `None` before the first walk and after a restart.
+    meta_cache: Option<TreeMeta>,
     /// The per-level line bounds of the last metadata line read: how many
     /// lines of a node chunk each wire read asks for.
     level_lines: LevelLines,
@@ -825,23 +827,21 @@ impl<B: ClientBackend> ServiceClient<B> {
         };
         self.node_cache.begin(meta.structure_version);
         let mut frontier = start(root, meta.height - 1);
-        let walked = if multi_issue {
+        let posted = if multi_issue {
             self.walk_multi_issue(&mut frontier).await?
         } else {
             self.walk(&mut frontier).await?
         };
-        // A single-chunk walk is made consistent by its line-version
-        // stamps alone; a longer one must also confirm that no structural
-        // reorganization (split, merge, forced reinsertion) moved entries
-        // between the chunks while they were being read — each chunk
-        // validates individually, but entries relocated from an
-        // already-read node to a not-yet-read sibling would vanish
-        // silently. A walk served from the cache confirms that the version
-        // its cached nodes were read under still stands. An attempt that
-        // ended inconsistent above dropped its confirm unread.
-        if walked.checked()
-            && self.confirm(walked.confirm).await?.structure_version != meta.structure_version
-        {
+        // Every walk confirms that the structure version it started from
+        // still stands. Each chunk validates on its own, but a structural
+        // reorganization (split, merge, forced reinsertion, a new root)
+        // may have moved entries between the chunks while they were read,
+        // or before: the metadata and cached nodes the walk started from
+        // may predate it. An unchanged version vouches for the root, the
+        // cached nodes and every chunk read before the check; a changed
+        // one restarts the walk. An attempt that ended inconsistent above
+        // dropped its check unread.
+        if self.confirm(posted).await?.structure_version != meta.structure_version {
             return Err(Inconsistent);
         }
         Ok(frontier.into_items())
@@ -863,21 +863,18 @@ impl<B: ClientBackend> ServiceClient<B> {
     /// inline, so no other task's ready work can overtake it to the NIC.
     /// A popped leaf that leaves the frontier [drained](Frontier::drained)
     /// is the last read, and the structure check is posted behind it;
-    /// any other wire read voids a check posted before it.
-    async fn walk<F: Frontier<B>>(&mut self, frontier: &mut F) -> Result<Walked, Inconsistent> {
-        let mut walked = Walked::default();
+    /// any other wire read voids a check posted before it. Returns the
+    /// posted check, unless a later read voided it.
+    async fn walk<F: Frontier<B>>(&mut self, frontier: &mut F) -> Result<Check, Inconsistent> {
+        let mut posted = None;
         while let Some((id, level)) = frontier.pop() {
             let (chunk, wire) = match self.cache_lookup(id, level) {
-                Some(chunk) => {
-                    walked.cache_hits += 1;
-                    (chunk, None)
-                }
+                Some(chunk) => (chunk, None),
                 None => {
-                    walked.wire_reads += 1;
-                    // The confirm's task first runs once this task yields,
+                    // The check's task first runs once this task yields,
                     // which is after the read below has posted its request.
-                    let last = level == 0 && frontier.drained() && walked.checked();
-                    walked.confirm = last.then(|| self.post_confirm());
+                    let last = level == 0 && frontier.drained();
+                    posted = last.then(|| self.post_confirm());
                     let read = read_chunk(
                         &self.ch.qp,
                         &self.handle,
@@ -887,15 +884,15 @@ impl<B: ClientBackend> ServiceClient<B> {
                     );
                     let (chunk, fetched) = read.await?;
                     if fetched.reread() {
-                        // The re-read went out behind the confirm.
-                        walked.confirm = None;
+                        // The re-read went out behind the check.
+                        posted = None;
                     }
                     (chunk, Some(fetched))
                 }
             };
             self.deliver(frontier, id, level, &chunk, wire).await?;
         }
-        Ok(walked)
+        Ok(posted)
     }
 
     /// Walks `frontier` multi-issue (§IV-C): every node it holds is
@@ -912,12 +909,13 @@ impl<B: ClientBackend> ServiceClient<B> {
     async fn walk_multi_issue<F: Frontier<B>>(
         &mut self,
         frontier: &mut F,
-    ) -> Result<Walked, Inconsistent> {
+    ) -> Result<Check, Inconsistent> {
         let (tx, mut rx) = catfish_simnet::sync::channel();
         let mut inflight = 0usize;
         // Reads in flight of internal nodes, whose visits dispatch more.
         let mut internal = 0usize;
-        let mut walked = Walked::default();
+        let mut check = None;
+        // A check was posted behind every wire read dispatched so far.
         let mut posted = false;
         let mut queued = std::mem::take(&mut self.dispatch);
         let mut failed = false;
@@ -929,16 +927,10 @@ impl<B: ClientBackend> ServiceClient<B> {
                     inflight += 1;
                     internal += usize::from(level > 0);
                     match self.cache_lookup(id, level) {
-                        Some(chunk) => {
-                            walked.cache_hits += 1;
-                            tx.send((id, level, Ok((chunk, None))));
-                        }
+                        Some(chunk) => tx.send((id, level, Ok((chunk, None)))),
                         None => {
-                            walked.wire_reads += 1;
-                            if posted {
-                                walked.confirm = None;
-                                posted = false;
-                            }
+                            check = None;
+                            posted = false;
                             let (qp, handle, tx) = (self.ch.qp.clone(), self.handle, tx.clone());
                             let lines = self.read_lines(level);
                             let retries = self.cfg.max_read_retries;
@@ -952,14 +944,9 @@ impl<B: ClientBackend> ServiceClient<B> {
                 }
                 // Spawned after every read task above, so its request is
                 // posted after theirs.
-                if !posted
-                    && internal == 0
-                    && inflight > 0
-                    && walked.checked()
-                    && frontier.drained()
-                {
+                if !posted && internal == 0 && inflight > 0 && frontier.drained() {
                     posted = true;
-                    walked.confirm = Some(self.post_confirm());
+                    check = Some(self.post_confirm());
                 }
             }
             if inflight == 0 {
@@ -973,7 +960,7 @@ impl<B: ClientBackend> ServiceClient<B> {
                 failed = match got {
                     Ok((chunk, wire)) => {
                         if wire.is_some_and(|fetched| fetched.reread()) {
-                            walked.confirm = None;
+                            check = None;
                         }
                         self.deliver(frontier, id, level, &chunk, wire)
                             .await
@@ -987,7 +974,7 @@ impl<B: ClientBackend> ServiceClient<B> {
         if failed {
             Err(Inconsistent)
         } else {
-            Ok(walked)
+            Ok(check)
         }
     }
 
@@ -1032,9 +1019,12 @@ impl<B: ClientBackend> ServiceClient<B> {
         frontier.visit(&self.visit_scratch)
     }
 
-    /// The index metadata: the cached copy while it is within the meta
-    /// TTL, else line 0 of chunk 0 read and cached. The record fits that
-    /// one line, which cannot tear.
+    /// The metadata a walk starts from: the last check's, else line 0 of
+    /// chunk 0 read now, as on the first walk and after a restart. The
+    /// record fits that one line, which cannot tear. An empty tree's
+    /// metadata is never reused: its walk reads nothing to post a check
+    /// behind, and the first insert sets a root under the same structure
+    /// version.
     ///
     /// # Errors
     ///
@@ -1042,12 +1032,10 @@ impl<B: ClientBackend> ServiceClient<B> {
     /// traversal restarts like any other inconsistent view, and falls
     /// back to the server after repeated attempts.
     async fn read_meta(&mut self) -> Result<TreeMeta, Inconsistent> {
-        if let Some((m, at)) = self.meta_cache {
-            if now().saturating_duration_since(at) <= self.cfg.meta_cache_ttl {
-                return Ok(m);
-            }
+        match self.meta_cache {
+            Some(m) if m.root.is_some() => Ok(m),
+            _ => self.confirm(None).await,
         }
-        self.confirm(None).await
     }
 
     /// Posts a walk's structure check: a read of the metadata line in a
@@ -1069,10 +1057,7 @@ impl<B: ClientBackend> ServiceClient<B> {
     /// # Errors
     ///
     /// As [`ServiceClient::read_meta`].
-    async fn confirm(
-        &mut self,
-        posted: Option<JoinHandle<Vec<u8>>>,
-    ) -> Result<TreeMeta, Inconsistent> {
+    async fn confirm(&mut self, posted: Check) -> Result<TreeMeta, Inconsistent> {
         let span = self.trace.begin();
         let line = match posted {
             Some(posted) => posted.await,
@@ -1087,29 +1072,15 @@ impl<B: ClientBackend> ServiceClient<B> {
             .layout
             .decode_meta(&line)
             .map_err(|_| Inconsistent)?;
-        self.meta_cache = Some((m, now()));
+        self.meta_cache = Some(m);
         self.level_lines = LevelLines::from_meta_line(&line);
         Ok(m)
     }
 }
 
-/// What a walk leaves for its structure check: how many chunks it read
-/// off the wire and how many the cache served, and the check it posted
-/// behind its last read, unless a later re-read voided it.
-#[derive(Default)]
-struct Walked {
-    wire_reads: u32,
-    cache_hits: u32,
-    confirm: Option<JoinHandle<Vec<u8>>>,
-}
-
-impl Walked {
-    /// Whether the walk needs the structure check: it read two chunks or
-    /// more off the wire, or the cache served any node.
-    fn checked(&self) -> bool {
-        self.wire_reads >= 2 || self.cache_hits > 0
-    }
-}
+/// What a walk leaves for its structure check: the metadata line read it
+/// posted behind its last read, unless a later read voided it.
+type Check = Option<JoinHandle<Vec<u8>>>;
 
 /// The nodes an offloaded walk has still to read, and what it makes of
 /// each node it reads: a window search's LIFO stack of children

@@ -105,7 +105,6 @@ fn zero_retry_budget_falls_back_to_fast_messaging() {
                 mode: AccessMode::Offloading,
                 multi_issue: true,
                 max_read_retries: 0,
-                meta_cache_ttl: SimDuration::ZERO,
                 ..ClientConfig::default()
             },
             3,
@@ -236,7 +235,6 @@ fn offloading_correct_under_deletes() {
             ClientConfig {
                 mode: AccessMode::Offloading,
                 multi_issue: true,
-                meta_cache_ttl: SimDuration::ZERO,
                 ..ClientConfig::default()
             },
             6,

@@ -1,14 +1,15 @@
-//! The offloaded walk's structure check. A walk that reads two or more
-//! chunks confirms, from the metadata's structure version, that no split
-//! or reinsertion moved entries while it read. The check is one 64-byte
+//! The offloaded walk's structure check. Every walk confirms, from the
+//! metadata's structure version, that no split or reinsertion moved
+//! entries since the metadata it started from. The check is one 64-byte
 //! read of the metadata line, posted on the walk's queue pair right
 //! behind its last chunk read, so it costs no round trip of its own. A
 //! queue pair executes its reads in order, so the check samples chunk 0
 //! no earlier than any chunk it vouches for; a chunk re-read posted after
 //! it voids it, and the walk confirms again at its end.
 //!
-//! These tests pin where the check goes on the wire, and that it stays
-//! sound when splits race the walk and when a leaf is re-read behind it.
+//! These tests pin where the check goes on the wire, also for a walk of a
+//! single chunk, and that it stays sound when splits race the walk and
+//! when a leaf is re-read behind it.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -32,7 +33,12 @@ use catfish_simnet::{
 const ITEMS: u64 = 12_000;
 
 fn dataset() -> Vec<(Rect, u64)> {
-    (0..ITEMS)
+    grid(ITEMS)
+}
+
+/// The first `n` items of a 128-column grid.
+fn grid(n: u64) -> Vec<(Rect, u64)> {
+    (0..n)
         .map(|i| {
             let x = (i % 128) as f64 / 128.0;
             let y = (i / 128) as f64 / 128.0;
@@ -70,6 +76,10 @@ struct Bed {
 }
 
 fn bed(multi_issue: bool) -> Bed {
+    bed_of(multi_issue, dataset())
+}
+
+fn bed_of(multi_issue: bool, items: Vec<(Rect, u64)>) -> Bed {
     let net = Network::new();
     let profile = infiniband_100g();
     let server = CatfishServer::build(
@@ -81,7 +91,7 @@ fn bed(multi_issue: bool) -> Bed {
             ..ServerConfig::default()
         },
         RTreeConfig::with_max_entries(88),
-        dataset(),
+        items,
         &RkeyAllocator::new(),
     );
     let client_node = net.add_node(profile.link);
@@ -92,9 +102,6 @@ fn bed(multi_issue: bool) -> Bed {
         ClientConfig {
             mode: AccessMode::Offloading,
             multi_issue,
-            // Every measured search runs on cached metadata, so its only
-            // metadata read is the structure check.
-            meta_cache_ttl: SimDuration::from_secs(1),
             ..ClientConfig::default()
         },
         1,
@@ -277,6 +284,53 @@ fn multi_issue_check_rides_behind_the_last_chunk_read() {
             wait.max()
         );
     });
+}
+
+/// A walk of a one-leaf tree reads one chunk and no cached node, and still
+/// posts its structure check behind that read: per search, one read of the
+/// leaf at its level's line bound and one 64-byte metadata read, whose
+/// request leaves before the leaf is served. Both walks.
+#[test]
+fn single_chunk_walk_posts_its_check() {
+    for multi_issue in [true, false] {
+        Sim::new().run_until(async move {
+            let mut bed = bed_of(multi_issue, grid(40));
+            assert_eq!(bed.server.meta().height, 1, "the root is a leaf");
+            let leaf_bytes = bed.server.with_index(|t| {
+                let lines = t.store().level_lines().get(0);
+                (lines.expect("the leaf level has a bound") * LINE_BYTES) as u64
+            });
+            let request_bytes = u64::from(infiniband_100g().rdma.read_request_bytes);
+            let everywhere = Rect::new(0.0, 0.0, 1.0, 1.0);
+            assert_eq!(bed.client.search(&everywhere).await.len(), 40);
+            sleep(SimDuration::from_millis(1)).await;
+
+            for search in 0..3 {
+                let what = format!("multi-issue {multi_issue}, search {search}");
+                let before = bed.client.stats();
+                let (c0, s0) = sent(&bed);
+                let stop = Rc::new(Cell::new(false));
+                let samples = timeline(&bed, stop.clone());
+                assert_eq!(bed.client.search(&everywhere).await.len(), 40, "{what}");
+                stop.set(true);
+                let samples = samples.await;
+                let after = bed.client.stats();
+                let (c1, s1) = sent(&bed);
+                assert_eq!(after.chunks_fetched - before.chunks_fetched, 1, "{what}");
+                assert_eq!(after.cache_hits, before.cache_hits, "{what}");
+                assert_eq!(after.meta_refreshes - before.meta_refreshes, 1, "{what}");
+                assert_eq!(after.offload_restarts, before.offload_restarts, "{what}");
+                assert_eq!(c1 - c0, 2 * request_bytes, "{what}: the leaf and the check");
+                assert_eq!(s1 - s0, leaf_bytes + LINE_BYTES as u64, "{what}");
+                let check_posted = first_at(&samples, c1, |s| s.1);
+                let leaf_served = first_at(&samples, s0 + leaf_bytes, |s| s.2);
+                assert!(
+                    check_posted < leaf_served,
+                    "{what}: check posted at {check_posted:?}, leaf served at {leaf_served:?}"
+                );
+            }
+        });
+    }
 }
 
 /// How long an idle search of `window()` takes on a fresh bed with warm

@@ -79,8 +79,6 @@ fn bed(multi_issue: bool) -> Bed {
         ClientConfig {
             mode: AccessMode::Offloading,
             multi_issue,
-            // Measured walks run on the metadata of the warm-up walk.
-            meta_cache_ttl: SimDuration::from_secs(1),
             ..ClientConfig::default()
         },
         1,

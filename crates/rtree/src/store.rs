@@ -33,10 +33,10 @@ pub struct TreeMeta {
     /// Per-chunk version stamps catch torn reads of a single node, but a
     /// traversal spanning several one-sided reads can still observe a
     /// parent from before such a reorganization and a child from after it
-    /// — silently missing the relocated entries. Offloading clients record
-    /// this counter when they bootstrap and re-validate it after a
-    /// multi-chunk traversal or one served partly from their cache of
-    /// upper nodes, restarting on a mismatch.
+    /// — silently missing the relocated entries. Offloading clients start
+    /// every traversal from the counter their last check read and check
+    /// it again behind the traversal's last read, restarting on a
+    /// mismatch.
     pub structure_version: u64,
 }
 

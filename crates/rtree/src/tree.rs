@@ -479,7 +479,7 @@ impl<S: NodeStore> RTree<S> {
 
     /// Records a structural reorganization — entries moving between nodes
     /// — in the persisted metadata. Offloading clients validate this
-    /// counter after multi-chunk traversals (see [`TreeMeta`]).
+    /// counter after every traversal (see [`TreeMeta`]).
     fn bump_structure_version(&mut self) {
         let mut meta = self.store.meta();
         meta.structure_version += 1;

@@ -201,7 +201,6 @@ async fn retries_run(
         ClientConfig {
             mode: AccessMode::Offloading,
             multi_issue: true,
-            meta_cache_ttl: catfish::simnet::SimDuration::ZERO,
             ..ClientConfig::default()
         },
         3,
