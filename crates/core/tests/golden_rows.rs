@@ -516,18 +516,18 @@ const OFFLOAD_SEQUENTIAL: &str = concat!(
 );
 
 const ADAPTIVE_THREE_WAY: &str = concat!(
-    "Catfish                  16 clients   1 shards       12.84 Kops  mean    1.085ms  p99    3.670ms  cpu  99.0%  bw    3.41 Gbps  modes f/F/o     81/   169/   230 (offload)  torn    0.0/kop  restarts   0.0/kop\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=81 offloaded_reads=230 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=259 offload_restarts=0 chunks_fetched=3533 cache_hits=214 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=169 fetched_responses=96 fetch_fallbacks=73 mailbox_reclaims=70 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=81 offloaded_reads=230 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=259 offload_restarts=0 chunks_fetched=3533 cache_hits=214 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=169 fetched_responses=96 fetch_fallbacks=73 mailbox_reclaims=70 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "Catfish                  16 clients   1 shards       12.77 Kops  mean    1.083ms  p99    3.670ms  cpu  98.4%  bw    3.40 Gbps  modes f/F/o     81/   169/   230 (offload)  torn    0.0/kop  restarts   0.0/kop\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=81 offloaded_reads=230 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=246 offload_restarts=0 chunks_fetched=3533 cache_hits=214 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=169 fetched_responses=96 fetch_fallbacks=73 mailbox_reclaims=70 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=81 offloaded_reads=230 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=246 offload_restarts=0 chunks_fetched=3533 cache_hits=214 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=169 fetched_responses=96 fetch_fallbacks=73 mailbox_reclaims=70 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 
 const REPLICATED_HYBRID: &str = concat!(
-    "Catfish                  32 clients   4 shards       50.94 Kops  mean  589.562us  p99    2.097ms  cpu  87.6%  bw    0.85 Gbps  modes f/F/o   2783/     0/   495 (fast)  torn    0.0/kop  restarts  16.9/kop  off/shard [0.09 0.24 0.18 0.07]\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=2783 offloaded_reads=495 writes_sent=332 removes_sent=0 torn_retries=0 short_reads=2 meta_refreshes=737 offload_restarts=54 chunks_fetched=1938 cache_hits=364 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=332 repl_fenced=0 repl_dups=0 repl_lag_ns=36033629\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=714 offloaded_reads=67 writes_sent=71 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=111 offload_restarts=11 chunks_fetched=301 cache_hits=46 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=71 repl_fenced=0 repl_dups=0 repl_lag_ns=7681046\n",
-    "shard 1: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=701 offloaded_reads=224 writes_sent=94 removes_sent=0 torn_retries=0 short_reads=1 meta_refreshes=325 offload_restarts=23 chunks_fetched=850 cache_hits=170 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=94 repl_fenced=0 repl_dups=0 repl_lag_ns=10183708\n",
-    "shard 2: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=671 offloaded_reads=148 writes_sent=98 removes_sent=0 torn_retries=0 short_reads=1 meta_refreshes=201 offload_restarts=8 chunks_fetched=539 cache_hits=112 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=98 repl_fenced=0 repl_dups=0 repl_lag_ns=10649920\n",
-    "shard 3: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=697 offloaded_reads=56 writes_sent=69 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=100 offload_restarts=12 chunks_fetched=248 cache_hits=36 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=69 repl_fenced=0 repl_dups=0 repl_lag_ns=7518955\n",
+    "Catfish                  32 clients   4 shards       48.95 Kops  mean  615.827us  p99    2.097ms  cpu  86.5%  bw    0.73 Gbps  modes f/F/o   2883/     0/   394 (fast)  torn    0.0/kop  restarts  18.4/kop  off/shard [0.08 0.15 0.17 0.07]\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=2883 offloaded_reads=394 writes_sent=332 removes_sent=0 torn_retries=0 short_reads=5 meta_refreshes=613 offload_restarts=59 chunks_fetched=1633 cache_hits=298 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=332 repl_fenced=0 repl_dups=0 repl_lag_ns=36034280\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=715 offloaded_reads=66 writes_sent=71 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=110 offload_restarts=12 chunks_fetched=300 cache_hits=46 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=71 repl_fenced=0 repl_dups=0 repl_lag_ns=7691314\n",
+    "shard 1: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=785 offloaded_reads=139 writes_sent=94 removes_sent=0 torn_retries=0 short_reads=3 meta_refreshes=219 offload_restarts=25 chunks_fetched=593 cache_hits=112 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=94 repl_fenced=0 repl_dups=0 repl_lag_ns=10201232\n",
+    "shard 2: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=681 offloaded_reads=138 writes_sent=98 removes_sent=0 torn_retries=0 short_reads=2 meta_refreshes=195 offload_restarts=13 chunks_fetched=507 cache_hits=109 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=98 repl_fenced=0 repl_dups=0 repl_lag_ns=10660286\n",
+    "shard 3: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=702 offloaded_reads=51 writes_sent=69 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=89 offload_restarts=9 chunks_fetched=233 cache_hits=31 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=69 repl_fenced=0 repl_dups=0 repl_lag_ns=7481448\n",
 );
 
 const FAST_MESSAGING_POLLING: &str = concat!(
@@ -589,7 +589,7 @@ const KV_GETS_PUTS: &str = concat!(
     "client 13: done 31190351ns got 45 replaced 15 sum 310503\n",
     "client 14: done 30266951ns got 45 replaced 15 sum 297983\n",
     "client 15: done 31202421ns got 45 replaced 15 sum 295463\n",
-    "clients: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=500 offloaded_reads=220 writes_sent=240 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=242 offload_restarts=0 chunks_fetched=440 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
+    "clients: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=500 offloaded_reads=220 writes_sent=240 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=236 offload_restarts=0 chunks_fetched=440 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
     "server: reads=500 writes=240 removes=0 results_returned=500 nodes_visited=1000 fast_reads=0 offloaded_reads=0 writes_sent=0 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=0 retransmits=0 dup_drops=0 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=0 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 const FETCHING_LOSSY: &str = concat!(
@@ -598,11 +598,11 @@ const FETCHING_LOSSY: &str = concat!(
     "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=0 offloaded_reads=0 writes_sent=27 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=745 retransmits=739 dup_drops=65 checksum_failures=0 resyncs=57 stale_heartbeat_windows=0 fetched_reads=213 fetched_responses=653 fetch_fallbacks=192 mailbox_reclaims=201 flight_dumps=760 repl_forwards=0 repl_fenced=0 repl_dups=0 repl_lag_ns=0\n",
 );
 const REPLICATED_HYBRID_FAULT: &str = concat!(
-    "Catfish                  32 clients   4 shards       21.67 Kops  mean    1.165ms  p99   16.777ms  cpu  63.9%  bw    0.62 Gbps  modes f/F/o    686/     0/   278 (fast)  torn    0.0/kop  restarts  12.5/kop  off/shard [0.15 0.55 0.38 0.00]\n",
-    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=686 offloaded_reads=278 writes_sent=100 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=394 offload_restarts=12 chunks_fetched=991 cache_hits=192 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=1068 retransmits=1068 dup_drops=196 checksum_failures=0 resyncs=14 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=1082 repl_forwards=100 repl_fenced=0 repl_dups=0 repl_lag_ns=10800904\n",
-    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=194 offloaded_reads=35 writes_sent=23 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=52 offload_restarts=1 chunks_fetched=138 cache_hits=20 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=187 retransmits=187 dup_drops=30 checksum_failures=0 resyncs=14 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=201 repl_forwards=23 repl_fenced=0 repl_dups=0 repl_lag_ns=2486534\n",
-    "shard 1: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=119 offloaded_reads=148 writes_sent=32 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=207 offload_restarts=9 chunks_fetched=498 cache_hits=107 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=620 retransmits=620 dup_drops=135 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=620 repl_forwards=32 repl_fenced=0 repl_dups=0 repl_lag_ns=3460850\n",
-    "shard 2: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=152 offloaded_reads=95 writes_sent=25 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=135 offload_restarts=2 chunks_fetched=355 cache_hits=65 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=244 retransmits=244 dup_drops=27 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=244 repl_forwards=25 repl_fenced=0 repl_dups=0 repl_lag_ns=2696400\n",
+    "Catfish                  32 clients   4 shards       21.66 Kops  mean    1.164ms  p99   16.777ms  cpu  63.9%  bw    0.65 Gbps  modes f/F/o    686/     0/   278 (fast)  torn    0.0/kop  restarts  32.3/kop  off/shard [0.15 0.55 0.38 0.00]\n",
+    "total: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=686 offloaded_reads=278 writes_sent=100 removes_sent=0 torn_retries=0 short_reads=1 meta_refreshes=408 offload_restarts=31 chunks_fetched=1058 cache_hits=211 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=1067 retransmits=1067 dup_drops=195 checksum_failures=0 resyncs=14 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=1081 repl_forwards=100 repl_fenced=0 repl_dups=0 repl_lag_ns=10800904\n",
+    "shard 0: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=194 offloaded_reads=35 writes_sent=23 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=56 offload_restarts=5 chunks_fetched=155 cache_hits=24 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=187 retransmits=187 dup_drops=30 checksum_failures=0 resyncs=14 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=201 repl_forwards=23 repl_fenced=0 repl_dups=0 repl_lag_ns=2486534\n",
+    "shard 1: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=119 offloaded_reads=148 writes_sent=32 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=216 offload_restarts=18 chunks_fetched=529 cache_hits=116 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=620 retransmits=620 dup_drops=135 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=620 repl_forwards=32 repl_fenced=0 repl_dups=0 repl_lag_ns=3460850\n",
+    "shard 2: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=152 offloaded_reads=95 writes_sent=25 removes_sent=0 torn_retries=0 short_reads=1 meta_refreshes=136 offload_restarts=8 chunks_fetched=374 cache_hits=71 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=243 retransmits=243 dup_drops=26 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=243 repl_forwards=25 repl_fenced=0 repl_dups=0 repl_lag_ns=2696400\n",
     "shard 3: reads=0 writes=0 removes=0 results_returned=0 nodes_visited=0 fast_reads=221 offloaded_reads=0 writes_sent=20 removes_sent=0 torn_retries=0 short_reads=0 meta_refreshes=0 offload_restarts=0 chunks_fetched=0 cache_hits=0 batches_sent=0 batched_msgs=0 decode_errors=0 timeouts=17 retransmits=17 dup_drops=4 checksum_failures=0 resyncs=0 stale_heartbeat_windows=0 fetched_reads=0 fetched_responses=0 fetch_fallbacks=0 mailbox_reclaims=0 flight_dumps=17 repl_forwards=20 repl_fenced=0 repl_dups=0 repl_lag_ns=2157120\n",
 );
 const READ_BATCH_LOSSY: &str = concat!(
